@@ -9,8 +9,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import solitons, special
-from .dwp import RIEMANN_CLASSES, RICCI_CLASSES, coordinate_lifts
-from .reporting import skipped, summarize
+from .dwp import RIEMANN_CLASSES, RICCI_CLASSES
+from .reporting import normalized_residual, skipped, summarize
 
 __all__ = [
     "CHECK_NAMES",
@@ -26,70 +26,44 @@ __all__ = [
     "run_all",
 ]
 
-CHECK_NAMES = (
-    "lemma1",
-    "lemma2",
-    "lemma5",
-    "hessian",
-    "scalar",
-    "laplacian",
-    "solitons",
-    "concircular",
-    "conharmonic",
-)
 
-# factor membership of the (A, B, C) inputs for each curvature class
-_CLASS_PATTERN = {
-    "XYZ": (1, 1, 1),
-    "XYU": (1, 1, 2),
-    "UVX": (2, 2, 1),
-    "XUY": (1, 2, 1),
-    "UXV": (2, 1, 2),
-    "UVW": (2, 2, 2),
-}
+def _class_summaries(family, dwp, points, tolerance, closed, oracle):
+    """One summary per class: closed(p) maps each class to its (1,3) block
+    over the product chart, oracle(p) is the (0,4) oracle tensor; each index
+    triple of a block gets its own normalized residual, max-reduced."""
+    values = {}
+    for p in points:
+        raised = oracle(p) @ dwp.point_data(p).ginv.T
+        for klass, block in closed(p).items():
+            expected = raised[dwp.block(klass)]
+            values.setdefault(klass, []).append(
+                normalized_residual(block - expected, [block, expected],
+                                    axis=-1)
+            )
+    return [
+        summarize(f"{family}.{klass}", v, points, tolerance)
+        for klass, v in values.items()
+    ]
 
 
-def _normalized(closed, oracle):
-    scale = 1.0 + max(float(np.abs(closed).max()), float(np.abs(oracle).max()))
-    return float(np.abs(closed - oracle).max()) / scale
-
-
-def _class_inputs(dwp, pattern):
-    lifts1, lifts2 = coordinate_lifts(dwp)
-
-    def pool(f):
-        return list(enumerate(lifts1)) if f == 1 else [
-            (dwp.m1 + i, v) for i, v in enumerate(lifts2)
-        ]
-
-    for ia, a in pool(pattern[0]):
-        for ib, b in pool(pattern[1]):
-            for ic, c in pool(pattern[2]):
-                yield (ia, ib, ic), (a, b, c)
+def _riemann_classes(dwp, tensor):
+    return {klass: tensor[dwp.block(klass)] for klass in RIEMANN_CLASSES}
 
 
 def check_lemma1(dwp, points, tolerance):
-    """Closed-form curvature components of all six lifted index patterns
+    """Closed-form curvature blocks of all six lifted index patterns
     against the product curvature oracle, plus full-tensor reconstruction."""
     points = np.atleast_2d(points)
-    out = []
-    for klass in RIEMANN_CLASSES:
-        values = []
-        for p in points:
-            d = dwp.point_data(p)
-            r4 = dwp.product.riemann_oracle(p).entries
-            worst = 0.0
-            for (ia, ib, ic), vecs in _class_inputs(dwp, _CLASS_PATTERN[klass]):
-                closed = dwp.riemann_closed(klass, vecs, p)
-                oracle = d.ginv @ r4[ia, ib, ic, :]
-                worst = max(worst, _normalized(closed, oracle))
-            values.append(worst)
-        out.append(summarize(f"lemma1.{klass}", values, points, tolerance))
+    out = _class_summaries(
+        "lemma1", dwp, points, tolerance,
+        lambda p: _riemann_classes(dwp, dwp.riemann_closed(p)),
+        lambda p: dwp.product.riemann_oracle(p).entries,
+    )
     values = []
     for p in points:
         closed = dwp.riemann_closed_tensor(p)
         oracle = dwp.product.riemann_oracle(p).entries
-        values.append(_normalized(closed, oracle))
+        values.append(normalized_residual(closed - oracle, [closed, oracle]))
     out.append(summarize("lemma1.reconstruction", values, points, tolerance))
     return out
 
@@ -97,17 +71,14 @@ def check_lemma1(dwp, points, tolerance):
 def check_lemma2(dwp, points, tolerance):
     """Blockwise Ricci splitting against the product Ricci oracle."""
     points = np.atleast_2d(points)
-    m1 = dwp.m1
-    slices = {"XX": (slice(None, m1), slice(None, m1)),
-              "XU": (slice(None, m1), slice(m1, None)),
-              "UU": (slice(m1, None), slice(m1, None))}
     out = []
     for klass in RICCI_CLASSES:
         values = []
         for p in points:
-            ric = dwp.product.ricci_oracle(p).entries
+            oracle = dwp.product.ricci_oracle(p).entries[dwp.block(klass)]
             closed = dwp.ricci_closed(klass, p)
-            values.append(_normalized(closed, ric[slices[klass]]))
+            values.append(normalized_residual(closed - oracle,
+                                              [closed, oracle]))
         out.append(summarize(f"lemma2.{klass}", values, points, tolerance))
     return out
 
@@ -115,17 +86,16 @@ def check_lemma2(dwp, points, tolerance):
 def check_lemma5(dwp, points, tolerance):
     """Blockwise Ricci-operator splitting against the raised Ricci oracle."""
     points = np.atleast_2d(points)
-    m1 = dwp.m1
     out = []
     for klass in ("XX", "UU"):
         values = []
         for p in points:
             d = dwp.point_data(p)
             q = d.ginv @ dwp.product.ricci_oracle(p).entries
-            block = q[:m1, :m1] if klass == "XX" else q[m1:, m1:]
-            values.append(
-                _normalized(dwp.ricci_operator_closed(klass, p), block)
-            )
+            oracle = q[dwp.block(klass)]
+            closed = dwp.ricci_operator_closed(klass, p)
+            values.append(normalized_residual(closed - oracle,
+                                              [closed, oracle]))
         out.append(summarize(f"lemma5.{klass}", values, points, tolerance))
     return out
 
@@ -137,19 +107,18 @@ def check_hessian(dwp, points, tolerance, psis=None):
     fields = [("k", dwp.k_lifted), ("l", dwp.l_lifted)]
     for name, psi in psis or []:
         fields.append((name, psi))
-    m1 = dwp.m1
-    slices = {"XX": (slice(None, m1), slice(None, m1)),
-              "XU": (slice(None, m1), slice(m1, None)),
-              "UU": (slice(m1, None), slice(m1, None))}
     out = []
     for name, psi in fields:
         psi_l = psi if psi.coords == dwp.coords else psi.lift(dwp.coords)
         for klass in RICCI_CLASSES:
             values = []
             for p in points:
-                h = dwp.product.hessian_field(psi_l, p).entries
+                oracle = dwp.product.hessian_field(psi_l, p).entries[
+                    dwp.block(klass)
+                ]
                 closed = dwp.hessian_split_closed(psi_l, klass, p)
-                values.append(_normalized(closed, h[slices[klass]]))
+                values.append(normalized_residual(closed - oracle,
+                                                  [closed, oracle]))
             out.append(
                 summarize(f"hessian.{name}.{klass}", values, points, tolerance)
             )
@@ -162,7 +131,7 @@ def check_scalar(dwp, points, tolerance):
     for p in points:
         closed = dwp.scalar_closed(p)
         oracle = dwp.product.scalar_oracle(p)
-        values.append(abs(closed - oracle) / (1.0 + max(abs(closed), abs(oracle))))
+        values.append(normalized_residual(closed - oracle, [closed, oracle]))
     return [summarize("scalar.splitting", values, points, tolerance)]
 
 
@@ -174,7 +143,7 @@ def check_laplacian(dwp, points, tolerance):
         for p in points:
             closed, oracle = dwp.laplacian_split(which, p)
             values.append(
-                abs(closed - oracle) / (1.0 + max(abs(closed), abs(oracle)))
+                normalized_residual(closed - oracle, [closed, oracle])
             )
         out.append(summarize(f"laplacian.{which}", values, points, tolerance))
     return out
@@ -226,22 +195,14 @@ def check_solitons(dwp, specs, points, tolerance, anchor):
 
 
 def check_concircular(dwp, points, tolerance, anchor):
-    """Closed-form concircular components against the oracle on all six
-    lifted patterns, then the flatness consequences (gated)."""
+    """Closed-form concircular blocks against the oracle on all six lifted
+    patterns, then the flatness consequences (gated)."""
     points = np.atleast_2d(points)
-    out = []
-    for klass in RIEMANN_CLASSES:
-        values = []
-        for p in points:
-            d = dwp.point_data(p)
-            c4 = special.concircular_oracle(dwp.product, p).entries
-            worst = 0.0
-            for (ia, ib, ic), vecs in _class_inputs(dwp, _CLASS_PATTERN[klass]):
-                closed = special.concircular_closed(dwp, klass, vecs, p)
-                oracle = d.ginv @ c4[ia, ib, ic, :]
-                worst = max(worst, _normalized(closed, oracle))
-            values.append(worst)
-        out.append(summarize(f"concircular.{klass}", values, points, tolerance))
+    out = _class_summaries(
+        "concircular", dwp, points, tolerance,
+        lambda p: _riemann_classes(dwp, special.concircular_closed(dwp, p)),
+        lambda p: special.concircular_oracle(dwp.product, p).entries,
+    )
     out.extend(
         special.concircular_flat_consequences(dwp, points, anchor, tolerance)
     )
@@ -249,8 +210,8 @@ def check_concircular(dwp, points, tolerance, anchor):
 
 
 def check_conharmonic(dwp, points, tolerance, anchor):
-    """Closed-form conharmonic components (same-factor patterns only)
-    against the oracle, then the flatness consequences (gated)."""
+    """Closed-form conharmonic blocks (same-factor patterns only) against
+    the oracle, then the flatness consequences (gated)."""
     points = np.atleast_2d(points)
     if dwp.m < 3:
         return [
@@ -260,25 +221,35 @@ def check_conharmonic(dwp, points, tolerance, anchor):
                 tolerance,
             )
         ]
-    out = []
-    for klass, pattern in (("XYZ", (1, 1, 1)), ("UVW", (2, 2, 2))):
-        values = []
-        for p in points:
-            d = dwp.point_data(p)
-            h4 = special.conharmonic_oracle(dwp.product, p).entries
-            worst = 0.0
-            for (ia, ib, ic), vecs in _class_inputs(dwp, pattern):
-                closed = special.conharmonic_closed(dwp, klass, vecs, p)
-                oracle = d.ginv @ h4[ia, ib, ic, :]
-                worst = max(worst, _normalized(closed, oracle))
-            values.append(worst)
-        out.append(
-            summarize(f"conharmonic.{klass}", values, points, tolerance)
-        )
+    out = _class_summaries(
+        "conharmonic", dwp, points, tolerance,
+        lambda p: {klass: special.conharmonic_closed(dwp, klass, p)
+                   for klass in special.CONHARMONIC_CLASSES},
+        lambda p: special.conharmonic_oracle(dwp.product, p).entries,
+    )
     out.extend(
         special.conharmonic_flat_consequences(dwp, points, anchor, tolerance)
     )
     return out
+
+
+# (name, family) in report order; each family is called with
+# (dwp, soliton specs, points, tolerance, anchor, extra potentials)
+_FAMILIES = (
+    ("lemma1", lambda d, s, p, t, a, psis: check_lemma1(d, p, t)),
+    ("lemma2", lambda d, s, p, t, a, psis: check_lemma2(d, p, t)),
+    ("lemma5", lambda d, s, p, t, a, psis: check_lemma5(d, p, t)),
+    ("hessian", lambda d, s, p, t, a, psis: check_hessian(d, p, t, psis)),
+    ("scalar", lambda d, s, p, t, a, psis: check_scalar(d, p, t)),
+    ("laplacian", lambda d, s, p, t, a, psis: check_laplacian(d, p, t)),
+    ("solitons", lambda d, s, p, t, a, psis: check_solitons(d, s, p, t, a)),
+    ("concircular",
+     lambda d, s, p, t, a, psis: check_concircular(d, p, t, a)),
+    ("conharmonic",
+     lambda d, s, p, t, a, psis: check_conharmonic(d, p, t, a)),
+)
+
+CHECK_NAMES = tuple(name for name, _ in _FAMILIES)
 
 
 def run_all(dwp, specs, points, tolerance, anchor, checks=("all",), psis=None):
@@ -288,22 +259,7 @@ def run_all(dwp, specs, points, tolerance, anchor, checks=("all",), psis=None):
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
     out = []
-    if "lemma1" in enabled:
-        out.extend(check_lemma1(dwp, points, tolerance))
-    if "lemma2" in enabled:
-        out.extend(check_lemma2(dwp, points, tolerance))
-    if "lemma5" in enabled:
-        out.extend(check_lemma5(dwp, points, tolerance))
-    if "hessian" in enabled:
-        out.extend(check_hessian(dwp, points, tolerance, psis=psis))
-    if "scalar" in enabled:
-        out.extend(check_scalar(dwp, points, tolerance))
-    if "laplacian" in enabled:
-        out.extend(check_laplacian(dwp, points, tolerance))
-    if "solitons" in enabled:
-        out.extend(check_solitons(dwp, specs, points, tolerance, anchor))
-    if "concircular" in enabled:
-        out.extend(check_concircular(dwp, points, tolerance, anchor))
-    if "conharmonic" in enabled:
-        out.extend(check_conharmonic(dwp, points, tolerance, anchor))
+    for name, family in _FAMILIES:
+        if name in enabled:
+            out.extend(family(dwp, specs, points, tolerance, anchor, psis))
     return sorted(out, key=lambda s: s.check_id)

@@ -17,6 +17,7 @@ from . import __version__
 from .checks import CHECK_NAMES, run_all
 from .geometry import GeometryError, sample_points
 from .reporting import FAIL, render_json
+from .solitons import validate_fields
 from .specfile import SpecFileError, load_spec
 
 __all__ = ["RunConfig", "build_run_config", "run", "main"]
@@ -215,6 +216,7 @@ def run(config, loaded=None, stdout=None):
     points = sample_points(dwp.product, box, config.points, config.seed)
     dwp.validate_warpings(points)
     dwp.validate_warpings([anchor])
+    validate_fields(dwp, soliton_specs, default_psi, points, anchor)
     psis = [("psi", default_psi)] if default_psi is not None else None
     summaries = run_all(
         dwp,

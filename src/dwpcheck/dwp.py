@@ -10,19 +10,19 @@ brute-force product oracle in `geometry`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .expr import Expression, constant
+from .expr import constant
 from .geometry import ChartManifold, GeometryError
 
 __all__ = [
     "DoublyWarpedProduct",
-    "LiftedVector",
     "WarpingError",
     "DimensionError",
     "coordinate_lifts",
+    "wedge_operator",
 ]
 
 RIEMANN_CLASSES = ("XYZ", "XYU", "UVX", "XUY", "UXV", "UVW")
@@ -37,31 +37,19 @@ class DimensionError(GeometryError):
     pass
 
 
-@dataclass(frozen=True)
-class LiftedVector:
-    """Lift of a factor vector field: zero on the other factor's block."""
-
-    which_factor: int  # 1 or 2
-    components: tuple  # Expression per factor coordinate
-
-    def values(self, p_factor):
-        return np.array([c.evaluate(p_factor) for c in self.components])
-
-
 def coordinate_lifts(dwp):
-    """Lifted coordinate basis fields, as (factor-1 list, factor-2 list)."""
+    """Product-chart components of the lifted coordinate fields, as the rows
+    of a (factor-1 array, factor-2 array) pair."""
+    eye = np.eye(dwp.m)
+    return eye[: dwp.m1], eye[dwp.m1:]
 
-    def basis(factor, coords):
-        out = []
-        for a in range(len(coords)):
-            comps = tuple(
-                constant(1.0 if b == a else 0.0, coords)
-                for b in range(len(coords))
-            )
-            out.append(LiftedVector(factor, comps))
-        return out
 
-    return basis(1, dwp.factor1.coords), basis(2, dwp.factor2.coords)
+def wedge_operator(a, rows):
+    """out[i, j, k, c] = A(X_j, X_k) B(X_i)^c - A(X_i, X_k) B(X_j)^c, the
+    operator (A ^ B)(X_i, X_j)X_k of a bilinear form A and a vector-valued
+    map B: `a` holds A on the inputs, row i of `rows` holds B(X_i)."""
+    t = np.einsum("jk,ic->ijkc", a, rows)
+    return t - t.transpose(1, 0, 2, 3)
 
 
 class DoublyWarpedProduct:
@@ -121,13 +109,23 @@ class DoublyWarpedProduct:
     def join(self, p1, p2):
         return np.concatenate([np.asarray(p1, float), np.asarray(p2, float)])
 
-    def embed(self, vec, which_factor):
-        """Zero-extend factor components to the product chart."""
-        out = np.zeros(self.m)
-        if which_factor == 1:
-            out[: self.m1] = vec
+    def block(self, klass):
+        """Product-chart index slices of a curvature, Ricci or Hessian class:
+        the first factor's for each of X, Y, Z, the second's for U, V, W."""
+        return tuple(
+            slice(None, self.m1) if c in "XYZ" else slice(self.m1, None)
+            for c in klass
+        )
+
+    def anchored(self, points, anchor, which):
+        """Copies of the sample points with the opposite factor's coordinates
+        frozen at the anchor, so restrictions vary along factor `which` only."""
+        anchor = np.asarray(anchor, dtype=float)
+        out = np.array(np.atleast_2d(points), dtype=float, copy=True)
+        if which == 1:
+            out[:, self.m1:] = anchor[self.m1:]
         else:
-            out[self.m1:] = vec
+            out[:, : self.m1] = anchor[: self.m1]
         return out
 
     def validate_warpings(self, points):
@@ -171,33 +169,39 @@ class DoublyWarpedProduct:
 
     # -- closed forms ---------------------------------------------------------
 
-    def covariant_closed(self, a, b, p):
-        """Right-hand side of the covariant-derivative splitting for
-        grad_a b, dispatched on factor membership of the lifts."""
-        d = self.point_data(p)
-        fa, fb = a.which_factor, b.which_factor
-        if fa == 1 and fb == 1:
-            nab1 = self._factor_covariant(self.factor1, a, b, d.p1)
-            return self.embed(nab1, 1) - self._pair(d, a, b) * d.grad_l
-        if fa == 2 and fb == 2:
-            nab2 = self._factor_covariant(self.factor2, a, b, d.p2)
-            return self.embed(nab2, 2) - self._pair(d, a, b) * d.grad_k
-        x, v = (a, b) if fa == 1 else (b, a)
-        xv = self.embed(x.values(d.p1), 1)
-        vv = self.embed(v.values(d.p2), 2)
-        # V(l) X + X(k) V
-        return float(vv @ d.dl2_ext) * xv + float(xv @ d.dk1_ext) * vv
-
-    def covariant_oracle(self, a, b, p):
-        """grad_a b from the product Christoffel symbols (field derivative)."""
-        d = self.point_data(p)
-        gamma = self.product.christoffel(p).entries
-        av = self._lift_values(a, d)
-        bv = self._lift_values(b, d)
-        db = self._lift_jacobian(b, d)  # db[i, c] = d_i B^c on the product
-        return np.einsum("i,ic->c", av, db) + np.einsum(
-            "cij,i,j->c", gamma, av, bv
+    def _sides(self, d):
+        """Per-factor ingredients of the block formulas, as (own slice,
+        opposite slice, own lifts, opposite lifts, own factor curvature
+        (1,3), own and opposite log-warping differentials, own factor
+        Hessian of the own log-warping, product Hessian operator and
+        gradient of the opposite log-warping), first factor first."""
+        s1, s2 = self.block("XU")
+        lifts1, lifts2 = coordinate_lifts(self)
+        return (
+            (s1, s2, lifts1, lifts2, d.r1, d.dk1, d.dl2, d.h1_k, d.Hl,
+             d.grad_l),
+            (s2, s1, lifts2, lifts1, d.r2, d.dl2, d.dk1, d.h2_l, d.Hk,
+             d.grad_k),
         )
+
+    def covariant_closed(self, p):
+        """Christoffel symbols Gamma[c, i, j] = (grad_{d_i} d_j)^c of the
+        product from the covariant-derivative splitting:
+        grad_X Y = grad1_X Y - g(X, Y) grad l on same-factor lifts (k <-> l
+        on the second factor) and grad_X U = U(l) X + X(k) U on mixed ones."""
+        d = self.point_data(p)
+        factors = (self.factor1, d.p1), (self.factor2, d.p2)
+        out = np.empty((self.m,) * 3)
+        for (factor, pf), side in zip(factors, self._sides(d)):
+            own, opp, l_own, l_opp, _, dk_own, dk_opp, _, _, grad_opp = side
+            gamma = factor.christoffel(pf).entries
+            out[:, own, own] = np.einsum(
+                "kab,kc->cab", gamma, l_own
+            ) - np.einsum("ab,c->cab", d.g[own, own], grad_opp)
+            out[:, own, opp] = np.einsum(
+                "u,ac->cau", dk_opp, l_own
+            ) + np.einsum("a,uc->cau", dk_own, l_opp)
+        return out
 
     def hessian_split_closed(self, psi, klass, p):
         """Blocks of the product Hessian of psi via the splitting formulas."""
@@ -222,108 +226,40 @@ class DoublyWarpedProduct:
             )
         raise ValueError(f"unknown Hessian class {klass!r}")
 
-    def riemann_closed(self, klass, vectors, p):
-        """Closed-form R_{AB}C for one of the six lifted index patterns;
-        returns product-chart components of the output vector."""
+    def riemann_closed(self, p):
+        """Closed-form curvature V[i, j, k, c] = (R(d_i, d_j) d_k)^c over the
+        product chart.  The six classes are built as blocks (letters X, Y, Z
+        for first-factor lifts, U, V, W for second-factor ones; each factor's
+        three classes mirror the other's under k <-> l):
+            R(X,Y)Z = R1(X,Y)Z + g(X,Z) H^l Y - g(Y,Z) H^l X
+            R(X,Y)U = U(l) (Y(k) X - X(k) Y)
+            R(X,U)Y = (h1^k(X,Y) + X(k)Y(k)) U + Y(k)U(l) X
+                      + g(X,Y) (H^l U + U(l) grad l)
+        and R(U,X)Y, R(X,U)V follow by antisymmetry in the first pair."""
         d = self.point_data(p)
-        if klass == "XYZ":
-            x, y, z = vectors
-            r1 = self._factor_riemann_vec(self.factor1, x, y, z, d.p1)
-            return (
-                self.embed(r1, 1)
-                + self._pair(d, x, z) * (d.Hl @ self._lift_values(y, d))
-                - self._pair(d, y, z) * (d.Hl @ self._lift_values(x, d))
+        out = np.empty((self.m,) * 4)
+        for side in self._sides(d):
+            own, opp, l_own, l_opp, r_own, dk_own, dk_opp, h_own, h_opp, \
+                grad_opp = side
+            g_own = d.g[own, own]
+            out[own, own, own] = r_own @ l_own - wedge_operator(
+                g_own, h_opp[:, own].T
             )
-        if klass == "XYU":
-            x, y, u = vectors
-            xk, yk = self._dirderiv1(d, x, d.dk1), self._dirderiv1(d, y, d.dk1)
-            ul = self._dirderiv2(d, u, d.dl2)
-            return ul * (
-                yk * self._lift_values(x, d) - xk * self._lift_values(y, d)
+            out[own, own, opp] = wedge_operator(np.outer(dk_own, dk_opp), l_own)
+            mixed = (
+                np.einsum("xy,uc->xuyc", h_own + np.outer(dk_own, dk_own),
+                          l_opp)
+                + np.einsum("y,u,xc->xuyc", dk_own, dk_opp, l_own)
+                + np.einsum("xy,uc->xuyc", g_own,
+                            h_opp[:, opp].T + np.outer(dk_opp, grad_opp))
             )
-        if klass == "UVX":
-            u, v, x = vectors
-            xk = self._dirderiv1(d, x, d.dk1)
-            ul = self._dirderiv2(d, u, d.dl2)
-            vl = self._dirderiv2(d, v, d.dl2)
-            return xk * (
-                vl * self._lift_values(u, d) - ul * self._lift_values(v, d)
-            )
-        if klass == "XUY":
-            x, u, y = vectors
-            xv, yv = x.values(d.p1), y.values(d.p1)
-            uvec = self._lift_values(u, d)
-            h1k = float(xv @ d.h1_k @ yv)
-            xk = float(xv @ d.dk1)
-            yk = float(yv @ d.dk1)
-            ul = self._dirderiv2(d, u, d.dl2)
-            return (
-                (h1k + xk * yk) * uvec
-                + yk * ul * self._lift_values(x, d)
-                + self._pair(d, x, y) * (d.Hl @ uvec + ul * d.grad_l)
-            )
-        if klass == "UXV":
-            u, x, v = vectors
-            uvv, vvv = u.values(d.p2), v.values(d.p2)
-            xvec = self._lift_values(x, d)
-            h2l = float(uvv @ d.h2_l @ vvv)
-            ul = float(uvv @ d.dl2)
-            vl = float(vvv @ d.dl2)
-            xk = self._dirderiv1(d, x, d.dk1)
-            return (
-                (h2l + ul * vl) * xvec
-                + vl * xk * self._lift_values(u, d)
-                + self._pair(d, u, v) * (d.Hk @ xvec + xk * d.grad_k)
-            )
-        if klass == "UVW":
-            u, v, w = vectors
-            r2 = self._factor_riemann_vec(self.factor2, u, v, w, d.p2)
-            return (
-                self.embed(r2, 2)
-                + self._pair(d, u, w) * (d.Hk @ self._lift_values(v, d))
-                - self._pair(d, v, w) * (d.Hk @ self._lift_values(u, d))
-            )
-        raise ValueError(f"unknown Riemann class {klass!r}")
+            out[own, opp, own] = mixed
+            out[opp, own, own] = -mixed.transpose(1, 0, 2, 3)
+        return out
 
     def riemann_closed_tensor(self, p):
-        """Full covariant (0,4) curvature reassembled from the six closed-form
-        classes via the algebraic curvature symmetries."""
-        d = self.point_data(p)
-        m1, m = self.m1, self.m
-        lifts1, lifts2 = coordinate_lifts(self)
-
-        def lift(i):
-            return lifts1[i] if i < m1 else lifts2[i - m1]
-
-        def fac(i):
-            return 1 if i < m1 else 2
-
-        def vec(i, j, k):
-            fi, fj, fk = fac(i), fac(j), fac(k)
-            if (fi, fj) == (2, 1):
-                return -vec(j, i, k)
-            key = {
-                (1, 1, 1): "XYZ",
-                (1, 1, 2): "XYU",
-                (2, 2, 1): "UVX",
-                (1, 2, 1): "XUY",
-                (2, 2, 2): "UVW",
-            }.get((fi, fj, fk))
-            if key is None:  # (1,2,2): swap to (2,1,2)
-                return -self.riemann_closed(
-                    "UXV", (lift(j), lift(i), lift(k)), p
-                )
-            return self.riemann_closed(key, (lift(i), lift(j), lift(k)), p)
-
-        out = np.empty((m, m, m, m))
-        for i in range(m):
-            for j in range(m):
-                if i == j:
-                    out[i, j] = 0.0
-                    continue
-                for k in range(m):
-                    out[i, j, k] = d.g @ vec(i, j, k)
-        return out
+        """Full covariant (0,4) curvature: the closed form lowered by g."""
+        return self.riemann_closed(p) @ self.point_data(p).g
 
     def ricci_closed(self, klass, p):
         """Ricci blocks from the closed splitting formulas."""
@@ -398,53 +334,6 @@ class DoublyWarpedProduct:
 
     # -- helpers ---------------------------------------------------------------
 
-    def _pair(self, d, a, b):
-        """Product metric pairing g(A, B) of two lifts."""
-        av = self._lift_values(a, d)
-        bv = self._lift_values(b, d)
-        return float(av @ d.g @ bv)
-
-    def _lift_values(self, a, d):
-        if a.which_factor == 1:
-            return self.embed(a.values(d.p1), 1)
-        return self.embed(a.values(d.p2), 2)
-
-    def _dirderiv1(self, d, x, covector):
-        return float(x.values(d.p1) @ covector)
-
-    def _dirderiv2(self, d, u, covector):
-        return float(u.values(d.p2) @ covector)
-
-    def _factor_covariant(self, factor, a, b, pf):
-        gamma = factor.christoffel(pf).entries
-        av = a.values(pf)
-        bv = b.values(pf)
-        db = np.array([c.jet(pf).gradient for c in b.components]).T
-        # db[i, c] = d_i B^c
-        return np.einsum("i,ic->c", av, db) + np.einsum(
-            "cij,i,j->c", gamma, av, bv
-        )
-
-    def _lift_jacobian(self, b, d):
-        """d_i B^c over the product chart (zero along the other factor)."""
-        m = self.m
-        out = np.zeros((m, m))
-        if b.which_factor == 1:
-            for c, comp in enumerate(b.components):
-                out[: self.m1, c] = comp.jet(d.p1).gradient
-        else:
-            for c, comp in enumerate(b.components):
-                out[self.m1:, self.m1 + c] = comp.jet(d.p2).gradient
-        return out
-
-    def _factor_riemann_vec(self, factor, a, b, c, pf):
-        r4 = factor.riemann_oracle(pf).entries
-        ginv = np.linalg.inv(factor.metric_at(pf)[0].entries)
-        av, bv, cv = a.values(pf), b.values(pf), c.values(pf)
-        return np.einsum(
-            "ijkw,wz,i,j,k->z", r4, ginv, av, bv, cv
-        )
-
     def _factor_hessian_from_jet(self, factor, jet, pf, block):
         """Factor Hessian of the restriction, from a product-chart jet."""
         m1 = self.m1
@@ -474,6 +363,7 @@ class _PointData:
     def __init__(self, dwp, p):
         self.p = p
         self.p1, self.p2 = dwp.split(p)
+        self._factor1, self._factor2 = dwp.factor1, dwp.factor2
         m1 = dwp.m1
         self.f1 = dwp.f1.evaluate(self.p1)
         self.f2 = dwp.f2.evaluate(self.p2)
@@ -490,8 +380,8 @@ class _PointData:
         jet_l = dwp.l.jet(self.p2)
         self.dk1 = jet_k.gradient  # d_a k on factor-1 chart
         self.dl2 = jet_l.gradient
-        self.dk1_ext = dwp.embed(self.dk1, 1)
-        self.dl2_ext = dwp.embed(self.dl2, 2)
+        self.dk1_ext = np.concatenate([self.dk1, np.zeros(dwp.m2)])
+        self.dl2_ext = np.concatenate([np.zeros(m1), self.dl2])
 
         # product gradients (vectors) of k and l
         self.grad_k = self.ginv @ self.dk1_ext
@@ -520,3 +410,15 @@ class _PointData:
         self.ric2 = dwp.factor2.ricci_oracle(self.p2).entries
         self.tau1 = dwp.factor1.scalar_oracle(self.p1)
         self.tau2 = dwp.factor2.scalar_oracle(self.p2)
+
+    # factor curvature, (1,3) form r[x, y, z, c] = (R(d_x, d_y) d_z)^c; only
+    # the curvature closed forms read it
+    @cached_property
+    def r1(self):
+        return np.einsum("xyzw,wc->xyzc", self._factor1.riemann_oracle(
+            self.p1).entries, self.g1inv)
+
+    @cached_property
+    def r2(self):
+        return np.einsum("xyzw,wc->xyzc", self._factor2.riemann_oracle(
+            self.p2).entries, self.g2inv)

@@ -486,10 +486,15 @@ class Expression:
                 hess[i, j] = hess[j, i] = val
         return Jet2(f0, grad, 0.5 * (hess + hess.T))
 
+    @property
+    def variables(self):
+        """The coordinate names the expression depends on."""
+        return frozenset(_variables(self.node))
+
     def lift(self, coords):
         """Rebind to a coordinate superset (pullback along a projection)."""
         coords = tuple(coords)
-        missing = set(_variables(self.node)) - set(coords)
+        missing = self.variables - set(coords)
         if missing:
             raise UnknownIdentifierError(sorted(missing)[0])
         return Expression(self.node, coords)

@@ -18,6 +18,7 @@ __all__ = [
     "PASS",
     "FAIL",
     "SKIP",
+    "normalized_residual",
     "summarize",
     "skipped",
     "render_json",
@@ -52,6 +53,19 @@ class ResidualSummary:
             "tolerance": self.tolerance,
             "notes": self.notes,
         }
+
+
+def normalized_residual(difference, terms, axis=None):
+    """max |difference| / (1 + max over terms of max |term|).
+
+    With `axis`, the ratio is taken separately for each slice along that
+    axis (for example one output vector per index triple) and the result is
+    the largest of them."""
+    if axis is None:
+        scale = 1.0 + max(float(np.abs(t).max()) for t in terms)
+        return float(np.abs(difference).max()) / scale
+    scale = 1.0 + np.maximum.reduce([np.abs(t).max(axis=axis) for t in terms])
+    return float((np.abs(difference).max(axis=axis) / scale).max())
 
 
 def summarize(check_id, residuals, points, tolerance, notes=""):

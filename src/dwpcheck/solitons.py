@@ -15,13 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Expression
+from .expr import DomainError, Expression
 from .geometry import GeometryError, kulkarni_nomizu
-from .reporting import PASS, skipped, summarize
+from .reporting import PASS, normalized_residual, skipped, summarize
 
 __all__ = [
     "SolitonSpec",
     "SolitonError",
+    "FieldDomainError",
     "SOLITON_KINDS",
     "residual",
     "residual_values",
@@ -34,6 +35,7 @@ __all__ = [
     "log_hessian_identity",
     "mixed_yamabe_condition",
     "mixed_ricci_condition",
+    "validate_fields",
 ]
 
 SOLITON_KINDS = (
@@ -65,6 +67,11 @@ _REQUIRED = {
 
 class SolitonError(GeometryError):
     pass
+
+
+class FieldDomainError(GeometryError):
+    """A potential or soliton coefficient leaves its domain at a point the
+    checks evaluate it at."""
 
 
 @dataclass(frozen=True)
@@ -199,14 +206,14 @@ def _terms_riemann_contracted(spec, M, p):
     return [(m - 2) * h, ric], [((m - 1) * lam - lap) * g]
 
 
-def _normalized(lhs, rhs):
-    scale = 1.0 + max(float(np.abs(t).max()) for t in lhs + rhs)
+def _equation_residual(lhs, rhs):
+    """Normalized residual of sum(lhs) = sum(rhs)."""
     total = lhs[0].copy()
     for t in lhs[1:]:
         total = total + t
     for t in rhs:
         total = total - t
-    return float(np.abs(total).max()) / scale
+    return normalized_residual(total, lhs + rhs)
 
 
 def residual_values(spec, M, points, form="primary"):
@@ -223,7 +230,7 @@ def residual_values(spec, M, points, form="primary"):
             lhs, rhs = _terms_riemann_contracted(spec, M, p)
         else:
             lhs, rhs = _terms_0_2(spec, M, p)
-        out.append(_normalized(lhs, rhs))
+        out.append(_equation_residual(lhs, rhs))
     return np.array(out)
 
 
@@ -260,24 +267,51 @@ def contraction_consistency(spec, M, points, tolerance):
         lam = _coeff(spec.lam, p)
         lap = M.laplacian_field(spec.psi, p)
         expected = ric + (m - 2) * h + (lap - (m - 1) * lam) * g
-        scale = 1.0 + max(np.abs(contracted).max(), np.abs(expected).max())
-        values.append(np.abs(contracted - expected).max() / scale)
+        values.append(normalized_residual(contracted - expected,
+                                          [contracted, expected]))
     return summarize("soliton.riemann.contraction", values, points, tolerance)
 
 
+# -- input domains ------------------------------------------------------------
+
+# SolitonSpec field -> spec-file key
+_FIELD_KEYS = (("psi", "psi"), ("lam", "lambda"), ("mu", "mu"),
+               ("gamma", "gamma"), ("f_factor", "f"), ("alpha", "alpha"),
+               ("beta", "beta"))
+
+
+def validate_fields(dwp, specs, psi, points, anchor):
+    """Reject the first point, among the samples and the anchored
+    restriction sets of both factors, at which the default potential `psi`
+    or an expression-valued soliton field cannot be evaluated."""
+    fields = [] if psi is None else [("[potential] psi", psi)]
+    for i, spec in enumerate(specs):
+        named = [(key, getattr(spec, attr)) for attr, key in _FIELD_KEYS]
+        named += [(f"eta[{j}]", e) for j, e in enumerate(spec.eta or ())]
+        for key, value in named:
+            if isinstance(value, Expression) and not any(
+                value is e for _, e in fields
+            ):
+                fields.append((f"soliton[{i}] {key}", value))
+    pts = np.concatenate([np.atleast_2d(points)] + [
+        dwp.anchored(points, anchor, which) for which in (1, 2)
+    ])
+    for name, expr in fields:
+        # the value depends on the used coordinates only, so one point per
+        # distinct projection onto them suffices
+        used = [i for i, c in enumerate(expr.coords) if c in expr.variables]
+        _, first = np.unique(pts[:, used], axis=0, return_index=True)
+        for p in pts[np.sort(first)]:
+            try:
+                expr.evaluate(p)
+            except (DomainError, OverflowError) as exc:
+                raise FieldDomainError(
+                    f"{name} = {str(expr)!r} leaves its domain at "
+                    f"{p.tolist()}: {exc}"
+                ) from None
+
+
 # -- induced factor structures ------------------------------------------------
-
-
-def _anchored_points(dwp, points, anchor, which):
-    """Copies of the sample points with the opposite factor's coordinates
-    frozen at the anchor, so restrictions vary along factor `which` only."""
-    anchor = np.asarray(anchor, dtype=float)
-    out = np.array(np.atleast_2d(points), dtype=float, copy=True)
-    if which == 1:
-        out[:, dwp.m1:] = anchor[dwp.m1:]
-    else:
-        out[:, : dwp.m1] = anchor[: dwp.m1]
-    return out
 
 
 def _psi_lifted(dwp, spec):
@@ -370,7 +404,7 @@ def yamabe_factor_structures(dwp, spec, points, anchor, tolerance):
     lam_values = {1: [], 2: []}
     entries = []
     for which in (1, 2):
-        pts = _anchored_points(dwp, points, anchor, which)
+        pts = dwp.anchored(points, anchor, which)
         values = []
         for p in pts:
             d = dwp.point_data(p)
@@ -397,7 +431,7 @@ def yamabe_factor_structures(dwp, spec, points, anchor, tolerance):
                 lhs = dwp.factor_hessian(2, psi, p)
                 rhs = (d.tau2 - lam_i) * d.g2
             lam_values[which].append(lam_i)
-            values.append(_normalized([lhs], [rhs]))
+            values.append(_equation_residual([lhs], [rhs]))
         spread = max(lam_values[which]) - min(lam_values[which])
         notes = (
             f"gradient almost Yamabe soliton on factor {which}; "
@@ -430,7 +464,7 @@ def ricci_factor_structures(dwp, spec, points, anchor, tolerance):
     psi = _psi_lifted(dwp, spec)
     entries = []
     for which in (1, 2):
-        pts = _anchored_points(dwp, points, anchor, which)
+        pts = dwp.anchored(points, anchor, which)
         values = []
         for p in pts:
             d = dwp.point_data(p)
@@ -446,7 +480,7 @@ def ricci_factor_structures(dwp, spec, points, anchor, tolerance):
                 h_phi = dwp.factor_hessian(2, psi, p) - dwp.m1 * d.h2_l
                 lhs = [d.ric2, h_phi]
                 rhs = [lam_i * d.g2, dwp.m1 * np.outer(d.dl2, d.dl2)]
-            values.append(_normalized(lhs, rhs))
+            values.append(_equation_residual(lhs, rhs))
         mu = dwp.m2 if which == 1 else dwp.m1
         notes = (
             f"gradient almost eta-Ricci soliton on factor {which} with "
@@ -490,7 +524,7 @@ def riemann_factor_structures(dwp, spec, points, anchor, tolerance):
     m = dwp.m
     entries = []
     for which in (1, 2):
-        pts = _anchored_points(dwp, points, anchor, which)
+        pts = dwp.anchored(points, anchor, which)
         values = []
         for p in pts:
             d = dwp.point_data(p)
@@ -510,7 +544,7 @@ def riemann_factor_structures(dwp, spec, points, anchor, tolerance):
                 h_phi = (m - 2) * dwp.factor_hessian(2, psi, p) - dwp.m1 * d.h2_l
                 lhs = [d.ric2, h_phi]
                 rhs = [lam_i * d.g2, dwp.m1 * np.outer(d.dl2, d.dl2)]
-            values.append(_normalized(lhs, rhs))
+            values.append(_equation_residual(lhs, rhs))
         notes = (
             f"gradient almost eta-Ricci soliton on factor {which}; the "
             "log-warping term of the potential is constant along this factor, "
@@ -541,7 +575,7 @@ def quasi_einstein_factor_structures(dwp, spec, points, anchor, tolerance):
         ]
     entries = []
     for which in (1, 2):
-        pts = _anchored_points(dwp, points, anchor, which)
+        pts = dwp.anchored(points, anchor, which)
         values = []
         for p in pts:
             d = dwp.point_data(p)
@@ -557,7 +591,7 @@ def quasi_einstein_factor_structures(dwp, spec, points, anchor, tolerance):
                 lam_i = d.f1**2 * (alpha + d.lap_k)
                 lhs = [(-dwp.m1 / d.f2) * d.h2_f2, d.ric2]
                 rhs = [lam_i * d.g2, beta * np.outer(a_i, a_i)]
-            values.append(_normalized(lhs, rhs))
+            values.append(_equation_residual(lhs, rhs))
         f_text = "-m2/f1" if which == 1 else "-m1/f2"
         notes = f"gradient f-almost eta-Ricci soliton on factor {which} with f = {f_text}"
         entries.append((f"factor{which}", values, pts, notes))
@@ -575,5 +609,5 @@ def log_hessian_identity(factor, f, points, tolerance):
         df = f.jet(p).gradient
         lhs = factor.hessian_field(f, p).entries / fv
         rhs = factor.hessian_field(logf, p).entries + np.outer(df, df) / fv**2
-        values.append(_normalized([lhs], [rhs]))
+        values.append(_equation_residual([lhs], [rhs]))
     return summarize("identity.log_hessian", values, points, tolerance)

@@ -118,6 +118,16 @@ def _build_factor(table, section, line):
     rows = []
     for row in metric:
         rows.append([_expr(entry, coords, section) for entry in row])
+    # the oracle reads only the upper triangle, so a lower entry that differs
+    # would be ignored silently
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            if rows[i][j] != rows[j][i]:
+                raise SpecFileError(
+                    f"[{section}] metric is not symmetric: entry [{i}][{j}] "
+                    f"= {metric[i][j]!r} differs from entry [{j}][{i}] = "
+                    f"{metric[j][i]!r}"
+                )
     try:
         manifold = ChartManifold(coords, rows)
     except Exception as exc:

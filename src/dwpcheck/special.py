@@ -3,18 +3,18 @@
 The concircular tensor removes the scalar part of the curvature,
 C = R - (tau/(m(m-1))) G with G = (1/2)(g ^ g); the conharmonic tensor
 removes a Ricci combination, H = R - (1/(m-2))(Ric ^ g).  Both get a
-brute-force oracle on any chart plus closed-form evaluations of their
-lifted-vector components on doubly warped products, and the structural
-consequences of their vanishing are verified on the factors.
+brute-force oracle on any chart plus closed-form block tensors on doubly
+warped products, and the structural consequences of their vanishing are
+verified on the factors.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dwp import RIEMANN_CLASSES, DimensionError, coordinate_lifts
+from .dwp import DimensionError, coordinate_lifts, wedge_operator
 from .geometry import TensorValue, kulkarni_nomizu
-from .reporting import PASS, skipped, summarize
+from .reporting import PASS, normalized_residual, skipped, summarize
 
 __all__ = [
     "DimensionError",
@@ -69,35 +69,20 @@ def _scalar_coefficient(dwp, p):
     return dwp.product.scalar_oracle(p) / (dwp.m * (dwp.m - 1))
 
 
-def concircular_closed(dwp, klass, vectors, p):
-    """Closed-form concircular component for one lifted index pattern:
-    the curvature splitting minus the scalar part of the same pattern.
-
-    The scalar-part coefficient is tau/(m(m-1)); on same-factor inputs the
-    product pairings contract to warping-squared factor pairings, which is
-    the form the component identities are usually quoted in.
-    """
-    if klass not in RIEMANN_CLASSES:
-        raise ValueError(f"unknown concircular class {klass!r}")
-    d = dwp.point_data(p)
+def concircular_closed(dwp, p):
+    """Closed-form concircular tensor C[i, j, k, c] = (C(d_i, d_j) d_k)^c: the
+    curvature splitting minus the scalar part c G with c = tau/(m(m-1)) and
+    G_{AB}Z = g(B,Z)A - g(A,Z)B."""
     c = _scalar_coefficient(dwp, p)
-    a, b, z = vectors
-    out = dwp.riemann_closed(klass, vectors, p)
-    # G_{AB}Z = g(B,Z)A - g(A,Z)B with the product metric; mixed pairings
-    # vanish, so only same-factor patterns pick up a scalar-part term.
-    gbz = dwp._pair(d, b, z) if b.which_factor == z.which_factor else 0.0
-    gaz = dwp._pair(d, a, z) if a.which_factor == z.which_factor else 0.0
-    if gbz:
-        out = out - c * gbz * dwp._lift_values(a, d)
-    if gaz:
-        out = out + c * gaz * dwp._lift_values(b, d)
-    return out
+    g = dwp.point_data(p).g
+    return dwp.riemann_closed(p) - c * wedge_operator(g, np.eye(dwp.m))
 
 
-def conharmonic_closed(dwp, klass, vectors, p):
-    """Closed-form conharmonic component for same-factor lifted inputs
-    (klass XYZ or UVW); the mixed patterns have no closed splitting and are
-    covered by the oracle only.
+def conharmonic_closed(dwp, klass, p):
+    """Closed-form conharmonic block for same-factor lifted inputs (klass XYZ
+    or UVW), as out[a, b, z, c] = (H(d_a, d_b) d_z)^c over the product chart;
+    the mixed patterns have no closed splitting and are covered by the oracle
+    only.
 
     Besides the tangential Ricci-operator insertions, the mixed Ricci block
     contributes a normal part: applying the full Ricci operator to a lifted
@@ -111,57 +96,20 @@ def conharmonic_closed(dwp, klass, vectors, p):
     if klass not in CONHARMONIC_CLASSES:
         raise ValueError(f"unknown conharmonic class {klass!r}")
     d = dwp.point_data(p)
-    a, b, z = vectors
-    out = dwp.riemann_closed(klass, vectors, p)
-    if klass == "XYZ":
-        av, bv, zv = (v.values(d.p1) for v in vectors)
-        gaz = float(av @ d.g[: dwp.m1, : dwp.m1] @ zv)
-        gbz = float(bv @ d.g[: dwp.m1, : dwp.m1] @ zv)
-        ric_i, h_i, g1inv = d.ric1, d.h1_f1, d.g1inv
-        f_own, fsq_opp = d.f1, d.f2**2
-        m_opp, lap = dwp.m2, d.lap_l
-        ric_az = float(av @ d.ric1 @ zv)
-        ric_bz = float(bv @ d.ric1 @ zv)
-        h_az = float(av @ d.h1_f1 @ zv)
-        h_bz = float(bv @ d.h1_f1 @ zv)
-        embed = 1
-    else:
-        av, bv, zv = (v.values(d.p2) for v in vectors)
-        gaz = float(av @ d.g[dwp.m1:, dwp.m1:] @ zv)
-        gbz = float(bv @ d.g[dwp.m1:, dwp.m1:] @ zv)
-        ric_i, h_i, g1inv = d.ric2, d.h2_f2, d.g2inv
-        f_own, fsq_opp = d.f2, d.f1**2
-        m_opp, lap = dwp.m1, d.lap_k
-        ric_az = float(av @ d.ric2 @ zv)
-        ric_bz = float(bv @ d.ric2 @ zv)
-        h_az = float(av @ d.h2_f2 @ zv)
-        h_bz = float(bv @ d.h2_f2 @ zv)
-        embed = 2
-
-    def op(vec):
-        # factor Ricci operator minus warping corrections, applied to vec
-        return (
-            g1inv @ ric_i @ vec
-            - (m_opp / f_own) * (g1inv @ h_i @ vec)
-            - fsq_opp * lap * vec
-        )
-
-    bracket = (
-        (gbz / fsq_opp) * op(av)
-        - (gaz / fsq_opp) * op(bv)
-        + (ric_bz - (m_opp / f_own) * h_bz - lap * gbz) * av
-        - (ric_az - (m_opp / f_own) * h_az - lap * gaz) * bv
+    which = 0 if klass == "XYZ" else 1
+    ricci_class = ("XX", "UU")[which]
+    own = dwp.block(klass)
+    lifts = coordinate_lifts(dwp)[which]
+    g_own = d.g[own[:2]]
+    ric = dwp.ricci_closed(ricci_class, p)
+    ric_op = dwp.ricci_operator_closed(ricci_class, p)
+    # g(B,Z) Q(A) - g(A,Z) Q(B) + Ric(B,Z) A - Ric(A,Z) B, Q the Ricci operator
+    bracket = wedge_operator(g_own, ric_op.T @ lifts) + wedge_operator(
+        ric, lifts
     )
-    out = out - dwp.embed(bracket, embed) / (dwp.m - 2)
-    if klass == "XYZ":
-        ak = float(av @ d.dk1)
-        bk = float(bv @ d.dk1)
-        normal = (gbz * ak - gaz * bk) * d.grad_l
-    else:
-        al = float(av @ d.dl2)
-        bl = float(bv @ d.dl2)
-        normal = (gbz * al - gaz * bl) * d.grad_k
-    return out - normal
+    dlog_own, grad_opp = ((d.dk1, d.grad_l), (d.dl2, d.grad_k))[which]
+    normal = wedge_operator(g_own, np.outer(dlog_own, grad_opp))
+    return dwp.riemann_closed(p)[own] - bracket / (dwp.m - 2) - normal
 
 
 # -- factor traces and flatness consequences ------------------------------------
@@ -224,11 +172,6 @@ def f_almost_defect(dwp, which, p):
     return f * d.h2_f2 + d.ric2 - lam * d.g2, lam, f
 
 
-def _norm_pair(defect, reference):
-    scale = 1.0 + max(float(np.abs(t).max()) for t in reference)
-    return float(np.abs(defect).max()) / scale
-
-
 def _flatness_gate(check_id, norms, points, tolerance):
     summary = summarize(f"{check_id}.flat", norms, points, tolerance)
     if summary.status != PASS:
@@ -286,20 +229,15 @@ def concircular_flat_consequences(dwp, points, anchor, tolerance):
         return results + [
             skipped(f"{check_id}.{s}", reason, tolerance) for s in sub_ids
         ]
-    anchor = np.asarray(anchor, dtype=float)
     for which in (1, 2):
-        pts = np.array(points, copy=True)
-        if which == 1:
-            pts[:, dwp.m1:] = anchor[dwp.m1:]
-        else:
-            pts[:, : dwp.m1] = anchor[: dwp.m1]
+        pts = dwp.anchored(points, anchor, which)
         values, mus = [], []
         for p in pts:
             d = dwp.point_data(p)
             defect, mu = einstein_defect(dwp, which, p)
             ref = [d.ric1 if which == 1 else d.ric2,
                    mu * (d.g1 if which == 1 else d.g2)]
-            values.append(_norm_pair(defect, ref))
+            values.append(normalized_residual(defect, ref))
             mus.append(mu)
         m_i = dwp.m1 if which == 1 else dwp.m2
         notes = (
@@ -351,13 +289,8 @@ def conharmonic_flat_consequences(dwp, points, anchor, tolerance):
         return results + [
             skipped(f"{check_id}.{s}", reason, tolerance) for s in sub_ids
         ]
-    anchor = np.asarray(anchor, dtype=float)
     for which in (1, 2):
-        pts = np.array(points, copy=True)
-        if which == 1:
-            pts[:, dwp.m1:] = anchor[dwp.m1:]
-        else:
-            pts[:, : dwp.m1] = anchor[: dwp.m1]
+        pts = dwp.anchored(points, anchor, which)
         values, lams = [], []
         for p in pts:
             d = dwp.point_data(p)
@@ -366,7 +299,7 @@ def conharmonic_flat_consequences(dwp, points, anchor, tolerance):
                 ref = [f * d.h1_f1, d.ric1, lam * d.g1]
             else:
                 ref = [f * d.h2_f2, d.ric2, lam * d.g2]
-            values.append(_norm_pair(defect, ref))
+            values.append(normalized_residual(defect, ref))
             lams.append(lam)
         m_i = dwp.m1 if which == 1 else dwp.m2
         notes = (

@@ -3,6 +3,8 @@
 
 import json
 
+import pytest
+
 from dwpcheck.cli import main
 from dwpcheck.reporting import render_json
 
@@ -72,6 +74,35 @@ class TestExitStatuses:
         spec = write(tmp_path, text, "neg.spec")
         assert main(["verify", spec]) == 2
         assert "nonpositive" in capsys.readouterr().err
+
+    def test_nonsymmetric_metric_exits_two(self, tmp_path, capsys):
+        text = PASSING_SPEC.replace(
+            'metric = [["1", "0"], ["0", "1"]]',
+            'metric = [["1", "0.5"], ["0", "1"]]', 1,
+        )
+        spec = write(tmp_path, text, "asym.spec")
+        assert main(["verify", spec]) == 2
+        err = capsys.readouterr().err
+        assert "[factor.1] metric is not symmetric" in err
+        assert "entry [0][1] = '0.5'" in err
+
+    @pytest.mark.parametrize("old, new, args, field", [
+        ('psi = "0.3*(x^2 + y^2 + s^2 + t^2)"', 'psi = "log(x)"', [],
+         "[potential] psi"),
+        ("lambda = 0.6", 'lambda = "sqrt(s)"', [], "soliton[0] lambda"),
+        # positive on the samples, not on the anchored restriction sets
+        ('psi = "0.3*(x^2 + y^2 + s^2 + t^2)"', 'psi = "log(s)"',
+         ["--box=-1,1;-1,1;0.1,1;-1,1", "--anchor=0,0,-0.5,0"],
+         "[potential] psi"),
+    ])
+    def test_field_leaving_its_domain_exits_two(
+        self, tmp_path, capsys, old, new, args, field
+    ):
+        spec = write(tmp_path, PASSING_SPEC.replace(old, new), "domain.spec")
+        assert main(["verify", spec] + args) == 2
+        err = capsys.readouterr().err
+        assert f"error: {field} = " in err
+        assert "leaves its domain at [" in err
 
 
 class TestDeterminism:

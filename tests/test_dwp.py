@@ -10,6 +10,7 @@ from conftest import (
     random_polynomial,
     seeded_points,
     singly_warped_product,
+    sphere_x_hyperbolic,
 )
 from dwpcheck import checks
 from dwpcheck.dwp import (
@@ -17,7 +18,6 @@ from dwpcheck.dwp import (
     RICCI_CLASSES,
     DoublyWarpedProduct,
     WarpingError,
-    coordinate_lifts,
 )
 from dwpcheck.expr import constant, parse_expression
 from dwpcheck.reporting import PASS
@@ -27,18 +27,92 @@ TOL = 1e-8
 
 @pytest.fixture(scope="module")
 def products():
-    return corpus()
+    return dict(corpus(), sxh=sphere_x_hyperbolic())
 
 
 @pytest.fixture(scope="module")
 def samples(products):
     return {
-        name: seeded_points(dwp.product, 10)
+        name: seeded_points(
+            dwp.product, 10, box=(0.5, 1.5) if name == "sxh" else (-1.0, 1.0)
+        )
         for name, dwp in products.items()
     }
 
 
+def reference_riemann(dwp, p):
+    """(R(d_i, d_j) d_k)^c from the six class formulas, one index triple at
+    a time on unit vectors; the loop form of the block tensor."""
+    d = dwp.point_data(p)
+    m1, m = dwp.m1, dwp.m
+    e = np.eye(m)
+    dk, dl = d.dk1_ext, d.dl2_ext
+    factors = (
+        (dwp.factor1.riemann_oracle(d.p1).entries, d.g1inv, 0),
+        (dwp.factor2.riemann_oracle(d.p2).entries, d.g2inv, m1),
+    )
+
+    def fac(i):
+        return 1 if i < m1 else 2
+
+    def g(a, b):
+        return e[a] @ d.g @ e[b]
+
+    def factor_curvature(i, j, k):
+        r4, ginv, off = factors[fac(i) - 1]
+        out = np.zeros(m)
+        vec = r4[i - off, j - off, k - off] @ ginv
+        out[off: off + len(vec)] = vec
+        return out
+
+    def vec(i, j, k):
+        pattern = (fac(i), fac(j), fac(k))
+        if pattern in ((2, 1, 1), (1, 2, 2)):
+            return -vec(j, i, k)
+        if pattern == (1, 1, 1):  # XYZ
+            return (factor_curvature(i, j, k)
+                    + g(i, k) * (d.Hl @ e[j]) - g(j, k) * (d.Hl @ e[i]))
+        if pattern == (2, 2, 2):  # UVW
+            return (factor_curvature(i, j, k)
+                    + g(i, k) * (d.Hk @ e[j]) - g(j, k) * (d.Hk @ e[i]))
+        if pattern == (1, 1, 2):  # XYU
+            return dl[k] * (dk[j] * e[i] - dk[i] * e[j])
+        if pattern == (2, 2, 1):  # UVX
+            return dk[k] * (dl[j] * e[i] - dl[i] * e[j])
+        if pattern == (1, 2, 1):  # XUY
+            x, u, y = i, j, k
+            return (
+                (d.h1_k[x, y] + dk[x] * dk[y]) * e[u]
+                + dk[y] * dl[u] * e[x]
+                + g(x, y) * (d.Hl @ e[u] + dl[u] * d.grad_l)
+            )
+        u, x, v = i, j, k  # UXV
+        return (
+            (d.h2_l[u - m1, v - m1] + dl[u] * dl[v]) * e[x]
+            + dl[v] * dk[x] * e[u]
+            + g(u, v) * (d.Hk @ e[x] + dk[x] * d.grad_k)
+        )
+
+    out = np.zeros((m, m, m, m))
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                out[i, j, k] = vec(i, j, k)
+    return out
+
+
 class TestRiemannSplitting:
+    @pytest.mark.parametrize("name", ["direct", "warped", "e2xe1", "sxh"])
+    def test_block_tensor_matches_per_triple_reference(
+        self, products, samples, name
+    ):
+        dwp = products[name]
+        for p in samples[name][:4]:
+            block = dwp.riemann_closed(p)
+            reference = reference_riemann(dwp, p)
+            scale = np.maximum(1.0, np.abs(reference))
+            assert np.all(np.abs(block - reference) <= 1e-13 * scale)
+
     @pytest.mark.parametrize("name", ["direct", "warped", "e2xe1"])
     def test_all_six_classes_match_oracle(self, products, samples, name):
         out = checks.check_lemma1(products[name], samples[name], TOL)
@@ -46,14 +120,12 @@ class TestRiemannSplitting:
             assert summary.status == PASS, summary
 
     def test_covariant_derivative_splitting(self, products, samples):
-        dwp = products["e2xe1"]
-        lifts1, lifts2 = coordinate_lifts(dwp)
-        for p in samples["e2xe1"][:4]:
-            for a in lifts1 + lifts2:
-                for b in lifts1 + lifts2:
-                    closed = dwp.covariant_closed(a, b, p)
-                    oracle = dwp.covariant_oracle(a, b, p)
-                    assert np.allclose(closed, oracle, atol=1e-10)
+        for name in ("e2xe1", "sxh"):
+            dwp = products[name]
+            for p in samples[name][:4]:
+                closed = dwp.covariant_closed(p)
+                oracle = dwp.product.christoffel(p).entries
+                assert np.allclose(closed, oracle, atol=1e-10)
 
     def test_first_bianchi_on_reconstructed_tensor(self, products, samples):
         dwp = products["e2xe1"]

@@ -2,12 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from dwpcheck.reporting import (
     FAIL,
     PASS,
     SKIP,
+    normalized_residual,
     render_json,
     skipped,
     summarize,
@@ -38,6 +40,23 @@ class TestSummarize:
         assert s.status == SKIP
         assert s.max_abs_residual is None
         assert s.worst_point is None
+
+
+class TestNormalizedResidual:
+    def test_scale_is_one_plus_largest_term(self):
+        a, b = np.array([3.0, -1.0]), np.array([2.5, -4.0])
+        assert normalized_residual(a - b, [a, b]) == 3.0 / 5.0
+
+    def test_per_slice_mode_matches_loop_over_slices(self):
+        rng = np.random.default_rng(0)
+        closed = rng.normal(size=(2, 3, 4))
+        oracle = closed + rng.normal(scale=1e-3, size=closed.shape)
+        loop = max(
+            normalized_residual(c - o, [c, o])
+            for c, o in zip(closed.reshape(-1, 4), oracle.reshape(-1, 4))
+        )
+        block = normalized_residual(closed - oracle, [closed, oracle], axis=-1)
+        assert block == loop
 
 
 class TestRenderJson:
