@@ -57,12 +57,12 @@ def check_lemma1(dwp, points, tolerance):
     out = _class_summaries(
         "lemma1", dwp, points, tolerance,
         lambda p: _riemann_classes(dwp, dwp.riemann_closed(p)),
-        lambda p: dwp.product.riemann_oracle(p).entries,
+        dwp.product.riemann_oracle,
     )
     values = []
     for p in points:
         closed = dwp.riemann_closed_tensor(p)
-        oracle = dwp.product.riemann_oracle(p).entries
+        oracle = dwp.product.riemann_oracle(p)
         values.append(normalized_residual(closed - oracle, [closed, oracle]))
     out.append(summarize("lemma1.reconstruction", values, points, tolerance))
     return out
@@ -75,7 +75,7 @@ def check_lemma2(dwp, points, tolerance):
     for klass in RICCI_CLASSES:
         values = []
         for p in points:
-            oracle = dwp.product.ricci_oracle(p).entries[dwp.block(klass)]
+            oracle = dwp.product.ricci_oracle(p)[dwp.block(klass)]
             closed = dwp.ricci_closed(klass, p)
             values.append(normalized_residual(closed - oracle,
                                               [closed, oracle]))
@@ -91,7 +91,7 @@ def check_lemma5(dwp, points, tolerance):
         values = []
         for p in points:
             d = dwp.point_data(p)
-            q = d.ginv @ dwp.product.ricci_oracle(p).entries
+            q = d.ginv @ dwp.product.ricci_oracle(p)
             oracle = q[dwp.block(klass)]
             closed = dwp.ricci_operator_closed(klass, p)
             values.append(normalized_residual(closed - oracle,
@@ -109,11 +109,11 @@ def check_hessian(dwp, points, tolerance, psis=None):
         fields.append((name, psi))
     out = []
     for name, psi in fields:
-        psi_l = psi if psi.coords == dwp.coords else psi.lift(dwp.coords)
+        psi_l = dwp.lifted(psi)
         for klass in RICCI_CLASSES:
             values = []
             for p in points:
-                oracle = dwp.product.hessian_field(psi_l, p).entries[
+                oracle = dwp.product.hessian_field(psi_l, p)[
                     dwp.block(klass)
                 ]
                 closed = dwp.hessian_split_closed(psi_l, klass, p)
@@ -170,27 +170,35 @@ def check_solitons(dwp, specs, points, tolerance, anchor):
                     spec, dwp.product, points, tolerance, check_id=prefix
                 )
             )
-            if spec.kind == "riemann" and dwp.m >= 3:
-                out.append(
-                    solitons.residual(
-                        spec, dwp.product, points, tolerance,
-                        form="contracted", check_id=f"{prefix}.contracted",
-                    )
-                )
-                consistency = solitons.contraction_consistency(
-                    spec, dwp.product, points, tolerance
-                )
-                out.append(
-                    replace(consistency, check_id=f"{prefix}.contraction")
-                )
-            builder = _FACTOR_STRUCTURES.get(spec.kind)
-            if builder is not None:
-                for s in builder(dwp, spec, points, anchor, tolerance):
-                    out.append(
-                        replace(s, check_id=f"soliton[{i}].{s.check_id}")
-                    )
         except solitons.SolitonError as exc:
             out.append(skipped(prefix, f"skipped: {exc}", tolerance))
+            continue
+        if spec.kind == "riemann" and dwp.m >= 3:
+            out.append(
+                solitons.residual(
+                    spec, dwp.product, points, tolerance,
+                    form="contracted", check_id=f"{prefix}.contracted",
+                )
+            )
+            consistency = solitons.contraction_consistency(
+                spec, dwp.product, points, tolerance
+            )
+            out.append(replace(consistency, check_id=f"{prefix}.contraction"))
+        builder = _FACTOR_STRUCTURES.get(spec.kind)
+        if builder is None:
+            continue
+        try:
+            structures = builder(dwp, spec, points, anchor, tolerance)
+        except solitons.SolitonError as exc:
+            # the structures cannot be evaluated: skip their checks, keeping
+            # the defining-equation record above
+            structures = [
+                skipped(f"factors.{spec.kind}.{s}", f"skipped: {exc}",
+                        tolerance)
+                for s in solitons.FACTOR_CHECKS[spec.kind]
+            ]
+        for s in structures:
+            out.append(replace(s, check_id=f"soliton[{i}].{s.check_id}"))
     return out
 
 
@@ -201,7 +209,7 @@ def check_concircular(dwp, points, tolerance, anchor):
     out = _class_summaries(
         "concircular", dwp, points, tolerance,
         lambda p: _riemann_classes(dwp, special.concircular_closed(dwp, p)),
-        lambda p: special.concircular_oracle(dwp.product, p).entries,
+        lambda p: special.concircular_oracle(dwp.product, p),
     )
     out.extend(
         special.concircular_flat_consequences(dwp, points, anchor, tolerance)
@@ -225,7 +233,7 @@ def check_conharmonic(dwp, points, tolerance, anchor):
         "conharmonic", dwp, points, tolerance,
         lambda p: {klass: special.conharmonic_closed(dwp, klass, p)
                    for klass in special.CONHARMONIC_CLASSES},
-        lambda p: special.conharmonic_oracle(dwp.product, p).entries,
+        lambda p: special.conharmonic_oracle(dwp.product, p),
     )
     out.extend(
         special.conharmonic_flat_consequences(dwp, points, anchor, tolerance)

@@ -8,8 +8,9 @@ check fails, 2 on configuration or parse errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,24 +40,37 @@ class RunConfig:
     anchor: tuple | None = None  # None = box center
     report_path: str | None = None
     format: str = "text"
-    extra: dict = field(default_factory=dict)
 
     def validate(self, dim):
         if self.points < 1:
             raise SpecFileError("points must be >= 1")
-        if not self.tolerance > 0:
-            raise SpecFileError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise SpecFileError(
+                f"tolerance must be positive and finite, got {self.tolerance}"
+            )
         if len(self.box) not in (1, dim):
             raise SpecFileError(
                 f"box must give one global interval or {dim} per-coordinate "
                 "intervals"
             )
         for lo, hi in self.box:
+            # the width must be finite too: the sampler draws lo + width * u
+            if not all(map(math.isfinite, (lo, hi, hi - lo))):
+                raise SpecFileError(
+                    f"box interval [{lo}, {hi}] must be finite, with a "
+                    "finite width"
+                )
             if not lo < hi:
                 raise SpecFileError(f"empty box interval [{lo}, {hi}]")
         if self.anchor is not None and len(self.anchor) != dim:
             raise SpecFileError(
                 f"anchor must have {dim} coordinates, got {len(self.anchor)}"
+            )
+        if self.anchor is not None and not all(
+            map(math.isfinite, self.anchor)
+        ):
+            raise SpecFileError(
+                f"anchor must be finite, got {list(self.anchor)}"
             )
         unknown = set(self.checks) - set(CHECK_NAMES) - {"all"}
         if unknown:

@@ -10,11 +10,12 @@ brute-force product oracle in `geometry`.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .expr import constant
+from .expr import DomainError, constant
 from .geometry import ChartManifold, GeometryError
 
 __all__ = [
@@ -83,31 +84,21 @@ class DoublyWarpedProduct:
         return self.m1 + self.m2
 
     def _product_metric(self):
-        m1, m2, coords = self.m1, self.m2, self.coords
-        f1sq = (self.f1.lift(coords)) ** 2
-        f2sq = (self.f2.lift(coords)) ** 2
+        """g = f2^2 g1 (+) f1^2 g2 as product-chart expressions."""
+        coords = self.coords
         zero = constant(0.0, coords)
-        rows = []
-        for i in range(self.m):
-            row = []
-            for j in range(self.m):
-                if i < m1 and j < m1:
-                    row.append(f2sq * self.factor1.metric[i][j].lift(coords))
-                elif i >= m1 and j >= m1:
-                    row.append(
-                        f1sq * self.factor2.metric[i - m1][j - m1].lift(coords)
-                    )
-                else:
-                    row.append(zero)
-            rows.append(row)
+        rows = [[zero] * self.m for _ in range(self.m)]
+        for factor, f_opp, start in ((self.factor1, self.f2, 0),
+                                     (self.factor2, self.f1, self.m1)):
+            f_sq = f_opp.lift(coords) ** 2
+            for i, row in enumerate(factor.metric):
+                for j, entry in enumerate(row):
+                    rows[start + i][start + j] = f_sq * entry.lift(coords)
         return rows
 
     def split(self, p):
         p = np.asarray(p, dtype=float)
         return p[: self.m1], p[self.m1:]
-
-    def join(self, p1, p2):
-        return np.concatenate([np.asarray(p1, float), np.asarray(p2, float)])
 
     def block(self, klass):
         """Product-chart index slices of a curvature, Ricci or Hessian class:
@@ -120,22 +111,26 @@ class DoublyWarpedProduct:
     def anchored(self, points, anchor, which):
         """Copies of the sample points with the opposite factor's coordinates
         frozen at the anchor, so restrictions vary along factor `which` only."""
-        anchor = np.asarray(anchor, dtype=float)
+        opp = self.block("UX")[which - 1]
         out = np.array(np.atleast_2d(points), dtype=float, copy=True)
-        if which == 1:
-            out[:, self.m1:] = anchor[self.m1:]
-        else:
-            out[:, : self.m1] = anchor[: self.m1]
+        out[:, opp] = np.asarray(anchor, dtype=float)[opp]
         return out
 
     def validate_warpings(self, points):
-        """Reject any sampled point where a warping function is nonpositive."""
+        """Reject any sampled point where a warping function is nonpositive
+        or cannot be evaluated."""
         for p in np.atleast_2d(points):
-            p1, p2 = self.split(p)
-            if self.f1.evaluate(p1) <= 0.0:
-                raise WarpingError(f"f1 nonpositive at {p1.tolist()}")
-            if self.f2.evaluate(p2) <= 0.0:
-                raise WarpingError(f"f2 nonpositive at {p2.tolist()}")
+            for name, f, pf in zip(("f1", "f2"), (self.f1, self.f2),
+                                   self.split(p)):
+                try:
+                    positive = f.evaluate(pf) > 0.0
+                except (DomainError, OverflowError) as exc:
+                    raise WarpingError(
+                        f"{name} = {str(f)!r} leaves its domain at "
+                        f"{pf.tolist()}: {exc}"
+                    ) from None
+                if not positive:
+                    raise WarpingError(f"{name} nonpositive at {pf.tolist()}")
 
     def is_warped_product(self, points, tol=1e-12):
         c1, c2 = self._constancy(points, tol)
@@ -146,13 +141,14 @@ class DoublyWarpedProduct:
         return c1 and c2
 
     def _constancy(self, points, tol):
-        pts = np.atleast_2d(points)
-        v1 = [self.f1.evaluate(self.split(p)[0]) for p in pts]
-        v2 = [self.f2.evaluate(self.split(p)[1]) for p in pts]
-        return (
-            max(v1) - min(v1) <= tol * (1 + max(map(abs, v1))),
-            max(v2) - min(v2) <= tol * (1 + max(map(abs, v2))),
-        )
+        """Whether f1, and whether f2, is constant on the points."""
+        out = []
+        for f, factor_points in zip(
+            (self.f1, self.f2), zip(*map(self.split, np.atleast_2d(points)))
+        ):
+            v = [f.evaluate(pf) for pf in factor_points]
+            out.append(max(v) - min(v) <= tol * (1 + max(map(abs, v))))
+        return out
 
     # -- per-point ingredient bundle ----------------------------------------
 
@@ -167,22 +163,16 @@ class DoublyWarpedProduct:
         self._data_cache[key] = d
         return d
 
-    # -- closed forms ---------------------------------------------------------
+    def lifted(self, psi):
+        """psi as a function on the product chart (a factor-chart potential
+        is lifted; a product-chart one is returned as is)."""
+        return psi if psi.coords == self.coords else psi.lift(self.coords)
 
-    def _sides(self, d):
-        """Per-factor ingredients of the block formulas, as (own slice,
-        opposite slice, own lifts, opposite lifts, own factor curvature
-        (1,3), own and opposite log-warping differentials, own factor
-        Hessian of the own log-warping, product Hessian operator and
-        gradient of the opposite log-warping), first factor first."""
-        s1, s2 = self.block("XU")
-        lifts1, lifts2 = coordinate_lifts(self)
-        return (
-            (s1, s2, lifts1, lifts2, d.r1, d.dk1, d.dl2, d.h1_k, d.Hl,
-             d.grad_l),
-            (s2, s1, lifts2, lifts1, d.r2, d.dl2, d.dk1, d.h2_l, d.Hk,
-             d.grad_k),
-        )
+    # -- closed forms ---------------------------------------------------------
+    #
+    # Each block formula is written once for a factor side s = d.side(which):
+    # the second factor's block is the first's under f1 <-> f2, k <-> l,
+    # m1 <-> m2, which is exactly the swap of own and opposite fields.
 
     def covariant_closed(self, p):
         """Christoffel symbols Gamma[c, i, j] = (grad_{d_i} d_j)^c of the
@@ -190,41 +180,35 @@ class DoublyWarpedProduct:
         grad_X Y = grad1_X Y - g(X, Y) grad l on same-factor lifts (k <-> l
         on the second factor) and grad_X U = U(l) X + X(k) U on mixed ones."""
         d = self.point_data(p)
-        factors = (self.factor1, d.p1), (self.factor2, d.p2)
         out = np.empty((self.m,) * 3)
-        for (factor, pf), side in zip(factors, self._sides(d)):
-            own, opp, l_own, l_opp, _, dk_own, dk_opp, _, _, grad_opp = side
-            gamma = factor.christoffel(pf).entries
+        for s in d.sides:
+            own, opp = s.own, s.opp
+            gamma = s.factor.christoffel(s.point)
             out[:, own, own] = np.einsum(
-                "kab,kc->cab", gamma, l_own
-            ) - np.einsum("ab,c->cab", d.g[own, own], grad_opp)
+                "kab,kc->cab", gamma, s.lift_own
+            ) - np.einsum("ab,c->cab", d.g[own, own], s.grad_opp)
             out[:, own, opp] = np.einsum(
-                "u,ac->cau", dk_opp, l_own
-            ) + np.einsum("a,uc->cau", dk_own, l_opp)
+                "u,ac->cau", s.dlog_opp, s.lift_own
+            ) + np.einsum("a,uc->cau", s.dlog_own, s.lift_opp)
         return out
 
     def hessian_split_closed(self, psi, klass, p):
-        """Blocks of the product Hessian of psi via the splitting formulas."""
+        """Blocks of the product Hessian of psi via the splitting formulas:
+        h1^psi + g(grad l, grad psi) g on XX (k <-> l on UU), and on XU
+        XU(psi) - X(k)U(psi) - X(psi)U(l) on coordinate lifts."""
         d = self.point_data(p)
-        jet = psi.lift(self.coords).jet(d.p) if psi.coords != self.coords else psi.jet(d.p)
-        m1 = self.m1
-        grad_psi = np.linalg.solve(d.g, jet.gradient)
-        if klass == "XX":
-            h1 = self._factor_hessian_from_jet(self.factor1, jet, d.p1, block=1)
-            inner = float(d.grad_l @ d.g @ grad_psi)
-            return h1 + d.g[:m1, :m1] * inner
-        if klass == "UU":
-            h2 = self._factor_hessian_from_jet(self.factor2, jet, d.p2, block=2)
-            inner = float(d.grad_k @ d.g @ grad_psi)
-            return h2 + d.g[m1:, m1:] * inner
+        jet = self.lifted(psi).jet(d.p)
         if klass == "XU":
-            # XU(psi) - X(k)U(psi) - X(psi)U(l) on coordinate lifts
+            m1 = self.m1
             return (
                 jet.hessian[:m1, m1:]
                 - np.outer(d.dk1, jet.gradient[m1:])
                 - np.outer(jet.gradient[:m1], d.dl2)
             )
-        raise ValueError(f"unknown Hessian class {klass!r}")
+        s = d.side(_side_of(klass, "Hessian"))
+        grad_psi = np.linalg.solve(d.g, jet.gradient)
+        inner = float(s.grad_opp @ d.g @ grad_psi)
+        return _factor_hessian_from_jet(s, jet) + d.g[s.own, s.own] * inner
 
     def riemann_closed(self, p):
         """Closed-form curvature V[i, j, k, c] = (R(d_i, d_j) d_k)^c over the
@@ -238,20 +222,20 @@ class DoublyWarpedProduct:
         and R(U,X)Y, R(X,U)V follow by antisymmetry in the first pair."""
         d = self.point_data(p)
         out = np.empty((self.m,) * 4)
-        for side in self._sides(d):
-            own, opp, l_own, l_opp, r_own, dk_own, dk_opp, h_own, h_opp, \
-                grad_opp = side
+        for s in d.sides:
+            own, opp = s.own, s.opp
+            dk_own, dk_opp, l_own = s.dlog_own, s.dlog_opp, s.lift_own
             g_own = d.g[own, own]
-            out[own, own, own] = r_own @ l_own - wedge_operator(
-                g_own, h_opp[:, own].T
+            out[own, own, own] = s.r @ l_own - wedge_operator(
+                g_own, s.H_opp[:, own].T
             )
             out[own, own, opp] = wedge_operator(np.outer(dk_own, dk_opp), l_own)
             mixed = (
-                np.einsum("xy,uc->xuyc", h_own + np.outer(dk_own, dk_own),
-                          l_opp)
+                np.einsum("xy,uc->xuyc", s.h_log + np.outer(dk_own, dk_own),
+                          s.lift_opp)
                 + np.einsum("y,u,xc->xuyc", dk_own, dk_opp, l_own)
                 + np.einsum("xy,uc->xuyc", g_own,
-                            h_opp[:, opp].T + np.outer(dk_opp, grad_opp))
+                            s.H_opp[:, opp].T + np.outer(dk_opp, s.grad_opp))
             )
             out[own, opp, own] = mixed
             out[opp, own, own] = -mixed.transpose(1, 0, 2, 3)
@@ -262,52 +246,37 @@ class DoublyWarpedProduct:
         return self.riemann_closed(p) @ self.point_data(p).g
 
     def ricci_closed(self, klass, p):
-        """Ricci blocks from the closed splitting formulas."""
+        """Ricci blocks from the closed splitting formulas:
+        Ric1 - (m2/f1) h1^f1 - (lap l) g on XX (mirrored on UU) and
+        (m-2) X(k)U(l) on XU."""
         d = self.point_data(p)
-        m1 = self.m1
-        if klass == "XX":
-            return (
-                d.ric1
-                - (self.m2 / d.f1) * d.h1_f1
-                - d.g[:m1, :m1] * d.lap_l
-            )
         if klass == "XU":
             return (self.m - 2) * np.outer(d.dk1, d.dl2)
-        if klass == "UU":
-            return (
-                d.ric2
-                - (self.m1 / d.f2) * d.h2_f2
-                - d.g[m1:, m1:] * d.lap_k
-            )
-        raise ValueError(f"unknown Ricci class {klass!r}")
+        s = d.side(_side_of(klass, "Ricci"))
+        return (
+            s.ric
+            - (s.m_opp / s.f_own) * s.h_f
+            - d.g[s.own, s.own] * s.lap_opp
+        )
 
     def ricci_operator_closed(self, klass, p):
         """Ricci-operator blocks (1,1) from the closed splitting formulas."""
-        d = self.point_data(p)
-        if klass == "XX":
-            q1 = d.g1inv @ d.ric1
-            h1 = d.g1inv @ d.h1_f1
-            eye = np.eye(self.m1)
-            return (1.0 / d.f2**2) * (
-                q1 - (self.m2 / d.f1) * h1 - d.f2**2 * d.lap_l * eye
-            )
-        if klass == "UU":
-            q2 = d.g2inv @ d.ric2
-            h2 = d.g2inv @ d.h2_f2
-            eye = np.eye(self.m2)
-            return (1.0 / d.f1**2) * (
-                q2 - (self.m1 / d.f2) * h2 - d.f1**2 * d.lap_k * eye
-            )
-        raise ValueError(f"unknown Ricci-operator class {klass!r}")
+        s = self.point_data(p).side(_side_of(klass, "Ricci-operator"))
+        return (1.0 / s.f_opp**2) * (
+            s.ginv @ s.ric
+            - (s.m_opp / s.f_own) * (s.ginv @ s.h_f)
+            - s.f_opp**2 * s.lap_opp * np.eye(s.m_own)
+        )
 
     def scalar_closed(self, p):
         """Scalar curvature of the product from the splitting formula."""
         d = self.point_data(p)
+        s1, s2 = d.sides
         return (
-            d.tau1 / d.f2**2
-            + d.tau2 / d.f1**2
-            - (self.m2 / (d.f1 * d.f2**2)) * d.lap1_f1
-            - (self.m1 / (d.f1**2 * d.f2)) * d.lap2_f2
+            s1.tau_own / d.f2**2
+            + s2.tau_own / d.f1**2
+            - (self.m2 / (d.f1 * d.f2**2)) * s1.lap_f
+            - (self.m1 / (d.f1**2 * d.f2)) * s2.lap_f
             - self.m1 * d.lap_l
             - self.m2 * d.lap_k
         )
@@ -317,108 +286,152 @@ class DoublyWarpedProduct:
 
         The gradients inside the closed form are product-metric gradients,
         which is the reading under which the splitting is an identity."""
-        d = self.point_data(p)
-        if which == "k":
-            gk1 = d.grad_k[: self.m1]
-            closed = d.lap1_k / d.f2**2 + self.m2 * d.f2**2 * float(
-                gk1 @ d.g1 @ gk1
-            )
-            return closed, d.lap_k
-        if which == "l":
-            gl2 = d.grad_l[self.m1:]
-            closed = d.lap2_l / d.f1**2 + self.m1 * d.f1**2 * float(
-                gl2 @ d.g2 @ gl2
-            )
-            return closed, d.lap_l
-        raise ValueError("which must be 'k' or 'l'")
-
-    # -- helpers ---------------------------------------------------------------
-
-    def _factor_hessian_from_jet(self, factor, jet, pf, block):
-        """Factor Hessian of the restriction, from a product-chart jet."""
-        m1 = self.m1
-        if block == 1:
-            grad = jet.gradient[:m1]
-            hess = jet.hessian[:m1, :m1]
-        else:
-            grad = jet.gradient[m1:]
-            hess = jet.hessian[m1:, m1:]
-        gamma = factor.christoffel(pf).entries
-        return hess - np.einsum("kij,k->ij", gamma, grad)
+        if which not in ("k", "l"):
+            raise ValueError("which must be 'k' or 'l'")
+        s = self.point_data(p).side(1 if which == "k" else 2)
+        grad = s.grad_own[s.own]
+        closed = s.lap_log / s.f_opp**2 + s.m_opp * s.f_opp**2 * float(
+            grad @ s.g @ grad
+        )
+        return closed, s.lap_own
 
     def factor_hessian(self, which, psi, p):
         """h_i^psi of the leafwise restriction of psi, at the factor point
         carried by the product point p."""
         d = self.point_data(p)
-        psi_l = psi.lift(self.coords) if psi.coords != self.coords else psi
-        jet = psi_l.jet(d.p)
-        if which == 1:
-            return self._factor_hessian_from_jet(self.factor1, jet, d.p1, 1)
-        return self._factor_hessian_from_jet(self.factor2, jet, d.p2, 2)
+        return _factor_hessian_from_jet(d.side(which), self.lifted(psi).jet(d.p))
+
+
+_SIDE_OF_CLASS = {"XX": 1, "UU": 2}
+
+
+def _side_of(klass, kind):
+    """The factor of a same-factor Ricci or Hessian class."""
+    try:
+        return _SIDE_OF_CLASS[klass]
+    except KeyError:
+        raise ValueError(f"unknown {kind} class {klass!r}") from None
+
+
+def _factor_hessian_from_jet(side, jet):
+    """Factor Hessian of the restriction, from a product-chart jet."""
+    own = side.own
+    gamma = side.factor.christoffel(side.point)
+    return jet.hessian[own, own] - np.einsum("kij,k->ij", gamma,
+                                             jet.gradient[own])
+
+
+@dataclass(frozen=True, eq=False)
+class _Side:
+    """One factor's ingredients of the block formulas at a product point,
+    with the opposite factor's alongside.  The second factor's record is the
+    first's with own and opposite swapped (f1 <-> f2, k <-> l, m1 <-> m2),
+    so every mirrored formula is written once against this record."""
+
+    which: int               # 1 or 2
+    own: slice               # product-chart indices of this factor ...
+    opp: slice               # ... and of the opposite one
+    lift_own: np.ndarray     # rows: product components of the lifted
+    lift_opp: np.ndarray     # coordinate fields (coordinate_lifts)
+    m_own: int
+    m_opp: int
+    factor: ChartManifold
+    point: np.ndarray        # the factor point
+    f_own: float             # warping values
+    f_opp: float
+    g: np.ndarray            # factor metric, its inverse, Ricci tensor
+    ginv: np.ndarray
+    ric: np.ndarray
+    tau_own: float           # factor scalar curvatures
+    tau_opp: float
+    h_f: np.ndarray          # factor Hessian and Laplacian of the own
+    lap_f: float             # warping f_own ...
+    h_log: np.ndarray        # ... and of its log (k on the first factor)
+    lap_log: float
+    dlog_own: np.ndarray     # factor-chart differentials of the own and
+    dlog_opp: np.ndarray     # opposite log-warpings
+    dlog_opp_ext: np.ndarray  # the opposite one on the product chart
+    grad_own: np.ndarray     # product gradients of the log-warpings
+    grad_opp: np.ndarray
+    H_opp: np.ndarray        # product Hessian operator of the opposite one
+    lap_own: float           # product Laplacians of the log-warpings
+    lap_opp: float
+
+    # factor curvature, (1,3) form r[x, y, z, c] = (R(d_x, d_y) d_z)^c; only
+    # the curvature closed forms read it
+    @cached_property
+    def r(self):
+        return np.einsum("xyzw,wc->xyzc",
+                         self.factor.riemann_oracle(self.point), self.ginv)
 
 
 class _PointData:
-    """All factor- and product-level ingredients at one product point."""
+    """All factor- and product-level ingredients at one product point: the
+    product-level ones as attributes, the factor-level ones in one side
+    record per factor."""
 
     def __init__(self, dwp, p):
         self.p = p
-        self.p1, self.p2 = dwp.split(p)
-        self._factor1, self._factor2 = dwp.factor1, dwp.factor2
-        m1 = dwp.m1
-        self.f1 = dwp.f1.evaluate(self.p1)
-        self.f2 = dwp.f2.evaluate(self.p2)
+        p1, p2 = dwp.split(p)
+        self.f1 = dwp.f1.evaluate(p1)
+        self.f2 = dwp.f2.evaluate(p2)
         if self.f1 <= 0 or self.f2 <= 0:
             raise WarpingError(f"nonpositive warping at {p.tolist()}")
-        self.g = dwp.product.metric_at(p)[0].entries
+        self.g = dwp.product.metric_at(p)[0]
         self.ginv = np.linalg.inv(self.g)
-        self.g1 = dwp.factor1.metric_at(self.p1)[0].entries
-        self.g1inv = np.linalg.inv(self.g1)
-        self.g2 = dwp.factor2.metric_at(self.p2)[0].entries
-        self.g2inv = np.linalg.inv(self.g2)
 
-        jet_k = dwp.k.jet(self.p1)
-        jet_l = dwp.l.jet(self.p2)
-        self.dk1 = jet_k.gradient  # d_a k on factor-1 chart
-        self.dl2 = jet_l.gradient
+        # factor-level metric, Hessians, Laplacians and curvature, per factor
+        factors = []
+        for factor, f, log_f, pf in ((dwp.factor1, dwp.f1, dwp.k, p1),
+                                     (dwp.factor2, dwp.f2, dwp.l, p2)):
+            g = factor.metric_at(pf)[0]
+            ginv = np.linalg.inv(g)
+            h_f = factor.hessian_field(f, pf)
+            h_log = factor.hessian_field(log_f, pf)
+            factors.append(dict(
+                factor=factor, point=pf, g=g, ginv=ginv,
+                ric=factor.ricci_oracle(pf), tau_own=factor.scalar_oracle(pf),
+                h_f=h_f, lap_f=float(np.einsum("ij,ij->", ginv, h_f)),
+                h_log=h_log, lap_log=float(np.einsum("ij,ij->", ginv, h_log)),
+                dlog_own=log_f.jet(pf).gradient,
+            ))
+        self.dk1 = factors[0]["dlog_own"]  # d_a k on factor-1 chart
+        self.dl2 = factors[1]["dlog_own"]
         self.dk1_ext = np.concatenate([self.dk1, np.zeros(dwp.m2)])
-        self.dl2_ext = np.concatenate([np.zeros(m1), self.dl2])
+        self.dl2_ext = np.concatenate([np.zeros(dwp.m1), self.dl2])
 
         # product gradients (vectors) of k and l
         self.grad_k = self.ginv @ self.dk1_ext
         self.grad_l = self.ginv @ self.dl2_ext
 
-        # product Hessians of k and l: (0,2) and (1,1) forms, Laplacians
-        self.hk = dwp.product.hessian_field(dwp.k_lifted, p).entries
-        self.hl = dwp.product.hessian_field(dwp.l_lifted, p).entries
-        self.Hk = self.ginv @ self.hk
-        self.Hl = self.ginv @ self.hl
-        self.lap_k = float(np.einsum("ij,ij->", self.ginv, self.hk))
-        self.lap_l = float(np.einsum("ij,ij->", self.ginv, self.hl))
+        # product Hessians of k and l: (1,1) forms and Laplacians
+        hk = dwp.product.hessian_field(dwp.k_lifted, p)
+        hl = dwp.product.hessian_field(dwp.l_lifted, p)
+        self.Hk = self.ginv @ hk
+        self.Hl = self.ginv @ hl
+        self.lap_k = float(np.einsum("ij,ij->", self.ginv, hk))
+        self.lap_l = float(np.einsum("ij,ij->", self.ginv, hl))
 
-        # factor-level Hessians and Laplacians
-        self.h1_f1 = dwp.factor1.hessian_field(dwp.f1, self.p1).entries
-        self.h2_f2 = dwp.factor2.hessian_field(dwp.f2, self.p2).entries
-        self.h1_k = dwp.factor1.hessian_field(dwp.k, self.p1).entries
-        self.h2_l = dwp.factor2.hessian_field(dwp.l, self.p2).entries
-        self.lap1_f1 = float(np.einsum("ij,ij->", self.g1inv, self.h1_f1))
-        self.lap2_f2 = float(np.einsum("ij,ij->", self.g2inv, self.h2_f2))
-        self.lap1_k = float(np.einsum("ij,ij->", self.g1inv, self.h1_k))
-        self.lap2_l = float(np.einsum("ij,ij->", self.g2inv, self.h2_l))
+        slices = dwp.block("XU")
+        lifts = coordinate_lifts(dwp)
+        m = (dwp.m1, dwp.m2)
+        f = (self.f1, self.f2)
+        d_ext = (self.dk1_ext, self.dl2_ext)
+        grad = (self.grad_k, self.grad_l)
+        hess_op = (self.Hk, self.Hl)
+        lap = (self.lap_k, self.lap_l)
+        self.sides = tuple(
+            _Side(
+                which=i + 1, own=slices[i], opp=slices[j],
+                lift_own=lifts[i], lift_opp=lifts[j], m_own=m[i], m_opp=m[j],
+                f_own=f[i], f_opp=f[j], tau_opp=factors[j]["tau_own"],
+                dlog_opp=factors[j]["dlog_own"], dlog_opp_ext=d_ext[j],
+                grad_own=grad[i], grad_opp=grad[j], H_opp=hess_op[j],
+                lap_own=lap[i], lap_opp=lap[j], **factors[i],
+            )
+            for i, j in ((0, 1), (1, 0))
+        )
 
-        # factor curvature
-        self.ric1 = dwp.factor1.ricci_oracle(self.p1).entries
-        self.ric2 = dwp.factor2.ricci_oracle(self.p2).entries
-        self.tau1 = dwp.factor1.scalar_oracle(self.p1)
-        self.tau2 = dwp.factor2.scalar_oracle(self.p2)
-
-    # factor curvature, (1,3) form r[x, y, z, c] = (R(d_x, d_y) d_z)^c; only
-    # the curvature closed forms read it
-    @cached_property
-    def r1(self):
-        return np.einsum("xyzw,wc->xyzc", self._factor1.riemann_oracle(
-            self.p1).entries, self.g1inv)
-
-    @cached_property
-    def r2(self):
-        return np.einsum("xyzw,wc->xyzc", self._factor2.riemann_oracle(
-            self.p2).entries, self.g2inv)
+    def side(self, which):
+        """The side record of factor `which` (1 or 2)."""
+        return self.sides[which - 1]

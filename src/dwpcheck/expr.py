@@ -22,7 +22,6 @@ __all__ = [
     "ArityError",
     "DomainError",
     "parse_expression",
-    "evaluate_jet2",
     "finite_difference_jet",
     "constant",
 ]
@@ -575,10 +574,6 @@ def parse_expression(text, coords):
 def constant(value, coords):
     """A constant expression bound to the given coordinates."""
     return Expression(Num(float(value)), coords)
-
-
-def evaluate_jet2(expression, point):
-    return expression.jet(point)
 
 
 def finite_difference_jet(expression, point, h=1e-4):

@@ -13,16 +13,12 @@ Sign conventions, pinned once for the whole package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .expr import Expression
+from .expr import DomainError, Expression
 
 __all__ = [
     "ChartManifold",
-    "TensorValue",
-    "Frame",
     "GeometryError",
     "MetricError",
     "kulkarni_nomizu",
@@ -40,35 +36,15 @@ class MetricError(GeometryError):
     pass
 
 
-@dataclass(frozen=True)
-class TensorValue:
-    """Point-local multi-index array with a per-slot variance signature."""
-
-    entries: np.ndarray
-    variance: tuple  # 'cov' or 'con' per slot
-
-    def __post_init__(self):
-        if self.entries.ndim != len(self.variance):
-            raise ValueError("variance length must match tensor rank")
-
-    @property
-    def shape(self):
-        return self.entries.shape
-
-
-@dataclass(frozen=True)
-class Frame:
-    """Columns are the coordinate components of an orthonormal basis."""
-
-    vectors: np.ndarray
-
-
 def _as_tuple(point):
     return tuple(float(x) for x in np.asarray(point, dtype=float))
 
 
 class ChartManifold:
-    """A coordinate chart with metric components given as expressions."""
+    """A coordinate chart with metric components given as expressions.
+
+    Tensors at a point are plain arrays in coordinate components, indexed
+    as each method's docstring says."""
 
     def __init__(self, coords, metric):
         self.coords = tuple(coords)
@@ -104,7 +80,14 @@ class ChartManifold:
         pa = np.asarray(key)
         for i in range(n):
             for j in range(i, n):
-                jet = self.metric[i][j].jet(pa)
+                try:
+                    jet = self.metric[i][j].jet(pa)
+                except (DomainError, OverflowError) as exc:
+                    raise MetricError(
+                        f"metric entry [{i}][{j}] = "
+                        f"{str(self.metric[i][j])!r} leaves its domain at "
+                        f"{list(key)}: {exc}"
+                    ) from None
                 g[i, j] = g[j, i] = jet.value
                 dg[:, i, j] = dg[:, j, i] = jet.gradient
                 ddg[:, :, i, j] = ddg[:, :, j, i] = jet.hessian
@@ -120,11 +103,7 @@ class ChartManifold:
             np.linalg.cholesky(g)
         except np.linalg.LinAlgError:
             raise MetricError(f"metric not positive definite at {_as_tuple(p)}")
-        ginv = np.linalg.inv(g)
-        return (
-            TensorValue(g, ("cov", "cov")),
-            TensorValue(ginv, ("con", "con")),
-        )
+        return g, np.linalg.inv(g)
 
     # -- connection and curvature ------------------------------------------
 
@@ -135,7 +114,7 @@ class ChartManifold:
         # Gamma^k_ij = 1/2 g^{km} (d_i g_jm + d_j g_im - d_m g_ij)
         sym = dg + np.einsum("jim->ijm", dg) - np.einsum("mij->ijm", dg)
         gamma = 0.5 * np.einsum("km,ijm->kij", ginv, sym)
-        return TensorValue(gamma, ("con", "cov", "cov"))
+        return gamma
 
     def _christoffel_jets(self, p):
         """Gamma[k,i,j] and dGamma[l,k,i,j] = d_l Gamma^k_ij at p."""
@@ -152,12 +131,12 @@ class ChartManifold:
         )
         return gamma, dgamma
 
-    def riemann_oracle(self, p):
-        """Fully covariant curvature R[i,j,k,w] = R(d_i, d_j, d_k, d_w)."""
+    def _curvature(self, p):
+        """(R[i,j,k,w], Ric[j,k], tau) at p, from one computation."""
         key = _as_tuple(p)
         hit = self._curv_cache.get(key)
         if hit is not None:
-            return TensorValue(hit[0], ("cov",) * 4)
+            return hit
         g, _, _ = self._metric_jets(p)
         gamma, dgamma = self._christoffel_jets(p)
         # (R(d_i,d_j)d_k)^m = d_i G^m_jk - d_j G^m_ik + G^m_ia G^a_jk - G^m_ja G^a_ik
@@ -174,46 +153,47 @@ class ChartManifold:
         if len(self._curv_cache) > 4096:
             self._curv_cache.clear()
         self._curv_cache[key] = (r4, ric, tau)
-        return TensorValue(r4, ("cov",) * 4)
+        return r4, ric, tau
+
+    def riemann_oracle(self, p):
+        """Fully covariant curvature R[i,j,k,w] = R(d_i, d_j, d_k, d_w)."""
+        return self._curvature(p)[0]
 
     def ricci_oracle(self, p):
-        self.riemann_oracle(p)
-        return TensorValue(self._curv_cache[_as_tuple(p)][1], ("cov", "cov"))
+        return self._curvature(p)[1]
 
     def scalar_oracle(self, p):
-        self.riemann_oracle(p)
-        return self._curv_cache[_as_tuple(p)][2]
+        return self._curvature(p)[2]
 
     # -- scalar-field calculus ----------------------------------------------
 
     def hessian_field(self, psi, p):
         """Covariant Hessian h_ij = d_i d_j psi - Gamma^k_ij d_k psi."""
         jet = psi.jet(p)
-        gamma = self.christoffel(p).entries
+        gamma = self.christoffel(p)
         h = jet.hessian - np.einsum("kij,k->ij", gamma, jet.gradient)
-        return TensorValue(0.5 * (h + h.T), ("cov", "cov"))
+        return 0.5 * (h + h.T)
 
     def gradient_field(self, psi, p):
         g, _, _ = self._metric_jets(p)
-        grad = np.linalg.solve(g, psi.jet(p).gradient)
-        return TensorValue(grad, ("con",))
+        return np.linalg.solve(g, psi.jet(p).gradient)
 
     def laplacian_field(self, psi, p):
         g, _, _ = self._metric_jets(p)
-        h = self.hessian_field(psi, p).entries
+        h = self.hessian_field(psi, p)
         return float(np.einsum("ij,ij->", np.linalg.inv(g), h))
 
     # -- frames and sampling -------------------------------------------------
 
     def orthonormal_frame(self, p):
-        """Gram-Schmidt of the coordinate basis (inverse Cholesky factor)."""
+        """Gram-Schmidt of the coordinate basis (inverse Cholesky factor):
+        column i holds the coordinate components of the i-th frame vector."""
         g, _, _ = self._metric_jets(p)
         try:
             chol = np.linalg.cholesky(g)
         except np.linalg.LinAlgError:
             raise MetricError(f"metric not positive definite at {_as_tuple(p)}")
-        frame = np.linalg.inv(chol).T
-        return Frame(frame)
+        return np.linalg.inv(chol).T
 
     def well_conditioned_at(self, p):
         g, _, _ = self._metric_jets(p)
@@ -227,17 +207,16 @@ class ChartManifold:
 def kulkarni_nomizu(a, b):
     """(A ^ B)(X,Y,Z,W) = A(X,W)B(Y,Z) + A(Y,Z)B(X,W)
     - A(X,Z)B(Y,W) - A(Y,W)B(X,Z), for symmetric (0,2) inputs."""
-    a = a.entries if isinstance(a, TensorValue) else np.asarray(a, dtype=float)
-    b = b.entries if isinstance(b, TensorValue) else np.asarray(b, dtype=float)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 2:
         raise ValueError("kulkarni_nomizu needs two equally sized matrices")
-    out = (
+    return (
         np.einsum("xw,yz->xyzw", a, b)
         + np.einsum("yz,xw->xyzw", a, b)
         - np.einsum("xz,yw->xyzw", a, b)
         - np.einsum("yw,xz->xyzw", a, b)
     )
-    return TensorValue(out, ("cov",) * 4)
 
 
 def sample_points(manifold, box, n, seed):

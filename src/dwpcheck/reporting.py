@@ -9,6 +9,7 @@ identical reports.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ __all__ = [
     "normalized_residual",
     "summarize",
     "skipped",
+    "gated",
     "render_json",
 ]
 
@@ -73,23 +75,25 @@ def summarize(check_id, residuals, points, tolerance, notes=""):
 
     The reduction is deterministic regardless of evaluation order: the worst
     point is the one with the largest residual, ties broken by lexicographic
-    order of the point coordinates.
+    order of the point coordinates.  A NaN residual ranks above every
+    number, so it fails the check wherever it occurs.
     """
     residuals = [float(r) for r in residuals]
     if not residuals:
         raise ValueError("summarize needs at least one residual")
     worst = None
     for r, p in zip(residuals, points):
-        key = (r, tuple(float(x) for x in np.atleast_1d(p)))
+        key = ((1, 0.0) if math.isnan(r) else (0, r),
+               tuple(float(x) for x in np.atleast_1d(p)))
         if worst is None or key[0] > worst[0] or (
             key[0] == worst[0] and key[1] < worst[1]
         ):
             worst = key
-    status = PASS if worst[0] <= tolerance else FAIL
+            residual = r
     return ResidualSummary(
         check_id=check_id,
-        status=status,
-        max_abs_residual=worst[0],
+        status=PASS if residual <= tolerance else FAIL,
+        max_abs_residual=residual,
         worst_point=worst[1],
         points=len(residuals),
         tolerance=tolerance,
@@ -109,6 +113,22 @@ def skipped(check_id, reason, tolerance, points=0):
     )
 
 
+def gated(check_id, gate, reason, sub_ids):
+    """The records of a hypothesis gate and of the checks conditional on it,
+    and whether the gate holds.  A failing hypothesis is a skip, not a
+    failure (the checks that carry a verdict on it run elsewhere): the gate
+    and each `check_id.<sub_id>` are skipped with `reason` formatted with the
+    gate's residual."""
+    if gate.status == PASS:
+        return [gate], True
+    reason = reason.format(gate.max_abs_residual)
+    return [
+        skipped(gate.check_id, reason, gate.tolerance, points=gate.points)
+    ] + [
+        skipped(f"{check_id}.{s}", reason, gate.tolerance) for s in sub_ids
+    ], False
+
+
 def _render(value, indent):
     pad = "  " * indent
     inner = "  " * (indent + 1)
@@ -119,7 +139,10 @@ def _render(value, indent):
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
+        value = float(value)
+        if not math.isfinite(value):
+            return json.dumps(repr(value))  # JSON has no NaN or infinity
+        return format(value, ".17g")
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, dict):
@@ -140,5 +163,6 @@ def _render(value, indent):
 
 def render_json(document):
     """Serialize to JSON text with sorted keys and 17-significant-digit
-    floats; byte-identical for equal inputs."""
+    floats (the strings "nan", "inf" and "-inf" for non-finite ones);
+    byte-identical for equal inputs."""
     return _render(document, 0) + "\n"

@@ -17,7 +17,7 @@ import numpy as np
 
 from .expr import DomainError, Expression
 from .geometry import GeometryError, kulkarni_nomizu
-from .reporting import PASS, normalized_residual, skipped, summarize
+from .reporting import gated, normalized_residual, skipped, summarize
 
 __all__ = [
     "SolitonSpec",
@@ -32,6 +32,7 @@ __all__ = [
     "ricci_factor_structures",
     "riemann_factor_structures",
     "quasi_einstein_factor_structures",
+    "FACTOR_CHECKS",
     "log_hessian_identity",
     "mixed_yamabe_condition",
     "mixed_ricci_condition",
@@ -124,13 +125,13 @@ def _eta_at(spec, p):
     return np.array([float(c.evaluate(p)) for c in spec.eta])
 
 
-def _unit_eta_at(spec, M, p, tolerance):
+def _unit_eta_at(spec, M, p):
     """A rescaled so its metric dual is a unit vector, with beta adjusted so
     beta * A (x) A is unchanged."""
     a = _eta_at(spec, p)
-    ginv = M.metric_at(p)[1].entries
+    ginv = M.metric_at(p)[1]
     norm_sq = float(a @ ginv @ a)
-    if norm_sq <= tolerance:
+    if norm_sq <= 0.0:
         raise SolitonError(f"quasi-Einstein 1-form vanishes at {tuple(p)}")
     beta = _coeff(spec.beta, p) * norm_sq
     return a / np.sqrt(norm_sq), beta
@@ -139,70 +140,54 @@ def _unit_eta_at(spec, M, p, tolerance):
 def _terms_0_2(spec, M, p):
     """(lhs terms, rhs terms) of the defining (0,2) equation at p."""
     kind = spec.kind
-    g = M.metric_at(p)[0].entries
+    g = M.metric_at(p)[0]
     if kind == "einstein":
-        ric = M.ricci_oracle(p).entries
-        tau = M.scalar_oracle(p)
-        return [ric], [(tau / M.dim) * g]
+        return [M.ricci_oracle(p)], [(M.scalar_oracle(p) / M.dim) * g]
     if kind == "quasi_einstein":
-        ric = M.ricci_oracle(p).entries
-        a, beta = _unit_eta_at(spec, M, p, 0.0)
-        return [ric], [_coeff(spec.alpha, p) * g, beta * np.outer(a, a)]
+        a, beta = _unit_eta_at(spec, M, p)
+        return [M.ricci_oracle(p)], [_coeff(spec.alpha, p) * g,
+                                     beta * np.outer(a, a)]
 
-    h = M.hessian_field(spec.psi, p).entries
+    h = M.hessian_field(spec.psi, p)
     if kind == "conformal":
         return [h], [_coeff(spec.gamma, p) * g]
 
     lam = _coeff(spec.lam, p)
-    if kind == "yamabe":
-        return [h], [(M.scalar_oracle(p) - lam) * g]
-    if kind == "eta_yamabe":
+    if kind in ("yamabe", "eta_yamabe"):
+        lhs, rhs = [h], [(M.scalar_oracle(p) - lam) * g]
+    elif kind in ("ricci", "eta_ricci", "f_almost_ricci",
+                  "f_almost_eta_ricci"):
+        if kind.startswith("f_almost"):
+            h = _coeff(spec.f_factor, p) * h
+        lhs, rhs = [h, M.ricci_oracle(p)], [lam * g]
+    else:
+        raise SolitonError(f"no (0,2) form for kind {kind!r}")
+    if "eta" in kind:
         a = _eta_at(spec, p)
-        return [h], [
-            (M.scalar_oracle(p) - lam) * g,
-            _coeff(spec.mu, p) * np.outer(a, a),
-        ]
-    if kind == "ricci":
-        return [h, M.ricci_oracle(p).entries], [lam * g]
-    if kind == "eta_ricci":
-        a = _eta_at(spec, p)
-        return [h, M.ricci_oracle(p).entries], [
-            lam * g,
-            _coeff(spec.mu, p) * np.outer(a, a),
-        ]
-    if kind == "f_almost_ricci":
-        return [_coeff(spec.f_factor, p) * h, M.ricci_oracle(p).entries], [
-            lam * g
-        ]
-    if kind == "f_almost_eta_ricci":
-        a = _eta_at(spec, p)
-        return [_coeff(spec.f_factor, p) * h, M.ricci_oracle(p).entries], [
-            lam * g,
-            _coeff(spec.mu, p) * np.outer(a, a),
-        ]
-    raise SolitonError(f"no (0,2) form for kind {kind!r}")
+        rhs.append(_coeff(spec.mu, p) * np.outer(a, a))
+    return lhs, rhs
 
 
 def _terms_riemann(spec, M, p):
     """(lhs, rhs) of the (0,4) soliton equation h^psi ^ g + R = lambda G."""
-    g = M.metric_at(p)[0].entries
-    h = M.hessian_field(spec.psi, p).entries
-    r4 = M.riemann_oracle(p).entries
-    big_g = 0.5 * kulkarni_nomizu(g, g).entries
-    return [r4, kulkarni_nomizu(h, g).entries], [_coeff(spec.lam, p) * big_g]
+    g = M.metric_at(p)[0]
+    h = M.hessian_field(spec.psi, p)
+    r4 = M.riemann_oracle(p)
+    big_g = 0.5 * kulkarni_nomizu(g, g)
+    return [r4, kulkarni_nomizu(h, g)], [_coeff(spec.lam, p) * big_g]
 
 
 def _terms_riemann_contracted(spec, M, p):
     """(lhs, rhs) of the contracted form; for m = 2 the degenerate form
     Ric = (lambda - lap psi) g."""
     m = M.dim
-    g = M.metric_at(p)[0].entries
+    g = M.metric_at(p)[0]
     lam = _coeff(spec.lam, p)
-    ric = M.ricci_oracle(p).entries
+    ric = M.ricci_oracle(p)
     lap = M.laplacian_field(spec.psi, p)
     if m == 2:
         return [ric], [(lam - lap) * g]
-    h = M.hessian_field(spec.psi, p).entries
+    h = M.hessian_field(spec.psi, p)
     return [(m - 2) * h, ric], [((m - 1) * lam - lap) * g]
 
 
@@ -258,12 +243,12 @@ def contraction_consistency(spec, M, points, tolerance):
     m = M.dim
     values = []
     for p in points:
-        g, ginv = (t.entries for t in M.metric_at(p))
+        g, ginv = M.metric_at(p)
         lhs, rhs = _terms_riemann(spec, M, p)
         e4 = lhs[0] + lhs[1] - rhs[0]
         contracted = np.einsum("iw,iyzw->yz", ginv, e4)
-        h = M.hessian_field(spec.psi, p).entries
-        ric = M.ricci_oracle(p).entries
+        h = M.hessian_field(spec.psi, p)
+        ric = M.ricci_oracle(p)
         lam = _coeff(spec.lam, p)
         lap = M.laplacian_field(spec.psi, p)
         expected = ric + (m - 2) * h + (lap - (m - 1) * lam) * g
@@ -314,22 +299,6 @@ def validate_fields(dwp, specs, psi, points, anchor):
 # -- induced factor structures ------------------------------------------------
 
 
-def _psi_lifted(dwp, spec):
-    psi = spec.psi
-    return psi if psi.coords == dwp.coords else psi.lift(dwp.coords)
-
-
-def _grad_pairings(dwp, psi, p):
-    """g(grad l, grad psi), g(grad k, grad psi), lap psi at a product point."""
-    d = dwp.point_data(p)
-    jet = psi.jet(d.p)
-    grad_psi = d.ginv @ jet.gradient
-    gl_psi = float(d.dl2_ext @ grad_psi)
-    gk_psi = float(d.dk1_ext @ grad_psi)
-    lap_psi = dwp.product.laplacian_field(psi, p)
-    return gl_psi, gk_psi, lap_psi
-
-
 def mixed_yamabe_condition(dwp, psi, p):
     """Mixed-block condition forced on a gradient Yamabe soliton: the cross
     Hessian block of psi must vanish, i.e.
@@ -341,8 +310,7 @@ def mixed_ricci_condition(dwp, psi, p):
     """Mixed-block condition forced on a gradient Ricci soliton:
     (m-2) X(k)U(l) - X(k)U(psi) - X(psi)U(l) + XU(psi) = 0."""
     d = dwp.point_data(p)
-    psi = psi if psi.coords == dwp.coords else psi.lift(dwp.coords)
-    jet = psi.jet(d.p)
+    jet = dwp.lifted(psi).jet(d.p)
     m1 = dwp.m1
     return (
         (dwp.m - 2) * np.outer(d.dk1, d.dl2)
@@ -352,250 +320,184 @@ def mixed_ricci_condition(dwp, psi, p):
     )
 
 
-def _gate(dwp, spec, points, tolerance, check_id, form="primary"):
-    """Product-level soliton residual used as a hypothesis gate.  A failing
-    hypothesis is reported as a skip (the defining-equation check elsewhere
-    carries the pass/fail verdict); the skip reason is returned alongside."""
-    summary = residual(
-        spec,
-        dwp.product,
-        points,
-        tolerance,
-        form=form,
-        check_id=f"{check_id}.product",
-    )
-    if summary.status == PASS:
-        return summary, None
-    reason = (
-        "skipped: product-level soliton hypothesis fails "
-        f"(residual = {summary.max_abs_residual:.3e})"
-    )
-    return (
-        skipped(f"{check_id}.product", reason, tolerance,
-                points=summary.points),
-        reason,
-    )
+def _opposite_pairing(d, s, psi):
+    """g(grad log f_opp, grad psi) at the point of d."""
+    grad_psi = d.ginv @ psi.jet(d.p).gradient
+    return float(s.dlog_opp_ext @ grad_psi)
 
 
-def _factor_summaries(check_id, entries, tolerance):
-    """entries: list of (sub_id, per-point residuals, anchored points, notes)."""
-    out = []
-    for sub_id, values, pts, notes in entries:
-        out.append(
-            summarize(f"{check_id}.{sub_id}", values, pts, tolerance, notes=notes)
-        )
-    return out
+# prose of a failing product-level gate, formatted with its residual
+_NOT_A_SOLITON = ("skipped: product-level soliton hypothesis fails "
+                  "(residual = {:.3e})")
+
+# soliton kind -> the checks of its induced factor structures, each with id
+# factors.<kind>.<name>
+FACTOR_CHECKS = {
+    "yamabe": ("product", "factor1", "factor2", "mixed"),
+    "ricci": ("product", "factor1", "factor2", "mixed"),
+    "riemann": ("product", "factor1", "factor2"),
+    "quasi_einstein": ("product", "factor1", "factor2"),
+}
+
+
+def _factor_structures(kind, dwp, spec, points, anchor, tolerance, equation,
+                       notes, mixed=None, form="primary"):
+    """Induced factor structures of one soliton family, gated on the
+    product-level residual (in `form`).
+
+    For each factor, `equation(d, s, psi, p)` gives (lhs terms, rhs terms,
+    lambda_i) of the factor's equation at each anchored point p, with d its
+    point data, s = d.side(which) and psi the lifted potential;
+    `notes(s, lambdas)` annotates the factor's summary.  `mixed`, given
+    when FACTOR_CHECKS lists a mixed check, is a (condition(dwp, psi, p),
+    notes) pair whose value must vanish at each sample point."""
+    check_id = f"factors.{kind}"
+    points = np.atleast_2d(points)
+    gate = residual(spec, dwp.product, points, tolerance, form=form,
+                    check_id=f"{check_id}.product")
+    results, holds = gated(check_id, gate, _NOT_A_SOLITON,
+                           FACTOR_CHECKS[kind][1:])
+    if not holds:
+        return results
+    psi = None if spec.psi is None else dwp.lifted(spec.psi)
+    for which in (1, 2):
+        pts = dwp.anchored(points, anchor, which)
+        values, lams = [], []
+        for p in pts:
+            d = dwp.point_data(p)
+            s = d.side(which)
+            lhs, rhs, lam_i = equation(d, s, psi, p)
+            values.append(_equation_residual(lhs, rhs))
+            lams.append(lam_i)
+        results.append(summarize(f"{check_id}.factor{which}", values, pts,
+                                 tolerance, notes=notes(s, lams)))
+    if mixed is not None:
+        condition, mixed_notes = mixed
+        values = [float(np.abs(condition(dwp, psi, p)).max()) for p in points]
+        results.append(summarize(f"{check_id}.mixed", values, points,
+                                 tolerance, notes=mixed_notes))
+    return results
 
 
 def yamabe_factor_structures(dwp, spec, points, anchor, tolerance):
     """Factor consequences of a gradient Yamabe soliton on the product: each
     factor restriction is a gradient almost Yamabe soliton, and the mixed
     Hessian block of psi vanishes."""
-    check_id = "factors.yamabe"
-    points = np.atleast_2d(points)
-    gate, reason = _gate(dwp, spec, points, tolerance, check_id)
-    results = [gate]
-    sub_ids = ("factor1", "factor2", "mixed")
-    if reason is not None:
-        return results + [
-            skipped(f"{check_id}.{s}", reason, tolerance) for s in sub_ids
-        ]
-    psi = _psi_lifted(dwp, spec)
-    lam_values = {1: [], 2: []}
-    entries = []
-    for which in (1, 2):
-        pts = dwp.anchored(points, anchor, which)
-        values = []
-        for p in pts:
-            d = dwp.point_data(p)
-            gl_psi, gk_psi, _ = _grad_pairings(dwp, psi, p)
-            lam = _coeff(spec.lam, p)
-            if which == 1:
-                lam_i = (
-                    -(d.f2**2 / d.f1**2) * d.tau2
-                    + d.f2**2
-                    * (lam + gl_psi + dwp.m1 * d.lap_l + dwp.m2 * d.lap_k)
-                    + (dwp.m2 * d.f1 * d.lap1_f1 + dwp.m1 * d.f2 * d.lap2_f2)
-                    / d.f1**2
-                )
-                lhs = dwp.factor_hessian(1, psi, p)
-                rhs = (d.tau1 - lam_i) * d.g1
-            else:
-                lam_i = (
-                    -(d.f1**2 / d.f2**2) * d.tau1
-                    + d.f1**2
-                    * (lam + gk_psi + dwp.m1 * d.lap_l + dwp.m2 * d.lap_k)
-                    + (dwp.m2 * d.f1 * d.lap1_f1 + dwp.m1 * d.f2 * d.lap2_f2)
-                    / d.f2**2
-                )
-                lhs = dwp.factor_hessian(2, psi, p)
-                rhs = (d.tau2 - lam_i) * d.g2
-            lam_values[which].append(lam_i)
-            values.append(_equation_residual([lhs], [rhs]))
-        spread = max(lam_values[which]) - min(lam_values[which])
-        notes = (
-            f"gradient almost Yamabe soliton on factor {which}; "
-            f"lambda spread over samples = {spread:.3e}"
+
+    def equation(d, s, psi, p):
+        s1, s2 = d.sides
+        # the Laplacian sums are symmetric in the factors: one fixed order
+        lam_i = (
+            -(s.f_opp**2 / s.f_own**2) * s.tau_opp
+            + s.f_opp**2 * (_coeff(spec.lam, p) + _opposite_pairing(d, s, psi)
+                            + dwp.m1 * d.lap_l + dwp.m2 * d.lap_k)
+            + (dwp.m2 * d.f1 * s1.lap_f + dwp.m1 * d.f2 * s2.lap_f)
+            / s.f_own**2
         )
-        entries.append((f"factor{which}", values, pts, notes))
-    mixed = [
-        float(np.abs(mixed_yamabe_condition(dwp, psi, p)).max())
-        for p in points
-    ]
-    entries.append(
-        ("mixed", mixed, points, "cross Hessian block of psi must vanish")
+        lhs = dwp.factor_hessian(s.which, psi, p)
+        return [lhs], [(s.tau_own - lam_i) * s.g], lam_i
+
+    def notes(s, lams):
+        return (f"gradient almost Yamabe soliton on factor {s.which}; "
+                f"lambda spread over samples = {max(lams) - min(lams):.3e}")
+
+    return _factor_structures(
+        "yamabe", dwp, spec, points, anchor, tolerance, equation, notes,
+        mixed=(mixed_yamabe_condition,
+               "cross Hessian block of psi must vanish"),
     )
-    return results + _factor_summaries(check_id, entries, tolerance)
+
+
+def _eta_ricci_terms(dwp, s, hessian_coefficient, lam_i, psi, p):
+    """(lhs, rhs, lambda_i) of the factor's gradient almost eta-Ricci
+    equation with potential phi_i, h^phi_i = c h_i^psi - m_opp h_i^log f_own:
+    Ric_i + h^phi_i = lambda_i g_i + m_opp d(log f_own) (x) d(log f_own)."""
+    h_phi = (hessian_coefficient * dwp.factor_hessian(s.which, psi, p)
+             - s.m_opp * s.h_log)
+    return ([s.ric, h_phi],
+            [lam_i * s.g, s.m_opp * np.outer(s.dlog_own, s.dlog_own)], lam_i)
 
 
 def ricci_factor_structures(dwp, spec, points, anchor, tolerance):
     """Factor consequences of a gradient Ricci soliton: each factor carries a
     gradient almost eta-Ricci soliton with potential phi_i and eta the
     differential of the log-warping, plus a mixed-derivative condition."""
-    check_id = "factors.ricci"
-    points = np.atleast_2d(points)
-    gate, reason = _gate(dwp, spec, points, tolerance, check_id)
-    results = [gate]
-    sub_ids = ("factor1", "factor2", "mixed")
-    if reason is not None:
-        return results + [
-            skipped(f"{check_id}.{s}", reason, tolerance) for s in sub_ids
-        ]
-    psi = _psi_lifted(dwp, spec)
-    entries = []
-    for which in (1, 2):
-        pts = dwp.anchored(points, anchor, which)
-        values = []
-        for p in pts:
-            d = dwp.point_data(p)
-            gl_psi, gk_psi, _ = _grad_pairings(dwp, psi, p)
-            lam = _coeff(spec.lam, p)
-            if which == 1:
-                lam_i = d.f2**2 * (lam + d.lap_l - gl_psi)
-                h_phi = dwp.factor_hessian(1, psi, p) - dwp.m2 * d.h1_k
-                lhs = [d.ric1, h_phi]
-                rhs = [lam_i * d.g1, dwp.m2 * np.outer(d.dk1, d.dk1)]
-            else:
-                lam_i = d.f1**2 * (lam + d.lap_k - gk_psi)
-                h_phi = dwp.factor_hessian(2, psi, p) - dwp.m1 * d.h2_l
-                lhs = [d.ric2, h_phi]
-                rhs = [lam_i * d.g2, dwp.m1 * np.outer(d.dl2, d.dl2)]
-            values.append(_equation_residual(lhs, rhs))
-        mu = dwp.m2 if which == 1 else dwp.m1
-        notes = (
-            f"gradient almost eta-Ricci soliton on factor {which} with "
-            f"mu = {mu} and eta the log-warping differential"
-        )
-        entries.append((f"factor{which}", values, pts, notes))
-    mixed = [
-        float(np.abs(mixed_ricci_condition(dwp, psi, p)).max())
-        for p in points
-    ]
-    entries.append(
-        ("mixed", mixed, points, "mixed warping/potential derivative condition")
+
+    def equation(d, s, psi, p):
+        lam_i = s.f_opp**2 * (_coeff(spec.lam, p) + s.lap_opp
+                              - _opposite_pairing(d, s, psi))
+        return _eta_ricci_terms(dwp, s, 1, lam_i, psi, p)
+
+    def notes(s, lams):
+        return (f"gradient almost eta-Ricci soliton on factor {s.which} with "
+                f"mu = {s.m_opp} and eta the log-warping differential")
+
+    return _factor_structures(
+        "ricci", dwp, spec, points, anchor, tolerance, equation, notes,
+        mixed=(mixed_ricci_condition,
+               "mixed warping/potential derivative condition"),
     )
-    return results + _factor_summaries(check_id, entries, tolerance)
 
 
 def riemann_factor_structures(dwp, spec, points, anchor, tolerance):
     """Factor consequences of a gradient Riemann soliton (m >= 3): each
     factor carries a gradient almost eta-Ricci soliton with potential
     (m-2) psi_i - m_j log f_i."""
-    check_id = "factors.riemann"
-    points = np.atleast_2d(points)
-    if dwp.m < 3:
-        return [
-            skipped(
-                f"{check_id}.{s}",
-                "skipped: contracted soliton form requires dim >= 3",
-                tolerance,
-            )
-            for s in ("product", "factor1", "factor2")
-        ]
-    gate, reason = _gate(dwp, spec, points, tolerance, check_id,
-                         form="contracted")
-    results = [gate]
-    sub_ids = ("factor1", "factor2")
-    if reason is not None:
-        return results + [
-            skipped(f"{check_id}.{s}", reason, tolerance) for s in sub_ids
-        ]
-    psi = _psi_lifted(dwp, spec)
     m = dwp.m
-    entries = []
-    for which in (1, 2):
-        pts = dwp.anchored(points, anchor, which)
-        values = []
-        for p in pts:
-            d = dwp.point_data(p)
-            gl_psi, gk_psi, lap_psi = _grad_pairings(dwp, psi, p)
-            lam = _coeff(spec.lam, p)
-            if which == 1:
-                lam_i = d.f2**2 * (
-                    (m - 1) * lam + d.lap_l - lap_psi - (m - 2) * gl_psi
-                )
-                h_phi = (m - 2) * dwp.factor_hessian(1, psi, p) - dwp.m2 * d.h1_k
-                lhs = [d.ric1, h_phi]
-                rhs = [lam_i * d.g1, dwp.m2 * np.outer(d.dk1, d.dk1)]
-            else:
-                lam_i = d.f1**2 * (
-                    (m - 1) * lam + d.lap_k - lap_psi - (m - 2) * gk_psi
-                )
-                h_phi = (m - 2) * dwp.factor_hessian(2, psi, p) - dwp.m1 * d.h2_l
-                lhs = [d.ric2, h_phi]
-                rhs = [lam_i * d.g2, dwp.m1 * np.outer(d.dl2, d.dl2)]
-            values.append(_equation_residual(lhs, rhs))
-        notes = (
-            f"gradient almost eta-Ricci soliton on factor {which}; the "
-            "log-warping term of the potential is constant along this factor, "
-            "so either log-warping choice yields the same factor Hessian"
+    if m < 3:
+        return [
+            skipped(f"factors.riemann.{s}",
+                    "skipped: contracted soliton form requires dim >= 3",
+                    tolerance)
+            for s in FACTOR_CHECKS["riemann"]
+        ]
+
+    def equation(d, s, psi, p):
+        lam_i = s.f_opp**2 * (
+            (m - 1) * _coeff(spec.lam, p) + s.lap_opp
+            - dwp.product.laplacian_field(psi, p)
+            - (m - 2) * _opposite_pairing(d, s, psi)
         )
-        entries.append((f"factor{which}", values, pts, notes))
-    return results + _factor_summaries(check_id, entries, tolerance)
+        return _eta_ricci_terms(dwp, s, m - 2, lam_i, psi, p)
+
+    def notes(s, lams):
+        return (f"gradient almost eta-Ricci soliton on factor {s.which}; the "
+                "log-warping term of the potential is constant along this "
+                "factor, so either log-warping choice yields the same factor "
+                "Hessian")
+
+    return _factor_structures(
+        "riemann", dwp, spec, points, anchor, tolerance, equation, notes,
+        form="contracted",
+    )
 
 
 def quasi_einstein_factor_structures(dwp, spec, points, anchor, tolerance):
     """Factor consequences of a quasi-Einstein product: each factor carries a
     gradient f-almost eta-Ricci soliton with f = -(opposite dim)/(own warping)
     and eta the restriction of the (unit-normalized) generator 1-form."""
-    check_id = "factors.quasi_einstein"
-    points = np.atleast_2d(points)
-    for p in points:
+    for p in np.atleast_2d(points):
         if abs(_coeff(spec.beta, p)) <= tolerance:
             raise SolitonError(
                 "beta vanishes at a sampled point: the condition degenerates "
                 "to an Einstein manifold; rerun with kind=einstein"
             )
-    gate, reason = _gate(dwp, spec, points, tolerance, check_id)
-    results = [gate]
-    sub_ids = ("factor1", "factor2")
-    if reason is not None:
-        return results + [
-            skipped(f"{check_id}.{s}", reason, tolerance) for s in sub_ids
-        ]
-    entries = []
-    for which in (1, 2):
-        pts = dwp.anchored(points, anchor, which)
-        values = []
-        for p in pts:
-            d = dwp.point_data(p)
-            a, beta = _unit_eta_at(spec, dwp.product, p, 0.0)
-            alpha = _coeff(spec.alpha, p)
-            if which == 1:
-                a_i = a[: dwp.m1]
-                lam_i = d.f2**2 * (alpha + d.lap_l)
-                lhs = [(-dwp.m2 / d.f1) * d.h1_f1, d.ric1]
-                rhs = [lam_i * d.g1, beta * np.outer(a_i, a_i)]
-            else:
-                a_i = a[dwp.m1:]
-                lam_i = d.f1**2 * (alpha + d.lap_k)
-                lhs = [(-dwp.m1 / d.f2) * d.h2_f2, d.ric2]
-                rhs = [lam_i * d.g2, beta * np.outer(a_i, a_i)]
-            values.append(_equation_residual(lhs, rhs))
-        f_text = "-m2/f1" if which == 1 else "-m1/f2"
-        notes = f"gradient f-almost eta-Ricci soliton on factor {which} with f = {f_text}"
-        entries.append((f"factor{which}", values, pts, notes))
-    return results + _factor_summaries(check_id, entries, tolerance)
+
+    def equation(d, s, psi, p):
+        a, beta = _unit_eta_at(spec, dwp.product, p)
+        a_i = a[s.own]
+        lam_i = s.f_opp**2 * (_coeff(spec.alpha, p) + s.lap_opp)
+        return ([(-s.m_opp / s.f_own) * s.h_f, s.ric],
+                [lam_i * s.g, beta * np.outer(a_i, a_i)], lam_i)
+
+    def notes(s, lams):
+        return (f"gradient f-almost eta-Ricci soliton on factor {s.which} "
+                f"with f = -m{3 - s.which}/f{s.which}")
+
+    return _factor_structures(
+        "quasi_einstein", dwp, spec, points, anchor, tolerance, equation,
+        notes,
+    )
 
 
 def log_hessian_identity(factor, f, points, tolerance):
@@ -607,7 +509,7 @@ def log_hessian_identity(factor, f, points, tolerance):
     for p in points:
         fv = float(f.evaluate(p))
         df = f.jet(p).gradient
-        lhs = factor.hessian_field(f, p).entries / fv
-        rhs = factor.hessian_field(logf, p).entries + np.outer(df, df) / fv**2
+        lhs = factor.hessian_field(f, p) / fv
+        rhs = factor.hessian_field(logf, p) + np.outer(df, df) / fv**2
         values.append(_equation_residual([lhs], [rhs]))
     return summarize("identity.log_hessian", values, points, tolerance)

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dwp import DimensionError, coordinate_lifts, wedge_operator
-from .geometry import TensorValue, kulkarni_nomizu
-from .reporting import PASS, normalized_residual, skipped, summarize
+from .dwp import DimensionError, wedge_operator
+from .geometry import kulkarni_nomizu
+from .reporting import gated, normalized_residual, summarize
 
 __all__ = [
     "DimensionError",
@@ -41,12 +41,11 @@ def concircular_oracle(M, p):
     oracle; vanishes on constant-curvature spaces."""
     if M.dim < 2:
         raise DimensionError("concircular tensor requires dim >= 2")
-    r4 = M.riemann_oracle(p).entries
-    g = M.metric_at(p)[0].entries
+    r4 = M.riemann_oracle(p)
+    g = M.metric_at(p)[0]
     tau = M.scalar_oracle(p)
-    big_g = 0.5 * kulkarni_nomizu(g, g).entries
-    c4 = r4 - (tau / (M.dim * (M.dim - 1))) * big_g
-    return TensorValue(c4, ("cov",) * 4)
+    big_g = 0.5 * kulkarni_nomizu(g, g)
+    return r4 - (tau / (M.dim * (M.dim - 1))) * big_g
 
 
 def conharmonic_oracle(M, p):
@@ -54,11 +53,10 @@ def conharmonic_oracle(M, p):
     flat scalar-flat spaces."""
     if M.dim < 3:
         raise DimensionError("conharmonic tensor requires dim >= 3")
-    r4 = M.riemann_oracle(p).entries
-    g = M.metric_at(p)[0].entries
-    ric = M.ricci_oracle(p).entries
-    h4 = r4 - kulkarni_nomizu(ric, g).entries / (M.dim - 2)
-    return TensorValue(h4, ("cov",) * 4)
+    r4 = M.riemann_oracle(p)
+    g = M.metric_at(p)[0]
+    ric = M.ricci_oracle(p)
+    return r4 - kulkarni_nomizu(ric, g) / (M.dim - 2)
 
 
 # -- closed forms on doubly warped products -------------------------------------
@@ -96,20 +94,18 @@ def conharmonic_closed(dwp, klass, p):
     if klass not in CONHARMONIC_CLASSES:
         raise ValueError(f"unknown conharmonic class {klass!r}")
     d = dwp.point_data(p)
-    which = 0 if klass == "XYZ" else 1
-    ricci_class = ("XX", "UU")[which]
-    own = dwp.block(klass)
-    lifts = coordinate_lifts(dwp)[which]
-    g_own = d.g[own[:2]]
+    s = d.side(1 if klass == "XYZ" else 2)
+    ricci_class = klass[0] * 2  # XX or UU
+    own = s.own
+    g_own = d.g[own, own]
     ric = dwp.ricci_closed(ricci_class, p)
     ric_op = dwp.ricci_operator_closed(ricci_class, p)
     # g(B,Z) Q(A) - g(A,Z) Q(B) + Ric(B,Z) A - Ric(A,Z) B, Q the Ricci operator
-    bracket = wedge_operator(g_own, ric_op.T @ lifts) + wedge_operator(
-        ric, lifts
+    bracket = wedge_operator(g_own, ric_op.T @ s.lift_own) + wedge_operator(
+        ric, s.lift_own
     )
-    dlog_own, grad_opp = ((d.dk1, d.grad_l), (d.dl2, d.grad_k))[which]
-    normal = wedge_operator(g_own, np.outer(dlog_own, grad_opp))
-    return dwp.riemann_closed(p)[own] - bracket / (dwp.m - 2) - normal
+    normal = wedge_operator(g_own, np.outer(s.dlog_own, s.grad_opp))
+    return dwp.riemann_closed(p)[own, own, own] - bracket / (dwp.m - 2) - normal
 
 
 # -- factor traces and flatness consequences ------------------------------------
@@ -120,13 +116,15 @@ def factor_block_trace(dwp, tensor4, which, p):
     sum over a factor-orthonormal frame of the factor pairing of T_{e Y}Z
     with e.  This is the contraction used to pass from component identities
     to factor Ricci statements."""
-    d = dwp.point_data(p)
-    m1 = dwp.m1
-    if which == 1:
-        block = tensor4[:m1, :m1, :m1, :m1]
-        return np.einsum("xt,xyzt->yz", d.g1inv, block) / d.f2**2
-    block = tensor4[m1:, m1:, m1:, m1:]
-    return np.einsum("xt,xyzt->yz", d.g2inv, block) / d.f1**2
+    s = dwp.point_data(p).side(which)
+    own = s.own
+    block = tensor4[own, own, own, own]
+    return np.einsum("xt,xyzt->yz", s.ginv, block) / s.f_opp**2
+
+
+def _opposite_gradient_sq(d, s):
+    """g(grad log f_opp, grad log f_opp) on the product."""
+    return float(s.dlog_opp_ext @ d.ginv @ s.dlog_opp_ext)
 
 
 def einstein_defect(dwp, which, p):
@@ -135,14 +133,10 @@ def einstein_defect(dwp, which, p):
     mu_i = f_opp^2 (m_i - 1)(g(grad log f_opp, grad log f_opp) + tau/(m(m-1))).
     Identically equal to the factor-block trace of the concircular tensor."""
     d = dwp.point_data(p)
+    s = d.side(which)
     c = _scalar_coefficient(dwp, p)
-    if which == 1:
-        gll = float(d.dl2_ext @ d.ginv @ d.dl2_ext)
-        mu = d.f2**2 * (dwp.m1 - 1) * (gll + c)
-        return d.ric1 - mu * d.g1, mu
-    gkk = float(d.dk1_ext @ d.ginv @ d.dk1_ext)
-    mu = d.f1**2 * (dwp.m2 - 1) * (gkk + c)
-    return d.ric2 - mu * d.g2, mu
+    mu = s.f_opp**2 * (s.m_own - 1) * (_opposite_gradient_sq(d, s) + c)
+    return s.ric - mu * s.g, mu
 
 
 def f_almost_defect(dwp, which, p):
@@ -152,59 +146,43 @@ def f_almost_defect(dwp, which, p):
     Identically equal to (m_j/(m-2)) times the factor-block trace of the
     conharmonic tensor."""
     d = dwp.point_data(p)
-    m, m1, m2 = dwp.m, dwp.m1, dwp.m2
-    if which == 1:
-        gll = float(d.dl2_ext @ d.ginv @ d.dl2_ext)
-        lam = (d.f2**2 / m2) * (
-            d.tau1 / d.f2**2
-            - (m2 / (d.f1 * d.f2**2)) * d.lap1_f1
-            + (m1 - 1) * ((m - 2) * gll - 2 * d.lap_l)
-        )
-        f = (m1 - 2) / d.f1
-        return f * d.h1_f1 + d.ric1 - lam * d.g1, lam, f
-    gkk = float(d.dk1_ext @ d.ginv @ d.dk1_ext)
-    lam = (d.f1**2 / m1) * (
-        d.tau2 / d.f1**2
-        - (m1 / (d.f1**2 * d.f2)) * d.lap2_f2
-        + (m2 - 1) * ((m - 2) * gkk - 2 * d.lap_k)
+    s = d.side(which)
+    lam = (s.f_opp**2 / s.m_opp) * (
+        s.tau_own / s.f_opp**2
+        - (s.m_opp / (s.f_own * s.f_opp**2)) * s.lap_f
+        + (s.m_own - 1) * ((dwp.m - 2) * _opposite_gradient_sq(d, s)
+                           - 2 * s.lap_opp)
     )
-    f = (m2 - 2) / d.f2
-    return f * d.h2_f2 + d.ric2 - lam * d.g2, lam, f
+    f = (s.m_own - 2) / s.f_own
+    return f * s.h_f + s.ric - lam * s.g, lam, f
 
 
-def _flatness_gate(check_id, norms, points, tolerance):
-    summary = summarize(f"{check_id}.flat", norms, points, tolerance)
-    if summary.status != PASS:
-        # flatness is a hypothesis, not a claim: a non-flat input skips the
-        # conditional consequences instead of failing the run
-        reason = (
-            f"skipped: hypothesis fails (max tensor norm = "
-            f"{summary.max_abs_residual:.3e})"
-        )
-        gate = skipped(f"{check_id}.flat", reason, tolerance,
-                       points=len(norms))
-        return gate, reason
-    return summary, None
+# flatness is a hypothesis, not a claim: a non-flat input skips the
+# conditional consequences instead of failing the run, for this reason
+# (formatted with the max tensor norm)
+_NOT_FLAT = "skipped: hypothesis fails (max tensor norm = {:.3e})"
 
 
 def _dichotomy(dwp, points, tolerance):
-    """Branches forced by vanishing mixed components: each log-warping
-    differential must vanish, or the opposing factor's differential spans a
-    degenerate 2-plane field (automatic in dimension one)."""
-    pts = np.atleast_2d(points)
-    max_dk = max(float(np.abs(dwp.point_data(p).dk1).max()) for p in pts)
-    max_dl = max(float(np.abs(dwp.point_data(p).dl2).max()) for p in pts)
-    anti_k = 0.0 if dwp.m1 == 1 else max_dk
-    anti_l = 0.0 if dwp.m2 == 1 else max_dl
-    c_note = (
-        "first warping degenerate branch" if max_dl <= tolerance
-        else "antisymmetric warping-gradient branch"
-    )
-    d_note = (
-        "second warping degenerate branch" if max_dk <= tolerance
-        else "antisymmetric warping-gradient branch"
-    )
-    return (c_note, min(max_dl, anti_k)), (d_note, min(max_dk, anti_l))
+    """Branches forced by vanishing mixed components, per factor as (note,
+    value): each log-warping differential must vanish, or the opposing
+    factor's differential spans a degenerate 2-plane field (automatic in
+    dimension one)."""
+    largest = [
+        max(float(np.abs(dwp.point_data(p).side(which).dlog_own).max())
+            for p in np.atleast_2d(points))
+        for which in (1, 2)
+    ]
+    out = []
+    for own, opp, m_own, name in ((0, 1, dwp.m1, "first"),
+                                  (1, 0, dwp.m2, "second")):
+        note = (
+            f"{name} warping degenerate branch" if largest[opp] <= tolerance
+            else "antisymmetric warping-gradient branch"
+        )
+        out.append((note, min(largest[opp],
+                              0.0 if m_own == 1 else largest[own])))
+    return out
 
 
 def concircular_flat_consequences(dwp, points, anchor, tolerance):
@@ -218,49 +196,37 @@ def concircular_flat_consequences(dwp, points, anchor, tolerance):
     """
     check_id = "concircular"
     points = np.atleast_2d(points)
-    norms = [
-        float(np.abs(concircular_oracle(dwp.product, p).entries).max())
-        for p in points
-    ]
-    gate, reason = _flatness_gate(check_id, norms, points, tolerance)
-    results = [gate]
-    sub_ids = ("einstein1", "einstein2", "dichotomy")
-    if reason is not None:
-        return results + [
-            skipped(f"{check_id}.{s}", reason, tolerance) for s in sub_ids
-        ]
+    norms = [float(np.abs(concircular_oracle(dwp.product, p)).max())
+             for p in points]
+    results, flat = gated(
+        check_id, summarize(f"{check_id}.flat", norms, points, tolerance),
+        _NOT_FLAT, ("einstein1", "einstein2", "dichotomy"),
+    )
+    if not flat:
+        return results
     for which in (1, 2):
         pts = dwp.anchored(points, anchor, which)
         values, mus = [], []
         for p in pts:
-            d = dwp.point_data(p)
+            s = dwp.point_data(p).side(which)
             defect, mu = einstein_defect(dwp, which, p)
-            ref = [d.ric1 if which == 1 else d.ric2,
-                   mu * (d.g1 if which == 1 else d.g2)]
-            values.append(normalized_residual(defect, ref))
+            values.append(normalized_residual(defect, [s.ric, mu * s.g]))
             mus.append(mu)
-        m_i = dwp.m1 if which == 1 else dwp.m2
         notes = (
             f"Einstein constant mu = {mus[0] + 0.0:.6g}, "
             f"spread over samples = {max(mus) - min(mus):.3e}"
         )
-        if m_i == 1:
+        if s.m_own == 1:
             notes += "; factor dimension 1 is outside the stated hypothesis " \
                      "(condition holds vacuously)"
         results.append(
             summarize(f"{check_id}.einstein{which}", values, pts, tolerance,
                       notes=notes)
         )
-    (c_note, c_val), (d_note, d_val) = _dichotomy(dwp, points, tolerance)
-    results.append(
-        summarize(
-            f"{check_id}.dichotomy",
-            [c_val, d_val],
-            [points[0], points[0]],
-            tolerance,
-            notes=f"{c_note}; {d_note}",
-        )
-    )
+    notes, values = zip(*_dichotomy(dwp, points, tolerance))
+    results.append(summarize(f"{check_id}.dichotomy", values,
+                             [points[0], points[0]], tolerance,
+                             notes="; ".join(notes)))
     return results
 
 
@@ -278,35 +244,29 @@ def conharmonic_flat_consequences(dwp, points, anchor, tolerance):
     if dwp.m < 3:
         raise DimensionError("conharmonic tensor requires dim >= 3")
     points = np.atleast_2d(points)
-    norms = [
-        float(np.abs(conharmonic_oracle(dwp.product, p).entries).max())
-        for p in points
-    ]
-    gate, reason = _flatness_gate(check_id, norms, points, tolerance)
-    results = [gate]
-    sub_ids = ("soliton1", "soliton2")
-    if reason is not None:
-        return results + [
-            skipped(f"{check_id}.{s}", reason, tolerance) for s in sub_ids
-        ]
+    norms = [float(np.abs(conharmonic_oracle(dwp.product, p)).max())
+             for p in points]
+    results, flat = gated(
+        check_id, summarize(f"{check_id}.flat", norms, points, tolerance),
+        _NOT_FLAT, ("soliton1", "soliton2"),
+    )
+    if not flat:
+        return results
     for which in (1, 2):
         pts = dwp.anchored(points, anchor, which)
         values, lams = [], []
         for p in pts:
-            d = dwp.point_data(p)
+            s = dwp.point_data(p).side(which)
             defect, lam, f = f_almost_defect(dwp, which, p)
-            if which == 1:
-                ref = [f * d.h1_f1, d.ric1, lam * d.g1]
-            else:
-                ref = [f * d.h2_f2, d.ric2, lam * d.g2]
-            values.append(normalized_residual(defect, ref))
+            values.append(
+                normalized_residual(defect, [f * s.h_f, s.ric, lam * s.g])
+            )
             lams.append(lam)
-        m_i = dwp.m1 if which == 1 else dwp.m2
         notes = (
             f"gradient f-almost Ricci soliton with f = (m_i - 2)/f_i; "
             f"lambda spread over samples = {max(lams) - min(lams):.3e}"
         )
-        if m_i == 1:
+        if s.m_own == 1:
             notes += "; factor dimension 1 is outside the stated hypothesis"
         results.append(
             summarize(f"{check_id}.soliton{which}", values, pts, tolerance,

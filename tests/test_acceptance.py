@@ -91,7 +91,7 @@ def test_criterion_02_ricci_and_scalar_splitting(
                 report(2, False, f"{name}:{summary.check_id}")
         for p in pts:
             d = dwp.point_data(p)
-            mixed = dwp.product.ricci_oracle(p).entries[: dwp.m1, dwp.m1:]
+            mixed = dwp.product.ricci_oracle(p)[: dwp.m1, dwp.m1:]
             expected = (dwp.m - 2) * np.outer(d.dk1, d.dl2)
             err = np.abs(mixed - expected).max()
             worst = max(worst, err)
@@ -218,7 +218,7 @@ def test_criterion_07_concircular():
     ):
         for p in seeded_points(chart, 10, box=box):
             worst_cc = max(
-                worst_cc, np.abs(concircular_oracle(chart, p).entries).max()
+                worst_cc, np.abs(concircular_oracle(chart, p)).max()
             )
     if worst_cc > 1e-9:
         report(7, False, f"constant-curvature norm {worst_cc:.3e}")
@@ -260,7 +260,7 @@ def test_criterion_08_conharmonic(corpus_products, corpus_points):
     surfaces."""
     chart = flat_chart(("x", "y", "z"))
     for p in seeded_points(chart, 10):
-        if np.abs(conharmonic_oracle(chart, p).entries).max() != 0.0:
+        if np.abs(conharmonic_oracle(chart, p)).max() != 0.0:
             report(8, False, "flat space not conharmonically flat")
     worst = 0.0
     for name, dwp in corpus_products.items():

@@ -37,6 +37,31 @@ FAILING_SPEC = PASSING_SPEC.replace("lambda = 0.6", "lambda = 0.25")
 
 MALFORMED_SPEC = "[factor.1]\ndim = 2\n"
 
+QUASI_EINSTEIN_ZERO_BETA_SPEC = """
+[factor.1]
+dim = 1
+coords = ["t"]
+metric = [["1"]]
+warping = "cosh(t)"
+
+[factor.2]
+dim = 2
+coords = ["u", "v"]
+metric = [["1", "0"], ["0", "1"]]
+
+[soliton]
+type = "quasi_einstein"
+alpha = "-1 - tanh(t)^2"
+beta = 0.0
+eta = ["1", "0", "0"]
+
+[sampling]
+points = 6
+seed = 3
+box = [-1.0, 1.0]
+tolerance = 1e-8
+"""
+
 
 def write(tmp_path, text, name):
     path = tmp_path / name
@@ -103,6 +128,79 @@ class TestExitStatuses:
         err = capsys.readouterr().err
         assert f"error: {field} = " in err
         assert "leaves its domain at [" in err
+
+
+    @pytest.mark.parametrize("old, new, args, needles", [
+        # a factor metric entry leaving its domain on the box
+        ('metric = [["1", "0"], ["0", "1"]]',
+         'metric = [["sqrt(x)", "0"], ["0", "1"]]', [],
+         ["metric entry [0][0] = ", "sqrt of nonpositive value"]),
+        # a warping leaving its domain on the box
+        ('metric = [["1", "0"], ["0", "1"]]\n\n[factor.2]',
+         'metric = [["1", "0"], ["0", "1"]]\nwarping = "sqrt(x)"\n\n'
+         '[factor.2]', [],
+         ["metric entry [2][2] = ", "sqrt of nonpositive value"]),
+        # a warping leaving its domain at the anchor only
+        ('metric = [["1", "0"], ["0", "1"]]\n\n[factor.2]',
+         'metric = [["1", "0"], ["0", "1"]]\nwarping = "sqrt(x)"\n\n'
+         '[factor.2]', ["--box=0.1,1", "--anchor=-0.5,0.5,0.5,0.5"],
+         ["f1 = 'sqrt(x)' leaves its domain at [-0.5, 0.5]"]),
+        # a metric entry leaving its domain on an anchored restriction set
+        ('metric = [["1", "0"], ["0", "1"]]',
+         'metric = [["sqrt(x)", "0"], ["0", "1"]]',
+         ["--box=0.1,1", "--anchor=-0.5,0.5,0.5,0.5"],
+         ["metric entry [0][0] = ", "leaves its domain at [-0.5, "]),
+        # overflow while sampling a huge box
+        ('metric = [["1", "0"], ["0", "1"]]\n\n[factor.2]',
+         'metric = [["1", "0"], ["0", "1"]]\nwarping = "exp(x)"\n\n'
+         '[factor.2]', ["--box=0,1e308"],
+         ["metric entry [2][2] = ", "leaves its domain at ["]),
+    ])
+    def test_metric_or_warping_leaving_its_domain_exits_two(
+        self, tmp_path, capsys, old, new, args, needles
+    ):
+        spec = write(tmp_path, PASSING_SPEC.replace(old, new, 1), "dom.spec")
+        assert main(["verify", spec] + args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        for needle in needles:
+            assert needle in err
+
+    @pytest.mark.parametrize("args, needle", [
+        (["--box=-inf,inf"], "box interval [-inf, inf] must be finite"),
+        (["--box=-1e308,1e308"], "box interval [-1e+308, 1e+308] must be "
+                                 "finite, with a finite width"),
+        (["--box=-1,1;-1,1;nan,1;-1,1"], "box interval [nan, 1.0] must be "
+                                         "finite"),
+        (["--anchor", "nan,0,0,0"], "anchor must be finite, got [nan, 0.0"),
+        (["--tol", "inf"], "tolerance must be positive and finite, got inf"),
+        (["--tol", "nan"], "tolerance must be positive and finite, got nan"),
+    ])
+    def test_non_finite_flags_exit_two(self, tmp_path, capsys, args, needle):
+        spec = write(tmp_path, PASSING_SPEC, "pass.spec")
+        assert main(["verify", spec] + args) == 2
+        assert f"error: {needle}" in capsys.readouterr().err
+
+
+class TestCheckIds:
+    def test_check_ids_are_unique(self, tmp_path):
+        """A quasi-Einstein spec with beta = 0 keeps its defining-equation
+        record and skips its factor structures under their own ids."""
+        spec = write(tmp_path, QUASI_EINSTEIN_ZERO_BETA_SPEC, "qe.spec")
+        report = str(tmp_path / "qe.json")
+        assert main(["verify", spec, "--format", "structured",
+                     "--report", report]) == 1
+        checks = json.loads(open(report).read())["checks"]
+        ids = [c["check_id"] for c in checks]
+        assert len(ids) == len(set(ids))
+        status = {c["check_id"]: c["status"] for c in checks}
+        assert status["soliton[0].quasi_einstein"] == "fail"
+        for sub in ("product", "factor1", "factor2"):
+            check = f"soliton[0].factors.quasi_einstein.{sub}"
+            assert status[check] == "skip"
+        by_id = {c["check_id"]: c for c in checks}
+        assert "beta vanishes" in by_id[
+            "soliton[0].factors.quasi_einstein.product"]["notes"]
 
 
 class TestDeterminism:

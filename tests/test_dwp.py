@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     corpus,
     e2xe1_product,
+    expr_chart,
     flat_chart,
     random_polynomial,
     seeded_points,
@@ -21,6 +22,8 @@ from dwpcheck.dwp import (
 )
 from dwpcheck.expr import constant, parse_expression
 from dwpcheck.reporting import PASS
+from dwpcheck.solitons import SolitonSpec, ricci_factor_structures
+from dwpcheck.special import einstein_defect, f_almost_defect
 
 TOL = 1e-8
 
@@ -47,9 +50,10 @@ def reference_riemann(dwp, p):
     m1, m = dwp.m1, dwp.m
     e = np.eye(m)
     dk, dl = d.dk1_ext, d.dl2_ext
+    s1, s2 = d.sides
     factors = (
-        (dwp.factor1.riemann_oracle(d.p1).entries, d.g1inv, 0),
-        (dwp.factor2.riemann_oracle(d.p2).entries, d.g2inv, m1),
+        (dwp.factor1.riemann_oracle(s1.point), s1.ginv, 0),
+        (dwp.factor2.riemann_oracle(s2.point), s2.ginv, m1),
     )
 
     def fac(i):
@@ -82,13 +86,13 @@ def reference_riemann(dwp, p):
         if pattern == (1, 2, 1):  # XUY
             x, u, y = i, j, k
             return (
-                (d.h1_k[x, y] + dk[x] * dk[y]) * e[u]
+                (s1.h_log[x, y] + dk[x] * dk[y]) * e[u]
                 + dk[y] * dl[u] * e[x]
                 + g(x, y) * (d.Hl @ e[u] + dl[u] * d.grad_l)
             )
         u, x, v = i, j, k  # UXV
         return (
-            (d.h2_l[u - m1, v - m1] + dl[u] * dl[v]) * e[x]
+            (s2.h_log[u - m1, v - m1] + dl[u] * dl[v]) * e[x]
             + dl[v] * dk[x] * e[u]
             + g(u, v) * (d.Hk @ e[x] + dk[x] * d.grad_k)
         )
@@ -124,7 +128,7 @@ class TestRiemannSplitting:
             dwp = products[name]
             for p in samples[name][:4]:
                 closed = dwp.covariant_closed(p)
-                oracle = dwp.product.christoffel(p).entries
+                oracle = dwp.product.christoffel(p)
                 assert np.allclose(closed, oracle, atol=1e-10)
 
     def test_first_bianchi_on_reconstructed_tensor(self, products, samples):
@@ -156,7 +160,7 @@ class TestRicciAndScalar:
         for p in samples["e2xe1"][:5]:
             d = dwp.point_data(p)
             expected = (dwp.m - 2) * np.outer(d.dk1, d.dl2)
-            oracle = dwp.product.ricci_oracle(p).entries[: dwp.m1, dwp.m1:]
+            oracle = dwp.product.ricci_oracle(p)[: dwp.m1, dwp.m1:]
             assert np.allclose(oracle, expected, atol=1e-10)
 
     @pytest.mark.parametrize("name", ["direct", "warped", "e2xe1"])
@@ -188,7 +192,7 @@ class TestHessianAndLaplacian:
         psi = parse_expression("x*y + x*t + t^2", dwp.coords)
         for p in samples["e2xe1"][:5]:
             closed = dwp.hessian_split_closed(psi, "XU", p)
-            oracle = dwp.product.hessian_field(psi, p).entries[
+            oracle = dwp.product.hessian_field(psi, p)[
                 : dwp.m1, dwp.m1:
             ]
             assert np.allclose(closed, oracle, atol=1e-10)
@@ -247,6 +251,83 @@ class TestStructure:
         dwp = e2xe1_product()
         p = np.array([0.3, -0.2, 0.7])
         d = dwp.point_data(p)
-        assert np.allclose(d.g[: dwp.m1, : dwp.m1], d.f2**2 * d.g1)
-        assert np.allclose(d.g[dwp.m1:, dwp.m1:], d.f1**2 * d.g2)
+        assert np.allclose(d.g[: dwp.m1, : dwp.m1], d.f2**2 * d.side(1).g)
+        assert np.allclose(d.g[dwp.m1:, dwp.m1:], d.f1**2 * d.side(2).g)
         assert np.abs(d.g[: dwp.m1, dwp.m1:]).max() == 0.0
+
+
+# two non-flat factors with non-constant warpings: (coords, metric, warping)
+MIRROR_FACTORS = (
+    (("x", "y"),
+     [["1 + 0.1*x^2", "0.05*x*y"], ["0.05*x*y", "1 + 0.2*sin(y)"]],
+     "exp(0.3*x) + 0.1*y^2"),
+    (("s", "t"), [["1", "0"], ["0", "cosh(s)^2"]], "2 + 0.5*sin(s) + 0.1*t"),
+)
+
+
+def mirror_product(first, second):
+    (c1, g1, w1), (c2, g2, w2) = first, second
+    return DoublyWarpedProduct(
+        expr_chart(c1, g1), expr_chart(c2, g2),
+        parse_expression(w1, c1), parse_expression(w2, c2),
+    )
+
+
+def assert_mirrored(a, b):
+    """Equal to 1e-13, absolute below 1 and relative above."""
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    assert np.all(np.abs(a - b) <= 1e-13 * np.maximum(1.0, np.abs(b)))
+
+
+class TestFactorMirror:
+    """Swapping the factors (f1 <-> f2, k <-> l, m1 <-> m2) gives the same
+    metric in permuted coordinates, so each side-1 result of one product is
+    the side-2 result of the swapped product."""
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        a = mirror_product(*MIRROR_FACTORS)
+        b = mirror_product(*MIRROR_FACTORS[::-1])
+        pts = seeded_points(a.product, 6)
+        swap = np.r_[a.m1:a.m, :a.m1]  # a-chart point -> b-chart point
+        return a, b, pts, swap
+
+    def test_closed_forms_and_defects(self, pair):
+        a, b, pts, swap = pair
+        for p in pts:
+            q = p[swap]
+            for which, klass in ((1, "XX"), (2, "UU")):
+                other, mirror = 3 - which, "UU" if klass == "XX" else "XX"
+                assert_mirrored(a.ricci_closed(klass, p),
+                                b.ricci_closed(mirror, q))
+                assert_mirrored(a.ricci_operator_closed(klass, p),
+                                b.ricci_operator_closed(mirror, q))
+                assert_mirrored(einstein_defect(a, which, p)[0],
+                                einstein_defect(b, other, q)[0])
+                assert_mirrored(f_almost_defect(a, which, p)[0],
+                                f_almost_defect(b, other, q)[0])
+            assert_mirrored(a.laplacian_split("k", p),
+                            b.laplacian_split("l", q))
+
+    def test_ricci_factor_structures(self, pair):
+        a, b, pts, swap = pair
+        psi = "0.3*x^2 + s*t - 0.2*y"
+        lam = 0.3
+        # the tolerance lets the product-level gate pass on this
+        # non-soliton, so that both factor equations are evaluated
+        tol = 10.0
+        out = [
+            {s.check_id: s for s in ricci_factor_structures(
+                dwp, SolitonSpec(kind="ricci", lam=lam,
+                                 psi=parse_expression(psi, dwp.coords)),
+                points, anchor, tol)}
+            for dwp, points, anchor in (
+                (a, pts, pts[0]), (b, pts[:, swap], pts[0][swap]))
+        ]
+        for which in (1, 2):
+            mine = out[0][f"factors.ricci.factor{which}"]
+            theirs = out[1][f"factors.ricci.factor{3 - which}"]
+            assert mine.max_abs_residual > 1e-3
+            assert_mirrored(mine.max_abs_residual, theirs.max_abs_residual)
+            assert_mirrored(np.array(mine.worst_point)[swap],
+                            theirs.worst_point)

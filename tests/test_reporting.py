@@ -31,6 +31,20 @@ class TestSummarize:
         s = summarize("c", [0.5, 0.5], [[3.0, 1.0], [2.0, 9.0]], 1.0)
         assert s.worst_point == (2.0, 9.0)
 
+    @pytest.mark.parametrize("residuals", [[0.0, np.nan], [np.nan, 0.0]])
+    def test_nan_residual_fails_in_any_position(self, residuals):
+        pts = [[1.0], [2.0]]
+        s = summarize("c", residuals, pts, 1e-8)
+        assert s.status == FAIL
+        assert np.isnan(s.max_abs_residual)
+        assert s.worst_point == (pts[residuals.index(0.0) - 1][0],)
+
+    def test_nan_outranks_infinity_and_ties_break_lexicographically(self):
+        s = summarize("c", [np.inf, np.nan, np.nan], [[1.0], [3.0], [2.0]],
+                      1e-8)
+        assert s.status == FAIL
+        assert s.worst_point == (2.0,)
+
     def test_empty_residuals_rejected(self):
         with pytest.raises(ValueError):
             summarize("c", [], [], 1e-8)
@@ -77,3 +91,16 @@ class TestRenderJson:
     def test_byte_stable(self):
         doc = {"checks": [{"r": 1 / 3, "id": "a"}], "n": 7}
         assert render_json(doc) == render_json(doc)
+
+
+class TestNonFiniteRendering:
+    def test_report_with_non_finite_residuals_is_valid_json(self):
+        records = [
+            summarize("a", [0.0, np.nan], [[1.0], [2.0]], 1e-8).as_dict(),
+            summarize("b", [np.inf], [[1.0]], 1e-8).as_dict(),
+            {"c": -np.inf},
+        ]
+        doc = json.loads(render_json({"checks": records}))
+        assert doc["checks"][0]["max_abs_residual"] == "nan"
+        assert doc["checks"][1]["max_abs_residual"] == "inf"
+        assert doc["checks"][2]["c"] == "-inf"

@@ -51,21 +51,21 @@ class TestConcircularOracle:
             (sphere3_chart(), (0.5, 2.0)),
         ]:
             for p in seeded_points(chart, 6, box=box):
-                norm = np.abs(concircular_oracle(chart, p).entries).max()
+                norm = np.abs(concircular_oracle(chart, p)).max()
                 assert norm <= 1e-9, (chart.coords, p, norm)
 
     def test_nonzero_on_generic_product(self):
         dwp = e2xe1_product()
         p = seeded_points(dwp.product, 1)[0]
-        assert np.abs(concircular_oracle(dwp.product, p).entries).max() > 0.01
+        assert np.abs(concircular_oracle(dwp.product, p)).max() > 0.01
 
     def test_full_trace_vanishes(self):
         # frozen invariant: the concircular tensor is trace-free in the
         # scalar slot on any manifold
         dwp = e2xe1_product()
         for p in seeded_points(dwp.product, 5):
-            frame = dwp.product.orthonormal_frame(p).vectors
-            c4 = concircular_oracle(dwp.product, p).entries
+            frame = dwp.product.orthonormal_frame(p)
+            c4 = concircular_oracle(dwp.product, p)
             total = np.einsum("ia,jb,jc,id,abcd->", frame, frame, frame,
                               frame, c4)
             assert abs(total) < 1e-8
@@ -75,12 +75,12 @@ class TestConharmonicOracle:
     def test_vanishes_on_flat_space(self):
         chart = flat_chart(("x", "y", "z"))
         for p in seeded_points(chart, 5):
-            assert np.abs(conharmonic_oracle(chart, p).entries).max() == 0.0
+            assert np.abs(conharmonic_oracle(chart, p)).max() == 0.0
 
     def test_nonzero_on_round_3_sphere(self):
         chart = sphere3_chart()
         for p in seeded_points(chart, 4, box=(0.5, 2.0)):
-            assert np.abs(conharmonic_oracle(chart, p).entries).max() > 0.1
+            assert np.abs(conharmonic_oracle(chart, p)).max() > 0.1
 
     def test_dimension_guard_rejects_surfaces(self):
         chart = sphere_chart()
@@ -93,8 +93,8 @@ class TestConharmonicOracle:
         dwp = e2xe1_product()
         m = dwp.m
         for p in seeded_points(dwp.product, 4):
-            g, ginv = (t.entries for t in dwp.product.metric_at(p))
-            h4 = conharmonic_oracle(dwp.product, p).entries
+            g, ginv = dwp.product.metric_at(p)
+            h4 = conharmonic_oracle(dwp.product, p)
             tau = dwp.product.scalar_oracle(p)
             contracted = np.einsum("iw,iyzw->yz", ginv, h4)
             expected = -(tau / (m - 2)) * g
@@ -147,9 +147,10 @@ class TestBlockTraceIdentities:
     def test_concircular_block_trace_gives_einstein_defect(self):
         dwp = e2xe1_product()
         for p in seeded_points(dwp.product, 4):
-            c4 = concircular_oracle(dwp.product, p).entries
+            c4 = concircular_oracle(dwp.product, p)
             d = dwp.point_data(p)
-            for which, ric, g_i in ((1, d.ric1, d.g1), (2, d.ric2, d.g2)):
+            for s in d.sides:
+                which, ric, g_i = s.which, s.ric, s.g
                 trace = factor_block_trace(dwp, c4, which, p)
                 defect, mu = einstein_defect(dwp, which, p)
                 assert np.allclose(trace, ric - mu * g_i, atol=1e-12)
@@ -159,7 +160,7 @@ class TestBlockTraceIdentities:
         dwp = e2xe1_product()
         m = dwp.m
         for p in seeded_points(dwp.product, 4):
-            h4 = conharmonic_oracle(dwp.product, p).entries
+            h4 = conharmonic_oracle(dwp.product, p)
             for which, m_opp in ((1, dwp.m2), (2, dwp.m1)):
                 trace = factor_block_trace(dwp, h4, which, p)
                 defect, lam, f = f_almost_defect(dwp, which, p)
