@@ -6,8 +6,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import numpy as np
-
 from . import solitons, special
 from .dwp import RIEMANN_CLASSES, RICCI_CLASSES
 from .reporting import normalized_residual, skipped, summarize
@@ -27,126 +25,96 @@ __all__ = [
 ]
 
 
-def _class_summaries(family, dwp, points, tolerance, closed, oracle):
-    """One summary per class: closed(p) maps each class to its (1,3) block
-    over the product chart, oracle(p) is the (0,4) oracle tensor; each index
+def _class_summaries(family, dwp, points, tolerance, blocks, oracle):
+    """One summary per class: `blocks` maps each class to its (1,3) block
+    over the product chart, `oracle` is the (0,4) oracle tensor; each index
     triple of a block gets its own normalized residual, max-reduced."""
-    values = {}
-    for p in points:
-        raised = oracle(p) @ dwp.point_data(p).ginv.T
-        for klass, block in closed(p).items():
-            expected = raised[dwp.block(klass)]
-            values.setdefault(klass, []).append(
-                normalized_residual(block - expected, [block, expected],
-                                    axis=-1)
-            )
-    return [
-        summarize(f"{family}.{klass}", v, points, tolerance)
-        for klass, v in values.items()
-    ]
+    ginv = dwp.product.metric_at(points)[1]
+    raised = oracle @ ginv.transpose(0, 2, 1)[:, None, None]
+    out = []
+    for klass, block in blocks.items():
+        expected = raised[dwp.block(klass)]
+        values = normalized_residual(block - expected, [block, expected],
+                                     axis=-1)
+        out.append(summarize(f"{family}.{klass}", values, points, tolerance))
+    return out
 
 
 def _riemann_classes(dwp, tensor):
     return {klass: tensor[dwp.block(klass)] for klass in RIEMANN_CLASSES}
 
 
+def _residuals(closed, oracle):
+    return normalized_residual(closed - oracle, [closed, oracle])
+
+
 def check_lemma1(dwp, points, tolerance):
     """Closed-form curvature blocks of all six lifted index patterns
     against the product curvature oracle, plus full-tensor reconstruction."""
-    points = np.atleast_2d(points)
-    out = _class_summaries(
-        "lemma1", dwp, points, tolerance,
-        lambda p: _riemann_classes(dwp, dwp.riemann_closed(p)),
-        dwp.product.riemann_oracle,
-    )
-    values = []
-    for p in points:
-        closed = dwp.riemann_closed_tensor(p)
-        oracle = dwp.product.riemann_oracle(p)
-        values.append(normalized_residual(closed - oracle, [closed, oracle]))
-    out.append(summarize("lemma1.reconstruction", values, points, tolerance))
+    curvature = dwp.riemann_closed(points)
+    oracle = dwp.product.riemann_oracle(points)
+    out = _class_summaries("lemma1", dwp, points, tolerance,
+                           _riemann_classes(dwp, curvature), oracle)
+    closed = curvature @ dwp.product.metric_at(points)[0][:, None, None]
+    out.append(summarize("lemma1.reconstruction",
+                         _residuals(closed, oracle), points, tolerance))
     return out
 
 
 def check_lemma2(dwp, points, tolerance):
     """Blockwise Ricci splitting against the product Ricci oracle."""
-    points = np.atleast_2d(points)
-    out = []
-    for klass in RICCI_CLASSES:
-        values = []
-        for p in points:
-            oracle = dwp.product.ricci_oracle(p)[dwp.block(klass)]
-            closed = dwp.ricci_closed(klass, p)
-            values.append(normalized_residual(closed - oracle,
-                                              [closed, oracle]))
-        out.append(summarize(f"lemma2.{klass}", values, points, tolerance))
-    return out
+    ricci = dwp.product.ricci_oracle(points)
+    return [
+        summarize(f"lemma2.{klass}",
+                  _residuals(dwp.ricci_closed(klass, points),
+                             ricci[dwp.block(klass)]),
+                  points, tolerance)
+        for klass in RICCI_CLASSES
+    ]
 
 
 def check_lemma5(dwp, points, tolerance):
     """Blockwise Ricci-operator splitting against the raised Ricci oracle."""
-    points = np.atleast_2d(points)
-    out = []
-    for klass in ("XX", "UU"):
-        values = []
-        for p in points:
-            d = dwp.point_data(p)
-            q = d.ginv @ dwp.product.ricci_oracle(p)
-            oracle = q[dwp.block(klass)]
-            closed = dwp.ricci_operator_closed(klass, p)
-            values.append(normalized_residual(closed - oracle,
-                                              [closed, oracle]))
-        out.append(summarize(f"lemma5.{klass}", values, points, tolerance))
-    return out
+    q = dwp.product.metric_at(points)[1] @ dwp.product.ricci_oracle(points)
+    return [
+        summarize(f"lemma5.{klass}",
+                  _residuals(dwp.ricci_operator_closed(klass, points),
+                             q[dwp.block(klass)]),
+                  points, tolerance)
+        for klass in ("XX", "UU")
+    ]
 
 
 def check_hessian(dwp, points, tolerance, psis=None):
     """Blockwise Hessian splitting for a set of potentials (the log-warpings
     by default, plus any supplied ones)."""
-    points = np.atleast_2d(points)
-    fields = [("k", dwp.k_lifted), ("l", dwp.l_lifted)]
-    for name, psi in psis or []:
-        fields.append((name, psi))
+    fields = [("k", dwp.k_lifted), ("l", dwp.l_lifted)] + list(psis or [])
     out = []
     for name, psi in fields:
         psi_l = dwp.lifted(psi)
+        oracle = dwp.product.hessian_field(psi_l, points)
         for klass in RICCI_CLASSES:
-            values = []
-            for p in points:
-                oracle = dwp.product.hessian_field(psi_l, p)[
-                    dwp.block(klass)
-                ]
-                closed = dwp.hessian_split_closed(psi_l, klass, p)
-                values.append(normalized_residual(closed - oracle,
-                                                  [closed, oracle]))
-            out.append(
-                summarize(f"hessian.{name}.{klass}", values, points, tolerance)
-            )
+            out.append(summarize(
+                f"hessian.{name}.{klass}",
+                _residuals(dwp.hessian_split_closed(psi_l, klass, points),
+                           oracle[dwp.block(klass)]),
+                points, tolerance))
     return out
 
 
 def check_scalar(dwp, points, tolerance):
-    points = np.atleast_2d(points)
-    values = []
-    for p in points:
-        closed = dwp.scalar_closed(p)
-        oracle = dwp.product.scalar_oracle(p)
-        values.append(normalized_residual(closed - oracle, [closed, oracle]))
+    values = _residuals(dwp.scalar_closed(points),
+                        dwp.product.scalar_oracle(points))
     return [summarize("scalar.splitting", values, points, tolerance)]
 
 
 def check_laplacian(dwp, points, tolerance):
-    points = np.atleast_2d(points)
-    out = []
-    for which in ("k", "l"):
-        values = []
-        for p in points:
-            closed, oracle = dwp.laplacian_split(which, p)
-            values.append(
-                normalized_residual(closed - oracle, [closed, oracle])
-            )
-        out.append(summarize(f"laplacian.{which}", values, points, tolerance))
-    return out
+    return [
+        summarize(f"laplacian.{which}",
+                  _residuals(*dwp.laplacian_split(which, points)), points,
+                  tolerance)
+        for which in ("k", "l")
+    ]
 
 
 _FACTOR_STRUCTURES = {
@@ -160,7 +128,6 @@ _FACTOR_STRUCTURES = {
 def check_solitons(dwp, specs, points, tolerance, anchor):
     """Defining-equation residuals for each soliton spec, plus induced
     factor structures for the kinds that have them."""
-    points = np.atleast_2d(points)
     out = []
     for i, spec in enumerate(specs):
         prefix = f"soliton[{i}].{spec.kind}"
@@ -205,11 +172,10 @@ def check_solitons(dwp, specs, points, tolerance, anchor):
 def check_concircular(dwp, points, tolerance, anchor):
     """Closed-form concircular blocks against the oracle on all six lifted
     patterns, then the flatness consequences (gated)."""
-    points = np.atleast_2d(points)
     out = _class_summaries(
         "concircular", dwp, points, tolerance,
-        lambda p: _riemann_classes(dwp, special.concircular_closed(dwp, p)),
-        lambda p: special.concircular_oracle(dwp.product, p),
+        _riemann_classes(dwp, special.concircular_closed(dwp, points)),
+        special.concircular_oracle(dwp.product, points),
     )
     out.extend(
         special.concircular_flat_consequences(dwp, points, anchor, tolerance)
@@ -220,7 +186,6 @@ def check_concircular(dwp, points, tolerance, anchor):
 def check_conharmonic(dwp, points, tolerance, anchor):
     """Closed-form conharmonic blocks (same-factor patterns only) against
     the oracle, then the flatness consequences (gated)."""
-    points = np.atleast_2d(points)
     if dwp.m < 3:
         return [
             skipped(
@@ -231,9 +196,8 @@ def check_conharmonic(dwp, points, tolerance, anchor):
         ]
     out = _class_summaries(
         "conharmonic", dwp, points, tolerance,
-        lambda p: {klass: special.conharmonic_closed(dwp, klass, p)
-                   for klass in special.CONHARMONIC_CLASSES},
-        lambda p: special.conharmonic_oracle(dwp.product, p),
+        special.conharmonic_closed(dwp, points),
+        special.conharmonic_oracle(dwp.product, points),
     )
     out.extend(
         special.conharmonic_flat_consequences(dwp, points, anchor, tolerance)

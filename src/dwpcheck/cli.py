@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .checks import CHECK_NAMES, run_all
-from .geometry import GeometryError, sample_points
+from .geometry import COND_LIMIT, GeometryError, MetricError, sample_points
 from .reporting import FAIL, render_json
 from .solitons import validate_fields
 from .specfile import SpecFileError, load_spec
@@ -231,6 +231,16 @@ def run(config, loaded=None, stdout=None):
     dwp.validate_warpings(points)
     dwp.validate_warpings([anchor])
     validate_fields(dwp, soliton_specs, default_psi, points, anchor)
+    for which in (1, 2):
+        # the restriction sets must pass the sampler's acceptance rule too
+        anchored = dwp.anchored(points, anchor, which)
+        ok = dwp.product.well_conditioned_at(anchored)
+        if not ok.all():
+            raise MetricError(
+                f"anchored restriction set of factor {which}: metric not "
+                f"positive definite or cond(g) > {COND_LIMIT:g} at "
+                f"{anchored[(~ok).argmax()].tolist()}"
+            )
     psis = [("psi", default_psi)] if default_psi is not None else None
     summaries = run_all(
         dwp,

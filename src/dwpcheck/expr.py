@@ -1,8 +1,9 @@
 """Scalar-field expressions over chart coordinates.
 
 Expressions are parsed from text into an immutable AST and evaluated with
-exact first- and second-order derivatives (second-order forward-mode jets).
-A central-difference jet is provided as an independent cross-check.
+exact first- and second-order derivatives (second-order forward-mode jets)
+on a whole batch of points at once.  A central-difference jet is provided
+as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -49,9 +50,13 @@ class ArityError(ExpressionError):
 
 
 class DomainError(ExpressionError):
-    def __init__(self, message, subexpr):
+    """A subexpression leaves its domain; `index` is the first point (row of
+    the evaluated batch) where it does."""
+
+    def __init__(self, message, subexpr, index=0):
         super().__init__(f"{message} in {subexpr!r}")
         self.subexpr = subexpr
+        self.index = index
 
 
 # ---------------------------------------------------------------------------
@@ -93,28 +98,28 @@ class Call:
 
 CONSTANTS = {"pi": math.pi, "e": math.e}
 
-# name -> (f, f', f'') with domain guard
+# name -> (f, f', f'') on arrays; the domain guards are in _eval_jet
 _FUNCS = {
-    "exp": (math.exp, math.exp, math.exp),
-    "log": (math.log, lambda v: 1.0 / v, lambda v: -1.0 / (v * v)),
+    "exp": (np.exp, np.exp, np.exp),
+    "log": (np.log, lambda v: 1.0 / v, lambda v: -1.0 / (v * v)),
     "sqrt": (
-        math.sqrt,
-        lambda v: 0.5 / math.sqrt(v),
-        lambda v: -0.25 / (v * math.sqrt(v)),
+        np.sqrt,
+        lambda v: 0.5 / np.sqrt(v),
+        lambda v: -0.25 / (v * np.sqrt(v)),
     ),
-    "sin": (math.sin, math.cos, lambda v: -math.sin(v)),
-    "cos": (math.cos, lambda v: -math.sin(v), lambda v: -math.cos(v)),
+    "sin": (np.sin, np.cos, lambda v: -np.sin(v)),
+    "cos": (np.cos, lambda v: -np.sin(v), lambda v: -np.cos(v)),
     "tan": (
-        math.tan,
-        lambda v: 1.0 + math.tan(v) ** 2,
-        lambda v: 2.0 * math.tan(v) * (1.0 + math.tan(v) ** 2),
+        np.tan,
+        lambda v: 1.0 + np.tan(v) ** 2,
+        lambda v: 2.0 * np.tan(v) * (1.0 + np.tan(v) ** 2),
     ),
-    "sinh": (math.sinh, math.cosh, math.sinh),
-    "cosh": (math.cosh, math.sinh, math.cosh),
+    "sinh": (np.sinh, np.cosh, np.sinh),
+    "cosh": (np.cosh, np.sinh, np.cosh),
     "tanh": (
-        math.tanh,
-        lambda v: 1.0 - math.tanh(v) ** 2,
-        lambda v: -2.0 * math.tanh(v) * (1.0 - math.tanh(v) ** 2),
+        np.tanh,
+        lambda v: 1.0 - np.tanh(v) ** 2,
+        lambda v: -2.0 * np.tanh(v) * (1.0 - np.tanh(v) ** 2),
     ),
 }
 
@@ -302,99 +307,111 @@ def _print(node, parent_prec=0, right_side=False):
 
 @dataclass
 class Jet2:
-    """Value, gradient, and symmetric Hessian of a scalar at a point."""
+    """Values (N,), gradients (N, d) and symmetric Hessians (N, d, d) of a
+    scalar at N points."""
 
-    value: float
+    value: np.ndarray
     gradient: np.ndarray
     hessian: np.ndarray
 
 
-def _const_value(node):
-    """Evaluate a variable-free subtree to a float."""
-    v, _, _ = _eval_jet(node, {}, 0)
-    return v
+def _check(bad, message, node):
+    """Raise a DomainError at the first point where `bad` holds."""
+    if bad.any():
+        raise DomainError(message, _print(node), int(bad.argmax()))
 
 
-def _eval_jet(node, index, dim):
-    """Recursively evaluate (value, gradient, hessian) as plain float/ndarray."""
-    if isinstance(node, Num):
-        return node.value, np.zeros(dim), np.zeros((dim, dim))
-    if isinstance(node, Const):
-        return CONSTANTS[node.name], np.zeros(dim), np.zeros((dim, dim))
-    if isinstance(node, Var):
-        g = np.zeros(dim)
-        if dim:
-            g[index[node.name]] = 1.0
-        return index[node.name + "\0point"], g, np.zeros((dim, dim))
+def _outer(a, b):
+    return a[:, :, None] * b[:, None, :]
+
+
+def _chain(fv, d1, d2, g, h):
+    """Jet of f(u) from f, f' and f'' at u and the jet (g, h) of u."""
+    return (fv, d1[:, None] * g,
+            d1[:, None, None] * h + d2[:, None, None] * _outer(g, g))
+
+
+def _eval_jet(node, x, index, dim):
+    """(value (N,), gradient (N, dim), Hessian (N, dim, dim)) of the subtree
+    at the points x (N, d); dim 0 evaluates values only.  Overflow of ^,
+    exp, sinh and cosh is a DomainError, as are the usual domain faults."""
+    if isinstance(node, (Num, Const, Var)):
+        n = len(x)
+        g, h = np.zeros((n, dim)), np.zeros((n, dim, dim))
+        if isinstance(node, Var):
+            if dim:
+                g[:, index[node.name]] = 1.0
+            return x[:, index[node.name]].copy(), g, h
+        value = node.value if isinstance(node, Num) else CONSTANTS[node.name]
+        return np.full(n, value), g, h
     if isinstance(node, Neg):
-        v, g, h = _eval_jet(node.arg, index, dim)
+        v, g, h = _eval_jet(node.arg, x, index, dim)
         return -v, -g, -h
     if isinstance(node, BinOp):
         if node.op == "^":
-            bv, bg, bh = _eval_jet(node.left, index, dim)
-            c = _const_value(node.right)
+            bv, bg, bh = _eval_jet(node.left, x, index, dim)
+            c = float(_eval_jet(node.right, np.zeros((1, 0)), {}, 0)[0][0])
             return _pow_jet(bv, bg, bh, c, node)
-        av, ag, ah = _eval_jet(node.left, index, dim)
-        bv, bg, bh = _eval_jet(node.right, index, dim)
+        av, ag, ah = _eval_jet(node.left, x, index, dim)
+        bv, bg, bh = _eval_jet(node.right, x, index, dim)
         if node.op == "+":
             return av + bv, ag + bg, ah + bh
         if node.op == "-":
             return av - bv, ag - bg, ah - bh
-        if node.op == "*":
-            return (
-                av * bv,
-                av * bg + bv * ag,
-                av * bh + bv * ah + np.outer(ag, bg) + np.outer(bg, ag),
-            )
         if node.op == "/":
-            if bv == 0.0:
-                raise DomainError("division by zero", _print(node))
-            iv, ig, ih = _recip(bv, bg, bh)
-            return (
-                av * iv,
-                av * ig + iv * ag,
-                av * ih + iv * ah + np.outer(ag, ig) + np.outer(ig, ag),
-            )
+            _check(bv == 0.0, "division by zero", node)
+            bv, bg, bh = _recip(bv, bg, bh, node)
+        return (av * bv, av[:, None] * bg + bv[:, None] * ag,
+                av[:, None, None] * bh + bv[:, None, None] * ah
+                + _outer(ag, bg) + _outer(bg, ag))
     if isinstance(node, Call):
-        v, g, h = _eval_jet(node.arg, index, dim)
-        if node.func == "log" and v <= 0.0:
-            raise DomainError("log of nonpositive value", _print(node))
-        if node.func == "sqrt" and v <= 0.0:
-            raise DomainError("sqrt of nonpositive value", _print(node))
+        v, g, h = _eval_jet(node.arg, x, index, dim)
+        if node.func in ("log", "sqrt"):
+            _check(v <= 0.0, f"{node.func} of nonpositive value", node)
+        if node.func in ("sin", "cos", "tan"):
+            _check(np.isinf(v), f"{node.func} of an infinite value", node)
         f0, f1, f2 = _FUNCS[node.func]
-        fv = f0(v)
-        d1 = f1(v)
-        d2 = f2(v)
-        return fv, d1 * g, d1 * h + d2 * np.outer(g, g)
+        fv, d1, d2 = f0(v), f1(v), f2(v)
+        if node.func in ("exp", "sinh", "cosh"):
+            _check(np.isfinite(v) & (np.isinf(fv) | np.isinf(d1)
+                                     | np.isinf(d2)), "overflow", node)
+        return _chain(fv, d1, d2, g, h)
     raise TypeError(f"unknown node {node!r}")
 
 
-def _recip(v, g, h):
+def _power(v, c, node):
+    """v ** c, with overflow a DomainError."""
+    out = v**c
+    _check(np.isinf(out) & np.isfinite(v), "overflow", node)
+    return out
+
+
+def _recip(v, g, h, node):
     iv = 1.0 / v
-    return iv, -g * iv * iv, -h * iv * iv + 2.0 * iv**3 * np.outer(g, g)
+    return iv, -g * iv[:, None] * iv[:, None], (
+        -h * iv[:, None, None] * iv[:, None, None]
+        + (2.0 * _power(iv, 3, node))[:, None, None] * _outer(g, g)
+    )
 
 
 def _pow_jet(v, g, h, c, node):
     if c == 0.0:
-        dim = len(g)
-        return 1.0, np.zeros(dim), np.zeros((dim, dim))
-    is_int = c == int(c)
-    if not is_int and v <= 0.0:
-        raise DomainError(
-            "non-integer power of nonpositive base", _print(node)
-        )
-    if is_int and v == 0.0 and c < 0:
-        raise DomainError("zero raised to negative power", _print(node))
-    val = v**c
-    if v == 0.0:
-        d1 = c * v ** (c - 1) if c >= 1 else 0.0
-        d2 = c * (c - 1) * v ** (c - 2) if c >= 2 else 0.0
-    else:
-        # computed as explicit powers: dividing val by v underflows for
-        # tiny bases even when the derivative itself is representable
-        d1 = c * v ** (c - 1)
-        d2 = c * (c - 1) * v ** (c - 2)
-    return val, d1 * g, d1 * h + d2 * np.outer(g, g)
+        return np.ones_like(v), np.zeros_like(g), np.zeros_like(h)
+    if not math.isfinite(c):
+        raise DomainError("non-finite exponent", _print(node))
+    if c != int(c):
+        _check(v <= 0.0, "non-integer power of nonpositive base", node)
+    elif c < 0:
+        _check(v == 0.0, "zero raised to negative power", node)
+    # computed as explicit powers: dividing val by v underflows for tiny
+    # bases even when the derivative itself is representable; a zero base
+    # only gets here with c a positive integer, where 0^(c-2) is needed
+    # only for c >= 2
+    val = _power(v, c, node)
+    d1 = c * _power(v, c - 1, node)
+    d2 = c * (c - 1) * _power(np.where(v == 0.0, 1.0, v) if c < 2 else v,
+                              c - 2, node)
+    return _chain(val, d1, d2, g, h)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +419,8 @@ def _pow_jet(v, g, h, c, node):
 # ---------------------------------------------------------------------------
 
 class Expression:
-    """A parsed scalar field bound to an ordered coordinate list.
+    """A parsed scalar field bound to an ordered coordinate list, evaluated
+    on batches of points: an (N, d) array, one point per row.
 
     Immutable after construction; evaluation is pure, so a single Expression
     may be evaluated concurrently from many threads.
@@ -435,55 +453,55 @@ class Expression:
     def __hash__(self):
         return hash((self.node, self.coords))
 
-    def _env(self, point):
-        point = np.asarray(point, dtype=float)
-        if point.shape != (self.dim,):
+    def _jet(self, points, dim):
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.dim:
             raise ValueError(
-                f"point has length {point.size}, expected {self.dim}"
+                f"points must be an (N, {self.dim}) array, got shape "
+                f"{points.shape}"
             )
-        env = dict(self._index)
-        for name, i in self._index.items():
-            env[name + "\0point"] = float(point[i])
-        return env
+        try:
+            with np.errstate(all="ignore"):
+                return _eval_jet(self.node, points, self._index, dim)
+        except DomainError as exc:
+            # the first failing subexpression may fail later in point order
+            # than another one: an earlier point's error takes precedence
+            if exc.index:
+                self._jet(points[: exc.index], dim)
+            raise
 
-    def evaluate(self, point):
-        v, _, _ = _eval_jet(self.node, self._env(point), 0)
-        return v
+    def evaluate(self, points):
+        """Values (N,) at the points (N, d)."""
+        return self._jet(points, 0)[0]
 
-    def jet(self, point):
-        v, g, h = _eval_jet(self.node, self._env(point), self.dim)
-        h = 0.5 * (h + h.T)  # enforce exact symmetry against rounding
-        return Jet2(float(v), g, h)
+    def jet(self, points):
+        v, g, h = self._jet(points, self.dim)
+        # enforce exact symmetry against rounding
+        return Jet2(v, g, 0.5 * (h + h.transpose(0, 2, 1)))
 
-    def fd_jet(self, point, h=1e-4):
+    def fd_jet(self, points, h=1e-4):
         if h <= 0:
             raise ValueError("step h must be positive")
-        point = np.asarray(point, dtype=float)
+        points = np.asarray(points, dtype=float)
         n = self.dim
-        f0 = self.evaluate(point)
-        grad = np.zeros(n)
-        hess = np.zeros((n, n))
+        step = h * np.eye(n)
+        f0 = self.evaluate(points)
+        grad = np.zeros((len(points), n))
+        hess = np.zeros((len(points), n, n))
         for i in range(n):
-            ei = np.zeros(n)
-            ei[i] = h
-            fp = self.evaluate(point + ei)
-            fm = self.evaluate(point - ei)
-            grad[i] = (fp - fm) / (2 * h)
-            hess[i, i] = (fp - 2 * f0 + fm) / (h * h)
-        for i in range(n):
+            fp = self.evaluate(points + step[i])
+            fm = self.evaluate(points - step[i])
+            grad[:, i] = (fp - fm) / (2 * h)
+            hess[:, i, i] = (fp - 2 * f0 + fm) / (h * h)
             for j in range(i + 1, n):
-                ei = np.zeros(n)
-                ej = np.zeros(n)
-                ei[i] = h
-                ej[j] = h
-                val = (
-                    self.evaluate(point + ei + ej)
-                    - self.evaluate(point + ei - ej)
-                    - self.evaluate(point - ei + ej)
-                    + self.evaluate(point - ei - ej)
+                ei, ej = step[i], step[j]
+                hess[:, i, j] = hess[:, j, i] = (
+                    self.evaluate(points + ei + ej)
+                    - self.evaluate(points + ei - ej)
+                    - self.evaluate(points - ei + ej)
+                    + self.evaluate(points - ei - ej)
                 ) / (4 * h * h)
-                hess[i, j] = hess[j, i] = val
-        return Jet2(f0, grad, 0.5 * (hess + hess.T))
+        return Jet2(f0, grad, 0.5 * (hess + hess.transpose(0, 2, 1)))
 
     @property
     def variables(self):
@@ -576,5 +594,5 @@ def constant(value, coords):
     return Expression(Num(float(value)), coords)
 
 
-def finite_difference_jet(expression, point, h=1e-4):
-    return expression.fd_jet(point, h)
+def finite_difference_jet(expression, points, h=1e-4):
+    return expression.fd_jet(points, h)

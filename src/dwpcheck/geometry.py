@@ -2,7 +2,8 @@
 
 Everything here is assembled directly from exact second-order jets of the
 metric components; it is the independent oracle against which the
-doubly-warped closed forms are tested.
+doubly-warped closed forms are tested.  Every method takes a batch of
+points, an (N, dim) array, and returns arrays with a leading N axis.
 
 Sign conventions, pinned once for the whole package:
     R(X,Y)Z   = grad_X grad_Y Z - grad_Y grad_X Z - grad_[X,Y] Z
@@ -21,6 +22,7 @@ __all__ = [
     "ChartManifold",
     "GeometryError",
     "MetricError",
+    "covariant_hessian",
     "kulkarni_nomizu",
     "sample_points",
 ]
@@ -36,15 +38,11 @@ class MetricError(GeometryError):
     pass
 
 
-def _as_tuple(point):
-    return tuple(float(x) for x in np.asarray(point, dtype=float))
-
-
 class ChartManifold:
     """A coordinate chart with metric components given as expressions.
 
-    Tensors at a point are plain arrays in coordinate components, indexed
-    as each method's docstring says."""
+    Tensors are plain arrays in coordinate components, one per point along
+    the leading axis, indexed as each method's docstring says."""
 
     def __init__(self, coords, metric):
         self.coords = tuple(coords)
@@ -58,8 +56,6 @@ class ChartManifold:
                     raise TypeError("metric entries must be Expression")
                 if e.coords != self.coords:
                     raise ValueError("metric entry bound to wrong coordinates")
-        self._jet_cache = {}
-        self._curv_cache = {}
 
     @property
     def dim(self):
@@ -67,177 +63,200 @@ class ChartManifold:
 
     # -- metric jets -------------------------------------------------------
 
-    def _metric_jets(self, p):
-        """g, dg[k,i,j] = d_k g_ij, ddg[k,l,i,j] = d_k d_l g_ij at p."""
-        key = _as_tuple(p)
-        hit = self._jet_cache.get(key)
-        if hit is not None:
-            return hit
+    def _metric_jets(self, points):
+        """g[n,i,j], dg[n,k,i,j] = d_k g_ij, ddg[n,k,l,i,j] = d_k d_l g_ij."""
+        points = np.asarray(points, dtype=float)
         n = self.dim
-        g = np.empty((n, n))
-        dg = np.empty((n, n, n))
-        ddg = np.empty((n, n, n, n))
-        pa = np.asarray(key)
+        g = np.empty((len(points), n, n))
+        dg = np.empty((len(points), n, n, n))
+        ddg = np.empty((len(points), n, n, n, n))
         for i in range(n):
             for j in range(i, n):
                 try:
-                    jet = self.metric[i][j].jet(pa)
-                except (DomainError, OverflowError) as exc:
+                    jet = self.metric[i][j].jet(points)
+                except DomainError as exc:
+                    # a later entry may fail at an earlier point
+                    self._metric_jets(points[: exc.index])
                     raise MetricError(
                         f"metric entry [{i}][{j}] = "
                         f"{str(self.metric[i][j])!r} leaves its domain at "
-                        f"{list(key)}: {exc}"
+                        f"{points[exc.index].tolist()}: {exc}"
                     ) from None
-                g[i, j] = g[j, i] = jet.value
-                dg[:, i, j] = dg[:, j, i] = jet.gradient
-                ddg[:, :, i, j] = ddg[:, :, j, i] = jet.hessian
-        if len(self._jet_cache) > 4096:
-            self._jet_cache.clear()
-        self._jet_cache[key] = (g, dg, ddg)
+                g[:, i, j] = g[:, j, i] = jet.value
+                dg[:, :, i, j] = dg[:, :, j, i] = jet.gradient
+                ddg[:, :, :, i, j] = ddg[:, :, :, j, i] = jet.hessian
         return g, dg, ddg
 
-    def metric_at(self, p):
-        """Metric matrix and its inverse at p; raises if not SPD."""
-        g, _, _ = self._metric_jets(p)
-        try:
-            np.linalg.cholesky(g)
-        except np.linalg.LinAlgError:
-            raise MetricError(f"metric not positive definite at {_as_tuple(p)}")
+    def metric_at(self, points):
+        """Metric matrices and their inverses; raises if one is not SPD."""
+        g, _, _ = self._metric_jets(points)
+        _require_spd(g, points)
         return g, np.linalg.inv(g)
 
     # -- connection and curvature ------------------------------------------
 
-    def christoffel(self, p):
-        """Gamma[k,i,j] = Gamma^k_ij at p."""
-        g, dg, _ = self._metric_jets(p)
-        ginv = np.linalg.inv(g)
-        # Gamma^k_ij = 1/2 g^{km} (d_i g_jm + d_j g_im - d_m g_ij)
-        sym = dg + np.einsum("jim->ijm", dg) - np.einsum("mij->ijm", dg)
-        gamma = 0.5 * np.einsum("km,ijm->kij", ginv, sym)
-        return gamma
+    def christoffel(self, points):
+        """Gamma[n,k,i,j] = Gamma^k_ij."""
+        g, dg, _ = self._metric_jets(points)
+        return _christoffel(np.linalg.inv(g), dg)
 
-    def _christoffel_jets(self, p):
-        """Gamma[k,i,j] and dGamma[l,k,i,j] = d_l Gamma^k_ij at p."""
-        g, dg, ddg = self._metric_jets(p)
+    def curvature(self, points):
+        """(R[n,i,j,k,w], Ric[n,j,k], tau[n]) from one computation."""
+        g, dg, ddg = self._metric_jets(points)
         ginv = np.linalg.inv(g)
-        sym = dg + np.einsum("jim->ijm", dg) - np.einsum("mij->ijm", dg)
-        gamma = 0.5 * np.einsum("km,ijm->kij", ginv, sym)
+        gamma = _christoffel(ginv, dg)
         # d_l g^{km} = -g^{ka} (d_l g_ab) g^{bm}
-        dginv = -np.einsum("ka,lab,bm->lkm", ginv, dg, ginv)
+        dginv = -np.einsum("nka,nlab,nbm->nlkm", ginv, dg, ginv)
         # d_l of (d_i g_jm + d_j g_im - d_m g_ij), indexed [l,i,j,m]
-        dsym = ddg + np.einsum("ljim->lijm", ddg) - np.einsum("lmij->lijm", ddg)
-        dgamma = 0.5 * np.einsum("lkm,ijm->lkij", dginv, sym) + 0.5 * np.einsum(
-            "km,lijm->lkij", ginv, dsym
-        )
-        return gamma, dgamma
-
-    def _curvature(self, p):
-        """(R[i,j,k,w], Ric[j,k], tau) at p, from one computation."""
-        key = _as_tuple(p)
-        hit = self._curv_cache.get(key)
-        if hit is not None:
-            return hit
-        g, _, _ = self._metric_jets(p)
-        gamma, dgamma = self._christoffel_jets(p)
+        dsym = (ddg + np.einsum("nljim->nlijm", ddg)
+                - np.einsum("nlmij->nlijm", ddg))
+        # dGamma[n,l,k,i,j] = d_l Gamma^k_ij
+        dgamma = (0.5 * np.einsum("nlkm,nijm->nlkij", dginv, _sym(dg))
+                  + 0.5 * np.einsum("nkm,nlijm->nlkij", ginv, dsym))
         # (R(d_i,d_j)d_k)^m = d_i G^m_jk - d_j G^m_ik + G^m_ia G^a_jk - G^m_ja G^a_ik
         rup = (
-            np.einsum("imjk->mijk", dgamma)
-            - np.einsum("jmik->mijk", dgamma)
-            + np.einsum("mia,ajk->mijk", gamma, gamma)
-            - np.einsum("mja,aik->mijk", gamma, gamma)
+            np.einsum("nimjk->nmijk", dgamma)
+            - np.einsum("njmik->nmijk", dgamma)
+            + np.einsum("nmia,najk->nmijk", gamma, gamma)
+            - np.einsum("nmja,naik->nmijk", gamma, gamma)
         )
-        r4 = np.einsum("mw,mijk->ijkw", g, rup)
-        ric = np.einsum("iijk->jk", rup)
-        ric = 0.5 * (ric + ric.T)
-        tau = float(np.einsum("jk,jk->", np.linalg.inv(g), ric))
-        if len(self._curv_cache) > 4096:
-            self._curv_cache.clear()
-        self._curv_cache[key] = (r4, ric, tau)
+        r4 = np.einsum("nmw,nmijk->nijkw", g, rup)
+        ric = np.einsum("niijk->njk", rup)
+        ric = 0.5 * (ric + ric.transpose(0, 2, 1))
+        tau = np.einsum("njk,njk->n", ginv, ric)
         return r4, ric, tau
 
-    def riemann_oracle(self, p):
-        """Fully covariant curvature R[i,j,k,w] = R(d_i, d_j, d_k, d_w)."""
-        return self._curvature(p)[0]
+    def riemann_oracle(self, points):
+        """Fully covariant curvature R[n,i,j,k,w] = R(d_i, d_j, d_k, d_w)."""
+        return self.curvature(points)[0]
 
-    def ricci_oracle(self, p):
-        return self._curvature(p)[1]
+    def ricci_oracle(self, points):
+        return self.curvature(points)[1]
 
-    def scalar_oracle(self, p):
-        return self._curvature(p)[2]
+    def scalar_oracle(self, points):
+        return self.curvature(points)[2]
 
     # -- scalar-field calculus ----------------------------------------------
 
-    def hessian_field(self, psi, p):
-        """Covariant Hessian h_ij = d_i d_j psi - Gamma^k_ij d_k psi."""
-        jet = psi.jet(p)
-        gamma = self.christoffel(p)
-        h = jet.hessian - np.einsum("kij,k->ij", gamma, jet.gradient)
-        return 0.5 * (h + h.T)
+    def hessian_field(self, psi, points):
+        """Covariant Hessian h[n,i,j] = d_i d_j psi - Gamma^k_ij d_k psi."""
+        return covariant_hessian(self.christoffel(points), psi.jet(points))
 
-    def gradient_field(self, psi, p):
-        g, _, _ = self._metric_jets(p)
-        return np.linalg.solve(g, psi.jet(p).gradient)
+    def gradient_field(self, psi, points):
+        g, _, _ = self._metric_jets(points)
+        return np.linalg.solve(g, psi.jet(points).gradient[..., None])[..., 0]
 
-    def laplacian_field(self, psi, p):
-        g, _, _ = self._metric_jets(p)
-        h = self.hessian_field(psi, p)
-        return float(np.einsum("ij,ij->", np.linalg.inv(g), h))
+    def laplacian_field(self, psi, points):
+        g, _, _ = self._metric_jets(points)
+        h = self.hessian_field(psi, points)
+        return np.einsum("nij,nij->n", np.linalg.inv(g), h)
 
     # -- frames and sampling -------------------------------------------------
 
-    def orthonormal_frame(self, p):
+    def orthonormal_frame(self, points):
         """Gram-Schmidt of the coordinate basis (inverse Cholesky factor):
-        column i holds the coordinate components of the i-th frame vector."""
-        g, _, _ = self._metric_jets(p)
-        try:
-            chol = np.linalg.cholesky(g)
-        except np.linalg.LinAlgError:
-            raise MetricError(f"metric not positive definite at {_as_tuple(p)}")
-        return np.linalg.inv(chol).T
+        column i of frame[n] holds the coordinate components of the i-th
+        frame vector."""
+        g, _, _ = self._metric_jets(points)
+        _require_spd(g, points)
+        return np.linalg.inv(np.linalg.cholesky(g)).transpose(0, 2, 1)
 
-    def well_conditioned_at(self, p):
-        g, _, _ = self._metric_jets(p)
-        try:
-            np.linalg.cholesky(g)
-        except np.linalg.LinAlgError:
-            return False
-        return np.linalg.cond(g) <= COND_LIMIT
+    def well_conditioned_at(self, points):
+        """Per point: whether the metric is positive definite with
+        cond(g) <= COND_LIMIT."""
+        g, _, _ = self._metric_jets(points)
+        spd, w = _positive_definite(g)
+        return spd & (w[:, -1] <= COND_LIMIT * w[:, 0])
+
+
+def _sym(dg):
+    """sym[n,i,j,m] = d_i g_jm + d_j g_im - d_m g_ij."""
+    return dg + np.einsum("njim->nijm", dg) - np.einsum("nmij->nijm", dg)
+
+
+def _christoffel(ginv, dg):
+    # Gamma^k_ij = 1/2 g^{km} (d_i g_jm + d_j g_im - d_m g_ij)
+    return 0.5 * np.einsum("nkm,nijm->nkij", ginv, _sym(dg))
+
+
+def covariant_hessian(gamma, jet):
+    """Covariant Hessians from a scalar's jet and the Christoffel symbols
+    gamma[n,k,i,j] at the same points."""
+    h = jet.hessian - np.einsum("nkij,nk->nij", gamma, jet.gradient)
+    return 0.5 * (h + h.transpose(0, 2, 1))
+
+
+def _positive_definite(g):
+    """Per matrix: whether it is finite and positive definite, and its
+    ascending eigenvalues (those of a stand-in for a non-finite one)."""
+    finite = np.isfinite(g).all(axis=(1, 2))
+    w = np.linalg.eigvalsh(np.where(finite[:, None, None], g, 1.0))
+    return finite & (w[:, 0] > 0), w
+
+
+def _require_spd(g, points):
+    spd, _ = _positive_definite(g)
+    if not spd.all():
+        raise MetricError("metric not positive definite at "
+                          f"{np.asarray(points)[(~spd).argmax()].tolist()}")
+
+
+def outer(a, b):
+    """Per-point outer products a[n, i] b[n, j] of two vector batches."""
+    return a[:, :, None] * b[:, None, :]
+
+
+def times(c, t):
+    """Per-point scalars c[n] times the tensors t[n, ...]."""
+    return c.reshape(c.shape + (1,) * (t.ndim - 1)) * t
+
+
+def matvec(a, v):
+    """Per-point matrix-vector products a[n] @ v[n]."""
+    return (a @ v[:, :, None])[:, :, 0]
 
 
 def kulkarni_nomizu(a, b):
     """(A ^ B)(X,Y,Z,W) = A(X,W)B(Y,Z) + A(Y,Z)B(X,W)
-    - A(X,Z)B(Y,W) - A(Y,W)B(X,Z), for symmetric (0,2) inputs."""
+    - A(X,Z)B(Y,W) - A(Y,W)B(X,Z), for symmetric (0,2) inputs; leading
+    axes are batch axes."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 2:
+    if a.shape != b.shape or a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError("kulkarni_nomizu needs two equally sized matrices")
     return (
-        np.einsum("xw,yz->xyzw", a, b)
-        + np.einsum("yz,xw->xyzw", a, b)
-        - np.einsum("xz,yw->xyzw", a, b)
-        - np.einsum("yw,xz->xyzw", a, b)
+        np.einsum("...xw,...yz->...xyzw", a, b)
+        + np.einsum("...yz,...xw->...xyzw", a, b)
+        - np.einsum("...xz,...yw->...xyzw", a, b)
+        - np.einsum("...yw,...xz->...xyzw", a, b)
     )
 
 
 def sample_points(manifold, box, n, seed):
     """Seeded uniform samples in a coordinate box, skipping points where the
-    metric is singular or ill-conditioned; oversampling capped at 10x."""
+    metric is singular or ill-conditioned; oversampling capped at 10x.
+
+    The draws come in chunks of the number of points still missing, so each
+    drawn point is one that drawing and testing one at a time would reach
+    too: the stream, and the first point that fails, are the same."""
     box = np.asarray(box, dtype=float)
     if box.shape == (2,):
         box = np.tile(box, (manifold.dim, 1))
     if box.shape != (manifold.dim, 2) or np.any(box[:, 1] < box[:, 0]):
         raise ValueError("box must be a per-coordinate [lo, hi] list")
     rng = np.random.default_rng(seed)
-    accepted = []
-    attempts = 0
-    while len(accepted) < n:
+    accepted = [np.empty((0, manifold.dim))]
+    count = attempts = 0
+    while count < n:
         if attempts >= 10 * n:
             raise GeometryError(
                 f"could not find {n} well-conditioned sample points "
                 f"within {attempts} draws"
             )
-        p = rng.uniform(box[:, 0], box[:, 1])
-        attempts += 1
-        if manifold.well_conditioned_at(p):
-            accepted.append(p)
-    return np.array(accepted)
+        k = min(n - count, 10 * n - attempts)
+        p = rng.uniform(box[:, 0], box[:, 1], size=(k, manifold.dim))
+        attempts += k
+        ok = manifold.well_conditioned_at(p)
+        accepted.append(p[ok])
+        count += int(ok.sum())
+    return np.concatenate(accepted)

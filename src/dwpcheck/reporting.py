@@ -58,16 +58,20 @@ class ResidualSummary:
 
 
 def normalized_residual(difference, terms, axis=None):
-    """max |difference| / (1 + max over terms of max |term|).
+    """Per point (leading axis): max |difference| / (1 + max over terms of
+    max |term|).
 
     With `axis`, the ratio is taken separately for each slice along that
     axis (for example one output vector per index triple) and the result is
     the largest of them."""
+    n = len(difference)
     if axis is None:
-        scale = 1.0 + max(float(np.abs(t).max()) for t in terms)
-        return float(np.abs(difference).max()) / scale
+        scale = 1.0 + np.maximum.reduce(
+            [np.abs(t).reshape(n, -1).max(axis=1) for t in terms])
+        return np.abs(difference).reshape(n, -1).max(axis=1) / scale
     scale = 1.0 + np.maximum.reduce([np.abs(t).max(axis=axis) for t in terms])
-    return float((np.abs(difference).max(axis=axis) / scale).max())
+    return (np.abs(difference).max(axis=axis) / scale).reshape(n, -1).max(
+        axis=1)
 
 
 def summarize(check_id, residuals, points, tolerance, notes=""):
@@ -78,23 +82,21 @@ def summarize(check_id, residuals, points, tolerance, notes=""):
     order of the point coordinates.  A NaN residual ranks above every
     number, so it fails the check wherever it occurs.
     """
-    residuals = [float(r) for r in residuals]
-    if not residuals:
+    residuals = np.asarray(residuals, dtype=float)
+    if not residuals.size:
         raise ValueError("summarize needs at least one residual")
-    worst = None
-    for r, p in zip(residuals, points):
-        key = ((1, 0.0) if math.isnan(r) else (0, r),
-               tuple(float(x) for x in np.atleast_1d(p)))
-        if worst is None or key[0] > worst[0] or (
-            key[0] == worst[0] and key[1] < worst[1]
-        ):
-            worst = key
-            residual = r
+    points = np.asarray(points, dtype=float)
+    nan = np.isnan(residuals)
+    worst = np.flatnonzero(nan if nan.any()
+                           else residuals == residuals.max())
+    # lexsort's last key is the primary one: the first coordinate
+    pick = worst[np.lexsort(points[worst].T[::-1])[0]]
+    residual = float(residuals[pick])
     return ResidualSummary(
         check_id=check_id,
         status=PASS if residual <= tolerance else FAIL,
         max_abs_residual=residual,
-        worst_point=worst[1],
+        worst_point=tuple(points[pick].tolist()),
         points=len(residuals),
         tolerance=tolerance,
         notes=notes,

@@ -16,7 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import DomainError, Expression
-from .geometry import GeometryError, kulkarni_nomizu
+from .geometry import (
+    GeometryError,
+    covariant_hessian,
+    kulkarni_nomizu,
+    matvec,
+    outer,
+    times,
+)
 from .reporting import gated, normalized_residual, skipped, summarize
 
 __all__ = [
@@ -105,10 +112,11 @@ class SolitonSpec:
                 )
 
 
-def _coeff(c, p):
+def _coeff(c, points):
+    """A scalar parameter's values (N,) at the points."""
     if isinstance(c, Expression):
-        return float(c.evaluate(p))
-    return float(c)
+        return c.evaluate(points)
+    return np.full(len(points), float(c))
 
 
 def classify_lambda(lam, tolerance):
@@ -121,78 +129,78 @@ def classify_lambda(lam, tolerance):
     return "shrinking" if lam > 0 else "expanding"
 
 
-def _eta_at(spec, p):
-    return np.array([float(c.evaluate(p)) for c in spec.eta])
+def _eta_at(spec, points):
+    return np.stack([c.evaluate(points) for c in spec.eta], axis=1)
 
 
-def _unit_eta_at(spec, M, p):
+def _unit_eta_at(spec, M, points):
     """A rescaled so its metric dual is a unit vector, with beta adjusted so
     beta * A (x) A is unchanged."""
-    a = _eta_at(spec, p)
-    ginv = M.metric_at(p)[1]
-    norm_sq = float(a @ ginv @ a)
-    if norm_sq <= 0.0:
+    a = _eta_at(spec, points)
+    ginv = M.metric_at(points)[1]
+    norm_sq = np.einsum("ni,ni->n", matvec(ginv, a), a)
+    if (norm_sq <= 0.0).any():
+        p = points[(norm_sq <= 0.0).argmax()]
         raise SolitonError(f"quasi-Einstein 1-form vanishes at {tuple(p)}")
-    beta = _coeff(spec.beta, p) * norm_sq
-    return a / np.sqrt(norm_sq), beta
+    beta = _coeff(spec.beta, points) * norm_sq
+    return a / np.sqrt(norm_sq)[:, None], beta
 
 
-def _terms_0_2(spec, M, p):
-    """(lhs terms, rhs terms) of the defining (0,2) equation at p."""
+def _terms_0_2(spec, M, points):
+    """(lhs terms, rhs terms) of the defining (0,2) equation."""
     kind = spec.kind
-    g = M.metric_at(p)[0]
+    g = M.metric_at(points)[0]
     if kind == "einstein":
-        return [M.ricci_oracle(p)], [(M.scalar_oracle(p) / M.dim) * g]
+        _, ric, tau = M.curvature(points)
+        return [ric], [times(tau / M.dim, g)]
     if kind == "quasi_einstein":
-        a, beta = _unit_eta_at(spec, M, p)
-        return [M.ricci_oracle(p)], [_coeff(spec.alpha, p) * g,
-                                     beta * np.outer(a, a)]
+        a, beta = _unit_eta_at(spec, M, points)
+        return [M.ricci_oracle(points)], [times(_coeff(spec.alpha, points), g),
+                                          times(beta, outer(a, a))]
 
-    h = M.hessian_field(spec.psi, p)
+    h = M.hessian_field(spec.psi, points)
     if kind == "conformal":
-        return [h], [_coeff(spec.gamma, p) * g]
+        return [h], [times(_coeff(spec.gamma, points), g)]
 
-    lam = _coeff(spec.lam, p)
+    lam = _coeff(spec.lam, points)
     if kind in ("yamabe", "eta_yamabe"):
-        lhs, rhs = [h], [(M.scalar_oracle(p) - lam) * g]
+        lhs, rhs = [h], [times(M.scalar_oracle(points) - lam, g)]
     elif kind in ("ricci", "eta_ricci", "f_almost_ricci",
                   "f_almost_eta_ricci"):
         if kind.startswith("f_almost"):
-            h = _coeff(spec.f_factor, p) * h
-        lhs, rhs = [h, M.ricci_oracle(p)], [lam * g]
+            h = times(_coeff(spec.f_factor, points), h)
+        lhs, rhs = [h, M.ricci_oracle(points)], [times(lam, g)]
     else:
         raise SolitonError(f"no (0,2) form for kind {kind!r}")
     if "eta" in kind:
-        a = _eta_at(spec, p)
-        rhs.append(_coeff(spec.mu, p) * np.outer(a, a))
+        a = _eta_at(spec, points)
+        rhs.append(times(_coeff(spec.mu, points), outer(a, a)))
     return lhs, rhs
 
 
-def _terms_riemann(spec, M, p):
-    """(lhs, rhs) of the (0,4) soliton equation h^psi ^ g + R = lambda G."""
-    g = M.metric_at(p)[0]
-    h = M.hessian_field(spec.psi, p)
-    r4 = M.riemann_oracle(p)
+def _terms_riemann(spec, M, points, g, h):
+    """(lhs, rhs) of the (0,4) soliton equation h^psi ^ g + R = lambda G,
+    given the metric g and the Hessian h of psi."""
+    r4 = M.riemann_oracle(points)
     big_g = 0.5 * kulkarni_nomizu(g, g)
-    return [r4, kulkarni_nomizu(h, g)], [_coeff(spec.lam, p) * big_g]
+    return [r4, kulkarni_nomizu(h, g)], [times(_coeff(spec.lam, points),
+                                                big_g)]
 
 
-def _terms_riemann_contracted(spec, M, p):
+def _terms_riemann_contracted(spec, M, points, g, h):
     """(lhs, rhs) of the contracted form; for m = 2 the degenerate form
     Ric = (lambda - lap psi) g."""
     m = M.dim
-    g = M.metric_at(p)[0]
-    lam = _coeff(spec.lam, p)
-    ric = M.ricci_oracle(p)
-    lap = M.laplacian_field(spec.psi, p)
+    lam = _coeff(spec.lam, points)
+    ric = M.ricci_oracle(points)
+    lap = np.einsum("nij,nij->n", np.linalg.inv(g), h)
     if m == 2:
-        return [ric], [(lam - lap) * g]
-    h = M.hessian_field(spec.psi, p)
-    return [(m - 2) * h, ric], [((m - 1) * lam - lap) * g]
+        return [ric], [times(lam - lap, g)]
+    return [(m - 2) * h, ric], [times((m - 1) * lam - lap, g)]
 
 
 def _equation_residual(lhs, rhs):
-    """Normalized residual of sum(lhs) = sum(rhs)."""
+    """Per-point normalized residuals of sum(lhs) = sum(rhs)."""
     total = lhs[0].copy()
     for t in lhs[1:]:
         total = total + t
@@ -207,21 +215,17 @@ def residual_values(spec, M, points, form="primary"):
     form: "primary" uses the (0,4) equation for kind=riemann; "contracted"
     uses its trace form (only meaningful for kind=riemann).
     """
-    out = []
-    for p in np.atleast_2d(points):
-        if spec.kind == "riemann" and form == "primary" and M.dim >= 3:
-            lhs, rhs = _terms_riemann(spec, M, p)
-        elif spec.kind == "riemann":
-            lhs, rhs = _terms_riemann_contracted(spec, M, p)
-        else:
-            lhs, rhs = _terms_0_2(spec, M, p)
-        out.append(_equation_residual(lhs, rhs))
-    return np.array(out)
+    if spec.kind != "riemann":
+        return _equation_residual(*_terms_0_2(spec, M, points))
+    terms = (_terms_riemann if form == "primary" and M.dim >= 3
+             else _terms_riemann_contracted)
+    g = M.metric_at(points)[0]
+    h = M.hessian_field(spec.psi, points)
+    return _equation_residual(*terms(spec, M, points, g, h))
 
 
 def residual(spec, M, points, tolerance, form="primary", check_id=None):
     """ResidualSummary of the defining soliton equation over sampled points."""
-    points = np.atleast_2d(points)
     values = residual_values(spec, M, points, form=form)
     if check_id is None:
         check_id = f"soliton.{spec.kind}"
@@ -239,21 +243,18 @@ def contraction_consistency(spec, M, points, tolerance):
     potential and lambda (soliton validity is irrelevant)."""
     if M.dim < 3:
         raise SolitonError("contraction consistency requires dim >= 3")
-    points = np.atleast_2d(points)
     m = M.dim
-    values = []
-    for p in points:
-        g, ginv = M.metric_at(p)
-        lhs, rhs = _terms_riemann(spec, M, p)
-        e4 = lhs[0] + lhs[1] - rhs[0]
-        contracted = np.einsum("iw,iyzw->yz", ginv, e4)
-        h = M.hessian_field(spec.psi, p)
-        ric = M.ricci_oracle(p)
-        lam = _coeff(spec.lam, p)
-        lap = M.laplacian_field(spec.psi, p)
-        expected = ric + (m - 2) * h + (lap - (m - 1) * lam) * g
-        values.append(normalized_residual(contracted - expected,
-                                          [contracted, expected]))
+    g, ginv = M.metric_at(points)
+    h = M.hessian_field(spec.psi, points)
+    lhs, rhs = _terms_riemann(spec, M, points, g, h)
+    e4 = lhs[0] + lhs[1] - rhs[0]
+    contracted = np.einsum("niw,niyzw->nyz", ginv, e4)
+    lam = _coeff(spec.lam, points)
+    lap = np.einsum("nij,nij->n", ginv, h)
+    expected = M.ricci_oracle(points) + (m - 2) * h + times(
+        lap - (m - 1) * lam, g)
+    values = normalized_residual(contracted - expected,
+                                 [contracted, expected])
     return summarize("soliton.riemann.contraction", values, points, tolerance)
 
 
@@ -278,52 +279,35 @@ def validate_fields(dwp, specs, psi, points, anchor):
                 value is e for _, e in fields
             ):
                 fields.append((f"soliton[{i}] {key}", value))
-    pts = np.concatenate([np.atleast_2d(points)] + [
+    pts = np.concatenate([points] + [
         dwp.anchored(points, anchor, which) for which in (1, 2)
     ])
     for name, expr in fields:
-        # the value depends on the used coordinates only, so one point per
-        # distinct projection onto them suffices
-        used = [i for i, c in enumerate(expr.coords) if c in expr.variables]
-        _, first = np.unique(pts[:, used], axis=0, return_index=True)
-        for p in pts[np.sort(first)]:
-            try:
-                expr.evaluate(p)
-            except (DomainError, OverflowError) as exc:
-                raise FieldDomainError(
-                    f"{name} = {str(expr)!r} leaves its domain at "
-                    f"{p.tolist()}: {exc}"
-                ) from None
+        try:
+            expr.evaluate(pts)
+        except DomainError as exc:
+            raise FieldDomainError(
+                f"{name} = {str(expr)!r} leaves its domain at "
+                f"{pts[exc.index].tolist()}: {exc}"
+            ) from None
 
 
 # -- induced factor structures ------------------------------------------------
 
 
-def mixed_yamabe_condition(dwp, psi, p):
+def mixed_yamabe_condition(dwp, psi, points):
     """Mixed-block condition forced on a gradient Yamabe soliton: the cross
     Hessian block of psi must vanish, i.e.
     XU(psi) - X(k)U(psi) - X(psi)U(l) = 0 on lifted coordinate fields."""
-    return dwp.hessian_split_closed(psi, "XU", p)
+    return dwp.hessian_split_closed(psi, "XU", points)
 
 
-def mixed_ricci_condition(dwp, psi, p):
+def mixed_ricci_condition(dwp, psi, points):
     """Mixed-block condition forced on a gradient Ricci soliton:
-    (m-2) X(k)U(l) - X(k)U(psi) - X(psi)U(l) + XU(psi) = 0."""
-    d = dwp.point_data(p)
-    jet = dwp.lifted(psi).jet(d.p)
-    m1 = dwp.m1
-    return (
-        (dwp.m - 2) * np.outer(d.dk1, d.dl2)
-        - np.outer(d.dk1, jet.gradient[m1:])
-        - np.outer(jet.gradient[:m1], d.dl2)
-        + jet.hessian[:m1, m1:]
-    )
-
-
-def _opposite_pairing(d, s, psi):
-    """g(grad log f_opp, grad psi) at the point of d."""
-    grad_psi = d.ginv @ psi.jet(d.p).gradient
-    return float(s.dlog_opp_ext @ grad_psi)
+    (m-2) X(k)U(l) - X(k)U(psi) - X(psi)U(l) + XU(psi) = 0, the mixed Ricci
+    block plus the mixed Hessian block of psi."""
+    return (dwp.ricci_closed("XU", points)
+            + dwp.hessian_split_closed(psi, "XU", points))
 
 
 # prose of a failing product-level gate, formatted with its residual
@@ -345,14 +329,14 @@ def _factor_structures(kind, dwp, spec, points, anchor, tolerance, equation,
     """Induced factor structures of one soliton family, gated on the
     product-level residual (in `form`).
 
-    For each factor, `equation(d, s, psi, p)` gives (lhs terms, rhs terms,
-    lambda_i) of the factor's equation at each anchored point p, with d its
-    point data, s = d.side(which) and psi the lifted potential;
-    `notes(s, lambdas)` annotates the factor's summary.  `mixed`, given
-    when FACTOR_CHECKS lists a mixed check, is a (condition(dwp, psi, p),
-    notes) pair whose value must vanish at each sample point."""
+    For each factor, `equation(d, s, jet, pts)` gives (lhs terms, rhs terms,
+    lambda_i) of the factor's equation at the anchored points pts, with d
+    their point data, s = d.side(which) and jet the jet of the lifted
+    potential there (None without one); `notes(s, lambdas)` annotates the
+    factor's summary.  `mixed`, given when FACTOR_CHECKS lists a mixed
+    check, is a (condition(dwp, psi, points), notes) pair whose value must
+    vanish at each sample point."""
     check_id = f"factors.{kind}"
-    points = np.atleast_2d(points)
     gate = residual(spec, dwp.product, points, tolerance, form=form,
                     check_id=f"{check_id}.product")
     results, holds = gated(check_id, gate, _NOT_A_SOLITON,
@@ -362,18 +346,16 @@ def _factor_structures(kind, dwp, spec, points, anchor, tolerance, equation,
     psi = None if spec.psi is None else dwp.lifted(spec.psi)
     for which in (1, 2):
         pts = dwp.anchored(points, anchor, which)
-        values, lams = [], []
-        for p in pts:
-            d = dwp.point_data(p)
-            s = d.side(which)
-            lhs, rhs, lam_i = equation(d, s, psi, p)
-            values.append(_equation_residual(lhs, rhs))
-            lams.append(lam_i)
-        results.append(summarize(f"{check_id}.factor{which}", values, pts,
-                                 tolerance, notes=notes(s, lams)))
+        d = dwp.point_data(pts)
+        s = d.side(which)
+        jet = None if psi is None else psi.jet(pts)
+        lhs, rhs, lam_i = equation(d, s, jet, pts)
+        results.append(summarize(f"{check_id}.factor{which}",
+                                 _equation_residual(lhs, rhs), pts,
+                                 tolerance, notes=notes(s, lam_i)))
     if mixed is not None:
         condition, mixed_notes = mixed
-        values = [float(np.abs(condition(dwp, psi, p)).max()) for p in points]
+        values = np.abs(condition(dwp, psi, points)).max(axis=(1, 2))
         results.append(summarize(f"{check_id}.mixed", values, points,
                                  tolerance, notes=mixed_notes))
     return results
@@ -384,22 +366,22 @@ def yamabe_factor_structures(dwp, spec, points, anchor, tolerance):
     factor restriction is a gradient almost Yamabe soliton, and the mixed
     Hessian block of psi vanishes."""
 
-    def equation(d, s, psi, p):
+    def equation(d, s, jet, pts):
         s1, s2 = d.sides
         # the Laplacian sums are symmetric in the factors: one fixed order
         lam_i = (
             -(s.f_opp**2 / s.f_own**2) * s.tau_opp
-            + s.f_opp**2 * (_coeff(spec.lam, p) + _opposite_pairing(d, s, psi)
+            + s.f_opp**2 * (_coeff(spec.lam, pts)
+                            + s.opposite_pairing(jet.gradient)
                             + dwp.m1 * d.lap_l + dwp.m2 * d.lap_k)
             + (dwp.m2 * d.f1 * s1.lap_f + dwp.m1 * d.f2 * s2.lap_f)
             / s.f_own**2
         )
-        lhs = dwp.factor_hessian(s.which, psi, p)
-        return [lhs], [(s.tau_own - lam_i) * s.g], lam_i
+        return [s.hessian(jet)], [times(s.tau_own - lam_i, s.g)], lam_i
 
     def notes(s, lams):
         return (f"gradient almost Yamabe soliton on factor {s.which}; "
-                f"lambda spread over samples = {max(lams) - min(lams):.3e}")
+                f"lambda spread over samples = {lams.max() - lams.min():.3e}")
 
     return _factor_structures(
         "yamabe", dwp, spec, points, anchor, tolerance, equation, notes,
@@ -408,14 +390,14 @@ def yamabe_factor_structures(dwp, spec, points, anchor, tolerance):
     )
 
 
-def _eta_ricci_terms(dwp, s, hessian_coefficient, lam_i, psi, p):
+def _eta_ricci_terms(s, hessian_coefficient, lam_i, jet):
     """(lhs, rhs, lambda_i) of the factor's gradient almost eta-Ricci
     equation with potential phi_i, h^phi_i = c h_i^psi - m_opp h_i^log f_own:
     Ric_i + h^phi_i = lambda_i g_i + m_opp d(log f_own) (x) d(log f_own)."""
-    h_phi = (hessian_coefficient * dwp.factor_hessian(s.which, psi, p)
-             - s.m_opp * s.h_log)
+    h_phi = hessian_coefficient * s.hessian(jet) - s.m_opp * s.h_log
     return ([s.ric, h_phi],
-            [lam_i * s.g, s.m_opp * np.outer(s.dlog_own, s.dlog_own)], lam_i)
+            [times(lam_i, s.g), s.m_opp * outer(s.dlog_own, s.dlog_own)],
+            lam_i)
 
 
 def ricci_factor_structures(dwp, spec, points, anchor, tolerance):
@@ -423,10 +405,10 @@ def ricci_factor_structures(dwp, spec, points, anchor, tolerance):
     gradient almost eta-Ricci soliton with potential phi_i and eta the
     differential of the log-warping, plus a mixed-derivative condition."""
 
-    def equation(d, s, psi, p):
-        lam_i = s.f_opp**2 * (_coeff(spec.lam, p) + s.lap_opp
-                              - _opposite_pairing(d, s, psi))
-        return _eta_ricci_terms(dwp, s, 1, lam_i, psi, p)
+    def equation(d, s, jet, pts):
+        lam_i = s.f_opp**2 * (_coeff(spec.lam, pts) + s.lap_opp
+                              - s.opposite_pairing(jet.gradient))
+        return _eta_ricci_terms(s, 1, lam_i, jet)
 
     def notes(s, lams):
         return (f"gradient almost eta-Ricci soliton on factor {s.which} with "
@@ -452,13 +434,14 @@ def riemann_factor_structures(dwp, spec, points, anchor, tolerance):
             for s in FACTOR_CHECKS["riemann"]
         ]
 
-    def equation(d, s, psi, p):
+    def equation(d, s, jet, pts):
+        lap_psi = np.einsum("nij,nij->n", d.ginv,
+                            covariant_hessian(d.gamma, jet))
         lam_i = s.f_opp**2 * (
-            (m - 1) * _coeff(spec.lam, p) + s.lap_opp
-            - dwp.product.laplacian_field(psi, p)
-            - (m - 2) * _opposite_pairing(d, s, psi)
+            (m - 1) * _coeff(spec.lam, pts) + s.lap_opp - lap_psi
+            - (m - 2) * s.opposite_pairing(jet.gradient)
         )
-        return _eta_ricci_terms(dwp, s, m - 2, lam_i, psi, p)
+        return _eta_ricci_terms(s, m - 2, lam_i, jet)
 
     def notes(s, lams):
         return (f"gradient almost eta-Ricci soliton on factor {s.which}; the "
@@ -476,19 +459,18 @@ def quasi_einstein_factor_structures(dwp, spec, points, anchor, tolerance):
     """Factor consequences of a quasi-Einstein product: each factor carries a
     gradient f-almost eta-Ricci soliton with f = -(opposite dim)/(own warping)
     and eta the restriction of the (unit-normalized) generator 1-form."""
-    for p in np.atleast_2d(points):
-        if abs(_coeff(spec.beta, p)) <= tolerance:
-            raise SolitonError(
-                "beta vanishes at a sampled point: the condition degenerates "
-                "to an Einstein manifold; rerun with kind=einstein"
-            )
+    if (np.abs(_coeff(spec.beta, points)) <= tolerance).any():
+        raise SolitonError(
+            "beta vanishes at a sampled point: the condition degenerates "
+            "to an Einstein manifold; rerun with kind=einstein"
+        )
 
-    def equation(d, s, psi, p):
-        a, beta = _unit_eta_at(spec, dwp.product, p)
-        a_i = a[s.own]
-        lam_i = s.f_opp**2 * (_coeff(spec.alpha, p) + s.lap_opp)
-        return ([(-s.m_opp / s.f_own) * s.h_f, s.ric],
-                [lam_i * s.g, beta * np.outer(a_i, a_i)], lam_i)
+    def equation(d, s, jet, pts):
+        a, beta = _unit_eta_at(spec, dwp.product, pts)
+        a_i = a[:, s.own]
+        lam_i = s.f_opp**2 * (_coeff(spec.alpha, pts) + s.lap_opp)
+        return ([times(-s.m_opp / s.f_own, s.h_f), s.ric],
+                [times(lam_i, s.g), times(beta, outer(a_i, a_i))], lam_i)
 
     def notes(s, lams):
         return (f"gradient f-almost eta-Ricci soliton on factor {s.which} "
@@ -503,13 +485,9 @@ def quasi_einstein_factor_structures(dwp, spec, points, anchor, tolerance):
 def log_hessian_identity(factor, f, points, tolerance):
     """Numeric identity (1/f) hess(f) = hess(log f) + (1/f^2) df (x) df on a
     single chart, used when rewriting factor Hessians of warpings."""
-    points = np.atleast_2d(points)
-    logf = f.apply("log")
-    values = []
-    for p in points:
-        fv = float(f.evaluate(p))
-        df = f.jet(p).gradient
-        lhs = factor.hessian_field(f, p) / fv
-        rhs = factor.hessian_field(logf, p) + np.outer(df, df) / fv**2
-        values.append(_equation_residual([lhs], [rhs]))
-    return summarize("identity.log_hessian", values, points, tolerance)
+    jet = f.jet(points)
+    lhs = factor.hessian_field(f, points) / jet.value[:, None, None]
+    rhs = (factor.hessian_field(f.apply("log"), points)
+           + outer(jet.gradient, jet.gradient) / (jet.value**2)[:, None, None])
+    return summarize("identity.log_hessian", _equation_residual([lhs], [rhs]),
+                     points, tolerance)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dwp import DimensionError, wedge_operator
-from .geometry import kulkarni_nomizu
+from .geometry import kulkarni_nomizu, outer, times
 from .reporting import gated, normalized_residual, summarize
 
 __all__ = [
@@ -36,51 +36,50 @@ CONHARMONIC_CLASSES = ("XYZ", "UVW")
 # -- oracles -------------------------------------------------------------------
 
 
-def concircular_oracle(M, p):
+def concircular_oracle(M, points):
     """Fully covariant concircular tensor, assembled from the curvature
     oracle; vanishes on constant-curvature spaces."""
     if M.dim < 2:
         raise DimensionError("concircular tensor requires dim >= 2")
-    r4 = M.riemann_oracle(p)
-    g = M.metric_at(p)[0]
-    tau = M.scalar_oracle(p)
+    r4, _, tau = M.curvature(points)
+    g = M.metric_at(points)[0]
     big_g = 0.5 * kulkarni_nomizu(g, g)
-    return r4 - (tau / (M.dim * (M.dim - 1))) * big_g
+    return r4 - times(tau / (M.dim * (M.dim - 1)), big_g)
 
 
-def conharmonic_oracle(M, p):
+def conharmonic_oracle(M, points):
     """Fully covariant conharmonic tensor; vanishes exactly on conformally
     flat scalar-flat spaces."""
     if M.dim < 3:
         raise DimensionError("conharmonic tensor requires dim >= 3")
-    r4 = M.riemann_oracle(p)
-    g = M.metric_at(p)[0]
-    ric = M.ricci_oracle(p)
+    r4, ric, _ = M.curvature(points)
+    g = M.metric_at(points)[0]
     return r4 - kulkarni_nomizu(ric, g) / (M.dim - 2)
 
 
 # -- closed forms on doubly warped products -------------------------------------
 
 
-def _scalar_coefficient(dwp, p):
+def _scalar_coefficient(dwp, points):
     """tau/(m(m-1)) with tau the product scalar curvature."""
-    return dwp.product.scalar_oracle(p) / (dwp.m * (dwp.m - 1))
+    return dwp.product.scalar_oracle(points) / (dwp.m * (dwp.m - 1))
 
 
-def concircular_closed(dwp, p):
-    """Closed-form concircular tensor C[i, j, k, c] = (C(d_i, d_j) d_k)^c: the
-    curvature splitting minus the scalar part c G with c = tau/(m(m-1)) and
-    G_{AB}Z = g(B,Z)A - g(A,Z)B."""
-    c = _scalar_coefficient(dwp, p)
-    g = dwp.point_data(p).g
-    return dwp.riemann_closed(p) - c * wedge_operator(g, np.eye(dwp.m))
+def concircular_closed(dwp, points):
+    """Closed-form concircular tensor C[n, i, j, k, c] = (C(d_i, d_j) d_k)^c:
+    the curvature splitting minus the scalar part c G with c = tau/(m(m-1))
+    and G_{AB}Z = g(B,Z)A - g(A,Z)B."""
+    c = _scalar_coefficient(dwp, points)
+    g = dwp.product.metric_at(points)[0]
+    return dwp.riemann_closed(points) - times(
+        c, wedge_operator(g, np.eye(dwp.m)))
 
 
-def conharmonic_closed(dwp, klass, p):
-    """Closed-form conharmonic block for same-factor lifted inputs (klass XYZ
-    or UVW), as out[a, b, z, c] = (H(d_a, d_b) d_z)^c over the product chart;
-    the mixed patterns have no closed splitting and are covered by the oracle
-    only.
+def conharmonic_closed(dwp, points):
+    """Closed-form conharmonic blocks for same-factor lifted inputs, as
+    {klass: out} for klass XYZ and UVW with out[n, a, b, z, c] =
+    (H(d_a, d_b) d_z)^c over the product chart; the mixed patterns have no
+    closed splitting and are covered by the oracle only.
 
     Besides the tangential Ricci-operator insertions, the mixed Ricci block
     contributes a normal part: applying the full Ricci operator to a lifted
@@ -91,70 +90,68 @@ def conharmonic_closed(dwp, klass, p):
     """
     if dwp.m < 3:
         raise DimensionError("conharmonic tensor requires dim >= 3")
-    if klass not in CONHARMONIC_CLASSES:
-        raise ValueError(f"unknown conharmonic class {klass!r}")
-    d = dwp.point_data(p)
-    s = d.side(1 if klass == "XYZ" else 2)
-    ricci_class = klass[0] * 2  # XX or UU
-    own = s.own
-    g_own = d.g[own, own]
-    ric = dwp.ricci_closed(ricci_class, p)
-    ric_op = dwp.ricci_operator_closed(ricci_class, p)
-    # g(B,Z) Q(A) - g(A,Z) Q(B) + Ric(B,Z) A - Ric(A,Z) B, Q the Ricci operator
-    bracket = wedge_operator(g_own, ric_op.T @ s.lift_own) + wedge_operator(
-        ric, s.lift_own
-    )
-    normal = wedge_operator(g_own, np.outer(s.dlog_own, s.grad_opp))
-    return dwp.riemann_closed(p)[own, own, own] - bracket / (dwp.m - 2) - normal
+    d = dwp.point_data(points)
+    curvature = dwp.riemann_closed(points)
+    out = {}
+    for klass, s in zip(CONHARMONIC_CLASSES, d.sides):
+        ricci_class = klass[0] * 2  # XX or UU
+        own = s.own
+        g_own = d.g[:, own, own]
+        ric = dwp.ricci_closed(ricci_class, points)
+        ric_op = dwp.ricci_operator_closed(ricci_class, points)
+        # g(B,Z) Q(A) - g(A,Z) Q(B) + Ric(B,Z) A - Ric(A,Z) B, Q the Ricci
+        # operator
+        bracket = wedge_operator(
+            g_own, ric_op.transpose(0, 2, 1) @ s.lift_own
+        ) + wedge_operator(ric, s.lift_own)
+        normal = wedge_operator(g_own, outer(s.dlog_own, s.grad_opp))
+        out[klass] = (curvature[:, own, own, own] - bracket / (dwp.m - 2)
+                      - normal)
+    return out
 
 
 # -- factor traces and flatness consequences ------------------------------------
 
 
-def factor_block_trace(dwp, tensor4, which, p):
+def factor_block_trace(dwp, tensor4, which, points):
     """Trace of a (0,4) tensor's same-factor block against the factor metric:
     sum over a factor-orthonormal frame of the factor pairing of T_{e Y}Z
     with e.  This is the contraction used to pass from component identities
     to factor Ricci statements."""
-    s = dwp.point_data(p).side(which)
+    s = dwp.point_data(points).side(which)
     own = s.own
-    block = tensor4[own, own, own, own]
-    return np.einsum("xt,xyzt->yz", s.ginv, block) / s.f_opp**2
+    block = tensor4[:, own, own, own, own]
+    return np.einsum("nxt,nxyzt->nyz", s.ginv, block) / (
+        s.f_opp**2)[:, None, None]
 
 
-def _opposite_gradient_sq(d, s):
-    """g(grad log f_opp, grad log f_opp) on the product."""
-    return float(s.dlog_opp_ext @ d.ginv @ s.dlog_opp_ext)
-
-
-def einstein_defect(dwp, which, p):
+def einstein_defect(dwp, which, points):
     """(factor Ricci) - mu_i (factor metric) with the Einstein constant
     implied by concircular flatness:
     mu_i = f_opp^2 (m_i - 1)(g(grad log f_opp, grad log f_opp) + tau/(m(m-1))).
     Identically equal to the factor-block trace of the concircular tensor."""
-    d = dwp.point_data(p)
-    s = d.side(which)
-    c = _scalar_coefficient(dwp, p)
-    mu = s.f_opp**2 * (s.m_own - 1) * (_opposite_gradient_sq(d, s) + c)
-    return s.ric - mu * s.g, mu
+    s = dwp.point_data(points).side(which)
+    c = _scalar_coefficient(dwp, points)
+    grad_sq = s.opposite_pairing(s.dlog_opp_ext)  # |grad log f_opp|^2
+    mu = s.f_opp**2 * (s.m_own - 1) * (grad_sq + c)
+    return s.ric - times(mu, s.g), mu
 
 
-def f_almost_defect(dwp, which, p):
+def f_almost_defect(dwp, which, points):
     """f h^{f_i} + (factor Ricci) - lambda_i (factor metric) with the
     coefficients implied by conharmonic flatness:
     lambda_i as quoted for the flatness theorem and f = (m_i - 2)/f_i.
     Identically equal to (m_j/(m-2)) times the factor-block trace of the
     conharmonic tensor."""
-    d = dwp.point_data(p)
-    s = d.side(which)
+    s = dwp.point_data(points).side(which)
     lam = (s.f_opp**2 / s.m_opp) * (
         s.tau_own / s.f_opp**2
         - (s.m_opp / (s.f_own * s.f_opp**2)) * s.lap_f
-        + (s.m_own - 1) * ((dwp.m - 2) * _opposite_gradient_sq(d, s)
+        + (s.m_own - 1) * ((dwp.m - 2) * s.opposite_pairing(s.dlog_opp_ext)
                            - 2 * s.lap_opp)
     )
     f = (s.m_own - 2) / s.f_own
-    return f * s.h_f + s.ric - lam * s.g, lam, f
+    return times(f, s.h_f) + s.ric - times(lam, s.g), lam, f
 
 
 # flatness is a hypothesis, not a claim: a non-flat input skips the
@@ -163,16 +160,18 @@ def f_almost_defect(dwp, which, p):
 _NOT_FLAT = "skipped: hypothesis fails (max tensor norm = {:.3e})"
 
 
+def _max_norms(tensor):
+    """Per point: the largest absolute component."""
+    return np.abs(tensor).reshape(len(tensor), -1).max(axis=1)
+
+
 def _dichotomy(dwp, points, tolerance):
     """Branches forced by vanishing mixed components, per factor as (note,
     value): each log-warping differential must vanish, or the opposing
     factor's differential spans a degenerate 2-plane field (automatic in
     dimension one)."""
-    largest = [
-        max(float(np.abs(dwp.point_data(p).side(which).dlog_own).max())
-            for p in np.atleast_2d(points))
-        for which in (1, 2)
-    ]
+    d = dwp.point_data(points)
+    largest = [float(np.abs(s.dlog_own).max()) for s in d.sides]
     out = []
     for own, opp, m_own, name in ((0, 1, dwp.m1, "first"),
                                   (1, 0, dwp.m2, "second")):
@@ -195,9 +194,7 @@ def concircular_flat_consequences(dwp, points, anchor, tolerance):
     vacuous) and flagged in the notes.
     """
     check_id = "concircular"
-    points = np.atleast_2d(points)
-    norms = [float(np.abs(concircular_oracle(dwp.product, p)).max())
-             for p in points]
+    norms = _max_norms(concircular_oracle(dwp.product, points))
     results, flat = gated(
         check_id, summarize(f"{check_id}.flat", norms, points, tolerance),
         _NOT_FLAT, ("einstein1", "einstein2", "dichotomy"),
@@ -206,15 +203,12 @@ def concircular_flat_consequences(dwp, points, anchor, tolerance):
         return results
     for which in (1, 2):
         pts = dwp.anchored(points, anchor, which)
-        values, mus = [], []
-        for p in pts:
-            s = dwp.point_data(p).side(which)
-            defect, mu = einstein_defect(dwp, which, p)
-            values.append(normalized_residual(defect, [s.ric, mu * s.g]))
-            mus.append(mu)
+        s = dwp.point_data(pts).side(which)
+        defect, mu = einstein_defect(dwp, which, pts)
+        values = normalized_residual(defect, [s.ric, times(mu, s.g)])
         notes = (
-            f"Einstein constant mu = {mus[0] + 0.0:.6g}, "
-            f"spread over samples = {max(mus) - min(mus):.3e}"
+            f"Einstein constant mu = {mu[0] + 0.0:.6g}, "
+            f"spread over samples = {mu.max() - mu.min():.3e}"
         )
         if s.m_own == 1:
             notes += "; factor dimension 1 is outside the stated hypothesis " \
@@ -243,9 +237,7 @@ def conharmonic_flat_consequences(dwp, points, anchor, tolerance):
     check_id = "conharmonic"
     if dwp.m < 3:
         raise DimensionError("conharmonic tensor requires dim >= 3")
-    points = np.atleast_2d(points)
-    norms = [float(np.abs(conharmonic_oracle(dwp.product, p)).max())
-             for p in points]
+    norms = _max_norms(conharmonic_oracle(dwp.product, points))
     results, flat = gated(
         check_id, summarize(f"{check_id}.flat", norms, points, tolerance),
         _NOT_FLAT, ("soliton1", "soliton2"),
@@ -254,17 +246,13 @@ def conharmonic_flat_consequences(dwp, points, anchor, tolerance):
         return results
     for which in (1, 2):
         pts = dwp.anchored(points, anchor, which)
-        values, lams = [], []
-        for p in pts:
-            s = dwp.point_data(p).side(which)
-            defect, lam, f = f_almost_defect(dwp, which, p)
-            values.append(
-                normalized_residual(defect, [f * s.h_f, s.ric, lam * s.g])
-            )
-            lams.append(lam)
+        s = dwp.point_data(pts).side(which)
+        defect, lam, f = f_almost_defect(dwp, which, pts)
+        values = normalized_residual(
+            defect, [times(f, s.h_f), s.ric, times(lam, s.g)])
         notes = (
             f"gradient f-almost Ricci soliton with f = (m_i - 2)/f_i; "
-            f"lambda spread over samples = {max(lams) - min(lams):.3e}"
+            f"lambda spread over samples = {lam.max() - lam.min():.3e}"
         )
         if s.m_own == 1:
             notes += "; factor dimension 1 is outside the stated hypothesis"

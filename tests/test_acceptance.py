@@ -90,9 +90,9 @@ def test_criterion_02_ricci_and_scalar_splitting(
             if summary.status != PASS:
                 report(2, False, f"{name}:{summary.check_id}")
         for p in pts:
-            d = dwp.point_data(p)
-            mixed = dwp.product.ricci_oracle(p)[: dwp.m1, dwp.m1:]
-            expected = (dwp.m - 2) * np.outer(d.dk1, d.dl2)
+            d = dwp.point_data(p[None])
+            mixed = dwp.product.ricci_oracle(p[None])[0][: dwp.m1, dwp.m1:]
+            expected = (dwp.m - 2) * np.outer(d.dk1[0], d.dl2[0])
             err = np.abs(mixed - expected).max()
             worst = max(worst, err)
     report(2, worst <= 1e-8, f"worst residual {worst:.3e}")
@@ -152,7 +152,8 @@ def test_criterion_04_model_solitons():
         if summary.status != PASS:
             report(4, False, f"hyperbolic n={n} einstein")
         tau_err = max(
-            abs(hyp.product.scalar_oracle(p) + n * (n - 1)) for p in pts
+            abs(hyp.product.scalar_oracle(p[None])[0] + n * (n - 1))
+            for p in pts
         )
         if tau_err > 1e-6:
             report(4, False, f"hyperbolic n={n} tau error {tau_err:.3e}")
@@ -218,7 +219,7 @@ def test_criterion_07_concircular():
     ):
         for p in seeded_points(chart, 10, box=box):
             worst_cc = max(
-                worst_cc, np.abs(concircular_oracle(chart, p)).max()
+                worst_cc, np.abs(concircular_oracle(chart, p[None])[0]).max()
             )
     if worst_cc > 1e-9:
         report(7, False, f"constant-curvature norm {worst_cc:.3e}")
@@ -260,7 +261,7 @@ def test_criterion_08_conharmonic(corpus_products, corpus_points):
     surfaces."""
     chart = flat_chart(("x", "y", "z"))
     for p in seeded_points(chart, 10):
-        if np.abs(conharmonic_oracle(chart, p)).max() != 0.0:
+        if np.abs(conharmonic_oracle(chart, p[None])[0]).max() != 0.0:
             report(8, False, "flat space not conharmonically flat")
     worst = 0.0
     for name, dwp in corpus_products.items():
@@ -275,7 +276,7 @@ def test_criterion_08_conharmonic(corpus_products, corpus_points):
                 if summary.status != PASS:
                     report(8, False, f"{name}:{summary.check_id}")
     try:
-        conharmonic_oracle(sphere_chart(), (0.8, 0.4))
+        conharmonic_oracle(sphere_chart(), [(0.8, 0.4)])
         report(8, False, "dimension guard missing")
     except DimensionError:
         pass

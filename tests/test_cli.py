@@ -155,6 +155,13 @@ class TestExitStatuses:
          'metric = [["1", "0"], ["0", "1"]]\nwarping = "exp(x)"\n\n'
          '[factor.2]', ["--box=0,1e308"],
          ["metric entry [2][2] = ", "leaves its domain at ["]),
+        # overflow of ^, sinh and cosh in a second-factor warping
+        *[('metric = [["1", "0"], ["0", "1"]]\n\n[potential]',
+           f'metric = [["1", "0"], ["0", "1"]]\nwarping = "{warping}"\n\n'
+           '[potential]', ["--box=0,1e200"],
+           ["metric entry [0][0] = ", "leaves its domain at [",
+            f"overflow in '{warping}'"])
+          for warping in ("t^2", "sinh(t)", "cosh(t)")],
     ])
     def test_metric_or_warping_leaving_its_domain_exits_two(
         self, tmp_path, capsys, old, new, args, needles
@@ -165,6 +172,17 @@ class TestExitStatuses:
         assert err.startswith("error: ")
         for needle in needles:
             assert needle in err
+
+    def test_ill_conditioned_anchored_set_exits_two(self, tmp_path, capsys):
+        # well conditioned on the box, singular where the anchor puts x = 0
+        spec = write(tmp_path, PASSING_SPEC.replace(
+            'metric = [["1", "0"], ["0", "1"]]',
+            'metric = [["x^2", "0"], ["0", "1"]]', 1), "cond.spec")
+        args = ["--box=0.5,1", "--anchor=0,0.7,0.7,0.7", "--checks", "scalar"]
+        assert main(["verify", spec] + args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: anchored restriction set of factor 2")
+        assert "at [0.0, 0.7, " in err
 
     @pytest.mark.parametrize("args, needle", [
         (["--box=-inf,inf"], "box interval [-inf, inf] must be finite"),

@@ -46,21 +46,21 @@ def samples(products):
 def reference_riemann(dwp, p):
     """(R(d_i, d_j) d_k)^c from the six class formulas, one index triple at
     a time on unit vectors; the loop form of the block tensor."""
-    d = dwp.point_data(p)
+    d = dwp.point_data(p[None])
     m1, m = dwp.m1, dwp.m
     e = np.eye(m)
-    dk, dl = d.dk1_ext, d.dl2_ext
+    dk, dl = d.dk1_ext[0], d.dl2_ext[0]
     s1, s2 = d.sides
     factors = (
-        (dwp.factor1.riemann_oracle(s1.point), s1.ginv, 0),
-        (dwp.factor2.riemann_oracle(s2.point), s2.ginv, m1),
+        (dwp.factor1.riemann_oracle(s1.point)[0], s1.ginv[0], 0),
+        (dwp.factor2.riemann_oracle(s2.point)[0], s2.ginv[0], m1),
     )
 
     def fac(i):
         return 1 if i < m1 else 2
 
     def g(a, b):
-        return e[a] @ d.g @ e[b]
+        return e[a] @ d.g[0] @ e[b]
 
     def factor_curvature(i, j, k):
         r4, ginv, off = factors[fac(i) - 1]
@@ -75,10 +75,10 @@ def reference_riemann(dwp, p):
             return -vec(j, i, k)
         if pattern == (1, 1, 1):  # XYZ
             return (factor_curvature(i, j, k)
-                    + g(i, k) * (d.Hl @ e[j]) - g(j, k) * (d.Hl @ e[i]))
+                    + g(i, k) * (d.Hl[0] @ e[j]) - g(j, k) * (d.Hl[0] @ e[i]))
         if pattern == (2, 2, 2):  # UVW
             return (factor_curvature(i, j, k)
-                    + g(i, k) * (d.Hk @ e[j]) - g(j, k) * (d.Hk @ e[i]))
+                    + g(i, k) * (d.Hk[0] @ e[j]) - g(j, k) * (d.Hk[0] @ e[i]))
         if pattern == (1, 1, 2):  # XYU
             return dl[k] * (dk[j] * e[i] - dk[i] * e[j])
         if pattern == (2, 2, 1):  # UVX
@@ -86,15 +86,15 @@ def reference_riemann(dwp, p):
         if pattern == (1, 2, 1):  # XUY
             x, u, y = i, j, k
             return (
-                (s1.h_log[x, y] + dk[x] * dk[y]) * e[u]
+                (s1.h_log[0, x, y] + dk[x] * dk[y]) * e[u]
                 + dk[y] * dl[u] * e[x]
-                + g(x, y) * (d.Hl @ e[u] + dl[u] * d.grad_l)
+                + g(x, y) * (d.Hl[0] @ e[u] + dl[u] * d.grad_l[0])
             )
         u, x, v = i, j, k  # UXV
         return (
-            (s2.h_log[u - m1, v - m1] + dl[u] * dl[v]) * e[x]
+            (s2.h_log[0, u - m1, v - m1] + dl[u] * dl[v]) * e[x]
             + dl[v] * dk[x] * e[u]
-            + g(u, v) * (d.Hk @ e[x] + dk[x] * d.grad_k)
+            + g(u, v) * (d.Hk[0] @ e[x] + dk[x] * d.grad_k[0])
         )
 
     out = np.zeros((m, m, m, m))
@@ -112,7 +112,7 @@ class TestRiemannSplitting:
     ):
         dwp = products[name]
         for p in samples[name][:4]:
-            block = dwp.riemann_closed(p)
+            block = dwp.riemann_closed(p[None])[0]
             reference = reference_riemann(dwp, p)
             scale = np.maximum(1.0, np.abs(reference))
             assert np.all(np.abs(block - reference) <= 1e-13 * scale)
@@ -127,14 +127,14 @@ class TestRiemannSplitting:
         for name in ("e2xe1", "sxh"):
             dwp = products[name]
             for p in samples[name][:4]:
-                closed = dwp.covariant_closed(p)
-                oracle = dwp.product.christoffel(p)
+                closed = dwp.covariant_closed(p[None])[0]
+                oracle = dwp.product.christoffel(p[None])[0]
                 assert np.allclose(closed, oracle, atol=1e-10)
 
     def test_first_bianchi_on_reconstructed_tensor(self, products, samples):
         dwp = products["e2xe1"]
         for p in samples["e2xe1"][:4]:
-            r4 = dwp.riemann_closed_tensor(p)
+            r4 = dwp.riemann_closed_tensor(p[None])[0]
             bianchi = (
                 r4
                 + np.transpose(r4, (1, 2, 0, 3))
@@ -158,9 +158,9 @@ class TestRicciAndScalar:
         # Ric(X, U) = (m - 2) X(k) U(l) on coordinate lifts
         dwp = products["e2xe1"]
         for p in samples["e2xe1"][:5]:
-            d = dwp.point_data(p)
-            expected = (dwp.m - 2) * np.outer(d.dk1, d.dl2)
-            oracle = dwp.product.ricci_oracle(p)[: dwp.m1, dwp.m1:]
+            d = dwp.point_data(p[None])
+            expected = (dwp.m - 2) * np.outer(d.dk1[0], d.dl2[0])
+            oracle = dwp.product.ricci_oracle(p[None])[0][: dwp.m1, dwp.m1:]
             assert np.allclose(oracle, expected, atol=1e-10)
 
     @pytest.mark.parametrize("name", ["direct", "warped", "e2xe1"])
@@ -191,8 +191,8 @@ class TestHessianAndLaplacian:
         dwp = products["e2xe1"]
         psi = parse_expression("x*y + x*t + t^2", dwp.coords)
         for p in samples["e2xe1"][:5]:
-            closed = dwp.hessian_split_closed(psi, "XU", p)
-            oracle = dwp.product.hessian_field(psi, p)[
+            closed = dwp.hessian_split_closed(psi, "XU", p[None])[0]
+            oracle = dwp.product.hessian_field(psi, p[None])[0][
                 : dwp.m1, dwp.m1:
             ]
             assert np.allclose(closed, oracle, atol=1e-10)
@@ -237,6 +237,18 @@ class TestStructure:
         with pytest.raises(WarpingError):
             dwp.validate_warpings([[-0.5, 0.2]])
 
+    def test_warping_error_names_the_first_failing_point(self):
+        # f1 leaves its domain at the third point, f2 is negative at the
+        # second: points are checked in order, both warpings at each
+        f1c = flat_chart(("x",))
+        f2c = flat_chart(("t",))
+        dwp = DoublyWarpedProduct(
+            f1c, f2c, parse_expression("sqrt(x)", f1c.coords),
+            parse_expression("t", f2c.coords),
+        )
+        with pytest.raises(WarpingError, match=r"f2 nonpositive at \[-0.5\]"):
+            dwp.validate_warpings([[1.0, 1.0], [1.0, -0.5], [-1.0, 1.0]])
+
     def test_classification_predicates(self):
         direct = corpus()["direct"]
         warped = singly_warped_product()
@@ -250,10 +262,11 @@ class TestStructure:
     def test_metric_block_structure(self):
         dwp = e2xe1_product()
         p = np.array([0.3, -0.2, 0.7])
-        d = dwp.point_data(p)
-        assert np.allclose(d.g[: dwp.m1, : dwp.m1], d.f2**2 * d.side(1).g)
-        assert np.allclose(d.g[dwp.m1:, dwp.m1:], d.f1**2 * d.side(2).g)
-        assert np.abs(d.g[: dwp.m1, dwp.m1:]).max() == 0.0
+        d = dwp.point_data(p[None])
+        g = d.g[0]
+        assert np.allclose(g[: dwp.m1, : dwp.m1], d.f2[0]**2 * d.side(1).g[0])
+        assert np.allclose(g[dwp.m1:, dwp.m1:], d.f1[0]**2 * d.side(2).g[0])
+        assert np.abs(g[: dwp.m1, dwp.m1:]).max() == 0.0
 
 
 # two non-flat factors with non-constant warpings: (coords, metric, warping)
@@ -298,16 +311,16 @@ class TestFactorMirror:
             q = p[swap]
             for which, klass in ((1, "XX"), (2, "UU")):
                 other, mirror = 3 - which, "UU" if klass == "XX" else "XX"
-                assert_mirrored(a.ricci_closed(klass, p),
-                                b.ricci_closed(mirror, q))
-                assert_mirrored(a.ricci_operator_closed(klass, p),
-                                b.ricci_operator_closed(mirror, q))
-                assert_mirrored(einstein_defect(a, which, p)[0],
-                                einstein_defect(b, other, q)[0])
-                assert_mirrored(f_almost_defect(a, which, p)[0],
-                                f_almost_defect(b, other, q)[0])
-            assert_mirrored(a.laplacian_split("k", p),
-                            b.laplacian_split("l", q))
+                assert_mirrored(a.ricci_closed(klass, p[None])[0],
+                                b.ricci_closed(mirror, q[None])[0])
+                assert_mirrored(a.ricci_operator_closed(klass, p[None])[0],
+                                b.ricci_operator_closed(mirror, q[None])[0])
+                assert_mirrored(einstein_defect(a, which, p[None])[0][0],
+                                einstein_defect(b, other, q[None])[0][0])
+                assert_mirrored(f_almost_defect(a, which, p[None])[0][0],
+                                f_almost_defect(b, other, q[None])[0][0])
+            assert_mirrored(a.laplacian_split("k", p[None]),
+                            b.laplacian_split("l", q[None]))
 
     def test_ricci_factor_structures(self, pair):
         a, b, pts, swap = pair

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from conftest import expr_chart, flat_chart, hyperbolic_plane_chart, sphere_chart
 from dwpcheck.expr import parse_expression
-from dwpcheck.geometry import GeometryError, kulkarni_nomizu, sample_points
+from dwpcheck.geometry import (
+    GeometryError,
+    MetricError,
+    kulkarni_nomizu,
+    sample_points,
+)
 
 
 def constant_curvature_tensor(g, kappa):
@@ -21,40 +26,41 @@ class TestOracleOnSpaceForms:
         chart = sphere_chart(radius=radius)
         kappa = 1.0 / radius**2
         for p in [(0.7, 0.3), (1.2, -0.5), (2.0, 1.0)]:
-            g = chart.metric_at(p)[0]
-            r4 = chart.riemann_oracle(p)
+            g = chart.metric_at([p])[0][0]
+            r4 = chart.riemann_oracle([p])[0]
             assert r4 == pytest.approx(
                 constant_curvature_tensor(g, kappa), abs=1e-9
             )
-            assert chart.scalar_oracle(p) == pytest.approx(
+            assert chart.scalar_oracle([p])[0] == pytest.approx(
                 2.0 * kappa, abs=1e-9
             )
-            ric = chart.ricci_oracle(p)
+            ric = chart.ricci_oracle([p])[0]
             assert ric == pytest.approx(kappa * g, abs=1e-9)
 
     def test_hyperbolic_plane_curvature(self):
         chart = hyperbolic_plane_chart()
         for p in [(0.6, 0.1), (1.4, 2.0)]:
-            g = chart.metric_at(p)[0]
-            r4 = chart.riemann_oracle(p)
+            g = chart.metric_at([p])[0][0]
+            r4 = chart.riemann_oracle([p])[0]
             assert r4 == pytest.approx(
                 constant_curvature_tensor(g, -1.0), abs=1e-9
             )
-            assert chart.scalar_oracle(p) == pytest.approx(-2.0, abs=1e-9)
+            assert chart.scalar_oracle([p])[0] == pytest.approx(-2.0,
+                                                                abs=1e-9)
 
     def test_flat_space_is_flat(self):
         chart = flat_chart(("x", "y", "z"))
         p = (0.3, -0.4, 0.9)
-        assert np.abs(chart.riemann_oracle(p)).max() == 0.0
-        assert chart.scalar_oracle(p) == 0.0
+        assert np.abs(chart.riemann_oracle([p])[0]).max() == 0.0
+        assert chart.scalar_oracle([p])[0] == 0.0
 
     def test_flat_metric_in_polar_coordinates(self):
         # ds^2 = dr^2 + r^2 dth^2 is flat but has nonzero Christoffels
         chart = expr_chart(("r", "th"), [["1", "0"], ["0", "r^2"]])
         p = (1.3, 0.4)
-        assert np.abs(chart.christoffel(p)).max() > 0.0
-        assert np.abs(chart.riemann_oracle(p)).max() < 1e-12
-        assert chart.scalar_oracle(p) == pytest.approx(0.0, abs=1e-12)
+        assert np.abs(chart.christoffel([p])[0]).max() > 0.0
+        assert np.abs(chart.riemann_oracle([p])[0]).max() < 1e-12
+        assert chart.scalar_oracle([p])[0] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestDerivativeOperators:
@@ -62,30 +68,34 @@ class TestDerivativeOperators:
         chart = flat_chart(("x", "y"))
         psi = parse_expression("x^2*y + y^3", chart.coords)
         p = (0.5, -0.2)
-        h = chart.hessian_field(psi, p)
-        assert h == pytest.approx(psi.jet(p).hessian, abs=1e-12)
+        h = chart.hessian_field(psi, [p])[0]
+        assert h == pytest.approx(psi.jet([p]).hessian[0], abs=1e-12)
 
     def test_laplacian_in_polar_coordinates(self):
         chart = expr_chart(("r", "th"), [["1", "0"], ["0", "r^2"]])
         psi = parse_expression("r^2", chart.coords)
         # lap(r^2) = (1/r) d/dr (r * 2r) = 4 in the flat plane
-        assert chart.laplacian_field(psi, (0.8, 0.3)) == pytest.approx(
+        assert chart.laplacian_field(psi, [(0.8, 0.3)])[0] == pytest.approx(
             4.0, abs=1e-12
         )
 
     def test_gradient_raises_index_with_inverse_metric(self):
         chart = expr_chart(("r", "th"), [["1", "0"], ["0", "r^2"]])
         psi = parse_expression("th", chart.coords)
-        grad = chart.gradient_field(psi, (2.0, 0.1))
+        grad = chart.gradient_field(psi, [(2.0, 0.1)])[0]
         assert np.allclose(grad, [0.0, 1.0 / 4.0], atol=1e-14)
 
     def test_orthonormal_frame(self):
-        chart = sphere_chart()
-        p = (0.9, 0.2)
-        frame = chart.orthonormal_frame(p)
-        g = chart.metric_at(p)[0]
-        gram = frame @ g @ frame.T
-        assert gram == pytest.approx(np.eye(2), abs=1e-12)
+        # the second metric is not diagonal: there F g F^T differs from the
+        # identity, while F^T g F does not
+        for chart in (sphere_chart(),
+                      expr_chart(("x", "y"), [["2", "0.7"], ["0.7", "1"]])):
+            p = (0.9, 0.2)
+            frame = chart.orthonormal_frame([p])[0]
+            g = chart.metric_at([p])[0][0]
+            # the frame vectors are the columns of the frame matrix
+            gram = frame.T @ g @ frame
+            assert gram == pytest.approx(np.eye(2), abs=1e-12)
 
 
 class TestKulkarniNomizu:
@@ -147,7 +157,14 @@ class TestSampling:
         box = np.array([[-1.0, 1.0], [-1.0, 1.0]])
         pts = sample_points(chart, box, 10, 11)
         for p in pts:
-            assert chart.well_conditioned_at(p)
+            assert chart.well_conditioned_at(p[None])[0]
+
+    def test_metric_domain_error_names_the_first_failing_point(self):
+        # entry [0][0] fails at the third point, entry [1][1] at the second
+        chart = expr_chart(("x", "y"), [["sqrt(x)", "0"], ["0", "sqrt(y)"]])
+        with pytest.raises(MetricError,
+                           match=r"entry \[1\]\[1\] .* at \[1.0, -1.0\]"):
+            chart.metric_at([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0]])
 
     def test_sampling_fails_loudly_when_region_is_degenerate(self):
         chart = expr_chart(("x", "y"), [["x^2", "0"], ["0", "1"]])

@@ -59,17 +59,19 @@ class TestSummarize:
 class TestNormalizedResidual:
     def test_scale_is_one_plus_largest_term(self):
         a, b = np.array([3.0, -1.0]), np.array([2.5, -4.0])
-        assert normalized_residual(a - b, [a, b]) == 3.0 / 5.0
+        assert normalized_residual((a - b)[None], [a[None], b[None]])[0] \
+            == 3.0 / 5.0
 
     def test_per_slice_mode_matches_loop_over_slices(self):
         rng = np.random.default_rng(0)
         closed = rng.normal(size=(2, 3, 4))
         oracle = closed + rng.normal(scale=1e-3, size=closed.shape)
         loop = max(
-            normalized_residual(c - o, [c, o])
+            normalized_residual((c - o)[None], [c[None], o[None]])[0]
             for c, o in zip(closed.reshape(-1, 4), oracle.reshape(-1, 4))
         )
-        block = normalized_residual(closed - oracle, [closed, oracle], axis=-1)
+        block = normalized_residual((closed - oracle)[None],
+                                    [closed[None], oracle[None]], axis=-1)[0]
         assert block == loop
 
 

@@ -257,8 +257,10 @@ class TestFactorStructures:
     def test_mixed_conditions_vanish_on_direct_product(self):
         psi = gaussian_potential(self.dwp.coords, 0.3)
         for p in self.pts[:4]:
-            assert np.abs(mixed_yamabe_condition(self.dwp, psi, p)).max() < 1e-14
-            assert np.abs(mixed_ricci_condition(self.dwp, psi, p)).max() < 1e-14
+            yamabe = mixed_yamabe_condition(self.dwp, psi, p[None])[0]
+            ricci = mixed_ricci_condition(self.dwp, psi, p[None])[0]
+            assert np.abs(yamabe).max() < 1e-14
+            assert np.abs(ricci).max() < 1e-14
 
     def test_quasi_einstein_cosh_construction(self):
         dwp, alpha, beta, eta = quasi_einstein_product()

@@ -70,7 +70,7 @@ class TestHappyPath:
     def test_default_warping_is_one(self, tmp_path):
         text = GOOD_SPEC.replace('warping = "exp(x)"\n', "")
         dwp, _, _, _ = load_spec(write(tmp_path, text))
-        assert dwp.f1.evaluate([0.3, -0.1]) == 1.0
+        assert dwp.f1.evaluate([[0.3, -0.1]])[0] == 1.0
 
     def test_numeric_coefficients_stay_numbers(self, tmp_path):
         _, solitons, _, _ = load_spec(write(tmp_path, GOOD_SPEC))
@@ -79,7 +79,7 @@ class TestHappyPath:
     def test_expression_coefficients_become_expressions(self, tmp_path):
         text = GOOD_SPEC.replace('lambda = 0.5', 'lambda = "1 + x^2"')
         _, solitons, _, _ = load_spec(write(tmp_path, text))
-        assert solitons[0].lam.evaluate([1.0, 0.0, 0.0]) == 2.0
+        assert solitons[0].lam.evaluate([[1.0, 0.0, 0.0]])[0] == 2.0
 
 
 class TestErrors:

@@ -51,41 +51,48 @@ class TestConcircularOracle:
             (sphere3_chart(), (0.5, 2.0)),
         ]:
             for p in seeded_points(chart, 6, box=box):
-                norm = np.abs(concircular_oracle(chart, p)).max()
+                norm = np.abs(concircular_oracle(chart, p[None])[0]).max()
                 assert norm <= 1e-9, (chart.coords, p, norm)
 
     def test_nonzero_on_generic_product(self):
         dwp = e2xe1_product()
         p = seeded_points(dwp.product, 1)[0]
-        assert np.abs(concircular_oracle(dwp.product, p)).max() > 0.01
+        assert np.abs(concircular_oracle(dwp.product, p[None])[0]).max() \
+            > 0.01
 
     def test_full_trace_vanishes(self):
         # frozen invariant: the concircular tensor is trace-free in the
-        # scalar slot on any manifold
-        dwp = e2xe1_product()
-        for p in seeded_points(dwp.product, 5):
-            frame = dwp.product.orthonormal_frame(p)
-            c4 = concircular_oracle(dwp.product, p)
-            total = np.einsum("ia,jb,jc,id,abcd->", frame, frame, frame,
-                              frame, c4)
-            assert abs(total) < 1e-8
+        # scalar slot on any manifold; frame[:, a] is the a-th frame vector.
+        # The second metric is not diagonal, so rows and columns differ.
+        charts = (e2xe1_product().product, expr_chart(("x", "y", "z"), [
+            ["2 + 0.3*sin(y)", "0.7", "0.1*x"],
+            ["0.7", "1", "0.2*z"],
+            ["0.1*x", "0.2*z", "1.5 + 0.2*x*y"],
+        ]))
+        for chart in charts:
+            for p in seeded_points(chart, 5):
+                frame = chart.orthonormal_frame(p[None])[0]
+                c4 = concircular_oracle(chart, p[None])[0]
+                total = np.einsum("ai,bj,cj,di,abcd->", frame, frame, frame,
+                                  frame, c4)
+                assert abs(total) < 1e-8
 
 
 class TestConharmonicOracle:
     def test_vanishes_on_flat_space(self):
         chart = flat_chart(("x", "y", "z"))
         for p in seeded_points(chart, 5):
-            assert np.abs(conharmonic_oracle(chart, p)).max() == 0.0
+            assert np.abs(conharmonic_oracle(chart, p[None])[0]).max() == 0.0
 
     def test_nonzero_on_round_3_sphere(self):
         chart = sphere3_chart()
         for p in seeded_points(chart, 4, box=(0.5, 2.0)):
-            assert np.abs(conharmonic_oracle(chart, p)).max() > 0.1
+            assert np.abs(conharmonic_oracle(chart, p[None])[0]).max() > 0.1
 
     def test_dimension_guard_rejects_surfaces(self):
         chart = sphere_chart()
         with pytest.raises(DimensionError):
-            conharmonic_oracle(chart, (0.8, 0.4))
+            conharmonic_oracle(chart, [(0.8, 0.4)])
 
     def test_ricci_trace_regression(self):
         # frozen by brute-force contraction: contracting the conharmonic
@@ -93,9 +100,9 @@ class TestConharmonicOracle:
         dwp = e2xe1_product()
         m = dwp.m
         for p in seeded_points(dwp.product, 4):
-            g, ginv = dwp.product.metric_at(p)
-            h4 = conharmonic_oracle(dwp.product, p)
-            tau = dwp.product.scalar_oracle(p)
+            g, ginv = (a[0] for a in dwp.product.metric_at(p[None]))
+            h4 = conharmonic_oracle(dwp.product, p[None])[0]
+            tau = dwp.product.scalar_oracle(p[None])[0]
             contracted = np.einsum("iw,iyzw->yz", ginv, h4)
             expected = -(tau / (m - 2)) * g
             assert np.allclose(contracted, expected, atol=1e-10)
@@ -147,12 +154,13 @@ class TestBlockTraceIdentities:
     def test_concircular_block_trace_gives_einstein_defect(self):
         dwp = e2xe1_product()
         for p in seeded_points(dwp.product, 4):
-            c4 = concircular_oracle(dwp.product, p)
-            d = dwp.point_data(p)
+            c4 = concircular_oracle(dwp.product, p[None])
+            d = dwp.point_data(p[None])
             for s in d.sides:
-                which, ric, g_i = s.which, s.ric, s.g
-                trace = factor_block_trace(dwp, c4, which, p)
-                defect, mu = einstein_defect(dwp, which, p)
+                which, ric, g_i = s.which, s.ric[0], s.g[0]
+                trace = factor_block_trace(dwp, c4, which, p[None])[0]
+                defect, mu = (a[0] for a in einstein_defect(dwp, which,
+                                                             p[None]))
                 assert np.allclose(trace, ric - mu * g_i, atol=1e-12)
                 assert np.allclose(trace, defect, atol=1e-12)
 
@@ -160,10 +168,11 @@ class TestBlockTraceIdentities:
         dwp = e2xe1_product()
         m = dwp.m
         for p in seeded_points(dwp.product, 4):
-            h4 = conharmonic_oracle(dwp.product, p)
+            h4 = conharmonic_oracle(dwp.product, p[None])
             for which, m_opp in ((1, dwp.m2), (2, dwp.m1)):
-                trace = factor_block_trace(dwp, h4, which, p)
-                defect, lam, f = f_almost_defect(dwp, which, p)
+                trace = factor_block_trace(dwp, h4, which, p[None])[0]
+                defect, lam, f = (a[0] for a in f_almost_defect(dwp, which,
+                                                                 p[None]))
                 assert np.allclose(
                     trace, (m_opp / (m - 2)) * defect, atol=1e-12
                 )
@@ -187,7 +196,7 @@ class TestFlatConsequences:
         for n in (3, 4):
             dwp = hyperbolic_space(n)
             for p in seeded_points(dwp.product, 4):
-                tau = dwp.product.scalar_oracle(p)
+                tau = dwp.product.scalar_oracle(p[None])[0]
                 assert tau == pytest.approx(-n * (n - 1), abs=1e-6)
 
     def test_gating_on_non_flat_product(self):
