@@ -1,6 +1,7 @@
 """Check-suite orchestration: each function evaluates one family of
-closed-form identities against the brute-force oracle over a sample set and
-returns ResidualSummary records."""
+closed-form identities against the brute-force oracle over a sample set, from
+its record (`DoublyWarpedProduct.point_data`), and returns ResidualSummary
+records."""
 
 from __future__ import annotations
 
@@ -25,18 +26,17 @@ __all__ = [
 ]
 
 
-def _class_summaries(family, dwp, points, tolerance, blocks, oracle):
+def _class_summaries(family, dwp, d, tolerance, blocks, oracle):
     """One summary per class: `blocks` maps each class to its (1,3) block
     over the product chart, `oracle` is the (0,4) oracle tensor; each index
     triple of a block gets its own normalized residual, max-reduced."""
-    ginv = dwp.product.metric_at(points)[1]
-    raised = oracle @ ginv.transpose(0, 2, 1)[:, None, None]
+    raised = oracle @ d.product.ginv.transpose(0, 2, 1)[:, None, None]
     out = []
     for klass, block in blocks.items():
         expected = raised[dwp.block(klass)]
         values = normalized_residual(block - expected, [block, expected],
                                      axis=-1)
-        out.append(summarize(f"{family}.{klass}", values, points, tolerance))
+        out.append(summarize(f"{family}.{klass}", values, d.p, tolerance))
     return out
 
 
@@ -48,70 +48,69 @@ def _residuals(closed, oracle):
     return normalized_residual(closed - oracle, [closed, oracle])
 
 
-def check_lemma1(dwp, points, tolerance):
+def check_lemma1(dwp, d, tolerance):
     """Closed-form curvature blocks of all six lifted index patterns
     against the product curvature oracle, plus full-tensor reconstruction."""
-    curvature = dwp.riemann_closed(points)
-    oracle = dwp.product.riemann_oracle(points)
-    out = _class_summaries("lemma1", dwp, points, tolerance,
+    curvature = dwp.riemann_closed(d)
+    oracle = d.product.curvature[0]
+    out = _class_summaries("lemma1", dwp, d, tolerance,
                            _riemann_classes(dwp, curvature), oracle)
-    closed = curvature @ dwp.product.metric_at(points)[0][:, None, None]
+    closed = curvature @ d.product.g[:, None, None]
     out.append(summarize("lemma1.reconstruction",
-                         _residuals(closed, oracle), points, tolerance))
+                         _residuals(closed, oracle), d.p, tolerance))
     return out
 
 
-def check_lemma2(dwp, points, tolerance):
+def check_lemma2(dwp, d, tolerance):
     """Blockwise Ricci splitting against the product Ricci oracle."""
-    ricci = dwp.product.ricci_oracle(points)
+    ricci = d.product.curvature[1]
     return [
         summarize(f"lemma2.{klass}",
-                  _residuals(dwp.ricci_closed(klass, points),
+                  _residuals(dwp.ricci_closed(klass, d),
                              ricci[dwp.block(klass)]),
-                  points, tolerance)
+                  d.p, tolerance)
         for klass in RICCI_CLASSES
     ]
 
 
-def check_lemma5(dwp, points, tolerance):
+def check_lemma5(dwp, d, tolerance):
     """Blockwise Ricci-operator splitting against the raised Ricci oracle."""
-    q = dwp.product.metric_at(points)[1] @ dwp.product.ricci_oracle(points)
+    q = d.product.ginv @ d.product.curvature[1]
     return [
         summarize(f"lemma5.{klass}",
-                  _residuals(dwp.ricci_operator_closed(klass, points),
+                  _residuals(dwp.ricci_operator_closed(klass, d),
                              q[dwp.block(klass)]),
-                  points, tolerance)
+                  d.p, tolerance)
         for klass in ("XX", "UU")
     ]
 
 
-def check_hessian(dwp, points, tolerance, psis=None):
+def check_hessian(dwp, d, tolerance, psis=None):
     """Blockwise Hessian splitting for a set of potentials (the log-warpings
     by default, plus any supplied ones)."""
     fields = [("k", dwp.k_lifted), ("l", dwp.l_lifted)] + list(psis or [])
     out = []
     for name, psi in fields:
         psi_l = dwp.lifted(psi)
-        oracle = dwp.product.hessian_field(psi_l, points)
+        oracle = d.product.hessian(psi_l)
         for klass in RICCI_CLASSES:
             out.append(summarize(
                 f"hessian.{name}.{klass}",
-                _residuals(dwp.hessian_split_closed(psi_l, klass, points),
+                _residuals(dwp.hessian_split_closed(psi_l, klass, d),
                            oracle[dwp.block(klass)]),
-                points, tolerance))
+                d.p, tolerance))
     return out
 
 
-def check_scalar(dwp, points, tolerance):
-    values = _residuals(dwp.scalar_closed(points),
-                        dwp.product.scalar_oracle(points))
-    return [summarize("scalar.splitting", values, points, tolerance)]
+def check_scalar(dwp, d, tolerance):
+    values = _residuals(dwp.scalar_closed(d), d.product.curvature[2])
+    return [summarize("scalar.splitting", values, d.p, tolerance)]
 
 
-def check_laplacian(dwp, points, tolerance):
+def check_laplacian(dwp, d, tolerance):
     return [
         summarize(f"laplacian.{which}",
-                  _residuals(*dwp.laplacian_split(which, points)), points,
+                  _residuals(*dwp.laplacian_split(which, d)), d.p,
                   tolerance)
         for which in ("k", "l")
     ]
@@ -125,17 +124,16 @@ _FACTOR_STRUCTURES = {
 }
 
 
-def check_solitons(dwp, specs, points, tolerance, anchor):
+def check_solitons(dwp, specs, d, tolerance):
     """Defining-equation residuals for each soliton spec, plus induced
-    factor structures for the kinds that have them."""
+    factor structures for the kinds that have them (on the anchored
+    restriction sets of d)."""
     out = []
     for i, spec in enumerate(specs):
         prefix = f"soliton[{i}].{spec.kind}"
         try:
             out.append(
-                solitons.residual(
-                    spec, dwp.product, points, tolerance, check_id=prefix
-                )
+                solitons.residual(spec, d.product, tolerance, check_id=prefix)
             )
         except solitons.SolitonError as exc:
             out.append(skipped(prefix, f"skipped: {exc}", tolerance))
@@ -143,19 +141,19 @@ def check_solitons(dwp, specs, points, tolerance, anchor):
         if spec.kind == "riemann" and dwp.m >= 3:
             out.append(
                 solitons.residual(
-                    spec, dwp.product, points, tolerance,
+                    spec, d.product, tolerance,
                     form="contracted", check_id=f"{prefix}.contracted",
                 )
             )
             consistency = solitons.contraction_consistency(
-                spec, dwp.product, points, tolerance
+                spec, d.product, tolerance
             )
             out.append(replace(consistency, check_id=f"{prefix}.contraction"))
         builder = _FACTOR_STRUCTURES.get(spec.kind)
         if builder is None:
             continue
         try:
-            structures = builder(dwp, spec, points, anchor, tolerance)
+            structures = builder(dwp, spec, d, tolerance)
         except solitons.SolitonError as exc:
             # the structures cannot be evaluated: skip their checks, keeping
             # the defining-equation record above
@@ -169,21 +167,19 @@ def check_solitons(dwp, specs, points, tolerance, anchor):
     return out
 
 
-def check_concircular(dwp, points, tolerance, anchor):
+def check_concircular(dwp, d, tolerance):
     """Closed-form concircular blocks against the oracle on all six lifted
     patterns, then the flatness consequences (gated)."""
     out = _class_summaries(
-        "concircular", dwp, points, tolerance,
-        _riemann_classes(dwp, special.concircular_closed(dwp, points)),
-        special.concircular_oracle(dwp.product, points),
+        "concircular", dwp, d, tolerance,
+        _riemann_classes(dwp, special.concircular_closed(dwp, d)),
+        special.concircular_oracle(d.product),
     )
-    out.extend(
-        special.concircular_flat_consequences(dwp, points, anchor, tolerance)
-    )
+    out.extend(special.concircular_flat_consequences(dwp, d, tolerance))
     return out
 
 
-def check_conharmonic(dwp, points, tolerance, anchor):
+def check_conharmonic(dwp, d, tolerance):
     """Closed-form conharmonic blocks (same-factor patterns only) against
     the oracle, then the flatness consequences (gated)."""
     if dwp.m < 3:
@@ -195,43 +191,44 @@ def check_conharmonic(dwp, points, tolerance, anchor):
             )
         ]
     out = _class_summaries(
-        "conharmonic", dwp, points, tolerance,
-        special.conharmonic_closed(dwp, points),
-        special.conharmonic_oracle(dwp.product, points),
+        "conharmonic", dwp, d, tolerance,
+        special.conharmonic_closed(dwp, d),
+        special.conharmonic_oracle(d.product),
     )
-    out.extend(
-        special.conharmonic_flat_consequences(dwp, points, anchor, tolerance)
-    )
+    out.extend(special.conharmonic_flat_consequences(dwp, d, tolerance))
     return out
 
 
 # (name, family) in report order; each family is called with
-# (dwp, soliton specs, points, tolerance, anchor, extra potentials)
+# (dwp, soliton specs, record of the samples, tolerance, extra potentials)
 _FAMILIES = (
-    ("lemma1", lambda d, s, p, t, a, psis: check_lemma1(d, p, t)),
-    ("lemma2", lambda d, s, p, t, a, psis: check_lemma2(d, p, t)),
-    ("lemma5", lambda d, s, p, t, a, psis: check_lemma5(d, p, t)),
-    ("hessian", lambda d, s, p, t, a, psis: check_hessian(d, p, t, psis)),
-    ("scalar", lambda d, s, p, t, a, psis: check_scalar(d, p, t)),
-    ("laplacian", lambda d, s, p, t, a, psis: check_laplacian(d, p, t)),
-    ("solitons", lambda d, s, p, t, a, psis: check_solitons(d, s, p, t, a)),
+    ("lemma1", lambda dwp, s, d, t, psis: check_lemma1(dwp, d, t)),
+    ("lemma2", lambda dwp, s, d, t, psis: check_lemma2(dwp, d, t)),
+    ("lemma5", lambda dwp, s, d, t, psis: check_lemma5(dwp, d, t)),
+    ("hessian", lambda dwp, s, d, t, psis: check_hessian(dwp, d, t, psis)),
+    ("scalar", lambda dwp, s, d, t, psis: check_scalar(dwp, d, t)),
+    ("laplacian", lambda dwp, s, d, t, psis: check_laplacian(dwp, d, t)),
+    ("solitons", lambda dwp, s, d, t, psis: check_solitons(dwp, s, d, t)),
     ("concircular",
-     lambda d, s, p, t, a, psis: check_concircular(d, p, t, a)),
+     lambda dwp, s, d, t, psis: check_concircular(dwp, d, t)),
     ("conharmonic",
-     lambda d, s, p, t, a, psis: check_conharmonic(d, p, t, a)),
+     lambda dwp, s, d, t, psis: check_conharmonic(dwp, d, t)),
 )
 
 CHECK_NAMES = tuple(name for name, _ in _FAMILIES)
 
 
 def run_all(dwp, specs, points, tolerance, anchor, checks=("all",), psis=None):
-    """Run the selected named checks and return summaries sorted by id."""
+    """Run the selected named checks on one record of the sample points
+    (whose anchored restriction sets are built when a check first needs
+    them) and return summaries sorted by id."""
     enabled = set(CHECK_NAMES) if "all" in checks else set(checks)
     unknown = enabled - set(CHECK_NAMES)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
+    d = dwp.point_data(points, anchor)
     out = []
     for name, family in _FAMILIES:
         if name in enabled:
-            out.extend(family(dwp, specs, points, tolerance, anchor, psis))
+            out.extend(family(dwp, specs, d, tolerance, psis))
     return sorted(out, key=lambda s: s.check_id)

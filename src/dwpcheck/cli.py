@@ -44,6 +44,9 @@ class RunConfig:
     def validate(self, dim):
         if self.points < 1:
             raise SpecFileError("points must be >= 1")
+        if self.seed < 0:  # a [sampling] seed is checked when read
+            raise SpecFileError(
+                f"--seed must be a non-negative integer, got {self.seed}")
         if not 0 < self.tolerance < math.inf:
             raise SpecFileError(
                 f"tolerance must be positive and finite, got {self.tolerance}"

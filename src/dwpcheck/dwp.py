@@ -10,8 +10,6 @@ brute-force product oracle in `geometry`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .expr import DomainError, constant
@@ -62,7 +60,8 @@ def wedge_operator(a, rows):
 
 class DoublyWarpedProduct:
     """Points are batches: (N, m) arrays, one product point per row; every
-    closed form returns arrays with a leading N axis."""
+    closed form takes their record (`point_data`) and returns arrays with a
+    leading N axis."""
 
     def __init__(self, factor1, factor2, f1, f2):
         if set(factor1.coords) & set(factor2.coords):
@@ -78,7 +77,7 @@ class DoublyWarpedProduct:
         self.coords = factor1.coords + factor2.coords
         self.k_lifted = self.k.lift(self.coords)
         self.l_lifted = self.l.lift(self.coords)
-        self.product = ChartManifold(self.coords, self._product_metric())
+        self.product = _ProductChart(self)
 
     @property
     def m1(self):
@@ -162,10 +161,12 @@ class DoublyWarpedProduct:
             out.append(v.max() - v.min() <= tol * (1 + np.abs(v).max()))
         return out
 
-    # -- ingredient bundle of a point batch ----------------------------------
+    # -- the record of a point batch -----------------------------------------
 
-    def point_data(self, points):
-        return _PointData(self, np.asarray(points, dtype=float))
+    def point_data(self, points, anchor=None):
+        """The record of a batch of product points (N, m); with an anchor,
+        it also gives the records of the anchored restriction sets."""
+        return _PointData(self, points, anchor)
 
     def lifted(self, psi):
         """psi as a function on the product chart (a factor-chart potential
@@ -174,45 +175,45 @@ class DoublyWarpedProduct:
 
     # -- closed forms ---------------------------------------------------------
     #
-    # Each block formula is written once for a factor side s = d.side(which):
+    # Each takes the record d of a point batch.  Each block formula is written
+    # once for a factor side s = d.side(which) and its mirror o = s.mirror:
     # the second factor's block is the first's under f1 <-> f2, k <-> l,
-    # m1 <-> m2, which is exactly the swap of own and opposite fields.
+    # m1 <-> m2, which is exactly the swap of s and o.
 
-    def covariant_closed(self, points):
+    def covariant_closed(self, d):
         """Christoffel symbols Gamma[n, c, i, j] = (grad_{d_i} d_j)^c of the
         product from the covariant-derivative splitting:
         grad_X Y = grad1_X Y - g(X, Y) grad l on same-factor lifts (k <-> l
         on the second factor) and grad_X U = U(l) X + X(k) U on mixed ones."""
-        d = self.point_data(points)
         out = np.empty((len(d.p),) + (self.m,) * 3)
         for s in d.sides:
-            own, opp = s.own, s.opp
-            out[:, :, own, own] = np.einsum(
-                "nkab,kc->ncab", s.gamma, s.lift_own
-            ) - np.einsum("nab,nc->ncab", d.g[:, own, own], s.grad_opp)
-            out[:, :, own, opp] = np.einsum(
-                "nu,ac->ncau", s.dlog_opp, s.lift_own
-            ) + np.einsum("na,uc->ncau", s.dlog_own, s.lift_opp)
+            o = s.mirror
+            out[:, :, s.own, s.own] = np.einsum(
+                "nkab,kc->ncab", s.gamma, s.lift
+            ) - np.einsum("nab,nc->ncab", d.product.g[:, s.own, s.own], o.grad)
+            out[:, :, s.own, o.own] = np.einsum(
+                "nu,ac->ncau", o.dlog, s.lift
+            ) + np.einsum("na,uc->ncau", s.dlog, o.lift)
         return out
 
-    def hessian_split_closed(self, psi, klass, points):
+    def hessian_split_closed(self, psi, klass, d):
         """Blocks of the product Hessian of psi via the splitting formulas:
         h1^psi + g(grad l, grad psi) g on XX (k <-> l on UU), and on XU
         XU(psi) - X(k)U(psi) - X(psi)U(l) on coordinate lifts."""
-        d = self.point_data(points)
         jet = self.lifted(psi).jet(d.p)
         if klass == "XU":
             m1 = self.m1
+            s1, s2 = d.sides
             return (
                 jet.hessian[:, :m1, m1:]
-                - outer(d.dk1, jet.gradient[:, m1:])
-                - outer(jet.gradient[:, :m1], d.dl2)
+                - outer(s1.dlog, jet.gradient[:, m1:])
+                - outer(jet.gradient[:, :m1], s2.dlog)
             )
         s = d.side(_side_of(klass, "Hessian"))
         return s.hessian(jet) + times(s.opposite_pairing(jet.gradient),
-                                      d.g[:, s.own, s.own])
+                                      d.product.g[:, s.own, s.own])
 
-    def riemann_closed(self, points):
+    def riemann_closed(self, d):
         """Closed-form curvature V[n, i, j, k, c] = (R(d_i, d_j) d_k)^c over
         the product chart.  The six classes are built as blocks (letters X,
         Y, Z for first-factor lifts, U, V, W for second-factor ones; each
@@ -222,89 +223,103 @@ class DoublyWarpedProduct:
             R(X,U)Y = (h1^k(X,Y) + X(k)Y(k)) U + Y(k)U(l) X
                       + g(X,Y) (H^l U + U(l) grad l)
         and R(U,X)Y, R(X,U)V follow by antisymmetry in the first pair."""
-        d = self.point_data(points)
         out = np.empty((len(d.p),) + (self.m,) * 4)
         for s in d.sides:
-            own, opp = s.own, s.opp
-            dk_own, dk_opp, l_own = s.dlog_own, s.dlog_opp, s.lift_own
-            g_own = d.g[:, own, own]
-            h_opp = s.H_opp.transpose(0, 2, 1)  # row c: H(d_c)
-            out[:, own, own, own] = s.r @ l_own - wedge_operator(
+            o = s.mirror
+            own, opp = s.own, o.own
+            g_own = d.product.g[:, own, own]
+            h_opp = o.H.transpose(0, 2, 1)  # row c: H(d_c)
+            out[:, own, own, own] = s.r @ s.lift - wedge_operator(
                 g_own, h_opp[:, own]
             )
-            out[:, own, own, opp] = wedge_operator(outer(dk_own, dk_opp),
-                                                   l_own)
+            out[:, own, own, opp] = wedge_operator(outer(s.dlog, o.dlog),
+                                                   s.lift)
             mixed = (
-                np.einsum("nxy,uc->nxuyc", s.h_log + outer(dk_own, dk_own),
-                          s.lift_opp)
-                + np.einsum("ny,nu,xc->nxuyc", dk_own, dk_opp, l_own)
+                np.einsum("nxy,uc->nxuyc", s.h_log + outer(s.dlog, s.dlog),
+                          o.lift)
+                + np.einsum("ny,nu,xc->nxuyc", s.dlog, o.dlog, s.lift)
                 + np.einsum("nxy,nuc->nxuyc", g_own,
-                            h_opp[:, opp] + outer(dk_opp, s.grad_opp))
+                            h_opp[:, opp] + outer(o.dlog, o.grad))
             )
             out[:, own, opp, own] = mixed
             out[:, opp, own, own] = -mixed.transpose(0, 2, 1, 3, 4)
         return out
 
-    def riemann_closed_tensor(self, points):
+    def riemann_closed_tensor(self, d):
         """Full covariant (0,4) curvature: the closed form lowered by g."""
-        g = self.product.metric_at(points)[0]
-        return self.riemann_closed(points) @ g[:, None, None]
+        return self.riemann_closed(d) @ d.product.g[:, None, None]
 
-    def ricci_closed(self, klass, points):
+    def ricci_closed(self, klass, d):
         """Ricci blocks from the closed splitting formulas:
         Ric1 - (m2/f1) h1^f1 - (lap l) g on XX (mirrored on UU) and
         (m-2) X(k)U(l) on XU."""
-        d = self.point_data(points)
         if klass == "XU":
-            return (self.m - 2) * outer(d.dk1, d.dl2)
+            return (self.m - 2) * outer(d.sides[0].dlog, d.sides[1].dlog)
         s = d.side(_side_of(klass, "Ricci"))
+        o = s.mirror
         return (
             s.ric
-            - times(s.m_opp / s.f_own, s.h_f)
-            - times(s.lap_opp, d.g[:, s.own, s.own])
+            - times(o.m / s.f, s.h_f)
+            - times(o.lap, d.product.g[:, s.own, s.own])
         )
 
-    def ricci_operator_closed(self, klass, points):
+    def ricci_operator_closed(self, klass, d):
         """Ricci-operator blocks (1,1) from the closed splitting formulas."""
-        s = self.point_data(points).side(_side_of(klass, "Ricci-operator"))
-        return times(1.0 / s.f_opp**2, (
+        s = d.side(_side_of(klass, "Ricci-operator"))
+        o = s.mirror
+        return times(1.0 / o.f**2, (
             s.ginv @ s.ric
-            - times(s.m_opp / s.f_own, s.ginv @ s.h_f)
-            - times(s.f_opp**2 * s.lap_opp, np.eye(s.m_own)[None])
+            - times(o.m / s.f, s.ginv @ s.h_f)
+            - times(o.f**2 * o.lap, np.eye(s.m)[None])
         ))
 
-    def scalar_closed(self, points):
+    def scalar_closed(self, d):
         """Scalar curvature of the product from the splitting formula."""
-        d = self.point_data(points)
         s1, s2 = d.sides
         return (
-            s1.tau_own / d.f2**2
-            + s2.tau_own / d.f1**2
-            - (self.m2 / (d.f1 * d.f2**2)) * s1.lap_f
-            - (self.m1 / (d.f1**2 * d.f2)) * s2.lap_f
-            - self.m1 * d.lap_l
-            - self.m2 * d.lap_k
+            s1.tau / s2.f**2
+            + s2.tau / s1.f**2
+            - (self.m2 / (s1.f * s2.f**2)) * s1.lap_f
+            - (self.m1 / (s1.f**2 * s2.f)) * s2.lap_f
+            - self.m1 * s2.lap
+            - self.m2 * s1.lap
         )
 
-    def laplacian_split(self, which, points):
+    def laplacian_split(self, which, d):
         """(closed, oracle) pair for the Laplacian of k or l on the product.
 
         The gradients inside the closed form are product-metric gradients,
         which is the reading under which the splitting is an identity."""
         if which not in ("k", "l"):
             raise ValueError("which must be 'k' or 'l'")
-        s = self.point_data(points).side(1 if which == "k" else 2)
-        grad = s.grad_own[:, s.own]
-        closed = s.lap_log / s.f_opp**2 + s.m_opp * s.f_opp**2 * np.einsum(
+        s = d.side(1 if which == "k" else 2)
+        o = s.mirror
+        grad = s.grad[:, s.own]
+        closed = s.lap_log / o.f**2 + o.m * o.f**2 * np.einsum(
             "ni,ni->n", matvec(s.g, grad), grad
         )
-        return closed, s.lap_own
+        return closed, s.lap
 
-    def factor_hessian(self, which, psi, points):
+    def factor_hessian(self, which, psi, d):
         """h_i^psi of the leafwise restriction of psi, at the factor points
         carried by the product points."""
-        d = self.point_data(points)
         return d.side(which).hessian(self.lifted(psi).jet(d.p))
+
+
+class _ProductChart(ChartManifold):
+    """The product chart; where a metric entry leaves its domain at a point
+    where a warping is not valid, the warping is named instead."""
+
+    def __init__(self, dwp):
+        super().__init__(dwp.coords, dwp._product_metric())
+        self._dwp = dwp
+
+    def _domain_error(self, i, j, point, exc):
+        try:
+            self._dwp.validate_warpings(point[None])
+        except WarpingError as warping:
+            return warping
+        return super()._domain_error(i, j, point, exc)
 
 
 _SIDE_OF_CLASS = {"XX": 1, "UU": 2}
@@ -318,48 +333,44 @@ def _side_of(klass, kind):
         raise ValueError(f"unknown {kind} class {klass!r}") from None
 
 
-@dataclass(frozen=True, eq=False)
 class _Side:
     """One factor's ingredients of the block formulas at a batch of product
-    points, with the opposite factor's alongside; every array has a leading
-    N axis except the slices, lifts and dimensions.  The second factor's
-    record is the first's with own and opposite swapped (f1 <-> f2, k <-> l,
-    m1 <-> m2), so every mirrored formula is written once against it."""
+    points, read off the product's chart record and the factor's; every
+    array has a leading N axis.  `mirror` is the other factor's side
+    record."""
 
-    which: int               # 1 or 2
-    own: slice               # product-chart indices of this factor ...
-    opp: slice               # ... and of the opposite one
-    lift_own: np.ndarray     # rows: product components of the lifted
-    lift_opp: np.ndarray     # coordinate fields (coordinate_lifts)
-    m_own: int
-    m_opp: int
-    point: np.ndarray        # the factor points (N, m_own)
-    f_own: np.ndarray        # warping values (N,)
-    f_opp: np.ndarray
-    g: np.ndarray            # factor metric, its inverse, Christoffel
-    ginv: np.ndarray         # symbols gamma[n, k, i, j], Ricci tensor and
-    gamma: np.ndarray        # (1,3) curvature r[n, x, y, z, c] =
-    ric: np.ndarray          # (R(d_x, d_y) d_z)^c
-    r: np.ndarray
-    tau_own: np.ndarray      # factor scalar curvatures (N,)
-    tau_opp: np.ndarray
-    h_f: np.ndarray          # factor Hessian and Laplacian of the own
-    lap_f: np.ndarray        # warping f_own ...
-    h_log: np.ndarray        # ... and of its log (k on the first factor)
-    lap_log: np.ndarray
-    dlog_own: np.ndarray     # factor-chart differentials of the own and
-    dlog_opp: np.ndarray     # opposite log-warpings
-    dlog_opp_ext: np.ndarray  # the opposite one on the product chart
-    grad_own: np.ndarray     # product gradients of the log-warpings
-    grad_opp: np.ndarray
-    H_opp: np.ndarray        # product Hessian operator of the opposite one
-    lap_own: np.ndarray      # product Laplacians of the log-warpings
-    lap_opp: np.ndarray
+    def __init__(self, dwp, which, product, factor):
+        f, log_f, log_ext = ((dwp.f1, dwp.k, dwp.k_lifted),
+                             (dwp.f2, dwp.l, dwp.l_lifted))[which - 1]
+        self.which = which
+        self.own = dwp.block("XU"[which - 1])[1]  # product-chart indices
+        self.lift = coordinate_lifts(dwp)[which - 1]  # rows: lifted fields
+        self.m = factor.chart.dim
+        self.factor = factor  # the factor chart's record at the points
+        self.g, self.ginv, self.gamma = factor.g, factor.ginv, factor.gamma
+        r4, self.ric, self.tau = factor.curvature
+        # (1,3) curvature r[n, x, y, z, c] = (R(d_x, d_y) d_z)^c
+        self.r = np.einsum("nxyzw,nwc->nxyzc", r4, factor.ginv)
+        f_jet, log_jet = f.jet(factor.p), log_f.jet(factor.p)
+        self.f = f_jet.value
+        # factor Hessians and Laplacians of the warping and of its log
+        self.h_f = covariant_hessian(factor.gamma, f_jet)
+        self.lap_f = np.einsum("nij,nij->n", factor.ginv, self.h_f)
+        self.h_log = covariant_hessian(factor.gamma, log_jet)
+        self.lap_log = np.einsum("nij,nij->n", factor.ginv, self.h_log)
+        # the log-warping's differential on the factor and product charts,
+        # and its product gradient, Hessian operator and Laplacian
+        self.dlog = log_jet.gradient
+        self.dlog_ext = self.dlog @ self.lift
+        self.grad = matvec(product.ginv, self.dlog_ext)
+        h = covariant_hessian(product.gamma, log_ext.jet(product.p))
+        self.H = product.ginv @ h
+        self.lap = np.einsum("nij,nij->n", product.ginv, h)
 
     def opposite_pairing(self, differential):
         """g(grad log f_opp, grad psi) from the product-chart differential
         of psi."""
-        return np.einsum("ni,ni->n", self.grad_opp, differential)
+        return np.einsum("ni,ni->n", self.mirror.grad, differential)
 
     def hessian(self, jet):
         """Factor Hessian of the leafwise restriction of a product-chart
@@ -370,76 +381,36 @@ class _Side:
 
 
 class _PointData:
-    """All factor- and product-level ingredients at a batch of product
-    points: the product-level ones as attributes, the factor-level ones in
-    one side record per factor."""
+    """A doubly warped product at a batch of product points: the product
+    chart's record and one side record per factor.  With an anchor, the
+    records of the anchored restriction sets are built on first read."""
 
-    def __init__(self, dwp, p):
-        self.p = p
-        p1, p2 = dwp.split(p)
-        self.f1 = dwp.f1.evaluate(p1)
-        self.f2 = dwp.f2.evaluate(p2)
-        bad = (self.f1 <= 0) | (self.f2 <= 0)
-        if bad.any():
-            raise WarpingError(
-                f"nonpositive warping at {p[bad.argmax()].tolist()}")
-        self.g, self.ginv = dwp.product.metric_at(p)
-        self.gamma = dwp.product.christoffel(p)
-
-        # factor-level metric, Hessians, Laplacians and curvature, per factor
-        factors = []
-        for factor, f, log_f, pf in ((dwp.factor1, dwp.f1, dwp.k, p1),
-                                     (dwp.factor2, dwp.f2, dwp.l, p2)):
-            g, ginv = factor.metric_at(pf)
-            gamma = factor.christoffel(pf)
-            r4, ric, tau = factor.curvature(pf)
-            log_jet = log_f.jet(pf)
-            h_f = covariant_hessian(gamma, f.jet(pf))
-            h_log = covariant_hessian(gamma, log_jet)
-            factors.append(dict(
-                point=pf, g=g, ginv=ginv, gamma=gamma, ric=ric,
-                r=np.einsum("nxyzw,nwc->nxyzc", r4, ginv), tau_own=tau,
-                h_f=h_f, lap_f=np.einsum("nij,nij->n", ginv, h_f),
-                h_log=h_log, lap_log=np.einsum("nij,nij->n", ginv, h_log),
-                dlog_own=log_jet.gradient,
-            ))
-        self.dk1 = factors[0]["dlog_own"]  # d_a k on factor-1 chart
-        self.dl2 = factors[1]["dlog_own"]
-        lifts = coordinate_lifts(dwp)
-        self.dk1_ext = self.dk1 @ lifts[0]  # on the product chart
-        self.dl2_ext = self.dl2 @ lifts[1]
-
-        # product gradients (vectors) of k and l
-        self.grad_k = matvec(self.ginv, self.dk1_ext)
-        self.grad_l = matvec(self.ginv, self.dl2_ext)
-
-        # product Hessians of k and l: (1,1) forms and Laplacians
-        hk = covariant_hessian(self.gamma, dwp.k_lifted.jet(p))
-        hl = covariant_hessian(self.gamma, dwp.l_lifted.jet(p))
-        self.Hk = self.ginv @ hk
-        self.Hl = self.ginv @ hl
-        self.lap_k = np.einsum("nij,nij->n", self.ginv, hk)
-        self.lap_l = np.einsum("nij,nij->n", self.ginv, hl)
-
-        slices = dwp.block("XU")[1:]
-        m = (dwp.m1, dwp.m2)
-        f = (self.f1, self.f2)
-        d_ext = (self.dk1_ext, self.dl2_ext)
-        grad = (self.grad_k, self.grad_l)
-        hess_op = (self.Hk, self.Hl)
-        lap = (self.lap_k, self.lap_l)
+    def __init__(self, dwp, points, anchor=None, factors=(None, None)):
+        dwp.validate_warpings(points)
+        self.dwp, self.anchor = dwp, anchor
+        self.product = dwp.product.at(points).require_spd()
+        self.p = self.product.p
         self.sides = tuple(
-            _Side(
-                which=i + 1, own=slices[i], opp=slices[j],
-                lift_own=lifts[i], lift_opp=lifts[j], m_own=m[i], m_opp=m[j],
-                f_own=f[i], f_opp=f[j], tau_opp=factors[j]["tau_own"],
-                dlog_opp=factors[j]["dlog_own"], dlog_opp_ext=d_ext[j],
-                grad_own=grad[i], grad_opp=grad[j], H_opp=hess_op[j],
-                lap_own=lap[i], lap_opp=lap[j], **factors[i],
-            )
-            for i, j in ((0, 1), (1, 0))
+            _Side(dwp, which, self.product,
+                  record or chart.at(pf).require_spd())
+            for which, record, chart, pf in zip(
+                (1, 2), factors, (dwp.factor1, dwp.factor2),
+                dwp.split(self.p))
         )
+        self.sides[0].mirror, self.sides[1].mirror = self.sides[::-1]
+        self._restrictions = [None, None]
 
     def side(self, which):
         """The side record of factor `which` (1 or 2)."""
         return self.sides[which - 1]
+
+    def restriction(self, which):
+        """The record of the anchored restriction set of factor `which`; it
+        shares this record's chart record of that factor."""
+        if self._restrictions[which - 1] is None:
+            factors = [None, None]
+            factors[which - 1] = self.side(which).factor
+            self._restrictions[which - 1] = _PointData(
+                self.dwp, self.dwp.anchored(self.p, self.anchor, which),
+                factors=factors)
+        return self._restrictions[which - 1]

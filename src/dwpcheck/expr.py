@@ -23,7 +23,6 @@ __all__ = [
     "ArityError",
     "DomainError",
     "parse_expression",
-    "finite_difference_jet",
     "constant",
 ]
 
@@ -592,7 +591,3 @@ def parse_expression(text, coords):
 def constant(value, coords):
     """A constant expression bound to the given coordinates."""
     return Expression(Num(float(value)), coords)
-
-
-def finite_difference_jet(expression, points, h=1e-4):
-    return expression.fd_jet(points, h)

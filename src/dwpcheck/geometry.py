@@ -14,11 +14,14 @@ Sign conventions, pinned once for the whole package:
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .expr import DomainError, Expression
 
 __all__ = [
+    "ChartBatch",
     "ChartManifold",
     "GeometryError",
     "MetricError",
@@ -61,8 +64,6 @@ class ChartManifold:
     def dim(self):
         return len(self.coords)
 
-    # -- metric jets -------------------------------------------------------
-
     def _metric_jets(self, points):
         """g[n,i,j], dg[n,k,i,j] = d_k g_ij, ddg[n,k,l,i,j] = d_k d_l g_ij."""
         points = np.asarray(points, dtype=float)
@@ -77,34 +78,100 @@ class ChartManifold:
                 except DomainError as exc:
                     # a later entry may fail at an earlier point
                     self._metric_jets(points[: exc.index])
-                    raise MetricError(
-                        f"metric entry [{i}][{j}] = "
-                        f"{str(self.metric[i][j])!r} leaves its domain at "
-                        f"{points[exc.index].tolist()}: {exc}"
-                    ) from None
+                    raise self._domain_error(i, j, points[exc.index],
+                                             exc) from None
                 g[:, i, j] = g[:, j, i] = jet.value
                 dg[:, :, i, j] = dg[:, :, j, i] = jet.gradient
                 ddg[:, :, :, i, j] = ddg[:, :, :, j, i] = jet.hessian
         return g, dg, ddg
 
+    def _domain_error(self, i, j, point, exc):
+        """The error of entry [i][j] leaving its domain at `point`."""
+        return MetricError(
+            f"metric entry [{i}][{j}] = {str(self.metric[i][j])!r} leaves "
+            f"its domain at {point.tolist()}: {exc}")
+
+    def at(self, points):
+        """The chart's record at a batch of points (N, dim)."""
+        return ChartBatch(self, points)
+
     def metric_at(self, points):
         """Metric matrices and their inverses; raises if one is not SPD."""
-        g, _, _ = self._metric_jets(points)
-        _require_spd(g, points)
-        return g, np.linalg.inv(g)
-
-    # -- connection and curvature ------------------------------------------
+        d = self.at(points).require_spd()
+        return d.g, d.ginv
 
     def christoffel(self, points):
         """Gamma[n,k,i,j] = Gamma^k_ij."""
-        g, dg, _ = self._metric_jets(points)
-        return _christoffel(np.linalg.inv(g), dg)
+        return self.at(points).gamma
 
-    def curvature(self, points):
-        """(R[n,i,j,k,w], Ric[n,j,k], tau[n]) from one computation."""
-        g, dg, ddg = self._metric_jets(points)
-        ginv = np.linalg.inv(g)
-        gamma = _christoffel(ginv, dg)
+    def riemann_oracle(self, points):
+        """Fully covariant curvature R[n,i,j,k,w] = R(d_i, d_j, d_k, d_w)."""
+        return self.at(points).curvature[0]
+
+    def ricci_oracle(self, points):
+        return self.at(points).curvature[1]
+
+    def scalar_oracle(self, points):
+        return self.at(points).curvature[2]
+
+    def hessian_field(self, psi, points):
+        return self.at(points).hessian(psi)
+
+    def gradient_field(self, psi, points):
+        d = self.at(points)
+        return np.linalg.solve(d.g, psi.jet(d.p).gradient[..., None])[..., 0]
+
+    def laplacian_field(self, psi, points):
+        d = self.at(points)
+        return np.einsum("nij,nij->n", d.ginv, d.hessian(psi))
+
+    def orthonormal_frame(self, points):
+        """Gram-Schmidt of the coordinate basis (inverse Cholesky factor):
+        column i of frame[n] holds the coordinate components of the i-th
+        frame vector."""
+        g = self.at(points).require_spd().g
+        return np.linalg.inv(np.linalg.cholesky(g)).transpose(0, 2, 1)
+
+    def well_conditioned_at(self, points):
+        """Per point: whether the metric is positive definite with
+        cond(g) <= COND_LIMIT."""
+        spd, w = _positive_definite(self.at(points).g)
+        return spd & (w[:, -1] <= COND_LIMIT * w[:, 0])
+
+
+class ChartBatch:
+    """A chart at a batch of points: the metric jets from one pass, and what
+    is read off them, each computed on first read.  Tensors are arrays in
+    coordinate components with a leading N axis, indexed as documented."""
+
+    def __init__(self, chart, points):
+        self.chart = chart
+        self.p = np.asarray(points, dtype=float)
+        self.g, self.dg, self.ddg = chart._metric_jets(self.p)
+
+    def require_spd(self):
+        """The record itself; raises if a metric is not positive definite."""
+        spd, _ = _positive_definite(self.g)
+        if not spd.all():
+            raise MetricError("metric not positive definite at "
+                              f"{self.p[(~spd).argmax()].tolist()}")
+        return self
+
+    @cached_property
+    def ginv(self):
+        return np.linalg.inv(self.g)
+
+    @cached_property
+    def gamma(self):
+        """Christoffel symbols Gamma[n,k,i,j] = Gamma^k_ij
+        = 1/2 g^{km} (d_i g_jm + d_j g_im - d_m g_ij)."""
+        return 0.5 * np.einsum("nkm,nijm->nkij", self.ginv, _sym(self.dg))
+
+    @cached_property
+    def curvature(self):
+        """(R[n,i,j,k,w] = R(d_i, d_j, d_k, d_w), Ric[n,j,k], tau[n])."""
+        g, dg, ddg = self.g, self.dg, self.ddg
+        ginv, gamma = self.ginv, self.gamma
         # d_l g^{km} = -g^{ka} (d_l g_ab) g^{bm}
         dginv = -np.einsum("nka,nlab,nbm->nlkm", ginv, dg, ginv)
         # d_l of (d_i g_jm + d_j g_im - d_m g_ij), indexed [l,i,j,m]
@@ -126,57 +193,14 @@ class ChartManifold:
         tau = np.einsum("njk,njk->n", ginv, ric)
         return r4, ric, tau
 
-    def riemann_oracle(self, points):
-        """Fully covariant curvature R[n,i,j,k,w] = R(d_i, d_j, d_k, d_w)."""
-        return self.curvature(points)[0]
-
-    def ricci_oracle(self, points):
-        return self.curvature(points)[1]
-
-    def scalar_oracle(self, points):
-        return self.curvature(points)[2]
-
-    # -- scalar-field calculus ----------------------------------------------
-
-    def hessian_field(self, psi, points):
+    def hessian(self, psi):
         """Covariant Hessian h[n,i,j] = d_i d_j psi - Gamma^k_ij d_k psi."""
-        return covariant_hessian(self.christoffel(points), psi.jet(points))
-
-    def gradient_field(self, psi, points):
-        g, _, _ = self._metric_jets(points)
-        return np.linalg.solve(g, psi.jet(points).gradient[..., None])[..., 0]
-
-    def laplacian_field(self, psi, points):
-        g, _, _ = self._metric_jets(points)
-        h = self.hessian_field(psi, points)
-        return np.einsum("nij,nij->n", np.linalg.inv(g), h)
-
-    # -- frames and sampling -------------------------------------------------
-
-    def orthonormal_frame(self, points):
-        """Gram-Schmidt of the coordinate basis (inverse Cholesky factor):
-        column i of frame[n] holds the coordinate components of the i-th
-        frame vector."""
-        g, _, _ = self._metric_jets(points)
-        _require_spd(g, points)
-        return np.linalg.inv(np.linalg.cholesky(g)).transpose(0, 2, 1)
-
-    def well_conditioned_at(self, points):
-        """Per point: whether the metric is positive definite with
-        cond(g) <= COND_LIMIT."""
-        g, _, _ = self._metric_jets(points)
-        spd, w = _positive_definite(g)
-        return spd & (w[:, -1] <= COND_LIMIT * w[:, 0])
+        return covariant_hessian(self.gamma, psi.jet(self.p))
 
 
 def _sym(dg):
     """sym[n,i,j,m] = d_i g_jm + d_j g_im - d_m g_ij."""
     return dg + np.einsum("njim->nijm", dg) - np.einsum("nmij->nijm", dg)
-
-
-def _christoffel(ginv, dg):
-    # Gamma^k_ij = 1/2 g^{km} (d_i g_jm + d_j g_im - d_m g_ij)
-    return 0.5 * np.einsum("nkm,nijm->nkij", ginv, _sym(dg))
 
 
 def covariant_hessian(gamma, jet):
@@ -192,13 +216,6 @@ def _positive_definite(g):
     finite = np.isfinite(g).all(axis=(1, 2))
     w = np.linalg.eigvalsh(np.where(finite[:, None, None], g, 1.0))
     return finite & (w[:, 0] > 0), w
-
-
-def _require_spd(g, points):
-    spd, _ = _positive_definite(g)
-    if not spd.all():
-        raise MetricError("metric not positive definite at "
-                          f"{np.asarray(points)[(~spd).argmax()].tolist()}")
 
 
 def outer(a, b):

@@ -203,20 +203,38 @@ def _build_soliton(table, line, coords, default_psi):
         raise SpecFileError(f"[soliton] (line {line}): {exc}") from None
 
 
+def _numbers(value, length=None):
+    """Whether value is a list of numbers (bools excluded), of `length`."""
+    return (isinstance(value, (list, tuple)) and length in (None, len(value))
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                    for x in value))
+
+
+_SAMPLING = {  # key -> (what its value must be, test)
+    "points": ("an integer >= 1",
+               lambda v: _numbers([v]) and isinstance(v, int) and v >= 1),
+    "seed": ("a non-negative integer",
+             lambda v: _numbers([v]) and isinstance(v, int) and v >= 0),
+    "tolerance": ("a positive number", lambda v: _numbers([v]) and v > 0),
+    "box": ("[lo, hi] or a list of [lo, hi] pairs",
+            lambda v: _numbers(v, 2) or isinstance(v, (list, tuple))
+            and len(v) > 0 and all(_numbers(pair, 2) for pair in v)),
+    "anchor": ("a list of numbers", _numbers),
+}
+
+
 def _build_sampling(table, line):
-    known = {"points", "seed", "box", "tolerance", "anchor"}
-    extra = set(table) - known
+    extra = set(table) - set(_SAMPLING)
     if extra:
         raise SpecFileError(
             f"[sampling] (line {line}): unknown keys {sorted(extra)}"
         )
-    out = dict(table)
-    if "points" in out and (not isinstance(out["points"], int)
-                            or out["points"] < 1):
-        raise SpecFileError("[sampling] points must be an integer >= 1")
-    if "tolerance" in out and not float(out["tolerance"]) > 0:
-        raise SpecFileError("[sampling] tolerance must be positive")
-    return out
+    for key, value in table.items():
+        what, valid = _SAMPLING[key]
+        if not valid(value):
+            raise SpecFileError(
+                f"[sampling] {key} must be {what}, got {value!r}")
+    return dict(table)
 
 
 def load_spec(path):

@@ -36,46 +36,45 @@ CONHARMONIC_CLASSES = ("XYZ", "UVW")
 # -- oracles -------------------------------------------------------------------
 
 
-def concircular_oracle(M, points):
+def concircular_oracle(c):
     """Fully covariant concircular tensor, assembled from the curvature
-    oracle; vanishes on constant-curvature spaces."""
-    if M.dim < 2:
+    oracle of the chart record c; vanishes on constant-curvature spaces."""
+    m = c.chart.dim
+    if m < 2:
         raise DimensionError("concircular tensor requires dim >= 2")
-    r4, _, tau = M.curvature(points)
-    g = M.metric_at(points)[0]
-    big_g = 0.5 * kulkarni_nomizu(g, g)
-    return r4 - times(tau / (M.dim * (M.dim - 1)), big_g)
+    r4, _, tau = c.curvature
+    big_g = 0.5 * kulkarni_nomizu(c.g, c.g)
+    return r4 - times(tau / (m * (m - 1)), big_g)
 
 
-def conharmonic_oracle(M, points):
-    """Fully covariant conharmonic tensor; vanishes exactly on conformally
-    flat scalar-flat spaces."""
-    if M.dim < 3:
+def conharmonic_oracle(c):
+    """Fully covariant conharmonic tensor of the chart record c; vanishes
+    exactly on conformally flat scalar-flat spaces."""
+    m = c.chart.dim
+    if m < 3:
         raise DimensionError("conharmonic tensor requires dim >= 3")
-    r4, ric, _ = M.curvature(points)
-    g = M.metric_at(points)[0]
-    return r4 - kulkarni_nomizu(ric, g) / (M.dim - 2)
+    r4, ric, _ = c.curvature
+    return r4 - kulkarni_nomizu(ric, c.g) / (m - 2)
 
 
 # -- closed forms on doubly warped products -------------------------------------
 
 
-def _scalar_coefficient(dwp, points):
+def _scalar_coefficient(dwp, d):
     """tau/(m(m-1)) with tau the product scalar curvature."""
-    return dwp.product.scalar_oracle(points) / (dwp.m * (dwp.m - 1))
+    return d.product.curvature[2] / (dwp.m * (dwp.m - 1))
 
 
-def concircular_closed(dwp, points):
+def concircular_closed(dwp, d):
     """Closed-form concircular tensor C[n, i, j, k, c] = (C(d_i, d_j) d_k)^c:
     the curvature splitting minus the scalar part c G with c = tau/(m(m-1))
     and G_{AB}Z = g(B,Z)A - g(A,Z)B."""
-    c = _scalar_coefficient(dwp, points)
-    g = dwp.product.metric_at(points)[0]
-    return dwp.riemann_closed(points) - times(
-        c, wedge_operator(g, np.eye(dwp.m)))
+    c = _scalar_coefficient(dwp, d)
+    return dwp.riemann_closed(d) - times(
+        c, wedge_operator(d.product.g, np.eye(dwp.m)))
 
 
-def conharmonic_closed(dwp, points):
+def conharmonic_closed(dwp, d):
     """Closed-form conharmonic blocks for same-factor lifted inputs, as
     {klass: out} for klass XYZ and UVW with out[n, a, b, z, c] =
     (H(d_a, d_b) d_z)^c over the product chart; the mixed patterns have no
@@ -90,21 +89,20 @@ def conharmonic_closed(dwp, points):
     """
     if dwp.m < 3:
         raise DimensionError("conharmonic tensor requires dim >= 3")
-    d = dwp.point_data(points)
-    curvature = dwp.riemann_closed(points)
+    curvature = dwp.riemann_closed(d)
     out = {}
     for klass, s in zip(CONHARMONIC_CLASSES, d.sides):
         ricci_class = klass[0] * 2  # XX or UU
         own = s.own
-        g_own = d.g[:, own, own]
-        ric = dwp.ricci_closed(ricci_class, points)
-        ric_op = dwp.ricci_operator_closed(ricci_class, points)
+        g_own = d.product.g[:, own, own]
+        ric = dwp.ricci_closed(ricci_class, d)
+        ric_op = dwp.ricci_operator_closed(ricci_class, d)
         # g(B,Z) Q(A) - g(A,Z) Q(B) + Ric(B,Z) A - Ric(A,Z) B, Q the Ricci
         # operator
         bracket = wedge_operator(
-            g_own, ric_op.transpose(0, 2, 1) @ s.lift_own
-        ) + wedge_operator(ric, s.lift_own)
-        normal = wedge_operator(g_own, outer(s.dlog_own, s.grad_opp))
+            g_own, ric_op.transpose(0, 2, 1) @ s.lift
+        ) + wedge_operator(ric, s.lift)
+        normal = wedge_operator(g_own, outer(s.dlog, s.mirror.grad))
         out[klass] = (curvature[:, own, own, own] - bracket / (dwp.m - 2)
                       - normal)
     return out
@@ -113,44 +111,46 @@ def conharmonic_closed(dwp, points):
 # -- factor traces and flatness consequences ------------------------------------
 
 
-def factor_block_trace(dwp, tensor4, which, points):
+def factor_block_trace(dwp, tensor4, which, d):
     """Trace of a (0,4) tensor's same-factor block against the factor metric:
     sum over a factor-orthonormal frame of the factor pairing of T_{e Y}Z
     with e.  This is the contraction used to pass from component identities
     to factor Ricci statements."""
-    s = dwp.point_data(points).side(which)
+    s = d.side(which)
     own = s.own
     block = tensor4[:, own, own, own, own]
     return np.einsum("nxt,nxyzt->nyz", s.ginv, block) / (
-        s.f_opp**2)[:, None, None]
+        s.mirror.f**2)[:, None, None]
 
 
-def einstein_defect(dwp, which, points):
+def einstein_defect(dwp, which, d):
     """(factor Ricci) - mu_i (factor metric) with the Einstein constant
     implied by concircular flatness:
     mu_i = f_opp^2 (m_i - 1)(g(grad log f_opp, grad log f_opp) + tau/(m(m-1))).
     Identically equal to the factor-block trace of the concircular tensor."""
-    s = dwp.point_data(points).side(which)
-    c = _scalar_coefficient(dwp, points)
-    grad_sq = s.opposite_pairing(s.dlog_opp_ext)  # |grad log f_opp|^2
-    mu = s.f_opp**2 * (s.m_own - 1) * (grad_sq + c)
+    s = d.side(which)
+    o = s.mirror
+    c = _scalar_coefficient(dwp, d)
+    grad_sq = s.opposite_pairing(o.dlog_ext)  # |grad log f_opp|^2
+    mu = o.f**2 * (s.m - 1) * (grad_sq + c)
     return s.ric - times(mu, s.g), mu
 
 
-def f_almost_defect(dwp, which, points):
+def f_almost_defect(dwp, which, d):
     """f h^{f_i} + (factor Ricci) - lambda_i (factor metric) with the
     coefficients implied by conharmonic flatness:
     lambda_i as quoted for the flatness theorem and f = (m_i - 2)/f_i.
     Identically equal to (m_j/(m-2)) times the factor-block trace of the
     conharmonic tensor."""
-    s = dwp.point_data(points).side(which)
-    lam = (s.f_opp**2 / s.m_opp) * (
-        s.tau_own / s.f_opp**2
-        - (s.m_opp / (s.f_own * s.f_opp**2)) * s.lap_f
-        + (s.m_own - 1) * ((dwp.m - 2) * s.opposite_pairing(s.dlog_opp_ext)
-                           - 2 * s.lap_opp)
+    s = d.side(which)
+    o = s.mirror
+    lam = (o.f**2 / o.m) * (
+        s.tau / o.f**2
+        - (o.m / (s.f * o.f**2)) * s.lap_f
+        + (s.m - 1) * ((dwp.m - 2) * s.opposite_pairing(o.dlog_ext)
+                       - 2 * o.lap)
     )
-    f = (s.m_own - 2) / s.f_own
+    f = (s.m - 2) / s.f
     return times(f, s.h_f) + s.ric - times(lam, s.g), lam, f
 
 
@@ -165,13 +165,12 @@ def _max_norms(tensor):
     return np.abs(tensor).reshape(len(tensor), -1).max(axis=1)
 
 
-def _dichotomy(dwp, points, tolerance):
+def _dichotomy(dwp, d, tolerance):
     """Branches forced by vanishing mixed components, per factor as (note,
     value): each log-warping differential must vanish, or the opposing
     factor's differential spans a degenerate 2-plane field (automatic in
     dimension one)."""
-    d = dwp.point_data(points)
-    largest = [float(np.abs(s.dlog_own).max()) for s in d.sides]
+    largest = [float(np.abs(s.dlog).max()) for s in d.sides]
     out = []
     for own, opp, m_own, name in ((0, 1, dwp.m1, "first"),
                                   (1, 0, dwp.m2, "second")):
@@ -184,49 +183,49 @@ def _dichotomy(dwp, points, tolerance):
     return out
 
 
-def concircular_flat_consequences(dwp, points, anchor, tolerance):
-    """If the product is numerically concircularly flat on the sampled
-    region, verify that both factors are Einstein with the implied constants
-    and evaluate the warping dichotomies.
+def concircular_flat_consequences(dwp, d, tolerance):
+    """If the product is numerically concircularly flat on the samples of
+    the record d, verify that both factors are Einstein with the implied
+    constants and evaluate the warping dichotomies.
 
     The statement's hypothesis requires both factor dimensions > 1; a
     one-dimensional factor is still processed (its Einstein condition is
     vacuous) and flagged in the notes.
     """
     check_id = "concircular"
-    norms = _max_norms(concircular_oracle(dwp.product, points))
+    norms = _max_norms(concircular_oracle(d.product))
     results, flat = gated(
-        check_id, summarize(f"{check_id}.flat", norms, points, tolerance),
+        check_id, summarize(f"{check_id}.flat", norms, d.p, tolerance),
         _NOT_FLAT, ("einstein1", "einstein2", "dichotomy"),
     )
     if not flat:
         return results
     for which in (1, 2):
-        pts = dwp.anchored(points, anchor, which)
-        s = dwp.point_data(pts).side(which)
-        defect, mu = einstein_defect(dwp, which, pts)
+        r = d.restriction(which)
+        s = r.side(which)
+        defect, mu = einstein_defect(dwp, which, r)
         values = normalized_residual(defect, [s.ric, times(mu, s.g)])
         notes = (
             f"Einstein constant mu = {mu[0] + 0.0:.6g}, "
             f"spread over samples = {mu.max() - mu.min():.3e}"
         )
-        if s.m_own == 1:
+        if s.m == 1:
             notes += "; factor dimension 1 is outside the stated hypothesis " \
                      "(condition holds vacuously)"
         results.append(
-            summarize(f"{check_id}.einstein{which}", values, pts, tolerance,
+            summarize(f"{check_id}.einstein{which}", values, r.p, tolerance,
                       notes=notes)
         )
-    notes, values = zip(*_dichotomy(dwp, points, tolerance))
+    notes, values = zip(*_dichotomy(dwp, d, tolerance))
     results.append(summarize(f"{check_id}.dichotomy", values,
-                             [points[0], points[0]], tolerance,
+                             [d.p[0], d.p[0]], tolerance,
                              notes="; ".join(notes)))
     return results
 
 
-def conharmonic_flat_consequences(dwp, points, anchor, tolerance):
-    """If the product is numerically conharmonically flat on the sampled
-    region, verify that each factor carries a gradient f-almost Ricci
+def conharmonic_flat_consequences(dwp, d, tolerance):
+    """If the product is numerically conharmonically flat on the samples of
+    the record d, verify that each factor carries a gradient f-almost Ricci
     soliton with potential the warping function.
 
     The coefficient of the factor Hessian is (m_i - 2)/f_i, obtained by
@@ -237,27 +236,27 @@ def conharmonic_flat_consequences(dwp, points, anchor, tolerance):
     check_id = "conharmonic"
     if dwp.m < 3:
         raise DimensionError("conharmonic tensor requires dim >= 3")
-    norms = _max_norms(conharmonic_oracle(dwp.product, points))
+    norms = _max_norms(conharmonic_oracle(d.product))
     results, flat = gated(
-        check_id, summarize(f"{check_id}.flat", norms, points, tolerance),
+        check_id, summarize(f"{check_id}.flat", norms, d.p, tolerance),
         _NOT_FLAT, ("soliton1", "soliton2"),
     )
     if not flat:
         return results
     for which in (1, 2):
-        pts = dwp.anchored(points, anchor, which)
-        s = dwp.point_data(pts).side(which)
-        defect, lam, f = f_almost_defect(dwp, which, pts)
+        r = d.restriction(which)
+        s = r.side(which)
+        defect, lam, f = f_almost_defect(dwp, which, r)
         values = normalized_residual(
             defect, [times(f, s.h_f), s.ric, times(lam, s.g)])
         notes = (
             f"gradient f-almost Ricci soliton with f = (m_i - 2)/f_i; "
             f"lambda spread over samples = {lam.max() - lam.min():.3e}"
         )
-        if s.m_own == 1:
+        if s.m == 1:
             notes += "; factor dimension 1 is outside the stated hypothesis"
         results.append(
-            summarize(f"{check_id}.soliton{which}", values, pts, tolerance,
+            summarize(f"{check_id}.soliton{which}", values, r.p, tolerance,
                       notes=notes)
         )
     return results

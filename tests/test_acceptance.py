@@ -66,7 +66,8 @@ def test_criterion_01_curvature_splitting(corpus_products, corpus_points):
     corpus at 50 seeded points each."""
     worst = 0.0
     for name, dwp in corpus_products.items():
-        for summary in checks.check_lemma1(dwp, corpus_points[name], 1e-8):
+        for summary in checks.check_lemma1(
+                dwp, dwp.point_data(corpus_points[name]), 1e-8):
             worst = max(worst, summary.max_abs_residual)
             if summary.status != PASS:
                 report(1, False, f"{name}:{summary.check_id}")
@@ -81,10 +82,11 @@ def test_criterion_02_ricci_and_scalar_splitting(
     worst = 0.0
     for name, dwp in corpus_products.items():
         pts = corpus_points[name]
+        data = dwp.point_data(pts)
         for summary in (
-            checks.check_lemma2(dwp, pts, 1e-8)
-            + checks.check_lemma5(dwp, pts, 1e-8)
-            + checks.check_scalar(dwp, pts, 1e-8)
+            checks.check_lemma2(dwp, data, 1e-8)
+            + checks.check_lemma5(dwp, data, 1e-8)
+            + checks.check_scalar(dwp, data, 1e-8)
         ):
             worst = max(worst, summary.max_abs_residual)
             if summary.status != PASS:
@@ -92,7 +94,8 @@ def test_criterion_02_ricci_and_scalar_splitting(
         for p in pts:
             d = dwp.point_data(p[None])
             mixed = dwp.product.ricci_oracle(p[None])[0][: dwp.m1, dwp.m1:]
-            expected = (dwp.m - 2) * np.outer(d.dk1[0], d.dl2[0])
+            s1, s2 = d.sides
+            expected = (dwp.m - 2) * np.outer(s1.dlog[0], s2.dlog[0])
             err = np.abs(mixed - expected).max()
             worst = max(worst, err)
     report(2, worst <= 1e-8, f"worst residual {worst:.3e}")
@@ -110,9 +113,10 @@ def test_criterion_03_hessian_and_laplacian_splitting(
         psis = [("poly", random_polynomial(dwp.coords, rng, degree=3))]
         if "x" in dwp.coords and "t" in dwp.coords:
             psis.append(("mixed", parse_expression("x + t^2", dwp.coords)))
+        data = dwp.point_data(pts)
         for summary in checks.check_hessian(
-            dwp, pts, 1e-8, psis=psis
-        ) + checks.check_laplacian(dwp, pts, 1e-8):
+            dwp, data, 1e-8, psis=psis
+        ) + checks.check_laplacian(dwp, data, 1e-8):
             worst = max(worst, summary.max_abs_residual)
             if summary.status != PASS:
                 report(3, False, f"{name}:{summary.check_id}")
@@ -129,7 +133,7 @@ def test_criterion_04_model_solitons():
         chart = flat_chart(tuple("xyzw"[:n]))
         psi = gaussian_potential(chart.coords, lam / 2)
         spec = SolitonSpec(kind="ricci", psi=psi, lam=lam)
-        summary = residual(spec, chart, seeded_points(chart, 20), 1e-10)
+        summary = residual(spec, chart.at(seeded_points(chart, 20)), 1e-10)
         worst = max(worst, summary.max_abs_residual)
         if summary.status != PASS:
             report(4, False, f"gaussian n={n}")
@@ -137,8 +141,7 @@ def test_criterion_04_model_solitons():
     sphere = sphere_chart()
     summary = residual(
         SolitonSpec(kind="einstein"),
-        sphere,
-        seeded_points(sphere, 10, box=(0.5, 2.5)),
+        sphere.at(seeded_points(sphere, 10, box=(0.5, 2.5))),
         1e-10,
     )
     worst = max(worst, summary.max_abs_residual)
@@ -148,7 +151,8 @@ def test_criterion_04_model_solitons():
     for n in (3, 4):
         hyp = hyperbolic_space(n)
         pts = seeded_points(hyp.product, 10)
-        summary = residual(SolitonSpec(kind="einstein"), hyp.product, pts, 1e-8)
+        summary = residual(SolitonSpec(kind="einstein"), hyp.product.at(pts),
+                           1e-8)
         if summary.status != PASS:
             report(4, False, f"hyperbolic n={n} einstein")
         tau_err = max(
@@ -171,7 +175,7 @@ def test_criterion_05_contraction_identity_random_metrics():
         psi = random_polynomial(chart.coords, rng, degree=3)
         spec = SolitonSpec(kind="riemann", psi=psi, lam=rng.uniform(-1, 1))
         summary = contraction_consistency(
-            spec, chart, seeded_points(chart, 10), 1e-8
+            spec, chart.at(seeded_points(chart, 10)), 1e-8
         )
         worst = max(worst, summary.max_abs_residual)
         if summary.status != PASS:
@@ -190,7 +194,7 @@ def test_criterion_06_factor_structure_pipeline(corpus_products):
     pts = seeded_points(dwp.product, 20)
     worst = 0.0
     for summary in ricci_factor_structures(
-        dwp, spec, pts, np.zeros(dwp.m), 1e-10
+        dwp, spec, dwp.point_data(pts, np.zeros(dwp.m)), 1e-10
     ):
         worst = max(worst, summary.max_abs_residual)
         if summary.status != PASS:
@@ -199,7 +203,7 @@ def test_criterion_06_factor_structure_pipeline(corpus_products):
     for text in ("exp(x)", "1 + x^2"):
         f = parse_expression(text, chart.coords)
         summary = log_hessian_identity(
-            chart, f, seeded_points(chart, 20), 1e-10
+            chart.at(seeded_points(chart, 20)), f, 1e-10
         )
         worst = max(worst, summary.max_abs_residual)
         if summary.status != PASS:
@@ -218,15 +222,15 @@ def test_criterion_07_concircular():
         (flat_chart(("x", "y", "z")), (-1.0, 1.0)),
     ):
         for p in seeded_points(chart, 10, box=box):
-            worst_cc = max(
-                worst_cc, np.abs(concircular_oracle(chart, p[None])[0]).max()
-            )
+            c4 = concircular_oracle(chart.at(p[None]))[0]
+            worst_cc = max(worst_cc, np.abs(c4).max())
     if worst_cc > 1e-9:
         report(7, False, f"constant-curvature norm {worst_cc:.3e}")
 
     dwp = e2xe1_product()
     pts = seeded_points(dwp.product, 20)
-    out = checks.check_concircular(dwp, pts, 1e-8, np.zeros(dwp.m))
+    out = checks.check_concircular(
+        dwp, dwp.point_data(pts, np.zeros(dwp.m)), 1e-8)
     for summary in out:
         if summary.check_id.split(".")[1] in (
             "XYZ", "XYU", "UVX", "XUY", "UXV", "UVW",
@@ -239,7 +243,7 @@ def test_criterion_07_concircular():
     consequences = {
         s.check_id: s
         for s in concircular_flat_consequences(
-            hyp, hyp_pts, np.zeros(hyp.m), 1e-9
+            hyp, hyp.point_data(hyp_pts, np.zeros(hyp.m)), 1e-9
         )
     }
     ok = (
@@ -249,7 +253,8 @@ def test_criterion_07_concircular():
     )
     if not ok:
         report(7, False, "hyperbolic consequence validation")
-    gated = concircular_flat_consequences(dwp, pts, np.zeros(dwp.m), 1e-8)
+    gated = concircular_flat_consequences(
+        dwp, dwp.point_data(pts, np.zeros(dwp.m)), 1e-8)
     if not all(s.status == SKIP for s in gated):
         report(7, False, "non-flat product did not gate")
     report(7, True, f"constant-curvature norm {worst_cc:.3e}")
@@ -261,14 +266,14 @@ def test_criterion_08_conharmonic(corpus_products, corpus_points):
     surfaces."""
     chart = flat_chart(("x", "y", "z"))
     for p in seeded_points(chart, 10):
-        if np.abs(conharmonic_oracle(chart, p[None])[0]).max() != 0.0:
+        if np.abs(conharmonic_oracle(chart.at(p[None]))[0]).max() != 0.0:
             report(8, False, "flat space not conharmonically flat")
     worst = 0.0
     for name, dwp in corpus_products.items():
         if dwp.m < 3:
             continue
         out = checks.check_conharmonic(
-            dwp, corpus_points[name], 1e-8, np.zeros(dwp.m)
+            dwp, dwp.point_data(corpus_points[name], np.zeros(dwp.m)), 1e-8
         )
         for summary in out:
             if summary.check_id in ("conharmonic.XYZ", "conharmonic.UVW"):
@@ -276,7 +281,7 @@ def test_criterion_08_conharmonic(corpus_products, corpus_points):
                 if summary.status != PASS:
                     report(8, False, f"{name}:{summary.check_id}")
     try:
-        conharmonic_oracle(sphere_chart(), [(0.8, 0.4)])
+        conharmonic_oracle(sphere_chart().at([(0.8, 0.4)]))
         report(8, False, "dimension guard missing")
     except DimensionError:
         pass
@@ -293,10 +298,10 @@ def test_criterion_09_reduction_lattice():
         parse_expression(e, chart.coords) for e in ("1", "x", "0")
     )
     base_ricci = residual_values(
-        SolitonSpec(kind="ricci", psi=psi, lam=0.7), chart, pts
+        SolitonSpec(kind="ricci", psi=psi, lam=0.7), chart.at(pts)
     )
     base_yamabe = residual_values(
-        SolitonSpec(kind="yamabe", psi=psi, lam=0.7), chart, pts
+        SolitonSpec(kind="yamabe", psi=psi, lam=0.7), chart.at(pts)
     )
     variants = [
         ("eta_ricci(mu=0)", base_ricci, SolitonSpec(
@@ -310,7 +315,7 @@ def test_criterion_09_reduction_lattice():
             kind="eta_yamabe", psi=psi, lam=0.7, mu=0.0, eta=eta)),
     ]
     for label, base, spec in variants:
-        if not np.array_equal(base, residual_values(spec, chart, pts)):
+        if not np.array_equal(base, residual_values(spec, chart.at(pts))):
             report(9, False, f"{label} not bitwise-identical")
     report(9, True, "all degenerate variants bitwise-identical")
 

@@ -135,11 +135,13 @@ class TestExitStatuses:
         ('metric = [["1", "0"], ["0", "1"]]',
          'metric = [["sqrt(x)", "0"], ["0", "1"]]', [],
          ["metric entry [0][0] = ", "sqrt of nonpositive value"]),
-        # a warping leaving its domain on the box
+        # a warping leaving its domain on the box is named, at its factor
+        # point, not as the product metric entry that contains it
         ('metric = [["1", "0"], ["0", "1"]]\n\n[factor.2]',
          'metric = [["1", "0"], ["0", "1"]]\nwarping = "sqrt(x)"\n\n'
          '[factor.2]', [],
-         ["metric entry [2][2] = ", "sqrt of nonpositive value"]),
+         ["f1 = 'sqrt(x)' leaves its domain at [-0.8116453042247009, "
+          "0.9512447032735118]: ", "sqrt of nonpositive value"]),
         # a warping leaving its domain at the anchor only
         ('metric = [["1", "0"], ["0", "1"]]\n\n[factor.2]',
          'metric = [["1", "0"], ["0", "1"]]\nwarping = "sqrt(x)"\n\n'
@@ -150,18 +152,24 @@ class TestExitStatuses:
          'metric = [["sqrt(x)", "0"], ["0", "1"]]',
          ["--box=0.1,1", "--anchor=-0.5,0.5,0.5,0.5"],
          ["metric entry [0][0] = ", "leaves its domain at [-0.5, "]),
-        # overflow while sampling a huge box
+        # overflow of the warping itself while sampling a huge box
         ('metric = [["1", "0"], ["0", "1"]]\n\n[factor.2]',
          'metric = [["1", "0"], ["0", "1"]]\nwarping = "exp(x)"\n\n'
          '[factor.2]', ["--box=0,1e308"],
-         ["metric entry [2][2] = ", "leaves its domain at ["]),
+         ["f1 = 'exp(x)' leaves its domain at [", "overflow in 'exp(x)'"]),
         # overflow of ^, sinh and cosh in a second-factor warping
         *[('metric = [["1", "0"], ["0", "1"]]\n\n[potential]',
            f'metric = [["1", "0"], ["0", "1"]]\nwarping = "{warping}"\n\n'
            '[potential]', ["--box=0,1e200"],
-           ["metric entry [0][0] = ", "leaves its domain at [",
+           [f"f2 = '{warping}' leaves its domain at [",
             f"overflow in '{warping}'"])
           for warping in ("t^2", "sinh(t)", "cosh(t)")],
+        # a finite warping whose square overflows: the entry is named
+        ('metric = [["1", "0"], ["0", "1"]]\n\n[factor.2]',
+         'metric = [["1", "0"], ["0", "1"]]\nwarping = "exp(x)"\n\n'
+         '[factor.2]', ["--box=0,700"],
+         ["metric entry [2][2] = 'exp(x)^2 * 1' leaves its domain at [",
+          "overflow in 'exp(x)^2'"]),
     ])
     def test_metric_or_warping_leaving_its_domain_exits_two(
         self, tmp_path, capsys, old, new, args, needles
@@ -199,6 +207,32 @@ class TestExitStatuses:
         assert main(["verify", spec] + args) == 2
         assert f"error: {needle}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new, args, needle", [
+        ("seed = 42", "seed = 1.5", [],
+         "[sampling] seed must be a non-negative integer, got 1.5"),
+        ("seed = 42", 'seed = "x"', [],
+         "[sampling] seed must be a non-negative integer, got 'x'"),
+        ("seed = 42", "seed = -3", [],
+         "[sampling] seed must be a non-negative integer, got -3"),
+        ("seed = 42", "seed = 42", ["--seed", "-3"],
+         "--seed must be a non-negative integer, got -3"),
+        ("tolerance = 1e-8", "tolerance = [1e-8]", [],
+         "[sampling] tolerance must be a positive number, got [1e-08]"),
+        ("tolerance = 1e-8", 'tolerance = "abc"', [],
+         "[sampling] tolerance must be a positive number, got 'abc'"),
+        ("box = [-1.0, 1.0]", "box = 5", [],
+         "[sampling] box must be [lo, hi] or a list of [lo, hi] pairs, "
+         "got 5"),
+        ("box = [-1.0, 1.0]", "box = [-1.0, 1.0]\nanchor = 5", [],
+         "[sampling] anchor must be a list of numbers, got 5"),
+    ])
+    def test_malformed_sampling_values_exit_two(
+        self, tmp_path, capsys, old, new, args, needle
+    ):
+        spec = write(tmp_path, PASSING_SPEC.replace(old, new), "bad.spec")
+        assert main(["verify", spec] + args) == 2
+        assert capsys.readouterr().err == f"error: {needle}\n"
+
 
 class TestCheckIds:
     def test_check_ids_are_unique(self, tmp_path):
@@ -219,6 +253,23 @@ class TestCheckIds:
         by_id = {c["check_id"]: c for c in checks}
         assert "beta vanishes" in by_id[
             "soliton[0].factors.quasi_einstein.product"]["notes"]
+
+
+    def test_vanishing_quasi_einstein_form_is_reported_as_a_list(
+        self, tmp_path
+    ):
+        text = QUASI_EINSTEIN_ZERO_BETA_SPEC.replace(
+            "beta = 0.0", "beta = 1.0").replace(
+            'eta = ["1", "0", "0"]', 'eta = ["0", "0", "0"]')
+        spec = write(tmp_path, text, "qe0.spec")
+        report = str(tmp_path / "qe0.json")
+        main(["verify", spec, "--format", "structured", "--checks",
+              "solitons", "--report", report])
+        notes = {c["check_id"]: c["notes"]
+                 for c in json.loads(open(report).read())["checks"]}
+        note = notes["soliton[0].quasi_einstein"]
+        assert "quasi-Einstein 1-form vanishes at [" in note
+        assert "np.float64" not in note
 
 
 class TestDeterminism:

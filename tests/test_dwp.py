@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     corpus,
+    direct_flat_product,
     e2xe1_product,
     expr_chart,
     flat_chart,
@@ -21,6 +22,7 @@ from dwpcheck.dwp import (
     WarpingError,
 )
 from dwpcheck.expr import constant, parse_expression
+from dwpcheck.geometry import ChartManifold
 from dwpcheck.reporting import PASS
 from dwpcheck.solitons import SolitonSpec, ricci_factor_structures
 from dwpcheck.special import einstein_defect, f_almost_defect
@@ -49,18 +51,18 @@ def reference_riemann(dwp, p):
     d = dwp.point_data(p[None])
     m1, m = dwp.m1, dwp.m
     e = np.eye(m)
-    dk, dl = d.dk1_ext[0], d.dl2_ext[0]
     s1, s2 = d.sides
+    dk, dl = s1.dlog_ext[0], s2.dlog_ext[0]
     factors = (
-        (dwp.factor1.riemann_oracle(s1.point)[0], s1.ginv[0], 0),
-        (dwp.factor2.riemann_oracle(s2.point)[0], s2.ginv[0], m1),
+        (dwp.factor1.riemann_oracle(s1.factor.p)[0], s1.ginv[0], 0),
+        (dwp.factor2.riemann_oracle(s2.factor.p)[0], s2.ginv[0], m1),
     )
 
     def fac(i):
         return 1 if i < m1 else 2
 
     def g(a, b):
-        return e[a] @ d.g[0] @ e[b]
+        return e[a] @ d.product.g[0] @ e[b]
 
     def factor_curvature(i, j, k):
         r4, ginv, off = factors[fac(i) - 1]
@@ -75,10 +77,10 @@ def reference_riemann(dwp, p):
             return -vec(j, i, k)
         if pattern == (1, 1, 1):  # XYZ
             return (factor_curvature(i, j, k)
-                    + g(i, k) * (d.Hl[0] @ e[j]) - g(j, k) * (d.Hl[0] @ e[i]))
+                    + g(i, k) * (s2.H[0] @ e[j]) - g(j, k) * (s2.H[0] @ e[i]))
         if pattern == (2, 2, 2):  # UVW
             return (factor_curvature(i, j, k)
-                    + g(i, k) * (d.Hk[0] @ e[j]) - g(j, k) * (d.Hk[0] @ e[i]))
+                    + g(i, k) * (s1.H[0] @ e[j]) - g(j, k) * (s1.H[0] @ e[i]))
         if pattern == (1, 1, 2):  # XYU
             return dl[k] * (dk[j] * e[i] - dk[i] * e[j])
         if pattern == (2, 2, 1):  # UVX
@@ -88,13 +90,13 @@ def reference_riemann(dwp, p):
             return (
                 (s1.h_log[0, x, y] + dk[x] * dk[y]) * e[u]
                 + dk[y] * dl[u] * e[x]
-                + g(x, y) * (d.Hl[0] @ e[u] + dl[u] * d.grad_l[0])
+                + g(x, y) * (s2.H[0] @ e[u] + dl[u] * s2.grad[0])
             )
         u, x, v = i, j, k  # UXV
         return (
             (s2.h_log[0, u - m1, v - m1] + dl[u] * dl[v]) * e[x]
             + dl[v] * dk[x] * e[u]
-            + g(u, v) * (d.Hk[0] @ e[x] + dk[x] * d.grad_k[0])
+            + g(u, v) * (s1.H[0] @ e[x] + dk[x] * s1.grad[0])
         )
 
     out = np.zeros((m, m, m, m))
@@ -112,14 +114,15 @@ class TestRiemannSplitting:
     ):
         dwp = products[name]
         for p in samples[name][:4]:
-            block = dwp.riemann_closed(p[None])[0]
+            block = dwp.riemann_closed(dwp.point_data(p[None]))[0]
             reference = reference_riemann(dwp, p)
             scale = np.maximum(1.0, np.abs(reference))
             assert np.all(np.abs(block - reference) <= 1e-13 * scale)
 
     @pytest.mark.parametrize("name", ["direct", "warped", "e2xe1"])
     def test_all_six_classes_match_oracle(self, products, samples, name):
-        out = checks.check_lemma1(products[name], samples[name], TOL)
+        out = checks.check_lemma1(
+            products[name], products[name].point_data(samples[name]), TOL)
         for summary in out:
             assert summary.status == PASS, summary
 
@@ -127,14 +130,14 @@ class TestRiemannSplitting:
         for name in ("e2xe1", "sxh"):
             dwp = products[name]
             for p in samples[name][:4]:
-                closed = dwp.covariant_closed(p[None])[0]
+                closed = dwp.covariant_closed(dwp.point_data(p[None]))[0]
                 oracle = dwp.product.christoffel(p[None])[0]
                 assert np.allclose(closed, oracle, atol=1e-10)
 
     def test_first_bianchi_on_reconstructed_tensor(self, products, samples):
         dwp = products["e2xe1"]
         for p in samples["e2xe1"][:4]:
-            r4 = dwp.riemann_closed_tensor(p[None])[0]
+            r4 = dwp.riemann_closed_tensor(dwp.point_data(p[None]))[0]
             bianchi = (
                 r4
                 + np.transpose(r4, (1, 2, 0, 3))
@@ -146,12 +149,14 @@ class TestRiemannSplitting:
 class TestRicciAndScalar:
     @pytest.mark.parametrize("name", ["direct", "warped", "e2xe1"])
     def test_ricci_blocks(self, products, samples, name):
-        for summary in checks.check_lemma2(products[name], samples[name], TOL):
+        for summary in checks.check_lemma2(
+            products[name], products[name].point_data(samples[name]), TOL):
             assert summary.status == PASS, summary
 
     @pytest.mark.parametrize("name", ["direct", "warped", "e2xe1"])
     def test_ricci_operator_blocks(self, products, samples, name):
-        for summary in checks.check_lemma5(products[name], samples[name], TOL):
+        for summary in checks.check_lemma5(
+            products[name], products[name].point_data(samples[name]), TOL):
             assert summary.status == PASS, summary
 
     def test_mixed_ricci_block_value(self, products, samples):
@@ -159,20 +164,23 @@ class TestRicciAndScalar:
         dwp = products["e2xe1"]
         for p in samples["e2xe1"][:5]:
             d = dwp.point_data(p[None])
-            expected = (dwp.m - 2) * np.outer(d.dk1[0], d.dl2[0])
+            s1, s2 = d.sides
+            expected = (dwp.m - 2) * np.outer(s1.dlog[0], s2.dlog[0])
             oracle = dwp.product.ricci_oracle(p[None])[0][: dwp.m1, dwp.m1:]
             assert np.allclose(oracle, expected, atol=1e-10)
 
     @pytest.mark.parametrize("name", ["direct", "warped", "e2xe1"])
     def test_scalar_splitting(self, products, samples, name):
-        (summary,) = checks.check_scalar(products[name], samples[name], TOL)
+        (summary,) = checks.check_scalar(
+            products[name], products[name].point_data(samples[name]), TOL)
         assert summary.status == PASS, summary
 
 
 class TestHessianAndLaplacian:
     @pytest.mark.parametrize("name", ["direct", "warped", "e2xe1"])
     def test_log_warping_hessians(self, products, samples, name):
-        for summary in checks.check_hessian(products[name], samples[name], TOL):
+        for summary in checks.check_hessian(
+            products[name], products[name].point_data(samples[name]), TOL):
             assert summary.status == PASS, summary
 
     def test_user_potential_hessian_blocks(self, products, samples):
@@ -182,7 +190,8 @@ class TestHessianAndLaplacian:
             ("mixed", parse_expression("x + t^2", dwp.coords)),
             ("poly", random_polynomial(dwp.coords, rng)),
         ]
-        out = checks.check_hessian(dwp, samples["e2xe1"], TOL, psis=psis)
+        out = checks.check_hessian(dwp, dwp.point_data(samples["e2xe1"]), TOL,
+                                   psis=psis)
         for summary in out:
             assert summary.status == PASS, summary
 
@@ -191,7 +200,8 @@ class TestHessianAndLaplacian:
         dwp = products["e2xe1"]
         psi = parse_expression("x*y + x*t + t^2", dwp.coords)
         for p in samples["e2xe1"][:5]:
-            closed = dwp.hessian_split_closed(psi, "XU", p[None])[0]
+            closed = dwp.hessian_split_closed(psi, "XU",
+                                            dwp.point_data(p[None]))[0]
             oracle = dwp.product.hessian_field(psi, p[None])[0][
                 : dwp.m1, dwp.m1:
             ]
@@ -200,8 +210,7 @@ class TestHessianAndLaplacian:
     @pytest.mark.parametrize("name", ["direct", "warped", "e2xe1"])
     def test_laplacian_splitting(self, products, samples, name):
         for summary in checks.check_laplacian(
-            products[name], samples[name], TOL
-        ):
+            products[name], products[name].point_data(samples[name]), TOL):
             assert summary.status == PASS, summary
 
 
@@ -263,9 +272,10 @@ class TestStructure:
         dwp = e2xe1_product()
         p = np.array([0.3, -0.2, 0.7])
         d = dwp.point_data(p[None])
-        g = d.g[0]
-        assert np.allclose(g[: dwp.m1, : dwp.m1], d.f2[0]**2 * d.side(1).g[0])
-        assert np.allclose(g[dwp.m1:, dwp.m1:], d.f1[0]**2 * d.side(2).g[0])
+        g = d.product.g[0]
+        s1, s2 = d.sides
+        assert np.allclose(g[: dwp.m1, : dwp.m1], s2.f[0]**2 * s1.g[0])
+        assert np.allclose(g[dwp.m1:, dwp.m1:], s1.f[0]**2 * s2.g[0])
         assert np.abs(g[: dwp.m1, dwp.m1:]).max() == 0.0
 
 
@@ -309,18 +319,19 @@ class TestFactorMirror:
         a, b, pts, swap = pair
         for p in pts:
             q = p[swap]
+            da, db = a.point_data(p[None]), b.point_data(q[None])
             for which, klass in ((1, "XX"), (2, "UU")):
                 other, mirror = 3 - which, "UU" if klass == "XX" else "XX"
-                assert_mirrored(a.ricci_closed(klass, p[None])[0],
-                                b.ricci_closed(mirror, q[None])[0])
-                assert_mirrored(a.ricci_operator_closed(klass, p[None])[0],
-                                b.ricci_operator_closed(mirror, q[None])[0])
-                assert_mirrored(einstein_defect(a, which, p[None])[0][0],
-                                einstein_defect(b, other, q[None])[0][0])
-                assert_mirrored(f_almost_defect(a, which, p[None])[0][0],
-                                f_almost_defect(b, other, q[None])[0][0])
-            assert_mirrored(a.laplacian_split("k", p[None]),
-                            b.laplacian_split("l", q[None]))
+                assert_mirrored(a.ricci_closed(klass, da)[0],
+                                b.ricci_closed(mirror, db)[0])
+                assert_mirrored(a.ricci_operator_closed(klass, da)[0],
+                                b.ricci_operator_closed(mirror, db)[0])
+                assert_mirrored(einstein_defect(a, which, da)[0][0],
+                                einstein_defect(b, other, db)[0][0])
+                assert_mirrored(f_almost_defect(a, which, da)[0][0],
+                                f_almost_defect(b, other, db)[0][0])
+            assert_mirrored(a.laplacian_split("k", da),
+                            b.laplacian_split("l", db))
 
     def test_ricci_factor_structures(self, pair):
         a, b, pts, swap = pair
@@ -333,7 +344,7 @@ class TestFactorMirror:
             {s.check_id: s for s in ricci_factor_structures(
                 dwp, SolitonSpec(kind="ricci", lam=lam,
                                  psi=parse_expression(psi, dwp.coords)),
-                points, anchor, tol)}
+                dwp.point_data(points, anchor), tol)}
             for dwp, points, anchor in (
                 (a, pts, pts[0]), (b, pts[:, swap], pts[0][swap]))
         ]
@@ -344,3 +355,41 @@ class TestFactorMirror:
             assert_mirrored(mine.max_abs_residual, theirs.max_abs_residual)
             assert_mirrored(np.array(mine.worst_point)[swap],
                             theirs.worst_point)
+
+
+class TestOneRecordPerPointSet:
+    def test_run_all_jets_each_chart_once_per_point_set(self, monkeypatch):
+        """With the flatness gates and a soliton gate passing, so that the
+        anchored restriction sets are used too, no chart's metric is jetted
+        twice on equal points, and at most three records are built (the
+        samples and the two restriction sets)."""
+        dwp = direct_flat_product()
+        psi = parse_expression("0.3*(x^2 + y^2 + s^2 + t^2)", dwp.coords)
+        spec = SolitonSpec(kind="ricci", psi=psi, lam=0.6)
+        pts = seeded_points(dwp.product, 8)
+        jetted, built = [], []
+        metric_jets = ChartManifold._metric_jets
+        point_data = DoublyWarpedProduct.point_data
+
+        def counting_jets(chart, points):
+            jetted.append((chart, np.array(points, dtype=float)))
+            return metric_jets(chart, points)
+
+        def counting_point_data(self, *args, **kwargs):
+            built.append(args)
+            return point_data(self, *args, **kwargs)
+
+        monkeypatch.setattr(ChartManifold, "_metric_jets", counting_jets)
+        monkeypatch.setattr(DoublyWarpedProduct, "point_data",
+                            counting_point_data)
+        out = {s.check_id: s for s in checks.run_all(
+            dwp, [spec], pts, TOL, np.array([0.1, -0.2, 0.3, 0.4]))}
+        for check_id in ("concircular.einstein1", "conharmonic.soliton2",
+                         "soliton[0].factors.ricci.factor1"):
+            assert out[check_id].status == PASS, out[check_id]
+        for i, (chart, points) in enumerate(jetted):
+            for other, earlier in jetted[:i]:
+                assert not (other is chart and np.array_equal(points,
+                                                              earlier))
+        assert len(jetted) == 7  # samples 3, each restriction set 2
+        assert 1 <= len(built) <= 3

@@ -20,7 +20,6 @@ from dwpcheck.expr import (
     UnknownIdentifierError,
     Var,
     constant,
-    finite_difference_jet,
     parse_expression,
 )
 
@@ -95,7 +94,7 @@ class TestJets:
         )
         p = [0.4, -0.7]
         jet = e.jet([p])
-        fd = finite_difference_jet(e, [p])
+        fd = e.fd_jet([p])
         assert jet.value[0] == pytest.approx(fd.value[0], abs=1e-10)
         assert jet.gradient[0] == pytest.approx(fd.gradient[0], abs=1e-7)
         assert np.allclose(jet.hessian[0], fd.hessian[0], atol=1e-5)
@@ -116,7 +115,7 @@ class TestJets:
         )
         expr = parse_expression(text, ("x", "y"))
         jet = expr.jet([point])
-        fd = finite_difference_jet(expr, [point])
+        fd = expr.fd_jet([point])
         assert jet.gradient[0] == pytest.approx(fd.gradient[0], abs=1e-6)
         assert np.allclose(jet.hessian[0], fd.hessian[0], atol=1e-4)
 

@@ -46,7 +46,7 @@ class TestDefiningEquations:
         psi = gaussian_potential(chart.coords, lam / 2)
         spec = SolitonSpec(kind="ricci", psi=psi, lam=lam)
         pts = seeded_points(chart, 10)
-        summary = residual(spec, chart, pts, 1e-10)
+        summary = residual(spec, chart.at(pts), 1e-10)
         assert summary.status == PASS
         assert summary.max_abs_residual <= 1e-10
 
@@ -54,7 +54,7 @@ class TestDefiningEquations:
         chart = sphere_chart()
         spec = SolitonSpec(kind="einstein")
         pts = seeded_points(chart, 8, box=(0.5, 2.5))
-        summary = residual(spec, chart, pts, 1e-10)
+        summary = residual(spec, chart.at(pts), 1e-10)
         assert summary.status == PASS
 
     def test_yamabe_soliton_on_flat_space(self):
@@ -62,7 +62,7 @@ class TestDefiningEquations:
         lam = 0.6
         psi = gaussian_potential(chart.coords, -lam / 2)  # h = (0 - lam) g
         spec = SolitonSpec(kind="yamabe", psi=psi, lam=lam)
-        summary = residual(spec, chart, seeded_points(chart, 8), 1e-12)
+        summary = residual(spec, chart.at(seeded_points(chart, 8)), 1e-12)
         assert summary.status == PASS
 
     def test_conformal_soliton_on_flat_space(self):
@@ -70,7 +70,7 @@ class TestDefiningEquations:
         gamma = 1.3
         psi = gaussian_potential(chart.coords, gamma / 2)
         spec = SolitonSpec(kind="conformal", psi=psi, gamma=gamma)
-        summary = residual(spec, chart, seeded_points(chart, 8), 1e-12)
+        summary = residual(spec, chart.at(seeded_points(chart, 8)), 1e-12)
         assert summary.status == PASS
 
     def test_eta_ricci_soliton_on_flat_space(self):
@@ -83,7 +83,7 @@ class TestDefiningEquations:
             parse_expression(e, chart.coords) for e in ("1", "0")
         )
         spec = SolitonSpec(kind="eta_ricci", psi=psi, lam=lam, mu=mu, eta=eta)
-        summary = residual(spec, chart, seeded_points(chart, 8), 1e-12)
+        summary = residual(spec, chart.at(seeded_points(chart, 8)), 1e-12)
         assert summary.status == PASS
 
     def test_f_almost_ricci_with_function_coefficients(self):
@@ -92,7 +92,7 @@ class TestDefiningEquations:
         f = parse_expression("1 + x^2", chart.coords)
         lam = parse_expression("1 + x^2", chart.coords)
         spec = SolitonSpec(kind="f_almost_ricci", psi=psi, lam=lam, f_factor=f)
-        summary = residual(spec, chart, seeded_points(chart, 8), 1e-12)
+        summary = residual(spec, chart.at(seeded_points(chart, 8)), 1e-12)
         assert summary.status == PASS
         assert "almost" in summary.notes
 
@@ -104,14 +104,15 @@ class TestDefiningEquations:
         psi = gaussian_potential(chart.coords, lam / 4)
         spec = SolitonSpec(kind="riemann", psi=psi, lam=lam)
         pts = seeded_points(chart, 8)
-        assert residual(spec, chart, pts, 1e-10).status == PASS
-        assert residual(spec, chart, pts, 1e-10, form="contracted").status == PASS
+        assert residual(spec, chart.at(pts), 1e-10).status == PASS
+        assert residual(spec, chart.at(pts), 1e-10,
+                        form="contracted").status == PASS
 
     def test_non_soliton_fails(self):
         chart = flat_chart(("x", "y"))
         psi = parse_expression("x^3", chart.coords)
         spec = SolitonSpec(kind="ricci", psi=psi, lam=0.5)
-        summary = residual(spec, chart, seeded_points(chart, 8), TOL)
+        summary = residual(spec, chart.at(seeded_points(chart, 8)), TOL)
         assert summary.status == "fail"
 
     def test_contraction_identity_holds_for_arbitrary_potential(self):
@@ -121,13 +122,13 @@ class TestDefiningEquations:
         spec = SolitonSpec(kind="riemann", psi=psi, lam=0.7)
         with pytest.raises(SolitonError):
             contraction_consistency(
-                spec, chart, seeded_points(chart, 4, box=(0.5, 2.0)), TOL
+                spec, chart.at(seeded_points(chart, 4, box=(0.5, 2.0))), TOL
             )  # dim 2 rejected
         chart3 = flat_chart(("x", "y", "z"))
         psi3 = parse_expression("x^2*y + tanh(z)", chart3.coords)
         spec3 = SolitonSpec(kind="riemann", psi=psi3, lam=-0.4)
         summary = contraction_consistency(
-            spec3, chart3, seeded_points(chart3, 8), TOL
+            spec3, chart3.at(seeded_points(chart3, 8)), TOL
         )
         assert summary.status == PASS
 
@@ -162,8 +163,8 @@ class TestReductionLattice:
             kind="eta_ricci", psi=self.psi, lam=0.7, mu=0.0, eta=self.eta
         )
         assert np.array_equal(
-            residual_values(base, self.chart, self.pts),
-            residual_values(variant, self.chart, self.pts),
+            residual_values(base, self.chart.at(self.pts)),
+            residual_values(variant, self.chart.at(self.pts)),
         )
 
     def test_f_almost_ricci_with_unit_f_matches_ricci(self):
@@ -172,8 +173,8 @@ class TestReductionLattice:
             kind="f_almost_ricci", psi=self.psi, lam=0.7, f_factor=1.0
         )
         assert np.array_equal(
-            residual_values(base, self.chart, self.pts),
-            residual_values(variant, self.chart, self.pts),
+            residual_values(base, self.chart.at(self.pts)),
+            residual_values(variant, self.chart.at(self.pts)),
         )
 
     def test_f_almost_eta_ricci_degenerates_both_ways(self):
@@ -187,8 +188,8 @@ class TestReductionLattice:
             f_factor=1.0,
         )
         assert np.array_equal(
-            residual_values(base, self.chart, self.pts),
-            residual_values(variant, self.chart, self.pts),
+            residual_values(base, self.chart.at(self.pts)),
+            residual_values(variant, self.chart.at(self.pts)),
         )
 
     def test_eta_yamabe_with_zero_mu_matches_yamabe(self):
@@ -197,8 +198,8 @@ class TestReductionLattice:
             kind="eta_yamabe", psi=self.psi, lam=0.7, mu=0.0, eta=self.eta
         )
         assert np.array_equal(
-            residual_values(base, self.chart, self.pts),
-            residual_values(variant, self.chart, self.pts),
+            residual_values(base, self.chart.at(self.pts)),
+            residual_values(variant, self.chart.at(self.pts)),
         )
 
 
@@ -213,7 +214,7 @@ class TestFactorStructures:
         psi = gaussian_potential(self.dwp.coords, lam / 2)
         spec = SolitonSpec(kind="ricci", psi=psi, lam=lam)
         out = ricci_factor_structures(
-            self.dwp, spec, self.pts, self.anchor, 1e-10
+            self.dwp, spec, self.dwp.point_data(self.pts, self.anchor), 1e-10
         )
         assert {s.check_id for s in out} == {
             "factors.ricci.product",
@@ -230,7 +231,7 @@ class TestFactorStructures:
         psi = gaussian_potential(self.dwp.coords, -lam / 2)
         spec = SolitonSpec(kind="yamabe", psi=psi, lam=lam)
         out = yamabe_factor_structures(
-            self.dwp, spec, self.pts, self.anchor, 1e-10
+            self.dwp, spec, self.dwp.point_data(self.pts, self.anchor), 1e-10
         )
         for s in out:
             assert s.status == PASS, s
@@ -240,7 +241,7 @@ class TestFactorStructures:
         psi = gaussian_potential(self.dwp.coords, lam / 4)
         spec = SolitonSpec(kind="riemann", psi=psi, lam=lam)
         out = riemann_factor_structures(
-            self.dwp, spec, self.pts, self.anchor, 1e-10
+            self.dwp, spec, self.dwp.point_data(self.pts, self.anchor), 1e-10
         )
         for s in out:
             assert s.status == PASS, s
@@ -249,7 +250,7 @@ class TestFactorStructures:
         psi = parse_expression("x^3", self.dwp.coords)
         spec = SolitonSpec(kind="ricci", psi=psi, lam=0.5)
         out = ricci_factor_structures(
-            self.dwp, spec, self.pts, self.anchor, TOL
+            self.dwp, spec, self.dwp.point_data(self.pts, self.anchor), TOL
         )
         assert all(s.status == SKIP for s in out)
         assert all("hypothesis fails" in s.notes for s in out)
@@ -257,8 +258,9 @@ class TestFactorStructures:
     def test_mixed_conditions_vanish_on_direct_product(self):
         psi = gaussian_potential(self.dwp.coords, 0.3)
         for p in self.pts[:4]:
-            yamabe = mixed_yamabe_condition(self.dwp, psi, p[None])[0]
-            ricci = mixed_ricci_condition(self.dwp, psi, p[None])[0]
+            d = self.dwp.point_data(p[None])
+            yamabe = mixed_yamabe_condition(self.dwp, psi, d)[0]
+            ricci = mixed_ricci_condition(self.dwp, psi, d)[0]
             assert np.abs(yamabe).max() < 1e-14
             assert np.abs(ricci).max() < 1e-14
 
@@ -269,8 +271,9 @@ class TestFactorStructures:
         )
         pts = seeded_points(dwp.product, 8)
         anchor = np.zeros(dwp.m)
-        assert residual(spec, dwp.product, pts, TOL).status == PASS
-        out = quasi_einstein_factor_structures(dwp, spec, pts, anchor, TOL)
+        assert residual(spec, dwp.product.at(pts), TOL).status == PASS
+        out = quasi_einstein_factor_structures(
+            dwp, spec, dwp.point_data(pts, anchor), TOL)
         for s in out:
             assert s.status == PASS, s
 
@@ -283,7 +286,7 @@ class TestFactorStructures:
         pts = seeded_points(dwp.product, 4)
         with pytest.raises(SolitonError, match="einstein"):
             quasi_einstein_factor_structures(
-                dwp, spec, pts, np.zeros(dwp.m), TOL
+                dwp, spec, dwp.point_data(pts, np.zeros(dwp.m)), TOL
             )
 
     def test_riemann_factors_skip_in_low_dimension(self):
@@ -298,7 +301,8 @@ class TestFactorStructures:
         psi = parse_expression("x^2 + t^2", dwp.coords)
         spec = SolitonSpec(kind="riemann", psi=psi, lam=0.5)
         pts = seeded_points(dwp.product, 4)
-        out = riemann_factor_structures(dwp, spec, pts, np.zeros(2), TOL)
+        out = riemann_factor_structures(
+            dwp, spec, dwp.point_data(pts, np.zeros(2)), TOL)
         assert all(s.status == SKIP for s in out)
 
 
@@ -308,7 +312,7 @@ class TestLogHessianIdentity:
         chart = flat_chart(("x", "y"))
         f = parse_expression(text, chart.coords)
         summary = log_hessian_identity(
-            chart, f, seeded_points(chart, 10), 1e-10
+            chart.at(seeded_points(chart, 10)), f, 1e-10
         )
         assert summary.status == PASS
         assert summary.max_abs_residual <= 1e-10

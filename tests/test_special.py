@@ -51,13 +51,13 @@ class TestConcircularOracle:
             (sphere3_chart(), (0.5, 2.0)),
         ]:
             for p in seeded_points(chart, 6, box=box):
-                norm = np.abs(concircular_oracle(chart, p[None])[0]).max()
+                norm = np.abs(concircular_oracle(chart.at(p[None]))[0]).max()
                 assert norm <= 1e-9, (chart.coords, p, norm)
 
     def test_nonzero_on_generic_product(self):
         dwp = e2xe1_product()
         p = seeded_points(dwp.product, 1)[0]
-        assert np.abs(concircular_oracle(dwp.product, p[None])[0]).max() \
+        assert np.abs(concircular_oracle(dwp.product.at(p[None]))[0]).max() \
             > 0.01
 
     def test_full_trace_vanishes(self):
@@ -72,7 +72,7 @@ class TestConcircularOracle:
         for chart in charts:
             for p in seeded_points(chart, 5):
                 frame = chart.orthonormal_frame(p[None])[0]
-                c4 = concircular_oracle(chart, p[None])[0]
+                c4 = concircular_oracle(chart.at(p[None]))[0]
                 total = np.einsum("ai,bj,cj,di,abcd->", frame, frame, frame,
                                   frame, c4)
                 assert abs(total) < 1e-8
@@ -82,17 +82,18 @@ class TestConharmonicOracle:
     def test_vanishes_on_flat_space(self):
         chart = flat_chart(("x", "y", "z"))
         for p in seeded_points(chart, 5):
-            assert np.abs(conharmonic_oracle(chart, p[None])[0]).max() == 0.0
+            h4 = conharmonic_oracle(chart.at(p[None]))[0]
+            assert np.abs(h4).max() == 0.0
 
     def test_nonzero_on_round_3_sphere(self):
         chart = sphere3_chart()
         for p in seeded_points(chart, 4, box=(0.5, 2.0)):
-            assert np.abs(conharmonic_oracle(chart, p[None])[0]).max() > 0.1
+            assert np.abs(conharmonic_oracle(chart.at(p[None]))[0]).max() > 0.1
 
     def test_dimension_guard_rejects_surfaces(self):
         chart = sphere_chart()
         with pytest.raises(DimensionError):
-            conharmonic_oracle(chart, [(0.8, 0.4)])
+            conharmonic_oracle(chart.at([(0.8, 0.4)]))
 
     def test_ricci_trace_regression(self):
         # frozen by brute-force contraction: contracting the conharmonic
@@ -101,7 +102,7 @@ class TestConharmonicOracle:
         m = dwp.m
         for p in seeded_points(dwp.product, 4):
             g, ginv = (a[0] for a in dwp.product.metric_at(p[None]))
-            h4 = conharmonic_oracle(dwp.product, p[None])[0]
+            h4 = conharmonic_oracle(dwp.product.at(p[None]))[0]
             tau = dwp.product.scalar_oracle(p[None])[0]
             contracted = np.einsum("iw,iyzw->yz", ginv, h4)
             expected = -(tau / (m - 2)) * g
@@ -112,7 +113,8 @@ class TestClosedForms:
     def test_concircular_closed_forms_match_oracle(self):
         dwp = e2xe1_product()
         pts = seeded_points(dwp.product, 8)
-        out = checks.check_concircular(dwp, pts, TOL, np.zeros(dwp.m))
+        out = checks.check_concircular(
+            dwp, dwp.point_data(pts, np.zeros(dwp.m)), TOL)
         classes = [s for s in out if s.check_id.split(".")[1] in
                    ("XYZ", "XYU", "UVX", "XUY", "UXV", "UVW")]
         assert len(classes) == 6
@@ -126,7 +128,7 @@ class TestClosedForms:
             pts = seeded_points(dwp.product, 6, box=(0.5, 1.5))
         else:
             pts = seeded_points(dwp.product, 6)
-        out = checks.check_conharmonic(dwp, pts, TOL, pts[0])
+        out = checks.check_conharmonic(dwp, dwp.point_data(pts, pts[0]), TOL)
         classes = [s for s in out if s.check_id in
                    ("conharmonic.XYZ", "conharmonic.UVW")]
         assert len(classes) == 2
@@ -143,7 +145,8 @@ class TestClosedForms:
             f1c, f2c, constant(1.0, f1c.coords), constant(1.0, f2c.coords)
         )
         pts = seeded_points(dwp.product, 4)
-        out = checks.check_conharmonic(dwp, pts, TOL, np.zeros(2))
+        out = checks.check_conharmonic(
+            dwp, dwp.point_data(pts, np.zeros(2)), TOL)
         assert len(out) == 1 and out[0].status == SKIP
 
 
@@ -154,13 +157,12 @@ class TestBlockTraceIdentities:
     def test_concircular_block_trace_gives_einstein_defect(self):
         dwp = e2xe1_product()
         for p in seeded_points(dwp.product, 4):
-            c4 = concircular_oracle(dwp.product, p[None])
             d = dwp.point_data(p[None])
+            c4 = concircular_oracle(d.product)
             for s in d.sides:
                 which, ric, g_i = s.which, s.ric[0], s.g[0]
-                trace = factor_block_trace(dwp, c4, which, p[None])[0]
-                defect, mu = (a[0] for a in einstein_defect(dwp, which,
-                                                             p[None]))
+                trace = factor_block_trace(dwp, c4, which, d)[0]
+                defect, mu = (a[0] for a in einstein_defect(dwp, which, d))
                 assert np.allclose(trace, ric - mu * g_i, atol=1e-12)
                 assert np.allclose(trace, defect, atol=1e-12)
 
@@ -168,11 +170,12 @@ class TestBlockTraceIdentities:
         dwp = e2xe1_product()
         m = dwp.m
         for p in seeded_points(dwp.product, 4):
-            h4 = conharmonic_oracle(dwp.product, p[None])
+            d = dwp.point_data(p[None])
+            h4 = conharmonic_oracle(d.product)
             for which, m_opp in ((1, dwp.m2), (2, dwp.m1)):
-                trace = factor_block_trace(dwp, h4, which, p[None])[0]
+                trace = factor_block_trace(dwp, h4, which, d)[0]
                 defect, lam, f = (a[0] for a in f_almost_defect(dwp, which,
-                                                                 p[None]))
+                                                                 d))
                 assert np.allclose(
                     trace, (m_opp / (m - 2)) * defect, atol=1e-12
                 )
@@ -182,7 +185,8 @@ class TestFlatConsequences:
     def test_hyperbolic_space_is_concircularly_flat_with_consequences(self):
         dwp = hyperbolic_space(3)
         pts = seeded_points(dwp.product, 8)
-        out = concircular_flat_consequences(dwp, pts, np.zeros(dwp.m), 1e-9)
+        out = concircular_flat_consequences(
+            dwp, dwp.point_data(pts, np.zeros(dwp.m)), 1e-9)
         by_id = {s.check_id: s for s in out}
         assert by_id["concircular.flat"].status == PASS
         for which in (1, 2):
@@ -202,14 +206,16 @@ class TestFlatConsequences:
     def test_gating_on_non_flat_product(self):
         dwp = e2xe1_product()
         pts = seeded_points(dwp.product, 6)
-        out = concircular_flat_consequences(dwp, pts, np.zeros(dwp.m), TOL)
+        out = concircular_flat_consequences(
+            dwp, dwp.point_data(pts, np.zeros(dwp.m)), TOL)
         assert all(s.status == SKIP for s in out)
         assert all("hypothesis fails" in s.notes for s in out)
 
     def test_sphere_x_hyperbolic_is_conharmonically_flat(self):
         dwp = sphere_x_hyperbolic()
         pts = seeded_points(dwp.product, 6, box=(0.5, 1.5))
-        out = conharmonic_flat_consequences(dwp, pts, pts[0], TOL)
+        out = conharmonic_flat_consequences(
+            dwp, dwp.point_data(pts, pts[0]), TOL)
         by_id = {s.check_id: s for s in out}
         assert by_id["conharmonic.flat"].status == PASS
         assert by_id["conharmonic.soliton1"].status == PASS
@@ -218,7 +224,8 @@ class TestFlatConsequences:
     def test_direct_flat_product_consequences_are_trivial(self):
         dwp = direct_flat_product()
         pts = seeded_points(dwp.product, 6)
-        for s in concircular_flat_consequences(dwp, pts, np.zeros(4), TOL):
+        d = dwp.point_data(pts, np.zeros(4))
+        for s in concircular_flat_consequences(dwp, d, TOL):
             assert s.status == PASS, s
-        for s in conharmonic_flat_consequences(dwp, pts, np.zeros(4), TOL):
+        for s in conharmonic_flat_consequences(dwp, d, TOL):
             assert s.status == PASS, s
