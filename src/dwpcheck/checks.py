@@ -127,24 +127,23 @@ _FACTOR_STRUCTURES = {
 def check_solitons(dwp, specs, d, tolerance):
     """Defining-equation residuals for each soliton spec, plus induced
     factor structures for the kinds that have them (on the anchored
-    restriction sets of d)."""
+    restriction sets of d), gated on the product-level summary: the
+    defining equation's, or for kind=riemann its contracted form's."""
     out = []
     for i, spec in enumerate(specs):
         prefix = f"soliton[{i}].{spec.kind}"
         try:
-            out.append(
-                solitons.residual(spec, d.product, tolerance, check_id=prefix)
-            )
+            gate = solitons.residual(spec, d.product, tolerance,
+                                     check_id=prefix)
         except solitons.SolitonError as exc:
             out.append(skipped(prefix, f"skipped: {exc}", tolerance))
             continue
+        out.append(gate)
         if spec.kind == "riemann" and dwp.m >= 3:
-            out.append(
-                solitons.residual(
-                    spec, d.product, tolerance,
-                    form="contracted", check_id=f"{prefix}.contracted",
-                )
-            )
+            gate = solitons.residual(spec, d.product, tolerance,
+                                     form="contracted",
+                                     check_id=f"{prefix}.contracted")
+            out.append(gate)
             consistency = solitons.contraction_consistency(
                 spec, d.product, tolerance
             )
@@ -153,7 +152,7 @@ def check_solitons(dwp, specs, d, tolerance):
         if builder is None:
             continue
         try:
-            structures = builder(dwp, spec, d, tolerance)
+            structures = builder(dwp, spec, d, tolerance, gate)
         except solitons.SolitonError as exc:
             # the structures cannot be evaluated: skip their checks, keeping
             # the defining-equation record above
@@ -218,15 +217,15 @@ _FAMILIES = (
 CHECK_NAMES = tuple(name for name, _ in _FAMILIES)
 
 
-def run_all(dwp, specs, points, tolerance, anchor, checks=("all",), psis=None):
-    """Run the selected named checks on one record of the sample points
-    (whose anchored restriction sets are built when a check first needs
-    them) and return summaries sorted by id."""
+def run_all(dwp, specs, d, tolerance, checks=("all",), psis=None):
+    """Run the selected named checks on the record d of the sample points
+    (`dwp.point_data(points, anchor)`, whose anchored restriction sets are
+    built when a check first needs them) and return summaries sorted by
+    id."""
     enabled = set(CHECK_NAMES) if "all" in checks else set(checks)
     unknown = enabled - set(CHECK_NAMES)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
-    d = dwp.point_data(points, anchor)
     out = []
     for name, family in _FAMILIES:
         if name in enabled:

@@ -75,6 +75,10 @@ class RunConfig:
             raise SpecFileError(
                 f"anchor must be finite, got {list(self.anchor)}"
             )
+        if not self.checks:
+            raise SpecFileError(
+                "--checks names no check: give a comma-separated subset of "
+                f"{', '.join(CHECK_NAMES)}, or 'all'")
         unknown = set(self.checks) - set(CHECK_NAMES) - {"all"}
         if unknown:
             raise SpecFileError(f"unknown checks: {sorted(unknown)}")
@@ -173,7 +177,7 @@ def build_run_config(args, sampling):
         anchor = tuple(float(x) for x in anchor)
     config = RunConfig(
         spec_path=args.spec,
-        checks=args.checks or ("all",),
+        checks=("all",) if args.checks is None else args.checks,
         points=sampling.get("points", DEFAULT_POINTS),
         seed=sampling.get("seed", DEFAULT_SEED),
         box=box or (DEFAULT_BOX,),
@@ -230,27 +234,28 @@ def run(config, loaded=None, stdout=None):
     config.validate(dwp.m)
     box = config.resolved_box(dwp.m)
     anchor = config.resolved_anchor(dwp.m)
-    points = sample_points(dwp.product, box, config.points, config.seed)
-    dwp.validate_warpings(points)
+    samples = sample_points(dwp.product, box, config.points, config.seed)
+    dwp.validate_warpings(samples.p)
     dwp.validate_warpings([anchor])
-    validate_fields(dwp, soliton_specs, default_psi, points, anchor)
+    validate_fields(dwp, soliton_specs, default_psi, samples.p, anchor)
+    d = dwp.point_data(samples, anchor)
     for which in (1, 2):
-        # the restriction sets must pass the sampler's acceptance rule too
-        anchored = dwp.anchored(points, anchor, which)
-        ok = dwp.product.well_conditioned_at(anchored)
+        # the restriction sets must pass the sampler's acceptance rule too;
+        # their product records are the ones the restriction records read
+        anchored = d.anchored_product(which)
+        ok = anchored.well_conditioned()
         if not ok.all():
             raise MetricError(
                 f"anchored restriction set of factor {which}: metric not "
                 f"positive definite or cond(g) > {COND_LIMIT:g} at "
-                f"{anchored[(~ok).argmax()].tolist()}"
+                f"{anchored.p[(~ok).argmax()].tolist()}"
             )
     psis = [("psi", default_psi)] if default_psi is not None else None
     summaries = run_all(
         dwp,
         soliton_specs,
-        points,
+        d,
         config.tolerance,
-        anchor,
         checks=config.checks,
         psis=psis,
     )

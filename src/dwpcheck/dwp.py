@@ -14,6 +14,7 @@ import numpy as np
 
 from .expr import DomainError, constant
 from .geometry import (
+    ChartBatch,
     ChartManifold,
     GeometryError,
     covariant_hessian,
@@ -164,8 +165,12 @@ class DoublyWarpedProduct:
     # -- the record of a point batch -----------------------------------------
 
     def point_data(self, points, anchor=None):
-        """The record of a batch of product points (N, m); with an anchor,
-        it also gives the records of the anchored restriction sets."""
+        """The record of a batch of product points (N, m), given as an array
+        or as the product chart's record at them (as `sample_points` returns
+        it); with an anchor, it also gives the records of the anchored
+        restriction sets."""
+        if not isinstance(points, ChartBatch):
+            points = self.product.at(points)
         return _PointData(self, points, anchor)
 
     def lifted(self, psi):
@@ -200,7 +205,7 @@ class DoublyWarpedProduct:
         """Blocks of the product Hessian of psi via the splitting formulas:
         h1^psi + g(grad l, grad psi) g on XX (k <-> l on UU), and on XU
         XU(psi) - X(k)U(psi) - X(psi)U(l) on coordinate lifts."""
-        jet = self.lifted(psi).jet(d.p)
+        jet = d.product.jet(self.lifted(psi))
         if klass == "XU":
             m1 = self.m1
             s1, s2 = d.sides
@@ -303,7 +308,7 @@ class DoublyWarpedProduct:
     def factor_hessian(self, which, psi, d):
         """h_i^psi of the leafwise restriction of psi, at the factor points
         carried by the product points."""
-        return d.side(which).hessian(self.lifted(psi).jet(d.p))
+        return d.side(which).hessian(d.product.jet(self.lifted(psi)))
 
 
 class _ProductChart(ChartManifold):
@@ -351,7 +356,7 @@ class _Side:
         r4, self.ric, self.tau = factor.curvature
         # (1,3) curvature r[n, x, y, z, c] = (R(d_x, d_y) d_z)^c
         self.r = np.einsum("nxyzw,nwc->nxyzc", r4, factor.ginv)
-        f_jet, log_jet = f.jet(factor.p), log_f.jet(factor.p)
+        f_jet, log_jet = factor.jet(f), factor.jet(log_f)
         self.f = f_jet.value
         # factor Hessians and Laplacians of the warping and of its log
         self.h_f = covariant_hessian(factor.gamma, f_jet)
@@ -363,7 +368,7 @@ class _Side:
         self.dlog = log_jet.gradient
         self.dlog_ext = self.dlog @ self.lift
         self.grad = matvec(product.ginv, self.dlog_ext)
-        h = covariant_hessian(product.gamma, log_ext.jet(product.p))
+        h = product.hessian(log_ext)
         self.H = product.ginv @ h
         self.lap = np.einsum("nij,nij->n", product.ginv, h)
 
@@ -385,11 +390,11 @@ class _PointData:
     chart's record and one side record per factor.  With an anchor, the
     records of the anchored restriction sets are built on first read."""
 
-    def __init__(self, dwp, points, anchor=None, factors=(None, None)):
-        dwp.validate_warpings(points)
+    def __init__(self, dwp, product, anchor=None, factors=(None, None)):
+        dwp.validate_warpings(product.p)
         self.dwp, self.anchor = dwp, anchor
-        self.product = dwp.product.at(points).require_spd()
-        self.p = self.product.p
+        self.product = product.require_spd()
+        self.p = product.p
         self.sides = tuple(
             _Side(dwp, which, self.product,
                   record or chart.at(pf).require_spd())
@@ -398,19 +403,29 @@ class _PointData:
                 dwp.split(self.p))
         )
         self.sides[0].mirror, self.sides[1].mirror = self.sides[::-1]
+        self._anchored = [None, None]
         self._restrictions = [None, None]
 
     def side(self, which):
         """The side record of factor `which` (1 or 2)."""
         return self.sides[which - 1]
 
+    def anchored_product(self, which):
+        """The product chart's record at the anchored restriction set of
+        factor `which`, jetted on first read (not tested for positive
+        definiteness: the restriction's record does that)."""
+        if self._anchored[which - 1] is None:
+            self._anchored[which - 1] = self.dwp.product.at(
+                self.dwp.anchored(self.p, self.anchor, which))
+        return self._anchored[which - 1]
+
     def restriction(self, which):
         """The record of the anchored restriction set of factor `which`; it
-        shares this record's chart record of that factor."""
+        reads `anchored_product(which)` and shares this record's chart
+        record of that factor."""
         if self._restrictions[which - 1] is None:
             factors = [None, None]
             factors[which - 1] = self.side(which).factor
             self._restrictions[which - 1] = _PointData(
-                self.dwp, self.dwp.anchored(self.p, self.anchor, which),
-                factors=factors)
+                self.dwp, self.anchored_product(which), factors=factors)
         return self._restrictions[which - 1]

@@ -425,12 +425,13 @@ class Expression:
     may be evaluated concurrently from many threads.
     """
 
-    __slots__ = ("node", "coords", "_index")
+    __slots__ = ("node", "coords", "_index", "_hash")
 
     def __init__(self, node, coords):
         self.node = node
         self.coords = tuple(coords)
         self._index = {name: i for i, name in enumerate(self.coords)}
+        self._hash = None
 
     @property
     def dim(self):
@@ -450,7 +451,10 @@ class Expression:
         )
 
     def __hash__(self):
-        return hash((self.node, self.coords))
+        # the structural hash walks the whole tree: take it once
+        if self._hash is None:
+            self._hash = hash((self.node, self.coords))
+        return self._hash
 
     def _jet(self, points, dim):
         points = np.asarray(points, dtype=float)

@@ -65,16 +65,22 @@ class ChartManifold:
         return len(self.coords)
 
     def _metric_jets(self, points):
-        """g[n,i,j], dg[n,k,i,j] = d_k g_ij, ddg[n,k,l,i,j] = d_k d_l g_ij."""
+        """g[n,i,j], dg[n,k,i,j] = d_k g_ij, ddg[n,k,l,i,j] = d_k d_l g_ij,
+        and the entries' jets keyed on the entry: equal entries (the zeros
+        off a block diagonal, say) are jetted once."""
         points = np.asarray(points, dtype=float)
         n = self.dim
         g = np.empty((len(points), n, n))
         dg = np.empty((len(points), n, n, n))
         ddg = np.empty((len(points), n, n, n, n))
+        jets = {}
         for i in range(n):
             for j in range(i, n):
+                entry = self.metric[i][j]
                 try:
-                    jet = self.metric[i][j].jet(points)
+                    jet = jets.get(entry)
+                    if jet is None:
+                        jet = jets[entry] = entry.jet(points)
                 except DomainError as exc:
                     # a later entry may fail at an earlier point
                     self._metric_jets(points[: exc.index])
@@ -83,7 +89,7 @@ class ChartManifold:
                 g[:, i, j] = g[:, j, i] = jet.value
                 dg[:, :, i, j] = dg[:, :, j, i] = jet.gradient
                 ddg[:, :, :, i, j] = ddg[:, :, :, j, i] = jet.hessian
-        return g, dg, ddg
+        return g, dg, ddg, jets
 
     def _domain_error(self, i, j, point, exc):
         """The error of entry [i][j] leaving its domain at `point`."""
@@ -93,7 +99,8 @@ class ChartManifold:
 
     def at(self, points):
         """The chart's record at a batch of points (N, dim)."""
-        return ChartBatch(self, points)
+        p = np.asarray(points, dtype=float)
+        return ChartBatch(self, p, *self._metric_jets(p))
 
     def metric_at(self, points):
         """Metric matrices and their inverses; raises if one is not SPD."""
@@ -119,7 +126,7 @@ class ChartManifold:
 
     def gradient_field(self, psi, points):
         d = self.at(points)
-        return np.linalg.solve(d.g, psi.jet(d.p).gradient[..., None])[..., 0]
+        return np.linalg.solve(d.g, d.jet(psi).gradient[..., None])[..., 0]
 
     def laplacian_field(self, psi, points):
         d = self.at(points)
@@ -135,19 +142,50 @@ class ChartManifold:
     def well_conditioned_at(self, points):
         """Per point: whether the metric is positive definite with
         cond(g) <= COND_LIMIT."""
-        spd, w = _positive_definite(self.at(points).g)
-        return spd & (w[:, -1] <= COND_LIMIT * w[:, 0])
+        return self.at(points).well_conditioned()
 
 
 class ChartBatch:
     """A chart at a batch of points: the metric jets from one pass, and what
     is read off them, each computed on first read.  Tensors are arrays in
-    coordinate components with a leading N axis, indexed as documented."""
+    coordinate components with a leading N axis, indexed as documented.
 
-    def __init__(self, chart, points):
-        self.chart = chart
-        self.p = np.asarray(points, dtype=float)
-        self.g, self.dg, self.ddg = chart._metric_jets(self.p)
+    `jet(expr)` jets an expression at the points once per record; the memo
+    is keyed on the expression (structurally), never on points, and starts
+    from the metric entries' jets when the record is jetted itself."""
+
+    def __init__(self, chart, p, g, dg, ddg, jets=None):
+        self.chart, self.p = chart, p
+        self.g, self.dg, self.ddg = g, dg, ddg
+        self._jets = {} if jets is None else jets
+
+    def take(self, rows):
+        """The record at a subset of the points (a boolean mask or an index
+        array), read off this record's jets."""
+        return ChartBatch(self.chart, self.p[rows], self.g[rows],
+                          self.dg[rows], self.ddg[rows])
+
+    @staticmethod
+    def concatenate(records):
+        """One record of the points of several records of one chart, in
+        order."""
+        return ChartBatch(records[0].chart, *(
+            np.concatenate([getattr(r, name) for r in records])
+            for name in ("p", "g", "dg", "ddg")))
+
+    def jet(self, expr):
+        """The jet of an expression on the chart's coordinates at the
+        points, computed on first request."""
+        out = self._jets.get(expr)
+        if out is None:
+            out = self._jets[expr] = expr.jet(self.p)
+        return out
+
+    def well_conditioned(self):
+        """Per point: whether the metric is positive definite with
+        cond(g) <= COND_LIMIT."""
+        spd, w = _positive_definite(self.g)
+        return spd & (w[:, -1] <= COND_LIMIT * w[:, 0])
 
     def require_spd(self):
         """The record itself; raises if a metric is not positive definite."""
@@ -193,9 +231,15 @@ class ChartBatch:
         tau = np.einsum("njk,njk->n", ginv, ric)
         return r4, ric, tau
 
+    @cached_property
+    def big_g(self):
+        """G = (1/2) g ^ g, the (0,4) curvature tensor of unit sectional
+        curvature."""
+        return 0.5 * kulkarni_nomizu(self.g, self.g)
+
     def hessian(self, psi):
         """Covariant Hessian h[n,i,j] = d_i d_j psi - Gamma^k_ij d_k psi."""
-        return covariant_hessian(self.gamma, psi.jet(self.p))
+        return covariant_hessian(self.gamma, self.jet(psi))
 
 
 def _sym(dg):
@@ -252,6 +296,8 @@ def kulkarni_nomizu(a, b):
 def sample_points(manifold, box, n, seed):
     """Seeded uniform samples in a coordinate box, skipping points where the
     metric is singular or ill-conditioned; oversampling capped at 10x.
+    Returns the chart's record at the accepted points (their coordinates
+    are its `p`), read off the jets of the acceptance test.
 
     The draws come in chunks of the number of points still missing, so each
     drawn point is one that drawing and testing one at a time would reach
@@ -261,8 +307,10 @@ def sample_points(manifold, box, n, seed):
         box = np.tile(box, (manifold.dim, 1))
     if box.shape != (manifold.dim, 2) or np.any(box[:, 1] < box[:, 0]):
         raise ValueError("box must be a per-coordinate [lo, hi] list")
+    if n < 1:
+        raise ValueError("need at least one sample point")
     rng = np.random.default_rng(seed)
-    accepted = [np.empty((0, manifold.dim))]
+    accepted = []
     count = attempts = 0
     while count < n:
         if attempts >= 10 * n:
@@ -273,7 +321,8 @@ def sample_points(manifold, box, n, seed):
         k = min(n - count, 10 * n - attempts)
         p = rng.uniform(box[:, 0], box[:, 1], size=(k, manifold.dim))
         attempts += k
-        ok = manifold.well_conditioned_at(p)
-        accepted.append(p[ok])
+        record = manifold.at(p)
+        ok = record.well_conditioned()
+        accepted.append(record.take(ok))
         count += int(ok.sum())
-    return np.concatenate(accepted)
+    return ChartBatch.concatenate(accepted)

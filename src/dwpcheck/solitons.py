@@ -12,7 +12,7 @@ identities are verified here as well, gated on the product-level residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -180,9 +180,8 @@ def _terms_0_2(spec, c):
 def _terms_riemann(spec, c, h):
     """(lhs, rhs) of the (0,4) soliton equation h^psi ^ g + R = lambda G on
     the chart record c, given the Hessian h of psi."""
-    big_g = 0.5 * kulkarni_nomizu(c.g, c.g)
     return [c.curvature[0], kulkarni_nomizu(h, c.g)], [
-        times(_coeff(spec.lam, c.p), big_g)]
+        times(_coeff(spec.lam, c.p), c.big_g)]
 
 
 def _terms_riemann_contracted(spec, c, h):
@@ -319,10 +318,12 @@ FACTOR_CHECKS = {
 }
 
 
-def _factor_structures(kind, dwp, spec, d, tolerance, equation, notes,
-                       mixed=None, form="primary"):
-    """Induced factor structures of one soliton family, gated on the
-    product-level residual (in `form`) at the samples of the record d.
+def _factor_structures(kind, dwp, spec, d, tolerance, gate, equation, notes,
+                       mixed=None):
+    """Induced factor structures of one soliton family, gated on `gate`, the
+    summary of the product-level residual at the samples of the record d
+    (`residual(spec, d.product, tolerance)`, in the contracted form for
+    kind=riemann); it is reported as factors.<kind>.product.
 
     For each factor, `equation(r, s, jet)` gives (lhs terms, rhs terms,
     lambda_i) of the factor's equation on the anchored restriction set, with
@@ -332,17 +333,16 @@ def _factor_structures(kind, dwp, spec, d, tolerance, equation, notes,
     (condition(dwp, psi, d), notes) pair whose value must vanish at each
     sample point."""
     check_id = f"factors.{kind}"
-    gate = residual(spec, d.product, tolerance, form=form,
-                    check_id=f"{check_id}.product")
-    results, holds = gated(check_id, gate, _NOT_A_SOLITON,
-                           FACTOR_CHECKS[kind][1:])
+    results, holds = gated(check_id,
+                           replace(gate, check_id=f"{check_id}.product"),
+                           _NOT_A_SOLITON, FACTOR_CHECKS[kind][1:])
     if not holds:
         return results
     psi = None if spec.psi is None else dwp.lifted(spec.psi)
     for which in (1, 2):
         r = d.restriction(which)
         s = r.side(which)
-        jet = None if psi is None else psi.jet(r.p)
+        jet = None if psi is None else r.product.jet(psi)
         lhs, rhs, lam_i = equation(r, s, jet)
         results.append(summarize(f"{check_id}.factor{which}",
                                  _equation_residual(lhs, rhs), r.p,
@@ -355,7 +355,7 @@ def _factor_structures(kind, dwp, spec, d, tolerance, equation, notes,
     return results
 
 
-def yamabe_factor_structures(dwp, spec, d, tolerance):
+def yamabe_factor_structures(dwp, spec, d, tolerance, gate):
     """Factor consequences of a gradient Yamabe soliton on the product: each
     factor restriction is a gradient almost Yamabe soliton, and the mixed
     Hessian block of psi vanishes."""
@@ -379,7 +379,7 @@ def yamabe_factor_structures(dwp, spec, d, tolerance):
                 f"lambda spread over samples = {lams.max() - lams.min():.3e}")
 
     return _factor_structures(
-        "yamabe", dwp, spec, d, tolerance, equation, notes,
+        "yamabe", dwp, spec, d, tolerance, gate, equation, notes,
         mixed=(mixed_yamabe_condition,
                "cross Hessian block of psi must vanish"),
     )
@@ -395,7 +395,7 @@ def _eta_ricci_terms(s, hessian_coefficient, lam_i, jet):
             [times(lam_i, s.g), m_opp * outer(s.dlog, s.dlog)], lam_i)
 
 
-def ricci_factor_structures(dwp, spec, d, tolerance):
+def ricci_factor_structures(dwp, spec, d, tolerance, gate):
     """Factor consequences of a gradient Ricci soliton: each factor carries a
     gradient almost eta-Ricci soliton with potential phi_i and eta the
     differential of the log-warping, plus a mixed-derivative condition."""
@@ -411,13 +411,13 @@ def ricci_factor_structures(dwp, spec, d, tolerance):
                 f"mu = {s.mirror.m} and eta the log-warping differential")
 
     return _factor_structures(
-        "ricci", dwp, spec, d, tolerance, equation, notes,
+        "ricci", dwp, spec, d, tolerance, gate, equation, notes,
         mixed=(mixed_ricci_condition,
                "mixed warping/potential derivative condition"),
     )
 
 
-def riemann_factor_structures(dwp, spec, d, tolerance):
+def riemann_factor_structures(dwp, spec, d, tolerance, gate):
     """Factor consequences of a gradient Riemann soliton (m >= 3): each
     factor carries a gradient almost eta-Ricci soliton with potential
     (m-2) psi_i - m_j log f_i."""
@@ -447,12 +447,11 @@ def riemann_factor_structures(dwp, spec, d, tolerance):
                 "Hessian")
 
     return _factor_structures(
-        "riemann", dwp, spec, d, tolerance, equation, notes,
-        form="contracted",
+        "riemann", dwp, spec, d, tolerance, gate, equation, notes,
     )
 
 
-def quasi_einstein_factor_structures(dwp, spec, d, tolerance):
+def quasi_einstein_factor_structures(dwp, spec, d, tolerance, gate):
     """Factor consequences of a quasi-Einstein product: each factor carries a
     gradient f-almost eta-Ricci soliton with f = -(opposite dim)/(own warping)
     and eta the restriction of the (unit-normalized) generator 1-form."""
@@ -475,7 +474,7 @@ def quasi_einstein_factor_structures(dwp, spec, d, tolerance):
                 f"with f = -m{3 - s.which}/f{s.which}")
 
     return _factor_structures(
-        "quasi_einstein", dwp, spec, d, tolerance, equation, notes,
+        "quasi_einstein", dwp, spec, d, tolerance, gate, equation, notes,
     )
 
 
@@ -483,7 +482,7 @@ def log_hessian_identity(c, f, tolerance):
     """Numeric identity (1/f) hess(f) = hess(log f) + (1/f^2) df (x) df at
     the points of the chart record c, used when rewriting factor Hessians of
     warpings."""
-    jet = f.jet(c.p)
+    jet = c.jet(f)
     lhs = covariant_hessian(c.gamma, jet) / jet.value[:, None, None]
     rhs = (c.hessian(f.apply("log"))
            + outer(jet.gradient, jet.gradient) / (jet.value**2)[:, None, None])

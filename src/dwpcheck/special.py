@@ -43,8 +43,7 @@ def concircular_oracle(c):
     if m < 2:
         raise DimensionError("concircular tensor requires dim >= 2")
     r4, _, tau = c.curvature
-    big_g = 0.5 * kulkarni_nomizu(c.g, c.g)
-    return r4 - times(tau / (m * (m - 1)), big_g)
+    return r4 - times(tau / (m * (m - 1)), c.big_g)
 
 
 def conharmonic_oracle(c):

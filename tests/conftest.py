@@ -86,6 +86,55 @@ def hyperbolic_space(n):
     )
 
 
+_LINE = """dim = 1
+coords = ["t"]
+metric = [["1"]]
+warping = "exp(t)"
+"""
+
+_PLANE = """dim = 2
+coords = ["u", "v"]
+metric = [["1", "0"], ["0", "1"]]
+"""
+
+_HYPERBOLIC_SPEC = """[factor.1]
+{}
+[factor.2]
+{}
+[potential]
+psi = "exp(t)"
+
+[soliton]
+type = "gradient_ricci"
+lambda = "exp(t) - 2"
+
+[soliton]
+type = "gradient_yamabe"
+lambda = "-6 - exp(t)"
+
+[soliton]
+type = "gradient_riemann"
+lambda = "2*exp(t) - 1"
+
+[sampling]
+points = 8
+seed = 5
+box = [-1.0, 1.0]
+tolerance = 1e-8
+"""
+
+
+def hyperbolic_spec(line_first):
+    """Spec text of H^3 = R x_{e^t} R^2, the line first (1+2, f1 = e^t) or
+    the plane first (2+1, f2 = e^t), with psi = e^t.  The field e^t d_t is
+    closed and conformal (Hess psi = e^t g), so psi is an almost Ricci
+    soliton with lambda = e^t - 2, an almost Yamabe soliton with
+    lambda = -6 - e^t and an almost Riemann soliton with
+    lambda = 2 e^t - 1: every gate passes, with nonzero warping terms."""
+    factors = (_LINE, _PLANE) if line_first else (_PLANE, _LINE)
+    return _HYPERBOLIC_SPEC.format(*factors)
+
+
 def sphere_x_hyperbolic():
     """Direct product of the unit 2-sphere and the curvature -1 hyperbolic
     plane: conharmonically flat but not flat."""
@@ -126,7 +175,7 @@ def corpus():
 
 def seeded_points(manifold, n, seed=42, box=(-1.0, 1.0)):
     box = np.tile(np.asarray(box, float), (manifold.dim, 1))
-    return sample_points(manifold, box, n, seed)
+    return sample_points(manifold, box, n, seed).p
 
 
 def random_spd_chart(dim, rng):

@@ -193,8 +193,9 @@ def test_criterion_06_factor_structure_pipeline(corpus_products):
     spec = SolitonSpec(kind="ricci", psi=psi, lam=lam)
     pts = seeded_points(dwp.product, 20)
     worst = 0.0
+    d = dwp.point_data(pts, np.zeros(dwp.m))
     for summary in ricci_factor_structures(
-        dwp, spec, dwp.point_data(pts, np.zeros(dwp.m)), 1e-10
+        dwp, spec, d, 1e-10, residual(spec, d.product, 1e-10)
     ):
         worst = max(worst, summary.max_abs_residual)
         if summary.status != PASS:

@@ -5,8 +5,10 @@ import json
 
 import pytest
 
+from conftest import hyperbolic_spec
 from dwpcheck.cli import main
 from dwpcheck.reporting import render_json
+from dwpcheck.solitons import FACTOR_CHECKS
 
 PASSING_SPEC = """
 [factor.1]
@@ -61,6 +63,10 @@ seed = 3
 box = [-1.0, 1.0]
 tolerance = 1e-8
 """
+
+H3_LINE_FIRST_SPEC = hyperbolic_spec(line_first=True)
+
+H3_PLANE_FIRST_SPEC = hyperbolic_spec(line_first=False)
 
 
 def write(tmp_path, text, name):
@@ -338,6 +344,14 @@ class TestConfigResolution:
         assert main(["verify", spec, "--checks", "lemma9"]) == 2
         assert "unknown checks" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["", ",", " , "])
+    def test_empty_check_list_exits_two(self, tmp_path, capsys, value):
+        spec = write(tmp_path, PASSING_SPEC, "pass.spec")
+        assert main(["verify", spec, "--checks", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --checks names no check")
+        assert captured.out == ""
+
     def test_per_coordinate_box(self, tmp_path):
         spec = write(tmp_path, PASSING_SPEC, "pass.spec")
         report = str(tmp_path / "r.json")
@@ -373,3 +387,44 @@ class TestConfigResolution:
         main(["verify", spec, "--checks", "scalar"])
         out = capsys.readouterr().out
         assert out.strip().endswith("1 passed, 0 failed, 0 skipped")
+
+
+class TestHyperbolicSpace:
+    """H^3 = R x_{e^t} R^2 in both factor orders, with three almost
+    solitons whose gates pass: the factor structures and the concircular
+    consequences run on the anchored restriction sets with nonzero warping
+    terms."""
+
+    ORDERS = pytest.mark.parametrize(
+        "text", [H3_LINE_FIRST_SPEC, H3_PLANE_FIRST_SPEC],
+        ids=["line-first", "plane-first"])
+
+    @ORDERS
+    def test_every_gate_and_factor_check_passes(self, tmp_path, text):
+        spec = write(tmp_path, text, "h3.spec")
+        report = str(tmp_path / "h3.json")
+        assert main(["verify", spec, "--format", "structured",
+                     "--report", report]) == 0
+        status = {c["check_id"]: c["status"]
+                  for c in json.loads(open(report).read())["checks"]}
+        conharmonic = {"conharmonic.flat", "conharmonic.soliton1",
+                       "conharmonic.soliton2"}
+        # H^3 is not scalar-flat, so only the conharmonic gate fails
+        assert len(status) == 55
+        for check_id, s in status.items():
+            assert s == ("skip" if check_id in conharmonic else "pass")
+        for i, kind in enumerate(("ricci", "yamabe", "riemann")):
+            for sub in FACTOR_CHECKS[kind]:
+                assert status[f"soliton[{i}].factors.{kind}.{sub}"] == "pass"
+        for sub in ("flat", "einstein1", "einstein2", "dichotomy"):
+            assert status[f"concircular.{sub}"] == "pass"
+
+    @ORDERS
+    def test_reruns_give_identical_bytes(self, tmp_path, text):
+        spec = write(tmp_path, text, "h3.spec")
+        reports = [str(tmp_path / f"r{i}.json") for i in (1, 2)]
+        for report in reports:
+            assert main(["verify", spec, "--format", "structured",
+                         "--report", report]) == 0
+        first, second = (open(r, "rb").read() for r in reports)
+        assert first == second

@@ -1,5 +1,7 @@
 """Closed-form curvature splittings against the product oracle."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,22 +11,24 @@ from conftest import (
     e2xe1_product,
     expr_chart,
     flat_chart,
+    hyperbolic_spec,
     random_polynomial,
     seeded_points,
     singly_warped_product,
     sphere_x_hyperbolic,
 )
-from dwpcheck import checks
+from dwpcheck import checks, geometry, solitons, special
+from dwpcheck.cli import main
 from dwpcheck.dwp import (
     RIEMANN_CLASSES,
     RICCI_CLASSES,
     DoublyWarpedProduct,
     WarpingError,
 )
-from dwpcheck.expr import constant, parse_expression
+from dwpcheck.expr import Expression, constant, parse_expression
 from dwpcheck.geometry import ChartManifold
 from dwpcheck.reporting import PASS
-from dwpcheck.solitons import SolitonSpec, ricci_factor_structures
+from dwpcheck.solitons import SolitonSpec, residual, ricci_factor_structures
 from dwpcheck.special import einstein_defect, f_almost_defect
 
 TOL = 1e-8
@@ -340,14 +344,16 @@ class TestFactorMirror:
         # the tolerance lets the product-level gate pass on this
         # non-soliton, so that both factor equations are evaluated
         tol = 10.0
-        out = [
-            {s.check_id: s for s in ricci_factor_structures(
-                dwp, SolitonSpec(kind="ricci", lam=lam,
-                                 psi=parse_expression(psi, dwp.coords)),
-                dwp.point_data(points, anchor), tol)}
-            for dwp, points, anchor in (
-                (a, pts, pts[0]), (b, pts[:, swap], pts[0][swap]))
-        ]
+
+        def structures(dwp, points, anchor):
+            spec = SolitonSpec(kind="ricci", lam=lam,
+                               psi=parse_expression(psi, dwp.coords))
+            d = dwp.point_data(points, anchor)
+            return {s.check_id: s for s in ricci_factor_structures(
+                dwp, spec, d, tol, residual(spec, d.product, tol))}
+
+        out = [structures(a, pts, pts[0]),
+               structures(b, pts[:, swap], pts[0][swap])]
         for which in (1, 2):
             mine = out[0][f"factors.ricci.factor{which}"]
             theirs = out[1][f"factors.ricci.factor{3 - which}"]
@@ -382,8 +388,9 @@ class TestOneRecordPerPointSet:
         monkeypatch.setattr(ChartManifold, "_metric_jets", counting_jets)
         monkeypatch.setattr(DoublyWarpedProduct, "point_data",
                             counting_point_data)
+        anchor = np.array([0.1, -0.2, 0.3, 0.4])
         out = {s.check_id: s for s in checks.run_all(
-            dwp, [spec], pts, TOL, np.array([0.1, -0.2, 0.3, 0.4]))}
+            dwp, [spec], dwp.point_data(pts, anchor), TOL)}
         for check_id in ("concircular.einstein1", "conharmonic.soliton2",
                          "soliton[0].factors.ricci.factor1"):
             assert out[check_id].status == PASS, out[check_id]
@@ -393,3 +400,67 @@ class TestOneRecordPerPointSet:
                                                               earlier))
         assert len(jetted) == 7  # samples 3, each restriction set 2
         assert 1 <= len(built) <= 3
+
+    def test_verify_builds_each_quantity_once_per_record(self, tmp_path,
+                                                         monkeypatch):
+        """Through the CLI, on H^3 with every soliton gate and the
+        concircular gate passing: no chart's metric is jetted twice on equal
+        points (the sampler's and the conditioning test's jets included), no
+        expression is jetted twice on equal points, each soliton's residual
+        is evaluated once per form, and g ^ g once per record."""
+        jetted, expr_jets, residuals, wedges = [], [], [], []
+        metric_jets = ChartManifold._metric_jets
+        jet = Expression.jet
+        residual_values = solitons.residual_values
+        kulkarni_nomizu = geometry.kulkarni_nomizu
+
+        def counting_metric_jets(chart, points):
+            jetted.append((chart, np.array(points, dtype=float)))
+            return metric_jets(chart, points)
+
+        def counting_jet(expr, points):
+            expr_jets.append((expr, np.array(points, dtype=float)))
+            return jet(expr, points)
+
+        def counting_residual_values(spec, c, form="primary"):
+            residuals.append((spec, form))
+            return residual_values(spec, c, form=form)
+
+        def counting_kulkarni_nomizu(a, b):
+            if a is b:
+                wedges.append(np.array(a))
+            return kulkarni_nomizu(a, b)
+
+        monkeypatch.setattr(ChartManifold, "_metric_jets",
+                            counting_metric_jets)
+        monkeypatch.setattr(Expression, "jet", counting_jet)
+        monkeypatch.setattr(solitons, "residual_values",
+                            counting_residual_values)
+        for module in (geometry, solitons, special):
+            monkeypatch.setattr(module, "kulkarni_nomizu",
+                                counting_kulkarni_nomizu)
+        spec = tmp_path / "h3.spec"
+        spec.write_text(hyperbolic_spec(line_first=False))
+        report = tmp_path / "h3.json"
+        assert main(["verify", str(spec), "--format", "structured",
+                     "--report", str(report)]) == 0
+        status = {c["check_id"]: c["status"]
+                  for c in json.loads(report.read_text())["checks"]}
+        for check_id in ("concircular.einstein1", "concircular.einstein2",
+                         "soliton[0].factors.ricci.factor1",
+                         "soliton[1].factors.yamabe.factor2",
+                         "soliton[2].factors.riemann.factor1"):
+            assert status[check_id] == PASS
+
+        def repeats(calls, same):
+            return [b for i, b in enumerate(calls)
+                    if any(same(a, b) for a in calls[:i])]
+
+        assert not repeats(jetted, lambda a, b: a[0] is b[0]
+                           and np.array_equal(a[1], b[1]))
+        assert not repeats(expr_jets, lambda a, b: a[0] == b[0]
+                           and np.array_equal(a[1], b[1]))
+        assert sorted((spec.kind, form) for spec, form in residuals) == [
+            ("ricci", "primary"), ("riemann", "contracted"),
+            ("riemann", "primary"), ("yamabe", "primary")]
+        assert wedges and not repeats(wedges, np.array_equal)

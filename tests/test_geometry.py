@@ -140,14 +140,14 @@ class TestSampling:
     def test_seeded_sampling_is_deterministic(self):
         chart = flat_chart(("x", "y"))
         box = np.array([[-1.0, 1.0], [-1.0, 1.0]])
-        a = sample_points(chart, box, 10, 7)
-        b = sample_points(chart, box, 10, 7)
+        a = sample_points(chart, box, 10, 7).p
+        b = sample_points(chart, box, 10, 7).p
         assert np.array_equal(a, b)
 
     def test_sampling_respects_box(self):
         chart = flat_chart(("x", "y"))
         box = np.array([[0.5, 1.0], [-2.0, -1.5]])
-        pts = sample_points(chart, box, 20, 3)
+        pts = sample_points(chart, box, 20, 3).p
         assert np.all(pts[:, 0] >= 0.5) and np.all(pts[:, 0] <= 1.0)
         assert np.all(pts[:, 1] >= -2.0) and np.all(pts[:, 1] <= -1.5)
 
@@ -155,7 +155,7 @@ class TestSampling:
         # metric degenerates along x = 0
         chart = expr_chart(("x", "y"), [["x^2", "0"], ["0", "1"]])
         box = np.array([[-1.0, 1.0], [-1.0, 1.0]])
-        pts = sample_points(chart, box, 10, 11)
+        pts = sample_points(chart, box, 10, 11).p
         for p in pts:
             assert chart.well_conditioned_at(p[None])[0]
 

@@ -213,9 +213,9 @@ class TestFactorStructures:
         lam = 0.6
         psi = gaussian_potential(self.dwp.coords, lam / 2)
         spec = SolitonSpec(kind="ricci", psi=psi, lam=lam)
+        d = self.dwp.point_data(self.pts, self.anchor)
         out = ricci_factor_structures(
-            self.dwp, spec, self.dwp.point_data(self.pts, self.anchor), 1e-10
-        )
+            self.dwp, spec, d, 1e-10, residual(spec, d.product, 1e-10))
         assert {s.check_id for s in out} == {
             "factors.ricci.product",
             "factors.ricci.factor1",
@@ -230,9 +230,9 @@ class TestFactorStructures:
         lam = 0.4
         psi = gaussian_potential(self.dwp.coords, -lam / 2)
         spec = SolitonSpec(kind="yamabe", psi=psi, lam=lam)
+        d = self.dwp.point_data(self.pts, self.anchor)
         out = yamabe_factor_structures(
-            self.dwp, spec, self.dwp.point_data(self.pts, self.anchor), 1e-10
-        )
+            self.dwp, spec, d, 1e-10, residual(spec, d.product, 1e-10))
         for s in out:
             assert s.status == PASS, s
 
@@ -240,18 +240,19 @@ class TestFactorStructures:
         lam = 0.5
         psi = gaussian_potential(self.dwp.coords, lam / 4)
         spec = SolitonSpec(kind="riemann", psi=psi, lam=lam)
+        d = self.dwp.point_data(self.pts, self.anchor)
         out = riemann_factor_structures(
-            self.dwp, spec, self.dwp.point_data(self.pts, self.anchor), 1e-10
-        )
+            self.dwp, spec, d, 1e-10,
+            residual(spec, d.product, 1e-10, form="contracted"))
         for s in out:
             assert s.status == PASS, s
 
     def test_gate_skips_factors_when_product_fails(self):
         psi = parse_expression("x^3", self.dwp.coords)
         spec = SolitonSpec(kind="ricci", psi=psi, lam=0.5)
+        d = self.dwp.point_data(self.pts, self.anchor)
         out = ricci_factor_structures(
-            self.dwp, spec, self.dwp.point_data(self.pts, self.anchor), TOL
-        )
+            self.dwp, spec, d, TOL, residual(spec, d.product, TOL))
         assert all(s.status == SKIP for s in out)
         assert all("hypothesis fails" in s.notes for s in out)
 
@@ -271,9 +272,10 @@ class TestFactorStructures:
         )
         pts = seeded_points(dwp.product, 8)
         anchor = np.zeros(dwp.m)
-        assert residual(spec, dwp.product.at(pts), TOL).status == PASS
-        out = quasi_einstein_factor_structures(
-            dwp, spec, dwp.point_data(pts, anchor), TOL)
+        d = dwp.point_data(pts, anchor)
+        gate = residual(spec, d.product, TOL)
+        assert gate.status == PASS
+        out = quasi_einstein_factor_structures(dwp, spec, d, TOL, gate)
         for s in out:
             assert s.status == PASS, s
 
@@ -284,10 +286,10 @@ class TestFactorStructures:
             kind="quasi_einstein", alpha=alpha, beta=zero_beta, eta=eta
         )
         pts = seeded_points(dwp.product, 4)
+        d = dwp.point_data(pts, np.zeros(dwp.m))
         with pytest.raises(SolitonError, match="einstein"):
             quasi_einstein_factor_structures(
-                dwp, spec, dwp.point_data(pts, np.zeros(dwp.m)), TOL
-            )
+                dwp, spec, d, TOL, residual(spec, d.product, TOL))
 
     def test_riemann_factors_skip_in_low_dimension(self):
         f1c = flat_chart(("x",))
@@ -301,8 +303,9 @@ class TestFactorStructures:
         psi = parse_expression("x^2 + t^2", dwp.coords)
         spec = SolitonSpec(kind="riemann", psi=psi, lam=0.5)
         pts = seeded_points(dwp.product, 4)
+        d = dwp.point_data(pts, np.zeros(2))
         out = riemann_factor_structures(
-            dwp, spec, dwp.point_data(pts, np.zeros(2)), TOL)
+            dwp, spec, d, TOL, residual(spec, d.product, TOL))
         assert all(s.status == SKIP for s in out)
 
 

@@ -1,0 +1,180 @@
+"""Compare dwpcheck's structured reports between this checkout and a git
+revision.
+
+    python3 tools/compare_reports.py REV
+
+REV is checked out with `git worktree` in a temporary directory (removed
+again at the end). In that tree and in this checkout, the same cases run
+through `dwpcheck verify --format structured`:
+
+- the benchmark corpus: every workload of bench/workloads.py at seeds
+  1, 2, 3 and 57, with each spec's own flags;
+- the CLI fixtures of tests/test_cli.py: each module-level `*_SPEC` text
+  with default flags, each parametrized case that edits PASSING_SPEC
+  (`old` -> `new`) and/or adds flags (`args`), and the inline error-path
+  edits listed in INLINE_EDITS below.
+
+It prints how many reports (stdout), stderr texts and exit codes are
+byte-identical, and the first differing line of each case that differs;
+the exit status is 1 on any difference. Standard library and the
+repository only; the spec files, written once, are read by both trees.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEEDS = (1, 2, 3, 57)
+
+# error-path edits of PASSING_SPEC that tests/test_cli.py makes inline, as
+# (name, old, new, flags)
+INLINE_EDITS = (
+    ("nonpositive-warping",
+     'metric = [["1", "0"], ["0", "1"]]\n\n[factor.2]',
+     'metric = [["1", "0"], ["0", "1"]]\nwarping = "x"\n\n[factor.2]', []),
+    ("nonsymmetric-metric", 'metric = [["1", "0"], ["0", "1"]]',
+     'metric = [["1", "0.5"], ["0", "1"]]', []),
+    ("ill-conditioned-anchored-set", 'metric = [["1", "0"], ["0", "1"]]',
+     'metric = [["x^2", "0"], ["0", "1"]]',
+     ["--box=0.5,1", "--anchor=0,0.7,0.7,0.7", "--checks", "scalar"]),
+)
+
+# runs in a fresh interpreter with one tree's src/ on PYTHONPATH: reads a
+# JSON list of argv lists, prints the package path and [code, out, err] per
+# argv
+RUNNER = r"""
+import contextlib, io, json, sys
+import dwpcheck
+from dwpcheck.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+json.dump({"package": dwpcheck.__file__, "results": results}, sys.stdout)
+"""
+
+
+def bench_cases(directory):
+    """(name, argv) of the benchmark corpus."""
+    sys.path.insert(0, os.path.join(ROOT, "bench"))
+    import workloads
+
+    cases = []
+    for workload in workloads.WORKLOADS:
+        for seed in SEEDS:
+            specs = workloads.generate(workload, seed)
+            paths = workloads.write_specs(
+                specs, os.path.join(directory, f"{workload}-{seed}"))
+            cases += [(f"{workload} seed {seed} {spec.name}",
+                       spec.argv(path)) for spec, path in zip(specs, paths)]
+    return cases
+
+
+def fixture_cases(directory):
+    """(name, argv) of the CLI fixtures of tests/test_cli.py."""
+    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
+    import test_cli
+
+    texts = [(name, value) for name, value in sorted(vars(test_cli).items())
+             if name.endswith("_SPEC") and isinstance(value, str)]
+    runs = [(name, text, []) for name, text in texts]
+    for owner in vars(test_cli).values():
+        tests = [owner] + [getattr(owner, n) for n in dir(owner)
+                           if n.startswith("test_")]
+        for test in tests:
+            for mark in getattr(test, "pytestmark", ()):
+                if mark.name != "parametrize":
+                    continue
+                names = [n.strip() for n in mark.args[0].split(",")]
+                if "args" not in names:
+                    continue
+                for i, values in enumerate(mark.args[1]):
+                    case = dict(zip(names, values))
+                    text = test_cli.PASSING_SPEC
+                    if "old" in case:
+                        text = text.replace(case["old"], case["new"], 1)
+                    runs.append((f"{test.__name__}[{i}]", text, case["args"]))
+    for name, old, new, flags in INLINE_EDITS:
+        runs.append((name, test_cli.PASSING_SPEC.replace(old, new, 1), flags))
+    os.makedirs(directory)
+    cases = []
+    for i, (name, text, flags) in enumerate(runs):
+        path = os.path.join(directory, f"fixture{i}.spec")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        cases.append((name, ["verify", path, "--format", "structured"]
+                      + list(flags)))
+    return cases
+
+
+def run_tree(tree, argvs, cwd):
+    """[code, out, err] per argv, run on the package in tree/src."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    done = subprocess.run([sys.executable, "-c", RUNNER], cwd=cwd, env=env,
+                          input=json.dumps(argvs), capture_output=True,
+                          text=True, check=True)
+    result = json.loads(done.stdout)
+    package = os.path.realpath(result["package"])
+    if not package.startswith(os.path.realpath(tree) + os.sep):
+        sys.exit(f"dwpcheck was imported from {package}, not from {tree}")
+    return result["results"]
+
+
+def first_difference(a, b):
+    """(line number, line of a, line of b) of the first differing line."""
+    la, lb = a.splitlines(), b.splitlines()
+    for i in range(max(len(la), len(lb))):
+        x = la[i] if i < len(la) else "<end>"
+        y = lb[i] if i < len(lb) else "<end>"
+        if x != y:
+            return i + 1, x, y
+    return 0, "<same lines>", "<line endings differ>"
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        sys.exit(__doc__)
+    rev = argv[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        cases = (bench_cases(os.path.join(tmp, "bench"))
+                 + fixture_cases(os.path.join(tmp, "fixtures")))
+        tree = os.path.join(tmp, "rev")
+        subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach",
+                        "--quiet", tree, rev], check=True)
+        try:
+            argvs = [a for _, a in cases]
+            here = run_tree(ROOT, argvs, tmp)
+            there = run_tree(tree, argvs, tmp)
+        finally:
+            subprocess.run(["git", "-C", ROOT, "worktree", "remove",
+                            "--force", tree], check=True)
+    n = len(cases)
+    same = [sum(h[k] == t[k] for h, t in zip(here, there)) for k in (1, 2, 0)]
+    print(f"{n} cases against {rev}: reports byte-identical {same[0]}/{n}, "
+          f"stderr byte-identical {same[1]}/{n}, exit codes identical "
+          f"{same[2]}/{n}")
+    width = max(len("here"), len(rev))
+    for (name, _), h, t in zip(cases, here, there):
+        if h[0] != t[0]:
+            print(f"{name}: exit code {h[0]} here, {t[0]} at {rev}")
+        for k, stream in ((1, "report"), (2, "stderr")):
+            if h[k] != t[k]:
+                line, mine, theirs = first_difference(h[k], t[k])
+                print(f"{name}: {stream} line {line}\n"
+                      f"  {'here':<{width}} {mine}\n  {rev:<{width}} {theirs}")
+    return 0 if all(s == n for s in same) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
