@@ -128,7 +128,9 @@ def check_solitons(dwp, specs, d, tolerance):
     """Defining-equation residuals for each soliton spec, plus induced
     factor structures for the kinds that have them (on the anchored
     restriction sets of d), gated on the product-level summary: the
-    defining equation's, or for kind=riemann its contracted form's."""
+    defining equation's, or for kind=riemann its contracted form's.  A
+    defining equation that cannot be evaluated is a skip, and so are its
+    factor structures."""
     out = []
     for i, spec in enumerate(specs):
         prefix = f"soliton[{i}].{spec.kind}"
@@ -136,8 +138,7 @@ def check_solitons(dwp, specs, d, tolerance):
             gate = solitons.residual(spec, d.product, tolerance,
                                      check_id=prefix)
         except solitons.SolitonError as exc:
-            out.append(skipped(prefix, f"skipped: {exc}", tolerance))
-            continue
+            gate = skipped(prefix, f"skipped: {exc}", tolerance)
         out.append(gate)
         if spec.kind == "riemann" and dwp.m >= 3:
             gate = solitons.residual(spec, d.product, tolerance,
@@ -149,38 +150,27 @@ def check_solitons(dwp, specs, d, tolerance):
             )
             out.append(replace(consistency, check_id=f"{prefix}.contraction"))
         builder = _FACTOR_STRUCTURES.get(spec.kind)
-        if builder is None:
-            continue
-        try:
-            structures = builder(dwp, spec, d, tolerance, gate)
-        except solitons.SolitonError as exc:
-            # the structures cannot be evaluated: skip their checks, keeping
-            # the defining-equation record above
-            structures = [
-                skipped(f"factors.{spec.kind}.{s}", f"skipped: {exc}",
-                        tolerance)
-                for s in solitons.FACTOR_CHECKS[spec.kind]
-            ]
-        for s in structures:
-            out.append(replace(s, check_id=f"soliton[{i}].{s.check_id}"))
+        if builder is not None:
+            out.extend(replace(s, check_id=f"soliton[{i}].{s.check_id}")
+                       for s in builder(dwp, spec, d, tolerance, gate))
     return out
 
 
 def check_concircular(dwp, d, tolerance):
     """Closed-form concircular blocks against the oracle on all six lifted
-    patterns, then the flatness consequences (gated)."""
+    patterns, then the flatness consequences, gated on the oracle."""
+    oracle = special.concircular_oracle(d.product)
     out = _class_summaries(
         "concircular", dwp, d, tolerance,
-        _riemann_classes(dwp, special.concircular_closed(dwp, d)),
-        special.concircular_oracle(d.product),
-    )
-    out.extend(special.concircular_flat_consequences(dwp, d, tolerance))
+        _riemann_classes(dwp, special.concircular_closed(dwp, d)), oracle)
+    out.extend(
+        special.concircular_flat_consequences(dwp, d, tolerance, oracle))
     return out
 
 
 def check_conharmonic(dwp, d, tolerance):
     """Closed-form conharmonic blocks (same-factor patterns only) against
-    the oracle, then the flatness consequences (gated)."""
+    the oracle, then the flatness consequences, gated on the oracle."""
     if dwp.m < 3:
         return [
             skipped(
@@ -189,12 +179,11 @@ def check_conharmonic(dwp, d, tolerance):
                 tolerance,
             )
         ]
-    out = _class_summaries(
-        "conharmonic", dwp, d, tolerance,
-        special.conharmonic_closed(dwp, d),
-        special.conharmonic_oracle(d.product),
-    )
-    out.extend(special.conharmonic_flat_consequences(dwp, d, tolerance))
+    oracle = special.conharmonic_oracle(d.product)
+    out = _class_summaries("conharmonic", dwp, d, tolerance,
+                           special.conharmonic_closed(dwp, d), oracle)
+    out.extend(
+        special.conharmonic_flat_consequences(dwp, d, tolerance, oracle))
     return out
 
 

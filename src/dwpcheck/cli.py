@@ -235,10 +235,8 @@ def run(config, loaded=None, stdout=None):
     box = config.resolved_box(dwp.m)
     anchor = config.resolved_anchor(dwp.m)
     samples = sample_points(dwp.product, box, config.points, config.seed)
-    dwp.validate_warpings(samples.p)
-    dwp.validate_warpings([anchor])
-    validate_fields(dwp, soliton_specs, default_psi, samples.p, anchor)
     d = dwp.point_data(samples, anchor)
+    validate_fields(dwp, soliton_specs, default_psi, samples.p, anchor)
     for which in (1, 2):
         # the restriction sets must pass the sampler's acceptance rule too;
         # their product records are the ones the restriction records read

@@ -168,9 +168,14 @@ class DoublyWarpedProduct:
         """The record of a batch of product points (N, m), given as an array
         or as the product chart's record at them (as `sample_points` returns
         it); with an anchor, it also gives the records of the anchored
-        restriction sets."""
+        restriction sets.  The warpings are validated at the points, then
+        at the anchor; that covers the anchored sets, whose warping values
+        are those of the points and of the anchor."""
         if not isinstance(points, ChartBatch):
             points = self.product.at(points)
+        self.validate_warpings(points.p)
+        if anchor is not None:
+            self.validate_warpings([anchor])
         return _PointData(self, points, anchor)
 
     def lifted(self, psi):
@@ -391,7 +396,6 @@ class _PointData:
     records of the anchored restriction sets are built on first read."""
 
     def __init__(self, dwp, product, anchor=None, factors=(None, None)):
-        dwp.validate_warpings(product.p)
         self.dwp, self.anchor = dwp, anchor
         self.product = product.require_spd()
         self.p = product.p

@@ -2,8 +2,9 @@
 
 Every verification in the package reduces to "evaluate an identity at sampled
 points and take the worst normalized residual"; this module holds the shared
-summary record and a byte-stable serializer so that identical runs produce
-identical reports.
+summary record, the one driver of the checks conditional on a hypothesis,
+and a byte-stable serializer so that identical runs produce identical
+reports.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ __all__ = [
     "normalized_residual",
     "summarize",
     "skipped",
-    "gated",
+    "conditional",
     "render_json",
 ]
 
@@ -115,20 +116,43 @@ def skipped(check_id, reason, tolerance, points=0):
     )
 
 
-def gated(check_id, gate, reason, sub_ids):
-    """The records of a hypothesis gate and of the checks conditional on it,
-    and whether the gate holds.  A failing hypothesis is a skip, not a
-    failure (the checks that carry a verdict on it run elsewhere): the gate
-    and each `check_id.<sub_id>` are skipped with `reason` formatted with the
-    gate's residual."""
-    if gate.status == PASS:
-        return [gate], True
-    reason = reason.format(gate.max_abs_residual)
-    return [
-        skipped(gate.check_id, reason, gate.tolerance, points=gate.points)
-    ] + [
-        skipped(f"{check_id}.{s}", reason, gate.tolerance) for s in sub_ids
-    ], False
+def conditional(d, gate, reason, factor, stem, extra=None):
+    """The records of a hypothesis gate and of the checks conditional on it:
+    one per factor, on the anchored restriction sets of the record d, and
+    optionally one more.  The checks of a family `F` are named after its
+    gate `F.<name>`: `F.<stem>1`, `F.<stem>2` and `F.<extra name>`.
+
+    `factor(r, s)` gives (per-point residuals, notes) of factor `which`,
+    with r = d.restriction(which) the record of its restriction set and
+    s = r.side(which); `extra`, a (name, check) pair, adds the check whose
+    `check()` gives (per-point residuals, points, notes).
+
+    A gate that does not pass skips the gate and every check of the family:
+    a skipped gate (the hypothesis, or the family's own inputs, cannot be
+    evaluated) with its own reason, and a failing one with `reason`
+    formatted with its residual.  A failing hypothesis is a skip, not a
+    failure: the checks that carry a verdict on it run elsewhere."""
+    family = gate.check_id.rpartition(".")[0]
+    ids = [f"{family}.{stem}{which}" for which in (1, 2)]
+    if extra is not None:
+        ids.append(f"{family}.{extra[0]}")
+    if gate.status != PASS:
+        note = (gate.notes if gate.status == SKIP
+                else reason.format(gate.max_abs_residual))
+        return [skipped(gate.check_id, note, gate.tolerance,
+                        points=gate.points)] + [
+            skipped(check_id, note, gate.tolerance) for check_id in ids]
+    out = [gate]
+    for which, check_id in zip((1, 2), ids):
+        r = d.restriction(which)
+        values, notes = factor(r, r.side(which))
+        out.append(summarize(check_id, values, r.p, gate.tolerance,
+                             notes=notes))
+    if extra is not None:
+        values, points, notes = extra[1]()
+        out.append(summarize(ids[2], values, points, gate.tolerance,
+                             notes=notes))
+    return out
 
 
 def _render(value, indent):

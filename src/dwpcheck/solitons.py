@@ -25,7 +25,9 @@ from .geometry import (
     outer,
     times,
 )
-from .reporting import gated, normalized_residual, skipped, summarize
+from .reporting import (
+    PASS, conditional, normalized_residual, skipped, summarize,
+)
 
 __all__ = [
     "SolitonSpec",
@@ -40,7 +42,6 @@ __all__ = [
     "ricci_factor_structures",
     "riemann_factor_structures",
     "quasi_einstein_factor_structures",
-    "FACTOR_CHECKS",
     "log_hessian_identity",
     "mixed_yamabe_condition",
     "mixed_ricci_condition",
@@ -308,59 +309,29 @@ def mixed_ricci_condition(dwp, psi, d):
 _NOT_A_SOLITON = ("skipped: product-level soliton hypothesis fails "
                   "(residual = {:.3e})")
 
-# soliton kind -> the checks of its induced factor structures, each with id
-# factors.<kind>.<name>
-FACTOR_CHECKS = {
-    "yamabe": ("product", "factor1", "factor2", "mixed"),
-    "ricci": ("product", "factor1", "factor2", "mixed"),
-    "riemann": ("product", "factor1", "factor2"),
-    "quasi_einstein": ("product", "factor1", "factor2"),
-}
+# Each builder below takes the record d of the samples (with an anchor) and
+# its gate, the summary of the product-level residual at the samples
+# (`residual(spec, d.product, tolerance)`, in the contracted form for
+# kind=riemann), reported as factors.<kind>.product; for each factor it
+# gives the residual of the factor's equation on the anchored restriction
+# set (`reporting.conditional`).
 
 
-def _factor_structures(kind, dwp, spec, d, tolerance, gate, equation, notes,
-                       mixed=None):
-    """Induced factor structures of one soliton family, gated on `gate`, the
-    summary of the product-level residual at the samples of the record d
-    (`residual(spec, d.product, tolerance)`, in the contracted form for
-    kind=riemann); it is reported as factors.<kind>.product.
-
-    For each factor, `equation(r, s, jet)` gives (lhs terms, rhs terms,
-    lambda_i) of the factor's equation on the anchored restriction set, with
-    r its record, s = r.side(which) and jet the jet of the lifted potential
-    there (None without one); `notes(s, lambdas)` annotates the factor's
-    summary.  `mixed`, given when FACTOR_CHECKS lists a mixed check, is a
-    (condition(dwp, psi, d), notes) pair whose value must vanish at each
-    sample point."""
-    check_id = f"factors.{kind}"
-    results, holds = gated(check_id,
-                           replace(gate, check_id=f"{check_id}.product"),
-                           _NOT_A_SOLITON, FACTOR_CHECKS[kind][1:])
-    if not holds:
-        return results
-    psi = None if spec.psi is None else dwp.lifted(spec.psi)
-    for which in (1, 2):
-        r = d.restriction(which)
-        s = r.side(which)
-        jet = None if psi is None else r.product.jet(psi)
-        lhs, rhs, lam_i = equation(r, s, jet)
-        results.append(summarize(f"{check_id}.factor{which}",
-                                 _equation_residual(lhs, rhs), r.p,
-                                 tolerance, notes=notes(s, lam_i)))
-    if mixed is not None:
-        condition, mixed_notes = mixed
-        values = np.abs(condition(dwp, psi, d)).max(axis=(1, 2))
-        results.append(summarize(f"{check_id}.mixed", values, d.p,
-                                 tolerance, notes=mixed_notes))
-    return results
+def _mixed(condition, dwp, psi, d, notes):
+    """The mixed check: condition(dwp, psi, d) must vanish at each sample
+    point."""
+    return "mixed", lambda: (np.abs(condition(dwp, psi, d)).max(axis=(1, 2)),
+                             d.p, notes)
 
 
 def yamabe_factor_structures(dwp, spec, d, tolerance, gate):
     """Factor consequences of a gradient Yamabe soliton on the product: each
     factor restriction is a gradient almost Yamabe soliton, and the mixed
     Hessian block of psi vanishes."""
+    psi = dwp.lifted(spec.psi)
 
-    def equation(r, s, jet):
+    def factor(r, s):
+        jet = r.product.jet(psi)
         s1, s2 = r.sides
         o = s.mirror
         # the Laplacian sums are symmetric in the factors: one fixed order
@@ -372,49 +343,49 @@ def yamabe_factor_structures(dwp, spec, d, tolerance, gate):
             + (dwp.m2 * s1.f * s1.lap_f + dwp.m1 * s2.f * s2.lap_f)
             / s.f**2
         )
-        return [s.hessian(jet)], [times(s.tau - lam_i, s.g)], lam_i
+        return (_equation_residual([s.hessian(jet)],
+                                   [times(s.tau - lam_i, s.g)]),
+                f"gradient almost Yamabe soliton on factor {s.which}; "
+                f"lambda spread over samples = "
+                f"{lam_i.max() - lam_i.min():.3e}")
 
-    def notes(s, lams):
-        return (f"gradient almost Yamabe soliton on factor {s.which}; "
-                f"lambda spread over samples = {lams.max() - lams.min():.3e}")
-
-    return _factor_structures(
-        "yamabe", dwp, spec, d, tolerance, gate, equation, notes,
-        mixed=(mixed_yamabe_condition,
-               "cross Hessian block of psi must vanish"),
-    )
+    return conditional(
+        d, replace(gate, check_id="factors.yamabe.product"), _NOT_A_SOLITON,
+        factor, "factor",
+        _mixed(mixed_yamabe_condition, dwp, psi, d,
+               "cross Hessian block of psi must vanish"))
 
 
 def _eta_ricci_terms(s, hessian_coefficient, lam_i, jet):
-    """(lhs, rhs, lambda_i) of the factor's gradient almost eta-Ricci
-    equation with potential phi_i, h^phi_i = c h_i^psi - m_opp h_i^log f_own:
+    """(lhs, rhs) of the factor's gradient almost eta-Ricci equation with
+    potential phi_i, h^phi_i = c h_i^psi - m_opp h_i^log f_own:
     Ric_i + h^phi_i = lambda_i g_i + m_opp d(log f_own) (x) d(log f_own)."""
     m_opp = s.mirror.m
     h_phi = hessian_coefficient * s.hessian(jet) - m_opp * s.h_log
     return ([s.ric, h_phi],
-            [times(lam_i, s.g), m_opp * outer(s.dlog, s.dlog)], lam_i)
+            [times(lam_i, s.g), m_opp * outer(s.dlog, s.dlog)])
 
 
 def ricci_factor_structures(dwp, spec, d, tolerance, gate):
     """Factor consequences of a gradient Ricci soliton: each factor carries a
     gradient almost eta-Ricci soliton with potential phi_i and eta the
     differential of the log-warping, plus a mixed-derivative condition."""
+    psi = dwp.lifted(spec.psi)
 
-    def equation(r, s, jet):
+    def factor(r, s):
+        jet = r.product.jet(psi)
         o = s.mirror
         lam_i = o.f**2 * (_coeff(spec.lam, r.p) + o.lap
                           - s.opposite_pairing(jet.gradient))
-        return _eta_ricci_terms(s, 1, lam_i, jet)
+        return (_equation_residual(*_eta_ricci_terms(s, 1, lam_i, jet)),
+                f"gradient almost eta-Ricci soliton on factor {s.which} with "
+                f"mu = {o.m} and eta the log-warping differential")
 
-    def notes(s, lams):
-        return (f"gradient almost eta-Ricci soliton on factor {s.which} with "
-                f"mu = {s.mirror.m} and eta the log-warping differential")
-
-    return _factor_structures(
-        "ricci", dwp, spec, d, tolerance, gate, equation, notes,
-        mixed=(mixed_ricci_condition,
-               "mixed warping/potential derivative condition"),
-    )
+    return conditional(
+        d, replace(gate, check_id="factors.ricci.product"), _NOT_A_SOLITON,
+        factor, "factor",
+        _mixed(mixed_ricci_condition, dwp, psi, d,
+               "mixed warping/potential derivative condition"))
 
 
 def riemann_factor_structures(dwp, spec, d, tolerance, gate):
@@ -422,15 +393,15 @@ def riemann_factor_structures(dwp, spec, d, tolerance, gate):
     factor carries a gradient almost eta-Ricci soliton with potential
     (m-2) psi_i - m_j log f_i."""
     m = dwp.m
+    gate = replace(gate, check_id="factors.riemann.product")
     if m < 3:
-        return [
-            skipped(f"factors.riemann.{s}",
-                    "skipped: contracted soliton form requires dim >= 3",
-                    tolerance)
-            for s in FACTOR_CHECKS["riemann"]
-        ]
+        gate = skipped(gate.check_id,
+                       "skipped: contracted soliton form requires dim >= 3",
+                       tolerance)
+    psi = dwp.lifted(spec.psi)
 
-    def equation(r, s, jet):
+    def factor(r, s):
+        jet = r.product.jet(psi)
         o = s.mirror
         lap_psi = np.einsum("nij,nij->n", r.product.ginv,
                             covariant_hessian(r.product.gamma, jet))
@@ -438,44 +409,49 @@ def riemann_factor_structures(dwp, spec, d, tolerance, gate):
             (m - 1) * _coeff(spec.lam, r.p) + o.lap - lap_psi
             - (m - 2) * s.opposite_pairing(jet.gradient)
         )
-        return _eta_ricci_terms(s, m - 2, lam_i, jet)
-
-    def notes(s, lams):
-        return (f"gradient almost eta-Ricci soliton on factor {s.which}; the "
+        return (_equation_residual(*_eta_ricci_terms(s, m - 2, lam_i,
+                                                      jet)),
+                f"gradient almost eta-Ricci soliton on factor {s.which}; the "
                 "log-warping term of the potential is constant along this "
                 "factor, so either log-warping choice yields the same factor "
                 "Hessian")
 
-    return _factor_structures(
-        "riemann", dwp, spec, d, tolerance, gate, equation, notes,
-    )
+    return conditional(d, gate, _NOT_A_SOLITON, factor, "factor")
 
 
 def quasi_einstein_factor_structures(dwp, spec, d, tolerance, gate):
     """Factor consequences of a quasi-Einstein product: each factor carries a
     gradient f-almost eta-Ricci soliton with f = -(opposite dim)/(own warping)
-    and eta the restriction of the (unit-normalized) generator 1-form."""
+    and eta the restriction of the (unit-normalized) generator 1-form.  A
+    beta vanishing at a sample point skips them, and so does a 1-form
+    vanishing on an anchored restriction set."""
+    gate = replace(gate, check_id="factors.quasi_einstein.product")
+    units = {}
     if (np.abs(_coeff(spec.beta, d.p)) <= tolerance).any():
-        raise SolitonError(
-            "beta vanishes at a sampled point: the condition degenerates "
-            "to an Einstein manifold; rerun with kind=einstein"
-        )
+        gate = skipped(
+            gate.check_id,
+            "skipped: beta vanishes at a sampled point: the condition "
+            "degenerates to an Einstein manifold; rerun with kind=einstein",
+            tolerance)
+    elif gate.status == PASS:
+        try:
+            units = {which: _unit_eta_at(spec, d.anchored_product(which))
+                     for which in (1, 2)}
+        except SolitonError as exc:
+            gate = skipped(gate.check_id, f"skipped: {exc}", tolerance)
 
-    def equation(r, s, jet):
+    def factor(r, s):
         o = s.mirror
-        a, beta = _unit_eta_at(spec, r.product)
+        a, beta = units[s.which]
         a_i = a[:, s.own]
         lam_i = o.f**2 * (_coeff(spec.alpha, r.p) + o.lap)
-        return ([times(-o.m / s.f, s.h_f), s.ric],
-                [times(lam_i, s.g), times(beta, outer(a_i, a_i))], lam_i)
-
-    def notes(s, lams):
-        return (f"gradient f-almost eta-Ricci soliton on factor {s.which} "
+        return (_equation_residual(
+                    [times(-o.m / s.f, s.h_f), s.ric],
+                    [times(lam_i, s.g), times(beta, outer(a_i, a_i))]),
+                f"gradient f-almost eta-Ricci soliton on factor {s.which} "
                 f"with f = -m{3 - s.which}/f{s.which}")
 
-    return _factor_structures(
-        "quasi_einstein", dwp, spec, d, tolerance, gate, equation, notes,
-    )
+    return conditional(d, gate, _NOT_A_SOLITON, factor, "factor")
 
 
 def log_hessian_identity(c, f, tolerance):

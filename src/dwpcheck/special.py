@@ -14,7 +14,7 @@ import numpy as np
 
 from .dwp import DimensionError, wedge_operator
 from .geometry import kulkarni_nomizu, outer, times
-from .reporting import gated, normalized_residual, summarize
+from .reporting import conditional, normalized_residual, summarize
 
 __all__ = [
     "DimensionError",
@@ -165,45 +165,36 @@ def _max_norms(tensor):
 
 
 def _dichotomy(dwp, d, tolerance):
-    """Branches forced by vanishing mixed components, per factor as (note,
-    value): each log-warping differential must vanish, or the opposing
-    factor's differential spans a degenerate 2-plane field (automatic in
-    dimension one)."""
+    """Branches forced by vanishing mixed components, per factor, as
+    (values, points, notes): each log-warping differential must vanish, or
+    the opposing factor's differential spans a degenerate 2-plane field
+    (automatic in dimension one)."""
     largest = [float(np.abs(s.dlog).max()) for s in d.sides]
-    out = []
+    values, notes = [], []
     for own, opp, m_own, name in ((0, 1, dwp.m1, "first"),
                                   (1, 0, dwp.m2, "second")):
-        note = (
+        notes.append(
             f"{name} warping degenerate branch" if largest[opp] <= tolerance
             else "antisymmetric warping-gradient branch"
         )
-        out.append((note, min(largest[opp],
-                              0.0 if m_own == 1 else largest[own])))
-    return out
+        values.append(min(largest[opp], 0.0 if m_own == 1 else largest[own]))
+    return values, [d.p[0], d.p[0]], "; ".join(notes)
 
 
-def concircular_flat_consequences(dwp, d, tolerance):
+def concircular_flat_consequences(dwp, d, tolerance, oracle):
     """If the product is numerically concircularly flat on the samples of
-    the record d, verify that both factors are Einstein with the implied
-    constants and evaluate the warping dichotomies.
+    the record d (its concircular tensor there is `oracle`, as
+    `concircular_oracle(d.product)` gives it), verify that both factors are
+    Einstein with the implied constants and evaluate the warping
+    dichotomies.
 
     The statement's hypothesis requires both factor dimensions > 1; a
     one-dimensional factor is still processed (its Einstein condition is
     vacuous) and flagged in the notes.
     """
-    check_id = "concircular"
-    norms = _max_norms(concircular_oracle(d.product))
-    results, flat = gated(
-        check_id, summarize(f"{check_id}.flat", norms, d.p, tolerance),
-        _NOT_FLAT, ("einstein1", "einstein2", "dichotomy"),
-    )
-    if not flat:
-        return results
-    for which in (1, 2):
-        r = d.restriction(which)
-        s = r.side(which)
-        defect, mu = einstein_defect(dwp, which, r)
-        values = normalized_residual(defect, [s.ric, times(mu, s.g)])
+
+    def einstein(r, s):
+        defect, mu = einstein_defect(dwp, s.which, r)
         notes = (
             f"Einstein constant mu = {mu[0] + 0.0:.6g}, "
             f"spread over samples = {mu.max() - mu.min():.3e}"
@@ -211,51 +202,40 @@ def concircular_flat_consequences(dwp, d, tolerance):
         if s.m == 1:
             notes += "; factor dimension 1 is outside the stated hypothesis " \
                      "(condition holds vacuously)"
-        results.append(
-            summarize(f"{check_id}.einstein{which}", values, r.p, tolerance,
-                      notes=notes)
-        )
-    notes, values = zip(*_dichotomy(dwp, d, tolerance))
-    results.append(summarize(f"{check_id}.dichotomy", values,
-                             [d.p[0], d.p[0]], tolerance,
-                             notes="; ".join(notes)))
-    return results
+        return normalized_residual(defect, [s.ric, times(mu, s.g)]), notes
+
+    return conditional(
+        d, summarize("concircular.flat", _max_norms(oracle), d.p, tolerance),
+        _NOT_FLAT, einstein, "einstein",
+        ("dichotomy", lambda: _dichotomy(dwp, d, tolerance)))
 
 
-def conharmonic_flat_consequences(dwp, d, tolerance):
+def conharmonic_flat_consequences(dwp, d, tolerance, oracle):
     """If the product is numerically conharmonically flat on the samples of
-    the record d, verify that each factor carries a gradient f-almost Ricci
-    soliton with potential the warping function.
+    the record d (its conharmonic tensor there is `oracle`, as
+    `conharmonic_oracle(d.product)` gives it), verify that each factor
+    carries a gradient f-almost Ricci soliton with potential the warping
+    function.
 
     The coefficient of the factor Hessian is (m_i - 2)/f_i, obtained by
     contracting the component identity; it reduces to the often-quoted
     -m_j (1 - (m_i - 1) f_j^2)/((m - m_i) f_i f_j^2) exactly when the
     opposite warping is identically 1.
     """
-    check_id = "conharmonic"
     if dwp.m < 3:
         raise DimensionError("conharmonic tensor requires dim >= 3")
-    norms = _max_norms(conharmonic_oracle(d.product))
-    results, flat = gated(
-        check_id, summarize(f"{check_id}.flat", norms, d.p, tolerance),
-        _NOT_FLAT, ("soliton1", "soliton2"),
-    )
-    if not flat:
-        return results
-    for which in (1, 2):
-        r = d.restriction(which)
-        s = r.side(which)
-        defect, lam, f = f_almost_defect(dwp, which, r)
-        values = normalized_residual(
-            defect, [times(f, s.h_f), s.ric, times(lam, s.g)])
+
+    def soliton(r, s):
+        defect, lam, f = f_almost_defect(dwp, s.which, r)
         notes = (
             f"gradient f-almost Ricci soliton with f = (m_i - 2)/f_i; "
             f"lambda spread over samples = {lam.max() - lam.min():.3e}"
         )
         if s.m == 1:
             notes += "; factor dimension 1 is outside the stated hypothesis"
-        results.append(
-            summarize(f"{check_id}.soliton{which}", values, r.p, tolerance,
-                      notes=notes)
-        )
-    return results
+        return normalized_residual(
+            defect, [times(f, s.h_f), s.ric, times(lam, s.g)]), notes
+
+    return conditional(
+        d, summarize("conharmonic.flat", _max_norms(oracle), d.p, tolerance),
+        _NOT_FLAT, soliton, "soliton")

@@ -86,53 +86,68 @@ def hyperbolic_space(n):
     )
 
 
-_LINE = """dim = 1
-coords = ["t"]
-metric = [["1"]]
-warping = "exp(t)"
-"""
+# Space forms as warped products I x_f F of a line and a surface F: the
+# field f d_t is closed and conformal, so psi = (integral of f) has
+# Hess psi = f' g.  model -> (f, psi, F's coords and metric, F's box and
+# the line's, lambda of the almost Ricci, Yamabe and Riemann solitons of
+# psi: Ric = 2K g and tau = 6K at sectional curvature K).
+WARPED_LINE_MODELS = {
+    # H^3 = R x_{e^t} R^2
+    "hyperbolic-flat": (
+        "exp(t)", "exp(t)", '["u", "v"]', '[["1", "0"], ["0", "1"]]',
+        [[-1.0, 1.0], [-1.0, 1.0]], [-1.0, 1.0],
+        ("exp(t) - 2", "-6 - exp(t)", "2*exp(t) - 1")),
+    # H^3 = R x_{cosh t} H^2, H^2 the upper half-plane
+    "hyperbolic-hyperbolic": (
+        "cosh(t)", "sinh(t)", '["x", "y"]',
+        '[["1/y^2", "0"], ["0", "1/y^2"]]', [[-1.0, 1.0], [0.5, 1.5]],
+        [-1.0, 1.0], ("sinh(t) - 2", "-6 - sinh(t)", "2*sinh(t) - 1")),
+    # S^3 = (0, pi) x_{sin t} S^2, away from the poles
+    "sphere-sphere": (
+        "sin(t)", "-cos(t)", '["u", "v"]', '[["1", "0"], ["0", "sin(u)^2"]]',
+        [[0.5, 2.5], [-1.0, 1.0]], [0.5, 2.5],
+        ("cos(t) + 2", "6 - cos(t)", "2*cos(t) + 1")),
+}
 
-_PLANE = """dim = 2
-coords = ["u", "v"]
-metric = [["1", "0"], ["0", "1"]]
-"""
-
-_HYPERBOLIC_SPEC = """[factor.1]
+_WARPED_LINE_SPEC = """[factor.1]
 {}
 [factor.2]
 {}
 [potential]
-psi = "exp(t)"
+psi = "{psi}"
 
 [soliton]
 type = "gradient_ricci"
-lambda = "exp(t) - 2"
+lambda = "{lams[0]}"
 
 [soliton]
 type = "gradient_yamabe"
-lambda = "-6 - exp(t)"
+lambda = "{lams[1]}"
 
 [soliton]
 type = "gradient_riemann"
-lambda = "2*exp(t) - 1"
+lambda = "{lams[2]}"
 
 [sampling]
 points = 8
 seed = 5
-box = [-1.0, 1.0]
+box = {box}
 tolerance = 1e-8
 """
 
 
-def hyperbolic_spec(line_first):
-    """Spec text of H^3 = R x_{e^t} R^2, the line first (1+2, f1 = e^t) or
-    the plane first (2+1, f2 = e^t), with psi = e^t.  The field e^t d_t is
-    closed and conformal (Hess psi = e^t g), so psi is an almost Ricci
-    soliton with lambda = e^t - 2, an almost Yamabe soliton with
-    lambda = -6 - e^t and an almost Riemann soliton with
-    lambda = 2 e^t - 1: every gate passes, with nonzero warping terms."""
-    factors = (_LINE, _PLANE) if line_first else (_PLANE, _LINE)
-    return _HYPERBOLIC_SPEC.format(*factors)
+def warped_line_spec(model, line_first):
+    """Spec text of a WARPED_LINE_MODELS space form, the line first (1+2,
+    f1 = f) or the surface first (2+1, f2 = f), with its psi and three
+    almost solitons: every gate passes, with nonzero warping terms."""
+    f, psi, coords, metric, box, line_box, lams = WARPED_LINE_MODELS[model]
+    line = f'dim = 1\ncoords = ["t"]\nmetric = [["1"]]\nwarping = "{f}"\n'
+    surface = f"dim = 2\ncoords = {coords}\nmetric = {metric}\n"
+    if line_first:
+        factors, boxes = (line, surface), [line_box] + box
+    else:
+        factors, boxes = (surface, line), box + [line_box]
+    return _WARPED_LINE_SPEC.format(*factors, psi=psi, lams=lams, box=boxes)
 
 
 def sphere_x_hyperbolic():

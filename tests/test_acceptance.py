@@ -241,10 +241,11 @@ def test_criterion_07_concircular():
 
     hyp = hyperbolic_space(3)
     hyp_pts = seeded_points(hyp.product, 10)
+    hyp_d = hyp.point_data(hyp_pts, np.zeros(hyp.m))
     consequences = {
         s.check_id: s
         for s in concircular_flat_consequences(
-            hyp, hyp.point_data(hyp_pts, np.zeros(hyp.m)), 1e-9
+            hyp, hyp_d, 1e-9, concircular_oracle(hyp_d.product)
         )
     }
     ok = (
@@ -254,8 +255,9 @@ def test_criterion_07_concircular():
     )
     if not ok:
         report(7, False, "hyperbolic consequence validation")
+    d = dwp.point_data(pts, np.zeros(dwp.m))
     gated = concircular_flat_consequences(
-        dwp, dwp.point_data(pts, np.zeros(dwp.m)), 1e-8)
+        dwp, d, 1e-8, concircular_oracle(d.product))
     if not all(s.status == SKIP for s in gated):
         report(7, False, "non-flat product did not gate")
     report(7, True, f"constant-curvature norm {worst_cc:.3e}")

@@ -5,10 +5,9 @@ import json
 
 import pytest
 
-from conftest import hyperbolic_spec
+from conftest import warped_line_spec
 from dwpcheck.cli import main
 from dwpcheck.reporting import render_json
-from dwpcheck.solitons import FACTOR_CHECKS
 
 PASSING_SPEC = """
 [factor.1]
@@ -64,9 +63,47 @@ box = [-1.0, 1.0]
 tolerance = 1e-8
 """
 
-H3_LINE_FIRST_SPEC = hyperbolic_spec(line_first=True)
+# R x_f R^2 with log f = -t^4/12: Ric = alpha g + t^2 dt (x) dt, so the
+# product is quasi-Einstein with A = t dt, which vanishes at t = 0, on the
+# fibre's anchored restriction set (the box's centre anchor) but at no sample
+QUASI_EINSTEIN_ANCHOR_ZERO_SPEC = """
+[factor.1]
+dim = 1
+coords = ["t"]
+metric = [["1"]]
+warping = "exp(-t^4/12)"
 
-H3_PLANE_FIRST_SPEC = hyperbolic_spec(line_first=False)
+[factor.2]
+dim = 2
+coords = ["u", "v"]
+metric = [["1", "0"], ["0", "1"]]
+
+[soliton]
+type = "quasi_einstein"
+alpha = "t^2 - 2*t^6/9"
+beta = 1.0
+eta = ["t", "0", "0"]
+
+[sampling]
+points = 6
+seed = 3
+box = [-1.0, 1.0]
+tolerance = 1e-8
+"""
+
+H3_LINE_FIRST_SPEC = warped_line_spec("hyperbolic-flat", line_first=True)
+
+H3_PLANE_FIRST_SPEC = warped_line_spec("hyperbolic-flat", line_first=False)
+
+H3_COSH_LINE_FIRST_SPEC = warped_line_spec("hyperbolic-hyperbolic",
+                                           line_first=True)
+
+H3_COSH_FIBRE_FIRST_SPEC = warped_line_spec("hyperbolic-hyperbolic",
+                                            line_first=False)
+
+S3_LINE_FIRST_SPEC = warped_line_spec("sphere-sphere", line_first=True)
+
+S3_FIBRE_FIRST_SPEC = warped_line_spec("sphere-sphere", line_first=False)
 
 
 def write(tmp_path, text, name):
@@ -271,11 +308,39 @@ class TestCheckIds:
         report = str(tmp_path / "qe0.json")
         main(["verify", spec, "--format", "structured", "--checks",
               "solitons", "--report", report])
-        notes = {c["check_id"]: c["notes"]
-                 for c in json.loads(open(report).read())["checks"]}
+        checks = json.loads(open(report).read())["checks"]
+        notes = {c["check_id"]: c["notes"] for c in checks}
         note = notes["soliton[0].quasi_einstein"]
         assert "quasi-Einstein 1-form vanishes at [" in note
         assert "np.float64" not in note
+        # the factor structures are skipped under their own ids, as for a
+        # vanishing beta, with the same reason
+        status = {c["check_id"]: c["status"] for c in checks}
+        for sub in ("product", "factor1", "factor2"):
+            check = f"soliton[0].factors.quasi_einstein.{sub}"
+            assert status[check] == "skip"
+            assert notes[check] == note
+
+
+    def test_quasi_einstein_form_vanishing_off_the_samples_is_a_skip(
+        self, tmp_path
+    ):
+        """The 1-form vanishes on an anchored restriction set only: the
+        defining equation passes and the factor structures are skipped
+        with the point, not an error."""
+        spec = write(tmp_path, QUASI_EINSTEIN_ANCHOR_ZERO_SPEC, "qea.spec")
+        report = str(tmp_path / "qea.json")
+        assert main(["verify", spec, "--format", "structured", "--checks",
+                     "solitons", "--report", report]) == 0
+        checks = {c["check_id"]: c
+                  for c in json.loads(open(report).read())["checks"]}
+        assert checks["soliton[0].quasi_einstein"]["status"] == "pass"
+        for sub in ("product", "factor1", "factor2"):
+            check = checks[f"soliton[0].factors.quasi_einstein.{sub}"]
+            assert check["status"] == "skip"
+            assert check["notes"].startswith(
+                "skipped: quasi-Einstein 1-form vanishes at [0.0, ")
+        assert len(checks) == 4
 
 
 class TestDeterminism:
@@ -390,14 +455,19 @@ class TestConfigResolution:
 
 
 class TestHyperbolicSpace:
-    """H^3 = R x_{e^t} R^2 in both factor orders, with three almost
-    solitons whose gates pass: the factor structures and the concircular
-    consequences run on the anchored restriction sets with nonzero warping
-    terms."""
+    """Space forms as warped products over a line, in both factor orders:
+    H^3 = R x_{e^t} R^2, H^3 = R x_{cosh t} H^2 and
+    S^3 = (0, pi) x_{sin t} S^2, the last two with non-flat fibres.  Each
+    has three almost solitons whose gates pass: the factor structures and
+    the concircular consequences run on the anchored restriction sets with
+    nonzero warping terms."""
 
     ORDERS = pytest.mark.parametrize(
-        "text", [H3_LINE_FIRST_SPEC, H3_PLANE_FIRST_SPEC],
-        ids=["line-first", "plane-first"])
+        "text", [H3_LINE_FIRST_SPEC, H3_PLANE_FIRST_SPEC,
+                 H3_COSH_LINE_FIRST_SPEC, H3_COSH_FIBRE_FIRST_SPEC,
+                 S3_LINE_FIRST_SPEC, S3_FIBRE_FIRST_SPEC],
+        ids=["line-first", "plane-first", "cosh-line-first",
+             "cosh-fibre-first", "sphere-line-first", "sphere-fibre-first"])
 
     @ORDERS
     def test_every_gate_and_factor_check_passes(self, tmp_path, text):
@@ -409,12 +479,16 @@ class TestHyperbolicSpace:
                   for c in json.loads(open(report).read())["checks"]}
         conharmonic = {"conharmonic.flat", "conharmonic.soliton1",
                        "conharmonic.soliton2"}
-        # H^3 is not scalar-flat, so only the conharmonic gate fails
+        # no space form here is scalar-flat, so only the conharmonic gate
+        # fails
         assert len(status) == 55
         for check_id, s in status.items():
             assert s == ("skip" if check_id in conharmonic else "pass")
+        subs = {"ricci": ("product", "factor1", "factor2", "mixed"),
+                "yamabe": ("product", "factor1", "factor2", "mixed"),
+                "riemann": ("product", "factor1", "factor2")}
         for i, kind in enumerate(("ricci", "yamabe", "riemann")):
-            for sub in FACTOR_CHECKS[kind]:
+            for sub in subs[kind]:
                 assert status[f"soliton[{i}].factors.{kind}.{sub}"] == "pass"
         for sub in ("flat", "einstein1", "einstein2", "dichotomy"):
             assert status[f"concircular.{sub}"] == "pass"

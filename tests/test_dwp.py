@@ -11,11 +11,11 @@ from conftest import (
     e2xe1_product,
     expr_chart,
     flat_chart,
-    hyperbolic_spec,
     random_polynomial,
     seeded_points,
     singly_warped_product,
     sphere_x_hyperbolic,
+    warped_line_spec,
 )
 from dwpcheck import checks, geometry, solitons, special
 from dwpcheck.cli import main
@@ -407,12 +407,15 @@ class TestOneRecordPerPointSet:
         concircular gate passing: no chart's metric is jetted twice on equal
         points (the sampler's and the conditioning test's jets included), no
         expression is jetted twice on equal points, each soliton's residual
-        is evaluated once per form, and g ^ g once per record."""
+        is evaluated once per form, g ^ g once per record, each flatness
+        oracle once, and the warpings are validated once per point set."""
         jetted, expr_jets, residuals, wedges = [], [], [], []
+        oracles, validated = [], []
         metric_jets = ChartManifold._metric_jets
         jet = Expression.jet
         residual_values = solitons.residual_values
         kulkarni_nomizu = geometry.kulkarni_nomizu
+        validate_warpings = DoublyWarpedProduct.validate_warpings
 
         def counting_metric_jets(chart, points):
             jetted.append((chart, np.array(points, dtype=float)))
@@ -431,8 +434,24 @@ class TestOneRecordPerPointSet:
                 wedges.append(np.array(a))
             return kulkarni_nomizu(a, b)
 
+        def counting_validate_warpings(dwp, points):
+            validated.append(np.array(points, dtype=float))
+            return validate_warpings(dwp, points)
+
+        def counting(name):
+            oracle = getattr(special, name)
+
+            def wrapper(c):
+                oracles.append(name)
+                return oracle(c)
+            return wrapper
+
         monkeypatch.setattr(ChartManifold, "_metric_jets",
                             counting_metric_jets)
+        monkeypatch.setattr(DoublyWarpedProduct, "validate_warpings",
+                            counting_validate_warpings)
+        for name in ("concircular_oracle", "conharmonic_oracle"):
+            monkeypatch.setattr(special, name, counting(name))
         monkeypatch.setattr(Expression, "jet", counting_jet)
         monkeypatch.setattr(solitons, "residual_values",
                             counting_residual_values)
@@ -440,7 +459,8 @@ class TestOneRecordPerPointSet:
             monkeypatch.setattr(module, "kulkarni_nomizu",
                                 counting_kulkarni_nomizu)
         spec = tmp_path / "h3.spec"
-        spec.write_text(hyperbolic_spec(line_first=False))
+        spec.write_text(
+            warped_line_spec("hyperbolic-flat", line_first=False))
         report = tmp_path / "h3.json"
         assert main(["verify", str(spec), "--format", "structured",
                      "--report", str(report)]) == 0
@@ -464,3 +484,6 @@ class TestOneRecordPerPointSet:
             ("ricci", "primary"), ("riemann", "contracted"),
             ("riemann", "primary"), ("yamabe", "primary")]
         assert wedges and not repeats(wedges, np.array_equal)
+        assert sorted(oracles) == ["concircular_oracle", "conharmonic_oracle"]
+        assert len(validated) == 2  # the samples and the anchor
+        assert not repeats(validated, np.array_equal)

@@ -287,9 +287,14 @@ class TestFactorStructures:
         )
         pts = seeded_points(dwp.product, 4)
         d = dwp.point_data(pts, np.zeros(dwp.m))
-        with pytest.raises(SolitonError, match="einstein"):
-            quasi_einstein_factor_structures(
-                dwp, spec, d, TOL, residual(spec, d.product, TOL))
+        out = quasi_einstein_factor_structures(
+            dwp, spec, d, TOL, residual(spec, d.product, TOL))
+        assert [s.check_id for s in out] == [
+            f"factors.quasi_einstein.{sub}"
+            for sub in ("product", "factor1", "factor2")]
+        for s in out:
+            assert s.status == SKIP
+            assert "rerun with kind=einstein" in s.notes
 
     def test_riemann_factors_skip_in_low_dimension(self):
         f1c = flat_chart(("x",))

@@ -185,8 +185,9 @@ class TestFlatConsequences:
     def test_hyperbolic_space_is_concircularly_flat_with_consequences(self):
         dwp = hyperbolic_space(3)
         pts = seeded_points(dwp.product, 8)
+        d = dwp.point_data(pts, np.zeros(dwp.m))
         out = concircular_flat_consequences(
-            dwp, dwp.point_data(pts, np.zeros(dwp.m)), 1e-9)
+            dwp, d, 1e-9, concircular_oracle(d.product))
         by_id = {s.check_id: s for s in out}
         assert by_id["concircular.flat"].status == PASS
         for which in (1, 2):
@@ -206,16 +207,18 @@ class TestFlatConsequences:
     def test_gating_on_non_flat_product(self):
         dwp = e2xe1_product()
         pts = seeded_points(dwp.product, 6)
+        d = dwp.point_data(pts, np.zeros(dwp.m))
         out = concircular_flat_consequences(
-            dwp, dwp.point_data(pts, np.zeros(dwp.m)), TOL)
+            dwp, d, TOL, concircular_oracle(d.product))
         assert all(s.status == SKIP for s in out)
         assert all("hypothesis fails" in s.notes for s in out)
 
     def test_sphere_x_hyperbolic_is_conharmonically_flat(self):
         dwp = sphere_x_hyperbolic()
         pts = seeded_points(dwp.product, 6, box=(0.5, 1.5))
+        d = dwp.point_data(pts, pts[0])
         out = conharmonic_flat_consequences(
-            dwp, dwp.point_data(pts, pts[0]), TOL)
+            dwp, d, TOL, conharmonic_oracle(d.product))
         by_id = {s.check_id: s for s in out}
         assert by_id["conharmonic.flat"].status == PASS
         assert by_id["conharmonic.soliton1"].status == PASS
@@ -225,7 +228,9 @@ class TestFlatConsequences:
         dwp = direct_flat_product()
         pts = seeded_points(dwp.product, 6)
         d = dwp.point_data(pts, np.zeros(4))
-        for s in concircular_flat_consequences(dwp, d, TOL):
+        for s in concircular_flat_consequences(
+                dwp, d, TOL, concircular_oracle(d.product)):
             assert s.status == PASS, s
-        for s in conharmonic_flat_consequences(dwp, d, TOL):
+        for s in conharmonic_flat_consequences(
+                dwp, d, TOL, conharmonic_oracle(d.product)):
             assert s.status == PASS, s

@@ -42,6 +42,20 @@ INLINE_EDITS = (
     ("ill-conditioned-anchored-set", 'metric = [["1", "0"], ["0", "1"]]',
      'metric = [["x^2", "0"], ["0", "1"]]',
      ["--box=0.5,1", "--anchor=0,0.7,0.7,0.7", "--checks", "scalar"]),
+    # the warpings are validated at the samples, then at the anchor, then
+    # the fields: a warping nonpositive at the anchor only, and a warping
+    # fault together with a field fault
+    ("nonpositive-warping-at-anchor",
+     'metric = [["1", "0"], ["0", "1"]]\n\n[factor.2]',
+     'metric = [["1", "0"], ["0", "1"]]\nwarping = "1 + x"\n\n[factor.2]',
+     ["--box=0,1", "--anchor=-2,0,0,0"]),
+    ("warping-and-field-faults",
+     '\n[factor.2]\ndim = 2\ncoords = ["s", "t"]\n'
+     'metric = [["1", "0"], ["0", "1"]]\n\n[potential]\n'
+     'psi = "0.3*(x^2 + y^2 + s^2 + t^2)"',
+     'warping = "x"\n\n[factor.2]\ndim = 2\ncoords = ["s", "t"]\n'
+     'metric = [["1", "0"], ["0", "1"]]\n\n[potential]\npsi = "log(s)"',
+     []),
 )
 
 # runs in a fresh interpreter with one tree's src/ on PYTHONPATH: reads a
