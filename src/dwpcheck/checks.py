@@ -9,7 +9,9 @@ from dataclasses import replace
 
 from . import solitons, special
 from .dwp import RIEMANN_CLASSES, RICCI_CLASSES
-from .reporting import normalized_residual, skipped, summarize
+from .reporting import (
+    equation_residual, normalized_residual, skipped, summarize,
+)
 
 __all__ = [
     "CHECK_NAMES",
@@ -44,10 +46,6 @@ def _riemann_classes(dwp, tensor):
     return {klass: tensor[dwp.block(klass)] for klass in RIEMANN_CLASSES}
 
 
-def _residuals(closed, oracle):
-    return normalized_residual(closed - oracle, [closed, oracle])
-
-
 def check_lemma1(dwp, d, tolerance):
     """Closed-form curvature blocks of all six lifted index patterns
     against the product curvature oracle, plus full-tensor reconstruction."""
@@ -57,7 +55,8 @@ def check_lemma1(dwp, d, tolerance):
                            _riemann_classes(dwp, curvature), oracle)
     closed = curvature @ d.product.g[:, None, None]
     out.append(summarize("lemma1.reconstruction",
-                         _residuals(closed, oracle), d.p, tolerance))
+                         equation_residual([closed], [oracle]), d.p,
+                         tolerance))
     return out
 
 
@@ -66,8 +65,8 @@ def check_lemma2(dwp, d, tolerance):
     ricci = d.product.curvature[1]
     return [
         summarize(f"lemma2.{klass}",
-                  _residuals(dwp.ricci_closed(klass, d),
-                             ricci[dwp.block(klass)]),
+                  equation_residual([dwp.ricci_closed(klass, d)],
+                                    [ricci[dwp.block(klass)]]),
                   d.p, tolerance)
         for klass in RICCI_CLASSES
     ]
@@ -78,8 +77,8 @@ def check_lemma5(dwp, d, tolerance):
     q = d.product.ginv @ d.product.curvature[1]
     return [
         summarize(f"lemma5.{klass}",
-                  _residuals(dwp.ricci_operator_closed(klass, d),
-                             q[dwp.block(klass)]),
+                  equation_residual([dwp.ricci_operator_closed(klass, d)],
+                                    [q[dwp.block(klass)]]),
                   d.p, tolerance)
         for klass in ("XX", "UU")
     ]
@@ -96,24 +95,27 @@ def check_hessian(dwp, d, tolerance, psis=None):
         for klass in RICCI_CLASSES:
             out.append(summarize(
                 f"hessian.{name}.{klass}",
-                _residuals(dwp.hessian_split_closed(psi_l, klass, d),
-                           oracle[dwp.block(klass)]),
+                equation_residual(
+                    [dwp.hessian_split_closed(psi_l, klass, d)],
+                    [oracle[dwp.block(klass)]]),
                 d.p, tolerance))
     return out
 
 
 def check_scalar(dwp, d, tolerance):
-    values = _residuals(dwp.scalar_closed(d), d.product.curvature[2])
+    values = equation_residual([dwp.scalar_closed(d)],
+                               [d.product.curvature[2]])
     return [summarize("scalar.splitting", values, d.p, tolerance)]
 
 
 def check_laplacian(dwp, d, tolerance):
-    return [
-        summarize(f"laplacian.{which}",
-                  _residuals(*dwp.laplacian_split(which, d)), d.p,
-                  tolerance)
-        for which in ("k", "l")
-    ]
+    out = []
+    for which in ("k", "l"):
+        closed, oracle = dwp.laplacian_split(which, d)
+        out.append(summarize(f"laplacian.{which}",
+                             equation_residual([closed], [oracle]), d.p,
+                             tolerance))
+    return out
 
 
 _FACTOR_STRUCTURES = {

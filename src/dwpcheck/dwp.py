@@ -146,22 +146,6 @@ class DoublyWarpedProduct:
                 raise WarpingError(
                     f"{name} nonpositive at {pf[bad.argmax()].tolist()}")
 
-    def is_warped_product(self, points, tol=1e-12):
-        c1, c2 = self._constancy(points, tol)
-        return c1 or c2
-
-    def is_direct(self, points, tol=1e-12):
-        c1, c2 = self._constancy(points, tol)
-        return c1 and c2
-
-    def _constancy(self, points, tol):
-        """Whether f1, and whether f2, is constant on the points."""
-        out = []
-        for f, pf in zip((self.f1, self.f2), self.split(points)):
-            v = f.evaluate(pf)
-            out.append(v.max() - v.min() <= tol * (1 + np.abs(v).max()))
-        return out
-
     # -- the record of a point batch -----------------------------------------
 
     def point_data(self, points, anchor=None):

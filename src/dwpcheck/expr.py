@@ -482,30 +482,6 @@ class Expression:
         # enforce exact symmetry against rounding
         return Jet2(v, g, 0.5 * (h + h.transpose(0, 2, 1)))
 
-    def fd_jet(self, points, h=1e-4):
-        if h <= 0:
-            raise ValueError("step h must be positive")
-        points = np.asarray(points, dtype=float)
-        n = self.dim
-        step = h * np.eye(n)
-        f0 = self.evaluate(points)
-        grad = np.zeros((len(points), n))
-        hess = np.zeros((len(points), n, n))
-        for i in range(n):
-            fp = self.evaluate(points + step[i])
-            fm = self.evaluate(points - step[i])
-            grad[:, i] = (fp - fm) / (2 * h)
-            hess[:, i, i] = (fp - 2 * f0 + fm) / (h * h)
-            for j in range(i + 1, n):
-                ei, ej = step[i], step[j]
-                hess[:, i, j] = hess[:, j, i] = (
-                    self.evaluate(points + ei + ej)
-                    - self.evaluate(points + ei - ej)
-                    - self.evaluate(points - ei + ej)
-                    + self.evaluate(points - ei - ej)
-                ) / (4 * h * h)
-        return Jet2(f0, grad, 0.5 * (hess + hess.transpose(0, 2, 1)))
-
     @property
     def variables(self):
         """The coordinate names the expression depends on."""
@@ -530,41 +506,12 @@ class Expression:
             raise ValueError("operands bound to different coordinate lists")
         return other
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        return Expression(BinOp("+", self.node, other.node), self.coords)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return Expression(BinOp("-", self.node, other.node), self.coords)
-
     def __mul__(self, other):
         other = self._coerce(other)
         return Expression(BinOp("*", self.node, other.node), self.coords)
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return Expression(BinOp("/", self.node, other.node), self.coords)
-
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        return Expression(BinOp("-", other.node, self.node), self.coords)
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        return Expression(BinOp("/", other.node, self.node), self.coords)
-
     def __pow__(self, c):
         return Expression(BinOp("^", self.node, Num(float(c))), self.coords)
-
-    def __neg__(self):
-        return Expression(Neg(self.node), self.coords)
 
     def apply(self, func):
         if func not in _FUNCS:

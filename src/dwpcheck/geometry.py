@@ -132,13 +132,6 @@ class ChartManifold:
         d = self.at(points)
         return np.einsum("nij,nij->n", d.ginv, d.hessian(psi))
 
-    def orthonormal_frame(self, points):
-        """Gram-Schmidt of the coordinate basis (inverse Cholesky factor):
-        column i of frame[n] holds the coordinate components of the i-th
-        frame vector."""
-        g = self.at(points).require_spd().g
-        return np.linalg.inv(np.linalg.cholesky(g)).transpose(0, 2, 1)
-
     def well_conditioned_at(self, points):
         """Per point: whether the metric is positive definite with
         cond(g) <= COND_LIMIT."""

@@ -21,6 +21,7 @@ __all__ = [
     "FAIL",
     "SKIP",
     "normalized_residual",
+    "equation_residual",
     "summarize",
     "skipped",
     "conditional",
@@ -73,6 +74,15 @@ def normalized_residual(difference, terms, axis=None):
     scale = 1.0 + np.maximum.reduce([np.abs(t).max(axis=axis) for t in terms])
     return (np.abs(difference).max(axis=axis) / scale).reshape(n, -1).max(
         axis=1)
+
+
+def equation_residual(lhs, rhs):
+    """Per-point normalized residuals of sum(lhs) = sum(rhs), over the terms
+    of both sides."""
+    total = sum(lhs[1:], lhs[0])
+    for t in rhs:
+        total = total - t
+    return normalized_residual(total, lhs + rhs)
 
 
 def summarize(check_id, residuals, points, tolerance, notes=""):

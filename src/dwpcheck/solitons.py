@@ -26,7 +26,7 @@ from .geometry import (
     times,
 )
 from .reporting import (
-    PASS, conditional, normalized_residual, skipped, summarize,
+    PASS, conditional, equation_residual, skipped, summarize,
 )
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "SolitonError",
     "FieldDomainError",
     "SOLITON_KINDS",
+    "FIELD_KEYS",
     "residual",
     "residual_values",
     "contraction_consistency",
@@ -48,20 +49,8 @@ __all__ = [
     "validate_fields",
 ]
 
-SOLITON_KINDS = (
-    "yamabe",
-    "conformal",
-    "ricci",
-    "riemann",
-    "eta_yamabe",
-    "eta_ricci",
-    "f_almost_ricci",
-    "f_almost_eta_ricci",
-    "einstein",
-    "quasi_einstein",
-)
-
-_REQUIRED = {
+# soliton kind -> the SolitonSpec fields its equation reads
+SOLITON_KINDS = {
     "yamabe": ("psi", "lam"),
     "conformal": ("psi", "gamma"),
     "ricci": ("psi", "lam"),
@@ -73,6 +62,10 @@ _REQUIRED = {
     "einstein": (),
     "quasi_einstein": ("alpha", "beta", "eta"),
 }
+
+# SolitonSpec field -> spec-file key
+FIELD_KEYS = {"psi": "psi", "lam": "lambda", "mu": "mu", "gamma": "gamma",
+              "f_factor": "f", "alpha": "alpha", "beta": "beta", "eta": "eta"}
 
 
 class SolitonError(GeometryError):
@@ -107,7 +100,7 @@ class SolitonSpec:
     def __post_init__(self):
         if self.kind not in SOLITON_KINDS:
             raise SolitonError(f"unknown soliton kind {self.kind!r}")
-        for name in _REQUIRED[self.kind]:
+        for name in SOLITON_KINDS[self.kind]:
             if getattr(self, name) is None:
                 raise SolitonError(
                     f"soliton kind {self.kind!r} requires field {name!r}"
@@ -150,6 +143,7 @@ def _unit_eta_at(spec, c):
 def _terms_0_2(spec, c):
     """(lhs terms, rhs terms) of the defining (0,2) equation."""
     kind, points, g = spec.kind, c.p, c.g
+    fields = SOLITON_KINDS[kind]
     if kind == "einstein":
         _, ric, tau = c.curvature
         return [ric], [times(tau / c.chart.dim, g)]
@@ -165,14 +159,11 @@ def _terms_0_2(spec, c):
     lam = _coeff(spec.lam, points)
     if kind in ("yamabe", "eta_yamabe"):
         lhs, rhs = [h], [times(c.curvature[2] - lam, g)]
-    elif kind in ("ricci", "eta_ricci", "f_almost_ricci",
-                  "f_almost_eta_ricci"):
-        if kind.startswith("f_almost"):
+    else:  # the Ricci kinds
+        if "f_factor" in fields:
             h = times(_coeff(spec.f_factor, points), h)
         lhs, rhs = [h, c.curvature[1]], [times(lam, g)]
-    else:
-        raise SolitonError(f"no (0,2) form for kind {kind!r}")
-    if "eta" in kind:
+    if "eta" in fields:
         a = _eta_at(spec, points)
         rhs.append(times(_coeff(spec.mu, points), outer(a, a)))
     return lhs, rhs
@@ -197,16 +188,6 @@ def _terms_riemann_contracted(spec, c, h):
     return [(m - 2) * h, ric], [times((m - 1) * lam - lap, g)]
 
 
-def _equation_residual(lhs, rhs):
-    """Per-point normalized residuals of sum(lhs) = sum(rhs)."""
-    total = lhs[0].copy()
-    for t in lhs[1:]:
-        total = total + t
-    for t in rhs:
-        total = total - t
-    return normalized_residual(total, lhs + rhs)
-
-
 def residual_values(spec, c, form="primary"):
     """Per-point normalized residuals of the defining equation.
 
@@ -214,10 +195,10 @@ def residual_values(spec, c, form="primary"):
     uses its trace form (only meaningful for kind=riemann).
     """
     if spec.kind != "riemann":
-        return _equation_residual(*_terms_0_2(spec, c))
+        return equation_residual(*_terms_0_2(spec, c))
     terms = (_terms_riemann if form == "primary" and c.chart.dim >= 3
              else _terms_riemann_contracted)
-    return _equation_residual(*terms(spec, c, c.hessian(spec.psi)))
+    return equation_residual(*terms(spec, c, c.hessian(spec.psi)))
 
 
 def residual(spec, c, tolerance, form="primary", check_id=None):
@@ -248,28 +229,34 @@ def contraction_consistency(spec, c, tolerance):
     lap = np.einsum("nij,nij->n", ginv, h)
     expected = c.curvature[1] + (m - 2) * h + times(
         lap - (m - 1) * lam, g)
-    values = normalized_residual(contracted - expected,
-                                 [contracted, expected])
-    return summarize("soliton.riemann.contraction", values, c.p, tolerance)
+    return summarize("soliton.riemann.contraction",
+                     equation_residual([contracted], [expected]), c.p,
+                     tolerance)
 
 
 # -- input domains ------------------------------------------------------------
 
-# SolitonSpec field -> spec-file key
-_FIELD_KEYS = (("psi", "psi"), ("lam", "lambda"), ("mu", "mu"),
-               ("gamma", "gamma"), ("f_factor", "f"), ("alpha", "alpha"),
-               ("beta", "beta"))
+
+def _named_fields(spec):
+    """(spec-file key, value) of each field the spec's kind reads, in
+    FIELD_KEYS order; a tuple's entries are named key[j]."""
+    for attr, key in FIELD_KEYS.items():
+        if attr in SOLITON_KINDS[spec.kind]:
+            value = getattr(spec, attr)
+            if isinstance(value, tuple):
+                yield from ((f"{key}[{j}]", e) for j, e in enumerate(value))
+            else:
+                yield key, value
 
 
 def validate_fields(dwp, specs, psi, points, anchor):
-    """Reject the first point, among the samples and the anchored
-    restriction sets of both factors, at which the default potential `psi`
-    or an expression-valued soliton field cannot be evaluated."""
+    """Reject the first point, in the order samples, anchored restriction
+    set of factor 1, then of factor 2, at which the default potential `psi`
+    or an expression-valued field that a soliton's kind reads cannot be
+    evaluated; at a point where several fail, the first one listed."""
     fields = [] if psi is None else [("[potential] psi", psi)]
     for i, spec in enumerate(specs):
-        named = [(key, getattr(spec, attr)) for attr, key in _FIELD_KEYS]
-        named += [(f"eta[{j}]", e) for j, e in enumerate(spec.eta or ())]
-        for key, value in named:
+        for key, value in _named_fields(spec):
             if isinstance(value, Expression) and not any(
                 value is e for _, e in fields
             ):
@@ -277,14 +264,19 @@ def validate_fields(dwp, specs, psi, points, anchor):
     pts = np.concatenate([points] + [
         dwp.anchored(points, anchor, which) for which in (1, 2)
     ])
+    first = None  # (row, name, expression, error) of the earliest failure
     for name, expr in fields:
         try:
-            expr.evaluate(pts)
+            # a later field counts only where it fails strictly earlier
+            expr.evaluate(pts if first is None else pts[: first[0]])
         except DomainError as exc:
-            raise FieldDomainError(
-                f"{name} = {str(expr)!r} leaves its domain at "
-                f"{pts[exc.index].tolist()}: {exc}"
-            ) from None
+            first = (exc.index, name, expr, exc)
+    if first is not None:
+        row, name, expr, exc = first
+        raise FieldDomainError(
+            f"{name} = {str(expr)!r} leaves its domain at "
+            f"{pts[row].tolist()}: {exc}"
+        )
 
 
 # -- induced factor structures ------------------------------------------------
@@ -343,8 +335,8 @@ def yamabe_factor_structures(dwp, spec, d, tolerance, gate):
             + (dwp.m2 * s1.f * s1.lap_f + dwp.m1 * s2.f * s2.lap_f)
             / s.f**2
         )
-        return (_equation_residual([s.hessian(jet)],
-                                   [times(s.tau - lam_i, s.g)]),
+        return (equation_residual([s.hessian(jet)],
+                                  [times(s.tau - lam_i, s.g)]),
                 f"gradient almost Yamabe soliton on factor {s.which}; "
                 f"lambda spread over samples = "
                 f"{lam_i.max() - lam_i.min():.3e}")
@@ -377,7 +369,7 @@ def ricci_factor_structures(dwp, spec, d, tolerance, gate):
         o = s.mirror
         lam_i = o.f**2 * (_coeff(spec.lam, r.p) + o.lap
                           - s.opposite_pairing(jet.gradient))
-        return (_equation_residual(*_eta_ricci_terms(s, 1, lam_i, jet)),
+        return (equation_residual(*_eta_ricci_terms(s, 1, lam_i, jet)),
                 f"gradient almost eta-Ricci soliton on factor {s.which} with "
                 f"mu = {o.m} and eta the log-warping differential")
 
@@ -409,8 +401,8 @@ def riemann_factor_structures(dwp, spec, d, tolerance, gate):
             (m - 1) * _coeff(spec.lam, r.p) + o.lap - lap_psi
             - (m - 2) * s.opposite_pairing(jet.gradient)
         )
-        return (_equation_residual(*_eta_ricci_terms(s, m - 2, lam_i,
-                                                      jet)),
+        return (equation_residual(*_eta_ricci_terms(s, m - 2, lam_i,
+                                                     jet)),
                 f"gradient almost eta-Ricci soliton on factor {s.which}; the "
                 "log-warping term of the potential is constant along this "
                 "factor, so either log-warping choice yields the same factor "
@@ -445,7 +437,7 @@ def quasi_einstein_factor_structures(dwp, spec, d, tolerance, gate):
         a, beta = units[s.which]
         a_i = a[:, s.own]
         lam_i = o.f**2 * (_coeff(spec.alpha, r.p) + o.lap)
-        return (_equation_residual(
+        return (equation_residual(
                     [times(-o.m / s.f, s.h_f), s.ric],
                     [times(lam_i, s.g), times(beta, outer(a_i, a_i))]),
                 f"gradient f-almost eta-Ricci soliton on factor {s.which} "
@@ -462,5 +454,5 @@ def log_hessian_identity(c, f, tolerance):
     lhs = covariant_hessian(c.gamma, jet) / jet.value[:, None, None]
     rhs = (c.hessian(f.apply("log"))
            + outer(jet.gradient, jet.gradient) / (jet.value**2)[:, None, None])
-    return summarize("identity.log_hessian", _equation_residual([lhs], [rhs]),
+    return summarize("identity.log_hessian", equation_residual([lhs], [rhs]),
                      c.p, tolerance)

@@ -15,7 +15,7 @@ import ast
 from .dwp import DoublyWarpedProduct
 from .expr import ExpressionError, constant, parse_expression
 from .geometry import ChartManifold
-from .solitons import SolitonError, SolitonSpec
+from .solitons import FIELD_KEYS, SOLITON_KINDS, SolitonError, SolitonSpec
 
 __all__ = ["SpecFileError", "load_spec", "parse_sections", "SOLITON_TYPE_NAMES"]
 
@@ -24,26 +24,11 @@ class SpecFileError(ValueError):
     pass
 
 
-# accepted spec-file type names -> internal soliton kind
+# accepted spec-file type names -> soliton kind: each kind, and
+# gradient_<kind> for each kind that reads a potential
 SOLITON_TYPE_NAMES = {
-    "yamabe": "yamabe",
-    "gradient_yamabe": "yamabe",
-    "conformal": "conformal",
-    "gradient_conformal": "conformal",
-    "ricci": "ricci",
-    "gradient_ricci": "ricci",
-    "riemann": "riemann",
-    "gradient_riemann": "riemann",
-    "eta_yamabe": "eta_yamabe",
-    "gradient_eta_yamabe": "eta_yamabe",
-    "eta_ricci": "eta_ricci",
-    "gradient_eta_ricci": "eta_ricci",
-    "f_almost_ricci": "f_almost_ricci",
-    "gradient_f_almost_ricci": "f_almost_ricci",
-    "f_almost_eta_ricci": "f_almost_eta_ricci",
-    "gradient_f_almost_eta_ricci": "f_almost_eta_ricci",
-    "einstein": "einstein",
-    "quasi_einstein": "quasi_einstein",
+    name: kind for kind, fields in SOLITON_KINDS.items()
+    for name in ((kind, f"gradient_{kind}") if "psi" in fields else (kind,))
 }
 
 _KNOWN_SECTIONS = ("factor.1", "factor.2", "potential", "soliton", "sampling")
@@ -165,38 +150,39 @@ def _build_soliton(table, line, coords, default_psi):
     if kind is None:
         raise SpecFileError(
             f"[soliton] (line {line}): unknown type {raw_type!r}; "
-            f"expected one of {sorted(set(SOLITON_TYPE_NAMES))}"
+            f"expected one of {sorted(SOLITON_TYPE_NAMES)}"
         )
-    fields = {"kind": kind}
-    if "psi" in table:
-        fields["psi"] = _expr(table["psi"], coords, "soliton")
-    elif default_psi is not None:
-        fields["psi"] = default_psi
-    for file_key, field in (
-        ("lambda", "lam"),
-        ("mu", "mu"),
-        ("gamma", "gamma"),
-        ("f", "f_factor"),
-        ("alpha", "alpha"),
-        ("beta", "beta"),
-    ):
-        if file_key in table:
-            fields[field] = _scalar_or_expr(table[file_key], coords, "soliton")
-    if "eta" in table:
-        eta = table["eta"]
-        if not isinstance(eta, (list, tuple)) or len(eta) != len(coords):
-            raise SpecFileError(
-                f"[soliton] (line {line}): eta must list {len(coords)} "
-                "covariant components"
-            )
-        fields["eta"] = tuple(_expr(e, coords, "soliton") for e in eta)
-    known = {"type", "psi", "lambda", "mu", "gamma", "f", "alpha", "beta",
-             "eta"}
-    extra = set(table) - known
+    keys = set(table) - {"type"}
+    extra = keys - set(FIELD_KEYS.values())
     if extra:
         raise SpecFileError(
             f"[soliton] (line {line}): unknown keys {sorted(extra)}"
         )
+    unread = keys - {FIELD_KEYS[field] for field in SOLITON_KINDS[kind]}
+    if unread:
+        raise SpecFileError(
+            f"[soliton] (line {line}): type {raw_type!r} does not read keys "
+            f"{sorted(unread)}"
+        )
+    fields = {"kind": kind}
+    if default_psi is not None:
+        fields["psi"] = default_psi
+    for field, key in FIELD_KEYS.items():
+        if key not in table:
+            continue
+        value = table[key]
+        if field == "eta":
+            if (not isinstance(value, (list, tuple))
+                    or len(value) != len(coords)):
+                raise SpecFileError(
+                    f"[soliton] (line {line}): eta must list {len(coords)} "
+                    "covariant components"
+                )
+            fields[field] = tuple(_expr(e, coords, "soliton") for e in value)
+        elif field == "psi":
+            fields[field] = _expr(value, coords, "soliton")
+        else:
+            fields[field] = _scalar_or_expr(value, coords, "soliton")
     try:
         return SolitonSpec(**fields)
     except SolitonError as exc:

@@ -19,6 +19,14 @@ def flat_chart(coords):
     )
 
 
+def orthonormal_frame(chart, points):
+    """Gram-Schmidt of the coordinate basis (inverse Cholesky factor):
+    column i of frame[n] holds the coordinate components of the i-th frame
+    vector."""
+    g = chart.at(points).require_spd().g
+    return np.linalg.inv(np.linalg.cholesky(g)).transpose(0, 2, 1)
+
+
 def expr_chart(coords, rows):
     coords = tuple(coords)
     return ChartManifold(

@@ -172,6 +172,54 @@ class TestExitStatuses:
         assert f"error: {field} = " in err
         assert "leaves its domain at [" in err
 
+    @pytest.mark.parametrize("text, message", [
+        # psi fails at the fourth sample, lambda at the second one
+        (PASSING_SPEC.replace(
+            'psi = "0.3*(x^2 + y^2 + s^2 + t^2)"\n\n[soliton]\n'
+            'type = "gradient_ricci"\nlambda = 0.6',
+            'psi = "sqrt(t + 0.5)"\n\n[soliton]\n'
+            'type = "gradient_ricci"\nlambda = "log(x + 0.8)"', 1),
+         "soliton[0] lambda = 'log(x + 0.8)' leaves its domain at "
+         "[-0.8116453042247009, 0.9512447032735118, 0.5222794039807059, "
+         "0.5721286105539076]: log of nonpositive value in 'log(x + 0.8)'"),
+        # psi fails at sample row 10, lambda at row 0
+        ("[factor.1]\ndim = 1\ncoords = [\"x\"]\nmetric = [[\"1\"]]\n\n"
+         "[factor.2]\ndim = 1\ncoords = [\"t\"]\nmetric = [[\"1\"]]\n"
+         "warping = \"exp(t)\"\n\n[potential]\npsi = \"sqrt(x + 0.9)\"\n\n"
+         "[soliton]\ntype = \"gradient_ricci\"\nlambda = \"log(t + 0.5)\"\n\n"
+         "[sampling]\npoints = 16\nseed = 3\nbox = [-1.0, 1.0]\n",
+         "soliton[0] lambda = 'log(t + 0.5)' leaves its domain at "
+         "[-0.8287016657127513, -0.5263789868078006]: log of nonpositive "
+         "value in 'log(t + 0.5)'"),
+        # both fail first at the second sample: the first field listed
+        (PASSING_SPEC.replace(
+            'psi = "0.3*(x^2 + y^2 + s^2 + t^2)"\n\n[soliton]\n'
+            'type = "gradient_ricci"\nlambda = 0.6',
+            'psi = "sqrt(x + 0.8)"\n\n[soliton]\n'
+            'type = "gradient_ricci"\nlambda = "log(x + 0.8)"', 1),
+         "[potential] psi = 'sqrt(x + 0.8)' leaves its domain at "
+         "[-0.8116453042247009, 0.9512447032735118, 0.5222794039807059, "
+         "0.5721286105539076]: sqrt of nonpositive value in 'sqrt(x + 0.8)'"),
+    ], ids=["later-field", "line-product", "tie"])
+    def test_field_failing_at_the_earliest_point_is_named(
+        self, tmp_path, capsys, text, message
+    ):
+        spec = write(tmp_path, text, "order.spec")
+        assert main(["verify", spec]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_soliton_key_its_kind_does_not_read_exits_two(
+        self, tmp_path, capsys
+    ):
+        spec = write(tmp_path, PASSING_SPEC.replace(
+            "lambda = 0.6",
+            'lambda = 0.6\nmu = 0.3\neta = ["1", "0", "0", "0"]', 1),
+            "unread.spec")
+        assert main(["verify", spec]) == 2
+        assert capsys.readouterr().err == (
+            "error: [soliton] (line 15): type 'gradient_ricci' does not read "
+            "keys ['eta', 'mu']\n")
+
 
     @pytest.mark.parametrize("old, new, args, needles", [
         # a factor metric entry leaving its domain on the box

@@ -13,7 +13,6 @@ from conftest import (
     flat_chart,
     random_polynomial,
     seeded_points,
-    singly_warped_product,
     sphere_x_hyperbolic,
     warped_line_spec,
 )
@@ -261,16 +260,6 @@ class TestStructure:
         )
         with pytest.raises(WarpingError, match=r"f2 nonpositive at \[-0.5\]"):
             dwp.validate_warpings([[1.0, 1.0], [1.0, -0.5], [-1.0, 1.0]])
-
-    def test_classification_predicates(self):
-        direct = corpus()["direct"]
-        warped = singly_warped_product()
-        doubly = e2xe1_product()
-        pts = seeded_points(doubly.product, 6)
-        assert direct.is_direct(seeded_points(direct.product, 6))
-        assert warped.is_warped_product(seeded_points(warped.product, 6))
-        assert not warped.is_direct(seeded_points(warped.product, 6))
-        assert not doubly.is_warped_product(pts)
 
     def test_metric_block_structure(self):
         dwp = e2xe1_product()

@@ -19,9 +19,35 @@ from dwpcheck.expr import (
     Num,
     UnknownIdentifierError,
     Var,
+    Jet2,
     constant,
     parse_expression,
 )
+
+
+def fd_jet(expr, points, h=1e-4):
+    """Central finite-difference jet of expr at the points, an oracle
+    independent of the forward-mode engine."""
+    points = np.asarray(points, dtype=float)
+    n = expr.dim
+    step = h * np.eye(n)
+    f0 = expr.evaluate(points)
+    grad = np.zeros((len(points), n))
+    hess = np.zeros((len(points), n, n))
+    for i in range(n):
+        fp = expr.evaluate(points + step[i])
+        fm = expr.evaluate(points - step[i])
+        grad[:, i] = (fp - fm) / (2 * h)
+        hess[:, i, i] = (fp - 2 * f0 + fm) / (h * h)
+        for j in range(i + 1, n):
+            ei, ej = step[i], step[j]
+            hess[:, i, j] = hess[:, j, i] = (
+                expr.evaluate(points + ei + ej)
+                - expr.evaluate(points + ei - ej)
+                - expr.evaluate(points - ei + ej)
+                + expr.evaluate(points - ei - ej)
+            ) / (4 * h * h)
+    return Jet2(f0, grad, 0.5 * (hess + hess.transpose(0, 2, 1)))
 
 
 class TestParsing:
@@ -94,7 +120,7 @@ class TestJets:
         )
         p = [0.4, -0.7]
         jet = e.jet([p])
-        fd = e.fd_jet([p])
+        fd = fd_jet(e, [p])
         assert jet.value[0] == pytest.approx(fd.value[0], abs=1e-10)
         assert jet.gradient[0] == pytest.approx(fd.gradient[0], abs=1e-7)
         assert np.allclose(jet.hessian[0], fd.hessian[0], atol=1e-5)
@@ -115,7 +141,7 @@ class TestJets:
         )
         expr = parse_expression(text, ("x", "y"))
         jet = expr.jet([point])
-        fd = expr.fd_jet([point])
+        fd = fd_jet(expr, [point])
         assert jet.gradient[0] == pytest.approx(fd.gradient[0], abs=1e-6)
         assert np.allclose(jet.hessian[0], fd.hessian[0], atol=1e-4)
 
@@ -132,11 +158,6 @@ class TestLiftAndOperators:
         e = parse_expression("x^2", ("x",))
         with pytest.raises(UnknownIdentifierError):
             e.lift(("y", "z"))
-
-    def test_operator_algebra(self):
-        x = parse_expression("x", ("x",))
-        combo = (x * x + 2.0 * x - 1.0) / (x + 3.0)
-        assert combo.evaluate([[2.0]])[0] == pytest.approx((4 + 4 - 1) / 5)
 
     def test_apply_chains_derivatives(self):
         e = parse_expression("1 + x^2", ("x",))

@@ -1,8 +1,12 @@
 """Spec-file parsing and validation."""
 
+import re
+
 import pytest
 
-from dwpcheck.specfile import SpecFileError, load_spec, parse_sections
+from dwpcheck.specfile import (
+    SOLITON_TYPE_NAMES, SpecFileError, load_spec, parse_sections,
+)
 
 GOOD_SPEC = """
 # a doubly warped plane-times-line example
@@ -66,6 +70,37 @@ class TestHappyPath:
         text = GOOD_SPEC.replace("gradient_ricci", "ricci")
         _, solitons, _, _ = load_spec(write(tmp_path, text))
         assert solitons[0].kind == "ricci"
+
+    def test_type_names(self):
+        # every kind, and gradient_<kind> for each kind with a potential
+        assert SOLITON_TYPE_NAMES == {
+            "yamabe": "yamabe",
+            "gradient_yamabe": "yamabe",
+            "conformal": "conformal",
+            "gradient_conformal": "conformal",
+            "ricci": "ricci",
+            "gradient_ricci": "ricci",
+            "riemann": "riemann",
+            "gradient_riemann": "riemann",
+            "eta_yamabe": "eta_yamabe",
+            "gradient_eta_yamabe": "eta_yamabe",
+            "eta_ricci": "eta_ricci",
+            "gradient_eta_ricci": "eta_ricci",
+            "f_almost_ricci": "f_almost_ricci",
+            "gradient_f_almost_ricci": "f_almost_ricci",
+            "f_almost_eta_ricci": "f_almost_eta_ricci",
+            "gradient_f_almost_eta_ricci": "f_almost_eta_ricci",
+            "einstein": "einstein",
+            "quasi_einstein": "quasi_einstein",
+        }
+
+    def test_default_potential_allowed_for_a_kind_without_psi(
+        self, tmp_path
+    ):
+        text = GOOD_SPEC.replace('type = "gradient_ricci"\nlambda = 0.5',
+                                 'type = "einstein"')
+        _, solitons, _, _ = load_spec(write(tmp_path, text))
+        assert solitons[0].kind == "einstein"
 
     def test_default_warping_is_one(self, tmp_path):
         text = GOOD_SPEC.replace('warping = "exp(x)"\n', "")
@@ -139,6 +174,23 @@ class TestErrors:
             'type = "eta_ricci"\nlambda = 0.5\nmu = 0.1\neta = ["1", "0"]',
         )
         with pytest.raises(SpecFileError, match="eta"):
+            load_spec(write(tmp_path, text))
+
+    @pytest.mark.parametrize("old, new, unread", [
+        ('type = "gradient_ricci"\nlambda = 0.5',
+         'type = "einstein"\npsi = "x"', ["psi"]),
+        ("lambda = 0.5", "lambda = 0.5\ngamma = 1\nalpha = 2",
+         ["alpha", "gamma"]),
+    ])
+    def test_keys_a_kind_does_not_read(self, tmp_path, old, new, unread):
+        text = GOOD_SPEC.replace(old, new)
+        with pytest.raises(SpecFileError, match=re.escape(
+                f"does not read keys {unread}")):
+            load_spec(write(tmp_path, text))
+
+    def test_unknown_soliton_key(self, tmp_path):
+        text = GOOD_SPEC.replace("lambda = 0.5", "lambda = 0.5\nlamda = 1")
+        with pytest.raises(SpecFileError, match=r"unknown keys \['lamda'\]"):
             load_spec(write(tmp_path, text))
 
     def test_bad_sampling_points(self, tmp_path):

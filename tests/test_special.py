@@ -11,6 +11,7 @@ from conftest import (
     flat_chart,
     hyperbolic_plane_chart,
     hyperbolic_space,
+    orthonormal_frame,
     seeded_points,
     sphere_chart,
     sphere_x_hyperbolic,
@@ -71,7 +72,7 @@ class TestConcircularOracle:
         ]))
         for chart in charts:
             for p in seeded_points(chart, 5):
-                frame = chart.orthonormal_frame(p[None])[0]
+                frame = orthonormal_frame(chart, p[None])[0]
                 c4 = concircular_oracle(chart.at(p[None]))[0]
                 total = np.einsum("ai,bj,cj,di,abcd->", frame, frame, frame,
                                   frame, c4)

@@ -56,6 +56,15 @@ INLINE_EDITS = (
      'warping = "x"\n\n[factor.2]\ndim = 2\ncoords = ["s", "t"]\n'
      'metric = [["1", "0"], ["0", "1"]]\n\n[potential]\npsi = "log(s)"',
      []),
+    # two fields leaving their domains: the one failing at the earlier
+    # sample is named, not the one listed first
+    ("field-failing-first",
+     'psi = "0.3*(x^2 + y^2 + s^2 + t^2)"\n\n[soliton]\n'
+     'type = "gradient_ricci"\nlambda = 0.6',
+     'psi = "sqrt(t + 0.5)"\n\n[soliton]\n'
+     'type = "gradient_ricci"\nlambda = "log(x + 0.8)"', []),
+    ("soliton-key-not-read", "lambda = 0.6",
+     'lambda = 0.6\nmu = 0.3\neta = ["1", "0", "0", "0"]', []),
 )
 
 # runs in a fresh interpreter with one tree's src/ on PYTHONPATH: reads a
