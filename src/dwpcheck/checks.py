@@ -53,7 +53,7 @@ def check_lemma1(dwp, d, tolerance):
     oracle = d.product.curvature[0]
     out = _class_summaries("lemma1", dwp, d, tolerance,
                            _riemann_classes(dwp, curvature), oracle)
-    closed = curvature @ d.product.g[:, None, None]
+    closed = curvature @ d.gp[:, None, None]
     out.append(summarize("lemma1.reconstruction",
                          equation_residual([closed], [oracle]), d.p,
                          tolerance))
@@ -87,7 +87,7 @@ def check_lemma5(dwp, d, tolerance):
 def check_hessian(dwp, d, tolerance, psis=None):
     """Blockwise Hessian splitting for a set of potentials (the log-warpings
     by default, plus any supplied ones)."""
-    fields = [("k", dwp.k_lifted), ("l", dwp.l_lifted)] + list(psis or [])
+    fields = [("k", dwp.k), ("l", dwp.l)] + list(psis or [])
     out = []
     for name, psi in fields:
         psi_l = dwp.lifted(psi)
@@ -136,19 +136,21 @@ def check_solitons(dwp, specs, d, tolerance):
     out = []
     for i, spec in enumerate(specs):
         prefix = f"soliton[{i}].{spec.kind}"
+        terms = (solitons.riemann_terms(spec, d.product)
+                 if spec.kind == "riemann" and dwp.m >= 3 else None)
         try:
             gate = solitons.residual(spec, d.product, tolerance,
-                                     check_id=prefix)
+                                     check_id=prefix, terms=terms)
         except solitons.SolitonError as exc:
             gate = skipped(prefix, f"skipped: {exc}", tolerance)
         out.append(gate)
-        if spec.kind == "riemann" and dwp.m >= 3:
+        if terms is not None:
             gate = solitons.residual(spec, d.product, tolerance,
                                      form="contracted",
                                      check_id=f"{prefix}.contracted")
             out.append(gate)
             consistency = solitons.contraction_consistency(
-                spec, d.product, tolerance
+                spec, d.product, tolerance, terms
             )
             out.append(replace(consistency, check_id=f"{prefix}.contraction"))
         builder = _FACTOR_STRUCTURES.get(spec.kind)

@@ -76,8 +76,6 @@ class DoublyWarpedProduct:
         self.k = f1.apply("log")  # on factor-1 chart
         self.l = f2.apply("log")  # on factor-2 chart
         self.coords = factor1.coords + factor2.coords
-        self.k_lifted = self.k.lift(self.coords)
-        self.l_lifted = self.l.lift(self.coords)
         self.product = _ProductChart(self)
 
     @property
@@ -184,7 +182,7 @@ class DoublyWarpedProduct:
             o = s.mirror
             out[:, :, s.own, s.own] = np.einsum(
                 "nkab,kc->ncab", s.gamma, s.lift
-            ) - np.einsum("nab,nc->ncab", d.product.g[:, s.own, s.own], o.grad)
+            ) - np.einsum("nab,nc->ncab", s.gp, o.grad)
             out[:, :, s.own, o.own] = np.einsum(
                 "nu,ac->ncau", o.dlog, s.lift
             ) + np.einsum("na,uc->ncau", s.dlog, o.lift)
@@ -204,8 +202,7 @@ class DoublyWarpedProduct:
                 - outer(jet.gradient[:, :m1], s2.dlog)
             )
         s = d.side(_side_of(klass, "Hessian"))
-        return s.hessian(jet) + times(s.opposite_pairing(jet.gradient),
-                                      d.product.g[:, s.own, s.own])
+        return s.hessian(jet) + times(s.opposite_pairing(jet.gradient), s.gp)
 
     def riemann_closed(self, d):
         """Closed-form curvature V[n, i, j, k, c] = (R(d_i, d_j) d_k)^c over
@@ -216,32 +213,36 @@ class DoublyWarpedProduct:
             R(X,Y)U = U(l) (Y(k) X - X(k) Y)
             R(X,U)Y = (h1^k(X,Y) + X(k)Y(k)) U + Y(k)U(l) X
                       + g(X,Y) (H^l U + U(l) grad l)
-        and R(U,X)Y, R(X,U)V follow by antisymmetry in the first pair."""
+        and R(U,X)Y, R(X,U)V follow by antisymmetry in the first pair.  The
+        Hessian operator H^l = g^-1 h^l comes from the Hessian splitting:
+        H^l X = |grad l|^2 X - X(k) grad l and
+        H^l U = f1^-2 (g2^-1 h2^l) U - U(l) grad k."""
         out = np.empty((len(d.p),) + (self.m,) * 4)
         for s in d.sides:
             o = s.mirror
             own, opp = s.own, o.own
-            g_own = d.product.g[:, own, own]
-            h_opp = o.H.transpose(0, 2, 1)  # row c: H(d_c)
-            out[:, own, own, own] = s.r @ s.lift - wedge_operator(
-                g_own, h_opp[:, own]
-            )
+            # rows: H^{log f_opp} of the own and of the opposite fields
+            h_own = times(o.grad_sq, s.lift[None]) - outer(s.dlog, o.grad)
+            h_opp = times(1.0 / s.f**2, o.h_log @ o.ginv) @ o.lift - outer(
+                o.dlog, s.grad)
+            out[:, own, own, own] = s.r @ s.lift - wedge_operator(s.gp, h_own)
             out[:, own, own, opp] = wedge_operator(outer(s.dlog, o.dlog),
                                                    s.lift)
             mixed = (
                 np.einsum("nxy,uc->nxuyc", s.h_log + outer(s.dlog, s.dlog),
                           o.lift)
                 + np.einsum("ny,nu,xc->nxuyc", s.dlog, o.dlog, s.lift)
-                + np.einsum("nxy,nuc->nxuyc", g_own,
-                            h_opp[:, opp] + outer(o.dlog, o.grad))
+                + np.einsum("nxy,nuc->nxuyc", s.gp,
+                            h_opp + outer(o.dlog, o.grad))
             )
             out[:, own, opp, own] = mixed
             out[:, opp, own, own] = -mixed.transpose(0, 2, 1, 3, 4)
         return out
 
     def riemann_closed_tensor(self, d):
-        """Full covariant (0,4) curvature: the closed form lowered by g."""
-        return self.riemann_closed(d) @ d.product.g[:, None, None]
+        """Full covariant (0,4) curvature: the closed form lowered by the
+        closed product metric."""
+        return self.riemann_closed(d) @ d.gp[:, None, None]
 
     def ricci_closed(self, klass, d):
         """Ricci blocks from the closed splitting formulas:
@@ -254,18 +255,14 @@ class DoublyWarpedProduct:
         return (
             s.ric
             - times(o.m / s.f, s.h_f)
-            - times(o.lap, d.product.g[:, s.own, s.own])
+            - times(o.lap, s.gp)
         )
 
     def ricci_operator_closed(self, klass, d):
-        """Ricci-operator blocks (1,1) from the closed splitting formulas."""
+        """Ricci-operator blocks (1,1): the closed Ricci block raised by the
+        product metric's block, f_opp^-2 g_i^-1."""
         s = d.side(_side_of(klass, "Ricci-operator"))
-        o = s.mirror
-        return times(1.0 / o.f**2, (
-            s.ginv @ s.ric
-            - times(o.m / s.f, s.ginv @ s.h_f)
-            - times(o.f**2 * o.lap, np.eye(s.m)[None])
-        ))
+        return times(1.0 / s.mirror.f**2, s.ginv @ self.ricci_closed(klass, d))
 
     def scalar_closed(self, d):
         """Scalar curvature of the product from the splitting formula."""
@@ -280,19 +277,15 @@ class DoublyWarpedProduct:
         )
 
     def laplacian_split(self, which, d):
-        """(closed, oracle) pair for the Laplacian of k or l on the product.
-
-        The gradients inside the closed form are product-metric gradients,
-        which is the reading under which the splitting is an identity."""
+        """(closed, oracle) pair for the Laplacian of k or l on the product:
+        the side record's `lap`, and the product chart's trace of the
+        Hessian."""
         if which not in ("k", "l"):
             raise ValueError("which must be 'k' or 'l'")
-        s = d.side(1 if which == "k" else 2)
-        o = s.mirror
-        grad = s.grad[:, s.own]
-        closed = s.lap_log / o.f**2 + o.m * o.f**2 * np.einsum(
-            "ni,ni->n", matvec(s.g, grad), grad
-        )
-        return closed, s.lap
+        log_f = self.k if which == "k" else self.l
+        oracle = np.einsum("nij,nij->n", d.product.ginv,
+                           d.product.hessian(self.lifted(log_f)))
+        return d.side(1 if which == "k" else 2).lap, oracle
 
     def factor_hessian(self, which, psi, d):
         """h_i^psi of the leafwise restriction of psi, at the factor points
@@ -329,13 +322,12 @@ def _side_of(klass, kind):
 
 class _Side:
     """One factor's ingredients of the block formulas at a batch of product
-    points, read off the product's chart record and the factor's; every
-    array has a leading N axis.  `mirror` is the other factor's side
-    record."""
+    points, read off the factor's chart record and the opposite warping's
+    values `f_opp` alone (never off the product chart's record); every array
+    has a leading N axis.  `mirror` is the other factor's side record."""
 
-    def __init__(self, dwp, which, product, factor):
-        f, log_f, log_ext = ((dwp.f1, dwp.k, dwp.k_lifted),
-                             (dwp.f2, dwp.l, dwp.l_lifted))[which - 1]
+    def __init__(self, dwp, which, factor, f_opp):
+        f, log_f = ((dwp.f1, dwp.k), (dwp.f2, dwp.l))[which - 1]
         self.which = which
         self.own = dwp.block("XU"[which - 1])[1]  # product-chart indices
         self.lift = coordinate_lifts(dwp)[which - 1]  # rows: lifted fields
@@ -352,14 +344,15 @@ class _Side:
         self.lap_f = np.einsum("nij,nij->n", factor.ginv, self.h_f)
         self.h_log = covariant_hessian(factor.gamma, log_jet)
         self.lap_log = np.einsum("nij,nij->n", factor.ginv, self.h_log)
-        # the log-warping's differential on the factor and product charts,
-        # and its product gradient, Hessian operator and Laplacian
+        # the product metric's block f_opp^2 g, and the log-warping's
+        # differential, product gradient f_opp^-2 g^-1 dlog (on its own
+        # slots), squared length and product Laplacian (Laplacian splitting)
+        self.gp = times(f_opp**2, self.g)
         self.dlog = log_jet.gradient
-        self.dlog_ext = self.dlog @ self.lift
-        self.grad = matvec(product.ginv, self.dlog_ext)
-        h = product.hessian(log_ext)
-        self.H = product.ginv @ h
-        self.lap = np.einsum("nij,nij->n", product.ginv, h)
+        grad = matvec(self.ginv, self.dlog) / (f_opp**2)[:, None]
+        self.grad = grad @ self.lift
+        self.grad_sq = np.einsum("ni,ni->n", self.dlog, grad)
+        self.lap = self.lap_log / f_opp**2 + (dwp.m - self.m) * self.grad_sq
 
     def opposite_pairing(self, differential):
         """g(grad log f_opp, grad psi) from the product-chart differential
@@ -376,21 +369,23 @@ class _Side:
 
 class _PointData:
     """A doubly warped product at a batch of product points: the product
-    chart's record and one side record per factor.  With an anchor, the
-    records of the anchored restriction sets are built on first read."""
+    chart's record (for the oracles), one side record per factor, and the
+    closed product metric `gp`.  With an anchor, the records of the
+    anchored restriction sets are built on first read."""
 
     def __init__(self, dwp, product, anchor=None, factors=(None, None)):
         self.dwp, self.anchor = dwp, anchor
         self.product = product.require_spd()
         self.p = product.p
-        self.sides = tuple(
-            _Side(dwp, which, self.product,
-                  record or chart.at(pf).require_spd())
-            for which, record, chart, pf in zip(
-                (1, 2), factors, (dwp.factor1, dwp.factor2),
-                dwp.split(self.p))
-        )
+        c1, c2 = (record or chart.at(pf).require_spd()
+                  for record, chart, pf in zip(
+                      factors, (dwp.factor1, dwp.factor2), dwp.split(self.p)))
+        self.sides = (_Side(dwp, 1, c1, c2.jet(dwp.f2).value),
+                      _Side(dwp, 2, c2, c1.jet(dwp.f1).value))
         self.sides[0].mirror, self.sides[1].mirror = self.sides[::-1]
+        self.gp = np.zeros((len(self.p), dwp.m, dwp.m))
+        for s in self.sides:
+            self.gp[:, s.own, s.own] = s.gp
         self._anchored = [None, None]
         self._restrictions = [None, None]
 

@@ -497,17 +497,9 @@ class Expression:
 
     # Structural algebra used to assemble product metrics; operands must
     # share a coordinate binding (lift first).
-    def _coerce(self, other):
-        if isinstance(other, (int, float)):
-            return Expression(Num(float(other)), self.coords)
-        if not isinstance(other, Expression):
-            return NotImplemented
+    def __mul__(self, other):
         if other.coords != self.coords:
             raise ValueError("operands bound to different coordinate lists")
-        return other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
         return Expression(BinOp("*", self.node, other.node), self.coords)
 
     def __pow__(self, c):

@@ -37,6 +37,7 @@ __all__ = [
     "FIELD_KEYS",
     "residual",
     "residual_values",
+    "riemann_terms",
     "contraction_consistency",
     "classify_lambda",
     "yamabe_factor_structures",
@@ -100,11 +101,17 @@ class SolitonSpec:
     def __post_init__(self):
         if self.kind not in SOLITON_KINDS:
             raise SolitonError(f"unknown soliton kind {self.kind!r}")
-        for name in SOLITON_KINDS[self.kind]:
+        reads = SOLITON_KINDS[self.kind]
+        for name in reads:
             if getattr(self, name) is None:
                 raise SolitonError(
                     f"soliton kind {self.kind!r} requires field {name!r}"
                 )
+        unread = [name for name in FIELD_KEYS
+                  if name not in reads and getattr(self, name) is not None]
+        if unread:
+            raise SolitonError(
+                f"soliton kind {self.kind!r} does not read fields {unread}")
 
 
 def _coeff(c, points):
@@ -169,17 +176,17 @@ def _terms_0_2(spec, c):
     return lhs, rhs
 
 
-def _terms_riemann(spec, c, h):
+def riemann_terms(spec, c):
     """(lhs, rhs) of the (0,4) soliton equation h^psi ^ g + R = lambda G on
-    the chart record c, given the Hessian h of psi."""
-    return [c.curvature[0], kulkarni_nomizu(h, c.g)], [
+    the chart record c."""
+    return [c.curvature[0], kulkarni_nomizu(c.hessian(spec.psi), c.g)], [
         times(_coeff(spec.lam, c.p), c.big_g)]
 
 
-def _terms_riemann_contracted(spec, c, h):
+def _terms_riemann_contracted(spec, c):
     """(lhs, rhs) of the contracted form; for m = 2 the degenerate form
     Ric = (lambda - lap psi) g."""
-    m, g = c.chart.dim, c.g
+    m, g, h = c.chart.dim, c.g, c.hessian(spec.psi)
     lam = _coeff(spec.lam, c.p)
     ric = c.curvature[1]
     lap = np.einsum("nij,nij->n", c.ginv, h)
@@ -188,22 +195,26 @@ def _terms_riemann_contracted(spec, c, h):
     return [(m - 2) * h, ric], [times((m - 1) * lam - lap, g)]
 
 
-def residual_values(spec, c, form="primary"):
+def residual_values(spec, c, form="primary", terms=None):
     """Per-point normalized residuals of the defining equation.
 
     form: "primary" uses the (0,4) equation for kind=riemann; "contracted"
-    uses its trace form (only meaningful for kind=riemann).
+    uses its trace form (only meaningful for kind=riemann).  `terms` are the
+    equation's (lhs, rhs) on c when the caller has built them already (the
+    (0,4) ones, `riemann_terms`, are shared with `contraction_consistency`).
     """
-    if spec.kind != "riemann":
-        return equation_residual(*_terms_0_2(spec, c))
-    terms = (_terms_riemann if form == "primary" and c.chart.dim >= 3
-             else _terms_riemann_contracted)
-    return equation_residual(*terms(spec, c, c.hessian(spec.psi)))
+    if terms is None and spec.kind != "riemann":
+        terms = _terms_0_2(spec, c)
+    elif terms is None:
+        terms = (riemann_terms if form == "primary" and c.chart.dim >= 3
+                 else _terms_riemann_contracted)(spec, c)
+    return equation_residual(*terms)
 
 
-def residual(spec, c, tolerance, form="primary", check_id=None):
-    """ResidualSummary of the defining soliton equation over sampled points."""
-    values = residual_values(spec, c, form=form)
+def residual(spec, c, tolerance, form="primary", check_id=None, terms=None):
+    """ResidualSummary of the defining soliton equation over sampled points
+    (`terms` as for `residual_values`)."""
+    values = residual_values(spec, c, form=form, terms=terms)
     if check_id is None:
         check_id = f"soliton.{spec.kind}"
         if spec.kind == "riemann":
@@ -214,15 +225,16 @@ def residual(spec, c, tolerance, form="primary", check_id=None):
     return summarize(check_id, values, c.p, tolerance, notes=notes)
 
 
-def contraction_consistency(spec, c, tolerance):
+def contraction_consistency(spec, c, tolerance, terms=None):
     """Algebraic identity: contracting the (0,4) soliton equation over its
     outer slots in an orthonormal frame reproduces the trace form, for ANY
-    potential and lambda (soliton validity is irrelevant)."""
+    potential and lambda (soliton validity is irrelevant).  `terms` are the
+    equation's (lhs, rhs) on c (`riemann_terms`), if already built."""
     m = c.chart.dim
     if m < 3:
         raise SolitonError("contraction consistency requires dim >= 3")
     g, ginv, h = c.g, c.ginv, c.hessian(spec.psi)
-    lhs, rhs = _terms_riemann(spec, c, h)
+    lhs, rhs = riemann_terms(spec, c) if terms is None else terms
     e4 = lhs[0] + lhs[1] - rhs[0]
     contracted = np.einsum("niw,niyzw->nyz", ginv, e4)
     lam = _coeff(spec.lam, c.p)
@@ -395,8 +407,10 @@ def riemann_factor_structures(dwp, spec, d, tolerance, gate):
     def factor(r, s):
         jet = r.product.jet(psi)
         o = s.mirror
-        lap_psi = np.einsum("nij,nij->n", r.product.ginv,
-                            covariant_hessian(r.product.gamma, jet))
+        lap_psi = sum(  # the trace of the Hessian splitting
+            np.einsum("nij,nij->n", t.ginv, dwp.hessian_split_closed(
+                psi, klass, r)) / t.mirror.f**2
+            for klass, t in zip(("XX", "UU"), r.sides))
         lam_i = o.f**2 * (
             (m - 1) * _coeff(spec.lam, r.p) + o.lap - lap_psi
             - (m - 2) * s.opposite_pairing(jet.gradient)

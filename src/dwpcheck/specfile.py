@@ -165,7 +165,7 @@ def _build_soliton(table, line, coords, default_psi):
             f"{sorted(unread)}"
         )
     fields = {"kind": kind}
-    if default_psi is not None:
+    if default_psi is not None and "psi" in SOLITON_KINDS[kind]:
         fields["psi"] = default_psi
     for field, key in FIELD_KEYS.items():
         if key not in table:

@@ -60,8 +60,8 @@ def conharmonic_oracle(c):
 
 
 def _scalar_coefficient(dwp, d):
-    """tau/(m(m-1)) with tau the product scalar curvature."""
-    return d.product.curvature[2] / (dwp.m * (dwp.m - 1))
+    """tau/(m(m-1)) with tau the closed-form product scalar curvature."""
+    return dwp.scalar_closed(d) / (dwp.m * (dwp.m - 1))
 
 
 def concircular_closed(dwp, d):
@@ -70,7 +70,7 @@ def concircular_closed(dwp, d):
     and G_{AB}Z = g(B,Z)A - g(A,Z)B."""
     c = _scalar_coefficient(dwp, d)
     return dwp.riemann_closed(d) - times(
-        c, wedge_operator(d.product.g, np.eye(dwp.m)))
+        c, wedge_operator(d.gp, np.eye(dwp.m)))
 
 
 def conharmonic_closed(dwp, d):
@@ -93,15 +93,14 @@ def conharmonic_closed(dwp, d):
     for klass, s in zip(CONHARMONIC_CLASSES, d.sides):
         ricci_class = klass[0] * 2  # XX or UU
         own = s.own
-        g_own = d.product.g[:, own, own]
         ric = dwp.ricci_closed(ricci_class, d)
         ric_op = dwp.ricci_operator_closed(ricci_class, d)
         # g(B,Z) Q(A) - g(A,Z) Q(B) + Ric(B,Z) A - Ric(A,Z) B, Q the Ricci
         # operator
         bracket = wedge_operator(
-            g_own, ric_op.transpose(0, 2, 1) @ s.lift
+            s.gp, ric_op.transpose(0, 2, 1) @ s.lift
         ) + wedge_operator(ric, s.lift)
-        normal = wedge_operator(g_own, outer(s.dlog, s.mirror.grad))
+        normal = wedge_operator(s.gp, outer(s.dlog, s.mirror.grad))
         out[klass] = (curvature[:, own, own, own] - bracket / (dwp.m - 2)
                       - normal)
     return out
@@ -129,9 +128,7 @@ def einstein_defect(dwp, which, d):
     Identically equal to the factor-block trace of the concircular tensor."""
     s = d.side(which)
     o = s.mirror
-    c = _scalar_coefficient(dwp, d)
-    grad_sq = s.opposite_pairing(o.dlog_ext)  # |grad log f_opp|^2
-    mu = o.f**2 * (s.m - 1) * (grad_sq + c)
+    mu = o.f**2 * (s.m - 1) * (o.grad_sq + _scalar_coefficient(dwp, d))
     return s.ric - times(mu, s.g), mu
 
 
@@ -146,8 +143,7 @@ def f_almost_defect(dwp, which, d):
     lam = (o.f**2 / o.m) * (
         s.tau / o.f**2
         - (o.m / (s.f * o.f**2)) * s.lap_f
-        + (s.m - 1) * ((dwp.m - 2) * s.opposite_pairing(o.dlog_ext)
-                       - 2 * o.lap)
+        + (s.m - 1) * ((dwp.m - 2) * o.grad_sq - 2 * o.lap)
     )
     f = (s.m - 2) / s.f
     return times(f, s.h_f) + s.ric - times(lam, s.g), lam, f

@@ -18,12 +18,7 @@ from conftest import (
 )
 from dwpcheck import checks, geometry, solitons, special
 from dwpcheck.cli import main
-from dwpcheck.dwp import (
-    RIEMANN_CLASSES,
-    RICCI_CLASSES,
-    DoublyWarpedProduct,
-    WarpingError,
-)
+from dwpcheck.dwp import DoublyWarpedProduct, WarpingError
 from dwpcheck.expr import Expression, constant, parse_expression
 from dwpcheck.geometry import ChartManifold
 from dwpcheck.reporting import PASS
@@ -50,12 +45,17 @@ def samples(products):
 
 def reference_riemann(dwp, p):
     """(R(d_i, d_j) d_k)^c from the six class formulas, one index triple at
-    a time on unit vectors; the loop form of the block tensor."""
+    a time on unit vectors; the loop form of the block tensor.  The Hessian
+    operators H^k, H^l and the gradients are the product oracle's."""
     d = dwp.point_data(p[None])
     m1, m = dwp.m1, dwp.m
     e = np.eye(m)
     s1, s2 = d.sides
-    dk, dl = s1.dlog_ext[0], s2.dlog_ext[0]
+    dk, dl = s1.dlog[0] @ s1.lift, s2.dlog[0] @ s2.lift
+    ginv = d.product.ginv[0]
+    hk, hl = (ginv @ d.product.hessian(dwp.lifted(log_f))[0]
+              for log_f in (dwp.k, dwp.l))
+    grad_k, grad_l = ginv @ dk, ginv @ dl
     factors = (
         (dwp.factor1.riemann_oracle(s1.factor.p)[0], s1.ginv[0], 0),
         (dwp.factor2.riemann_oracle(s2.factor.p)[0], s2.ginv[0], m1),
@@ -80,10 +80,10 @@ def reference_riemann(dwp, p):
             return -vec(j, i, k)
         if pattern == (1, 1, 1):  # XYZ
             return (factor_curvature(i, j, k)
-                    + g(i, k) * (s2.H[0] @ e[j]) - g(j, k) * (s2.H[0] @ e[i]))
+                    + g(i, k) * (hl @ e[j]) - g(j, k) * (hl @ e[i]))
         if pattern == (2, 2, 2):  # UVW
             return (factor_curvature(i, j, k)
-                    + g(i, k) * (s1.H[0] @ e[j]) - g(j, k) * (s1.H[0] @ e[i]))
+                    + g(i, k) * (hk @ e[j]) - g(j, k) * (hk @ e[i]))
         if pattern == (1, 1, 2):  # XYU
             return dl[k] * (dk[j] * e[i] - dk[i] * e[j])
         if pattern == (2, 2, 1):  # UVX
@@ -93,13 +93,13 @@ def reference_riemann(dwp, p):
             return (
                 (s1.h_log[0, x, y] + dk[x] * dk[y]) * e[u]
                 + dk[y] * dl[u] * e[x]
-                + g(x, y) * (s2.H[0] @ e[u] + dl[u] * s2.grad[0])
+                + g(x, y) * (hl @ e[u] + dl[u] * grad_l)
             )
         u, x, v = i, j, k  # UXV
         return (
             (s2.h_log[0, u - m1, v - m1] + dl[u] * dl[v]) * e[x]
             + dl[v] * dk[x] * e[u]
-            + g(u, v) * (s1.H[0] @ e[x] + dk[x] * s1.grad[0])
+            + g(u, v) * (hk @ e[x] + dk[x] * grad_k)
         )
 
     out = np.zeros((m, m, m, m))
@@ -351,6 +351,61 @@ class TestFactorMirror:
             assert_mirrored(np.array(mine.worst_point)[swap],
                             theirs.worst_point)
 
+    def test_mixed_conditions_match_the_oracle(self, pair):
+        """For any potential on any product, the mixed Yamabe condition is
+        the XU block of the oracle's Hessian, and the mixed Ricci condition
+        that of Hessian + Ricci."""
+        a, b, pts, swap = pair
+        for dwp, points in ((a, pts), (b, pts[:, swap])):
+            psi = parse_expression("x*y + sin(t)*x + s^3", dwp.coords)
+            d = dwp.point_data(points)
+            xu = dwp.block("XU")
+            hessian = d.product.hessian(psi)[xu]
+            assert_mirrored(solitons.mixed_yamabe_condition(dwp, psi, d),
+                            hessian)
+            assert_mirrored(solitons.mixed_ricci_condition(dwp, psi, d),
+                            hessian + d.product.curvature[1][xu])
+
+
+def closed_forms(dwp, d):
+    """Every closed form of the product at the record d."""
+    psi = parse_expression("x*y + sin(t)*x + s^3", dwp.coords)
+    return [
+        dwp.riemann_closed(d), dwp.riemann_closed_tensor(d),
+        dwp.covariant_closed(d),
+        *(dwp.ricci_closed(klass, d) for klass in ("XX", "XU", "UU")),
+        *(dwp.ricci_operator_closed(klass, d) for klass in ("XX", "UU")),
+        dwp.scalar_closed(d),
+        *(dwp.hessian_split_closed(psi, klass, d)
+          for klass in ("XX", "XU", "UU")),
+        *(dwp.laplacian_split(which, d)[0] for which in ("k", "l")),
+        special.concircular_closed(dwp, d),
+        *special.conharmonic_closed(dwp, d).values(),
+        *(defect(dwp, which, d)[0] for which in (1, 2)
+          for defect in (einstein_defect, f_almost_defect)),
+    ]
+
+
+def test_closed_forms_read_the_factor_records_alone():
+    """Swapping the record's product chart record for that of another
+    metric at the same points changes the oracle but leaves every closed
+    form bitwise unchanged: the closed forms never read the product chart's
+    metric, so they are independent of the oracle they are checked
+    against."""
+    dwp = mirror_product(*MIRROR_FACTORS)
+    (c1, _, _), (c2, _, _) = MIRROR_FACTORS
+    other = DoublyWarpedProduct(
+        flat_chart(c1), flat_chart(c2),
+        parse_expression("1 + 0.1*x^2", c1), constant(1.0, c2))
+    pts = seeded_points(dwp.product, 6)
+    d, swapped = dwp.point_data(pts), dwp.point_data(pts)
+    swapped.product = other.product.at(pts)
+    assert not np.allclose(d.product.curvature[0],
+                           swapped.product.curvature[0])
+    for mine, theirs in zip(closed_forms(dwp, d),
+                            closed_forms(dwp, swapped)):
+        assert np.array_equal(mine, theirs)
+
 
 class TestOneRecordPerPointSet:
     def test_run_all_jets_each_chart_once_per_point_set(self, monkeypatch):
@@ -396,7 +451,8 @@ class TestOneRecordPerPointSet:
         concircular gate passing: no chart's metric is jetted twice on equal
         points (the sampler's and the conditioning test's jets included), no
         expression is jetted twice on equal points, each soliton's residual
-        is evaluated once per form, g ^ g once per record, each flatness
+        is evaluated once per form, each Kulkarni-Nomizu product (g ^ g, and
+        the Riemann soliton's h ^ g) once per record, each flatness
         oracle once, and the warpings are validated once per point set."""
         jetted, expr_jets, residuals, wedges = [], [], [], []
         oracles, validated = [], []
@@ -414,13 +470,12 @@ class TestOneRecordPerPointSet:
             expr_jets.append((expr, np.array(points, dtype=float)))
             return jet(expr, points)
 
-        def counting_residual_values(spec, c, form="primary"):
+        def counting_residual_values(spec, c, form="primary", **kwargs):
             residuals.append((spec, form))
-            return residual_values(spec, c, form=form)
+            return residual_values(spec, c, form=form, **kwargs)
 
         def counting_kulkarni_nomizu(a, b):
-            if a is b:
-                wedges.append(np.array(a))
+            wedges.append((np.array(a), np.array(b)))
             return kulkarni_nomizu(a, b)
 
         def counting_validate_warpings(dwp, points):
@@ -472,7 +527,8 @@ class TestOneRecordPerPointSet:
         assert sorted((spec.kind, form) for spec, form in residuals) == [
             ("ricci", "primary"), ("riemann", "contracted"),
             ("riemann", "primary"), ("yamabe", "primary")]
-        assert wedges and not repeats(wedges, np.array_equal)
+        assert wedges and not repeats(wedges, lambda a, b: np.array_equal(
+            a[0], b[0]) and np.array_equal(a[1], b[1]))
         assert sorted(oracles) == ["concircular_oracle", "conharmonic_oracle"]
         assert len(validated) == 2  # the samples and the anchor
         assert not repeats(validated, np.array_equal)

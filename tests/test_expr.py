@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from dwpcheck.expr import (
     ArityError,
-    BinOp,
     Call,
     Const,
     DomainError,

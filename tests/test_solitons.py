@@ -6,7 +6,6 @@ import pytest
 
 from conftest import (
     direct_flat_product,
-    e2xe1_product,
     flat_chart,
     quasi_einstein_product,
     seeded_points,
@@ -339,3 +338,11 @@ class TestSpecValidation:
         psi = parse_expression("x", ("x",))
         with pytest.raises(SolitonError, match="eta"):
             SolitonSpec(kind="eta_ricci", psi=psi, lam=0.1, mu=0.2)
+
+    def test_fields_the_kind_does_not_read_rejected(self):
+        psi = parse_expression("x", ("x",))
+        with pytest.raises(SolitonError, match=r"'ricci' does not read "
+                                               r"fields \['mu', 'eta'\]"):
+            SolitonSpec(kind="ricci", psi=psi, lam=0.5, mu=0.3, eta=(psi,))
+        with pytest.raises(SolitonError, match=r"\['psi'\]"):
+            SolitonSpec(kind="einstein", psi=psi)

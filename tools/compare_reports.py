@@ -15,9 +15,13 @@ through `dwpcheck verify --format structured`:
   edits listed in INLINE_EDITS below.
 
 It prints how many reports (stdout), stderr texts and exit codes are
-byte-identical, and the first differing line of each case that differs;
-the exit status is 1 on any difference. Standard library and the
-repository only; the spec files, written once, are read by both trees.
+byte-identical, and the first differing line of each case that differs.
+For the reports that differ, it also prints whether every check id and
+status still match, and the largest change of a `max_abs_residual`
+(absolute below 1, relative above), which tells rounding drift from a
+changed verdict. The exit status is 1 on any byte difference. Standard
+library and the repository only; the spec files, written once, are read
+by both trees.
 """
 
 from __future__ import annotations
@@ -164,6 +168,43 @@ def first_difference(a, b):
     return 0, "<same lines>", "<line endings differ>"
 
 
+def verdicts_and_residuals(report):
+    """{check id: (status, max_abs_residual)} of a structured report, or
+    None for a text that is not one."""
+    try:
+        checks = json.loads(report)["checks"]
+    except (ValueError, KeyError, TypeError):
+        return None
+    return {c["check_id"]: (c["status"], c["max_abs_residual"])
+            for c in checks}
+
+
+def residual_change(a, b):
+    """|a - b|, relative to |b| above 1; None or a non-number on either side
+    counts only when the two differ."""
+    if not all(isinstance(x, (int, float)) for x in (a, b)):
+        return 0.0 if a == b else float("inf")
+    return abs(a - b) / max(1.0, abs(b))
+
+
+def drift(pairs):
+    """(names of the cases whose check ids or statuses differ, largest
+    residual change with its case name) over (name, report here, report
+    there) triples of differing reports."""
+    changed, largest = [], (0.0, None)
+    for name, mine, theirs in pairs:
+        a, b = verdicts_and_residuals(mine), verdicts_and_residuals(theirs)
+        if a is None or b is None or a.keys() != b.keys() or any(
+                a[k][0] != b[k][0] for k in a):
+            changed.append(name)
+            continue
+        for k in a:
+            change = residual_change(a[k][1], b[k][1])
+            if change > largest[0]:
+                largest = (change, f"{name}: {k}")
+    return changed, largest
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
@@ -196,6 +237,15 @@ def main(argv=None):
                 line, mine, theirs = first_difference(h[k], t[k])
                 print(f"{name}: {stream} line {line}\n"
                       f"  {'here':<{width}} {mine}\n  {rev:<{width}} {theirs}")
+    differing = [(name, h[1], t[1]) for (name, _), h, t
+                 in zip(cases, here, there) if h[1] != t[1]]
+    if differing:
+        changed, (change, where) = drift(differing)
+        print(f"{len(differing)} differing reports: check ids and statuses "
+              + ("identical in all" if not changed
+                 else f"differ in {len(changed)}: {', '.join(changed)}"))
+        print(f"largest max_abs_residual change where they are identical: "
+              f"{change:.3g}" + (f" ({where})" if where else ""))
     return 0 if all(s == n for s in same) else 1
 
 
