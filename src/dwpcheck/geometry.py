@@ -143,14 +143,16 @@ class ChartBatch:
     is read off them, each computed on first read.  Tensors are arrays in
     coordinate components with a leading N axis, indexed as documented.
 
-    `jet(expr)` jets an expression at the points once per record; the memo
-    is keyed on the expression (structurally), never on points, and starts
-    from the metric entries' jets when the record is jetted itself."""
+    `jet(expr)` jets an expression at the points once per record, and
+    `hessian(expr)` builds its covariant Hessian once.  The memos are keyed
+    on the expression (structurally), never on points; the jets' memo
+    starts from the metric entries' jets when the record is jetted itself."""
 
     def __init__(self, chart, p, g, dg, ddg, jets=None):
         self.chart, self.p = chart, p
         self.g, self.dg, self.ddg = g, dg, ddg
         self._jets = {} if jets is None else jets
+        self._hessians = {}
 
     def take(self, rows):
         """The record at a subset of the points (a boolean mask or an index
@@ -231,8 +233,13 @@ class ChartBatch:
         return 0.5 * kulkarni_nomizu(self.g, self.g)
 
     def hessian(self, psi):
-        """Covariant Hessian h[n,i,j] = d_i d_j psi - Gamma^k_ij d_k psi."""
-        return covariant_hessian(self.gamma, self.jet(psi))
+        """Covariant Hessian h[n,i,j] = d_i d_j psi - Gamma^k_ij d_k psi,
+        computed on first request."""
+        out = self._hessians.get(psi)
+        if out is None:
+            out = self._hessians[psi] = covariant_hessian(self.gamma,
+                                                          self.jet(psi))
+        return out
 
 
 def _sym(dg):

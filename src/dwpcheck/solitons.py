@@ -101,13 +101,13 @@ class SolitonSpec:
     def __post_init__(self):
         if self.kind not in SOLITON_KINDS:
             raise SolitonError(f"unknown soliton kind {self.kind!r}")
+        # fields are named by their spec-file keys
         reads = SOLITON_KINDS[self.kind]
         for name in reads:
             if getattr(self, name) is None:
-                raise SolitonError(
-                    f"soliton kind {self.kind!r} requires field {name!r}"
-                )
-        unread = [name for name in FIELD_KEYS
+                raise SolitonError(f"soliton kind {self.kind!r} requires "
+                                   f"field {FIELD_KEYS[name]!r}")
+        unread = [key for name, key in FIELD_KEYS.items()
                   if name not in reads and getattr(self, name) is not None]
         if unread:
             raise SolitonError(

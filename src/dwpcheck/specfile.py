@@ -10,14 +10,19 @@ engine.  Sections: [factor.1], [factor.2] (required), [potential],
 
 from __future__ import annotations
 
+import argparse
 import ast
+import math
+import sys
+from typing import Callable, NamedTuple
 
 from .dwp import DoublyWarpedProduct
 from .expr import ExpressionError, constant, parse_expression
 from .geometry import ChartManifold
 from .solitons import FIELD_KEYS, SOLITON_KINDS, SolitonError, SolitonSpec
 
-__all__ = ["SpecFileError", "load_spec", "parse_sections", "SOLITON_TYPE_NAMES"]
+__all__ = ["SpecFileError", "load_spec", "parse_sections",
+           "SOLITON_TYPE_NAMES", "SETTINGS"]
 
 
 class SpecFileError(ValueError):
@@ -152,17 +157,10 @@ def _build_soliton(table, line, coords, default_psi):
             f"[soliton] (line {line}): unknown type {raw_type!r}; "
             f"expected one of {sorted(SOLITON_TYPE_NAMES)}"
         )
-    keys = set(table) - {"type"}
-    extra = keys - set(FIELD_KEYS.values())
+    extra = set(table) - {"type"} - set(FIELD_KEYS.values())
     if extra:
         raise SpecFileError(
             f"[soliton] (line {line}): unknown keys {sorted(extra)}"
-        )
-    unread = keys - {FIELD_KEYS[field] for field in SOLITON_KINDS[kind]}
-    if unread:
-        raise SpecFileError(
-            f"[soliton] (line {line}): type {raw_type!r} does not read keys "
-            f"{sorted(unread)}"
         )
     fields = {"kind": kind}
     if default_psi is not None and "psi" in SOLITON_KINDS[kind]:
@@ -189,38 +187,77 @@ def _build_soliton(table, line, coords, default_psi):
         raise SpecFileError(f"[soliton] (line {line}): {exc}") from None
 
 
-def _numbers(value, length=None):
-    """Whether value is a list of numbers (bools excluded), of `length`."""
-    return (isinstance(value, (list, tuple)) and length in (None, len(value))
+def _integer(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _reals(value, length):
+    """Whether value is a list of `length` numbers (bools excluded), each
+    finite as a float."""
+    return (isinstance(value, (list, tuple)) and len(value) == length
             and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                    for x in value))
+                    and abs(x) <= sys.float_info.max for x in value))
 
 
-_SAMPLING = {  # key -> (what its value must be, test)
-    "points": ("an integer >= 1",
-               lambda v: _numbers([v]) and isinstance(v, int) and v >= 1),
-    "seed": ("a non-negative integer",
-             lambda v: _numbers([v]) and isinstance(v, int) and v >= 0),
-    "tolerance": ("a positive number", lambda v: _numbers([v]) and v > 0),
-    "box": ("[lo, hi] or a list of [lo, hi] pairs",
-            lambda v: _numbers(v, 2) or isinstance(v, (list, tuple))
-            and len(v) > 0 and all(_numbers(pair, 2) for pair in v)),
-    "anchor": ("a list of numbers", _numbers),
-}
+def _interval(value):
+    # the width must be finite too: the sampler draws lo + width * u
+    return (_reals(value, 2) and value[0] < value[1]
+            and math.isfinite(float(value[1]) - float(value[0])))
 
 
-def _build_sampling(table, line):
-    extra = set(table) - set(_SAMPLING)
-    if extra:
-        raise SpecFileError(
-            f"[sampling] (line {line}): unknown keys {sorted(extra)}"
-        )
-    for key, value in table.items():
-        what, valid = _SAMPLING[key]
-        if not valid(value):
+def _parse_box(text):
+    """--box accepts 'lo,hi' (global) or 'lo,hi;lo,hi;...' (per coordinate)."""
+    pairs = [chunk.split(",") for chunk in text.split(";")]
+    if any(len(pair) != 2 for pair in pairs):
+        raise argparse.ArgumentTypeError(
+            "box intervals must be 'lo,hi' separated by ';'")
+    return [[float(lo), float(hi)] for lo, hi in pairs]
+
+
+def _parse_anchor(text):
+    return [float(x) for x in text.split(",")]
+
+
+class Setting(NamedTuple):
+    """A run setting; its `[sampling]` key is its name in SETTINGS."""
+
+    flag: str
+    metavar: str
+    parse: Callable  # the flag's text -> its value
+    default: object
+    rule: str  # what a value must be, {m} being the product's dimension
+    test: Callable  # (value, m) -> whether the value keeps the rule
+    help: str | None = None
+
+    def check(self, value, source, m):
+        """The value if it keeps the rule; else SpecFileError, naming the
+        value's source."""
+        if not self.test(value, m):
             raise SpecFileError(
-                f"[sampling] {key} must be {what}, got {value!r}")
-    return dict(table)
+                f"{source} must be {self.rule.format(m=m)}, got {value!r}")
+        return value
+
+
+SETTINGS = {
+    "points": Setting("--points", "N", int, 64, "an integer >= 1",
+                      lambda v, m: _integer(v) and v >= 1),
+    "seed": Setting("--seed", "S", int, 42, "a non-negative integer",
+                    lambda v, m: _integer(v) and v >= 0),
+    "box": Setting(
+        "--box", "LO,HI[;LO,HI...]", _parse_box, [-1.0, 1.0],
+        "[lo, hi] or a list of 1 or {m} [lo, hi] pairs, each with lo < hi "
+        "and hi - lo finite",
+        lambda v, m: _interval(v) or isinstance(v, (list, tuple))
+        and len(v) in (1, m) and all(map(_interval, v)),
+        "sampling box, one global interval or one per coordinate"),
+    "tolerance": Setting("--tol", "T", float, 1e-8, "a positive finite number",
+                         lambda v, m: _reals([v], 1) and v > 0),
+    "anchor": Setting(
+        "--anchor", "COORDS", _parse_anchor, None,
+        "a list of {m} finite numbers", _reals,
+        "comma-separated point where factor restrictions are taken "
+        "(default: box center)"),
+}
 
 
 def load_spec(path):
@@ -271,7 +308,11 @@ def load_spec(path):
         _build_soliton(table, line, dwp.coords, default_psi)
         for table, line in soliton_sections
     ]
-    sampling = {}
-    if "sampling" in by_name:
-        sampling = _build_sampling(*by_name["sampling"])
+    sampling, line = by_name.get("sampling", ({}, None))
+    extra = set(sampling) - set(SETTINGS)
+    if extra:
+        raise SpecFileError(
+            f"[sampling] (line {line}): unknown keys {sorted(extra)}")
+    for key, value in sampling.items():
+        SETTINGS[key].check(value, f"[sampling] {key}", dwp.m)
     return dwp, solitons, sampling, default_psi

@@ -34,6 +34,10 @@ box = [-1.0, 1.0]
 tolerance = 1e-8
 """
 
+# the box rule at m = 4
+BOX_RULE = ("[lo, hi] or a list of 1 or 4 [lo, hi] pairs, each with lo < hi "
+            "and hi - lo finite")
+
 FAILING_SPEC = PASSING_SPEC.replace("lambda = 0.6", "lambda = 0.25")
 
 MALFORMED_SPEC = "[factor.1]\ndim = 2\n"
@@ -217,8 +221,18 @@ class TestExitStatuses:
             "unread.spec")
         assert main(["verify", spec]) == 2
         assert capsys.readouterr().err == (
-            "error: [soliton] (line 15): type 'gradient_ricci' does not read "
-            "keys ['eta', 'mu']\n")
+            "error: [soliton] (line 15): soliton kind 'ricci' does not read "
+            "fields ['mu', 'eta']\n")
+
+    def test_soliton_missing_a_key_its_kind_reads_exits_two(
+        self, tmp_path, capsys
+    ):
+        spec = write(tmp_path, PASSING_SPEC.replace("lambda = 0.6\n", "", 1),
+                     "missing.spec")
+        assert main(["verify", spec]) == 2
+        assert capsys.readouterr().err == (
+            "error: [soliton] (line 15): soliton kind 'ricci' requires field "
+            "'lambda'\n")
 
 
     @pytest.mark.parametrize("old, new, args, needles", [
@@ -283,15 +297,28 @@ class TestExitStatuses:
         assert err.startswith("error: anchored restriction set of factor 2")
         assert "at [0.0, 0.7, " in err
 
+    # each case keeps the id it was given when the needle was the message
+    # of an earlier release
     @pytest.mark.parametrize("args, needle", [
-        (["--box=-inf,inf"], "box interval [-inf, inf] must be finite"),
-        (["--box=-1e308,1e308"], "box interval [-1e+308, 1e+308] must be "
-                                 "finite, with a finite width"),
-        (["--box=-1,1;-1,1;nan,1;-1,1"], "box interval [nan, 1.0] must be "
-                                         "finite"),
-        (["--anchor", "nan,0,0,0"], "anchor must be finite, got [nan, 0.0"),
-        (["--tol", "inf"], "tolerance must be positive and finite, got inf"),
-        (["--tol", "nan"], "tolerance must be positive and finite, got nan"),
+        (["--box=-inf,inf"], f"--box must be {BOX_RULE}, got [[-inf, inf]]"),
+        (["--box=-1e308,1e308"],
+         f"--box must be {BOX_RULE}, got [[-1e+308, 1e+308]]"),
+        (["--box=-1,1;-1,1;nan,1;-1,1"],
+         f"--box must be {BOX_RULE}, got [[-1.0, 1.0], [-1.0, 1.0], "
+         "[nan, 1.0], [-1.0, 1.0]]"),
+        (["--anchor", "nan,0,0,0"],
+         "--anchor must be a list of 4 finite numbers, got [nan, 0.0, 0.0, "
+         "0.0]"),
+        (["--tol", "inf"], "--tol must be a positive finite number, got inf"),
+        (["--tol", "nan"], "--tol must be a positive finite number, got nan"),
+    ], ids=[
+        "args0-box interval [-inf, inf] must be finite",
+        "args1-box interval [-1e+308, 1e+308] must be finite, with a finite "
+        "width",
+        "args2-box interval [nan, 1.0] must be finite",
+        "args3-anchor must be finite, got [nan, 0.0",
+        "args4-tolerance must be positive and finite, got inf",
+        "args5-tolerance must be positive and finite, got nan",
     ])
     def test_non_finite_flags_exit_two(self, tmp_path, capsys, args, needle):
         spec = write(tmp_path, PASSING_SPEC, "pass.spec")
@@ -307,15 +334,30 @@ class TestExitStatuses:
          "[sampling] seed must be a non-negative integer, got -3"),
         ("seed = 42", "seed = 42", ["--seed", "-3"],
          "--seed must be a non-negative integer, got -3"),
-        ("tolerance = 1e-8", "tolerance = [1e-8]", [],
-         "[sampling] tolerance must be a positive number, got [1e-08]"),
-        ("tolerance = 1e-8", 'tolerance = "abc"', [],
-         "[sampling] tolerance must be a positive number, got 'abc'"),
-        ("box = [-1.0, 1.0]", "box = 5", [],
-         "[sampling] box must be [lo, hi] or a list of [lo, hi] pairs, "
-         "got 5"),
-        ("box = [-1.0, 1.0]", "box = [-1.0, 1.0]\nanchor = 5", [],
-         "[sampling] anchor must be a list of numbers, got 5"),
+        # these cases keep the ids they were given when the needle was the
+        # message of an earlier release
+        pytest.param(
+            "tolerance = 1e-8", "tolerance = [1e-8]", [],
+            "[sampling] tolerance must be a positive finite number, got "
+            "[1e-08]",
+            id="tolerance = 1e-8-tolerance = [1e-8]-args4-[sampling] "
+               "tolerance must be a positive number, got [1e-08]"),
+        pytest.param(
+            "tolerance = 1e-8", 'tolerance = "abc"', [],
+            "[sampling] tolerance must be a positive finite number, got "
+            "'abc'",
+            id="tolerance = 1e-8-tolerance = \"abc\"-args5-[sampling] "
+               "tolerance must be a positive number, got 'abc'"),
+        pytest.param(
+            "box = [-1.0, 1.0]", "box = 5", [],
+            f"[sampling] box must be {BOX_RULE}, got 5",
+            id="box = [-1.0, 1.0]-box = 5-args6-[sampling] box must be "
+               "[lo, hi] or a list of [lo, hi] pairs, got 5"),
+        pytest.param(
+            "box = [-1.0, 1.0]", "box = [-1.0, 1.0]\nanchor = 5", [],
+            "[sampling] anchor must be a list of 4 finite numbers, got 5",
+            id="box = [-1.0, 1.0]-box = [-1.0, 1.0]\nanchor = 5-args7-"
+               "[sampling] anchor must be a list of numbers, got 5"),
     ])
     def test_malformed_sampling_values_exit_two(
         self, tmp_path, capsys, old, new, args, needle
@@ -323,6 +365,33 @@ class TestExitStatuses:
         spec = write(tmp_path, PASSING_SPEC.replace(old, new), "bad.spec")
         assert main(["verify", spec] + args) == 2
         assert capsys.readouterr().err == f"error: {needle}\n"
+
+    @pytest.mark.parametrize("old, new, args, message", [
+        # a malformed [sampling] value is rejected even where a flag
+        # overrides it
+        ("box = [-1.0, 1.0]", "box = [1.0, -1.0]", ["--box=-1,1"],
+         f"[sampling] box must be {BOX_RULE}, got [1.0, -1.0]"),
+        ("tolerance = 1e-8", "tolerance = 1e400", ["--tol", "1e-6"],
+         "[sampling] tolerance must be a positive finite number, got inf"),
+        ("tolerance = 1e-8", "tolerance = 1e-8\nanchor = [0, 0]",
+         ["--anchor", "0,0,0,0"],
+         "[sampling] anchor must be a list of 4 finite numbers, got [0, 0]"),
+        ("tolerance = 1e-8", "tolerance = 1e400", [],
+         "[sampling] tolerance must be a positive finite number, got inf"),
+        ("tolerance = 1e-8", "tolerance = 1e-8\nanchor = [0, 0]", [],
+         "[sampling] anchor must be a list of 4 finite numbers, got [0, 0]"),
+        ("points = 6", "points = 6", ["--points", "0"],
+         "--points must be an integer >= 1, got 0"),
+        ("box = [-1.0, 1.0]", "box = [-1.0, 1.0]", ["--box=0,1;0,1"],
+         f"--box must be {BOX_RULE}, got [[0.0, 1.0], [0.0, 1.0]]"),
+    ], ids=["box-overridden", "tolerance-overridden", "anchor-overridden",
+            "tolerance", "anchor", "points-flag", "box-flag"])
+    def test_every_bad_setting_names_its_source(
+        self, tmp_path, capsys, old, new, args, message
+    ):
+        spec = write(tmp_path, PASSING_SPEC.replace(old, new, 1), "bad.spec")
+        assert main(["verify", spec] + args) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestCheckIds:

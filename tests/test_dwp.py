@@ -450,13 +450,15 @@ class TestOneRecordPerPointSet:
         """Through the CLI, on H^3 with every soliton gate and the
         concircular gate passing: no chart's metric is jetted twice on equal
         points (the sampler's and the conditioning test's jets included), no
-        expression is jetted twice on equal points, each soliton's residual
+        expression is jetted twice on equal points, no record builds the
+        covariant Hessian of one expression twice, each soliton's residual
         is evaluated once per form, each Kulkarni-Nomizu product (g ^ g, and
         the Riemann soliton's h ^ g) once per record, each flatness
         oracle once, and the warpings are validated once per point set."""
         jetted, expr_jets, residuals, wedges = [], [], [], []
-        oracles, validated = [], []
+        oracles, validated, hessians = [], [], []
         metric_jets = ChartManifold._metric_jets
+        covariant_hessian = geometry.covariant_hessian
         jet = Expression.jet
         residual_values = solitons.residual_values
         kulkarni_nomizu = geometry.kulkarni_nomizu
@@ -478,6 +480,12 @@ class TestOneRecordPerPointSet:
             wedges.append((np.array(a), np.array(b)))
             return kulkarni_nomizu(a, b)
 
+        def counting_covariant_hessian(gamma, jet):
+            # a record's Christoffel symbols and an expression's jet on it
+            # are each built once, so they name the (record, expression)
+            hessians.append((gamma, jet))
+            return covariant_hessian(gamma, jet)
+
         def counting_validate_warpings(dwp, points):
             validated.append(np.array(points, dtype=float))
             return validate_warpings(dwp, points)
@@ -497,6 +505,8 @@ class TestOneRecordPerPointSet:
         for name in ("concircular_oracle", "conharmonic_oracle"):
             monkeypatch.setattr(special, name, counting(name))
         monkeypatch.setattr(Expression, "jet", counting_jet)
+        monkeypatch.setattr(geometry, "covariant_hessian",
+                            counting_covariant_hessian)
         monkeypatch.setattr(solitons, "residual_values",
                             counting_residual_values)
         for module in (geometry, solitons, special):
@@ -524,6 +534,8 @@ class TestOneRecordPerPointSet:
                            and np.array_equal(a[1], b[1]))
         assert not repeats(expr_jets, lambda a, b: a[0] == b[0]
                            and np.array_equal(a[1], b[1]))
+        assert hessians and not repeats(hessians, lambda a, b: a[0] is b[0]
+                                        and a[1] is b[1])
         assert sorted((spec.kind, form) for spec, form in residuals) == [
             ("ricci", "primary"), ("riemann", "contracted"),
             ("riemann", "primary"), ("yamabe", "primary")]

@@ -331,8 +331,12 @@ class TestSpecValidation:
             SolitonSpec(kind="bogus")
 
     def test_missing_required_field_rejected(self):
-        with pytest.raises(SolitonError, match="lam"):
-            SolitonSpec(kind="ricci", psi=parse_expression("x", ("x",)))
+        # fields are named by their spec-file keys
+        psi = parse_expression("x", ("x",))
+        with pytest.raises(SolitonError, match="requires field 'lambda'$"):
+            SolitonSpec(kind="ricci", psi=psi)
+        with pytest.raises(SolitonError, match="requires field 'f'$"):
+            SolitonSpec(kind="f_almost_ricci", psi=psi, lam=0.5)
 
     def test_eta_variants_require_eta(self):
         psi = parse_expression("x", ("x",))
@@ -346,3 +350,6 @@ class TestSpecValidation:
             SolitonSpec(kind="ricci", psi=psi, lam=0.5, mu=0.3, eta=(psi,))
         with pytest.raises(SolitonError, match=r"\['psi'\]"):
             SolitonSpec(kind="einstein", psi=psi)
+        with pytest.raises(SolitonError, match=r"'ricci' does not read "
+                                               r"fields \['f'\]$"):
+            SolitonSpec(kind="ricci", psi=psi, lam=0.5, f_factor=psi)

@@ -180,12 +180,12 @@ class TestErrors:
         ('type = "gradient_ricci"\nlambda = 0.5',
          'type = "einstein"\npsi = "x"', ["psi"]),
         ("lambda = 0.5", "lambda = 0.5\ngamma = 1\nalpha = 2",
-         ["alpha", "gamma"]),
+         ["gamma", "alpha"]),
     ])
     def test_keys_a_kind_does_not_read(self, tmp_path, old, new, unread):
         text = GOOD_SPEC.replace(old, new)
         with pytest.raises(SpecFileError, match=re.escape(
-                f"does not read keys {unread}")):
+                f"does not read fields {unread}")):
             load_spec(write(tmp_path, text))
 
     def test_unknown_soliton_key(self, tmp_path):

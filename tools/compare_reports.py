@@ -69,6 +69,7 @@ INLINE_EDITS = (
      'type = "gradient_ricci"\nlambda = "log(x + 0.8)"', []),
     ("soliton-key-not-read", "lambda = 0.6",
      'lambda = 0.6\nmu = 0.3\neta = ["1", "0", "0", "0"]', []),
+    ("soliton-key-missing", "lambda = 0.6\n", "", []),
 )
 
 # runs in a fresh interpreter with one tree's src/ on PYTHONPATH: reads a
@@ -126,7 +127,8 @@ def fixture_cases(directory):
                 if "args" not in names:
                     continue
                 for i, values in enumerate(mark.args[1]):
-                    case = dict(zip(names, values))
+                    # a pytest.param case keeps its values in `.values`
+                    case = dict(zip(names, getattr(values, "values", values)))
                     text = test_cli.PASSING_SPEC
                     if "old" in case:
                         text = text.replace(case["old"], case["new"], 1)
