@@ -8,6 +8,7 @@ check fails, 2 on configuration or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 
@@ -55,7 +56,10 @@ def _parse_checks(text):
     return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
+@functools.cache
 def _make_parser():
+    """The argument parser, built once per process: parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="dwpcheck",
         description=(

@@ -2,8 +2,18 @@
 
 Expressions are parsed from text into an immutable AST and evaluated with
 exact first- and second-order derivatives (second-order forward-mode jets)
-on a whole batch of points at once.  A central-difference jet is provided
-as an independent cross-check.
+on a whole batch of points at once.
+
+The jets are zero-aware: a derivative that is zero by construction (a
+constant's gradient and Hessian, a variable's Hessian) is never built, and
+no term made from it is computed or added; the terms that remain are added
+in the order the formulas give, so every finite result is bit for bit the
+one that zero arrays would give.  Every domain and overflow check runs all
+the same, also where no derivative is wanted.  Jets of several expressions
+at the same points may share a memo (`shared_memo`), keyed on node
+identity, so that a subtree they share (a squared warping in each entry of
+a product metric's block) is jetted once; it keeps the jets of such
+subtrees only.
 """
 
 from __future__ import annotations
@@ -24,6 +34,7 @@ __all__ = [
     "DomainError",
     "parse_expression",
     "constant",
+    "shared_memo",
 ]
 
 
@@ -314,64 +325,107 @@ class Jet2:
     hessian: np.ndarray
 
 
+# Inside the engine a derivative that is zero by construction is None; the
+# helpers below skip it and keep the order of the remaining terms, which
+# keeps the results bitwise (see the module docstring).
+
 def _check(bad, message, node):
     """Raise a DomainError at the first point where `bad` holds."""
     if bad.any():
         raise DomainError(message, _print(node), int(bad.argmax()))
 
 
+def _neg(t):
+    return None if t is None else -t
+
+
+def _times(c, t):
+    """Per-point scalars c[n] times the tensors t[n, ...]."""
+    if t is None:
+        return None
+    return c.reshape(c.shape + (1,) * (t.ndim - 1)) * t
+
+
 def _outer(a, b):
+    if a is None or b is None:
+        return None
     return a[:, :, None] * b[:, None, :]
+
+
+def _sum(*terms):
+    """The terms that are not None, added left to right."""
+    out = None
+    for t in terms:
+        if t is not None:
+            out = t if out is None else out + t
+    return out
 
 
 def _chain(fv, d1, d2, g, h):
     """Jet of f(u) from f, f' and f'' at u and the jet (g, h) of u."""
-    return (fv, d1[:, None] * g,
-            d1[:, None, None] * h + d2[:, None, None] * _outer(g, g))
+    return fv, _times(d1, g), _sum(_times(d1, h), _times(d2, _outer(g, g)))
 
 
-def _eval_jet(node, x, index, dim):
+def _eval_jet(node, x, index, dim, memo=None):
     """(value (N,), gradient (N, dim), Hessian (N, dim, dim)) of the subtree
-    at the points x (N, d); dim 0 evaluates values only.  Overflow of ^,
-    exp, sinh and cosh is a DomainError, as are the usual domain faults."""
-    if isinstance(node, (Num, Const, Var)):
-        n = len(x)
-        g, h = np.zeros((n, dim)), np.zeros((n, dim, dim))
-        if isinstance(node, Var):
-            if dim:
-                g[:, index[node.name]] = 1.0
-            return x[:, index[node.name]].copy(), g, h
+    at the points x (N, d), None standing for a zero derivative; dim 0
+    evaluates values only.  A node that the memo (see `shared_memo`) names
+    is jetted once: the memo must belong to one batch of points."""
+    entry = None if memo is None else memo.get(id(node))
+    if entry is None:
+        return _node_jet(node, x, index, dim, memo)
+    if entry[1] is None:
+        entry = memo[id(node)] = (node, _node_jet(node, x, index, dim, memo))
+    return entry[1]
+
+
+def _node_jet(node, x, index, dim, memo):
+    """The jet of one node from its children's.  Overflow of ^, exp, sinh
+    and cosh is a DomainError, as are the usual domain faults; each check
+    runs whether or not the derivatives are wanted."""
+    if isinstance(node, Var):
+        i = index[node.name]
+        g = None
+        if dim:
+            g = np.zeros((len(x), dim))
+            g[:, i] = 1.0
+        return x[:, i].copy(), g, None
+    if isinstance(node, (Num, Const)):
         value = node.value if isinstance(node, Num) else CONSTANTS[node.name]
-        return np.full(n, value), g, h
+        return np.full(len(x), value), None, None
     if isinstance(node, Neg):
-        v, g, h = _eval_jet(node.arg, x, index, dim)
-        return -v, -g, -h
+        v, g, h = _eval_jet(node.arg, x, index, dim, memo)
+        return -v, _neg(g), _neg(h)
     if isinstance(node, BinOp):
         if node.op == "^":
-            bv, bg, bh = _eval_jet(node.left, x, index, dim)
+            bv, bg, bh = _eval_jet(node.left, x, index, dim, memo)
             c = float(_eval_jet(node.right, np.zeros((1, 0)), {}, 0)[0][0])
             return _pow_jet(bv, bg, bh, c, node)
-        av, ag, ah = _eval_jet(node.left, x, index, dim)
-        bv, bg, bh = _eval_jet(node.right, x, index, dim)
+        av, ag, ah = _eval_jet(node.left, x, index, dim, memo)
+        bv, bg, bh = _eval_jet(node.right, x, index, dim, memo)
         if node.op == "+":
-            return av + bv, ag + bg, ah + bh
+            return av + bv, _sum(ag, bg), _sum(ah, bh)
         if node.op == "-":
-            return av - bv, ag - bg, ah - bh
+            return av - bv, _sum(ag, _neg(bg)), _sum(ah, _neg(bh))
         if node.op == "/":
             _check(bv == 0.0, "division by zero", node)
             bv, bg, bh = _recip(bv, bg, bh, node)
-        return (av * bv, av[:, None] * bg + bv[:, None] * ag,
-                av[:, None, None] * bh + bv[:, None, None] * ah
-                + _outer(ag, bg) + _outer(bg, ag))
+        return (av * bv, _sum(_times(av, bg), _times(bv, ag)),
+                _sum(_times(av, bh), _times(bv, ah), _outer(ag, bg),
+                     _outer(bg, ag)))
     if isinstance(node, Call):
-        v, g, h = _eval_jet(node.arg, x, index, dim)
+        v, g, h = _eval_jet(node.arg, x, index, dim, memo)
         if node.func in ("log", "sqrt"):
             _check(v <= 0.0, f"{node.func} of nonpositive value", node)
         if node.func in ("sin", "cos", "tan"):
             _check(np.isinf(v), f"{node.func} of an infinite value", node)
         f0, f1, f2 = _FUNCS[node.func]
-        fv, d1, d2 = f0(v), f1(v), f2(v)
-        if node.func in ("exp", "sinh", "cosh"):
+        fv = f0(v)
+        overflows = node.func in ("exp", "sinh", "cosh")
+        if g is None and not overflows:
+            return fv, None, None
+        d1, d2 = f1(v), f2(v)
+        if overflows:
             _check(np.isfinite(v) & (np.isinf(fv) | np.isinf(d1)
                                      | np.isinf(d2)), "overflow", node)
         return _chain(fv, d1, d2, g, h)
@@ -387,15 +441,15 @@ def _power(v, c, node):
 
 def _recip(v, g, h, node):
     iv = 1.0 / v
-    return iv, -g * iv[:, None] * iv[:, None], (
-        -h * iv[:, None, None] * iv[:, None, None]
-        + (2.0 * _power(iv, 3, node))[:, None, None] * _outer(g, g)
-    )
+    # the overflow check of iv^3 runs even where no Hessian is built
+    d2 = 2.0 * _power(iv, 3, node)
+    return iv, _times(iv, _times(iv, _neg(g))), _sum(
+        _times(iv, _times(iv, _neg(h))), _times(d2, _outer(g, g)))
 
 
 def _pow_jet(v, g, h, c, node):
     if c == 0.0:
-        return np.ones_like(v), np.zeros_like(g), np.zeros_like(h)
+        return np.ones_like(v), None, None
     if not math.isfinite(c):
         raise DomainError("non-finite exponent", _print(node))
     if c != int(c):
@@ -456,7 +510,7 @@ class Expression:
             self._hash = hash((self.node, self.coords))
         return self._hash
 
-    def _jet(self, points, dim):
+    def _jet(self, points, dim, memo=None):
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.dim:
             raise ValueError(
@@ -465,7 +519,7 @@ class Expression:
             )
         try:
             with np.errstate(all="ignore"):
-                return _eval_jet(self.node, points, self._index, dim)
+                return _eval_jet(self.node, points, self._index, dim, memo)
         except DomainError as exc:
             # the first failing subexpression may fail later in point order
             # than another one: an earlier point's error takes precedence
@@ -477,10 +531,19 @@ class Expression:
         """Values (N,) at the points (N, d)."""
         return self._jet(points, 0)[0]
 
-    def jet(self, points):
-        v, g, h = self._jet(points, self.dim)
-        # enforce exact symmetry against rounding
-        return Jet2(v, g, 0.5 * (h + h.transpose(0, 2, 1)))
+    def jet(self, points, memo=None):
+        """The jet at the points (N, d).  Jets of expressions on the same
+        coordinates and the same points may share a memo made for them by
+        `shared_memo`: a subtree that they share is then jetted once."""
+        v, g, h = self._jet(points, self.dim, memo)
+        n, dim = len(v), self.dim
+        if g is None:
+            g = np.zeros((n, dim))
+        if h is None:
+            h = np.zeros((n, dim, dim))
+        else:  # enforce exact symmetry against rounding
+            h = 0.5 * (h + h.transpose(0, 2, 1))
+        return Jet2(v, g, h)
 
     @property
     def variables(self):
@@ -511,16 +574,37 @@ class Expression:
         return Expression(Call(func, self.node), self.coords)
 
 
+def _children(node):
+    if isinstance(node, (Neg, Call)):
+        return (node.arg,)
+    if isinstance(node, BinOp):
+        return (node.left, node.right)
+    return ()
+
+
 def _variables(node):
     if isinstance(node, Var):
         yield node.name
-    elif isinstance(node, Neg):
-        yield from _variables(node.arg)
-    elif isinstance(node, BinOp):
-        yield from _variables(node.left)
-        yield from _variables(node.right)
-    elif isinstance(node, Call):
-        yield from _variables(node.arg)
+    for child in _children(node):
+        yield from _variables(child)
+
+
+def shared_memo(expressions):
+    """A memo for jets of the expressions at one batch of points: it names
+    the subtrees that occur more than once among them (the same node, as
+    the Expression algebra shares it), so that each is jetted once, and it
+    keeps no other jet.  It holds each node it names, so no id is reused
+    while it lives."""
+    seen, memo = set(), {}
+    stack = [expr.node for expr in expressions]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            memo[id(node)] = (node, None)
+        else:
+            seen.add(id(node))
+            stack.extend(_children(node))
+    return memo
 
 
 def parse_expression(text, coords):

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .expr import DomainError, Expression
+from .expr import DomainError, Expression, shared_memo
 
 __all__ = [
     "ChartBatch",
@@ -67,22 +67,27 @@ class ChartManifold:
     def _metric_jets(self, points):
         """g[n,i,j], dg[n,k,i,j] = d_k g_ij, ddg[n,k,l,i,j] = d_k d_l g_ij,
         and the entries' jets keyed on the entry: equal entries (the zeros
-        off a block diagonal, say) are jetted once."""
+        off a block diagonal, say) are jetted once, and so is a subtree that
+        distinct entries share (a block's squared warping), through a memo
+        that lives for this pass only."""
         points = np.asarray(points, dtype=float)
         n = self.dim
         g = np.empty((len(points), n, n))
         dg = np.empty((len(points), n, n, n))
         ddg = np.empty((len(points), n, n, n, n))
         jets = {}
+        memo = shared_memo(dict.fromkeys(
+            self.metric[i][j] for i in range(n) for j in range(i, n)))
         for i in range(n):
             for j in range(i, n):
                 entry = self.metric[i][j]
                 try:
                     jet = jets.get(entry)
                     if jet is None:
-                        jet = jets[entry] = entry.jet(points)
+                        jet = jets[entry] = entry.jet(points, memo)
                 except DomainError as exc:
-                    # a later entry may fail at an earlier point
+                    # a later entry may fail at an earlier point; the pass
+                    # on those points has a memo of its own
                     self._metric_jets(points[: exc.index])
                     raise self._domain_error(i, j, points[exc.index],
                                              exc) from None

@@ -165,9 +165,24 @@ def conditional(d, gate, reason, factor, stem, extra=None):
     return out
 
 
-def _render(value, indent):
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+# the string encoder that json.dumps(str) calls, without its dispatch
+_string = json.encoder.encode_basestring_ascii
+
+
+def _float(value):
+    if math.isfinite(value):
+        return format(value, ".17g")
+    return f'"{value!r}"'  # JSON has no NaN or infinity
+
+
+def _render(value, pad):
+    """The text of a value whose closing bracket is indented by `pad`."""
+    # the exact types that most values have, first
+    kind = type(value)
+    if kind is str:
+        return _string(value)
+    if kind is float:
+        return _float(value)
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -175,24 +190,20 @@ def _render(value, indent):
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if not math.isfinite(value):
-            return json.dumps(repr(value))  # JSON has no NaN or infinity
-        return format(value, ".17g")
+        return _float(float(value))
     if isinstance(value, str):
-        return json.dumps(value)
+        return _string(value)
+    inner = pad + "  "
     if isinstance(value, dict):
         if not value:
             return "{}"
-        rows = [
-            f"{inner}{json.dumps(str(k))}: {_render(value[k], indent + 1)}"
-            for k in sorted(value)
-        ]
+        rows = [f"{inner}{_string(str(k))}: {_render(value[k], inner)}"
+                for k in sorted(value)]
         return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
     if isinstance(value, (list, tuple)):
         if not len(value):
             return "[]"
-        rows = [f"{inner}{_render(v, indent + 1)}" for v in value]
+        rows = [inner + _render(v, inner) for v in value]
         return "[\n" + ",\n".join(rows) + f"\n{pad}]"
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
@@ -201,4 +212,4 @@ def render_json(document):
     """Serialize to JSON text with sorted keys and 17-significant-digit
     floats (the strings "nan", "inf" and "-inf" for non-finite ones);
     byte-identical for equal inputs."""
-    return _render(document, 0) + "\n"
+    return _render(document, "") + "\n"

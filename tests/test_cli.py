@@ -510,6 +510,32 @@ class TestConfigResolution:
         assert cfg["seed"] == 9
         assert cfg["tolerance"] == 1e-6
 
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        # the parser is built once per process: a parse leaves no flag,
+        # help or error text behind for the next one
+        spec = write(tmp_path, PASSING_SPEC, "pass.spec")
+
+        def outcome(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        calls = (["verify", "--help"], ["--version"],
+                 ["verify", spec, "--tol", "abc"],
+                 ["verify", spec, "--points", "3", "--format", "structured"],
+                 ["verify", spec, "--format", "structured"])
+        first = [outcome(argv) for argv in calls]
+        assert [outcome(argv) for argv in calls] == first
+        assert first[0][0] == 0 and first[0][1].startswith(
+            "usage: dwpcheck verify")
+        assert first[2][0] == 2 and first[2][2].endswith(
+            "error: argument --tol: invalid float value: 'abc'\n")
+        assert [json.loads(out)["run_config"]["points"]
+                for _, out, _ in first[3:]] == [3, 6]
+
     def test_checks_subset_filters_output(self, tmp_path):
         spec = write(tmp_path, PASSING_SPEC, "pass.spec")
         report = str(tmp_path / "r.json")

@@ -16,7 +16,7 @@ from conftest import (
     sphere_x_hyperbolic,
     warped_line_spec,
 )
-from dwpcheck import checks, geometry, solitons, special
+from dwpcheck import checks, expr, geometry, solitons, special
 from dwpcheck.cli import main
 from dwpcheck.dwp import DoublyWarpedProduct, WarpingError
 from dwpcheck.expr import Expression, constant, parse_expression
@@ -449,17 +449,20 @@ class TestOneRecordPerPointSet:
                                                          monkeypatch):
         """Through the CLI, on H^3 with every soliton gate and the
         concircular gate passing: no chart's metric is jetted twice on equal
-        points (the sampler's and the conditioning test's jets included), no
+        points (the sampler's and the conditioning test's jets included),
+        each pass over a chart's entries shares one memo and jets no node
+        twice (a block's f_opp^2 is jetted once, not once per entry), no
         expression is jetted twice on equal points, no record builds the
         covariant Hessian of one expression twice, each soliton's residual
         is evaluated once per form, each Kulkarni-Nomizu product (g ^ g, and
         the Riemann soliton's h ^ g) once per record, each flatness
         oracle once, and the warpings are validated once per point set."""
         jetted, expr_jets, residuals, wedges = [], [], [], []
-        oracles, validated, hessians = [], [], []
+        oracles, validated, hessians, memos, node_jets = [], [], [], [], []
         metric_jets = ChartManifold._metric_jets
         covariant_hessian = geometry.covariant_hessian
         jet = Expression.jet
+        node_jet = expr._node_jet
         residual_values = solitons.residual_values
         kulkarni_nomizu = geometry.kulkarni_nomizu
         validate_warpings = DoublyWarpedProduct.validate_warpings
@@ -468,9 +471,16 @@ class TestOneRecordPerPointSet:
             jetted.append((chart, np.array(points, dtype=float)))
             return metric_jets(chart, points)
 
-        def counting_jet(expr, points):
-            expr_jets.append((expr, np.array(points, dtype=float)))
-            return jet(expr, points)
+        def counting_jet(e, points, memo=None):
+            expr_jets.append((e, np.array(points, dtype=float)))
+            if memo is not None and not any(m is memo for m in memos):
+                memos.append(memo)
+            return jet(e, points, memo)
+
+        def counting_node_jet(node, x, index, dim, memo):
+            if memo is not None:
+                node_jets.append((memo, node))
+            return node_jet(node, x, index, dim, memo)
 
         def counting_residual_values(spec, c, form="primary", **kwargs):
             residuals.append((spec, form))
@@ -505,6 +515,7 @@ class TestOneRecordPerPointSet:
         for name in ("concircular_oracle", "conharmonic_oracle"):
             monkeypatch.setattr(special, name, counting(name))
         monkeypatch.setattr(Expression, "jet", counting_jet)
+        monkeypatch.setattr(expr, "_node_jet", counting_node_jet)
         monkeypatch.setattr(geometry, "covariant_hessian",
                             counting_covariant_hessian)
         monkeypatch.setattr(solitons, "residual_values",
@@ -534,6 +545,9 @@ class TestOneRecordPerPointSet:
                            and np.array_equal(a[1], b[1]))
         assert not repeats(expr_jets, lambda a, b: a[0] == b[0]
                            and np.array_equal(a[1], b[1]))
+        assert len(memos) == len(jetted)
+        assert node_jets and not repeats(node_jets, lambda a, b: a[0] is b[0]
+                                         and a[1] is b[1])
         assert hessians and not repeats(hessians, lambda a, b: a[0] is b[0]
                                         and a[1] is b[1])
         assert sorted((spec.kind, form) for spec, form in residuals) == [

@@ -9,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dwpcheck.expr import (
+    _FUNCS,
+    CONSTANTS,
     ArityError,
+    BinOp,
     Call,
     Const,
     DomainError,
@@ -19,8 +22,10 @@ from dwpcheck.expr import (
     UnknownIdentifierError,
     Var,
     Jet2,
+    _print,
     constant,
     parse_expression,
+    shared_memo,
 )
 
 
@@ -299,3 +304,194 @@ class TestJetEngineIndependently:
         hess = _richardson_hessian(expr, point)
         assert np.abs(jet.hessian[0] - hess).max() <= 1e-7 * (
             1 + np.abs(hess).max())
+
+
+# -- the dense engine, as a reference for the zero-aware one -----------------
+#
+# The engine leaves out derivatives that are zero by construction and jets a
+# subtree shared by several expressions once per memo.  Below is the engine
+# it replaced, which builds every gradient and Hessian as an array and adds
+# the zero ones too; the two must agree bit for bit (up to the sign of a
+# zero), and raise the same DomainError at the same point.
+
+
+def _dense_check(bad, message, node):
+    if bad.any():
+        raise DomainError(message, _print(node), int(bad.argmax()))
+
+
+def _dense_outer(a, b):
+    return a[:, :, None] * b[:, None, :]
+
+
+def _dense_chain(fv, d1, d2, g, h):
+    return (fv, d1[:, None] * g,
+            d1[:, None, None] * h + d2[:, None, None] * _dense_outer(g, g))
+
+
+def _dense_eval_jet(node, x, index, dim):
+    if isinstance(node, (Num, Const, Var)):
+        n = len(x)
+        g, h = np.zeros((n, dim)), np.zeros((n, dim, dim))
+        if isinstance(node, Var):
+            if dim:
+                g[:, index[node.name]] = 1.0
+            return x[:, index[node.name]].copy(), g, h
+        value = node.value if isinstance(node, Num) else CONSTANTS[node.name]
+        return np.full(n, value), g, h
+    if isinstance(node, Neg):
+        v, g, h = _dense_eval_jet(node.arg, x, index, dim)
+        return -v, -g, -h
+    if isinstance(node, BinOp):
+        if node.op == "^":
+            bv, bg, bh = _dense_eval_jet(node.left, x, index, dim)
+            c = float(_dense_eval_jet(node.right, np.zeros((1, 0)), {},
+                                      0)[0][0])
+            return _dense_pow_jet(bv, bg, bh, c, node)
+        av, ag, ah = _dense_eval_jet(node.left, x, index, dim)
+        bv, bg, bh = _dense_eval_jet(node.right, x, index, dim)
+        if node.op == "+":
+            return av + bv, ag + bg, ah + bh
+        if node.op == "-":
+            return av - bv, ag - bg, ah - bh
+        if node.op == "/":
+            _dense_check(bv == 0.0, "division by zero", node)
+            bv, bg, bh = _dense_recip(bv, bg, bh, node)
+        return (av * bv, av[:, None] * bg + bv[:, None] * ag,
+                av[:, None, None] * bh + bv[:, None, None] * ah
+                + _dense_outer(ag, bg) + _dense_outer(bg, ag))
+    if isinstance(node, Call):
+        v, g, h = _dense_eval_jet(node.arg, x, index, dim)
+        if node.func in ("log", "sqrt"):
+            _dense_check(v <= 0.0, f"{node.func} of nonpositive value", node)
+        if node.func in ("sin", "cos", "tan"):
+            _dense_check(np.isinf(v), f"{node.func} of an infinite value",
+                         node)
+        f0, f1, f2 = _FUNCS[node.func]
+        fv, d1, d2 = f0(v), f1(v), f2(v)
+        if node.func in ("exp", "sinh", "cosh"):
+            _dense_check(np.isfinite(v) & (np.isinf(fv) | np.isinf(d1)
+                                           | np.isinf(d2)), "overflow", node)
+        return _dense_chain(fv, d1, d2, g, h)
+    raise TypeError(f"unknown node {node!r}")
+
+
+def _dense_power(v, c, node):
+    out = v**c
+    _dense_check(np.isinf(out) & np.isfinite(v), "overflow", node)
+    return out
+
+
+def _dense_recip(v, g, h, node):
+    iv = 1.0 / v
+    return iv, -g * iv[:, None] * iv[:, None], (
+        -h * iv[:, None, None] * iv[:, None, None]
+        + (2.0 * _dense_power(iv, 3, node))[:, None, None]
+        * _dense_outer(g, g)
+    )
+
+
+def _dense_pow_jet(v, g, h, c, node):
+    if c == 0.0:
+        return np.ones_like(v), np.zeros_like(g), np.zeros_like(h)
+    if not math.isfinite(c):
+        raise DomainError("non-finite exponent", _print(node))
+    if c != int(c):
+        _dense_check(v <= 0.0, "non-integer power of nonpositive base", node)
+    elif c < 0:
+        _dense_check(v == 0.0, "zero raised to negative power", node)
+    val = _dense_power(v, c, node)
+    d1 = c * _dense_power(v, c - 1, node)
+    d2 = c * (c - 1) * _dense_power(
+        np.where(v == 0.0, 1.0, v) if c < 2 else v, c - 2, node)
+    return _dense_chain(val, d1, d2, g, h)
+
+
+def _dense_jet(expr, points, dim):
+    """The dense engine behind Expression._jet: an earlier point's error
+    takes precedence, and Hessians are symmetrized."""
+    try:
+        with np.errstate(all="ignore"):
+            v, g, h = _dense_eval_jet(expr.node, points, expr._index, dim)
+    except DomainError as exc:
+        if exc.index:
+            _dense_jet(expr, points[: exc.index], dim)
+        raise
+    return v, g, 0.5 * (h + h.transpose(0, 2, 1))
+
+
+def _outcome(run):
+    """The arrays a run gives, or its DomainError's message and index."""
+    try:
+        return run()
+    except DomainError as exc:
+        return str(exc), exc.index
+
+
+def _same(a, b):
+    """Equal outcomes: arrays under == with NaN equal to NaN (so a zero
+    equals a zero of either sign), or equal errors."""
+    errors = [isinstance(x[0], str) for x in (a, b)]
+    if any(errors):
+        return all(errors) and a == b
+    return len(a) == len(b) and all(
+        x.shape == y.shape and np.array_equal(x, y, equal_nan=True)
+        for x, y in zip(a, b))
+
+
+_POINT_BATCHES = st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=2,
+             max_size=2), min_size=n, max_size=n))
+
+
+class TestZeroAwareEngine:
+    @settings(max_examples=200, deadline=None)
+    @given(_expressions(), _expressions(), _POINT_BATCHES)
+    def test_matches_the_dense_engine(self, a, b, points):
+        points = np.array(points)
+        coords = ("x", "y")
+        ea, eb = parse_expression(a, coords), parse_expression(b, coords)
+        # a, a * b and b * a through one memo: the second and third reuse
+        # the jets of a and b
+        exprs = (ea, ea * eb, eb * ea)
+        memo = shared_memo(exprs)
+        for expr in exprs:
+            assert _same(_outcome(lambda: tuple(vars(expr.jet(
+                points, memo)).values())),
+                _outcome(lambda: _dense_jet(expr, points, 2)))
+            assert _same(_outcome(lambda: (expr.evaluate(points),)),
+                         _outcome(lambda: _dense_jet(expr, points, 0)[:1]))
+
+    @pytest.mark.parametrize("text", [
+        "log(x) + sqrt(y)", "sqrt(y) * log(x)", "x / (y - 1)",
+        "(x - 0.5)^(-2)", "(x - 1)^0.5", "y / exp(-800*x)",
+        "exp(400*x) * y", "sinh(300*y)", "cosh(3*x)^250", "1 / (0.5*x)^400",
+        "tan(exp(800*y))", "x^(0 - 1) + 2",
+    ])
+    def test_raises_what_the_dense_engine_raises(self, text):
+        expr = parse_expression(text, ("x", "y"))
+        points = np.array([[2.0, 3.0], [1.0, 1.0], [-1.0, 2.0], [0.5, -1.0],
+                           [0.0, 0.0]])
+        for dim in (0, 2):
+            mine = _outcome(lambda: expr._jet(points, dim))
+            assert isinstance(mine[0], str), mine
+            assert mine == _outcome(lambda: _dense_jet(expr, points, dim))
+
+    def test_the_memo_keeps_the_shared_subtrees_only(self):
+        coords = ("x", "y")
+        a = parse_expression("sin(x) + y", coords)
+        b = parse_expression("x * y^2", coords)
+        exprs = [a * b, a ** 2, b]
+        memo = shared_memo(exprs)
+        assert sorted(memo) == sorted([id(a.node), id(b.node)])
+        points = np.array([[0.3, -0.6], [1.2, 0.4]])
+        for expr in exprs:
+            expr.jet(points, memo)
+        assert sorted(memo) == sorted([id(a.node), id(b.node)])
+        assert [memo[id(e.node)][0] for e in (a, b)] == [a.node, b.node]
+        assert all(jet is not None for _, jet in memo.values())
+
+    def test_zero_derivatives_are_zero_arrays(self):
+        jet = parse_expression("2 * pi - e", ("x", "y")).jet(np.ones((3, 2)))
+        assert jet.gradient.shape == (3, 2) and jet.hessian.shape == (3, 2, 2)
+        assert not jet.gradient.any() and not jet.hessian.any()

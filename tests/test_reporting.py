@@ -94,6 +94,55 @@ class TestRenderJson:
         doc = {"checks": [{"r": 1 / 3, "id": "a"}], "n": 7}
         assert render_json(doc) == render_json(doc)
 
+    def test_bytes_are_pinned(self):
+        # every kind of value a report holds, nested three deep, with the
+        # exact text it renders to
+        doc = {
+            "zeta": [{"b": np.float64(0.1), "a": np.int64(-3)}, [], {}],
+            "alpha": {"nested": {"deep": [1.5e-300, -0.0, 2, None]},
+                      "flags": [True, False]},
+            "non-finite": [float("nan"), np.inf, -np.inf, np.float64("nan")],
+            'quote "and" \\slash': "café ∆ \"q\"\n\ttab",
+            "tuple": (1 / 3, "x"),
+        }
+        assert render_json(doc) == """\
+{
+  "alpha": {
+    "flags": [
+      true,
+      false
+    ],
+    "nested": {
+      "deep": [
+        1.5000000000000001e-300,
+        -0,
+        2,
+        null
+      ]
+    }
+  },
+  "non-finite": [
+    "nan",
+    "inf",
+    "-inf",
+    "nan"
+  ],
+  "quote \\"and\\" \\\\slash": "caf\\u00e9 \\u2206 \\"q\\"\\n\\ttab",
+  "tuple": [
+    0.33333333333333331,
+    "x"
+  ],
+  "zeta": [
+    {
+      "a": -3,
+      "b": 0.10000000000000001
+    },
+    [],
+    {}
+  ]
+}
+"""
+
 
 class TestNonFiniteRendering:
     def test_report_with_non_finite_residuals_is_valid_json(self):

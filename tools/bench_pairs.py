@@ -1,0 +1,132 @@
+"""Alternating pairs of benchmark runs: a git revision against this checkout.
+
+    python3 tools/bench_pairs.py REV --workload W [--pairs 10] [--seconds S]
+                                 [--seed N]
+
+REV is checked out with `git worktree` in a temporary directory (removed
+again at the end). Each pair runs
+
+    bench/run.py --workload W --seed N --seconds S --trace 0
+
+once in that tree and once in this checkout, each in a fresh process, and
+the side that runs first alternates from pair to pair (REV first in the
+first pair). S defaults to BENCHMARK.json's `run_seconds`, N to 1.
+
+It prints each run's end-to-end metrics (BENCHMARK.json's `end_to_end`) as
+the run finishes and then, per metric, each side's median and quartiles,
+the change of the median, how many pairs this checkout won in the metric's
+better direction (ties count for neither side) and whether the medians
+differ by more than REV's interquartile range. A run that exits non-zero or
+is not `correct` stops the tool with status 1. Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def declared():
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def run_bench(tree, workload, seed, seconds):
+    """{metric: value} of one `bench/run.py --trace 0` run in tree."""
+    argv = [sys.executable, os.path.join(tree, "bench", "run.py"),
+            "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(argv, cwd=tree, capture_output=True, text=True,
+                          timeout=max(600.0, 10 * seconds))
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        sys.stderr.write(done.stdout + done.stderr)
+        sys.exit(f"bench/run.py in {tree} exited {done.returncode}")
+    result = json.loads(lines[-1])
+    if not result["correct"]:
+        sys.stderr.write(done.stdout)
+        sys.exit(f"bench/run.py in {tree}: {result['failed']} of "
+                 f"{result['attempted']} calls failed the gate")
+    return {k: v["value"] for k, v in result["metrics"].items()}
+
+
+def quartiles(values):
+    """(q1, median, q3); a single value is all three."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
+def summary(metrics, runs, rev):
+    """The per-metric lines over runs = [(REV's metrics, this checkout's
+    metrics)] pairs."""
+    width = max(len(m["name"]) for m in metrics)
+    lines = [f"{'metric':<{width}}  {rev + ' median [q1, q3]':<34}  "
+             f"{'here median [q1, q3]':<34}  change   wins  beyond IQR"]
+    for m in metrics:
+        name, sign = m["name"], 1 if m["better"] == "higher" else -1
+        theirs = [r[0][name] for r in runs]
+        mine = [r[1][name] for r in runs]
+        (a1, a2, a3), (b1, b2, b3) = quartiles(theirs), quartiles(mine)
+        wins = sum(sign * (b - a) > 0 for a, b in zip(theirs, mine))
+        change = (b2 - a2) / a2 if a2 else float("nan")
+        beyond = abs(b2 - a2) > a3 - a1
+        lines.append(
+            f"{name:<{width}}  {f'{a2:.5g} [{a1:.5g}, {a3:.5g}]':<34}  "
+            f"{f'{b2:.5g} [{b1:.5g}, {b3:.5g}]':<34}  {change:+7.1%}  "
+            f"{wins:>2}/{len(runs):<2} {'yes' if beyond else 'no'}")
+    return lines
+
+
+def main(argv=None):
+    bench = declared()
+    parser = argparse.ArgumentParser(
+        description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev", help="the git revision to compare against")
+    parser.add_argument("--workload", required=True,
+                        choices=[w["name"] for w in bench["workloads"]])
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float,
+                        default=bench["run_seconds"])
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    metrics = bench["end_to_end"]
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = os.path.join(tmp, "rev")
+        subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach",
+                        "--quiet", tree, args.rev], check=True)
+        try:
+            for i in range(args.pairs):
+                sides = [(0, args.rev, tree), (1, "here", ROOT)]
+                if i % 2:
+                    sides.reverse()
+                pair = [None, None]
+                for side, label, path in sides:
+                    got = pair[side] = run_bench(path, args.workload,
+                                                 args.seed, args.seconds)
+                    print(f"pair {i + 1} {label}: " + ", ".join(
+                        f"{m['name']} {got[m['name']]:.6g} {m['unit']}"
+                        for m in metrics), flush=True)
+                runs.append(pair)
+        finally:
+            subprocess.run(["git", "-C", ROOT, "worktree", "remove",
+                            "--force", tree], check=True)
+    print(f"# {args.workload} seed {args.seed}, {args.pairs} pairs of "
+          f"{args.seconds:g} s runs, {args.rev} against this checkout")
+    for line in summary(metrics, runs, args.rev):
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
