@@ -7,11 +7,11 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
+
 from . import solitons, special
 from .dwp import RIEMANN_CLASSES, RICCI_CLASSES
-from .reporting import (
-    equation_residual, normalized_residual, skipped, summarize,
-)
+from .reporting import normalized_residual, skipped, summarize
 
 __all__ = [
     "CHECK_NAMES",
@@ -28,60 +28,58 @@ __all__ = [
 ]
 
 
-def _class_summaries(family, dwp, d, tolerance, blocks, oracle):
-    """One summary per class: `blocks` maps each class to its (1,3) block
-    over the product chart, `oracle` is the (0,4) oracle tensor; each index
-    triple of a block gets its own normalized residual, max-reduced."""
-    raised = oracle @ d.product.ginv.transpose(0, 2, 1)[:, None, None]
-    out = []
-    for klass, block in blocks.items():
-        expected = raised[dwp.block(klass)]
-        values = normalized_residual(block - expected, [block, expected],
-                                     axis=-1)
-        out.append(summarize(f"{family}.{klass}", values, d.p, tolerance))
-    return out
+def _compare(family, pairs, d, tolerance, axis=None):
+    """One summary per (name, closed, oracle) triple: the normalized
+    residual of closed - oracle over both, per point; with `axis`, per
+    slice along that axis too, max-reduced."""
+    return [
+        summarize(f"{family}.{name}",
+                  normalized_residual(closed - oracle, [closed, oracle],
+                                      axis=axis),
+                  d.p, tolerance)
+        for name, closed, oracle in pairs
+    ]
 
 
-def _riemann_classes(dwp, tensor):
-    return {klass: tensor[dwp.block(klass)] for klass in RIEMANN_CLASSES}
+def _blocks(dwp, classes, closed, oracle):
+    """(class, closed block, oracle block) triples of two product-chart
+    tensors."""
+    return [(klass, closed[dwp.block(klass)], oracle[dwp.block(klass)])
+            for klass in classes]
+
+
+def _raised(tensor, d):
+    """A (0,4) tensor raised by the oracle's inverse metric in its last
+    slot: (1,3) components out[n, i, j, k, c]."""
+    return tensor @ d.product.ginv.transpose(0, 2, 1)[:, None, None]
 
 
 def check_lemma1(dwp, d, tolerance):
     """Closed-form curvature blocks of all six lifted index patterns
-    against the product curvature oracle, plus full-tensor reconstruction."""
+    against the product curvature oracle (each index triple's output vector
+    normalized on its own), plus full-tensor reconstruction."""
     curvature = dwp.riemann_closed(d)
     oracle = d.product.curvature[0]
-    out = _class_summaries("lemma1", dwp, d, tolerance,
-                           _riemann_classes(dwp, curvature), oracle)
-    closed = curvature @ d.gp[:, None, None]
-    out.append(summarize("lemma1.reconstruction",
-                         equation_residual([closed], [oracle]), d.p,
-                         tolerance))
+    out = _compare("lemma1", _blocks(dwp, RIEMANN_CLASSES, curvature,
+                                     _raised(oracle, d)), d, tolerance,
+                   axis=-1)
+    out += _compare("lemma1", [("reconstruction",
+                                curvature @ d.gp[:, None, None], oracle)],
+                    d, tolerance)
     return out
 
 
 def check_lemma2(dwp, d, tolerance):
     """Blockwise Ricci splitting against the product Ricci oracle."""
-    ricci = d.product.curvature[1]
-    return [
-        summarize(f"lemma2.{klass}",
-                  equation_residual([dwp.ricci_closed(klass, d)],
-                                    [ricci[dwp.block(klass)]]),
-                  d.p, tolerance)
-        for klass in RICCI_CLASSES
-    ]
+    return _compare("lemma2", _blocks(dwp, RICCI_CLASSES, dwp.ricci_closed(d),
+                                      d.product.curvature[1]), d, tolerance)
 
 
 def check_lemma5(dwp, d, tolerance):
     """Blockwise Ricci-operator splitting against the raised Ricci oracle."""
-    q = d.product.ginv @ d.product.curvature[1]
-    return [
-        summarize(f"lemma5.{klass}",
-                  equation_residual([dwp.ricci_operator_closed(klass, d)],
-                                    [q[dwp.block(klass)]]),
-                  d.p, tolerance)
-        for klass in ("XX", "UU")
-    ]
+    return _compare("lemma5", _blocks(
+        dwp, ("XX", "UU"), dwp.ricci_operator_closed(d),
+        d.product.ginv @ d.product.curvature[1]), d, tolerance)
 
 
 def check_hessian(dwp, d, tolerance, psis=None):
@@ -90,32 +88,26 @@ def check_hessian(dwp, d, tolerance, psis=None):
     fields = [("k", dwp.k), ("l", dwp.l)] + list(psis or [])
     out = []
     for name, psi in fields:
-        psi_l = dwp.lifted(psi)
-        oracle = d.product.hessian(psi_l)
-        for klass in RICCI_CLASSES:
-            out.append(summarize(
-                f"hessian.{name}.{klass}",
-                equation_residual(
-                    [dwp.hessian_split_closed(psi_l, klass, d)],
-                    [oracle[dwp.block(klass)]]),
-                d.p, tolerance))
+        psi = dwp.lifted(psi)
+        out += _compare(f"hessian.{name}", _blocks(
+            dwp, RICCI_CLASSES, dwp.hessian_split_closed(psi, d),
+            d.product.hessian(psi)), d, tolerance)
     return out
 
 
 def check_scalar(dwp, d, tolerance):
-    values = equation_residual([dwp.scalar_closed(d)],
-                               [d.product.curvature[2]])
-    return [summarize("scalar.splitting", values, d.p, tolerance)]
+    return _compare("scalar", [("splitting", dwp.scalar_closed(d),
+                                d.product.curvature[2])], d, tolerance)
 
 
 def check_laplacian(dwp, d, tolerance):
-    out = []
-    for which in ("k", "l"):
-        closed, oracle = dwp.laplacian_split(which, d)
-        out.append(summarize(f"laplacian.{which}",
-                             equation_residual([closed], [oracle]), d.p,
-                             tolerance))
-    return out
+    """The Laplacian splitting of k and l against the oracle's trace of
+    their Hessians."""
+    return _compare("laplacian", [
+        (which, dwp.laplacian_split(which, d),
+         np.einsum("nij,nij->n", d.product.ginv,
+                   d.product.hessian(dwp.lifted(log_f))))
+        for which, log_f in (("k", dwp.k), ("l", dwp.l))], d, tolerance)
 
 
 _FACTOR_STRUCTURES = {
@@ -164,9 +156,9 @@ def check_concircular(dwp, d, tolerance):
     """Closed-form concircular blocks against the oracle on all six lifted
     patterns, then the flatness consequences, gated on the oracle."""
     oracle = special.concircular_oracle(d.product)
-    out = _class_summaries(
-        "concircular", dwp, d, tolerance,
-        _riemann_classes(dwp, special.concircular_closed(dwp, d)), oracle)
+    out = _compare("concircular", _blocks(
+        dwp, RIEMANN_CLASSES, special.concircular_closed(dwp, d),
+        _raised(oracle, d)), d, tolerance, axis=-1)
     out.extend(
         special.concircular_flat_consequences(dwp, d, tolerance, oracle))
     return out
@@ -184,8 +176,11 @@ def check_conharmonic(dwp, d, tolerance):
             )
         ]
     oracle = special.conharmonic_oracle(d.product)
-    out = _class_summaries("conharmonic", dwp, d, tolerance,
-                           special.conharmonic_closed(dwp, d), oracle)
+    raised = _raised(oracle, d)
+    out = _compare("conharmonic", [
+        (klass, block, raised[dwp.block(klass)])
+        for klass, block in special.conharmonic_closed(dwp, d).items()],
+        d, tolerance, axis=-1)
     out.extend(
         special.conharmonic_flat_consequences(dwp, d, tolerance, oracle))
     return out

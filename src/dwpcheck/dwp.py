@@ -167,10 +167,11 @@ class DoublyWarpedProduct:
 
     # -- closed forms ---------------------------------------------------------
     #
-    # Each takes the record d of a point batch.  Each block formula is written
-    # once for a factor side s = d.side(which) and its mirror o = s.mirror:
-    # the second factor's block is the first's under f1 <-> f2, k <-> l,
-    # m1 <-> m2, which is exactly the swap of s and o.
+    # Each takes the record d of a point batch and returns its whole tensor
+    # over the product chart.  Each block formula is written once for a
+    # factor side s = d.side(which) and its mirror o = s.mirror: the second
+    # factor's block is the first's under f1 <-> f2, k <-> l, m1 <-> m2,
+    # which is exactly the swap of s and o.
 
     def covariant_closed(self, d):
         """Christoffel symbols Gamma[n, c, i, j] = (grad_{d_i} d_j)^c of the
@@ -188,21 +189,23 @@ class DoublyWarpedProduct:
             ) + np.einsum("na,uc->ncau", s.dlog, o.lift)
         return out
 
-    def hessian_split_closed(self, psi, klass, d):
-        """Blocks of the product Hessian of psi via the splitting formulas:
+    def hessian_split_closed(self, psi, d):
+        """Product Hessian of psi via the splitting formulas:
         h1^psi + g(grad l, grad psi) g on XX (k <-> l on UU), and on XU
-        XU(psi) - X(k)U(psi) - X(psi)U(l) on coordinate lifts."""
+        XU(psi) - X(k)U(psi) - X(psi)U(l) on coordinate lifts (its mirror
+        on UX)."""
         jet = d.product.jet(self.lifted(psi))
-        if klass == "XU":
-            m1 = self.m1
-            s1, s2 = d.sides
-            return (
-                jet.hessian[:, :m1, m1:]
-                - outer(s1.dlog, jet.gradient[:, m1:])
-                - outer(jet.gradient[:, :m1], s2.dlog)
+        out = np.empty((len(d.p), self.m, self.m))
+        for s in d.sides:
+            o = s.mirror
+            out[:, s.own, s.own] = s.hessian(jet) + times(
+                s.opposite_pairing(jet.gradient), s.gp)
+            out[:, s.own, o.own] = (
+                jet.hessian[:, s.own, o.own]
+                - outer(s.dlog, jet.gradient[:, o.own])
+                - outer(jet.gradient[:, s.own], o.dlog)
             )
-        s = d.side(_side_of(klass, "Hessian"))
-        return s.hessian(jet) + times(s.opposite_pairing(jet.gradient), s.gp)
+        return out
 
     def riemann_closed(self, d):
         """Closed-form curvature V[n, i, j, k, c] = (R(d_i, d_j) d_k)^c over
@@ -244,25 +247,30 @@ class DoublyWarpedProduct:
         closed product metric."""
         return self.riemann_closed(d) @ d.gp[:, None, None]
 
-    def ricci_closed(self, klass, d):
-        """Ricci blocks from the closed splitting formulas:
+    def ricci_closed(self, d):
+        """Ricci tensor from the closed splitting formulas:
         Ric1 - (m2/f1) h1^f1 - (lap l) g on XX (mirrored on UU) and
-        (m-2) X(k)U(l) on XU."""
-        if klass == "XU":
-            return (self.m - 2) * outer(d.sides[0].dlog, d.sides[1].dlog)
-        s = d.side(_side_of(klass, "Ricci"))
-        o = s.mirror
-        return (
-            s.ric
-            - times(o.m / s.f, s.h_f)
-            - times(o.lap, s.gp)
-        )
+        (m-2) X(k)U(l) on XU (and UX)."""
+        out = np.empty((len(d.p), self.m, self.m))
+        for s in d.sides:
+            o = s.mirror
+            out[:, s.own, s.own] = (
+                s.ric
+                - times(o.m / s.f, s.h_f)
+                - times(o.lap, s.gp)
+            )
+            out[:, s.own, o.own] = (self.m - 2) * outer(s.dlog, o.dlog)
+        return out
 
-    def ricci_operator_closed(self, klass, d):
-        """Ricci-operator blocks (1,1): the closed Ricci block raised by the
-        product metric's block, f_opp^-2 g_i^-1."""
-        s = d.side(_side_of(klass, "Ricci-operator"))
-        return times(1.0 / s.mirror.f**2, s.ginv @ self.ricci_closed(klass, d))
+    def ricci_operator_closed(self, d):
+        """Ricci operator (1,1), out[n, a, b] = Q(d_b)^a: the closed Ricci
+        tensor raised by the product metric's blocks, f_opp^-2 g_i^-1 on
+        the rows of factor i."""
+        ric = self.ricci_closed(d)
+        out = np.empty_like(ric)
+        for s in d.sides:
+            out[:, s.own] = times(1.0 / s.mirror.f**2, s.ginv @ ric[:, s.own])
+        return out
 
     def scalar_closed(self, d):
         """Scalar curvature of the product from the splitting formula."""
@@ -277,15 +285,11 @@ class DoublyWarpedProduct:
         )
 
     def laplacian_split(self, which, d):
-        """(closed, oracle) pair for the Laplacian of k or l on the product:
-        the side record's `lap`, and the product chart's trace of the
-        Hessian."""
+        """Laplacian of k or l on the product from the Laplacian splitting:
+        the side record's `lap`."""
         if which not in ("k", "l"):
             raise ValueError("which must be 'k' or 'l'")
-        log_f = self.k if which == "k" else self.l
-        oracle = np.einsum("nij,nij->n", d.product.ginv,
-                           d.product.hessian(self.lifted(log_f)))
-        return d.side(1 if which == "k" else 2).lap, oracle
+        return d.side(1 if which == "k" else 2).lap
 
     def factor_hessian(self, which, psi, d):
         """h_i^psi of the leafwise restriction of psi, at the factor points
@@ -307,17 +311,6 @@ class _ProductChart(ChartManifold):
         except WarpingError as warping:
             return warping
         return super()._domain_error(i, j, point, exc)
-
-
-_SIDE_OF_CLASS = {"XX": 1, "UU": 2}
-
-
-def _side_of(klass, kind):
-    """The factor of a same-factor Ricci or Hessian class."""
-    try:
-        return _SIDE_OF_CLASS[klass]
-    except KeyError:
-        raise ValueError(f"unknown {kind} class {klass!r}") from None
 
 
 class _Side:
@@ -380,6 +373,9 @@ class _PointData:
         c1, c2 = (record or chart.at(pf).require_spd()
                   for record, chart, pf in zip(
                       factors, (dwp.factor1, dwp.factor2), dwp.split(self.p)))
+        # log f's tree holds f's: one memo jets f's tree once
+        c1.share_jets((dwp.f1, dwp.k))
+        c2.share_jets((dwp.f2, dwp.l))
         self.sides = (_Side(dwp, 1, c1, c2.jet(dwp.f2).value),
                       _Side(dwp, 2, c2, c1.jet(dwp.f1).value))
         self.sides[0].mirror, self.sides[1].mirror = self.sides[::-1]

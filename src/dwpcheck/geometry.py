@@ -181,6 +181,14 @@ class ChartBatch:
             out = self._jets[expr] = expr.jet(self.p)
         return out
 
+    def share_jets(self, exprs):
+        """Jet those of the expressions not jetted yet through one memo
+        (`shared_memo`), so that a subtree they share is jetted once."""
+        todo = [e for e in dict.fromkeys(exprs) if e not in self._jets]
+        memo = shared_memo(todo)
+        for e in todo:
+            self._jets[e] = e.jet(self.p, memo)
+
     def well_conditioned(self):
         """Per point: whether the metric is positive definite with
         cond(g) <= COND_LIMIT."""

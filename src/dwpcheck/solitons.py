@@ -298,15 +298,15 @@ def mixed_yamabe_condition(dwp, psi, d):
     """Mixed-block condition forced on a gradient Yamabe soliton: the cross
     Hessian block of psi must vanish, i.e.
     XU(psi) - X(k)U(psi) - X(psi)U(l) = 0 on lifted coordinate fields."""
-    return dwp.hessian_split_closed(psi, "XU", d)
+    return dwp.hessian_split_closed(psi, d)[dwp.block("XU")]
 
 
 def mixed_ricci_condition(dwp, psi, d):
     """Mixed-block condition forced on a gradient Ricci soliton:
     (m-2) X(k)U(l) - X(k)U(psi) - X(psi)U(l) + XU(psi) = 0, the mixed Ricci
     block plus the mixed Hessian block of psi."""
-    return (dwp.ricci_closed("XU", d)
-            + dwp.hessian_split_closed(psi, "XU", d))
+    xu = dwp.block("XU")
+    return dwp.ricci_closed(d)[xu] + dwp.hessian_split_closed(psi, d)[xu]
 
 
 # prose of a failing product-level gate, formatted with its residual
@@ -407,10 +407,11 @@ def riemann_factor_structures(dwp, spec, d, tolerance, gate):
     def factor(r, s):
         jet = r.product.jet(psi)
         o = s.mirror
+        hessian = dwp.hessian_split_closed(psi, r)
         lap_psi = sum(  # the trace of the Hessian splitting
-            np.einsum("nij,nij->n", t.ginv, dwp.hessian_split_closed(
-                psi, klass, r)) / t.mirror.f**2
-            for klass, t in zip(("XX", "UU"), r.sides))
+            np.einsum("nij,nij->n", t.ginv, hessian[:, t.own, t.own])
+            / t.mirror.f**2
+            for t in r.sides)
         lam_i = o.f**2 * (
             (m - 1) * _coeff(spec.lam, r.p) + o.lap - lap_psi
             - (m - 2) * s.opposite_pairing(jet.gradient)

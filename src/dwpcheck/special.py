@@ -89,17 +89,15 @@ def conharmonic_closed(dwp, d):
     if dwp.m < 3:
         raise DimensionError("conharmonic tensor requires dim >= 3")
     curvature = dwp.riemann_closed(d)
+    ric, ric_op = dwp.ricci_closed(d), dwp.ricci_operator_closed(d)
     out = {}
     for klass, s in zip(CONHARMONIC_CLASSES, d.sides):
-        ricci_class = klass[0] * 2  # XX or UU
         own = s.own
-        ric = dwp.ricci_closed(ricci_class, d)
-        ric_op = dwp.ricci_operator_closed(ricci_class, d)
         # g(B,Z) Q(A) - g(A,Z) Q(B) + Ric(B,Z) A - Ric(A,Z) B, Q the Ricci
         # operator
         bracket = wedge_operator(
-            s.gp, ric_op.transpose(0, 2, 1) @ s.lift
-        ) + wedge_operator(ric, s.lift)
+            s.gp, ric_op[:, own, own].transpose(0, 2, 1) @ s.lift
+        ) + wedge_operator(ric[:, own, own], s.lift)
         normal = wedge_operator(s.gp, outer(s.dlog, s.mirror.grad))
         out[klass] = (curvature[:, own, own, own] - bracket / (dwp.m - 2)
                       - normal)

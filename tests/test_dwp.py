@@ -203,8 +203,8 @@ class TestHessianAndLaplacian:
         dwp = products["e2xe1"]
         psi = parse_expression("x*y + x*t + t^2", dwp.coords)
         for p in samples["e2xe1"][:5]:
-            closed = dwp.hessian_split_closed(psi, "XU",
-                                            dwp.point_data(p[None]))[0]
+            closed = dwp.hessian_split_closed(
+                psi, dwp.point_data(p[None]))[dwp.block("XU")][0]
             oracle = dwp.product.hessian_field(psi, p[None])[0][
                 : dwp.m1, dwp.m1:
             ]
@@ -313,18 +313,23 @@ class TestFactorMirror:
         for p in pts:
             q = p[swap]
             da, db = a.point_data(p[None]), b.point_data(q[None])
-            for which, klass in ((1, "XX"), (2, "UU")):
-                other, mirror = 3 - which, "UU" if klass == "XX" else "XX"
-                assert_mirrored(a.ricci_closed(klass, da)[0],
-                                b.ricci_closed(mirror, db)[0])
-                assert_mirrored(a.ricci_operator_closed(klass, da)[0],
-                                b.ricci_operator_closed(mirror, db)[0])
+            assert_mirrored(a.ricci_closed(da)[0][swap][:, swap],
+                            b.ricci_closed(db)[0])
+            assert_mirrored(a.ricci_operator_closed(da)[0][swap][:, swap],
+                            b.ricci_operator_closed(db)[0])
+            for which in (1, 2):
+                other = 3 - which
                 assert_mirrored(einstein_defect(a, which, da)[0][0],
                                 einstein_defect(b, other, db)[0][0])
                 assert_mirrored(f_almost_defect(a, which, da)[0][0],
                                 f_almost_defect(b, other, db)[0][0])
             assert_mirrored(a.laplacian_split("k", da),
                             b.laplacian_split("l", db))
+            assert_mirrored(
+                np.einsum("nij,nij->n", da.product.ginv,
+                          da.product.hessian(a.lifted(a.k))),
+                np.einsum("nij,nij->n", db.product.ginv,
+                          db.product.hessian(b.lifted(b.l))))
 
     def test_ricci_factor_structures(self, pair):
         a, b, pts, swap = pair
@@ -373,12 +378,9 @@ def closed_forms(dwp, d):
     return [
         dwp.riemann_closed(d), dwp.riemann_closed_tensor(d),
         dwp.covariant_closed(d),
-        *(dwp.ricci_closed(klass, d) for klass in ("XX", "XU", "UU")),
-        *(dwp.ricci_operator_closed(klass, d) for klass in ("XX", "UU")),
-        dwp.scalar_closed(d),
-        *(dwp.hessian_split_closed(psi, klass, d)
-          for klass in ("XX", "XU", "UU")),
-        *(dwp.laplacian_split(which, d)[0] for which in ("k", "l")),
+        dwp.ricci_closed(d), dwp.ricci_operator_closed(d),
+        dwp.scalar_closed(d), dwp.hessian_split_closed(psi, d),
+        *(dwp.laplacian_split(which, d) for which in ("k", "l")),
         special.concircular_closed(dwp, d),
         *special.conharmonic_closed(dwp, d).values(),
         *(defect(dwp, which, d)[0] for which in (1, 2)
@@ -453,12 +455,15 @@ class TestOneRecordPerPointSet:
         each pass over a chart's entries shares one memo and jets no node
         twice (a block's f_opp^2 is jetted once, not once per entry), no
         expression is jetted twice on equal points, no record builds the
-        covariant Hessian of one expression twice, each soliton's residual
-        is evaluated once per form, each Kulkarni-Nomizu product (g ^ g, and
+        covariant Hessian of one expression twice, no node of a warping's
+        tree is computed twice on one factor record (f and log f are jetted
+        through one memo there), each soliton's residual is evaluated once
+        per form, each Kulkarni-Nomizu product (g ^ g, and
         the Riemann soliton's h ^ g) once per record, each flatness
         oracle once, and the warpings are validated once per point set."""
         jetted, expr_jets, residuals, wedges = [], [], [], []
         oracles, validated, hessians, memos, node_jets = [], [], [], [], []
+        node_calls, products = [], []
         metric_jets = ChartManifold._metric_jets
         covariant_hessian = geometry.covariant_hessian
         jet = Expression.jet
@@ -478,6 +483,7 @@ class TestOneRecordPerPointSet:
             return jet(e, points, memo)
 
         def counting_node_jet(node, x, index, dim, memo):
+            node_calls.append((x, node))
             if memo is not None:
                 node_jets.append((memo, node))
             return node_jet(node, x, index, dim, memo)
@@ -498,6 +504,7 @@ class TestOneRecordPerPointSet:
 
         def counting_validate_warpings(dwp, points):
             validated.append(np.array(points, dtype=float))
+            products.append(dwp)
             return validate_warpings(dwp, points)
 
         def counting(name):
@@ -545,9 +552,22 @@ class TestOneRecordPerPointSet:
                            and np.array_equal(a[1], b[1]))
         assert not repeats(expr_jets, lambda a, b: a[0] == b[0]
                            and np.array_equal(a[1], b[1]))
-        assert len(memos) == len(jetted)
+        # one memo per pass over a chart's entries, and one per factor
+        # record for its warping f and log f
+        dwp = products[0]
+        assert len(memos) == len(jetted) + sum(chart.dim < dwp.m
+                                               for chart, _ in jetted)
         assert node_jets and not repeats(node_jets, lambda a, b: a[0] is b[0]
                                          and a[1] is b[1])
+        warping, stack = set(), [dwp.f1.node, dwp.f2.node]
+        while stack:
+            node = stack.pop()
+            warping.add(id(node))
+            stack.extend(expr._children(node))
+        on_factors = [(x, node) for x, node in node_calls
+                      if id(node) in warping and x.shape[1] < dwp.m]
+        assert on_factors and not repeats(
+            on_factors, lambda a, b: a[0] is b[0] and a[1] is b[1])
         assert hessians and not repeats(hessians, lambda a, b: a[0] is b[0]
                                         and a[1] is b[1])
         assert sorted((spec.kind, form) for spec, form in residuals) == [

@@ -174,3 +174,13 @@ class TestSampling:
         box = np.array([[-1e-9, 1e-9], [-1.0, 1.0]])
         with pytest.raises(GeometryError):
             sample_points(chart, box, 5, 1)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_sampling_stops_at_ten_draws_per_point(self, seed):
+        # cond(g) = 1/x^2 accepts |x| >= 1e-4, a few of the draws in this
+        # box: at these seeds fewer than 5 of the first 50, so the last
+        # chunk must be cut to what the cap leaves
+        chart = expr_chart(("x", "y"), [["x^2", "0"], ["0", "1"]])
+        box = np.array([[-1.05e-4, 1.05e-4], [-1.0, 1.0]])
+        with pytest.raises(GeometryError, match=r"within 50 draws$"):
+            sample_points(chart, box, 5, seed)

@@ -17,7 +17,8 @@ from conftest import (
     sphere_x_hyperbolic,
 )
 from dwpcheck import checks
-from dwpcheck.dwp import DimensionError
+from dwpcheck.dwp import DimensionError, DoublyWarpedProduct
+from dwpcheck.expr import constant
 from dwpcheck.reporting import PASS, SKIP
 from dwpcheck.special import (
     concircular_flat_consequences,
@@ -235,3 +236,17 @@ class TestFlatConsequences:
         for s in conharmonic_flat_consequences(
                 dwp, d, TOL, conharmonic_oracle(d.product)):
             assert s.status == PASS, s
+
+    def test_one_dimensional_factor_is_flagged_outside_the_hypothesis(self):
+        # R x R^2 with f1 = f2 = 1: flat, so both consequences run
+        f1c, f2c = flat_chart(("t",)), flat_chart(("u", "v"))
+        dwp = DoublyWarpedProduct(f1c, f2c, constant(1.0, f1c.coords),
+                                  constant(1.0, f2c.coords))
+        pts = seeded_points(dwp.product, 6)
+        d = dwp.point_data(pts, np.zeros(3))
+        by_id = {s.check_id: s for s in conharmonic_flat_consequences(
+            dwp, d, TOL, conharmonic_oracle(d.product))}
+        note = "factor dimension 1 is outside the stated hypothesis"
+        assert by_id["conharmonic.soliton1"].status == PASS
+        assert by_id["conharmonic.soliton1"].notes.endswith(note)
+        assert note not in by_id["conharmonic.soliton2"].notes
