@@ -122,33 +122,31 @@ def check_solitons(dwp, specs, d, tolerance):
     """Defining-equation residuals for each soliton spec, plus induced
     factor structures for the kinds that have them (on the anchored
     restriction sets of d), gated on the product-level summary: the
-    defining equation's, or for kind=riemann its contracted form's.  A
-    defining equation that cannot be evaluated is a skip, and so are its
-    factor structures."""
+    defining equation's, or for kind=riemann at m >= 3 its contracted
+    form's.  A defining equation that cannot be evaluated is a skip, and so
+    are its factor structures."""
     out = []
     for i, spec in enumerate(specs):
         prefix = f"soliton[{i}].{spec.kind}"
-        terms = (solitons.riemann_terms(spec, d.product)
-                 if spec.kind == "riemann" and dwp.m >= 3 else None)
         try:
-            gate = solitons.residual(spec, d.product, tolerance,
-                                     check_id=prefix, terms=terms)
+            terms = solitons.equation_terms(spec, d.product)
         except solitons.SolitonError as exc:
             gate = skipped(prefix, f"skipped: {exc}", tolerance)
+        else:
+            gate = solitons.residual(spec, terms, d.p, tolerance, prefix)
         out.append(gate)
-        if terms is not None:
-            gate = solitons.residual(spec, d.product, tolerance,
-                                     form="contracted",
-                                     check_id=f"{prefix}.contracted")
-            out.append(gate)
-            consistency = solitons.contraction_consistency(
-                spec, d.product, tolerance, terms
-            )
-            out.append(replace(consistency, check_id=f"{prefix}.contraction"))
+        # a Riemann spec's equation_terms never raises: terms is bound
+        if spec.kind == "riemann" and dwp.m >= 3:
+            contracted = solitons.contracted_terms(spec, d.product)
+            gate = solitons.residual(spec, contracted, d.p, tolerance,
+                                     f"{prefix}.contracted")
+            out += [gate, solitons.contraction_consistency(
+                terms, contracted, d.product, tolerance,
+                f"{prefix}.contraction")]
         builder = _FACTOR_STRUCTURES.get(spec.kind)
         if builder is not None:
-            out.extend(replace(s, check_id=f"soliton[{i}].{s.check_id}")
-                       for s in builder(dwp, spec, d, tolerance, gate))
+            out.extend(builder(dwp, spec, d, tolerance, replace(
+                gate, check_id=f"soliton[{i}].factors.{spec.kind}.product")))
     return out
 
 

@@ -21,6 +21,7 @@ __all__ = [
     "FAIL",
     "SKIP",
     "normalized_residual",
+    "difference",
     "equation_residual",
     "summarize",
     "skipped",
@@ -76,13 +77,18 @@ def normalized_residual(difference, terms, axis=None):
         axis=1)
 
 
-def equation_residual(lhs, rhs):
-    """Per-point normalized residuals of sum(lhs) = sum(rhs), over the terms
-    of both sides."""
+def difference(lhs, rhs):
+    """sum(lhs) - sum(rhs), summed in the order the terms are listed."""
     total = sum(lhs[1:], lhs[0])
     for t in rhs:
         total = total - t
-    return normalized_residual(total, lhs + rhs)
+    return total
+
+
+def equation_residual(lhs, rhs):
+    """Per-point normalized residuals of sum(lhs) = sum(rhs), over the terms
+    of both sides."""
+    return normalized_residual(difference(lhs, rhs), lhs + rhs)
 
 
 def summarize(check_id, residuals, points, tolerance, notes=""):

@@ -12,7 +12,7 @@ identities are verified here as well, gated on the product-level residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .geometry import (
     times,
 )
 from .reporting import (
-    PASS, conditional, equation_residual, skipped, summarize,
+    PASS, conditional, difference, equation_residual, skipped, summarize,
 )
 
 __all__ = [
@@ -35,11 +35,15 @@ __all__ = [
     "FieldDomainError",
     "SOLITON_KINDS",
     "FIELD_KEYS",
+    "equation_terms",
+    "contracted_terms",
     "residual",
     "residual_values",
-    "riemann_terms",
     "contraction_consistency",
     "classify_lambda",
+    "yamabe_factor_equation",
+    "ricci_factor_equation",
+    "riemann_factor_equation",
     "yamabe_factor_structures",
     "ricci_factor_structures",
     "riemann_factor_structures",
@@ -147,8 +151,11 @@ def _unit_eta_at(spec, c):
     return a / np.sqrt(norm_sq)[:, None], beta
 
 
-def _terms_0_2(spec, c):
-    """(lhs terms, rhs terms) of the defining (0,2) equation."""
+def equation_terms(spec, c):
+    """(lhs terms, rhs terms) of the spec's defining equation on the chart
+    record c: each kind's (0,2) equation, and for kind=riemann the (0,4)
+    equation h^psi ^ g + R = lambda G, or at m = 2 its degenerate
+    contracted form (`contracted_terms`)."""
     kind, points, g = spec.kind, c.p, c.g
     fields = SOLITON_KINDS[kind]
     if kind == "einstein":
@@ -158,12 +165,16 @@ def _terms_0_2(spec, c):
         a, beta = _unit_eta_at(spec, c)
         return [c.curvature[1]], [times(_coeff(spec.alpha, points), g),
                                   times(beta, outer(a, a))]
+    if kind == "riemann" and c.chart.dim < 3:
+        return contracted_terms(spec, c)
 
     h = c.hessian(spec.psi)
     if kind == "conformal":
         return [h], [times(_coeff(spec.gamma, points), g)]
 
     lam = _coeff(spec.lam, points)
+    if kind == "riemann":
+        return [c.curvature[0], kulkarni_nomizu(h, g)], [times(lam, c.big_g)]
     if kind in ("yamabe", "eta_yamabe"):
         lhs, rhs = [h], [times(c.curvature[2] - lam, g)]
     else:  # the Ricci kinds
@@ -176,16 +187,10 @@ def _terms_0_2(spec, c):
     return lhs, rhs
 
 
-def riemann_terms(spec, c):
-    """(lhs, rhs) of the (0,4) soliton equation h^psi ^ g + R = lambda G on
-    the chart record c."""
-    return [c.curvature[0], kulkarni_nomizu(c.hessian(spec.psi), c.g)], [
-        times(_coeff(spec.lam, c.p), c.big_g)]
-
-
-def _terms_riemann_contracted(spec, c):
-    """(lhs, rhs) of the contracted form; for m = 2 the degenerate form
-    Ric = (lambda - lap psi) g."""
+def contracted_terms(spec, c):
+    """(lhs, rhs) of the Riemann soliton equation's contracted form
+    (m-2) h^psi + Ric = ((m-1) lambda - lap psi) g; for m = 2 the degenerate
+    form Ric = (lambda - lap psi) g."""
     m, g, h = c.chart.dim, c.g, c.hessian(spec.psi)
     lam = _coeff(spec.lam, c.p)
     ric = c.curvature[1]
@@ -195,55 +200,31 @@ def _terms_riemann_contracted(spec, c):
     return [(m - 2) * h, ric], [times((m - 1) * lam - lap, g)]
 
 
-def residual_values(spec, c, form="primary", terms=None):
-    """Per-point normalized residuals of the defining equation.
-
-    form: "primary" uses the (0,4) equation for kind=riemann; "contracted"
-    uses its trace form (only meaningful for kind=riemann).  `terms` are the
-    equation's (lhs, rhs) on c when the caller has built them already (the
-    (0,4) ones, `riemann_terms`, are shared with `contraction_consistency`).
-    """
-    if terms is None and spec.kind != "riemann":
-        terms = _terms_0_2(spec, c)
-    elif terms is None:
-        terms = (riemann_terms if form == "primary" and c.chart.dim >= 3
-                 else _terms_riemann_contracted)(spec, c)
-    return equation_residual(*terms)
+def residual_values(spec, c):
+    """Per-point normalized residuals of the defining equation on c."""
+    return equation_residual(*equation_terms(spec, c))
 
 
-def residual(spec, c, tolerance, form="primary", check_id=None, terms=None):
-    """ResidualSummary of the defining soliton equation over sampled points
-    (`terms` as for `residual_values`)."""
-    values = residual_values(spec, c, form=form, terms=terms)
-    if check_id is None:
-        check_id = f"soliton.{spec.kind}"
-        if spec.kind == "riemann":
-            check_id += ".contracted" if form == "contracted" else ".full"
+def residual(spec, terms, points, tolerance, check_id):
+    """ResidualSummary `check_id` of an equation's (lhs, rhs) terms of the
+    spec at the points, noting the lambda trichotomy."""
     notes = ""
     if spec.lam is not None:
         notes = classify_lambda(spec.lam, tolerance)
-    return summarize(check_id, values, c.p, tolerance, notes=notes)
+    return summarize(check_id, equation_residual(*terms), points, tolerance,
+                     notes=notes)
 
 
-def contraction_consistency(spec, c, tolerance, terms=None):
-    """Algebraic identity: contracting the (0,4) soliton equation over its
-    outer slots in an orthonormal frame reproduces the trace form, for ANY
-    potential and lambda (soliton validity is irrelevant).  `terms` are the
-    equation's (lhs, rhs) on c (`riemann_terms`), if already built."""
-    m = c.chart.dim
-    if m < 3:
+def contraction_consistency(terms, contracted, c, tolerance, check_id):
+    """Algebraic identity: contracting the (0,4) soliton equation (`terms`)
+    over its outer slots reproduces its contracted form (`contracted`), for
+    ANY potential and lambda (soliton validity is irrelevant)."""
+    if c.chart.dim < 3:
         raise SolitonError("contraction consistency requires dim >= 3")
-    g, ginv, h = c.g, c.ginv, c.hessian(spec.psi)
-    lhs, rhs = riemann_terms(spec, c) if terms is None else terms
-    e4 = lhs[0] + lhs[1] - rhs[0]
-    contracted = np.einsum("niw,niyzw->nyz", ginv, e4)
-    lam = _coeff(spec.lam, c.p)
-    lap = np.einsum("nij,nij->n", ginv, h)
-    expected = c.curvature[1] + (m - 2) * h + times(
-        lap - (m - 1) * lam, g)
-    return summarize("soliton.riemann.contraction",
-                     equation_residual([contracted], [expected]), c.p,
-                     tolerance)
+    traced = np.einsum("niw,niyzw->nyz", c.ginv, difference(*terms))
+    return summarize(check_id,
+                     equation_residual([traced], [difference(*contracted)]),
+                     c.p, tolerance)
 
 
 # -- input domains ------------------------------------------------------------
@@ -313,12 +294,89 @@ def mixed_ricci_condition(dwp, psi, d):
 _NOT_A_SOLITON = ("skipped: product-level soliton hypothesis fails "
                   "(residual = {:.3e})")
 
+# Each factor equation below gives (lhs terms, rhs terms, notes) of the
+# equation that a product-level soliton induces on factor s, on the record
+# r of its anchored restriction set, from the jet of psi there.
+
+
+def yamabe_factor_equation(spec, r, s, jet):
+    """Gradient almost Yamabe soliton on factor s:
+    h_i^psi = (tau_i - lambda_i) g_i."""
+    dwp, o = r.dwp, s.mirror
+    s1, s2 = r.sides
+    # the Laplacian sums are symmetric in the factors: one fixed order
+    lam_i = (
+        -(o.f**2 / s.f**2) * o.tau
+        + o.f**2 * (_coeff(spec.lam, r.p)
+                    + s.opposite_pairing(jet.gradient)
+                    + dwp.m1 * s2.lap + dwp.m2 * s1.lap)
+        + (dwp.m2 * s1.f * s1.lap_f + dwp.m1 * s2.f * s2.lap_f)
+        / s.f**2
+    )
+    return ([s.hessian(jet)], [times(s.tau - lam_i, s.g)],
+            f"gradient almost Yamabe soliton on factor {s.which}; "
+            f"lambda spread over samples = {lam_i.max() - lam_i.min():.3e}")
+
+
+def _eta_ricci_terms(s, hessian_coefficient, lam_i, jet):
+    """(lhs, rhs) of the factor's gradient almost eta-Ricci equation with
+    potential phi_i, h^phi_i = c h_i^psi - m_opp h_i^log f_own:
+    Ric_i + h^phi_i = lambda_i g_i + m_opp d(log f_own) (x) d(log f_own)."""
+    m_opp = s.mirror.m
+    h_phi = hessian_coefficient * s.hessian(jet) - m_opp * s.h_log
+    return ([s.ric, h_phi],
+            [times(lam_i, s.g), m_opp * outer(s.dlog, s.dlog)])
+
+
+def ricci_factor_equation(spec, r, s, jet):
+    """Gradient almost eta-Ricci soliton on factor s with potential phi_i
+    and eta the differential of the log-warping."""
+    o = s.mirror
+    lam_i = o.f**2 * (_coeff(spec.lam, r.p) + o.lap
+                      - s.opposite_pairing(jet.gradient))
+    return (*_eta_ricci_terms(s, 1, lam_i, jet),
+            f"gradient almost eta-Ricci soliton on factor {s.which} with "
+            f"mu = {o.m} and eta the log-warping differential")
+
+
+def riemann_factor_equation(spec, r, s, jet):
+    """Gradient almost eta-Ricci soliton on factor s with potential
+    (m-2) psi_i - m_j log f_i."""
+    m, o = r.dwp.m, s.mirror
+    hessian = r.dwp.hessian_split_closed(spec.psi, r)
+    lap_psi = sum(  # the trace of the Hessian splitting
+        np.einsum("nij,nij->n", t.ginv, hessian[:, t.own, t.own])
+        / t.mirror.f**2
+        for t in r.sides)
+    lam_i = o.f**2 * (
+        (m - 1) * _coeff(spec.lam, r.p) + o.lap - lap_psi
+        - (m - 2) * s.opposite_pairing(jet.gradient)
+    )
+    return (*_eta_ricci_terms(s, m - 2, lam_i, jet),
+            f"gradient almost eta-Ricci soliton on factor {s.which}; the "
+            "log-warping term of the potential is constant along this "
+            "factor, so either log-warping choice yields the same factor "
+            "Hessian")
+
+
 # Each builder below takes the record d of the samples (with an anchor) and
-# its gate, the summary of the product-level residual at the samples
-# (`residual(spec, d.product, tolerance)`, in the contracted form for
-# kind=riemann), reported as factors.<kind>.product; for each factor it
-# gives the residual of the factor's equation on the anchored restriction
-# set (`reporting.conditional`).
+# its gate, the summary of the product-level residual at the samples (in
+# the contracted form for kind=riemann), named F.product for the family F
+# of its checks; for each factor it gives the residual of the factor's
+# equation on the anchored restriction set (`reporting.conditional`).
+
+
+def _factor_checks(equation, spec, d, gate, extra=None):
+    """The gate and the checks conditional on it: per factor s, the
+    residual of `equation(spec, r, s, jet)`, with jet that of psi on r;
+    `extra` as for `reporting.conditional`."""
+    psi = d.dwp.lifted(spec.psi)
+
+    def factor(r, s):
+        lhs, rhs, notes = equation(spec, r, s, r.product.jet(psi))
+        return equation_residual(lhs, rhs), notes
+
+    return conditional(d, gate, _NOT_A_SOLITON, factor, "factor", extra)
 
 
 def _mixed(condition, dwp, psi, d, notes):
@@ -332,63 +390,19 @@ def yamabe_factor_structures(dwp, spec, d, tolerance, gate):
     """Factor consequences of a gradient Yamabe soliton on the product: each
     factor restriction is a gradient almost Yamabe soliton, and the mixed
     Hessian block of psi vanishes."""
-    psi = dwp.lifted(spec.psi)
-
-    def factor(r, s):
-        jet = r.product.jet(psi)
-        s1, s2 = r.sides
-        o = s.mirror
-        # the Laplacian sums are symmetric in the factors: one fixed order
-        lam_i = (
-            -(o.f**2 / s.f**2) * o.tau
-            + o.f**2 * (_coeff(spec.lam, r.p)
-                        + s.opposite_pairing(jet.gradient)
-                        + dwp.m1 * s2.lap + dwp.m2 * s1.lap)
-            + (dwp.m2 * s1.f * s1.lap_f + dwp.m1 * s2.f * s2.lap_f)
-            / s.f**2
-        )
-        return (equation_residual([s.hessian(jet)],
-                                  [times(s.tau - lam_i, s.g)]),
-                f"gradient almost Yamabe soliton on factor {s.which}; "
-                f"lambda spread over samples = "
-                f"{lam_i.max() - lam_i.min():.3e}")
-
-    return conditional(
-        d, replace(gate, check_id="factors.yamabe.product"), _NOT_A_SOLITON,
-        factor, "factor",
-        _mixed(mixed_yamabe_condition, dwp, psi, d,
+    return _factor_checks(
+        yamabe_factor_equation, spec, d, gate,
+        _mixed(mixed_yamabe_condition, dwp, spec.psi, d,
                "cross Hessian block of psi must vanish"))
-
-
-def _eta_ricci_terms(s, hessian_coefficient, lam_i, jet):
-    """(lhs, rhs) of the factor's gradient almost eta-Ricci equation with
-    potential phi_i, h^phi_i = c h_i^psi - m_opp h_i^log f_own:
-    Ric_i + h^phi_i = lambda_i g_i + m_opp d(log f_own) (x) d(log f_own)."""
-    m_opp = s.mirror.m
-    h_phi = hessian_coefficient * s.hessian(jet) - m_opp * s.h_log
-    return ([s.ric, h_phi],
-            [times(lam_i, s.g), m_opp * outer(s.dlog, s.dlog)])
 
 
 def ricci_factor_structures(dwp, spec, d, tolerance, gate):
     """Factor consequences of a gradient Ricci soliton: each factor carries a
     gradient almost eta-Ricci soliton with potential phi_i and eta the
     differential of the log-warping, plus a mixed-derivative condition."""
-    psi = dwp.lifted(spec.psi)
-
-    def factor(r, s):
-        jet = r.product.jet(psi)
-        o = s.mirror
-        lam_i = o.f**2 * (_coeff(spec.lam, r.p) + o.lap
-                          - s.opposite_pairing(jet.gradient))
-        return (equation_residual(*_eta_ricci_terms(s, 1, lam_i, jet)),
-                f"gradient almost eta-Ricci soliton on factor {s.which} with "
-                f"mu = {o.m} and eta the log-warping differential")
-
-    return conditional(
-        d, replace(gate, check_id="factors.ricci.product"), _NOT_A_SOLITON,
-        factor, "factor",
-        _mixed(mixed_ricci_condition, dwp, psi, d,
+    return _factor_checks(
+        ricci_factor_equation, spec, d, gate,
+        _mixed(mixed_ricci_condition, dwp, spec.psi, d,
                "mixed warping/potential derivative condition"))
 
 
@@ -396,34 +410,11 @@ def riemann_factor_structures(dwp, spec, d, tolerance, gate):
     """Factor consequences of a gradient Riemann soliton (m >= 3): each
     factor carries a gradient almost eta-Ricci soliton with potential
     (m-2) psi_i - m_j log f_i."""
-    m = dwp.m
-    gate = replace(gate, check_id="factors.riemann.product")
-    if m < 3:
+    if dwp.m < 3:
         gate = skipped(gate.check_id,
                        "skipped: contracted soliton form requires dim >= 3",
                        tolerance)
-    psi = dwp.lifted(spec.psi)
-
-    def factor(r, s):
-        jet = r.product.jet(psi)
-        o = s.mirror
-        hessian = dwp.hessian_split_closed(psi, r)
-        lap_psi = sum(  # the trace of the Hessian splitting
-            np.einsum("nij,nij->n", t.ginv, hessian[:, t.own, t.own])
-            / t.mirror.f**2
-            for t in r.sides)
-        lam_i = o.f**2 * (
-            (m - 1) * _coeff(spec.lam, r.p) + o.lap - lap_psi
-            - (m - 2) * s.opposite_pairing(jet.gradient)
-        )
-        return (equation_residual(*_eta_ricci_terms(s, m - 2, lam_i,
-                                                     jet)),
-                f"gradient almost eta-Ricci soliton on factor {s.which}; the "
-                "log-warping term of the potential is constant along this "
-                "factor, so either log-warping choice yields the same factor "
-                "Hessian")
-
-    return conditional(d, gate, _NOT_A_SOLITON, factor, "factor")
+    return _factor_checks(riemann_factor_equation, spec, d, gate)
 
 
 def quasi_einstein_factor_structures(dwp, spec, d, tolerance, gate):
@@ -432,7 +423,6 @@ def quasi_einstein_factor_structures(dwp, spec, d, tolerance, gate):
     and eta the restriction of the (unit-normalized) generator 1-form.  A
     beta vanishing at a sample point skips them, and so does a 1-form
     vanishing on an anchored restriction set."""
-    gate = replace(gate, check_id="factors.quasi_einstein.product")
     units = {}
     if (np.abs(_coeff(spec.beta, d.p)) <= tolerance).any():
         gate = skipped(

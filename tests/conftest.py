@@ -168,6 +168,45 @@ def sphere_x_hyperbolic():
     )
 
 
+# Doubly warped products with both warpings non-constant and a non-flat
+# factor, and the sample box on which their charts are regular (the
+# sphere's polar angle in [0.5, 2.5], the hyperbolic plane's radius
+# positive): identities that hold on every doubly warped product are tested
+# on them with every warping term nonzero.
+CURVED_BOX = (0.5, 2.5)
+
+
+def line_x_hyperbolic_plane():
+    """Line x hyperbolic plane: f1 = cosh(t), f2 = exp(0.3 a)."""
+    f1c = flat_chart(("t",))
+    f2c = hyperbolic_plane_chart()
+    return DoublyWarpedProduct(
+        f1c, f2c, parse_expression("cosh(t)", f1c.coords),
+        parse_expression("exp(0.3*a)", f2c.coords))
+
+
+def sphere_x_line():
+    """Unit 2-sphere x line: f1 = 2 + cos(u), f2 = cosh(s)."""
+    f1c = sphere_chart()
+    f2c = flat_chart(("s",))
+    return DoublyWarpedProduct(
+        f1c, f2c, parse_expression("2 + cos(u)", f1c.coords),
+        parse_expression("cosh(s)", f2c.coords))
+
+
+def warped_sphere_x_hyperbolic():
+    """Unit 2-sphere x hyperbolic plane: f1 = 2 + cos(u), f2 = exp(0.3 a)."""
+    f1c = sphere_chart()
+    f2c = hyperbolic_plane_chart()
+    return DoublyWarpedProduct(
+        f1c, f2c, parse_expression("2 + cos(u)", f1c.coords),
+        parse_expression("exp(0.3*a)", f2c.coords))
+
+
+CURVED_PRODUCTS = (line_x_hyperbolic_plane, sphere_x_line,
+                   warped_sphere_x_hyperbolic)
+
+
 def quasi_einstein_product():
     """Line x flat plane with f1 = cosh(t), f2 = 1: a quasi-Einstein metric
     with alpha = -1 - tanh(t)^2, beta = -1/cosh(t)^2, generator dt."""

@@ -1,6 +1,6 @@
-"""Golden reports: what `dwpcheck verify` prints for a few spec fixtures of
-tests/test_cli.py, kept under tests/golden/ and compared byte for byte by
-tests/test_golden.py.
+"""Golden reports: what `dwpcheck verify` prints for every spec fixture of
+tests/test_cli.py (each module-level `*_SPEC` text), kept under
+tests/golden/ and compared byte for byte by tests/test_golden.py.
 
     python3 tests/golden_reports.py
 
@@ -22,17 +22,8 @@ HERE = pathlib.Path(__file__).resolve().parent
 GOLDEN = HERE / "golden"
 SPEC_PATH = "SPEC_PATH"
 
-# (file stem, name of the spec text in test_cli)
-SPECS = (
-    ("passing", "PASSING_SPEC"),
-    ("failing", "FAILING_SPEC"),
-    ("quasi-einstein-zero-beta", "QUASI_EINSTEIN_ZERO_BETA_SPEC"),
-    ("h3-cosh-line-first", "H3_COSH_LINE_FIRST_SPEC"),
-    ("s3-fibre-first", "S3_FIBRE_FIRST_SPEC"),
-)
-# --format value -> file suffix; the malformed spec fails before any report
+# --format value -> file suffix
 FORMATS = {"structured": "json", "text": "txt"}
-MALFORMED = ("malformed", "MALFORMED_SPEC")
 
 
 def _verify(text, path, fmt):
@@ -48,26 +39,32 @@ def _verify(text, path, fmt):
                    for s in (out, err))
 
 
+def specs():
+    """(file stem, spec text) of each module-level `*_SPEC` text of
+    test_cli: H3_LINE_FIRST_SPEC is stem h3-line-first."""
+    import test_cli
+
+    return [(name[:-len("_SPEC")].lower().replace("_", "-"), text)
+            for name, text in sorted(vars(test_cli).items())
+            if name.endswith("_SPEC") and isinstance(text, str)]
+
+
 def golden_files(directory):
     """{file name: bytes} of every golden file, from the current code; the
     specs are written to the directory.  A run's stdout goes to
     <stem>.<suffix>, a nonempty stderr to <stem>.<suffix>.stderr, and
     every exit code to exit_codes.json."""
-    import test_cli
-
-    runs = [(stem, name, fmt, f"{stem}.{suffix}")
-            for stem, name in SPECS for fmt, suffix in FORMATS.items()]
-    runs.append((*MALFORMED, "text", MALFORMED[0]))
     files, codes = {}, {}
-    for stem, name, fmt, file in runs:
-        code, out, err = _verify(getattr(test_cli, name),
-                                 pathlib.Path(directory) / f"{stem}.spec",
-                                 fmt)
-        codes[file] = code
-        if out:
-            files[file] = out.encode("utf-8")
-        if err:
-            files[f"{file}.stderr"] = err.encode("utf-8")
+    for stem, text in specs():
+        for fmt, suffix in FORMATS.items():
+            file = f"{stem}.{suffix}"
+            code, out, err = _verify(
+                text, pathlib.Path(directory) / f"{stem}.spec", fmt)
+            codes[file] = code
+            if out:
+                files[file] = out.encode("utf-8")
+            if err:
+                files[f"{file}.stderr"] = err.encode("utf-8")
     files["exit_codes.json"] = (json.dumps(codes, indent=2, sort_keys=True)
                                 + "\n").encode("utf-8")
     return files

@@ -27,7 +27,9 @@ from dwpcheck.expr import parse_expression
 from dwpcheck.reporting import PASS, SKIP
 from dwpcheck.solitons import (
     SolitonSpec,
+    contracted_terms,
     contraction_consistency,
+    equation_terms,
     log_hessian_identity,
     residual,
     residual_values,
@@ -133,17 +135,18 @@ def test_criterion_04_model_solitons():
         chart = flat_chart(tuple("xyzw"[:n]))
         psi = gaussian_potential(chart.coords, lam / 2)
         spec = SolitonSpec(kind="ricci", psi=psi, lam=lam)
-        summary = residual(spec, chart.at(seeded_points(chart, 20)), 1e-10)
+        c = chart.at(seeded_points(chart, 20))
+        summary = residual(spec, equation_terms(spec, c), c.p, 1e-10,
+                           "soliton.ricci")
         worst = max(worst, summary.max_abs_residual)
         if summary.status != PASS:
             report(4, False, f"gaussian n={n}")
 
     sphere = sphere_chart()
-    summary = residual(
-        SolitonSpec(kind="einstein"),
-        sphere.at(seeded_points(sphere, 10, box=(0.5, 2.5))),
-        1e-10,
-    )
+    einstein = SolitonSpec(kind="einstein")
+    c = sphere.at(seeded_points(sphere, 10, box=(0.5, 2.5)))
+    summary = residual(einstein, equation_terms(einstein, c), c.p, 1e-10,
+                       "soliton.einstein")
     worst = max(worst, summary.max_abs_residual)
     if summary.status != PASS:
         report(4, False, "sphere einstein")
@@ -151,8 +154,9 @@ def test_criterion_04_model_solitons():
     for n in (3, 4):
         hyp = hyperbolic_space(n)
         pts = seeded_points(hyp.product, 10)
-        summary = residual(SolitonSpec(kind="einstein"), hyp.product.at(pts),
-                           1e-8)
+        c = hyp.product.at(pts)
+        summary = residual(einstein, equation_terms(einstein, c), c.p, 1e-8,
+                           "soliton.einstein")
         if summary.status != PASS:
             report(4, False, f"hyperbolic n={n} einstein")
         tau_err = max(
@@ -174,8 +178,10 @@ def test_criterion_05_contraction_identity_random_metrics():
         chart = random_spd_chart(dim, rng)
         psi = random_polynomial(chart.coords, rng, degree=3)
         spec = SolitonSpec(kind="riemann", psi=psi, lam=rng.uniform(-1, 1))
+        c = chart.at(seeded_points(chart, 10))
         summary = contraction_consistency(
-            spec, chart.at(seeded_points(chart, 10)), 1e-8
+            equation_terms(spec, c), contracted_terms(spec, c), c, 1e-8,
+            "soliton.riemann.contraction"
         )
         worst = max(worst, summary.max_abs_residual)
         if summary.status != PASS:
@@ -195,7 +201,9 @@ def test_criterion_06_factor_structure_pipeline(corpus_products):
     worst = 0.0
     d = dwp.point_data(pts, np.zeros(dwp.m))
     for summary in ricci_factor_structures(
-        dwp, spec, d, 1e-10, residual(spec, d.product, 1e-10)
+        dwp, spec, d, 1e-10,
+        residual(spec, equation_terms(spec, d.product), d.p, 1e-10,
+                 "factors.ricci.product")
     ):
         worst = max(worst, summary.max_abs_residual)
         if summary.status != PASS:

@@ -109,6 +109,43 @@ S3_LINE_FIRST_SPEC = warped_line_spec("sphere-sphere", line_first=True)
 
 S3_FIBRE_FIRST_SPEC = warped_line_spec("sphere-sphere", line_first=False)
 
+# H^2 = R x_{e^t} R, a surface of curvature -1 with psi = 0: Ric = -g and
+# tau = -2, so all three solitons hold, and the Riemann soliton's defining
+# equation is its degenerate contracted form
+H2_SURFACE_SPEC = """
+[factor.1]
+dim = 1
+coords = ["t"]
+metric = [["1"]]
+warping = "exp(t)"
+
+[factor.2]
+dim = 1
+coords = ["u"]
+metric = [["1"]]
+
+[potential]
+psi = "0"
+
+[soliton]
+type = "gradient_riemann"
+lambda = -1.0
+
+[soliton]
+type = "gradient_ricci"
+lambda = -1.0
+
+[soliton]
+type = "gradient_yamabe"
+lambda = -2.0
+
+[sampling]
+points = 16
+seed = 5
+box = [-1.0, 1.0]
+tolerance = 1e-8
+"""
+
 
 def write(tmp_path, text, name):
     path = tmp_path / name
@@ -645,3 +682,28 @@ class TestHyperbolicSpace:
                          "--report", report]) == 0
         first, second = (open(r, "rb").read() for r in reports)
         assert first == second
+
+
+class TestHyperbolicSurface:
+    def test_riemann_factor_structures_skip_on_a_surface(self, tmp_path):
+        """On H^2 every soliton holds; at m = 2 the Riemann soliton's
+        factor structures, which need its contracted form at m >= 3, are
+        skipped under their own ids, and so is the conharmonic family."""
+        spec = write(tmp_path, H2_SURFACE_SPEC, "h2.spec")
+        report = str(tmp_path / "h2.json")
+        assert main(["verify", spec, "--format", "structured",
+                     "--report", report]) == 0
+        checks = {c["check_id"]: c
+                  for c in json.loads(open(report).read())["checks"]}
+        skips = {check_id for check_id, c in checks.items()
+                 if c["status"] == "skip"}
+        riemann = {f"soliton[0].factors.riemann.{sub}"
+                   for sub in ("product", "factor1", "factor2")}
+        assert skips == {"conharmonic"} | riemann
+        assert len(checks) - len(skips) == 45
+        assert all(c["status"] == "pass" for check_id, c in checks.items()
+                   if check_id not in skips)
+        for check_id in riemann:
+            assert checks[check_id]["notes"] == (
+                "skipped: contracted soliton form requires dim >= 3")
+        assert checks["soliton[0].riemann"]["status"] == "pass"

@@ -22,7 +22,9 @@ from dwpcheck.dwp import DoublyWarpedProduct, WarpingError
 from dwpcheck.expr import Expression, constant, parse_expression
 from dwpcheck.geometry import ChartManifold
 from dwpcheck.reporting import PASS
-from dwpcheck.solitons import SolitonSpec, residual, ricci_factor_structures
+from dwpcheck.solitons import (
+    SolitonSpec, equation_terms, residual, ricci_factor_structures,
+)
 from dwpcheck.special import einstein_defect, f_almost_defect
 
 TOL = 1e-8
@@ -343,8 +345,10 @@ class TestFactorMirror:
             spec = SolitonSpec(kind="ricci", lam=lam,
                                psi=parse_expression(psi, dwp.coords))
             d = dwp.point_data(points, anchor)
+            gate = residual(spec, equation_terms(spec, d.product), d.p, tol,
+                            "factors.ricci.product")
             return {s.check_id: s for s in ricci_factor_structures(
-                dwp, spec, d, tol, residual(spec, d.product, tol))}
+                dwp, spec, d, tol, gate)}
 
         out = [structures(a, pts, pts[0]),
                structures(b, pts[:, swap], pts[0][swap])]
@@ -457,7 +461,7 @@ class TestOneRecordPerPointSet:
         expression is jetted twice on equal points, no record builds the
         covariant Hessian of one expression twice, no node of a warping's
         tree is computed twice on one factor record (f and log f are jetted
-        through one memo there), each soliton's residual is evaluated once
+        through one memo there), each soliton equation's terms are built once
         per form, each Kulkarni-Nomizu product (g ^ g, and
         the Riemann soliton's h ^ g) once per record, each flatness
         oracle once, and the warpings are validated once per point set."""
@@ -468,7 +472,8 @@ class TestOneRecordPerPointSet:
         covariant_hessian = geometry.covariant_hessian
         jet = Expression.jet
         node_jet = expr._node_jet
-        residual_values = solitons.residual_values
+        equation_terms = solitons.equation_terms
+        contracted_terms = solitons.contracted_terms
         kulkarni_nomizu = geometry.kulkarni_nomizu
         validate_warpings = DoublyWarpedProduct.validate_warpings
 
@@ -488,9 +493,13 @@ class TestOneRecordPerPointSet:
                 node_jets.append((memo, node))
             return node_jet(node, x, index, dim, memo)
 
-        def counting_residual_values(spec, c, form="primary", **kwargs):
-            residuals.append((spec, form))
-            return residual_values(spec, c, form=form, **kwargs)
+        def counting_equation_terms(spec, c):
+            residuals.append((spec, "primary"))
+            return equation_terms(spec, c)
+
+        def counting_contracted_terms(spec, c):
+            residuals.append((spec, "contracted"))
+            return contracted_terms(spec, c)
 
         def counting_kulkarni_nomizu(a, b):
             wedges.append((np.array(a), np.array(b)))
@@ -525,8 +534,10 @@ class TestOneRecordPerPointSet:
         monkeypatch.setattr(expr, "_node_jet", counting_node_jet)
         monkeypatch.setattr(geometry, "covariant_hessian",
                             counting_covariant_hessian)
-        monkeypatch.setattr(solitons, "residual_values",
-                            counting_residual_values)
+        monkeypatch.setattr(solitons, "equation_terms",
+                            counting_equation_terms)
+        monkeypatch.setattr(solitons, "contracted_terms",
+                            counting_contracted_terms)
         for module in (geometry, solitons, special):
             monkeypatch.setattr(module, "kulkarni_nomizu",
                                 counting_kulkarni_nomizu)

@@ -1,4 +1,4 @@
-"""The CLI's reports, stderr and exit codes of a few spec fixtures, byte
+"""The CLI's reports, stderr and exit codes of every spec fixture, byte
 for byte against tests/golden/ (rewritten by `python3
 tests/golden_reports.py`)."""
 

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import (
+    CURVED_BOX,
+    CURVED_PRODUCTS,
     direct_flat_product,
     flat_chart,
     quasi_einstein_product,
@@ -16,18 +18,23 @@ from dwpcheck.solitons import (
     SolitonError,
     SolitonSpec,
     classify_lambda,
+    contracted_terms,
     contraction_consistency,
+    equation_terms,
     log_hessian_identity,
     mixed_ricci_condition,
     mixed_yamabe_condition,
     quasi_einstein_factor_structures,
     residual,
     residual_values,
+    ricci_factor_equation,
     ricci_factor_structures,
+    riemann_factor_equation,
     riemann_factor_structures,
+    yamabe_factor_equation,
     yamabe_factor_structures,
 )
-from dwpcheck.reporting import PASS, SKIP
+from dwpcheck.reporting import PASS, SKIP, difference, normalized_residual
 
 TOL = 1e-8
 
@@ -44,16 +51,18 @@ class TestDefiningEquations:
         lam = 0.8
         psi = gaussian_potential(chart.coords, lam / 2)
         spec = SolitonSpec(kind="ricci", psi=psi, lam=lam)
-        pts = seeded_points(chart, 10)
-        summary = residual(spec, chart.at(pts), 1e-10)
+        c = chart.at(seeded_points(chart, 10))
+        summary = residual(spec, equation_terms(spec, c), c.p, 1e-10,
+                           "soliton.ricci")
         assert summary.status == PASS
         assert summary.max_abs_residual <= 1e-10
 
     def test_round_sphere_is_einstein(self):
         chart = sphere_chart()
         spec = SolitonSpec(kind="einstein")
-        pts = seeded_points(chart, 8, box=(0.5, 2.5))
-        summary = residual(spec, chart.at(pts), 1e-10)
+        c = chart.at(seeded_points(chart, 8, box=(0.5, 2.5)))
+        summary = residual(spec, equation_terms(spec, c), c.p, 1e-10,
+                           "soliton.einstein")
         assert summary.status == PASS
 
     def test_yamabe_soliton_on_flat_space(self):
@@ -61,7 +70,9 @@ class TestDefiningEquations:
         lam = 0.6
         psi = gaussian_potential(chart.coords, -lam / 2)  # h = (0 - lam) g
         spec = SolitonSpec(kind="yamabe", psi=psi, lam=lam)
-        summary = residual(spec, chart.at(seeded_points(chart, 8)), 1e-12)
+        c = chart.at(seeded_points(chart, 8))
+        summary = residual(spec, equation_terms(spec, c), c.p, 1e-12,
+                           "soliton.yamabe")
         assert summary.status == PASS
 
     def test_conformal_soliton_on_flat_space(self):
@@ -69,7 +80,9 @@ class TestDefiningEquations:
         gamma = 1.3
         psi = gaussian_potential(chart.coords, gamma / 2)
         spec = SolitonSpec(kind="conformal", psi=psi, gamma=gamma)
-        summary = residual(spec, chart.at(seeded_points(chart, 8)), 1e-12)
+        c = chart.at(seeded_points(chart, 8))
+        summary = residual(spec, equation_terms(spec, c), c.p, 1e-12,
+                           "soliton.conformal")
         assert summary.status == PASS
 
     def test_eta_ricci_soliton_on_flat_space(self):
@@ -82,7 +95,9 @@ class TestDefiningEquations:
             parse_expression(e, chart.coords) for e in ("1", "0")
         )
         spec = SolitonSpec(kind="eta_ricci", psi=psi, lam=lam, mu=mu, eta=eta)
-        summary = residual(spec, chart.at(seeded_points(chart, 8)), 1e-12)
+        c = chart.at(seeded_points(chart, 8))
+        summary = residual(spec, equation_terms(spec, c), c.p, 1e-12,
+                           "soliton.eta_ricci")
         assert summary.status == PASS
 
     def test_f_almost_ricci_with_function_coefficients(self):
@@ -91,7 +106,9 @@ class TestDefiningEquations:
         f = parse_expression("1 + x^2", chart.coords)
         lam = parse_expression("1 + x^2", chart.coords)
         spec = SolitonSpec(kind="f_almost_ricci", psi=psi, lam=lam, f_factor=f)
-        summary = residual(spec, chart.at(seeded_points(chart, 8)), 1e-12)
+        c = chart.at(seeded_points(chart, 8))
+        summary = residual(spec, equation_terms(spec, c), c.p, 1e-12,
+                           "soliton.f_almost_ricci")
         assert summary.status == PASS
         assert "almost" in summary.notes
 
@@ -102,16 +119,19 @@ class TestDefiningEquations:
         # h^psi = (lam/2) g makes h ^ g = lam G with R = 0
         psi = gaussian_potential(chart.coords, lam / 4)
         spec = SolitonSpec(kind="riemann", psi=psi, lam=lam)
-        pts = seeded_points(chart, 8)
-        assert residual(spec, chart.at(pts), 1e-10).status == PASS
-        assert residual(spec, chart.at(pts), 1e-10,
-                        form="contracted").status == PASS
+        c = chart.at(seeded_points(chart, 8))
+        assert residual(spec, equation_terms(spec, c), c.p, 1e-10,
+                        "soliton.riemann").status == PASS
+        assert residual(spec, contracted_terms(spec, c), c.p, 1e-10,
+                        "soliton.riemann.contracted").status == PASS
 
     def test_non_soliton_fails(self):
         chart = flat_chart(("x", "y"))
         psi = parse_expression("x^3", chart.coords)
         spec = SolitonSpec(kind="ricci", psi=psi, lam=0.5)
-        summary = residual(spec, chart.at(seeded_points(chart, 8)), TOL)
+        c = chart.at(seeded_points(chart, 8))
+        summary = residual(spec, equation_terms(spec, c), c.p, TOL,
+                           "soliton.ricci")
         assert summary.status == "fail"
 
     def test_contraction_identity_holds_for_arbitrary_potential(self):
@@ -119,15 +139,19 @@ class TestDefiningEquations:
         chart = sphere_chart()
         psi = parse_expression("u^2 + sin(v)", chart.coords)
         spec = SolitonSpec(kind="riemann", psi=psi, lam=0.7)
+        c = chart.at(seeded_points(chart, 4, box=(0.5, 2.0)))
         with pytest.raises(SolitonError):
             contraction_consistency(
-                spec, chart.at(seeded_points(chart, 4, box=(0.5, 2.0))), TOL
+                equation_terms(spec, c), contracted_terms(spec, c), c, TOL,
+                "soliton.riemann.contraction"
             )  # dim 2 rejected
         chart3 = flat_chart(("x", "y", "z"))
         psi3 = parse_expression("x^2*y + tanh(z)", chart3.coords)
         spec3 = SolitonSpec(kind="riemann", psi=psi3, lam=-0.4)
+        c3 = chart3.at(seeded_points(chart3, 8))
         summary = contraction_consistency(
-            spec3, chart3.at(seeded_points(chart3, 8)), TOL
+            equation_terms(spec3, c3), contracted_terms(spec3, c3), c3, TOL,
+            "soliton.riemann.contraction"
         )
         assert summary.status == PASS
 
@@ -214,7 +238,9 @@ class TestFactorStructures:
         spec = SolitonSpec(kind="ricci", psi=psi, lam=lam)
         d = self.dwp.point_data(self.pts, self.anchor)
         out = ricci_factor_structures(
-            self.dwp, spec, d, 1e-10, residual(spec, d.product, 1e-10))
+            self.dwp, spec, d, 1e-10,
+            residual(spec, equation_terms(spec, d.product), d.p, 1e-10,
+                     "factors.ricci.product"))
         assert {s.check_id for s in out} == {
             "factors.ricci.product",
             "factors.ricci.factor1",
@@ -231,7 +257,9 @@ class TestFactorStructures:
         spec = SolitonSpec(kind="yamabe", psi=psi, lam=lam)
         d = self.dwp.point_data(self.pts, self.anchor)
         out = yamabe_factor_structures(
-            self.dwp, spec, d, 1e-10, residual(spec, d.product, 1e-10))
+            self.dwp, spec, d, 1e-10,
+            residual(spec, equation_terms(spec, d.product), d.p, 1e-10,
+                     "factors.yamabe.product"))
         for s in out:
             assert s.status == PASS, s
 
@@ -242,7 +270,8 @@ class TestFactorStructures:
         d = self.dwp.point_data(self.pts, self.anchor)
         out = riemann_factor_structures(
             self.dwp, spec, d, 1e-10,
-            residual(spec, d.product, 1e-10, form="contracted"))
+            residual(spec, contracted_terms(spec, d.product), d.p, 1e-10,
+                     "factors.riemann.product"))
         for s in out:
             assert s.status == PASS, s
 
@@ -251,7 +280,9 @@ class TestFactorStructures:
         spec = SolitonSpec(kind="ricci", psi=psi, lam=0.5)
         d = self.dwp.point_data(self.pts, self.anchor)
         out = ricci_factor_structures(
-            self.dwp, spec, d, TOL, residual(spec, d.product, TOL))
+            self.dwp, spec, d, TOL,
+            residual(spec, equation_terms(spec, d.product), d.p, TOL,
+                     "factors.ricci.product"))
         assert all(s.status == SKIP for s in out)
         assert all("hypothesis fails" in s.notes for s in out)
 
@@ -272,7 +303,8 @@ class TestFactorStructures:
         pts = seeded_points(dwp.product, 8)
         anchor = np.zeros(dwp.m)
         d = dwp.point_data(pts, anchor)
-        gate = residual(spec, d.product, TOL)
+        gate = residual(spec, equation_terms(spec, d.product), d.p, TOL,
+                        "factors.quasi_einstein.product")
         assert gate.status == PASS
         out = quasi_einstein_factor_structures(dwp, spec, d, TOL, gate)
         for s in out:
@@ -287,7 +319,9 @@ class TestFactorStructures:
         pts = seeded_points(dwp.product, 4)
         d = dwp.point_data(pts, np.zeros(dwp.m))
         out = quasi_einstein_factor_structures(
-            dwp, spec, d, TOL, residual(spec, d.product, TOL))
+            dwp, spec, d, TOL,
+            residual(spec, equation_terms(spec, d.product), d.p, TOL,
+                     "factors.quasi_einstein.product"))
         assert [s.check_id for s in out] == [
             f"factors.quasi_einstein.{sub}"
             for sub in ("product", "factor1", "factor2")]
@@ -309,8 +343,45 @@ class TestFactorStructures:
         pts = seeded_points(dwp.product, 4)
         d = dwp.point_data(pts, np.zeros(2))
         out = riemann_factor_structures(
-            dwp, spec, d, TOL, residual(spec, d.product, TOL))
+            dwp, spec, d, TOL,
+            residual(spec, equation_terms(spec, d.product), d.p, TOL,
+                     "factors.riemann.product"))
         assert all(s.status == SKIP for s in out)
+
+
+class TestTransferIdentities:
+    """Each factor equation is the same-factor block of its product
+    equation, rewritten by the splitting formulas: for ANY potential and
+    lambda, its difference on an anchored restriction set equals that block
+    of the product equation's difference there, by the oracle."""
+
+    @pytest.mark.parametrize("make", CURVED_PRODUCTS,
+                             ids=lambda make: make.__name__)
+    @pytest.mark.parametrize("kind, equation, product_terms", [
+        ("yamabe", yamabe_factor_equation, equation_terms),
+        ("ricci", ricci_factor_equation, equation_terms),
+        ("riemann", riemann_factor_equation, contracted_terms),
+    ], ids=["yamabe", "ricci", "riemann"])
+    def test_factor_difference_is_the_product_block(self, make, kind,
+                                                     equation, product_terms):
+        dwp = make()
+        t, a, *_, b = dwp.coords
+        # a non-soliton potential and a function lambda
+        psi = parse_expression(f"{t}*{a} + sin({b})*{t} + {a}^3", dwp.coords)
+        lam = parse_expression(f"0.3 + {b}*{t}", dwp.coords)
+        spec = SolitonSpec(kind=kind, psi=psi, lam=lam)
+        pts = seeded_points(dwp.product, 16, box=CURVED_BOX)
+        d = dwp.point_data(pts, pts[0])
+        for which in (1, 2):
+            r = d.restriction(which)
+            s = r.side(which)
+            lhs, rhs, _ = equation(spec, r, s, r.product.jet(psi))
+            mine = difference(lhs, rhs)
+            block = difference(*product_terms(spec, r.product))[
+                :, s.own, s.own]
+            assert np.abs(block).max() > 1.0
+            assert normalized_residual(mine - block,
+                                       [mine, block]).max() <= 1e-11
 
 
 class TestLogHessianIdentity:

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import (
+    CURVED_BOX,
+    CURVED_PRODUCTS,
     direct_flat_product,
     e2xe1_product,
     expr_chart,
@@ -19,7 +21,8 @@ from conftest import (
 from dwpcheck import checks
 from dwpcheck.dwp import DimensionError, DoublyWarpedProduct
 from dwpcheck.expr import constant
-from dwpcheck.reporting import PASS, SKIP
+from dwpcheck.geometry import times
+from dwpcheck.reporting import PASS, SKIP, normalized_residual
 from dwpcheck.special import (
     concircular_flat_consequences,
     concircular_oracle,
@@ -154,33 +157,47 @@ class TestClosedForms:
 
 class TestBlockTraceIdentities:
     """Frozen contraction identities that hold on ANY doubly warped
-    product, regardless of flatness."""
+    product, regardless of flatness: checked on e2xe1, whose factors are
+    flat, and on the curved products, at the samples and on both anchored
+    restriction sets."""
+
+    @staticmethod
+    def records():
+        """(product, its records) for each product tested."""
+        for make, box in [(e2xe1_product, (-1.0, 1.0))] + [
+                (make, CURVED_BOX) for make in CURVED_PRODUCTS]:
+            dwp = make()
+            pts = seeded_points(dwp.product, 16, box=box)
+            d = dwp.point_data(pts, pts[0])
+            yield dwp, (d, d.restriction(1), d.restriction(2))
 
     def test_concircular_block_trace_gives_einstein_defect(self):
-        dwp = e2xe1_product()
-        for p in seeded_points(dwp.product, 4):
-            d = dwp.point_data(p[None])
-            c4 = concircular_oracle(d.product)
-            for s in d.sides:
-                which, ric, g_i = s.which, s.ric[0], s.g[0]
-                trace = factor_block_trace(dwp, c4, which, d)[0]
-                defect, mu = (a[0] for a in einstein_defect(dwp, which, d))
-                assert np.allclose(trace, ric - mu * g_i, atol=1e-12)
-                assert np.allclose(trace, defect, atol=1e-12)
+        for dwp, records in self.records():
+            largest = 0.0
+            for d in records:
+                c4 = concircular_oracle(d.product)
+                for s in d.sides:
+                    trace = factor_block_trace(dwp, c4, s.which, d)
+                    defect, mu = einstein_defect(dwp, s.which, d)
+                    largest = max(largest, np.abs(defect).max())
+                    for other in (defect, s.ric - times(mu, s.g)):
+                        assert normalized_residual(
+                            trace - other, [trace, other]).max() <= 1e-11
+            assert largest > 0.1, dwp.coords  # a line's defect vanishes
 
     def test_conharmonic_block_trace_gives_f_almost_defect(self):
-        dwp = e2xe1_product()
-        m = dwp.m
-        for p in seeded_points(dwp.product, 4):
-            d = dwp.point_data(p[None])
-            h4 = conharmonic_oracle(d.product)
-            for which, m_opp in ((1, dwp.m2), (2, dwp.m1)):
-                trace = factor_block_trace(dwp, h4, which, d)[0]
-                defect, lam, f = (a[0] for a in f_almost_defect(dwp, which,
-                                                                 d))
-                assert np.allclose(
-                    trace, (m_opp / (m - 2)) * defect, atol=1e-12
-                )
+        for dwp, records in self.records():
+            largest = 0.0
+            for d in records:
+                h4 = conharmonic_oracle(d.product)
+                for which, m_opp in ((1, dwp.m2), (2, dwp.m1)):
+                    trace = factor_block_trace(dwp, h4, which, d)
+                    defect = (m_opp / (dwp.m - 2)) * f_almost_defect(
+                        dwp, which, d)[0]
+                    largest = max(largest, np.abs(defect).max())
+                    assert normalized_residual(
+                        trace - defect, [trace, defect]).max() <= 1e-11
+            assert largest > 0.1, dwp.coords  # a line's defect vanishes
 
 
 class TestFlatConsequences:
