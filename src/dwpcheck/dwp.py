@@ -10,6 +10,9 @@ brute-force product oracle in `geometry`.
 
 from __future__ import annotations
 
+import copy
+import functools
+
 import numpy as np
 
 from .expr import DomainError, constant
@@ -57,6 +60,16 @@ def wedge_operator(a, rows):
     B(X_i); leading axes are batch axes."""
     t = np.einsum("...jk,...ic->...ijkc", a, rows)
     return t - np.swapaxes(t, -4, -3)
+
+
+def _once_per_record(closed_form):
+    """The closed form, built once per record d: stored on d at its first
+    call (`_PointData.closed`) and shared, read-only, by the later ones."""
+    @functools.wraps(closed_form)
+    def once(dwp, d):
+        return d.closed(closed_form.__name__,
+                        functools.partial(closed_form, dwp))
+    return once
 
 
 class DoublyWarpedProduct:
@@ -171,7 +184,8 @@ class DoublyWarpedProduct:
     # over the product chart.  Each block formula is written once for a
     # factor side s = d.side(which) and its mirror o = s.mirror: the second
     # factor's block is the first's under f1 <-> f2, k <-> l, m1 <-> m2,
-    # which is exactly the swap of s and o.
+    # which is exactly the swap of s and o.  The curvature, the Ricci tensor
+    # and the Ricci operator are built once per record and shared read-only.
 
     def covariant_closed(self, d):
         """Christoffel symbols Gamma[n, c, i, j] = (grad_{d_i} d_j)^c of the
@@ -207,6 +221,7 @@ class DoublyWarpedProduct:
             )
         return out
 
+    @_once_per_record
     def riemann_closed(self, d):
         """Closed-form curvature V[n, i, j, k, c] = (R(d_i, d_j) d_k)^c over
         the product chart.  The six classes are built as blocks (letters X,
@@ -247,6 +262,7 @@ class DoublyWarpedProduct:
         closed product metric."""
         return self.riemann_closed(d) @ d.gp[:, None, None]
 
+    @_once_per_record
     def ricci_closed(self, d):
         """Ricci tensor from the closed splitting formulas:
         Ric1 - (m2/f1) h1^f1 - (lap l) g on XX (mirrored on UU) and
@@ -262,6 +278,7 @@ class DoublyWarpedProduct:
             out[:, s.own, o.own] = (self.m - 2) * outer(s.dlog, o.dlog)
         return out
 
+    @_once_per_record
     def ricci_operator_closed(self, d):
         """Ricci operator (1,1), out[n, a, b] = Q(d_b)^a: the closed Ricci
         tensor raised by the product metric's blocks, f_opp^-2 g_i^-1 on
@@ -313,13 +330,17 @@ class _ProductChart(ChartManifold):
         return super()._domain_error(i, j, point, exc)
 
 
-class _Side:
-    """One factor's ingredients of the block formulas at a batch of product
-    points, read off the factor's chart record and the opposite warping's
-    values `f_opp` alone (never off the product chart's record); every array
-    has a leading N axis.  `mirror` is the other factor's side record."""
+class _FactorPart:
+    """One factor's ingredients of the block formulas that read its chart
+    record and its own warping alone, so that every record holding the
+    factor at the same points shares one part; every array has a leading N
+    axis."""
 
-    def __init__(self, dwp, which, factor, f_opp):
+    # the fields that have one row per point
+    ROWS = ("g", "ginv", "gamma", "ric", "tau", "r", "f", "h_f", "lap_f",
+            "h_log", "lap_log", "dlog")
+
+    def __init__(self, dwp, which, factor):
         f, log_f = ((dwp.f1, dwp.k), (dwp.f2, dwp.l))[which - 1]
         self.which = which
         self.own = dwp.block("XU"[which - 1])[1]  # product-chart indices
@@ -330,6 +351,8 @@ class _Side:
         r4, self.ric, self.tau = factor.curvature
         # (1,3) curvature r[n, x, y, z, c] = (R(d_x, d_y) d_z)^c
         self.r = np.einsum("nxyzw,nwc->nxyzc", r4, factor.ginv)
+        # log f's tree holds f's: one memo jets f's tree once
+        factor.share_jets((f, log_f))
         f_jet, log_jet = factor.jet(f), factor.jet(log_f)
         self.f = f_jet.value
         # factor Hessians and Laplacians of the warping and of its log
@@ -337,11 +360,32 @@ class _Side:
         self.lap_f = np.einsum("nij,nij->n", factor.ginv, self.h_f)
         self.h_log = covariant_hessian(factor.gamma, log_jet)
         self.lap_log = np.einsum("nij,nij->n", factor.ginv, self.h_log)
+        self.dlog = log_jet.gradient  # the log-warping's differential
+
+    def take(self, rows):
+        """The part at a selection of its points (an index array, repeats
+        allowed), read off this part's rows."""
+        out = copy.copy(self)
+        out.factor = self.factor.take(rows)
+        for name in self.ROWS:
+            setattr(out, name, getattr(self, name)[rows])
+        return out
+
+
+class _Side:
+    """One factor's ingredients of the block formulas at a batch of product
+    points: the fields of its factor part `part`, read as its own, and
+    those that read the opposite warping's values `f_opp` (never the
+    product chart's record); every array has a leading N axis.  `mirror`
+    is the other factor's side record."""
+
+    def __init__(self, dwp, part, f_opp):
+        vars(self).update(vars(part))
+        self.part = part
         # the product metric's block f_opp^2 g, and the log-warping's
-        # differential, product gradient f_opp^-2 g^-1 dlog (on its own
-        # slots), squared length and product Laplacian (Laplacian splitting)
+        # product gradient f_opp^-2 g^-1 dlog (on its own slots), squared
+        # length and product Laplacian (Laplacian splitting)
         self.gp = times(f_opp**2, self.g)
-        self.dlog = log_jet.gradient
         grad = matvec(self.ginv, self.dlog) / (f_opp**2)[:, None]
         self.grad = grad @ self.lift
         self.grad_sq = np.einsum("ni,ni->n", self.dlog, grad)
@@ -362,32 +406,41 @@ class _Side:
 
 class _PointData:
     """A doubly warped product at a batch of product points: the product
-    chart's record (for the oracles), one side record per factor, and the
-    closed product metric `gp`.  With an anchor, the records of the
-    anchored restriction sets are built on first read."""
+    chart's record (for the oracles), one side record per factor, the
+    closed product metric `gp`, and the closed tensors built on it so far
+    (`closed`).  With an anchor, the records of the anchored restriction
+    sets are built on first read.  A given factor part (`parts`) is used
+    as is; the others are built from the factor charts at the points."""
 
-    def __init__(self, dwp, product, anchor=None, factors=(None, None)):
+    def __init__(self, dwp, product, anchor=None, parts=(None, None)):
         self.dwp, self.anchor = dwp, anchor
         self.product = product.require_spd()
         self.p = product.p
-        c1, c2 = (record or chart.at(pf).require_spd()
-                  for record, chart, pf in zip(
-                      factors, (dwp.factor1, dwp.factor2), dwp.split(self.p)))
-        # log f's tree holds f's: one memo jets f's tree once
-        c1.share_jets((dwp.f1, dwp.k))
-        c2.share_jets((dwp.f2, dwp.l))
-        self.sides = (_Side(dwp, 1, c1, c2.jet(dwp.f2).value),
-                      _Side(dwp, 2, c2, c1.jet(dwp.f1).value))
+        p1, p2 = (part or _FactorPart(dwp, which, chart.at(pf).require_spd())
+                  for part, which, chart, pf in zip(
+                      parts, (1, 2), (dwp.factor1, dwp.factor2),
+                      dwp.split(self.p)))
+        self.sides = (_Side(dwp, p1, p2.f), _Side(dwp, p2, p1.f))
         self.sides[0].mirror, self.sides[1].mirror = self.sides[::-1]
         self.gp = np.zeros((len(self.p), dwp.m, dwp.m))
         for s in self.sides:
             self.gp[:, s.own, s.own] = s.gp
         self._anchored = [None, None]
         self._restrictions = [None, None]
+        self._closed = {}
 
     def side(self, which):
         """The side record of factor `which` (1 or 2)."""
         return self.sides[which - 1]
+
+    def closed(self, name, build):
+        """The closed tensor `name` of this record, build(self) on first
+        request; read-only, since every later reader shares it."""
+        out = self._closed.get(name)
+        if out is None:
+            out = self._closed[name] = build(self)
+            out.flags.writeable = False
+        return out
 
     def anchored_product(self, which):
         """The product chart's record at the anchored restriction set of
@@ -399,12 +452,20 @@ class _PointData:
         return self._anchored[which - 1]
 
     def restriction(self, which):
-        """The record of the anchored restriction set of factor `which`; it
-        reads `anchored_product(which)` and shares this record's chart
-        record of that factor."""
+        """The record of the anchored restriction set of factor `which`: it
+        reads `anchored_product(which)` and shares this record's factor
+        part of factor `which`.  On that set the opposite factor sits at
+        the anchor, so its part is built at that one point and repeated."""
         if self._restrictions[which - 1] is None:
-            factors = [None, None]
-            factors[which - 1] = self.side(which).factor
-            self._restrictions[which - 1] = _PointData(
-                self.dwp, self.anchored_product(which), factors=factors)
+            dwp, other = self.dwp, 3 - which
+            # the product's record is tested first: where the opposite
+            # factor's metric fails too, the product's error is raised
+            product = self.anchored_product(which).require_spd()
+            at_anchor = (dwp.factor1, dwp.factor2)[other - 1].at(
+                dwp.split([self.anchor])[other - 1]).require_spd()
+            parts = [self.side(which).part] * 2
+            parts[other - 1] = _FactorPart(dwp, other, at_anchor).take(
+                np.zeros(len(self.p), int))
+            self._restrictions[which - 1] = _PointData(dwp, product,
+                                                       parts=parts)
         return self._restrictions[which - 1]

@@ -151,19 +151,25 @@ class ChartBatch:
     `jet(expr)` jets an expression at the points once per record, and
     `hessian(expr)` builds its covariant Hessian once.  The memos are keyed
     on the expression (structurally), never on points; the jets' memo
-    starts from the metric entries' jets when the record is jetted itself."""
+    starts from the metric entries' jets when the record is jetted itself.
+    The metrics' definiteness test runs once per record too (`definite`),
+    and a record read off others carries their rows of it."""
 
-    def __init__(self, chart, p, g, dg, ddg, jets=None):
+    def __init__(self, chart, p, g, dg, ddg, jets=None, definite=None):
         self.chart, self.p = chart, p
         self.g, self.dg, self.ddg = g, dg, ddg
         self._jets = {} if jets is None else jets
         self._hessians = {}
+        if definite is not None:
+            self.definite = definite
 
     def take(self, rows):
         """The record at a subset of the points (a boolean mask or an index
-        array), read off this record's jets."""
+        array, repeats allowed), read off this record's jets and
+        definiteness test."""
         return ChartBatch(self.chart, self.p[rows], self.g[rows],
-                          self.dg[rows], self.ddg[rows])
+                          self.dg[rows], self.ddg[rows],
+                          definite=tuple(a[rows] for a in self.definite))
 
     @staticmethod
     def concatenate(records):
@@ -171,7 +177,8 @@ class ChartBatch:
         order."""
         return ChartBatch(records[0].chart, *(
             np.concatenate([getattr(r, name) for r in records])
-            for name in ("p", "g", "dg", "ddg")))
+            for name in ("p", "g", "dg", "ddg")), definite=tuple(
+                map(np.concatenate, zip(*(r.definite for r in records)))))
 
     def jet(self, expr):
         """The jet of an expression on the chart's coordinates at the
@@ -189,15 +196,21 @@ class ChartBatch:
         for e in todo:
             self._jets[e] = e.jet(self.p, memo)
 
+    @cached_property
+    def definite(self):
+        """(spd, w): per point, whether the metric is finite and positive
+        definite, and its ascending eigenvalues (`_positive_definite`)."""
+        return _positive_definite(self.g)
+
     def well_conditioned(self):
         """Per point: whether the metric is positive definite with
         cond(g) <= COND_LIMIT."""
-        spd, w = _positive_definite(self.g)
+        spd, w = self.definite
         return spd & (w[:, -1] <= COND_LIMIT * w[:, 0])
 
     def require_spd(self):
         """The record itself; raises if a metric is not positive definite."""
-        spd, _ = _positive_definite(self.g)
+        spd, _ = self.definite
         if not spd.all():
             raise MetricError("metric not positive definite at "
                               f"{self.p[(~spd).argmax()].tolist()}")

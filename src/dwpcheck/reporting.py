@@ -103,11 +103,13 @@ def summarize(check_id, residuals, points, tolerance, notes=""):
     if not residuals.size:
         raise ValueError("summarize needs at least one residual")
     points = np.asarray(points, dtype=float)
-    nan = np.isnan(residuals)
-    worst = np.flatnonzero(nan if nan.any()
-                           else residuals == residuals.max())
-    # lexsort's last key is the primary one: the first coordinate
-    pick = worst[np.lexsort(points[worst].T[::-1])[0]]
+    top = residuals.max()  # NaN if any residual is
+    worst = np.flatnonzero(np.isnan(residuals) if math.isnan(top)
+                           else residuals == top)
+    pick = worst[0]
+    if len(worst) > 1:
+        # lexsort's last key is the primary one: the first coordinate
+        pick = worst[np.lexsort(points[worst].T[::-1])[0]]
     residual = float(residuals[pick])
     return ResidualSummary(
         check_id=check_id,

@@ -6,17 +6,23 @@ import numpy as np
 import pytest
 
 from conftest import (
+    CURVED_BOX,
+    CURVED_PRODUCTS,
     corpus,
     direct_flat_product,
     e2xe1_product,
     expr_chart,
     flat_chart,
+    hyperbolic_space,
+    quasi_einstein_product,
     random_polynomial,
     seeded_points,
     sphere_x_hyperbolic,
     warped_line_spec,
 )
-from dwpcheck import checks, expr, geometry, solitons, special
+from dwpcheck import (
+    checks, dwp as dwp_module, expr, geometry, solitons, special,
+)
 from dwpcheck.cli import main
 from dwpcheck.dwp import DoublyWarpedProduct, WarpingError
 from dwpcheck.expr import Expression, constant, parse_expression
@@ -413,6 +419,42 @@ def test_closed_forms_read_the_factor_records_alone():
         assert np.array_equal(mine, theirs)
 
 
+def array_fields(record):
+    return {name: value for name, value in vars(record).items()
+            if isinstance(value, np.ndarray)}
+
+
+class TestRestrictionRecords:
+    """A restriction record reuses the samples' factor part and holds the
+    opposite factor at the anchor; its fields equal, bitwise, those of the
+    record built from scratch at the anchored points."""
+
+    @pytest.mark.parametrize("make, box", [
+        *((make, CURVED_BOX) for make in CURVED_PRODUCTS),
+        (lambda: hyperbolic_space(3), (-1.0, 1.0)),
+        (lambda: quasi_einstein_product()[0], (-1.0, 1.0)),
+    ], ids=[make.__name__ for make in CURVED_PRODUCTS]
+        + ["hyperbolic_space", "quasi_einstein"])
+    @pytest.mark.parametrize("which", (1, 2))
+    def test_fields_equal_the_record_built_from_scratch(self, make, box,
+                                                        which):
+        dwp = make()
+        pts = seeded_points(dwp.product, 13, box=box)
+        anchor = box[0] + (box[1] - box[0]) * np.linspace(0.3, 0.7, dwp.m)
+        d = dwp.point_data(pts, anchor)
+        r = d.restriction(which)
+        scratch = dwp.point_data(d.anchored_product(which).p)
+        assert np.array_equal(r.p, scratch.p)
+        assert np.array_equal(r.gp, scratch.gp)
+        for mine, theirs in zip(r.sides, scratch.sides):
+            fields = array_fields(mine)
+            assert fields.keys() == array_fields(theirs).keys()
+            assert {"g", "r", "h_log", "gp", "grad", "lap"} <= fields.keys()
+            for name, value in fields.items():
+                assert np.array_equal(value, getattr(theirs, name)), name
+            assert np.array_equal(mine.factor.p, theirs.factor.p)
+
+
 class TestOneRecordPerPointSet:
     def test_run_all_jets_each_chart_once_per_point_set(self, monkeypatch):
         """With the flatness gates and a soliton gate passing, so that the
@@ -435,12 +477,19 @@ class TestOneRecordPerPointSet:
             built.append(args)
             return point_data(self, *args, **kwargs)
 
+        def counting_positive_definite(g):
+            tested.append(g)
+            return positive_definite(g)
+
+        tested, positive_definite = [], geometry._positive_definite
         monkeypatch.setattr(ChartManifold, "_metric_jets", counting_jets)
         monkeypatch.setattr(DoublyWarpedProduct, "point_data",
                             counting_point_data)
+        monkeypatch.setattr(geometry, "_positive_definite",
+                            counting_positive_definite)
         anchor = np.array([0.1, -0.2, 0.3, 0.4])
-        out = {s.check_id: s for s in checks.run_all(
-            dwp, [spec], dwp.point_data(pts, anchor), TOL)}
+        d = dwp.point_data(pts, anchor)
+        out = {s.check_id: s for s in checks.run_all(dwp, [spec], d, TOL)}
         for check_id in ("concircular.einstein1", "conharmonic.soliton2",
                          "soliton[0].factors.ricci.factor1"):
             assert out[check_id].status == PASS, out[check_id]
@@ -450,6 +499,62 @@ class TestOneRecordPerPointSet:
                                                               earlier))
         assert len(jetted) == 7  # samples 3, each restriction set 2
         assert 1 <= len(built) <= 3
+        # each restriction set jets its opposite factor once, at the anchor
+        at_anchor = [(chart, points) for chart, points in jetted
+                     if len(points) == 1]
+        assert [chart for chart, _ in at_anchor] == [dwp.factor2,
+                                                     dwp.factor1]
+        for (chart, points), which in zip(at_anchor, (2, 1)):
+            assert points.shape == (1, chart.dim)
+            assert np.array_equal(points[0],
+                                  anchor[dwp.block("XU")[which]])
+        # one definiteness test per jetted record
+        assert len(tested) == len(jetted)
+        for which in (1, 2):
+            assert (d.restriction(which).side(which).part
+                    is d.side(which).part)
+
+    def test_verify_builds_each_closed_tensor_once_per_record(
+            self, tmp_path, monkeypatch):
+        """Through the CLI, on H^3 = R x_{cosh t} H^2 with every check: the
+        closed curvature, Ricci tensor and Ricci operator are each read
+        more than once on the samples' record, their bodies run once there,
+        and every reader gets the one read-only tensor."""
+        names = ("riemann_closed", "ricci_closed", "ricci_operator_closed")
+        calls, bodies, returned = [], [], []
+        closed = dwp_module._PointData.closed
+
+        def counting_closed(record, name, build):
+            def counted(d):
+                bodies.append((record, name))
+                return build(d)
+            out = closed(record, name, counted)
+            returned.append(out)
+            return out
+
+        def counting(name):
+            method = getattr(DoublyWarpedProduct, name)
+
+            def wrapper(dwp, d):
+                calls.append(name)
+                return method(dwp, d)
+            return wrapper
+
+        monkeypatch.setattr(dwp_module._PointData, "closed", counting_closed)
+        for name in names:
+            monkeypatch.setattr(DoublyWarpedProduct, name, counting(name))
+        spec = tmp_path / "h3.spec"
+        spec.write_text(warped_line_spec("hyperbolic-hyperbolic",
+                                         line_first=True))
+        assert main(["verify", str(spec), "--report",
+                     str(tmp_path / "h3.txt")]) == 0
+        for name in names:
+            assert calls.count(name) >= 2, name
+        assert sorted(name for _, name in bodies) == sorted(names)
+        assert all(record is bodies[0][0] for record, _ in bodies)
+        assert not any(out.flags.writeable for out in returned)
+        with pytest.raises(ValueError):
+            returned[0][...] = 0.0
 
     def test_verify_builds_each_quantity_once_per_record(self, tmp_path,
                                                          monkeypatch):

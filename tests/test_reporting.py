@@ -31,6 +31,12 @@ class TestSummarize:
         s = summarize("c", [0.5, 0.5], [[3.0, 1.0], [2.0, 9.0]], 1.0)
         assert s.worst_point == (2.0, 9.0)
 
+    def test_unique_maximum_wins_at_lexicographically_last_point(self):
+        s = summarize("c", [0.2, 0.5, 0.2, 0.1],
+                      [[1.0, 0.0], [3.0, 2.0], [2.0, 5.0], [3.0, 1.0]], 1.0)
+        assert s.max_abs_residual == 0.5
+        assert s.worst_point == (3.0, 2.0)
+
     @pytest.mark.parametrize("residuals", [[0.0, np.nan], [np.nan, 0.0]])
     def test_nan_residual_fails_in_any_position(self, residuals):
         pts = [[1.0], [2.0]]

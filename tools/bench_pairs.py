@@ -1,10 +1,10 @@
 """Alternating pairs of benchmark runs: a git revision against this checkout.
 
-    python3 tools/bench_pairs.py REV --workload W [--pairs 10] [--seconds S]
-                                 [--seed N]
+    python3 tools/bench_pairs.py REV --workload W|all [--pairs 10]
+                                 [--seconds S] [--seed N]
 
-REV is checked out with `git worktree` in a temporary directory (removed
-again at the end). Each pair runs
+REV's committed files are unpacked (`git archive`) into a temporary
+directory, removed again at the end. Each pair runs
 
     bench/run.py --workload W --seed N --seconds S --trace 0
 
@@ -16,18 +16,22 @@ It prints each run's end-to-end metrics (BENCHMARK.json's `end_to_end`) as
 the run finishes and then, per metric, each side's median and quartiles,
 the change of the median, how many pairs this checkout won in the metric's
 better direction (ties count for neither side) and whether the medians
-differ by more than REV's interquartile range. A run that exits non-zero or
-is not `correct` stops the tool with status 1. Standard library only.
+differ by more than REV's interquartile range. With `--workload all` it
+runs the pairs of each workload of BENCHMARK.json in turn and prints one
+such table per workload. A run that exits non-zero or is not `correct`
+stops the tool with status 1. Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -36,6 +40,14 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def declared():
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def extract(rev, tree):
+    """Unpack the committed files of git revision `rev` into `tree`."""
+    archive = subprocess.run(["git", "-C", ROOT, "archive", rev],
+                             check=True, stdout=subprocess.PIPE).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(tree, filter="data")
 
 
 def run_bench(tree, workload, seed, seconds):
@@ -90,8 +102,10 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="the git revision to compare against")
-    parser.add_argument("--workload", required=True,
-                        choices=[w["name"] for w in bench["workloads"]])
+    names = [w["name"] for w in bench["workloads"]]
+    parser.add_argument("--workload", required=True, choices=names + ["all"],
+                        help="a workload of BENCHMARK.json, or all of "
+                        "them in turn")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float,
                         default=bench["run_seconds"])
@@ -100,31 +114,29 @@ def main(argv=None):
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     metrics = bench["end_to_end"]
-    runs = []
+    workloads = names if args.workload == "all" else [args.workload]
     with tempfile.TemporaryDirectory() as tmp:
         tree = os.path.join(tmp, "rev")
-        subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach",
-                        "--quiet", tree, args.rev], check=True)
-        try:
+        extract(args.rev, tree)
+        for workload in workloads:
+            runs = []
             for i in range(args.pairs):
                 sides = [(0, args.rev, tree), (1, "here", ROOT)]
                 if i % 2:
                     sides.reverse()
                 pair = [None, None]
                 for side, label, path in sides:
-                    got = pair[side] = run_bench(path, args.workload,
-                                                 args.seed, args.seconds)
-                    print(f"pair {i + 1} {label}: " + ", ".join(
+                    got = pair[side] = run_bench(path, workload, args.seed,
+                                                 args.seconds)
+                    print(f"{workload} pair {i + 1} {label}: " + ", ".join(
                         f"{m['name']} {got[m['name']]:.6g} {m['unit']}"
                         for m in metrics), flush=True)
                 runs.append(pair)
-        finally:
-            subprocess.run(["git", "-C", ROOT, "worktree", "remove",
-                            "--force", tree], check=True)
-    print(f"# {args.workload} seed {args.seed}, {args.pairs} pairs of "
-          f"{args.seconds:g} s runs, {args.rev} against this checkout")
-    for line in summary(metrics, runs, args.rev):
-        print(line)
+            print(f"# {workload} seed {args.seed}, {args.pairs} pairs of "
+                  f"{args.seconds:g} s runs, {args.rev} against this "
+                  "checkout")
+            for line in summary(metrics, runs, args.rev):
+                print(line, flush=True)
     return 0
 
 

@@ -3,9 +3,9 @@ revision.
 
     python3 tools/compare_reports.py REV
 
-REV is checked out with `git worktree` in a temporary directory (removed
-again at the end). In that tree and in this checkout, the same cases run
-through `dwpcheck verify --format structured`:
+REV's committed files are unpacked (`git archive`) into a temporary
+directory, removed again at the end. In that tree and in this checkout,
+the same cases run through `dwpcheck verify --format structured`:
 
 - the benchmark corpus: every workload of bench/workloads.py at seeds
   1, 2, 3 and 57, with each spec's own flags;
@@ -26,10 +26,12 @@ by both trees.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
 import sys
+import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -146,6 +148,14 @@ def fixture_cases(directory):
     return cases
 
 
+def extract(rev, tree):
+    """Unpack the committed files of git revision `rev` into `tree`."""
+    archive = subprocess.run(["git", "-C", ROOT, "archive", rev],
+                             check=True, stdout=subprocess.PIPE).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(tree, filter="data")
+
+
 def run_tree(tree, argvs, cwd):
     """[code, out, err] per argv, run on the package in tree/src."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
@@ -216,15 +226,10 @@ def main(argv=None):
         cases = (bench_cases(os.path.join(tmp, "bench"))
                  + fixture_cases(os.path.join(tmp, "fixtures")))
         tree = os.path.join(tmp, "rev")
-        subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach",
-                        "--quiet", tree, rev], check=True)
-        try:
-            argvs = [a for _, a in cases]
-            here = run_tree(ROOT, argvs, tmp)
-            there = run_tree(tree, argvs, tmp)
-        finally:
-            subprocess.run(["git", "-C", ROOT, "worktree", "remove",
-                            "--force", tree], check=True)
+        extract(rev, tree)
+        argvs = [a for _, a in cases]
+        here = run_tree(ROOT, argvs, tmp)
+        there = run_tree(tree, argvs, tmp)
     n = len(cases)
     same = [sum(h[k] == t[k] for h, t in zip(here, there)) for k in (1, 2, 0)]
     print(f"{n} cases against {rev}: reports byte-identical {same[0]}/{n}, "
