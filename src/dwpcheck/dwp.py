@@ -63,12 +63,17 @@ def wedge_operator(a, rows):
 
 
 def _once_per_record(closed_form):
-    """The closed form, built once per record d: stored on d at its first
-    call (`_PointData.closed`) and shared, read-only, by the later ones."""
+    """The closed form, built once per record d (and per potential, for one
+    that takes a potential first, keyed lifted to the product chart):
+    stored on d at its first call (`_PointData.closed`) and shared,
+    read-only, by the later ones."""
     @functools.wraps(closed_form)
-    def once(dwp, d):
-        return d.closed(closed_form.__name__,
-                        functools.partial(closed_form, dwp))
+    def once(dwp, *args):
+        *psi, d = args
+        psi = [dwp.lifted(e) for e in psi]
+        name = closed_form.__name__
+        return d.closed((name, *psi) if psi else name,
+                        functools.partial(closed_form, dwp, *psi))
     return once
 
 
@@ -184,8 +189,9 @@ class DoublyWarpedProduct:
     # over the product chart.  Each block formula is written once for a
     # factor side s = d.side(which) and its mirror o = s.mirror: the second
     # factor's block is the first's under f1 <-> f2, k <-> l, m1 <-> m2,
-    # which is exactly the swap of s and o.  The curvature, the Ricci tensor
-    # and the Ricci operator are built once per record and shared read-only.
+    # which is exactly the swap of s and o.  The curvature, the Ricci tensor,
+    # the Ricci operator, the scalar curvature and each potential's Hessian
+    # are built once per record and shared read-only.
 
     def covariant_closed(self, d):
         """Christoffel symbols Gamma[n, c, i, j] = (grad_{d_i} d_j)^c of the
@@ -203,12 +209,13 @@ class DoublyWarpedProduct:
             ) + np.einsum("na,uc->ncau", s.dlog, o.lift)
         return out
 
+    @_once_per_record
     def hessian_split_closed(self, psi, d):
         """Product Hessian of psi via the splitting formulas:
         h1^psi + g(grad l, grad psi) g on XX (k <-> l on UU), and on XU
         XU(psi) - X(k)U(psi) - X(psi)U(l) on coordinate lifts (its mirror
-        on UX)."""
-        jet = d.product.jet(self.lifted(psi))
+        on UX).  The body reads psi lifted (`_once_per_record`)."""
+        jet = d.product.jet(psi)
         out = np.empty((len(d.p), self.m, self.m))
         for s in d.sides:
             o = s.mirror
@@ -289,6 +296,7 @@ class DoublyWarpedProduct:
             out[:, s.own] = times(1.0 / s.mirror.f**2, s.ginv @ ric[:, s.own])
         return out
 
+    @_once_per_record
     def scalar_closed(self, d):
         """Scalar curvature of the product from the splitting formula."""
         s1, s2 = d.sides
@@ -433,22 +441,36 @@ class _PointData:
         """The side record of factor `which` (1 or 2)."""
         return self.sides[which - 1]
 
-    def closed(self, name, build):
-        """The closed tensor `name` of this record, build(self) on first
-        request; read-only, since every later reader shares it."""
-        out = self._closed.get(name)
+    def closed(self, key, build):
+        """The closed tensor `key` of this record (a closed form's name, or
+        its name and potential), build(self) on first request; read-only,
+        since every later reader shares it."""
+        out = self._closed.get(key)
         if out is None:
-            out = self._closed[name] = build(self)
+            out = self._closed[key] = build(self)
             out.flags.writeable = False
         return out
 
     def anchored_product(self, which):
         """The product chart's record at the anchored restriction set of
-        factor `which`, jetted on first read (not tested for positive
-        definiteness: the restriction's record does that)."""
+        factor `which`, from the metric's values alone (its derivatives
+        are jetted if read; no verify path reads them).  Both sets come
+        from one values pass over their 2N points, set 1's rows first, and
+        share one definiteness test, which the CLI's conditioning test and
+        the restriction's record read.  Where that pass raises, each set
+        takes a pass of its own when read, so that set 1's record, and
+        what is tested on it, come before an error of set 2."""
         if self._anchored[which - 1] is None:
-            self._anchored[which - 1] = self.dwp.product.at(
-                self.dwp.anchored(self.p, self.anchor, which))
+            dwp, n = self.dwp, len(self.p)
+            sets = [dwp.anchored(self.p, self.anchor, w) for w in (1, 2)]
+            try:
+                both = dwp.product.values_at(np.concatenate(sets))
+            except GeometryError:
+                self._anchored[which - 1] = dwp.product.values_at(
+                    sets[which - 1])
+            else:
+                self._anchored = [both.take(slice(None, n)),
+                                  both.take(slice(n, None))]
         return self._anchored[which - 1]
 
     def restriction(self, which):

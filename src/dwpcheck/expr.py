@@ -527,9 +527,11 @@ class Expression:
                 self._jet(points[: exc.index], dim)
             raise
 
-    def evaluate(self, points):
-        """Values (N,) at the points (N, d)."""
-        return self._jet(points, 0)[0]
+    def evaluate(self, points, memo=None):
+        """Values (N,) at the points (N, d): the jet's value, bitwise, with
+        the same domain and overflow checks.  A memo made by `shared_memo`
+        for values at these points is shared as `jet`'s is."""
+        return self._jet(points, 0, memo)[0]
 
     def jet(self, points, memo=None):
         """The jet at the points (N, d).  Jets of expressions on the same

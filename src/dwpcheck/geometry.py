@@ -66,35 +66,57 @@ class ChartManifold:
 
     def _metric_jets(self, points):
         """g[n,i,j], dg[n,k,i,j] = d_k g_ij, ddg[n,k,l,i,j] = d_k d_l g_ij,
-        and the entries' jets keyed on the entry: equal entries (the zeros
-        off a block diagonal, say) are jetted once, and so is a subtree that
-        distinct entries share (a block's squared warping), through a memo
-        that lives for this pass only."""
+        and the entries' jets keyed on the entry (`_entries`)."""
         points = np.asarray(points, dtype=float)
+        jets = self._entries(points, Expression.jet)
+        return (self._symmetric(lambda e: jets[e].value),
+                self._symmetric(lambda e: jets[e].gradient),
+                self._symmetric(lambda e: jets[e].hessian), jets)
+
+    def _metric_values(self, points):
+        """g[n,i,j] alone: the values of `_metric_jets`, bitwise, from a pass
+        that jets no derivative; it raises the same errors, since every
+        domain and overflow check runs on values."""
+        values = self._entries(np.asarray(points, dtype=float),
+                               Expression.evaluate)
+        return self._symmetric(values.__getitem__)
+
+    def _entries(self, points, read):
+        """{entry: read(entry, points, memo)} over the distinct entries of
+        the metric's upper triangle: equal entries (the zeros off a block
+        diagonal, say) are read once, and so is a subtree that distinct
+        entries share (a block's squared warping), through a memo that
+        lives for this pass only.  Raises the error of the first point
+        where an entry leaves its domain, the first such entry of the
+        row-major upper triangle."""
         n = self.dim
-        g = np.empty((len(points), n, n))
-        dg = np.empty((len(points), n, n, n))
-        ddg = np.empty((len(points), n, n, n, n))
-        jets = {}
-        memo = shared_memo(dict.fromkeys(
-            self.metric[i][j] for i in range(n) for j in range(i, n)))
+        upper = [(i, j) for i in range(n) for j in range(i, n)]
+        memo = shared_memo(dict.fromkeys(self.metric[i][j] for i, j in upper))
+        out = {}
+        for i, j in upper:
+            entry = self.metric[i][j]
+            if entry in out:
+                continue
+            try:
+                out[entry] = read(entry, points, memo)
+            except DomainError as exc:
+                # a later entry may fail at an earlier point; the pass
+                # on those points has a memo of its own
+                self._entries(points[: exc.index], read)
+                raise self._domain_error(i, j, points[exc.index],
+                                         exc) from None
+        return out
+
+    def _symmetric(self, entry):
+        """The symmetric array out[..., i, j] = out[..., j, i] =
+        entry(metric[i][j])."""
+        n = self.dim
+        first = entry(self.metric[0][0])
+        out = np.empty(first.shape + (n, n))
         for i in range(n):
             for j in range(i, n):
-                entry = self.metric[i][j]
-                try:
-                    jet = jets.get(entry)
-                    if jet is None:
-                        jet = jets[entry] = entry.jet(points, memo)
-                except DomainError as exc:
-                    # a later entry may fail at an earlier point; the pass
-                    # on those points has a memo of its own
-                    self._metric_jets(points[: exc.index])
-                    raise self._domain_error(i, j, points[exc.index],
-                                             exc) from None
-                g[:, i, j] = g[:, j, i] = jet.value
-                dg[:, :, i, j] = dg[:, :, j, i] = jet.gradient
-                ddg[:, :, :, i, j] = ddg[:, :, :, j, i] = jet.hessian
-        return g, dg, ddg, jets
+                out[..., i, j] = out[..., j, i] = entry(self.metric[i][j])
+        return out
 
     def _domain_error(self, i, j, point, exc):
         """The error of entry [i][j] leaving its domain at `point`."""
@@ -106,6 +128,13 @@ class ChartManifold:
         """The chart's record at a batch of points (N, dim)."""
         p = np.asarray(points, dtype=float)
         return ChartBatch(self, p, *self._metric_jets(p))
+
+    def values_at(self, points):
+        """The chart's record at a batch of points from the metric's values
+        alone: its `g` is that of `at(points)`, bitwise, and its
+        derivatives are jetted if read."""
+        p = np.asarray(points, dtype=float)
+        return ChartBatch(self, p, self._metric_values(p))
 
     def metric_at(self, points):
         """Metric matrices and their inverses; raises if one is not SPD."""
@@ -148,27 +177,52 @@ class ChartBatch:
     is read off them, each computed on first read.  Tensors are arrays in
     coordinate components with a leading N axis, indexed as documented.
 
-    `jet(expr)` jets an expression at the points once per record, and
-    `hessian(expr)` builds its covariant Hessian once.  The memos are keyed
-    on the expression (structurally), never on points; the jets' memo
-    starts from the metric entries' jets when the record is jetted itself.
-    The metrics' definiteness test runs once per record too (`definite`),
-    and a record read off others carries their rows of it."""
+    A record given the metric's values alone (`ChartManifold.values_at`)
+    jets its derivatives, and the entries' jets, when `dg` or `ddg` is
+    first read.  `jet(expr)` jets an expression at the points once per
+    record, and `hessian(expr)` builds its covariant Hessian once.  The
+    memos are keyed on the expression (structurally), never on points; the
+    jets' memo starts from the metric entries' jets when the record is
+    jetted itself.  The metrics' definiteness test runs once per record
+    too (`definite`), and a record read off others carries their rows of
+    it."""
 
-    def __init__(self, chart, p, g, dg, ddg, jets=None, definite=None):
-        self.chart, self.p = chart, p
-        self.g, self.dg, self.ddg = g, dg, ddg
+    def __init__(self, chart, p, g, dg=None, ddg=None, jets=None,
+                 definite=None):
+        self.chart, self.p, self.g = chart, p, g
+        self._derivatives = None if dg is None else (dg, ddg)
         self._jets = {} if jets is None else jets
         self._hessians = {}
         if definite is not None:
             self.definite = definite
 
+    @property
+    def dg(self):
+        """dg[n,k,i,j] = d_k g_ij."""
+        return self._jetted()[0]
+
+    @property
+    def ddg(self):
+        """ddg[n,k,l,i,j] = d_k d_l g_ij."""
+        return self._jetted()[1]
+
+    def _jetted(self):
+        """(dg, ddg), jetted with the entries' jets on first request if the
+        record was given the values alone."""
+        if self._derivatives is None:
+            _, dg, ddg, jets = self.chart._metric_jets(self.p)
+            self._derivatives = dg, ddg
+            self._jets = {**jets, **self._jets}
+        return self._derivatives
+
     def take(self, rows):
-        """The record at a subset of the points (a boolean mask or an index
-        array, repeats allowed), read off this record's jets and
-        definiteness test."""
+        """The record at a subset of the points (a boolean mask, an index
+        array, repeats allowed, or a slice), read off this record's jets
+        (its values alone, if it holds no more) and definiteness test."""
+        derivatives = () if self._derivatives is None else [
+            a[rows] for a in self._derivatives]
         return ChartBatch(self.chart, self.p[rows], self.g[rows],
-                          self.dg[rows], self.ddg[rows],
+                          *derivatives,
                           definite=tuple(a[rows] for a in self.definite))
 
     @staticmethod

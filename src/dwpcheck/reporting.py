@@ -24,6 +24,7 @@ __all__ = [
     "difference",
     "equation_residual",
     "summarize",
+    "summarize_columns",
     "skipped",
     "conditional",
     "render_json",
@@ -120,6 +121,35 @@ def summarize(check_id, residuals, points, tolerance, notes=""):
         tolerance=tolerance,
         notes=notes,
     )
+
+
+def summarize_columns(check_ids, residuals, points, tolerance):
+    """summarize(check_ids[j], residuals[:, j], points, tolerance) for each
+    column j of the per-point residuals (N, k), in one pass: a column's
+    maximum held at exactly one point is read off at once, and a column
+    with a NaN or a tie goes through `summarize`."""
+    residuals = np.asarray(residuals, dtype=float)
+    if not residuals.size:
+        raise ValueError("summarize needs at least one residual")
+    points = np.asarray(points, dtype=float)
+    top = residuals.max(axis=0)  # NaN where a column has one
+    unique = (residuals == top).sum(axis=0) == 1  # False for NaN
+    picks = residuals.argmax(axis=0)
+    worst = points[picks].tolist()
+    n = len(residuals)
+    return [
+        ResidualSummary(
+            check_id=check_id,
+            status=PASS if residual <= tolerance else FAIL,
+            max_abs_residual=residual,
+            worst_point=tuple(point),
+            points=n,
+            tolerance=tolerance,
+        ) if single else summarize(check_id, residuals[:, j], points,
+                                   tolerance)
+        for j, (check_id, residual, single, point) in enumerate(
+            zip(check_ids, top.tolist(), unique.tolist(), worst))
+    ]
 
 
 def skipped(check_id, reason, tolerance, points=0):

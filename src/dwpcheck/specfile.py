@@ -100,7 +100,8 @@ def _build_factor(table, section, line):
     if (
         not isinstance(metric, (list, tuple))
         or len(metric) != dim
-        or any(len(row) != dim for row in metric)
+        or any(not isinstance(row, (list, tuple)) or len(row) != dim
+               for row in metric)
     ):
         raise SpecFileError(
             f"[{section}] metric must be a {dim}x{dim} matrix of expressions"
@@ -149,8 +150,21 @@ def _scalar_or_expr(value, coords, section):
     return _expr(value, coords, section)
 
 
+def _finite(value, section, key, line):
+    """The value of `key`, unless it is a number that is not finite as a
+    float."""
+    if isinstance(value, (int, float)) and not (
+            abs(value) <= sys.float_info.max):
+        raise SpecFileError(f"[{section}] (line {line}): {key} must be "
+                            f"finite, got {value!r}")
+    return value
+
+
 def _build_soliton(table, line, coords, default_psi):
     raw_type = _require(table, "type", "soliton", line)
+    if not isinstance(raw_type, str):
+        raise SpecFileError(f"[soliton] (line {line}): type must be a type "
+                            f"name string, got {raw_type!r}")
     kind = SOLITON_TYPE_NAMES.get(raw_type)
     if kind is None:
         raise SpecFileError(
@@ -176,11 +190,15 @@ def _build_soliton(table, line, coords, default_psi):
                     f"[soliton] (line {line}): eta must list {len(coords)} "
                     "covariant components"
                 )
-            fields[field] = tuple(_expr(e, coords, "soliton") for e in value)
+            fields[field] = tuple(
+                _expr(_finite(e, "soliton", f"eta[{j}]", line), coords,
+                      "soliton") for j, e in enumerate(value))
         elif field == "psi":
-            fields[field] = _expr(value, coords, "soliton")
+            fields[field] = _expr(_finite(value, "soliton", key, line),
+                                  coords, "soliton")
         else:
-            fields[field] = _scalar_or_expr(value, coords, "soliton")
+            fields[field] = _scalar_or_expr(
+                _finite(value, "soliton", key, line), coords, "soliton")
     try:
         return SolitonSpec(**fields)
     except SolitonError as exc:
@@ -302,8 +320,8 @@ def load_spec(path):
                 f"[potential] (line {line}): unknown keys {sorted(extra)}"
             )
         default_psi = _expr(
-            _require(table, "psi", "potential", line), dwp.coords, "potential"
-        )
+            _finite(_require(table, "psi", "potential", line), "potential",
+                    "psi", line), dwp.coords, "potential")
     solitons = [
         _build_soliton(table, line, dwp.coords, default_psi)
         for table, line in soliton_sections

@@ -18,6 +18,7 @@ from conftest import (
     random_polynomial,
     seeded_points,
     sphere_x_hyperbolic,
+    sphere_x_line,
     warped_line_spec,
 )
 from dwpcheck import (
@@ -27,7 +28,7 @@ from dwpcheck.cli import main
 from dwpcheck.dwp import DoublyWarpedProduct, WarpingError
 from dwpcheck.expr import Expression, constant, parse_expression
 from dwpcheck.geometry import ChartManifold
-from dwpcheck.reporting import PASS
+from dwpcheck.reporting import PASS, normalized_residual, summarize
 from dwpcheck.solitons import (
     SolitonSpec, equation_terms, residual, ricci_factor_structures,
 )
@@ -465,13 +466,18 @@ class TestOneRecordPerPointSet:
         psi = parse_expression("0.3*(x^2 + y^2 + s^2 + t^2)", dwp.coords)
         spec = SolitonSpec(kind="ricci", psi=psi, lam=0.6)
         pts = seeded_points(dwp.product, 8)
-        jetted, built = [], []
+        jetted, built, valued = [], [], []
         metric_jets = ChartManifold._metric_jets
+        metric_values = ChartManifold._metric_values
         point_data = DoublyWarpedProduct.point_data
 
         def counting_jets(chart, points):
             jetted.append((chart, np.array(points, dtype=float)))
             return metric_jets(chart, points)
+
+        def counting_values(chart, points):
+            valued.append((chart, np.array(points, dtype=float)))
+            return metric_values(chart, points)
 
         def counting_point_data(self, *args, **kwargs):
             built.append(args)
@@ -483,6 +489,8 @@ class TestOneRecordPerPointSet:
 
         tested, positive_definite = [], geometry._positive_definite
         monkeypatch.setattr(ChartManifold, "_metric_jets", counting_jets)
+        monkeypatch.setattr(ChartManifold, "_metric_values",
+                            counting_values)
         monkeypatch.setattr(DoublyWarpedProduct, "point_data",
                             counting_point_data)
         monkeypatch.setattr(geometry, "_positive_definite",
@@ -497,7 +505,11 @@ class TestOneRecordPerPointSet:
             for other, earlier in jetted[:i]:
                 assert not (other is chart and np.array_equal(points,
                                                               earlier))
-        assert len(jetted) == 7  # samples 3, each restriction set 2
+        assert len(jetted) == 5  # samples 3, each restriction set 1
+        # both anchored sets: one values pass, set 1's rows first
+        assert len(valued) == 1 and valued[0][0] is dwp.product
+        assert np.array_equal(valued[0][1], np.concatenate(
+            [dwp.anchored(d.p, anchor, which) for which in (1, 2)]))
         assert 1 <= len(built) <= 3
         # each restriction set jets its opposite factor once, at the anchor
         at_anchor = [(chart, points) for chart, points in jetted
@@ -508,8 +520,9 @@ class TestOneRecordPerPointSet:
             assert points.shape == (1, chart.dim)
             assert np.array_equal(points[0],
                                   anchor[dwp.block("XU")[which]])
-        # one definiteness test per jetted record
-        assert len(tested) == len(jetted)
+        # one definiteness test per jetted record, and one for the
+        # anchored sets' values pass
+        assert len(tested) == len(jetted) + 1
         for which in (1, 2):
             assert (d.restriction(which).side(which).part
                     is d.side(which).part)
@@ -550,8 +563,10 @@ class TestOneRecordPerPointSet:
                      str(tmp_path / "h3.txt")]) == 0
         for name in names:
             assert calls.count(name) >= 2, name
-        assert sorted(name for _, name in bodies) == sorted(names)
-        assert all(record is bodies[0][0] for record, _ in bodies)
+        # the closed Hessians and scalar curvature are counted below
+        three = [(record, key) for record, key in bodies if key in names]
+        assert sorted(key for _, key in three) == sorted(names)
+        assert all(record is three[0][0] for record, _ in three)
         assert not any(out.flags.writeable for out in returned)
         with pytest.raises(ValueError):
             returned[0][...] = 0.0
@@ -694,3 +709,267 @@ class TestOneRecordPerPointSet:
         assert sorted(oracles) == ["concircular_oracle", "conharmonic_oracle"]
         assert len(validated) == 2  # the samples and the anchor
         assert not repeats(validated, np.array_equal)
+
+    def test_verify_builds_each_hessian_and_scalar_once_per_record(
+            self, tmp_path, monkeypatch):
+        """Through the CLI, on R x_{cosh t} H^2 line-first with every check:
+        the closed scalar curvature is read twice on the samples' record
+        (scalar, concircular) and the soliton potential's closed Hessian
+        three times (hessian, both mixed conditions), and each closed
+        tensor's body runs once per (record, key), the Hessian keyed on the
+        lifted potential."""
+        reads, bodies = [], []
+        closed = dwp_module._PointData.closed
+
+        def counting_closed(record, key, build):
+            def counted(d):
+                bodies.append((record, key))
+                return build(d)
+            return closed(record, key, counted)
+
+        def counting(name):
+            method = getattr(DoublyWarpedProduct, name)
+
+            def wrapper(dwp, *args):
+                *psi, d = args
+                reads.append((d, (name, *map(dwp.lifted, psi)) if psi
+                              else name))
+                return method(dwp, *args)
+            return wrapper
+
+        monkeypatch.setattr(dwp_module._PointData, "closed", counting_closed)
+        for name in ("hessian_split_closed", "scalar_closed"):
+            monkeypatch.setattr(DoublyWarpedProduct, name, counting(name))
+        spec = tmp_path / "h3.spec"
+        spec.write_text(warped_line_spec("hyperbolic-hyperbolic",
+                                         line_first=True))
+        assert main(["verify", str(spec), "--report",
+                     str(tmp_path / "h3.txt")]) == 0
+        built = [(id(record), key) for record, key in bodies]
+        assert len(set(built)) == len(built)
+        assert {(id(d), key) for d, key in reads} <= set(built)
+        samples = next(record for record, key in bodies
+                       if key == "riemann_closed")
+        on_samples = [key for d, key in reads if d is samples]
+        assert on_samples.count("scalar_closed") == 2
+        psi = ("hessian_split_closed", parse_expression("sinh(t)",
+                                                        ("t", "x", "y")))
+        assert on_samples.count(psi) == 3
+        # the log-warpings k and l, and psi
+        assert sum(key[0] == "hessian_split_closed" for record, key in bodies
+                   if record is samples) == 3
+
+
+def block_reference(dwp, d, family, classes, closed, oracle, axis=None):
+    """The summaries of each class's block reduced alone."""
+    return [summarize(f"{family}.{klass}", normalized_residual(
+        closed[dwp.block(klass)] - oracle[dwp.block(klass)],
+        [closed[dwp.block(klass)], oracle[dwp.block(klass)]], axis=axis),
+        d.p, TOL) for klass in classes]
+
+
+def line_x_plane():
+    """e2xe1 with its factors swapped: the line first (1 + 2)."""
+    f1c, f2c = flat_chart(("t",)), flat_chart(("x", "y"))
+    return DoublyWarpedProduct(
+        f1c, f2c, parse_expression("cosh(t)", f1c.coords),
+        parse_expression("exp(x)", f2c.coords))
+
+
+class TestBlockwiseComparison:
+    """Each block family's summaries, from one reduction of the whole
+    tensors and one summary pass, equal those of its blocks reduced one at
+    a time, on every field."""
+
+    @pytest.mark.parametrize("make, box", [
+        *((make, CURVED_BOX) for make in CURVED_PRODUCTS),
+        (e2xe1_product, (-1.0, 1.0)), (line_x_plane, (-1.0, 1.0)),
+        (lambda: hyperbolic_space(3), (-1.0, 1.0)),
+    ], ids=[make.__name__ for make in CURVED_PRODUCTS]
+        + ["e2xe1", "line_x_plane", "hyperbolic_space"])
+    def test_summaries_equal_the_block_by_block_ones(self, make, box):
+        dwp = make()
+        d = dwp.point_data(seeded_points(dwp.product, 9, box=box),
+                           np.full(dwp.m, np.mean(box)))
+        psi = dwp.lifted(random_polynomial(dwp.coords,
+                                           np.random.default_rng(3), 3))
+        c = d.product
+        curvature = c.curvature[0]
+        raised = checks._raised(curvature, d)
+        concircular = special.concircular_oracle(c)
+        conharmonic = special.conharmonic_oracle(c)
+        expected = {
+            "lemma1": block_reference(
+                dwp, d, "lemma1", dwp_module.RIEMANN_CLASSES,
+                dwp.riemann_closed(d), raised, axis=-1),
+            "lemma2": block_reference(
+                dwp, d, "lemma2", dwp_module.RICCI_CLASSES,
+                dwp.ricci_closed(d), c.curvature[1]),
+            "lemma5": block_reference(
+                dwp, d, "lemma5", ("XX", "UU"), dwp.ricci_operator_closed(d),
+                c.ginv @ c.curvature[1]),
+            "hessian": [
+                s for name, f in (("k", dwp.k), ("l", dwp.l), ("psi", psi))
+                for s in block_reference(
+                    dwp, d, f"hessian.{name}", dwp_module.RICCI_CLASSES,
+                    dwp.hessian_split_closed(f, d),
+                    c.hessian(dwp.lifted(f)))],
+            "concircular": block_reference(
+                dwp, d, "concircular", dwp_module.RIEMANN_CLASSES,
+                special.concircular_closed(dwp, d),
+                checks._raised(concircular, d), axis=-1),
+            "conharmonic": [
+                summarize(f"conharmonic.{klass}", normalized_residual(
+                    block - oracle[dwp.block(klass)],
+                    [block, oracle[dwp.block(klass)]], axis=-1), d.p, TOL)
+                for oracle in [checks._raised(conharmonic, d)]
+                for klass, block in special.conharmonic_closed(
+                    dwp, d).items()],
+        }
+        got = {
+            "lemma1": checks.check_lemma1(dwp, d, TOL)[:6],
+            "lemma2": checks.check_lemma2(dwp, d, TOL),
+            "lemma5": checks.check_lemma5(dwp, d, TOL),
+            "hessian": checks.check_hessian(dwp, d, TOL, [("psi", psi)]),
+            "concircular": checks.check_concircular(dwp, d, TOL)[:6],
+            "conharmonic": checks.check_conharmonic(dwp, d, TOL)[:2],
+        }
+        for family, summaries in expected.items():
+            assert got[family] == summaries, family
+
+    def test_whole_tensor_families_equal_the_reduction_of_each_tensor(self):
+        dwp = sphere_x_line()
+        d = dwp.point_data(seeded_points(dwp.product, 9, box=CURVED_BOX))
+        c = d.product
+        closed = dwp.riemann_closed_tensor(d)
+        assert checks.check_lemma1(dwp, d, TOL)[6] == summarize(
+            "lemma1.reconstruction", normalized_residual(
+                closed - c.curvature[0], [closed, c.curvature[0]]), d.p, TOL)
+        tau = dwp.scalar_closed(d)
+        assert checks.check_scalar(dwp, d, TOL) == [summarize(
+            "scalar.splitting", normalized_residual(
+                tau - c.curvature[2], [tau, c.curvature[2]]), d.p, TOL)]
+        laplacians = checks.check_laplacian(dwp, d, TOL)
+        for which, log_f, got in zip("kl", (dwp.k, dwp.l), laplacians):
+            lap = dwp.laplacian_split(which, d)
+            oracle = np.einsum("nij,nij->n", c.ginv,
+                               c.hessian(dwp.lifted(log_f)))
+            assert got == summarize(f"laplacian.{which}", normalized_residual(
+                lap - oracle, [lap, oracle]), d.p, TOL)
+
+    def test_a_nan_block_stays_in_its_class(self):
+        """A NaN in one block of the compared tensors makes that class's
+        residual NaN at that point and leaves the other classes as they
+        are."""
+        dwp = sphere_x_line()
+        d = dwp.point_data(seeded_points(dwp.product, 5, box=CURVED_BOX))
+        closed = np.array(dwp.ricci_closed(d))
+        oracle = d.product.curvature[1]
+        closed[2, 0, 2] = np.nan  # an XU entry at the third point
+        got = checks._blockwise(dwp, dwp_module.RICCI_CLASSES, closed,
+                                oracle)
+        for klass, reference in zip(dwp_module.RICCI_CLASSES, block_reference(
+                dwp, d, "c", dwp_module.RICCI_CLASSES, closed, oracle)):
+            assert np.isnan(got[klass][2]) == (klass == "XU")
+            assert repr(summarize(f"c.{klass}", got[klass], d.p, TOL)) \
+                == repr(reference)
+
+
+class TestAnchoredValuesPass:
+    """The anchored restriction sets' product records come from one values
+    pass; what they read of the metric's derivatives is jetted on read."""
+
+    @pytest.mark.parametrize("make", CURVED_PRODUCTS)
+    @pytest.mark.parametrize("which", (1, 2))
+    def test_read_fields_equal_the_jetted_record(self, make, which):
+        dwp = make()
+        pts = seeded_points(dwp.product, 11, box=CURVED_BOX)
+        d = dwp.point_data(pts, np.linspace(0.7, 2.2, dwp.m))
+        anchored = d.anchored_product(which)
+        jetted = dwp.product.at(dwp.anchored(pts, d.anchor, which))
+        assert np.array_equal(anchored.p, jetted.p)
+        for read in (lambda c: c.g, lambda c: c.ginv, lambda c: c.dg,
+                     lambda c: c.ddg, lambda c: c.gamma,
+                     lambda c: c.definite[1], *(
+                         (lambda c, i=i: c.curvature[i]) for i in range(3))):
+            assert np.array_equal(read(anchored), read(jetted))
+        psi = random_polynomial(dwp.coords, np.random.default_rng(5))
+        assert np.array_equal(anchored.hessian(psi), jetted.hessian(psi))
+
+    def test_verify_jets_no_anchored_point(self, tmp_path, monkeypatch):
+        """Through the CLI, with every gate passing so that the restriction
+        records are read: one values pass covers both anchored sets (set 1's
+        rows first), and no metric jet is taken at any of their points."""
+        jetted, valued = [], []
+        metric_jets = ChartManifold._metric_jets
+        metric_values = ChartManifold._metric_values
+
+        def counting_jets(chart, points):
+            jetted.append(np.array(points, dtype=float))
+            return metric_jets(chart, points)
+
+        def counting_values(chart, points):
+            valued.append((chart, np.array(points, dtype=float)))
+            return metric_values(chart, points)
+
+        monkeypatch.setattr(ChartManifold, "_metric_jets", counting_jets)
+        monkeypatch.setattr(ChartManifold, "_metric_values",
+                            counting_values)
+        spec = tmp_path / "h3.spec"
+        spec.write_text(warped_line_spec("hyperbolic-hyperbolic",
+                                         line_first=True))
+        report = tmp_path / "h3.json"
+        assert main(["verify", str(spec), "--format", "structured",
+                     "--report", str(report)]) == 0
+        status = {c["check_id"]: c["status"]
+                  for c in json.loads(report.read_text())["checks"]}
+        assert status["soliton[0].factors.ricci.factor2"] == PASS
+        [(chart, anchored)] = valued
+        assert chart.dim == 3 and len(anchored) == 16  # 2 x 8 points
+        anchor = np.array([0.0, 0.0, 1.0])  # the box's centre
+        assert (anchored[:8, 1:] == anchor[1:]).all()
+        assert (anchored[8:, :1] == anchor[:1]).all()
+        for points in jetted:
+            if points.shape[1] == 3:
+                assert not (points[:, None] == anchored[None]).all(
+                    axis=2).any()
+
+    ERROR_ORDER_SPEC = """[factor.1]
+dim = 1
+coords = ["x"]
+metric = [["{f1}"]]
+
+[factor.2]
+dim = 1
+coords = ["t"]
+metric = [["{f2}"]]
+
+[sampling]
+points = 8
+box = [0.5, 1.5]
+"""
+
+    @pytest.mark.parametrize("f1, f2, message", [
+        # set 2 (x at the anchor) leaves the domain of factor 1's metric,
+        # set 1 (t at the anchor) is singular: set 1's failure comes first
+        ("1/(x - 1)^2", "(t - 1)^2",
+         "anchored restriction set of factor 1: metric not positive "
+         "definite or cond(g) > 1e+08 at [{x}, 1.0]"),
+        # set 2 alone fails: its domain error
+        ("1/(x - 1)^2", "1",
+         "metric entry [0][0] = '1^2 * 1 / (x - 1)^2' leaves its domain at "
+         "[1.0, {t}]: division by zero in '1 / (x - 1)^2'"),
+        # set 1 alone fails: its domain error
+        ("1", "1/(t - 1)^2",
+         "metric entry [1][1] = '1^2 * 1 / (t - 1)^2' leaves its domain at "
+         "[{x}, 1.0]: division by zero in '1 / (t - 1)^2'"),
+    ], ids=["set1-singular-set2-domain", "set2-domain", "set1-domain"])
+    def test_set_one_is_tested_before_an_error_of_set_two(
+            self, tmp_path, capsys, f1, f2, message):
+        spec = tmp_path / "order.spec"
+        spec.write_text(self.ERROR_ORDER_SPEC.format(f1=f1, f2=f2))
+        # each set fails at its first row, the first sample's
+        x, t = np.random.default_rng(42).uniform(0.5, 1.5, size=(8, 2))[0]
+        assert main(["verify", str(spec)]) == 2
+        assert capsys.readouterr().err == "error: " + message.format(
+            x=x, t=t) + "\n"

@@ -13,6 +13,7 @@ from dwpcheck.reporting import (
     render_json,
     skipped,
     summarize,
+    summarize_columns,
 )
 
 
@@ -60,6 +61,46 @@ class TestSummarize:
         assert s.status == SKIP
         assert s.max_abs_residual is None
         assert s.worst_point is None
+
+
+class TestSummarizeColumns:
+    POINTS = [[0.0, 1.0], [2.0, -1.0], [1.0, 5.0], [2.0, -3.0], [0.5, 0.5]]
+    COLUMNS = {
+        # a unique maximum at the lexicographically last point
+        "unique-last": [0.1, 0.7, 0.2, 0.3, 0.0],
+        "unique-first": [0.9, 0.7, 0.2, 0.3, 0.0],
+        # ties: the lexicographically first of the tied points
+        "tie": [0.1, 0.5, 0.2, 0.5, 0.1],
+        "tie-at-first-index": [0.5, 0.5, 0.2, 0.5, 0.1],
+        "tie-zero": [0.0, 0.0, 0.0, 0.0, 0.0],
+        "one-nan": [0.1, 0.2, np.nan, 0.9, 0.3],
+        "several-nans": [0.1, np.nan, 0.2, np.nan, 0.3],
+        "inf": [0.1, np.inf, 0.2, 0.3, 0.0],
+        "inf-and-nan": [np.inf, 0.2, 0.1, np.nan, 0.0],
+        "minus-inf": [-np.inf, 0.2, 0.1, -np.inf, 0.0],
+        "all-minus-inf": [-np.inf] * 5,
+        "failing": [1e-3, 2e-3, 1e-9, 1e-3, 0.0],
+    }
+
+    def test_each_column_equals_its_own_summary(self):
+        ids = list(self.COLUMNS)
+        residuals = np.array(list(self.COLUMNS.values())).T
+        got = summarize_columns(ids, residuals, self.POINTS, 1e-8)
+        assert len(got) == len(ids)
+        for check_id, column, summary in zip(ids, residuals.T, got):
+            # repr: a NaN residual is equal to nothing, its text is exact
+            assert repr(summary) == repr(
+                summarize(check_id, column, self.POINTS, 1e-8)), check_id
+
+    def test_a_single_point(self):
+        got = summarize_columns(["a", "b"], [[np.nan, 2.0]], [[1.0]], 1.0)
+        assert [repr(s) for s in got] == [
+            repr(summarize("a", [np.nan], [[1.0]], 1.0)),
+            repr(summarize("b", [2.0], [[1.0]], 1.0))]
+
+    def test_no_residual_is_an_error(self):
+        with pytest.raises(ValueError):
+            summarize_columns([], np.empty((0, 0)), [], 1e-8)
 
 
 class TestNormalizedResidual:

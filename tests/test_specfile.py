@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from dwpcheck.cli import main
 from dwpcheck.specfile import (
     SOLITON_TYPE_NAMES, SpecFileError, load_spec, parse_sections,
 )
@@ -213,3 +214,70 @@ class TestErrors:
         ).replace('psi = "x + t^2"', 'psi = "x"')
         with pytest.raises(SpecFileError, match="disjoint"):
             load_spec(write(tmp_path, text))
+
+
+def soliton_line(text):
+    """The line number of the first [soliton] header of a spec text."""
+    return text.splitlines().index("[soliton]") + 1
+
+
+class TestRejectedValues:
+    """Wrong-typed and non-finite values exit 2 through the CLI, with a
+    message naming the section and the key."""
+
+    @pytest.mark.parametrize("old, new, message", [
+        ('type = "gradient_ricci"', "type = [1]",
+         "[soliton] (line {line}): type must be a type name string, "
+         "got [1]"),
+        ('metric = [["1", "0"], ["0", "1"]]', "metric = [1, 2]",
+         "[factor.1] metric must be a 2x2 matrix of expressions"),
+        ('metric = [["1"]]', "metric = [1]",
+         "[factor.2] metric must be a 1x1 matrix of expressions"),
+    ], ids=["soliton-type", "metric-rows", "metric-row-1x1"])
+    def test_wrong_types_exit_2(self, tmp_path, capsys, old, new, message):
+        text = GOOD_SPEC.replace(old, new)
+        assert main(["verify", write(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: " + message.format(
+            line=soliton_line(text)) + "\n"
+
+    @pytest.mark.parametrize("old, new, key, value", [
+        ("lambda = 0.5", "lambda = 1e400", "lambda", "inf"),
+        ("lambda = 0.5", "lambda = -1e400", "lambda", "-inf"),
+        ("lambda = 0.5", "lambda = 1" + "0" * 400, "lambda", "1" + "0" * 400),
+        ('type = "gradient_ricci"\nlambda = 0.5',
+         'type = "conformal"\ngamma = 1e400', "gamma", "inf"),
+        ('type = "gradient_ricci"\nlambda = 0.5',
+         'type = "quasi_einstein"\nalpha = 1e400\nbeta = 1\n'
+         'eta = ["1", "0", "0"]', "alpha", "inf"),
+        ('type = "gradient_ricci"\nlambda = 0.5',
+         'type = "quasi_einstein"\nalpha = 1\nbeta = -1e400\n'
+         'eta = ["1", "0", "0"]', "beta", "-inf"),
+        ('type = "gradient_ricci"\nlambda = 0.5',
+         'type = "quasi_einstein"\nalpha = 1\nbeta = 1\n'
+         'eta = ["1", 1e400, "0"]', "eta[1]", "inf"),
+        ("lambda = 0.5", "lambda = 0.5\npsi = 1e400", "psi", "inf"),
+    ], ids=["lambda", "lambda-negative", "lambda-integer", "gamma", "alpha",
+            "beta", "eta", "soliton-psi"])
+    def test_non_finite_soliton_values_exit_2(self, tmp_path, capsys, old,
+                                              new, key, value):
+        text = GOOD_SPEC.replace(old, new)
+        assert main(["verify", write(tmp_path, text)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [soliton] (line {soliton_line(text)}): {key} must be "
+            f"finite, got {value}\n")
+
+    def test_non_finite_potential_exits_2(self, tmp_path, capsys):
+        text = GOOD_SPEC.replace('psi = "x + t^2"', "psi = 1e400")
+        line = text.splitlines().index("[potential]") + 1
+        assert main(["verify", write(tmp_path, text)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [potential] (line {line}): psi must be finite, got "
+            "inf\n")
+
+    def test_finite_numbers_are_kept(self, tmp_path):
+        text = GOOD_SPEC.replace('psi = "x + t^2"', "psi = 1e300").replace(
+            "lambda = 0.5", "lambda = -1e300")
+        _, solitons, _, default_psi = load_spec(write(tmp_path, text))
+        assert solitons[0].lam == -1e300
+        assert default_psi.evaluate([[0.0, 0.0, 0.0]])[0] == 1e300

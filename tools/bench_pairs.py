@@ -1,7 +1,7 @@
 """Alternating pairs of benchmark runs: a git revision against this checkout.
 
     python3 tools/bench_pairs.py REV --workload W|all [--pairs 10]
-                                 [--seconds S] [--seed N]
+                                 [--seconds S] [--seed N] [--json PATH]
 
 REV's committed files are unpacked (`git archive`) into a temporary
 directory, removed again at the end. Each pair runs
@@ -18,8 +18,10 @@ the change of the median, how many pairs this checkout won in the metric's
 better direction (ties count for neither side) and whether the medians
 differ by more than REV's interquartile range. With `--workload all` it
 runs the pairs of each workload of BENCHMARK.json in turn and prints one
-such table per workload. A run that exits non-zero or is not `correct`
-stops the tool with status 1. Standard library only.
+such table per workload. `--json PATH` writes those tables, and every
+run's metrics, to PATH as JSON too, after each workload. A run that exits
+non-zero or is not `correct` stops the tool with status 1. Standard
+library only.
 """
 
 from __future__ import annotations
@@ -76,24 +78,47 @@ def quartiles(values):
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
-def summary(metrics, runs, rev):
-    """The per-metric lines over runs = [(REV's metrics, this checkout's
-    metrics)] pairs."""
-    width = max(len(m["name"]) for m in metrics)
-    lines = [f"{'metric':<{width}}  {rev + ' median [q1, q3]':<34}  "
-             f"{'here median [q1, q3]':<34}  change   wins  beyond IQR"]
+def table(metrics, runs):
+    """Per metric over runs = [(REV's metrics, this checkout's metrics)]
+    pairs: each side's median and quartiles, the change of the median, how
+    many pairs this checkout won in the metric's better direction (ties
+    count for neither side) and whether the medians differ by more than
+    REV's interquartile range."""
+    rows = []
     for m in metrics:
         name, sign = m["name"], 1 if m["better"] == "higher" else -1
         theirs = [r[0][name] for r in runs]
         mine = [r[1][name] for r in runs]
         (a1, a2, a3), (b1, b2, b3) = quartiles(theirs), quartiles(mine)
-        wins = sum(sign * (b - a) > 0 for a, b in zip(theirs, mine))
-        change = (b2 - a2) / a2 if a2 else float("nan")
-        beyond = abs(b2 - a2) > a3 - a1
+        rows.append({
+            "metric": name, "unit": m["unit"], "better": m["better"],
+            "rev": {"q1": a1, "median": a2, "q3": a3},
+            "here": {"q1": b1, "median": b2, "q3": b3},
+            "change": (b2 - a2) / a2 if a2 else None,
+            "wins": sum(sign * (b - a) > 0 for a, b in zip(theirs, mine)),
+            "pairs": len(runs),
+            "beyond_iqr": abs(b2 - a2) > a3 - a1,
+        })
+    return rows
+
+
+def _spread(side):
+    """'median [q1, q3]' of one side of a table row."""
+    return f"{side['median']:.5g} [{side['q1']:.5g}, {side['q3']:.5g}]"
+
+
+def summary(rows, rev):
+    """The printed lines of a `table`."""
+    width = max(len(row["metric"]) for row in rows)
+    lines = [f"{'metric':<{width}}  {rev + ' median [q1, q3]':<34}  "
+             f"{'here median [q1, q3]':<34}  change   wins  beyond IQR"]
+    for row in rows:
+        change = float("nan") if row["change"] is None else row["change"]
         lines.append(
-            f"{name:<{width}}  {f'{a2:.5g} [{a1:.5g}, {a3:.5g}]':<34}  "
-            f"{f'{b2:.5g} [{b1:.5g}, {b3:.5g}]':<34}  {change:+7.1%}  "
-            f"{wins:>2}/{len(runs):<2} {'yes' if beyond else 'no'}")
+            f"{row['metric']:<{width}}  {_spread(row['rev']):<34}  "
+            f"{_spread(row['here']):<34}  {change:+7.1%}  "
+            f"{row['wins']:>2}/{row['pairs']:<2} "
+            f"{'yes' if row['beyond_iqr'] else 'no'}")
     return lines
 
 
@@ -110,11 +135,16 @@ def main(argv=None):
     parser.add_argument("--seconds", type=float,
                         default=bench["run_seconds"])
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--json", metavar="PATH",
+                        help="also write each workload's table and runs "
+                        "as JSON to PATH, rewritten after each workload")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     metrics = bench["end_to_end"]
     workloads = names if args.workload == "all" else [args.workload]
+    document = {"rev": args.rev, "seed": args.seed, "pairs": args.pairs,
+                "seconds": args.seconds, "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
         tree = os.path.join(tmp, "rev")
         extract(args.rev, tree)
@@ -135,8 +165,17 @@ def main(argv=None):
             print(f"# {workload} seed {args.seed}, {args.pairs} pairs of "
                   f"{args.seconds:g} s runs, {args.rev} against this "
                   "checkout")
-            for line in summary(metrics, runs, args.rev):
+            rows = table(metrics, runs)
+            for line in summary(rows, args.rev):
                 print(line, flush=True)
+            document["workloads"][workload] = {
+                "table": rows,
+                "runs": [{"rev": theirs, "here": mine}
+                         for theirs, mine in runs]}
+            if args.json:
+                with open(args.json, "w", encoding="utf-8") as fh:
+                    json.dump(document, fh, indent=1, sort_keys=True)
+                    fh.write("\n")
     return 0
 
 
