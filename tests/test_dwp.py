@@ -755,8 +755,8 @@ class TestOneRecordPerPointSet:
         psi = ("hessian_split_closed", parse_expression("sinh(t)",
                                                         ("t", "x", "y")))
         assert on_samples.count(psi) == 3
-        # the log-warpings k and l, and psi
-        assert sum(key[0] == "hessian_split_closed" for record, key in bodies
+        # the Hessians (the tuple keys) of the log-warpings k and l, and psi
+        assert sum(isinstance(key, tuple) for record, key in bodies
                    if record is samples) == 3
 
 
