@@ -111,13 +111,18 @@ def summarize(check_id, residuals, points, tolerance, notes=""):
     if len(worst) > 1:
         # lexsort's last key is the primary one: the first coordinate
         pick = worst[np.lexsort(points[worst].T[::-1])[0]]
-    residual = float(residuals[pick])
+    return _worst(check_id, float(residuals[pick]), points[pick].tolist(),
+                  len(residuals), tolerance, notes)
+
+
+def _worst(check_id, residual, point, points, tolerance, notes=""):
+    """The summary of a check whose largest residual is at `point`."""
     return ResidualSummary(
         check_id=check_id,
         status=PASS if residual <= tolerance else FAIL,
         max_abs_residual=residual,
-        worst_point=tuple(points[pick].tolist()),
-        points=len(residuals),
+        worst_point=tuple(point),
+        points=points,
         tolerance=tolerance,
         notes=notes,
     )
@@ -134,19 +139,10 @@ def summarize_columns(check_ids, residuals, points, tolerance):
     points = np.asarray(points, dtype=float)
     top = residuals.max(axis=0)  # NaN where a column has one
     unique = (residuals == top).sum(axis=0) == 1  # False for NaN
-    picks = residuals.argmax(axis=0)
-    worst = points[picks].tolist()
-    n = len(residuals)
+    worst = points[residuals.argmax(axis=0)].tolist()
     return [
-        ResidualSummary(
-            check_id=check_id,
-            status=PASS if residual <= tolerance else FAIL,
-            max_abs_residual=residual,
-            worst_point=tuple(point),
-            points=n,
-            tolerance=tolerance,
-        ) if single else summarize(check_id, residuals[:, j], points,
-                                   tolerance)
+        _worst(check_id, residual, point, len(residuals), tolerance)
+        if single else summarize(check_id, residuals[:, j], points, tolerance)
         for j, (check_id, residual, single, point) in enumerate(
             zip(check_ids, top.tolist(), unique.tolist(), worst))
     ]
