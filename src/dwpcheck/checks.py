@@ -15,7 +15,7 @@ from .dwp import RIEMANN_CLASSES, RICCI_CLASSES
 # summarize is not called here, but bench/test_bench.py reads it as
 # checks.summarize to see that the tracer restores it
 from .reporting import (  # noqa: F401
-    normalized_residual, skipped, summarize, summarize_columns,
+    equation_residual, skipped, summarize, summarize_columns,
 )
 
 __all__ = [
@@ -39,11 +39,6 @@ def _compare(family, residuals, d, tolerance):
     return summarize_columns([f"{family}.{name}" for name in residuals],
                              np.column_stack(list(residuals.values())), d.p,
                              tolerance)
-
-
-def _whole(closed, oracle):
-    """Per point: the normalized residual of closed - oracle over both."""
-    return normalized_residual(closed - oracle, [closed, oracle])
 
 
 def _blockwise(dwp, classes, closed, oracle, slots=False):
@@ -87,7 +82,8 @@ def check_lemma1(dwp, d, tolerance):
     return _compare("lemma1", {
         **_blockwise(dwp, RIEMANN_CLASSES, curvature, _raised(oracle, d),
                      slots=True),
-        "reconstruction": _whole(curvature @ d.gp[:, None, None], oracle),
+        "reconstruction": equation_residual(
+            [curvature @ d.gp[:, None, None]], [oracle]),
     }, d, tolerance)
 
 
@@ -120,17 +116,17 @@ def check_hessian(dwp, d, tolerance, psis=None):
 
 
 def check_scalar(dwp, d, tolerance):
-    return _compare("scalar", {"splitting": _whole(
-        dwp.scalar_closed(d), d.product.curvature[2])}, d, tolerance)
+    return _compare("scalar", {"splitting": equation_residual(
+        [dwp.scalar_closed(d)], [d.product.curvature[2]])}, d, tolerance)
 
 
 def check_laplacian(dwp, d, tolerance):
     """The Laplacian splitting of k and l against the oracle's trace of
     their Hessians."""
     return _compare("laplacian", {
-        which: _whole(dwp.laplacian_split(which, d), np.einsum(
+        which: equation_residual([dwp.laplacian_split(which, d)], [np.einsum(
             "nij,nij->n", d.product.ginv,
-            d.product.hessian(dwp.lifted(log_f))))
+            d.product.hessian(dwp.lifted(log_f)))])
         for which, log_f in (("k", dwp.k), ("l", dwp.l))}, d, tolerance)
 
 

@@ -16,9 +16,9 @@ import numpy as np
 
 from . import __version__
 from .checks import CHECK_NAMES, run_all
-from .geometry import COND_LIMIT, GeometryError, MetricError, sample_points
+from .geometry import GeometryError, sample_points
 from .reporting import FAIL, render_json
-from .solitons import validate_fields
+from .solitons import named_fields
 from .specfile import SETTINGS, SpecFileError, load_spec
 
 __all__ = ["RunConfig", "build_run_config", "run", "main"]
@@ -149,18 +149,7 @@ def run(config, loaded):
     samples = sample_points(dwp.product, config.box, config.points,
                             config.seed)
     d = dwp.point_data(samples, config.anchor)
-    validate_fields(dwp, soliton_specs, default_psi, samples.p, config.anchor)
-    for which in (1, 2):
-        # the restriction sets must pass the sampler's acceptance rule too;
-        # their product records are the ones the restriction records read
-        anchored = d.anchored_product(which)
-        ok = anchored.well_conditioned()
-        if not ok.all():
-            raise MetricError(
-                f"anchored restriction set of factor {which}: metric not "
-                f"positive definite or cond(g) > {COND_LIMIT:g} at "
-                f"{anchored.p[(~ok).argmax()].tolist()}"
-            )
+    d.validate(named_fields(soliton_specs, default_psi))
     psis = [("psi", default_psi)] if default_psi is not None else None
     summaries = run_all(
         dwp,

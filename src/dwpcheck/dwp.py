@@ -17,9 +17,11 @@ import numpy as np
 
 from .expr import DomainError, constant
 from .geometry import (
+    COND_LIMIT,
     ChartBatch,
     ChartManifold,
     GeometryError,
+    MetricError,
     covariant_hessian,
     matvec,
     outer,
@@ -30,6 +32,7 @@ __all__ = [
     "DoublyWarpedProduct",
     "WarpingError",
     "DimensionError",
+    "FieldDomainError",
     "coordinate_lifts",
     "wedge_operator",
 ]
@@ -44,6 +47,11 @@ class WarpingError(GeometryError):
 
 class DimensionError(GeometryError):
     pass
+
+
+class FieldDomainError(GeometryError):
+    """A potential or soliton coefficient leaves its domain at a point the
+    checks evaluate it at."""
 
 
 def coordinate_lifts(dwp):
@@ -170,7 +178,9 @@ class DoublyWarpedProduct:
         it); with an anchor, it also gives the records of the anchored
         restriction sets.  The warpings are validated at the points, then
         at the anchor; that covers the anchored sets, whose warping values
-        are those of the points and of the anchor."""
+        are those of the points and of the anchor.  The record's `validate`
+        checks the rest of a run's inputs at the samples and at both
+        sets."""
         if not isinstance(points, ChartBatch):
             points = self.product.at(points)
         self.validate_warpings(points.p)
@@ -416,8 +426,9 @@ class _PointData:
     """A doubly warped product at a batch of product points: the product
     chart's record (for the oracles), one side record per factor, the
     closed product metric `gp`, and the closed tensors built on it so far
-    (`closed`).  With an anchor, the records of the anchored restriction
-    sets are built on first read.  A given factor part (`parts`) is used
+    (`closed`).  With an anchor, it holds the points of the anchored
+    restriction sets (`dwp.anchored`, set 1's rows first), and their
+    records are built on first read.  A given factor part (`parts`) is used
     as is; the others are built from the factor charts at the points."""
 
     def __init__(self, dwp, product, anchor=None, parts=(None, None)):
@@ -433,6 +444,9 @@ class _PointData:
         self.gp = np.zeros((len(self.p), dwp.m, dwp.m))
         for s in self.sides:
             self.gp[:, s.own, s.own] = s.gp
+        if anchor is not None:
+            self._sets = np.concatenate(
+                [dwp.anchored(self.p, anchor, which) for which in (1, 2)])
         self._anchored = [None, None]
         self._restrictions = [None, None]
         self._closed = {}
@@ -451,23 +465,53 @@ class _PointData:
             out.flags.writeable = False
         return out
 
+    def validate(self, fields):
+        """Reject the inputs that the checks cannot use at these points and
+        at the anchored restriction sets: first the first point, in the
+        order samples, set 1, then set 2, at which a field (name,
+        expression) cannot be evaluated (at a point where several fail,
+        the first one listed); then, set 1 before set 2, a set that fails
+        the sampler's acceptance rule (`ChartBatch.well_conditioned`)."""
+        pts = np.concatenate([self.p, self._sets])
+        first = None  # (row, name, expression, error) of the earliest failure
+        for name, expr in fields:
+            try:
+                # a later field counts only where it fails strictly earlier
+                expr.evaluate(pts if first is None else pts[: first[0]])
+            except DomainError as exc:
+                first = (exc.index, name, expr, exc)
+        if first is not None:
+            row, name, expr, exc = first
+            raise FieldDomainError(
+                f"{name} = {str(expr)!r} leaves its domain at "
+                f"{pts[row].tolist()}: {exc}"
+            )
+        for which in (1, 2):
+            anchored = self.anchored_product(which)
+            ok = anchored.well_conditioned()
+            if not ok.all():
+                raise MetricError(
+                    f"anchored restriction set of factor {which}: metric "
+                    f"not positive definite or cond(g) > {COND_LIMIT:g} at "
+                    f"{anchored.p[(~ok).argmax()].tolist()}"
+                )
+
     def anchored_product(self, which):
         """The product chart's record at the anchored restriction set of
         factor `which`, from the metric's values alone (its derivatives
         are jetted if read; no verify path reads them).  Both sets come
         from one values pass over their 2N points, set 1's rows first, and
-        share one definiteness test, which the CLI's conditioning test and
-        the restriction's record read.  Where that pass raises, each set
-        takes a pass of its own when read, so that set 1's record, and
+        share one definiteness test, which `validate`'s conditioning test
+        and the restriction's record read.  Where that pass raises, each
+        set takes a pass of its own when read, so that set 1's record, and
         what is tested on it, come before an error of set 2."""
         if self._anchored[which - 1] is None:
-            dwp, n = self.dwp, len(self.p)
-            sets = [dwp.anchored(self.p, self.anchor, w) for w in (1, 2)]
+            product, n = self.dwp.product, len(self.p)
             try:
-                both = dwp.product.values_at(np.concatenate(sets))
+                both = product.values_at(self._sets)
             except GeometryError:
-                self._anchored[which - 1] = dwp.product.values_at(
-                    sets[which - 1])
+                self._anchored[which - 1] = product.values_at(
+                    self._sets[(which - 1) * n: which * n])
             else:
                 self._anchored = [both.take(slice(None, n)),
                                   both.take(slice(n, None))]

@@ -138,10 +138,13 @@ _FUNCS = {
 # Tokenizer / recursive-descent parser
 # ---------------------------------------------------------------------------
 
+# a name the parser reads as a coordinate, a constant or a function
+IDENTIFIER = r"[A-Za-z_][A-Za-z_0-9]*"
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
     r"|\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+    rf"|(?P<ident>{IDENTIFIER})"
     r"|(?P<op>[-+*/^(),]))"
 )
 
@@ -156,7 +159,12 @@ def _tokenize(text):
                 break
             raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
         if m.lastgroup == "num":
-            tokens.append(("num", float(m.group("num")), m.start("num")))
+            value = float(m.group("num"))
+            if not math.isfinite(value):
+                raise ExprSyntaxError(
+                    f"number {m.group('num')} is not finite as a float",
+                    m.start("num"))
+            tokens.append(("num", value, m.start("num")))
         elif m.lastgroup == "ident":
             tokens.append(("ident", m.group("ident"), m.start("ident")))
         else:

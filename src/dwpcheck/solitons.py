@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import DomainError, Expression
+from .expr import Expression
 from .geometry import (
     GeometryError,
     covariant_hessian,
@@ -32,7 +32,6 @@ from .reporting import (
 __all__ = [
     "SolitonSpec",
     "SolitonError",
-    "FieldDomainError",
     "SOLITON_KINDS",
     "FIELD_KEYS",
     "equation_terms",
@@ -51,7 +50,7 @@ __all__ = [
     "log_hessian_identity",
     "mixed_yamabe_condition",
     "mixed_ricci_condition",
-    "validate_fields",
+    "named_fields",
 ]
 
 # soliton kind -> the SolitonSpec fields its equation reads
@@ -75,11 +74,6 @@ FIELD_KEYS = {"psi": "psi", "lam": "lambda", "mu": "mu", "gamma": "gamma",
 
 class SolitonError(GeometryError):
     pass
-
-
-class FieldDomainError(GeometryError):
-    """A potential or soliton coefficient leaves its domain at a point the
-    checks evaluate it at."""
 
 
 @dataclass(frozen=True)
@@ -242,11 +236,11 @@ def _named_fields(spec):
                 yield key, value
 
 
-def validate_fields(dwp, specs, psi, points, anchor):
-    """Reject the first point, in the order samples, anchored restriction
-    set of factor 1, then of factor 2, at which the default potential `psi`
-    or an expression-valued field that a soliton's kind reads cannot be
-    evaluated; at a point where several fail, the first one listed."""
+def named_fields(specs, psi):
+    """(name, expression) of the default potential `psi` and of each
+    expression-valued field that a soliton's kind reads, an expression
+    listed earlier not listed again: the fields whose domains a record
+    checks (`_PointData.validate`), in the order it names them."""
     fields = [] if psi is None else [("[potential] psi", psi)]
     for i, spec in enumerate(specs):
         for key, value in _named_fields(spec):
@@ -254,22 +248,7 @@ def validate_fields(dwp, specs, psi, points, anchor):
                 value is e for _, e in fields
             ):
                 fields.append((f"soliton[{i}] {key}", value))
-    pts = np.concatenate([points] + [
-        dwp.anchored(points, anchor, which) for which in (1, 2)
-    ])
-    first = None  # (row, name, expression, error) of the earliest failure
-    for name, expr in fields:
-        try:
-            # a later field counts only where it fails strictly earlier
-            expr.evaluate(pts if first is None else pts[: first[0]])
-        except DomainError as exc:
-            first = (exc.index, name, expr, exc)
-    if first is not None:
-        row, name, expr, exc = first
-        raise FieldDomainError(
-            f"{name} = {str(expr)!r} leaves its domain at "
-            f"{pts[row].tolist()}: {exc}"
-        )
+    return fields
 
 
 # -- induced factor structures ------------------------------------------------

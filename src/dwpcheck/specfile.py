@@ -13,11 +13,14 @@ from __future__ import annotations
 import argparse
 import ast
 import math
+import re
 import sys
 from typing import Callable, NamedTuple
 
 from .dwp import DoublyWarpedProduct
-from .expr import ExpressionError, constant, parse_expression
+from .expr import (
+    CONSTANTS, IDENTIFIER, ExpressionError, constant, parse_expression,
+)
 from .geometry import ChartManifold
 from .solitons import FIELD_KEYS, SOLITON_KINDS, SolitonError, SolitonSpec
 
@@ -93,6 +96,19 @@ def _build_factor(table, section, line):
     ):
         raise SpecFileError(f"[{section}] coords must be a list of names")
     coords = tuple(coords)
+    for j, name in enumerate(coords):
+        # a name the expressions would read as something else
+        if not re.fullmatch(IDENTIFIER, name):
+            fault = "is not an identifier"
+        elif name in CONSTANTS:
+            fault = "is a constant of the expressions"
+        elif name in coords[:j]:
+            fault = "is listed twice"
+        else:
+            continue
+        raise SpecFileError(f"[{section}] coords: {name!r} {fault}")
+    if not _integer(dim):
+        raise SpecFileError(f"[{section}] dim must be an integer, got {dim!r}")
     if dim != len(coords):
         raise SpecFileError(
             f"[{section}] dim = {dim} does not match {len(coords)} coords"
@@ -106,9 +122,9 @@ def _build_factor(table, section, line):
         raise SpecFileError(
             f"[{section}] metric must be a {dim}x{dim} matrix of expressions"
         )
-    rows = []
-    for row in metric:
-        rows.append([_expr(entry, coords, section) for entry in row])
+    rows = [[_expr(_finite(entry, section, f"metric[{i}][{j}]", line),
+                   coords, section) for j, entry in enumerate(row)]
+            for i, row in enumerate(metric)]
     # the oracle reads only the upper triangle, so a lower entry that differs
     # would be ignored silently
     for i in range(dim):
@@ -123,13 +139,18 @@ def _build_factor(table, section, line):
         manifold = ChartManifold(coords, rows)
     except Exception as exc:
         raise SpecFileError(f"[{section}] invalid metric: {exc}") from None
-    warping = table.get("warping", 1.0)
+    warping = _finite(table.get("warping", 1.0), section, "warping", line)
     return manifold, _expr(warping, coords, section)
+
+
+def _number(value):
+    """Whether a spec value is a number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _expr(value, coords, section):
     """An expression-valued entry: a quoted string or a plain number."""
-    if isinstance(value, (int, float)):
+    if _number(value):
         return constant(float(value), coords)
     if isinstance(value, str):
         try:
@@ -145,7 +166,7 @@ def _expr(value, coords, section):
 def _scalar_or_expr(value, coords, section):
     """Soliton coefficients: plain numbers stay numbers (classical case);
     strings become expressions (almost case)."""
-    if isinstance(value, (int, float)):
+    if _number(value):
         return float(value)
     return _expr(value, coords, section)
 
@@ -153,8 +174,7 @@ def _scalar_or_expr(value, coords, section):
 def _finite(value, section, key, line):
     """The value of `key`, unless it is a number that is not finite as a
     float."""
-    if isinstance(value, (int, float)) and not (
-            abs(value) <= sys.float_info.max):
+    if _number(value) and not abs(value) <= sys.float_info.max:
         raise SpecFileError(f"[{section}] (line {line}): {key} must be "
                             f"finite, got {value!r}")
     return value
@@ -213,8 +233,8 @@ def _reals(value, length):
     """Whether value is a list of `length` numbers (bools excluded), each
     finite as a float."""
     return (isinstance(value, (list, tuple)) and len(value) == length
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                    and abs(x) <= sys.float_info.max for x in value))
+            and all(_number(x) and abs(x) <= sys.float_info.max
+                    for x in value))
 
 
 def _interval(value):

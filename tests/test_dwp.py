@@ -934,6 +934,31 @@ class TestAnchoredValuesPass:
                 assert not (points[:, None] == anchored[None]).all(
                     axis=2).any()
 
+    def test_verify_builds_each_anchored_set_once(self, tmp_path,
+                                                  monkeypatch):
+        """Through the CLI, with every gate passing: the samples' record
+        builds the points of each anchored set once, and the field check,
+        the conditioning test and the restriction records all read them."""
+        sets = []
+        anchored = DoublyWarpedProduct.anchored
+
+        def counting(dwp, points, anchor, which):
+            sets.append(which)
+            return anchored(dwp, points, anchor, which)
+
+        monkeypatch.setattr(DoublyWarpedProduct, "anchored", counting)
+        spec = tmp_path / "h3.spec"
+        spec.write_text(warped_line_spec("hyperbolic-hyperbolic",
+                                         line_first=True))
+        report = tmp_path / "h3.json"
+        assert main(["verify", str(spec), "--format", "structured",
+                     "--report", str(report)]) == 0
+        status = {c["check_id"]: c["status"]
+                  for c in json.loads(report.read_text())["checks"]}
+        assert status["soliton[0].factors.ricci.factor1"] == PASS
+        assert status["soliton[0].factors.ricci.factor2"] == PASS
+        assert sets == [1, 2]
+
     ERROR_ORDER_SPEC = """[factor.1]
 dim = 1
 coords = ["x"]

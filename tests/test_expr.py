@@ -82,6 +82,15 @@ class TestParsing:
         with pytest.raises(ExprSyntaxError):
             parse_expression("x + * y", ("x", "y"))
 
+    def test_a_literal_not_finite_as_a_float_is_a_syntax_error(self):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_expression("x + 2.5e400*y", ("x", "y"))
+        assert info.value.position == 4
+        assert str(info.value) == ("number 2.5e400 is not finite as a float "
+                                   "(at position 4)")
+        largest = parse_expression("1.7976931348623157e308", ("x",))
+        assert largest.evaluate([[0.0]])[0] == 1.7976931348623157e308
+
     def test_unknown_identifier(self):
         with pytest.raises(UnknownIdentifierError):
             parse_expression("x + q", ("x", "y"))

@@ -13,7 +13,7 @@ from conftest import (
     seeded_points,
     sphere_chart,
 )
-from dwpcheck.expr import parse_expression
+from dwpcheck.expr import constant, parse_expression
 from dwpcheck.solitons import (
     SolitonError,
     SolitonSpec,
@@ -24,6 +24,7 @@ from dwpcheck.solitons import (
     log_hessian_identity,
     mixed_ricci_condition,
     mixed_yamabe_condition,
+    named_fields,
     quasi_einstein_factor_structures,
     residual,
     residual_values,
@@ -424,3 +425,21 @@ class TestSpecValidation:
         with pytest.raises(SolitonError, match=r"'ricci' does not read "
                                                r"fields \['f'\]$"):
             SolitonSpec(kind="ricci", psi=psi, lam=0.5, f_factor=psi)
+
+    def test_named_fields_list_each_expression_once_in_key_order(self):
+        coords = ("x", "y")
+        psi = parse_expression("x", coords)
+        lam = parse_expression("1 + y", coords)
+        eta = (constant(1.0, coords), parse_expression("y", coords))
+        specs = [
+            # the default potential again, and an equal copy of it
+            SolitonSpec(kind="eta_ricci", psi=psi, lam=lam, mu=0.5, eta=eta),
+            SolitonSpec(kind="ricci", psi=parse_expression("x", coords),
+                        lam=0.5),
+            SolitonSpec(kind="quasi_einstein", alpha=lam, beta=1.0, eta=eta),
+        ]
+        assert [(name, str(e)) for name, e in named_fields(specs, psi)] == [
+            ("[potential] psi", "x"), ("soliton[0] lambda", "1 + y"),
+            ("soliton[0] eta[0]", "1"), ("soliton[0] eta[1]", "y"),
+            ("soliton[1] psi", "x")]
+        assert named_fields([], None) == []

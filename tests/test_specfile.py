@@ -1,6 +1,10 @@
 """Spec-file parsing and validation."""
 
+import ast
+import contextlib
+import io
 import re
+import warnings
 
 import pytest
 
@@ -281,3 +285,146 @@ class TestRejectedValues:
         _, solitons, _, default_psi = load_spec(write(tmp_path, text))
         assert solitons[0].lam == -1e300
         assert default_psi.evaluate([[0.0, 0.0, 0.0]])[0] == 1e300
+
+    @pytest.mark.parametrize("old, new, message", [
+        ('metric = [["1", "0"], ["0", "1"]]',
+         'metric = [[True, "0"], ["0", "1"]]',
+         "[factor.1]: expected a number or an expression string, got True"),
+        ('warping = "exp(x)"', "warping = True",
+         "[factor.1]: expected a number or an expression string, got True"),
+        ("lambda = 0.5", "lambda = True",
+         "[soliton]: expected a number or an expression string, got True"),
+        ('psi = "x + t^2"', "psi = False",
+         "[potential]: expected a number or an expression string, got "
+         "False"),
+        ('metric = [["1"]]', "metric = [[1e400]]",
+         "[factor.2] (line {factor2}): metric[0][0] must be finite, got "
+         "inf"),
+        ('warping = "cosh(t)"', "warping = -1e400",
+         "[factor.2] (line {factor2}): warping must be finite, got -inf"),
+        ('psi = "x + t^2"', 'psi = "1e400"',
+         "[potential]: number 1e400 is not finite as a float (at position "
+         "0)"),
+        ("lambda = 0.5", 'lambda = "1e400"',
+         "[soliton]: number 1e400 is not finite as a float (at position 0)"),
+        ('warping = "exp(x)"', 'warping = "exp(x + 1e999)"',
+         "[factor.1]: number 1e999 is not finite as a float (at position "
+         "8)"),
+        ("dim = 1", "dim = True",
+         "[factor.2] dim must be an integer, got True"),
+    ], ids=["metric-bool", "warping-bool", "lambda-bool", "psi-bool",
+            "metric-inf", "warping-inf", "psi-literal", "lambda-literal",
+            "warping-literal", "dim-bool"])
+    def test_bools_and_non_finite_numbers_exit_2(self, tmp_path, capsys,
+                                                  old, new, message):
+        text = GOOD_SPEC.replace(old, new)
+        assert text != GOOD_SPEC
+        assert main(["verify", write(tmp_path, text)]) == 2
+        factor2 = text.splitlines().index("[factor.2]") + 1
+        assert capsys.readouterr().err == "error: " + message.format(
+            factor2=factor2) + "\n"
+
+    @pytest.mark.parametrize("coords, renamed, message", [
+        # e and pi are read as constants before the coordinates
+        ('["e", "y"]', {"x": "e"}, "'e' is a constant of the expressions"),
+        ('["x", "pi"]', {"y": "pi"},
+         "'pi' is a constant of the expressions"),
+        ('["x", "x"]', {}, "'x' is listed twice"),
+        ('["x", "y z"]', {}, "'y z' is not an identifier"),
+        ('["x", "2y"]', {}, "'2y' is not an identifier"),
+        ('["x", ""]', {}, "'' is not an identifier"),
+    ], ids=["e", "pi", "duplicate", "space", "digit-first", "empty"])
+    def test_coordinate_names_the_expressions_cannot_read_exit_2(
+            self, tmp_path, capsys, coords, renamed, message):
+        text = GOOD_SPEC.replace('coords = ["x", "y"]', f"coords = {coords}")
+        for old, new in renamed.items():
+            text = re.sub(rf"\b{old}\b", new, text)
+        assert main(["verify", write(tmp_path, text)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [factor.1] coords: {message}\n")
+
+
+# Sweep fixtures: between them, one of each section kind and every key a
+# section reads
+SWEEP_SPECS = {
+    "ricci": GOOD_SPEC.replace("tolerance = 1e-8",
+                               "tolerance = 1e-8\nanchor = [0, 0, 0]"),
+    "eta-and-quasi-einstein": GOOD_SPEC.replace(
+        'type = "gradient_ricci"\nlambda = 0.5',
+        'type = "f_almost_eta_ricci"\nlambda = 0.5\nmu = 0.1\n'
+        'eta = ["1", "0", "0"]\nf = "1 + 0.1*x"\n\n'
+        '[soliton]\ntype = "quasi_einstein"\nalpha = 1\nbeta = 1\n'
+        'eta = ["1", "0", "0"]\n\n'
+        '[soliton]\ntype = "conformal"\ngamma = "0.2*t"'),
+}
+
+# values that no key reads: each must exit 2
+MALFORMED = ("True", "False", '""', '"nan"', "1e400", "-1e400", '"1e400"',
+             "[1]", "[]", '[["1"], 1]')
+# values that some key reads (an integer too large for a float is a seed):
+# any exit status but a traceback
+ODD = ("-1", "0", "0.0", "-0.5", "1" + "0" * 400, "[[1]]", '["x"]', '"-1"')
+
+_SECTION = re.compile(r"\[(factor\.[12]|potential|soliton|sampling)\]")
+# an error found at the sample points (a warping that is not positive, or
+# no well-conditioned sample), rather than by the reader
+_AT_POINTS = re.compile(r" at \[|well-conditioned sample points")
+
+
+def sweep_cases():
+    """(fixture, line, value, text, must exit 2) of each value put into
+    each `key = value` line of each sweep fixture; each coords line also
+    gets its names renamed to e and pi throughout, and a duplicate name."""
+    for fixture, spec in SWEEP_SPECS.items():
+        lines = spec.splitlines()
+        for i, line in enumerate(lines):
+            key, sep, value = line.partition(" = ")
+            if not sep:
+                continue
+            for new, malformed in [(v, True) for v in MALFORMED] + [
+                    (v, False) for v in ODD]:
+                edited = lines[:i] + [f"{key} = {new}"] + lines[i + 1:]
+                yield fixture, line, new, "\n".join(edited) + "\n", malformed
+            if key == "coords":
+                names = ast.literal_eval(value)
+                for name in names:
+                    for constant in ("e", "pi"):
+                        yield (fixture, line, f"{name} -> {constant}",
+                               re.sub(rf"\b{name}\b", constant, spec), True)
+                twice = str(names[:1] * 2).replace("'", '"')
+                yield (fixture, line, twice, spec.replace(
+                    line, f"coords = {twice}"), len(names) > 1)
+
+
+def test_spec_reader_sweep(tmp_path):
+    """Wrong-typed and out-of-range values in every `key = value` line:
+    every run exits 0, 1 or 2 without raising and without a RuntimeWarning;
+    a value that no key reads exits 2; and every exit-2 message names a
+    section, or the point at which the sampled product is rejected."""
+    path = tmp_path / "sweep.spec"
+    faults = []
+    for fixture, line, value, text, malformed in sweep_cases():
+        path.write_text(text)
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            try:
+                code = main(["verify", str(path), "--points", "8"])
+            except Exception as exc:  # noqa: BLE001 - a traceback is a fault
+                code = f"{type(exc).__name__}: {exc}"
+        message = err.getvalue()
+        if code not in (0, 1, 2):
+            fault = f"raised {code}"
+        elif [w for w in caught if issubclass(w.category, RuntimeWarning)]:
+            fault = f"exit {code} with a RuntimeWarning"
+        elif malformed and code != 2:
+            fault = f"accepted with exit {code}"
+        elif code == 2 and not (_SECTION.search(message)
+                                or _AT_POINTS.search(message)):
+            fault = f"exit 2 naming no section: {message.strip()}"
+        else:
+            continue
+        faults.append(f"{fixture}: {line!r} -> {value}: {fault}")
+    assert not faults, "\n".join(faults)

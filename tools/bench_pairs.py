@@ -21,35 +21,25 @@ runs the pairs of each workload of BENCHMARK.json in turn and prints one
 such table per workload. `--json PATH` writes those tables, and every
 run's metrics, to PATH as JSON too, after each workload. A run that exits
 non-zero or is not `correct` stops the tool with status 1. Standard
-library only.
+library only, and tools/compare_reports.py for unpacking REV.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from compare_reports import ROOT, extract
 
 
 def declared():
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def extract(rev, tree):
-    """Unpack the committed files of git revision `rev` into `tree`."""
-    archive = subprocess.run(["git", "-C", ROOT, "archive", rev],
-                             check=True, stdout=subprocess.PIPE).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(tree, filter="data")
 
 
 def run_bench(tree, workload, seed, seconds):

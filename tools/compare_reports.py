@@ -16,6 +16,8 @@ the same cases run through `dwpcheck verify --format structured`:
 
 It prints how many reports (stdout), stderr texts and exit codes are
 byte-identical, and the first differing line of each case that differs.
+An edit whose `old` text does not occur in PASSING_SPEC stops it with
+status 2, naming the case.
 For the reports that differ, it also prints whether every check id and
 status still match, and the largest change of a `max_abs_residual`
 (absolute below 1, relative above), which tells rounding drift from a
@@ -110,6 +112,17 @@ def bench_cases(directory):
     return cases
 
 
+def edited(text, name, old, new):
+    """text with its first `old` replaced by `new`; where `old` does not
+    occur, exit 2 naming the case, so that no case runs an unedited spec
+    under an edit's name."""
+    if old not in text:
+        print(f"case {name}: {old!r} does not occur in PASSING_SPEC",
+              file=sys.stderr)
+        sys.exit(2)
+    return text.replace(old, new, 1)
+
+
 def fixture_cases(directory):
     """(name, argv) of the CLI fixtures of tests/test_cli.py."""
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
@@ -131,12 +144,13 @@ def fixture_cases(directory):
                 for i, values in enumerate(mark.args[1]):
                     # a pytest.param case keeps its values in `.values`
                     case = dict(zip(names, getattr(values, "values", values)))
-                    text = test_cli.PASSING_SPEC
+                    name, text = f"{test.__name__}[{i}]", test_cli.PASSING_SPEC
                     if "old" in case:
-                        text = text.replace(case["old"], case["new"], 1)
-                    runs.append((f"{test.__name__}[{i}]", text, case["args"]))
+                        text = edited(text, name, case["old"], case["new"])
+                    runs.append((name, text, case["args"]))
     for name, old, new, flags in INLINE_EDITS:
-        runs.append((name, test_cli.PASSING_SPEC.replace(old, new, 1), flags))
+        runs.append((name, edited(test_cli.PASSING_SPEC, name, old, new),
+                     flags))
     os.makedirs(directory)
     cases = []
     for i, (name, text, flags) in enumerate(runs):
