@@ -107,8 +107,9 @@ def _build_factor(table, section, line):
         else:
             continue
         raise SpecFileError(f"[{section}] coords: {name!r} {fault}")
-    if not _integer(dim):
-        raise SpecFileError(f"[{section}] dim must be an integer, got {dim!r}")
+    if not (_integer(dim) and dim >= 1):
+        raise SpecFileError(
+            f"[{section}] dim must be an integer >= 1, got {dim!r}")
     if dim != len(coords):
         raise SpecFileError(
             f"[{section}] dim = {dim} does not match {len(coords)} coords"

@@ -311,10 +311,13 @@ class TestRejectedValues:
          "[factor.1]: number 1e999 is not finite as a float (at position "
          "8)"),
         ("dim = 1", "dim = True",
-         "[factor.2] dim must be an integer, got True"),
+         "[factor.2] dim must be an integer >= 1, got True"),
+        ('dim = 1\ncoords = ["t"]\nmetric = [["1"]]\nwarping = "cosh(t)"',
+         "dim = 0\ncoords = []\nmetric = []",
+         "[factor.2] dim must be an integer >= 1, got 0"),
     ], ids=["metric-bool", "warping-bool", "lambda-bool", "psi-bool",
             "metric-inf", "warping-inf", "psi-literal", "lambda-literal",
-            "warping-literal", "dim-bool"])
+            "warping-literal", "dim-bool", "dim-zero"])
     def test_bools_and_non_finite_numbers_exit_2(self, tmp_path, capsys,
                                                   old, new, message):
         text = GOOD_SPEC.replace(old, new)
@@ -366,8 +369,10 @@ MALFORMED = ("True", "False", '""', '"nan"', "1e400", "-1e400", '"1e400"',
 ODD = ("-1", "0", "0.0", "-0.5", "1" + "0" * 400, "[[1]]", '["x"]', '"-1"')
 
 _SECTION = re.compile(r"\[(factor\.[12]|potential|soliton|sampling)\]")
-# an error found at the sample points (a warping that is not positive, or
-# no well-conditioned sample), rather than by the reader
+# an error found at the sample points rather than by the reader: a
+# warping that is not positive names the warping and the point; a
+# sampler that finds no well-conditioned point (a warping of 0, say)
+# names neither yet (CHANGES.md FOUND)
 _AT_POINTS = re.compile(r" at \[|well-conditioned sample points")
 
 
@@ -412,7 +417,7 @@ def test_spec_reader_sweep(tmp_path):
             warnings.simplefilter("always")
             try:
                 code = main(["verify", str(path), "--points", "8"])
-            except Exception as exc:  # noqa: BLE001 - a traceback is a fault
+            except Exception as exc:  # a traceback: reported as a fault
                 code = f"{type(exc).__name__}: {exc}"
         message = err.getvalue()
         if code not in (0, 1, 2):
