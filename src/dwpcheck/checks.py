@@ -41,7 +41,7 @@ def _compare(family, residuals, d, tolerance):
                              tolerance)
 
 
-def _blockwise(dwp, classes, closed, oracle, slots=False):
+def _blockwise(d, classes, closed, oracle, slots=False):
     """{class: per-point residual} of two product-chart tensors
     (N, m, ..., m): the normalized residual of closed - oracle over both on
     the class's factor block (`DoublyWarpedProduct.block`), and with
@@ -55,10 +55,11 @@ def _blockwise(dwp, classes, closed, oracle, slots=False):
     if slots:
         # elementwise over the slot's slices: max(axis=-1) is slower on so
         # short an axis
-        t = functools.reduce(np.maximum, [t[..., c] for c in range(dwp.m)])
+        t = functools.reduce(np.maximum,
+                             [t[..., c] for c in range(d.dwp.m)])
         t = t[0] / (1.0 + np.maximum(t[1], t[2]))
     for axis in range(t.ndim - len(classes[0]), t.ndim):
-        t = np.maximum.reduceat(t, [0, dwp.m1], axis=axis)
+        t = np.maximum.reduceat(t, [0, d.dwp.m1], axis=axis)
     if not slots:
         t = t[0] / (1.0 + np.maximum(t[1], t[2]))
     # a block's cell: a binary digit per index, 1 for the second factor
@@ -73,56 +74,58 @@ def _raised(tensor, d):
     return tensor @ d.product.ginv.transpose(0, 2, 1)[:, None, None]
 
 
-def check_lemma1(dwp, d, tolerance):
+def check_lemma1(d, tolerance):
     """Closed-form curvature blocks of all six lifted index patterns
     against the product curvature oracle (each index triple's output vector
     normalized on its own), plus full-tensor reconstruction."""
-    curvature = dwp.riemann_closed(d)
+    curvature = d.dwp.riemann_closed(d)
     oracle = d.product.curvature[0]
     return _compare("lemma1", {
-        **_blockwise(dwp, RIEMANN_CLASSES, curvature, _raised(oracle, d),
+        **_blockwise(d, RIEMANN_CLASSES, curvature, _raised(oracle, d),
                      slots=True),
         "reconstruction": equation_residual(
             [curvature @ d.gp[:, None, None]], [oracle]),
     }, d, tolerance)
 
 
-def check_lemma2(dwp, d, tolerance):
+def check_lemma2(d, tolerance):
     """Blockwise Ricci splitting against the product Ricci oracle."""
     return _compare("lemma2", _blockwise(
-        dwp, RICCI_CLASSES, dwp.ricci_closed(d), d.product.curvature[1]), d,
+        d, RICCI_CLASSES, d.dwp.ricci_closed(d), d.product.curvature[1]), d,
         tolerance)
 
 
-def check_lemma5(dwp, d, tolerance):
+def check_lemma5(d, tolerance):
     """Blockwise Ricci-operator splitting against the raised Ricci oracle."""
     return _compare("lemma5", _blockwise(
-        dwp, ("XX", "UU"), dwp.ricci_operator_closed(d),
+        d, ("XX", "UU"), d.dwp.ricci_operator_closed(d),
         d.product.ginv @ d.product.curvature[1]), d, tolerance)
 
 
-def check_hessian(dwp, d, tolerance, psis=None):
+def check_hessian(d, tolerance, psis=None):
     """Blockwise Hessian splitting for a set of potentials (the log-warpings
     by default, plus any supplied ones)."""
+    dwp = d.dwp
     fields = [("k", dwp.k), ("l", dwp.l)] + list(psis or [])
     residuals = {}
     for name, psi in fields:
         psi = dwp.lifted(psi)
         for klass, values in _blockwise(
-                dwp, RICCI_CLASSES, dwp.hessian_split_closed(psi, d),
+                d, RICCI_CLASSES, dwp.hessian_split_closed(psi, d),
                 d.product.hessian(psi)).items():
             residuals[f"{name}.{klass}"] = values
     return _compare("hessian", residuals, d, tolerance)
 
 
-def check_scalar(dwp, d, tolerance):
+def check_scalar(d, tolerance):
     return _compare("scalar", {"splitting": equation_residual(
-        [dwp.scalar_closed(d)], [d.product.curvature[2]])}, d, tolerance)
+        [d.dwp.scalar_closed(d)], [d.product.curvature[2]])}, d, tolerance)
 
 
-def check_laplacian(dwp, d, tolerance):
+def check_laplacian(d, tolerance):
     """The Laplacian splitting of k and l against the oracle's trace of
     their Hessians."""
+    dwp = d.dwp
     return _compare("laplacian", {
         which: equation_residual([dwp.laplacian_split(which, d)], [np.einsum(
             "nij,nij->n", d.product.ginv,
@@ -138,7 +141,7 @@ _FACTOR_STRUCTURES = {
 }
 
 
-def check_solitons(dwp, specs, d, tolerance):
+def check_solitons(specs, d, tolerance):
     """Defining-equation residuals for each soliton spec, plus induced
     factor structures for the kinds that have them (on the anchored
     restriction sets of d), gated on the product-level summary: the
@@ -156,7 +159,7 @@ def check_solitons(dwp, specs, d, tolerance):
             gate = solitons.residual(spec, terms, d.p, tolerance, prefix)
         out.append(gate)
         # a Riemann spec's equation_terms never raises: terms is bound
-        if spec.kind == "riemann" and dwp.m >= 3:
+        if spec.kind == "riemann" and d.dwp.m >= 3:
             contracted = solitons.contracted_terms(spec, d.product)
             gate = solitons.residual(spec, contracted, d.p, tolerance,
                                      f"{prefix}.contracted")
@@ -165,29 +168,27 @@ def check_solitons(dwp, specs, d, tolerance):
                 f"{prefix}.contraction")]
         builder = _FACTOR_STRUCTURES.get(spec.kind)
         if builder is not None:
-            out.extend(builder(dwp, spec, d, tolerance, replace(
+            out.extend(builder(spec, d, replace(
                 gate, check_id=f"soliton[{i}].factors.{spec.kind}.product")))
     return out
 
 
-def check_concircular(dwp, d, tolerance):
+def check_concircular(d, tolerance):
     """Closed-form concircular blocks against the oracle on all six lifted
     patterns, then the flatness consequences, gated on the oracle."""
     oracle = special.concircular_oracle(d.product)
     out = _compare("concircular", _blockwise(
-        dwp, RIEMANN_CLASSES, special.concircular_closed(dwp, d),
+        d, RIEMANN_CLASSES, special.concircular_closed(d),
         _raised(oracle, d), slots=True), d, tolerance)
-    out.extend(
-        special.concircular_flat_consequences(dwp, d, tolerance, oracle))
+    out.extend(special.concircular_flat_consequences(d, tolerance, oracle))
     return out
 
 
-def check_conharmonic(dwp, d, tolerance):
+def check_conharmonic(d, tolerance):
     """Closed-form conharmonic blocks (same-factor patterns only) against
     the oracle, then the flatness consequences, gated on the oracle.  The
-    mixed patterns, which have no closed splitting, are compared as the
-    oracle against itself and not reported."""
-    if dwp.m < 3:
+    mixed patterns, which have no closed splitting, are not compared."""
+    if d.dwp.m < 3:
         return [
             skipped(
                 "conharmonic",
@@ -196,38 +197,33 @@ def check_conharmonic(dwp, d, tolerance):
             )
         ]
     oracle = special.conharmonic_oracle(d.product)
-    raised = _raised(oracle, d)
-    closed = raised.copy()
-    blocks = special.conharmonic_closed(dwp, d)
-    for klass, block in blocks.items():
-        closed[dwp.block(klass)] = block
     out = _compare("conharmonic", _blockwise(
-        dwp, tuple(blocks), closed, raised, slots=True), d, tolerance)
-    out.extend(
-        special.conharmonic_flat_consequences(dwp, d, tolerance, oracle))
+        d, special.CONHARMONIC_CLASSES, special.conharmonic_closed(d),
+        _raised(oracle, d), slots=True), d, tolerance)
+    out.extend(special.conharmonic_flat_consequences(d, tolerance, oracle))
     return out
 
 
 # (name, family) in report order; each family is called with
-# (dwp, soliton specs, record of the samples, tolerance, extra potentials)
+# (soliton specs, record of the samples, tolerance, extra potentials), and
+# calls its check function by name, so that a check replaced on this module
+# is the one run
 _FAMILIES = (
-    ("lemma1", lambda dwp, s, d, t, psis: check_lemma1(dwp, d, t)),
-    ("lemma2", lambda dwp, s, d, t, psis: check_lemma2(dwp, d, t)),
-    ("lemma5", lambda dwp, s, d, t, psis: check_lemma5(dwp, d, t)),
-    ("hessian", lambda dwp, s, d, t, psis: check_hessian(dwp, d, t, psis)),
-    ("scalar", lambda dwp, s, d, t, psis: check_scalar(dwp, d, t)),
-    ("laplacian", lambda dwp, s, d, t, psis: check_laplacian(dwp, d, t)),
-    ("solitons", lambda dwp, s, d, t, psis: check_solitons(dwp, s, d, t)),
-    ("concircular",
-     lambda dwp, s, d, t, psis: check_concircular(dwp, d, t)),
-    ("conharmonic",
-     lambda dwp, s, d, t, psis: check_conharmonic(dwp, d, t)),
+    ("lemma1", lambda s, d, t, psis: check_lemma1(d, t)),
+    ("lemma2", lambda s, d, t, psis: check_lemma2(d, t)),
+    ("lemma5", lambda s, d, t, psis: check_lemma5(d, t)),
+    ("hessian", lambda s, d, t, psis: check_hessian(d, t, psis)),
+    ("scalar", lambda s, d, t, psis: check_scalar(d, t)),
+    ("laplacian", lambda s, d, t, psis: check_laplacian(d, t)),
+    ("solitons", lambda s, d, t, psis: check_solitons(s, d, t)),
+    ("concircular", lambda s, d, t, psis: check_concircular(d, t)),
+    ("conharmonic", lambda s, d, t, psis: check_conharmonic(d, t)),
 )
 
 CHECK_NAMES = tuple(name for name, _ in _FAMILIES)
 
 
-def run_all(dwp, specs, d, tolerance, checks=("all",), psis=None):
+def run_all(specs, d, tolerance, checks=("all",), psis=None):
     """Run the selected named checks on the record d of the sample points
     (`dwp.point_data(points, anchor)`, whose anchored restriction sets are
     built when a check first needs them) and return summaries sorted by
@@ -239,5 +235,5 @@ def run_all(dwp, specs, d, tolerance, checks=("all",), psis=None):
     out = []
     for name, family in _FAMILIES:
         if name in enabled:
-            out.extend(family(dwp, specs, d, tolerance, psis))
+            out.extend(family(specs, d, tolerance, psis))
     return sorted(out, key=lambda s: s.check_id)

@@ -152,7 +152,6 @@ def run(config, loaded):
     d.validate(named_fields(soliton_specs, default_psi))
     psis = [("psi", default_psi)] if default_psi is not None else None
     summaries = run_all(
-        dwp,
         soliton_specs,
         d,
         config.tolerance,

@@ -333,19 +333,28 @@ class DoublyWarpedProduct:
 
 
 class _ProductChart(ChartManifold):
-    """The product chart; where a metric entry leaves its domain at a point
-    where a warping is not valid, the warping is named instead."""
+    """The product chart; where a metric entry leaves its domain, or the
+    sampler gives up, at a point where a warping is not valid, the warping
+    is named instead."""
 
     def __init__(self, dwp):
         super().__init__(dwp.coords, dwp._product_metric())
         self._dwp = dwp
 
-    def _domain_error(self, i, j, point, exc):
+    def _warping_error(self, point):
+        """The WarpingError of a warping not valid at `point`, or None."""
         try:
             self._dwp.validate_warpings(point[None])
         except WarpingError as warping:
             return warping
-        return super()._domain_error(i, j, point, exc)
+        return None
+
+    def _domain_error(self, i, j, point, exc):
+        return self._warping_error(point) or super()._domain_error(
+            i, j, point, exc)
+
+    def _sampling_error(self, point, exc):
+        return self._warping_error(point) or exc
 
 
 class _FactorPart:

@@ -527,7 +527,11 @@ class Expression:
             )
         try:
             with np.errstate(all="ignore"):
-                return _eval_jet(self.node, points, self._index, dim, memo)
+                out = _eval_jet(self.node, points, self._index, dim, memo)
+            # one test of the value catches an overflow that no node checks
+            # (a product or a sum of finite values)
+            _check(~np.isfinite(out[0]), "overflow", self.node)
+            return out
         except DomainError as exc:
             # the first failing subexpression may fail later in point order
             # than another one: an earlier point's error takes precedence

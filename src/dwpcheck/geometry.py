@@ -124,6 +124,11 @@ class ChartManifold:
             f"metric entry [{i}][{j}] = {str(self.metric[i][j])!r} leaves "
             f"its domain at {point.tolist()}: {exc}")
 
+    def _sampling_error(self, point, exc):
+        """The error of a sampler that gave up (`exc`), whose first
+        rejected draw was `point`."""
+        return exc
+
     def at(self, points):
         """The chart's record at a batch of points (N, dim)."""
         p = np.asarray(points, dtype=float)
@@ -381,7 +386,9 @@ def sample_points(manifold, box, n, seed):
 
     The draws come in chunks of the number of points still missing, so each
     drawn point is one that drawing and testing one at a time would reach
-    too: the stream, and the first point that fails, are the same."""
+    too: the stream, and the first point that fails, are the same.  A
+    sampler that gives up raises the chart's error for its first rejected
+    draw (`ChartManifold._sampling_error`)."""
     box = np.asarray(box, dtype=float)
     if box.shape == (2,):
         box = np.tile(box, (manifold.dim, 1))
@@ -391,18 +398,21 @@ def sample_points(manifold, box, n, seed):
         raise ValueError("need at least one sample point")
     rng = np.random.default_rng(seed)
     accepted = []
+    rejected = None  # the first drawn point that failed the test
     count = attempts = 0
     while count < n:
         if attempts >= 10 * n:
-            raise GeometryError(
+            raise manifold._sampling_error(rejected, GeometryError(
                 f"could not find {n} well-conditioned sample points "
                 f"within {attempts} draws"
-            )
+            ))
         k = min(n - count, 10 * n - attempts)
         p = rng.uniform(box[:, 0], box[:, 1], size=(k, manifold.dim))
         attempts += k
         record = manifold.at(p)
         ok = record.well_conditioned()
+        if rejected is None and not ok.all():
+            rejected = p[(~ok).argmax()]
         accepted.append(record.take(ok))
         count += int(ok.sum())
     return ChartBatch.concatenate(accepted)

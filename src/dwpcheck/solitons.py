@@ -43,6 +43,7 @@ __all__ = [
     "yamabe_factor_equation",
     "ricci_factor_equation",
     "riemann_factor_equation",
+    "quasi_einstein_factor_equation",
     "yamabe_factor_structures",
     "ricci_factor_structures",
     "riemann_factor_structures",
@@ -254,17 +255,18 @@ def named_fields(specs, psi):
 # -- induced factor structures ------------------------------------------------
 
 
-def mixed_yamabe_condition(dwp, psi, d):
+def mixed_yamabe_condition(psi, d):
     """Mixed-block condition forced on a gradient Yamabe soliton: the cross
     Hessian block of psi must vanish, i.e.
     XU(psi) - X(k)U(psi) - X(psi)U(l) = 0 on lifted coordinate fields."""
-    return dwp.hessian_split_closed(psi, d)[dwp.block("XU")]
+    return d.dwp.hessian_split_closed(psi, d)[d.dwp.block("XU")]
 
 
-def mixed_ricci_condition(dwp, psi, d):
+def mixed_ricci_condition(psi, d):
     """Mixed-block condition forced on a gradient Ricci soliton:
     (m-2) X(k)U(l) - X(k)U(psi) - X(psi)U(l) + XU(psi) = 0, the mixed Ricci
     block plus the mixed Hessian block of psi."""
+    dwp = d.dwp
     xu = dwp.block("XU")
     return dwp.ricci_closed(d)[xu] + dwp.hessian_split_closed(psi, d)[xu]
 
@@ -275,7 +277,8 @@ _NOT_A_SOLITON = ("skipped: product-level soliton hypothesis fails "
 
 # Each factor equation below gives (lhs terms, rhs terms, notes) of the
 # equation that a product-level soliton induces on factor s, on the record
-# r of its anchored restriction set, from the jet of psi there.
+# r of its anchored restriction set; an equation of a kind with a
+# potential psi also takes psi's jet there.
 
 
 def yamabe_factor_equation(spec, r, s, jet):
@@ -338,71 +341,88 @@ def riemann_factor_equation(spec, r, s, jet):
             "Hessian")
 
 
+def quasi_einstein_factor_equation(spec, r, s):
+    """Gradient f-almost eta-Ricci soliton on factor s with
+    f = -(opposite dim)/(own warping) and eta the restriction of the
+    unit-normalized generator 1-form (`_unit_eta_at` on the product chart's
+    record r.product)."""
+    o = s.mirror
+    a, beta = _unit_eta_at(spec, r.product)
+    a_i = a[:, s.own]
+    lam_i = o.f**2 * (_coeff(spec.alpha, r.p) + o.lap)
+    return ([times(-o.m / s.f, s.h_f), s.ric],
+            [times(lam_i, s.g), times(beta, outer(a_i, a_i))],
+            f"gradient f-almost eta-Ricci soliton on factor {s.which} "
+            f"with f = -m{3 - s.which}/f{s.which}")
+
+
 # Each builder below takes the record d of the samples (with an anchor) and
 # its gate, the summary of the product-level residual at the samples (in
 # the contracted form for kind=riemann), named F.product for the family F
-# of its checks; for each factor it gives the residual of the factor's
-# equation on the anchored restriction set (`reporting.conditional`).
+# of its checks, whose tolerance its checks keep; for each factor it gives
+# the residual of the factor's equation on the anchored restriction set
+# (`reporting.conditional`).
 
 
 def _factor_checks(equation, spec, d, gate, extra=None):
     """The gate and the checks conditional on it: per factor s, the
-    residual of `equation(spec, r, s, jet)`, with jet that of psi on r;
-    `extra` as for `reporting.conditional`."""
-    psi = d.dwp.lifted(spec.psi)
+    residual of `equation(spec, r, s, jet)`, with jet that of psi on r
+    (`equation(spec, r, s)` for a kind without a potential); `extra` as for
+    `reporting.conditional`."""
+    psi = None if spec.psi is None else d.dwp.lifted(spec.psi)
 
     def factor(r, s):
-        lhs, rhs, notes = equation(spec, r, s, r.product.jet(psi))
+        jet = () if psi is None else (r.product.jet(psi),)
+        lhs, rhs, notes = equation(spec, r, s, *jet)
         return equation_residual(lhs, rhs), notes
 
     return conditional(d, gate, _NOT_A_SOLITON, factor, "factor", extra)
 
 
-def _mixed(condition, dwp, psi, d, notes):
-    """The mixed check: condition(dwp, psi, d) must vanish at each sample
+def _mixed(condition, psi, d, notes):
+    """The mixed check: condition(psi, d) must vanish at each sample
     point."""
-    return "mixed", lambda: (np.abs(condition(dwp, psi, d)).max(axis=(1, 2)),
+    return "mixed", lambda: (np.abs(condition(psi, d)).max(axis=(1, 2)),
                              d.p, notes)
 
 
-def yamabe_factor_structures(dwp, spec, d, tolerance, gate):
+def yamabe_factor_structures(spec, d, gate):
     """Factor consequences of a gradient Yamabe soliton on the product: each
     factor restriction is a gradient almost Yamabe soliton, and the mixed
     Hessian block of psi vanishes."""
     return _factor_checks(
         yamabe_factor_equation, spec, d, gate,
-        _mixed(mixed_yamabe_condition, dwp, spec.psi, d,
+        _mixed(mixed_yamabe_condition, spec.psi, d,
                "cross Hessian block of psi must vanish"))
 
 
-def ricci_factor_structures(dwp, spec, d, tolerance, gate):
+def ricci_factor_structures(spec, d, gate):
     """Factor consequences of a gradient Ricci soliton: each factor carries a
     gradient almost eta-Ricci soliton with potential phi_i and eta the
     differential of the log-warping, plus a mixed-derivative condition."""
     return _factor_checks(
         ricci_factor_equation, spec, d, gate,
-        _mixed(mixed_ricci_condition, dwp, spec.psi, d,
+        _mixed(mixed_ricci_condition, spec.psi, d,
                "mixed warping/potential derivative condition"))
 
 
-def riemann_factor_structures(dwp, spec, d, tolerance, gate):
+def riemann_factor_structures(spec, d, gate):
     """Factor consequences of a gradient Riemann soliton (m >= 3): each
     factor carries a gradient almost eta-Ricci soliton with potential
     (m-2) psi_i - m_j log f_i."""
-    if dwp.m < 3:
+    if d.dwp.m < 3:
         gate = skipped(gate.check_id,
                        "skipped: contracted soliton form requires dim >= 3",
-                       tolerance)
+                       gate.tolerance)
     return _factor_checks(riemann_factor_equation, spec, d, gate)
 
 
-def quasi_einstein_factor_structures(dwp, spec, d, tolerance, gate):
-    """Factor consequences of a quasi-Einstein product: each factor carries a
-    gradient f-almost eta-Ricci soliton with f = -(opposite dim)/(own warping)
-    and eta the restriction of the (unit-normalized) generator 1-form.  A
-    beta vanishing at a sample point skips them, and so does a 1-form
-    vanishing on an anchored restriction set."""
-    units = {}
+def quasi_einstein_factor_structures(spec, d, gate):
+    """Factor consequences of a quasi-Einstein product
+    (`quasi_einstein_factor_equation`).  A beta vanishing at a sample point
+    skips them, and so does a 1-form vanishing on an anchored restriction
+    set."""
+    tolerance = gate.tolerance
     if (np.abs(_coeff(spec.beta, d.p)) <= tolerance).any():
         gate = skipped(
             gate.check_id,
@@ -411,23 +431,11 @@ def quasi_einstein_factor_structures(dwp, spec, d, tolerance, gate):
             tolerance)
     elif gate.status == PASS:
         try:
-            units = {which: _unit_eta_at(spec, d.anchored_product(which))
-                     for which in (1, 2)}
+            for which in (1, 2):
+                _unit_eta_at(spec, d.anchored_product(which))
         except SolitonError as exc:
             gate = skipped(gate.check_id, f"skipped: {exc}", tolerance)
-
-    def factor(r, s):
-        o = s.mirror
-        a, beta = units[s.which]
-        a_i = a[:, s.own]
-        lam_i = o.f**2 * (_coeff(spec.alpha, r.p) + o.lap)
-        return (equation_residual(
-                    [times(-o.m / s.f, s.h_f), s.ric],
-                    [times(lam_i, s.g), times(beta, outer(a_i, a_i))]),
-                f"gradient f-almost eta-Ricci soliton on factor {s.which} "
-                f"with f = -m{3 - s.which}/f{s.which}")
-
-    return conditional(d, gate, _NOT_A_SOLITON, factor, "factor")
+    return _factor_checks(quasi_einstein_factor_equation, spec, d, gate)
 
 
 def log_hessian_identity(c, f, tolerance):

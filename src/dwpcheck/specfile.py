@@ -123,8 +123,8 @@ def _build_factor(table, section, line):
         raise SpecFileError(
             f"[{section}] metric must be a {dim}x{dim} matrix of expressions"
         )
-    rows = [[_expr(_finite(entry, section, f"metric[{i}][{j}]", line),
-                   coords, section) for j, entry in enumerate(row)]
+    rows = [[_expr(entry, coords, section, f"metric[{i}][{j}]", line)
+             for j, entry in enumerate(row)]
             for i, row in enumerate(metric)]
     # the oracle reads only the upper triangle, so a lower entry that differs
     # would be ignored silently
@@ -140,8 +140,8 @@ def _build_factor(table, section, line):
         manifold = ChartManifold(coords, rows)
     except Exception as exc:
         raise SpecFileError(f"[{section}] invalid metric: {exc}") from None
-    warping = _finite(table.get("warping", 1.0), section, "warping", line)
-    return manifold, _expr(warping, coords, section)
+    return manifold, _expr(table.get("warping", 1.0), coords, section,
+                           "warping", line)
 
 
 def _number(value):
@@ -149,10 +149,11 @@ def _number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _expr(value, coords, section):
-    """An expression-valued entry: a quoted string or a plain number."""
+def _expr(value, coords, section, key, line):
+    """The expression-valued entry `key` of a section: a quoted string or a
+    plain number finite as a float."""
     if _number(value):
-        return constant(float(value), coords)
+        return constant(float(_finite(value, section, key, line)), coords)
     if isinstance(value, str):
         try:
             return parse_expression(value, coords)
@@ -164,18 +165,18 @@ def _expr(value, coords, section):
     )
 
 
-def _scalar_or_expr(value, coords, section):
+def _scalar_or_expr(value, coords, section, key, line):
     """Soliton coefficients: plain numbers stay numbers (classical case);
     strings become expressions (almost case)."""
     if _number(value):
-        return float(value)
-    return _expr(value, coords, section)
+        return float(_finite(value, section, key, line))
+    return _expr(value, coords, section, key, line)
 
 
 def _finite(value, section, key, line):
-    """The value of `key`, unless it is a number that is not finite as a
-    float."""
-    if _number(value) and not abs(value) <= sys.float_info.max:
+    """The number `key`, unless it is not finite as a float; `_expr` and
+    `_scalar_or_expr` read each number through it."""
+    if not abs(value) <= sys.float_info.max:
         raise SpecFileError(f"[{section}] (line {line}): {key} must be "
                             f"finite, got {value!r}")
     return value
@@ -212,14 +213,13 @@ def _build_soliton(table, line, coords, default_psi):
                     "covariant components"
                 )
             fields[field] = tuple(
-                _expr(_finite(e, "soliton", f"eta[{j}]", line), coords,
-                      "soliton") for j, e in enumerate(value))
+                _expr(e, coords, "soliton", f"eta[{j}]", line)
+                for j, e in enumerate(value))
         elif field == "psi":
-            fields[field] = _expr(_finite(value, "soliton", key, line),
-                                  coords, "soliton")
+            fields[field] = _expr(value, coords, "soliton", key, line)
         else:
-            fields[field] = _scalar_or_expr(
-                _finite(value, "soliton", key, line), coords, "soliton")
+            fields[field] = _scalar_or_expr(value, coords, "soliton", key,
+                                            line)
     try:
         return SolitonSpec(**fields)
     except SolitonError as exc:
@@ -340,9 +340,8 @@ def load_spec(path):
             raise SpecFileError(
                 f"[potential] (line {line}): unknown keys {sorted(extra)}"
             )
-        default_psi = _expr(
-            _finite(_require(table, "psi", "potential", line), "potential",
-                    "psi", line), dwp.coords, "potential")
+        default_psi = _expr(_require(table, "psi", "potential", line),
+                            dwp.coords, "potential", "psi", line)
     solitons = [
         _build_soliton(table, line, dwp.coords, default_psi)
         for table, line in soliton_sections

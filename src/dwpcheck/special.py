@@ -59,25 +59,25 @@ def conharmonic_oracle(c):
 # -- closed forms on doubly warped products -------------------------------------
 
 
-def _scalar_coefficient(dwp, d):
+def _scalar_coefficient(d):
     """tau/(m(m-1)) with tau the closed-form product scalar curvature."""
-    return dwp.scalar_closed(d) / (dwp.m * (dwp.m - 1))
+    m = d.dwp.m
+    return d.dwp.scalar_closed(d) / (m * (m - 1))
 
 
-def concircular_closed(dwp, d):
+def concircular_closed(d):
     """Closed-form concircular tensor C[n, i, j, k, c] = (C(d_i, d_j) d_k)^c:
     the curvature splitting minus the scalar part c G with c = tau/(m(m-1))
     and G_{AB}Z = g(B,Z)A - g(A,Z)B."""
-    c = _scalar_coefficient(dwp, d)
-    return dwp.riemann_closed(d) - times(
-        c, wedge_operator(d.gp, np.eye(dwp.m)))
+    return d.dwp.riemann_closed(d) - times(
+        _scalar_coefficient(d), wedge_operator(d.gp, np.eye(d.dwp.m)))
 
 
-def conharmonic_closed(dwp, d):
-    """Closed-form conharmonic blocks for same-factor lifted inputs, as
-    {klass: out} for klass XYZ and UVW with out[n, a, b, z, c] =
-    (H(d_a, d_b) d_z)^c over the product chart; the mixed patterns have no
-    closed splitting and are covered by the oracle only.
+def conharmonic_closed(d):
+    """Closed-form conharmonic tensor out[n, i, j, k, c] =
+    (H(d_i, d_j) d_k)^c over the product chart on its same-factor blocks
+    (CONHARMONIC_CLASSES: XYZ and UVW); the mixed patterns have no closed
+    splitting and are covered by the oracle only, and read 0 here.
 
     Besides the tangential Ricci-operator insertions, the mixed Ricci block
     contributes a normal part: applying the full Ricci operator to a lifted
@@ -86,12 +86,13 @@ def conharmonic_closed(dwp, d):
     k <-> l mirror on the second factor).  Component formulas that keep only
     the tangential operator hold only after projection to the factor.
     """
+    dwp = d.dwp
     if dwp.m < 3:
         raise DimensionError("conharmonic tensor requires dim >= 3")
     curvature = dwp.riemann_closed(d)
     ric, ric_op = dwp.ricci_closed(d), dwp.ricci_operator_closed(d)
-    out = {}
-    for klass, s in zip(CONHARMONIC_CLASSES, d.sides):
+    out = np.zeros_like(curvature)
+    for s in d.sides:
         own = s.own
         # g(B,Z) Q(A) - g(A,Z) Q(B) + Ric(B,Z) A - Ric(A,Z) B, Q the Ricci
         # operator
@@ -99,15 +100,15 @@ def conharmonic_closed(dwp, d):
             s.gp, ric_op[:, own, own].transpose(0, 2, 1) @ s.lift
         ) + wedge_operator(ric[:, own, own], s.lift)
         normal = wedge_operator(s.gp, outer(s.dlog, s.mirror.grad))
-        out[klass] = (curvature[:, own, own, own] - bracket / (dwp.m - 2)
-                      - normal)
+        out[:, own, own, own] = (curvature[:, own, own, own]
+                                 - bracket / (dwp.m - 2) - normal)
     return out
 
 
 # -- factor traces and flatness consequences ------------------------------------
 
 
-def factor_block_trace(dwp, tensor4, which, d):
+def factor_block_trace(tensor4, which, d):
     """Trace of a (0,4) tensor's same-factor block against the factor metric:
     sum over a factor-orthonormal frame of the factor pairing of T_{e Y}Z
     with e.  This is the contraction used to pass from component identities
@@ -119,18 +120,18 @@ def factor_block_trace(dwp, tensor4, which, d):
         s.mirror.f**2)[:, None, None]
 
 
-def einstein_defect(dwp, which, d):
+def einstein_defect(which, d):
     """(factor Ricci) - mu_i (factor metric) with the Einstein constant
     implied by concircular flatness:
     mu_i = f_opp^2 (m_i - 1)(g(grad log f_opp, grad log f_opp) + tau/(m(m-1))).
     Identically equal to the factor-block trace of the concircular tensor."""
     s = d.side(which)
     o = s.mirror
-    mu = o.f**2 * (s.m - 1) * (o.grad_sq + _scalar_coefficient(dwp, d))
+    mu = o.f**2 * (s.m - 1) * (o.grad_sq + _scalar_coefficient(d))
     return s.ric - times(mu, s.g), mu
 
 
-def f_almost_defect(dwp, which, d):
+def f_almost_defect(which, d):
     """f h^{f_i} + (factor Ricci) - lambda_i (factor metric) with the
     coefficients implied by conharmonic flatness:
     lambda_i as quoted for the flatness theorem and f = (m_i - 2)/f_i.
@@ -141,7 +142,7 @@ def f_almost_defect(dwp, which, d):
     lam = (o.f**2 / o.m) * (
         s.tau / o.f**2
         - (o.m / (s.f * o.f**2)) * s.lap_f
-        + (s.m - 1) * ((dwp.m - 2) * o.grad_sq - 2 * o.lap)
+        + (s.m - 1) * ((d.dwp.m - 2) * o.grad_sq - 2 * o.lap)
     )
     f = (s.m - 2) / s.f
     return times(f, s.h_f) + s.ric - times(lam, s.g), lam, f
@@ -158,15 +159,15 @@ def _max_norms(tensor):
     return np.abs(tensor).reshape(len(tensor), -1).max(axis=1)
 
 
-def _dichotomy(dwp, d, tolerance):
+def _dichotomy(d, tolerance):
     """Branches forced by vanishing mixed components, per factor, as
     (values, points, notes): each log-warping differential must vanish, or
     the opposing factor's differential spans a degenerate 2-plane field
     (automatic in dimension one)."""
     largest = [float(np.abs(s.dlog).max()) for s in d.sides]
     values, notes = [], []
-    for own, opp, m_own, name in ((0, 1, dwp.m1, "first"),
-                                  (1, 0, dwp.m2, "second")):
+    for own, opp, m_own, name in ((0, 1, d.dwp.m1, "first"),
+                                  (1, 0, d.dwp.m2, "second")):
         notes.append(
             f"{name} warping degenerate branch" if largest[opp] <= tolerance
             else "antisymmetric warping-gradient branch"
@@ -175,7 +176,7 @@ def _dichotomy(dwp, d, tolerance):
     return values, [d.p[0], d.p[0]], "; ".join(notes)
 
 
-def concircular_flat_consequences(dwp, d, tolerance, oracle):
+def concircular_flat_consequences(d, tolerance, oracle):
     """If the product is numerically concircularly flat on the samples of
     the record d (its concircular tensor there is `oracle`, as
     `concircular_oracle(d.product)` gives it), verify that both factors are
@@ -188,7 +189,7 @@ def concircular_flat_consequences(dwp, d, tolerance, oracle):
     """
 
     def einstein(r, s):
-        defect, mu = einstein_defect(dwp, s.which, r)
+        defect, mu = einstein_defect(s.which, r)
         notes = (
             f"Einstein constant mu = {mu[0] + 0.0:.6g}, "
             f"spread over samples = {mu.max() - mu.min():.3e}"
@@ -201,10 +202,10 @@ def concircular_flat_consequences(dwp, d, tolerance, oracle):
     return conditional(
         d, summarize("concircular.flat", _max_norms(oracle), d.p, tolerance),
         _NOT_FLAT, einstein, "einstein",
-        ("dichotomy", lambda: _dichotomy(dwp, d, tolerance)))
+        ("dichotomy", lambda: _dichotomy(d, tolerance)))
 
 
-def conharmonic_flat_consequences(dwp, d, tolerance, oracle):
+def conharmonic_flat_consequences(d, tolerance, oracle):
     """If the product is numerically conharmonically flat on the samples of
     the record d (its conharmonic tensor there is `oracle`, as
     `conharmonic_oracle(d.product)` gives it), verify that each factor
@@ -216,11 +217,11 @@ def conharmonic_flat_consequences(dwp, d, tolerance, oracle):
     -m_j (1 - (m_i - 1) f_j^2)/((m - m_i) f_i f_j^2) exactly when the
     opposite warping is identically 1.
     """
-    if dwp.m < 3:
+    if d.dwp.m < 3:
         raise DimensionError("conharmonic tensor requires dim >= 3")
 
     def soliton(r, s):
-        defect, lam, f = f_almost_defect(dwp, s.which, r)
+        defect, lam, f = f_almost_defect(s.which, r)
         notes = (
             f"gradient f-almost Ricci soliton with f = (m_i - 2)/f_i; "
             f"lambda spread over samples = {lam.max() - lam.min():.3e}"

@@ -69,7 +69,7 @@ def test_criterion_01_curvature_splitting(corpus_products, corpus_points):
     worst = 0.0
     for name, dwp in corpus_products.items():
         for summary in checks.check_lemma1(
-                dwp, dwp.point_data(corpus_points[name]), 1e-8):
+                dwp.point_data(corpus_points[name]), 1e-8):
             worst = max(worst, summary.max_abs_residual)
             if summary.status != PASS:
                 report(1, False, f"{name}:{summary.check_id}")
@@ -86,9 +86,9 @@ def test_criterion_02_ricci_and_scalar_splitting(
         pts = corpus_points[name]
         data = dwp.point_data(pts)
         for summary in (
-            checks.check_lemma2(dwp, data, 1e-8)
-            + checks.check_lemma5(dwp, data, 1e-8)
-            + checks.check_scalar(dwp, data, 1e-8)
+            checks.check_lemma2(data, 1e-8)
+            + checks.check_lemma5(data, 1e-8)
+            + checks.check_scalar(data, 1e-8)
         ):
             worst = max(worst, summary.max_abs_residual)
             if summary.status != PASS:
@@ -117,8 +117,8 @@ def test_criterion_03_hessian_and_laplacian_splitting(
             psis.append(("mixed", parse_expression("x + t^2", dwp.coords)))
         data = dwp.point_data(pts)
         for summary in checks.check_hessian(
-            dwp, data, 1e-8, psis=psis
-        ) + checks.check_laplacian(dwp, data, 1e-8):
+            data, 1e-8, psis=psis
+        ) + checks.check_laplacian(data, 1e-8):
             worst = max(worst, summary.max_abs_residual)
             if summary.status != PASS:
                 report(3, False, f"{name}:{summary.check_id}")
@@ -201,7 +201,7 @@ def test_criterion_06_factor_structure_pipeline(corpus_products):
     worst = 0.0
     d = dwp.point_data(pts, np.zeros(dwp.m))
     for summary in ricci_factor_structures(
-        dwp, spec, d, 1e-10,
+        spec, d,
         residual(spec, equation_terms(spec, d.product), d.p, 1e-10,
                  "factors.ricci.product")
     ):
@@ -239,7 +239,7 @@ def test_criterion_07_concircular():
     dwp = e2xe1_product()
     pts = seeded_points(dwp.product, 20)
     out = checks.check_concircular(
-        dwp, dwp.point_data(pts, np.zeros(dwp.m)), 1e-8)
+        dwp.point_data(pts, np.zeros(dwp.m)), 1e-8)
     for summary in out:
         if summary.check_id.split(".")[1] in (
             "XYZ", "XYU", "UVX", "XUY", "UXV", "UVW",
@@ -253,7 +253,7 @@ def test_criterion_07_concircular():
     consequences = {
         s.check_id: s
         for s in concircular_flat_consequences(
-            hyp, hyp_d, 1e-9, concircular_oracle(hyp_d.product)
+            hyp_d, 1e-9, concircular_oracle(hyp_d.product)
         )
     }
     ok = (
@@ -265,7 +265,7 @@ def test_criterion_07_concircular():
         report(7, False, "hyperbolic consequence validation")
     d = dwp.point_data(pts, np.zeros(dwp.m))
     gated = concircular_flat_consequences(
-        dwp, d, 1e-8, concircular_oracle(d.product))
+        d, 1e-8, concircular_oracle(d.product))
     if not all(s.status == SKIP for s in gated):
         report(7, False, "non-flat product did not gate")
     report(7, True, f"constant-curvature norm {worst_cc:.3e}")
@@ -284,7 +284,7 @@ def test_criterion_08_conharmonic(corpus_products, corpus_points):
         if dwp.m < 3:
             continue
         out = checks.check_conharmonic(
-            dwp, dwp.point_data(corpus_points[name], np.zeros(dwp.m)), 1e-8
+            dwp.point_data(corpus_points[name], np.zeros(dwp.m)), 1e-8
         )
         for summary in out:
             if summary.check_id in ("conharmonic.XYZ", "conharmonic.UVW"):

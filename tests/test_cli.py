@@ -95,6 +95,16 @@ box = [-1.0, 1.0]
 tolerance = 1e-8
 """
 
+# a warping of 0 makes the metric singular at every draw: the sampler gives
+# up and names the warping at its first rejected draw
+ZERO_WARPING_SPEC = PASSING_SPEC.replace(
+    'metric = [["1", "0"], ["0", "1"]]\n\n[factor.2]',
+    'metric = [["1", "0"], ["0", "1"]]\nwarping = "0"\n\n[factor.2]')
+
+# a product of finite numbers that overflows: lambda is named at the point
+OVERFLOW_LAMBDA_SPEC = PASSING_SPEC.replace(
+    "lambda = 0.6", 'lambda = "1e300*1e300*x"')
+
 H3_LINE_FIRST_SPEC = warped_line_spec("hyperbolic-flat", line_first=True)
 
 H3_PLANE_FIRST_SPEC = warped_line_spec("hyperbolic-flat", line_first=False)
@@ -183,6 +193,21 @@ class TestExitStatuses:
         spec = write(tmp_path, text, "neg.spec")
         assert main(["verify", spec]) == 2
         assert "nonpositive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        (ZERO_WARPING_SPEC,
+         "f1 nonpositive at [0.5479120971119267, -0.12224312049589536]"),
+        (OVERFLOW_LAMBDA_SPEC,
+         "soliton[0] lambda = '1e+300 * 1e+300 * x' leaves its domain at "
+         "[0.5479120971119267, -0.12224312049589536, 0.7171958398227649, "
+         "0.3947360581187278]: overflow in '1e+300 * 1e+300 * x'"),
+    ], ids=["zero-warping", "overflow-lambda"])
+    def test_error_at_a_point_names_the_field_and_the_point(
+        self, tmp_path, capsys, text, message
+    ):
+        spec = write(tmp_path, text, "point.spec")
+        assert main(["verify", spec]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_nonsymmetric_metric_exits_two(self, tmp_path, capsys):
         text = PASSING_SPEC.replace(

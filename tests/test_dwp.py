@@ -134,7 +134,7 @@ class TestRiemannSplitting:
     @pytest.mark.parametrize("name", ["direct", "warped", "e2xe1"])
     def test_all_six_classes_match_oracle(self, products, samples, name):
         out = checks.check_lemma1(
-            products[name], products[name].point_data(samples[name]), TOL)
+            products[name].point_data(samples[name]), TOL)
         for summary in out:
             assert summary.status == PASS, summary
 
@@ -162,13 +162,13 @@ class TestRicciAndScalar:
     @pytest.mark.parametrize("name", ["direct", "warped", "e2xe1"])
     def test_ricci_blocks(self, products, samples, name):
         for summary in checks.check_lemma2(
-            products[name], products[name].point_data(samples[name]), TOL):
+            products[name].point_data(samples[name]), TOL):
             assert summary.status == PASS, summary
 
     @pytest.mark.parametrize("name", ["direct", "warped", "e2xe1"])
     def test_ricci_operator_blocks(self, products, samples, name):
         for summary in checks.check_lemma5(
-            products[name], products[name].point_data(samples[name]), TOL):
+            products[name].point_data(samples[name]), TOL):
             assert summary.status == PASS, summary
 
     def test_mixed_ricci_block_value(self, products, samples):
@@ -184,7 +184,7 @@ class TestRicciAndScalar:
     @pytest.mark.parametrize("name", ["direct", "warped", "e2xe1"])
     def test_scalar_splitting(self, products, samples, name):
         (summary,) = checks.check_scalar(
-            products[name], products[name].point_data(samples[name]), TOL)
+            products[name].point_data(samples[name]), TOL)
         assert summary.status == PASS, summary
 
 
@@ -192,7 +192,7 @@ class TestHessianAndLaplacian:
     @pytest.mark.parametrize("name", ["direct", "warped", "e2xe1"])
     def test_log_warping_hessians(self, products, samples, name):
         for summary in checks.check_hessian(
-            products[name], products[name].point_data(samples[name]), TOL):
+            products[name].point_data(samples[name]), TOL):
             assert summary.status == PASS, summary
 
     def test_user_potential_hessian_blocks(self, products, samples):
@@ -202,7 +202,7 @@ class TestHessianAndLaplacian:
             ("mixed", parse_expression("x + t^2", dwp.coords)),
             ("poly", random_polynomial(dwp.coords, rng)),
         ]
-        out = checks.check_hessian(dwp, dwp.point_data(samples["e2xe1"]), TOL,
+        out = checks.check_hessian(dwp.point_data(samples["e2xe1"]), TOL,
                                    psis=psis)
         for summary in out:
             assert summary.status == PASS, summary
@@ -222,7 +222,7 @@ class TestHessianAndLaplacian:
     @pytest.mark.parametrize("name", ["direct", "warped", "e2xe1"])
     def test_laplacian_splitting(self, products, samples, name):
         for summary in checks.check_laplacian(
-            products[name], products[name].point_data(samples[name]), TOL):
+            products[name].point_data(samples[name]), TOL):
             assert summary.status == PASS, summary
 
 
@@ -328,10 +328,10 @@ class TestFactorMirror:
                             b.ricci_operator_closed(db)[0])
             for which in (1, 2):
                 other = 3 - which
-                assert_mirrored(einstein_defect(a, which, da)[0][0],
-                                einstein_defect(b, other, db)[0][0])
-                assert_mirrored(f_almost_defect(a, which, da)[0][0],
-                                f_almost_defect(b, other, db)[0][0])
+                assert_mirrored(einstein_defect(which, da)[0][0],
+                                einstein_defect(other, db)[0][0])
+                assert_mirrored(f_almost_defect(which, da)[0][0],
+                                f_almost_defect(other, db)[0][0])
             assert_mirrored(a.laplacian_split("k", da),
                             b.laplacian_split("l", db))
             assert_mirrored(
@@ -355,7 +355,7 @@ class TestFactorMirror:
             gate = residual(spec, equation_terms(spec, d.product), d.p, tol,
                             "factors.ricci.product")
             return {s.check_id: s for s in ricci_factor_structures(
-                dwp, spec, d, tol, gate)}
+                spec, d, gate)}
 
         out = [structures(a, pts, pts[0]),
                structures(b, pts[:, swap], pts[0][swap])]
@@ -377,9 +377,9 @@ class TestFactorMirror:
             d = dwp.point_data(points)
             xu = dwp.block("XU")
             hessian = d.product.hessian(psi)[xu]
-            assert_mirrored(solitons.mixed_yamabe_condition(dwp, psi, d),
+            assert_mirrored(solitons.mixed_yamabe_condition(psi, d),
                             hessian)
-            assert_mirrored(solitons.mixed_ricci_condition(dwp, psi, d),
+            assert_mirrored(solitons.mixed_ricci_condition(psi, d),
                             hessian + d.product.curvature[1][xu])
 
 
@@ -392,9 +392,9 @@ def closed_forms(dwp, d):
         dwp.ricci_closed(d), dwp.ricci_operator_closed(d),
         dwp.scalar_closed(d), dwp.hessian_split_closed(psi, d),
         *(dwp.laplacian_split(which, d) for which in ("k", "l")),
-        special.concircular_closed(dwp, d),
-        *special.conharmonic_closed(dwp, d).values(),
-        *(defect(dwp, which, d)[0] for which in (1, 2)
+        special.concircular_closed(d),
+        special.conharmonic_closed(d),
+        *(defect(which, d)[0] for which in (1, 2)
           for defect in (einstein_defect, f_almost_defect)),
     ]
 
@@ -497,7 +497,7 @@ class TestOneRecordPerPointSet:
                             counting_positive_definite)
         anchor = np.array([0.1, -0.2, 0.3, 0.4])
         d = dwp.point_data(pts, anchor)
-        out = {s.check_id: s for s in checks.run_all(dwp, [spec], d, TOL)}
+        out = {s.check_id: s for s in checks.run_all([spec], d, TOL)}
         for check_id in ("concircular.einstein1", "conharmonic.soliton2",
                          "soliton[0].factors.ricci.factor1"):
             assert out[check_id].status == PASS, out[check_id]
@@ -816,23 +816,24 @@ class TestBlockwiseComparison:
                     c.hessian(dwp.lifted(f)))],
             "concircular": block_reference(
                 dwp, d, "concircular", dwp_module.RIEMANN_CLASSES,
-                special.concircular_closed(dwp, d),
+                special.concircular_closed(d),
                 checks._raised(concircular, d), axis=-1),
             "conharmonic": [
                 summarize(f"conharmonic.{klass}", normalized_residual(
                     block - oracle[dwp.block(klass)],
                     [block, oracle[dwp.block(klass)]], axis=-1), d.p, TOL)
                 for oracle in [checks._raised(conharmonic, d)]
-                for klass, block in special.conharmonic_closed(
-                    dwp, d).items()],
+                for closed in [special.conharmonic_closed(d)]
+                for klass in special.CONHARMONIC_CLASSES
+                for block in [closed[dwp.block(klass)]]],
         }
         got = {
-            "lemma1": checks.check_lemma1(dwp, d, TOL)[:6],
-            "lemma2": checks.check_lemma2(dwp, d, TOL),
-            "lemma5": checks.check_lemma5(dwp, d, TOL),
-            "hessian": checks.check_hessian(dwp, d, TOL, [("psi", psi)]),
-            "concircular": checks.check_concircular(dwp, d, TOL)[:6],
-            "conharmonic": checks.check_conharmonic(dwp, d, TOL)[:2],
+            "lemma1": checks.check_lemma1(d, TOL)[:6],
+            "lemma2": checks.check_lemma2(d, TOL),
+            "lemma5": checks.check_lemma5(d, TOL),
+            "hessian": checks.check_hessian(d, TOL, [("psi", psi)]),
+            "concircular": checks.check_concircular(d, TOL)[:6],
+            "conharmonic": checks.check_conharmonic(d, TOL)[:2],
         }
         for family, summaries in expected.items():
             assert got[family] == summaries, family
@@ -842,14 +843,14 @@ class TestBlockwiseComparison:
         d = dwp.point_data(seeded_points(dwp.product, 9, box=CURVED_BOX))
         c = d.product
         closed = dwp.riemann_closed_tensor(d)
-        assert checks.check_lemma1(dwp, d, TOL)[6] == summarize(
+        assert checks.check_lemma1(d, TOL)[6] == summarize(
             "lemma1.reconstruction", normalized_residual(
                 closed - c.curvature[0], [closed, c.curvature[0]]), d.p, TOL)
         tau = dwp.scalar_closed(d)
-        assert checks.check_scalar(dwp, d, TOL) == [summarize(
+        assert checks.check_scalar(d, TOL) == [summarize(
             "scalar.splitting", normalized_residual(
                 tau - c.curvature[2], [tau, c.curvature[2]]), d.p, TOL)]
-        laplacians = checks.check_laplacian(dwp, d, TOL)
+        laplacians = checks.check_laplacian(d, TOL)
         for which, log_f, got in zip("kl", (dwp.k, dwp.l), laplacians):
             lap = dwp.laplacian_split(which, d)
             oracle = np.einsum("nij,nij->n", c.ginv,
@@ -866,8 +867,7 @@ class TestBlockwiseComparison:
         closed = np.array(dwp.ricci_closed(d))
         oracle = d.product.curvature[1]
         closed[2, 0, 2] = np.nan  # an XU entry at the third point
-        got = checks._blockwise(dwp, dwp_module.RICCI_CLASSES, closed,
-                                oracle)
+        got = checks._blockwise(d, dwp_module.RICCI_CLASSES, closed, oracle)
         for klass, reference in zip(dwp_module.RICCI_CLASSES, block_reference(
                 dwp, d, "c", dwp_module.RICCI_CLASSES, closed, oracle)):
             assert np.isnan(got[klass][2]) == (klass == "XU")

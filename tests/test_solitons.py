@@ -25,6 +25,7 @@ from dwpcheck.solitons import (
     mixed_ricci_condition,
     mixed_yamabe_condition,
     named_fields,
+    quasi_einstein_factor_equation,
     quasi_einstein_factor_structures,
     residual,
     residual_values,
@@ -239,7 +240,7 @@ class TestFactorStructures:
         spec = SolitonSpec(kind="ricci", psi=psi, lam=lam)
         d = self.dwp.point_data(self.pts, self.anchor)
         out = ricci_factor_structures(
-            self.dwp, spec, d, 1e-10,
+            spec, d,
             residual(spec, equation_terms(spec, d.product), d.p, 1e-10,
                      "factors.ricci.product"))
         assert {s.check_id for s in out} == {
@@ -258,7 +259,7 @@ class TestFactorStructures:
         spec = SolitonSpec(kind="yamabe", psi=psi, lam=lam)
         d = self.dwp.point_data(self.pts, self.anchor)
         out = yamabe_factor_structures(
-            self.dwp, spec, d, 1e-10,
+            spec, d,
             residual(spec, equation_terms(spec, d.product), d.p, 1e-10,
                      "factors.yamabe.product"))
         for s in out:
@@ -270,7 +271,7 @@ class TestFactorStructures:
         spec = SolitonSpec(kind="riemann", psi=psi, lam=lam)
         d = self.dwp.point_data(self.pts, self.anchor)
         out = riemann_factor_structures(
-            self.dwp, spec, d, 1e-10,
+            spec, d,
             residual(spec, contracted_terms(spec, d.product), d.p, 1e-10,
                      "factors.riemann.product"))
         for s in out:
@@ -281,7 +282,7 @@ class TestFactorStructures:
         spec = SolitonSpec(kind="ricci", psi=psi, lam=0.5)
         d = self.dwp.point_data(self.pts, self.anchor)
         out = ricci_factor_structures(
-            self.dwp, spec, d, TOL,
+            spec, d,
             residual(spec, equation_terms(spec, d.product), d.p, TOL,
                      "factors.ricci.product"))
         assert all(s.status == SKIP for s in out)
@@ -291,8 +292,8 @@ class TestFactorStructures:
         psi = gaussian_potential(self.dwp.coords, 0.3)
         for p in self.pts[:4]:
             d = self.dwp.point_data(p[None])
-            yamabe = mixed_yamabe_condition(self.dwp, psi, d)[0]
-            ricci = mixed_ricci_condition(self.dwp, psi, d)[0]
+            yamabe = mixed_yamabe_condition(psi, d)[0]
+            ricci = mixed_ricci_condition(psi, d)[0]
             assert np.abs(yamabe).max() < 1e-14
             assert np.abs(ricci).max() < 1e-14
 
@@ -307,7 +308,7 @@ class TestFactorStructures:
         gate = residual(spec, equation_terms(spec, d.product), d.p, TOL,
                         "factors.quasi_einstein.product")
         assert gate.status == PASS
-        out = quasi_einstein_factor_structures(dwp, spec, d, TOL, gate)
+        out = quasi_einstein_factor_structures(spec, d, gate)
         for s in out:
             assert s.status == PASS, s
 
@@ -320,7 +321,7 @@ class TestFactorStructures:
         pts = seeded_points(dwp.product, 4)
         d = dwp.point_data(pts, np.zeros(dwp.m))
         out = quasi_einstein_factor_structures(
-            dwp, spec, d, TOL,
+            spec, d,
             residual(spec, equation_terms(spec, d.product), d.p, TOL,
                      "factors.quasi_einstein.product"))
         assert [s.check_id for s in out] == [
@@ -344,7 +345,7 @@ class TestFactorStructures:
         pts = seeded_points(dwp.product, 4)
         d = dwp.point_data(pts, np.zeros(2))
         out = riemann_factor_structures(
-            dwp, spec, d, TOL,
+            spec, d,
             residual(spec, equation_terms(spec, d.product), d.p, TOL,
                      "factors.riemann.product"))
         assert all(s.status == SKIP for s in out)
@@ -353,8 +354,10 @@ class TestFactorStructures:
 class TestTransferIdentities:
     """Each factor equation is the same-factor block of its product
     equation, rewritten by the splitting formulas: for ANY potential and
-    lambda, its difference on an anchored restriction set equals that block
-    of the product equation's difference there, by the oracle."""
+    lambda (for kind quasi_einstein: ANY alpha, beta and 1-form that
+    vanishes nowhere), its difference on an anchored restriction set equals
+    that block of the product equation's difference there, by the
+    oracle."""
 
     @pytest.mark.parametrize("make", CURVED_PRODUCTS,
                              ids=lambda make: make.__name__)
@@ -362,7 +365,8 @@ class TestTransferIdentities:
         ("yamabe", yamabe_factor_equation, equation_terms),
         ("ricci", ricci_factor_equation, equation_terms),
         ("riemann", riemann_factor_equation, contracted_terms),
-    ], ids=["yamabe", "ricci", "riemann"])
+        ("quasi_einstein", quasi_einstein_factor_equation, equation_terms),
+    ], ids=["yamabe", "ricci", "riemann", "quasi_einstein"])
     def test_factor_difference_is_the_product_block(self, make, kind,
                                                      equation, product_terms):
         dwp = make()
@@ -370,13 +374,23 @@ class TestTransferIdentities:
         # a non-soliton potential and a function lambda
         psi = parse_expression(f"{t}*{a} + sin({b})*{t} + {a}^3", dwp.coords)
         lam = parse_expression(f"0.3 + {b}*{t}", dwp.coords)
-        spec = SolitonSpec(kind=kind, psi=psi, lam=lam)
+        if kind == "quasi_einstein":
+            # lambda as alpha, a function beta, and a 1-form whose first
+            # component, 2 + sin(b), vanishes nowhere
+            eta = tuple(parse_expression(text, dwp.coords) for text in (
+                f"2 + sin({b})", *(f"{c}*{t} - {a}" for c in dwp.coords[1:])))
+            spec = SolitonSpec(kind=kind, alpha=lam, eta=eta,
+                               beta=parse_expression(f"1.5 - {a}*{b}",
+                                                     dwp.coords))
+        else:
+            spec = SolitonSpec(kind=kind, psi=psi, lam=lam)
         pts = seeded_points(dwp.product, 16, box=CURVED_BOX)
         d = dwp.point_data(pts, pts[0])
         for which in (1, 2):
             r = d.restriction(which)
             s = r.side(which)
-            lhs, rhs, _ = equation(spec, r, s, r.product.jet(psi))
+            jet = () if spec.psi is None else (r.product.jet(psi),)
+            lhs, rhs, _ = equation(spec, r, s, *jet)
             mine = difference(lhs, rhs)
             block = difference(*product_terms(spec, r.product))[
                 :, s.own, s.own]

@@ -363,17 +363,15 @@ SWEEP_SPECS = {
 
 # values that no key reads: each must exit 2
 MALFORMED = ("True", "False", '""', '"nan"', "1e400", "-1e400", '"1e400"',
-             "[1]", "[]", '[["1"], 1]')
+             '"1e300*1e300"', "[1]", "[]", '[["1"], 1]')
 # values that some key reads (an integer too large for a float is a seed):
 # any exit status but a traceback
 ODD = ("-1", "0", "0.0", "-0.5", "1" + "0" * 400, "[[1]]", '["x"]', '"-1"')
 
 _SECTION = re.compile(r"\[(factor\.[12]|potential|soliton|sampling)\]")
-# an error found at the sample points rather than by the reader: a
-# warping that is not positive names the warping and the point; a
-# sampler that finds no well-conditioned point (a warping of 0, say)
-# names neither yet (CHANGES.md FOUND)
-_AT_POINTS = re.compile(r" at \[|well-conditioned sample points")
+# an error found at the sample points rather than by the reader names the
+# point (a warping that is not positive, or an overflow, say)
+_AT_POINTS = re.compile(r" at \[")
 
 
 def sweep_cases():

@@ -119,7 +119,7 @@ class TestClosedForms:
         dwp = e2xe1_product()
         pts = seeded_points(dwp.product, 8)
         out = checks.check_concircular(
-            dwp, dwp.point_data(pts, np.zeros(dwp.m)), TOL)
+            dwp.point_data(pts, np.zeros(dwp.m)), TOL)
         classes = [s for s in out if s.check_id.split(".")[1] in
                    ("XYZ", "XYU", "UVX", "XUY", "UXV", "UVW")]
         assert len(classes) == 6
@@ -133,7 +133,7 @@ class TestClosedForms:
             pts = seeded_points(dwp.product, 6, box=(0.5, 1.5))
         else:
             pts = seeded_points(dwp.product, 6)
-        out = checks.check_conharmonic(dwp, dwp.point_data(pts, pts[0]), TOL)
+        out = checks.check_conharmonic(dwp.point_data(pts, pts[0]), TOL)
         classes = [s for s in out if s.check_id in
                    ("conharmonic.XYZ", "conharmonic.UVW")]
         assert len(classes) == 2
@@ -151,7 +151,7 @@ class TestClosedForms:
         )
         pts = seeded_points(dwp.product, 4)
         out = checks.check_conharmonic(
-            dwp, dwp.point_data(pts, np.zeros(2)), TOL)
+            dwp.point_data(pts, np.zeros(2)), TOL)
         assert len(out) == 1 and out[0].status == SKIP
 
 
@@ -177,8 +177,8 @@ class TestBlockTraceIdentities:
             for d in records:
                 c4 = concircular_oracle(d.product)
                 for s in d.sides:
-                    trace = factor_block_trace(dwp, c4, s.which, d)
-                    defect, mu = einstein_defect(dwp, s.which, d)
+                    trace = factor_block_trace(c4, s.which, d)
+                    defect, mu = einstein_defect(s.which, d)
                     largest = max(largest, np.abs(defect).max())
                     for other in (defect, s.ric - times(mu, s.g)):
                         assert normalized_residual(
@@ -191,9 +191,9 @@ class TestBlockTraceIdentities:
             for d in records:
                 h4 = conharmonic_oracle(d.product)
                 for which, m_opp in ((1, dwp.m2), (2, dwp.m1)):
-                    trace = factor_block_trace(dwp, h4, which, d)
+                    trace = factor_block_trace(h4, which, d)
                     defect = (m_opp / (dwp.m - 2)) * f_almost_defect(
-                        dwp, which, d)[0]
+                        which, d)[0]
                     largest = max(largest, np.abs(defect).max())
                     assert normalized_residual(
                         trace - defect, [trace, defect]).max() <= 1e-11
@@ -206,7 +206,7 @@ class TestFlatConsequences:
         pts = seeded_points(dwp.product, 8)
         d = dwp.point_data(pts, np.zeros(dwp.m))
         out = concircular_flat_consequences(
-            dwp, d, 1e-9, concircular_oracle(d.product))
+            d, 1e-9, concircular_oracle(d.product))
         by_id = {s.check_id: s for s in out}
         assert by_id["concircular.flat"].status == PASS
         for which in (1, 2):
@@ -228,7 +228,7 @@ class TestFlatConsequences:
         pts = seeded_points(dwp.product, 6)
         d = dwp.point_data(pts, np.zeros(dwp.m))
         out = concircular_flat_consequences(
-            dwp, d, TOL, concircular_oracle(d.product))
+            d, TOL, concircular_oracle(d.product))
         assert all(s.status == SKIP for s in out)
         assert all("hypothesis fails" in s.notes for s in out)
 
@@ -237,7 +237,7 @@ class TestFlatConsequences:
         pts = seeded_points(dwp.product, 6, box=(0.5, 1.5))
         d = dwp.point_data(pts, pts[0])
         out = conharmonic_flat_consequences(
-            dwp, d, TOL, conharmonic_oracle(d.product))
+            d, TOL, conharmonic_oracle(d.product))
         by_id = {s.check_id: s for s in out}
         assert by_id["conharmonic.flat"].status == PASS
         assert by_id["conharmonic.soliton1"].status == PASS
@@ -248,10 +248,10 @@ class TestFlatConsequences:
         pts = seeded_points(dwp.product, 6)
         d = dwp.point_data(pts, np.zeros(4))
         for s in concircular_flat_consequences(
-                dwp, d, TOL, concircular_oracle(d.product)):
+                d, TOL, concircular_oracle(d.product)):
             assert s.status == PASS, s
         for s in conharmonic_flat_consequences(
-                dwp, d, TOL, conharmonic_oracle(d.product)):
+                d, TOL, conharmonic_oracle(d.product)):
             assert s.status == PASS, s
 
     def test_one_dimensional_factor_is_flagged_outside_the_hypothesis(self):
@@ -262,7 +262,7 @@ class TestFlatConsequences:
         pts = seeded_points(dwp.product, 6)
         d = dwp.point_data(pts, np.zeros(3))
         by_id = {s.check_id: s for s in conharmonic_flat_consequences(
-            dwp, d, TOL, conharmonic_oracle(d.product))}
+            d, TOL, conharmonic_oracle(d.product))}
         note = "factor dimension 1 is outside the stated hypothesis"
         assert by_id["conharmonic.soliton1"].status == PASS
         assert by_id["conharmonic.soliton1"].notes.endswith(note)
