@@ -22,7 +22,6 @@ from .geometry import (
     ChartManifold,
     GeometryError,
     MetricError,
-    covariant_hessian,
     matvec,
     outer,
     times,
@@ -375,19 +374,19 @@ class _FactorPart:
         self.m = factor.chart.dim
         self.factor = factor  # the factor chart's record at the points
         self.g, self.ginv, self.gamma = factor.g, factor.ginv, factor.gamma
-        r4, self.ric, self.tau = factor.curvature
+        _, self.ric, self.tau = factor.curvature
         # (1,3) curvature r[n, x, y, z, c] = (R(d_x, d_y) d_z)^c
-        self.r = np.einsum("nxyzw,nwc->nxyzc", r4, factor.ginv)
+        self.r = factor.curvature_operator
         # log f's tree holds f's: one memo jets f's tree once
         factor.share_jets((f, log_f))
-        f_jet, log_jet = factor.jet(f), factor.jet(log_f)
-        self.f = f_jet.value
+        self.f = factor.jet(f).value
         # factor Hessians and Laplacians of the warping and of its log
-        self.h_f = covariant_hessian(factor.gamma, f_jet)
+        self.h_f = factor.hessian(f)
         self.lap_f = np.einsum("nij,nij->n", factor.ginv, self.h_f)
-        self.h_log = covariant_hessian(factor.gamma, log_jet)
+        self.h_log = factor.hessian(log_f)
         self.lap_log = np.einsum("nij,nij->n", factor.ginv, self.h_log)
-        self.dlog = log_jet.gradient  # the log-warping's differential
+        # the log-warping's differential
+        self.dlog = factor.jet(log_f).gradient
 
     def take(self, rows):
         """The part at a selection of its points (an index array, repeats

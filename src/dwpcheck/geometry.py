@@ -45,7 +45,10 @@ class ChartManifold:
     """A coordinate chart with metric components given as expressions.
 
     Tensors are plain arrays in coordinate components, one per point along
-    the leading axis, indexed as each method's docstring says."""
+    the leading axis, indexed as each method's docstring says.  A chart
+    whose metric entries read no coordinate (`constant_metric`) has zero
+    Christoffel symbols and curvature: its records give them as exact
+    zeros, without reading the metric's derivatives."""
 
     def __init__(self, coords, metric):
         self.coords = tuple(coords)
@@ -59,6 +62,8 @@ class ChartManifold:
                     raise TypeError("metric entries must be Expression")
                 if e.coords != self.coords:
                     raise ValueError("metric entry bound to wrong coordinates")
+        self.constant_metric = not any(e.variables for row in self.metric
+                                       for e in row)
 
     @property
     def dim(self):
@@ -185,10 +190,11 @@ class ChartBatch:
     A record given the metric's values alone (`ChartManifold.values_at`)
     jets its derivatives, and the entries' jets, when `dg` or `ddg` is
     first read.  `jet(expr)` jets an expression at the points once per
-    record, and `hessian(expr)` builds its covariant Hessian once.  The
-    memos are keyed on the expression (structurally), never on points; the
-    jets' memo starts from the metric entries' jets when the record is
-    jetted itself.  The metrics' definiteness test runs once per record
+    record, and `hessian(expr)` builds its covariant Hessian once (through
+    `once`, the record's memo of what is read off it).  The memos are
+    keyed on the expression (structurally), never on points; the jets'
+    memo starts from the metric entries' jets when the record is jetted
+    itself.  The metrics' definiteness test runs once per record
     too (`definite`), and a record read off others carries their rows of
     it."""
 
@@ -197,7 +203,7 @@ class ChartBatch:
         self.chart, self.p, self.g = chart, p, g
         self._derivatives = None if dg is None else (dg, ddg)
         self._jets = {} if jets is None else jets
-        self._hessians = {}
+        self._built = {}
         if definite is not None:
             self.definite = definite
 
@@ -279,15 +285,23 @@ class ChartBatch:
     def ginv(self):
         return np.linalg.inv(self.g)
 
+    def _zeros(self, rank):
+        """Exact zeros of a rank-`rank` tensor at each point."""
+        return np.zeros((len(self.p),) + (self.chart.dim,) * rank)
+
     @cached_property
     def gamma(self):
         """Christoffel symbols Gamma[n,k,i,j] = Gamma^k_ij
         = 1/2 g^{km} (d_i g_jm + d_j g_im - d_m g_ij)."""
+        if self.chart.constant_metric:
+            return self._zeros(3)
         return 0.5 * np.einsum("nkm,nijm->nkij", self.ginv, _sym(self.dg))
 
     @cached_property
     def curvature(self):
         """(R[n,i,j,k,w] = R(d_i, d_j, d_k, d_w), Ric[n,j,k], tau[n])."""
+        if self.chart.constant_metric:
+            return self._zeros(4), self._zeros(2), self._zeros(0)
         g, dg, ddg = self.g, self.dg, self.ddg
         ginv, gamma = self.ginv, self.gamma
         # d_l g^{km} = -g^{ka} (d_l g_ab) g^{bm}
@@ -312,19 +326,33 @@ class ChartBatch:
         return r4, ric, tau
 
     @cached_property
+    def curvature_operator(self):
+        """The (1,3) curvature r[n,x,y,z,c] = (R(d_x, d_y) d_z)^c, the
+        (0,4) one raised by g^-1."""
+        if self.chart.constant_metric:
+            return self._zeros(4)
+        return np.einsum("nxyzw,nwc->nxyzc", self.curvature[0], self.ginv)
+
+    @cached_property
     def big_g(self):
         """G = (1/2) g ^ g, the (0,4) curvature tensor of unit sectional
         curvature."""
         return 0.5 * kulkarni_nomizu(self.g, self.g)
 
+    def once(self, key, build):
+        """build() on the first request for `key`, stored on the record and
+        returned to every later request."""
+        out = self._built.get(key)
+        if out is None:
+            out = self._built[key] = build()
+        return out
+
     def hessian(self, psi):
         """Covariant Hessian h[n,i,j] = d_i d_j psi - Gamma^k_ij d_k psi,
         computed on first request."""
-        out = self._hessians.get(psi)
-        if out is None:
-            out = self._hessians[psi] = covariant_hessian(self.gamma,
-                                                          self.jet(psi))
-        return out
+        return self.once(("hessian", psi), lambda: covariant_hessian(
+            None if self.chart.constant_metric else self.gamma,
+            self.jet(psi)))
 
 
 def _sym(dg):
@@ -334,8 +362,13 @@ def _sym(dg):
 
 def covariant_hessian(gamma, jet):
     """Covariant Hessians from a scalar's jet and the Christoffel symbols
-    gamma[n,k,i,j] at the same points."""
-    h = jet.hessian - np.einsum("nkij,nk->nij", gamma, jet.gradient)
+    gamma[n,k,i,j] at the same points; None for gamma drops the
+    Christoffel term.  That is the Hessian of a constant metric, bitwise:
+    its zero gamma's term is +0.0 at a finite gradient, and h - (+0.0) is
+    h."""
+    h = jet.hessian
+    if gamma is not None:
+        h = h - np.einsum("nkij,nk->nij", gamma, jet.gradient)
     return 0.5 * (h + h.transpose(0, 2, 1))
 
 
@@ -388,7 +421,8 @@ def sample_points(manifold, box, n, seed):
     drawn point is one that drawing and testing one at a time would reach
     too: the stream, and the first point that fails, are the same.  A
     sampler that gives up raises the chart's error for its first rejected
-    draw (`ChartManifold._sampling_error`)."""
+    draw (`ChartManifold._sampling_error`), by default one that names that
+    draw."""
     box = np.asarray(box, dtype=float)
     if box.shape == (2,):
         box = np.tile(box, (manifold.dim, 1))
@@ -403,8 +437,10 @@ def sample_points(manifold, box, n, seed):
     while count < n:
         if attempts >= 10 * n:
             raise manifold._sampling_error(rejected, GeometryError(
-                f"could not find {n} well-conditioned sample points "
-                f"within {attempts} draws"
+                f"metric not positive definite or cond(g) > {COND_LIMIT:g} "
+                f"at {rejected.tolist()}, the first rejected draw: could "
+                f"not find {n} well-conditioned sample points within "
+                f"{attempts} draws"
             ))
         k = min(n - count, 10 * n - attempts)
         p = rng.uniform(box[:, 0], box[:, 1], size=(k, manifold.dim))

@@ -19,7 +19,6 @@ import numpy as np
 from .expr import Expression
 from .geometry import (
     GeometryError,
-    covariant_hessian,
     kulkarni_nomizu,
     matvec,
     outer,
@@ -134,6 +133,11 @@ def _eta_at(spec, points):
     return np.stack([c.evaluate(points) for c in spec.eta], axis=1)
 
 
+def _unit_eta(spec, c):
+    """`_unit_eta_at(spec, c)`, built once per chart record c and spec."""
+    return c.once(("unit_eta", spec), lambda: _unit_eta_at(spec, c))
+
+
 def _unit_eta_at(spec, c):
     """A rescaled so its metric dual is a unit vector, with beta adjusted so
     beta * A (x) A is unchanged."""
@@ -157,7 +161,7 @@ def equation_terms(spec, c):
         _, ric, tau = c.curvature
         return [ric], [times(tau / c.chart.dim, g)]
     if kind == "quasi_einstein":
-        a, beta = _unit_eta_at(spec, c)
+        a, beta = _unit_eta(spec, c)
         return [c.curvature[1]], [times(_coeff(spec.alpha, points), g),
                                   times(beta, outer(a, a))]
     if kind == "riemann" and c.chart.dim < 3:
@@ -344,10 +348,10 @@ def riemann_factor_equation(spec, r, s, jet):
 def quasi_einstein_factor_equation(spec, r, s):
     """Gradient f-almost eta-Ricci soliton on factor s with
     f = -(opposite dim)/(own warping) and eta the restriction of the
-    unit-normalized generator 1-form (`_unit_eta_at` on the product chart's
+    unit-normalized generator 1-form (`_unit_eta` on the product chart's
     record r.product)."""
     o = s.mirror
-    a, beta = _unit_eta_at(spec, r.product)
+    a, beta = _unit_eta(spec, r.product)
     a_i = a[:, s.own]
     lam_i = o.f**2 * (_coeff(spec.alpha, r.p) + o.lap)
     return ([times(-o.m / s.f, s.h_f), s.ric],
@@ -421,7 +425,8 @@ def quasi_einstein_factor_structures(spec, d, gate):
     """Factor consequences of a quasi-Einstein product
     (`quasi_einstein_factor_equation`).  A beta vanishing at a sample point
     skips them, and so does a 1-form vanishing on an anchored restriction
-    set."""
+    set; the 1-form built for that test is the one the factor equations
+    read (`_unit_eta`)."""
     tolerance = gate.tolerance
     if (np.abs(_coeff(spec.beta, d.p)) <= tolerance).any():
         gate = skipped(
@@ -432,7 +437,7 @@ def quasi_einstein_factor_structures(spec, d, gate):
     elif gate.status == PASS:
         try:
             for which in (1, 2):
-                _unit_eta_at(spec, d.anchored_product(which))
+                _unit_eta(spec, d.anchored_product(which))
         except SolitonError as exc:
             gate = skipped(gate.check_id, f"skipped: {exc}", tolerance)
     return _factor_checks(quasi_einstein_factor_equation, spec, d, gate)
@@ -443,7 +448,7 @@ def log_hessian_identity(c, f, tolerance):
     the points of the chart record c, used when rewriting factor Hessians of
     warpings."""
     jet = c.jet(f)
-    lhs = covariant_hessian(c.gamma, jet) / jet.value[:, None, None]
+    lhs = c.hessian(f) / jet.value[:, None, None]
     rhs = (c.hessian(f.apply("log"))
            + outer(jet.gradient, jet.gradient) / (jet.value**2)[:, None, None])
     return summarize("identity.log_hessian", equation_residual([lhs], [rhs]),

@@ -201,7 +201,13 @@ class TestExitStatuses:
          "soliton[0] lambda = '1e+300 * 1e+300 * x' leaves its domain at "
          "[0.5479120971119267, -0.12224312049589536, 0.7171958398227649, "
          "0.3947360581187278]: overflow in '1e+300 * 1e+300 * x'"),
-    ], ids=["zero-warping", "overflow-lambda"])
+        # f1^2 = 1e10 puts cond(g) above 1e8 at every draw
+        (ZERO_WARPING_SPEC.replace('warping = "0"', "warping = 1e5"),
+         "metric not positive definite or cond(g) > 1e+08 at "
+         "[0.5479120971119267, -0.12224312049589536, 0.7171958398227649, "
+         "0.3947360581187278], the first rejected draw: could not find 6 "
+         "well-conditioned sample points within 60 draws"),
+    ], ids=["zero-warping", "overflow-lambda", "ill-conditioned-warping"])
     def test_error_at_a_point_names_the_field_and_the_point(
         self, tmp_path, capsys, text, message
     ):

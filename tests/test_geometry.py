@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    expr_chart, flat_chart, hyperbolic_plane_chart, orthonormal_frame,
+    direct_flat_product, expr_chart, flat_chart, hyperbolic_plane_chart,
+    hyperbolic_space, orthonormal_frame, random_polynomial, seeded_points,
     sphere_chart,
 )
 from dwpcheck.expr import parse_expression
 from dwpcheck.geometry import (
+    ChartManifold,
     GeometryError,
     MetricError,
     kulkarni_nomizu,
@@ -64,6 +66,92 @@ class TestOracleOnSpaceForms:
         assert np.abs(chart.christoffel([p])[0]).max() > 0.0
         assert np.abs(chart.riemann_oracle([p])[0]).max() < 1e-12
         assert chart.scalar_oracle([p])[0] == pytest.approx(0.0, abs=1e-12)
+
+
+# The constant-metric charts of conftest: flat factor charts of each
+# dimension, and the product chart of the direct product of flat planes.
+CONSTANT_CHARTS = {
+    "flat-line": lambda: flat_chart(("t",)),
+    "flat-plane": lambda: flat_chart(("x", "y")),
+    "flat-fibre-of-H4": lambda: hyperbolic_space(4).factor2,
+    "direct-flat-product": lambda: direct_flat_product().product,
+}
+
+
+def twin(chart):
+    """The chart with each entry written "<entry> + 0*<first coordinate>":
+    the same metric, bitwise, whose entries read a coordinate."""
+    coords = chart.coords
+    return ChartManifold(coords, [
+        [parse_expression(f"{e} + 0*{coords[0]}", coords) for e in row]
+        for row in chart.metric])
+
+
+def read_off(record, psi):
+    """What a record gives zeros for on a constant metric, and a potential's
+    covariant Hessian."""
+    r4, ric, tau = record.curvature
+    return {"gamma": record.gamma, "R": r4, "Ric": ric, "tau": tau,
+            "(1,3) curvature": record.curvature_operator,
+            "Hessian": record.hessian(psi)}
+
+
+def counting_metric_jets(monkeypatch):
+    """The list of the charts whose metric is jetted from now on."""
+    jetted, metric_jets = [], ChartManifold._metric_jets
+
+    def counting(chart, points):
+        jetted.append(chart)
+        return metric_jets(chart, points)
+
+    monkeypatch.setattr(ChartManifold, "_metric_jets", counting)
+    return jetted
+
+
+class TestConstantMetrics:
+    """A chart whose metric entries read no coordinate gives its zeros
+    without contracting the metric's derivatives; they are the zeros the
+    contraction gives, sign bits included."""
+
+    @pytest.mark.parametrize("n", [1, 7, 128])
+    @pytest.mark.parametrize("name", sorted(CONSTANT_CHARTS))
+    def test_zeros_are_those_of_the_contraction(self, name, n):
+        chart = CONSTANT_CHARTS[name]()
+        other = twin(chart)
+        assert chart.constant_metric and not other.constant_metric
+        psi = random_polynomial(chart.coords, np.random.default_rng(n), 3)
+        points = seeded_points(chart, n)
+        flat, contracted = chart.at(points), other.at(points)
+        assert np.array_equal(flat.g, contracted.g)
+        want = read_off(contracted, psi)
+        for key, got in read_off(flat, psi).items():
+            assert got.shape == want[key].shape, key
+            assert np.array_equal(got, want[key]), key
+            assert np.array_equal(np.signbit(got), np.signbit(want[key])), key
+        assert not np.any(want["R"])
+
+    def test_values_record_reads_no_metric_derivative(self, monkeypatch):
+        chart = CONSTANT_CHARTS["direct-flat-product"]()
+        record = chart.values_at(seeded_points(chart, 7))
+        jetted = counting_metric_jets(monkeypatch)
+        record.gamma, record.curvature
+        assert jetted == []
+        record.curvature_operator
+        record.hessian(parse_expression("x*s + sin(y)", chart.coords))
+        assert jetted == []
+
+    def test_one_entry_with_a_coordinate_makes_the_metric_non_constant(
+            self, monkeypatch):
+        chart = hyperbolic_plane_chart()  # only [1][1] = sinh(a)^2 reads a
+        assert not chart.constant_metric
+        points = [[0.6, 0.1], [1.4, 2.0]]
+        record = chart.values_at(points)
+        jetted = counting_metric_jets(monkeypatch)
+        assert np.abs(record.gamma).max() > 0.0
+        assert jetted == [chart]
+        _, _, tau = record.curvature
+        assert tau == pytest.approx([-2.0, -2.0], abs=1e-9)
+        assert np.abs(record.curvature_operator).max() > 0.0
 
 
 class TestDerivativeOperators:

@@ -13,6 +13,8 @@ from conftest import (
     seeded_points,
     sphere_chart,
 )
+from dwpcheck import solitons
+from dwpcheck.checks import check_solitons
 from dwpcheck.expr import constant, parse_expression
 from dwpcheck.solitons import (
     SolitonError,
@@ -311,6 +313,29 @@ class TestFactorStructures:
         out = quasi_einstein_factor_structures(spec, d, gate)
         for s in out:
             assert s.status == PASS, s
+
+    def test_quasi_einstein_builds_the_unit_form_once_per_record(
+            self, monkeypatch):
+        """A gate-passing quasi-Einstein spec builds its unit 1-form once on
+        the samples' record and once on each anchored set's: the skip test
+        and the factor equation of a set read one build."""
+        dwp, alpha, beta, eta = quasi_einstein_product()
+        spec = SolitonSpec(
+            kind="quasi_einstein", alpha=alpha, beta=beta, eta=eta
+        )
+        d = dwp.point_data(seeded_points(dwp.product, 8), np.zeros(dwp.m))
+        records = []
+        unit_eta_at = solitons._unit_eta_at
+
+        def counting(spec, c):
+            records.append(c)
+            return unit_eta_at(spec, c)
+
+        monkeypatch.setattr(solitons, "_unit_eta_at", counting)
+        out = check_solitons([spec], d, TOL)
+        assert [s.status for s in out] == [PASS] * len(out)
+        assert records == [d.product, d.anchored_product(1),
+                           d.anchored_product(2)]
 
     def test_quasi_einstein_rejects_vanishing_beta(self):
         dwp, alpha, _, eta = quasi_einstein_product()

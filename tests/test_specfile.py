@@ -3,10 +3,13 @@
 import ast
 import contextlib
 import io
+import math
 import re
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dwpcheck.cli import main
 from dwpcheck.specfile import (
@@ -399,6 +402,34 @@ def sweep_cases():
                     line, f"coords = {twice}"), len(names) > 1)
 
 
+def verify_fault(path, text, malformed=False):
+    """What is wrong with a `verify` run of the spec text, written to path,
+    at 8 points, or None: a traceback, an exit status other than 0, 1 or 2,
+    a RuntimeWarning, exit 0 or 1 on a `malformed` text, or an exit-2
+    message that names no section and no point."""
+    path.write_text(text)
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = main(["verify", str(path), "--points", "8"])
+        except Exception as exc:  # a traceback: reported as a fault
+            code = f"{type(exc).__name__}: {exc}"
+    message = err.getvalue()
+    if code not in (0, 1, 2):
+        return f"raised {code}"
+    if [w for w in caught if issubclass(w.category, RuntimeWarning)]:
+        return f"exit {code} with a RuntimeWarning"
+    if malformed and code != 2:
+        return f"accepted with exit {code}"
+    if code == 2 and not (_SECTION.search(message)
+                          or _AT_POINTS.search(message)):
+        return f"exit 2 naming no section: {message.strip()}"
+    return None
+
+
 def test_spec_reader_sweep(tmp_path):
     """Wrong-typed and out-of-range values in every `key = value` line:
     every run exits 0, 1 or 2 without raising and without a RuntimeWarning;
@@ -407,27 +438,94 @@ def test_spec_reader_sweep(tmp_path):
     path = tmp_path / "sweep.spec"
     faults = []
     for fixture, line, value, text, malformed in sweep_cases():
-        path.write_text(text)
-        err = io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, \
-                contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(err):
-            warnings.simplefilter("always")
-            try:
-                code = main(["verify", str(path), "--points", "8"])
-            except Exception as exc:  # a traceback: reported as a fault
-                code = f"{type(exc).__name__}: {exc}"
-        message = err.getvalue()
-        if code not in (0, 1, 2):
-            fault = f"raised {code}"
-        elif [w for w in caught if issubclass(w.category, RuntimeWarning)]:
-            fault = f"exit {code} with a RuntimeWarning"
-        elif malformed and code != 2:
-            fault = f"accepted with exit {code}"
-        elif code == 2 and not (_SECTION.search(message)
-                                or _AT_POINTS.search(message)):
-            fault = f"exit 2 naming no section: {message.strip()}"
-        else:
-            continue
-        faults.append(f"{fixture}: {line!r} -> {value}: {fault}")
+        fault = verify_fault(path, text, malformed)
+        if fault is not None:
+            faults.append(f"{fixture}: {line!r} -> {value}: {fault}")
     assert not faults, "\n".join(faults)
+
+
+# A small spec grammar: sections of the five kinds, each with its keys, and
+# Python-literal values (scalars, lists and matrices of them).  A drawn spec
+# is one that verifies (GRAMMAR_BASE) with one key set to a drawn value or
+# dropped, and possibly a section dropped or repeated.
+GRAMMAR_BASE = (
+    ("factor.1", {"dim": 2, "coords": ["x", "y"],
+                  "metric": [["1", "0"], ["0", "1"]], "warping": "exp(x)"}),
+    ("factor.2", {"dim": 1, "coords": ["t"], "metric": [["1"]],
+                  "warping": "cosh(t)"}),
+    ("potential", {"psi": "x + t^2"}),
+    ("soliton", {"type": "gradient_ricci", "lambda": 0.5}),
+    ("sampling", {"points": 8, "seed": 7, "box": [-1.0, 1.0],
+                  "tolerance": 1e-8}),
+)
+# the keys a section of each kind may carry, and one that none reads
+GRAMMAR_KEYS = {
+    "factor.1": ("dim", "coords", "metric", "warping"),
+    "factor.2": ("dim", "coords", "metric", "warping"),
+    "potential": ("psi",),
+    "soliton": ("type", "psi", "lambda", "mu", "gamma", "f", "alpha",
+                "beta", "eta"),
+    "sampling": ("points", "seed", "box", "tolerance", "anchor"),
+}
+_SLOTS = [(i, key) for i, (kind, _) in enumerate(GRAMMAR_BASE)
+          for key in GRAMMAR_KEYS[kind] + ("bogus",)]
+_STRINGS = ("", "x", "y", "t", "e", "nan", "1e400", "1e300*1e300", "0",
+            "-1", "1 + 0.1*x", "exp(x)", "log(t)", "1/x", "x + t^2",
+            "gradient_ricci", "quasi_einstein", "einstein", "yamabe")
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 40), st.just(10**400),
+    st.floats(allow_nan=False), st.sampled_from(_STRINGS))
+# a matrix's rows are lists, or scalars where a row is malformed
+_values = st.one_of(
+    _scalars, st.lists(_scalars, max_size=3),
+    st.lists(st.one_of(st.lists(_scalars, max_size=3), _scalars),
+             min_size=1, max_size=3))
+_DROP = "drop"  # a key edit that removes the key
+_key_edits = st.tuples(st.sampled_from(_SLOTS),
+                       st.one_of(_values, st.just(_DROP)))
+_section_edits = st.one_of(st.none(), st.tuples(
+    st.integers(0, len(GRAMMAR_BASE) - 1),
+    st.sampled_from(("drop", "repeat"))))
+
+
+def _literal(value):
+    """A value as a spec-file literal (an infinite float as 1e400)."""
+    if isinstance(value, str):
+        return f'"{value}"'
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_literal, value)) + "]"
+    if isinstance(value, float) and math.isinf(value):
+        return "1e400" if value > 0 else "-1e400"
+    return repr(value)
+
+
+def grammar_spec(key_edit, section_edit):
+    """The text of GRAMMAR_BASE with the edits made."""
+    (i, key), value = key_edit
+    tables = [dict(table) for _, table in GRAMMAR_BASE]
+    tables[i].pop(key, None)
+    if value != _DROP:
+        tables[i][key] = value
+    counts = [1] * len(tables)
+    if section_edit is not None:
+        j, action = section_edit
+        counts[j] = 0 if action == "drop" else 2
+    lines = []
+    for (kind, _), table, count in zip(GRAMMAR_BASE, tables, counts):
+        for _ in range(count):
+            lines.append(f"[{kind}]")
+            lines.extend(f"{k} = {_literal(v)}" for k, v in table.items())
+            lines.append("")
+    return "\n".join(lines)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(key_edit=_key_edits, section_edit=_section_edits)
+def test_spec_grammar_property(tmp_path_factory, key_edit, section_edit):
+    """Specs drawn from a small grammar: every run exits 0, 1 or 2 without
+    raising and without a RuntimeWarning, and every exit-2 message names a
+    section, or the point at which the sampled product is rejected."""
+    path = tmp_path_factory.getbasetemp() / "grammar.spec"
+    text = grammar_spec(key_edit, section_edit)
+    fault = verify_fault(path, text)
+    assert fault is None, f"{fault}\n{text}"
