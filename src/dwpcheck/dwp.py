@@ -22,6 +22,7 @@ from .geometry import (
     ChartManifold,
     GeometryError,
     MetricError,
+    covariant_hessian,
     matvec,
     outer,
     times,
@@ -379,14 +380,14 @@ class _FactorPart:
         self.r = factor.curvature_operator
         # log f's tree holds f's: one memo jets f's tree once
         factor.share_jets((f, log_f))
-        self.f = factor.jet(f).value
+        f_jet, log_jet = factor.jet(f), factor.jet(log_f)
+        self.f = f_jet.value
         # factor Hessians and Laplacians of the warping and of its log
-        self.h_f = factor.hessian(f)
+        self.h_f = covariant_hessian(factor.gamma, f_jet)
         self.lap_f = np.einsum("nij,nij->n", factor.ginv, self.h_f)
-        self.h_log = factor.hessian(log_f)
+        self.h_log = covariant_hessian(factor.gamma, log_jet)
         self.lap_log = np.einsum("nij,nij->n", factor.ginv, self.h_log)
-        # the log-warping's differential
-        self.dlog = factor.jet(log_f).gradient
+        self.dlog = log_jet.gradient  # the log-warping's differential
 
     def take(self, rows):
         """The part at a selection of its points (an index array, repeats
