@@ -73,15 +73,20 @@ def wedge_operator(a, rows):
 def _once_per_record(closed_form):
     """The closed form, built once per record d (and per potential, for one
     that takes a potential first, keyed lifted to the product chart):
-    stored on d at its first call (`_PointData.closed`) and shared,
-    read-only, by the later ones."""
+    stored in d's memo at its first call (`_PointData.once`, keyed on the
+    closed form's name, and the potential) and shared, read-only, by the
+    later ones."""
     @functools.wraps(closed_form)
     def once(dwp, *args):
         *psi, d = args
         psi = [dwp.lifted(e) for e in psi]
         name = closed_form.__name__
-        return d.closed((name, *psi) if psi else name,
-                        functools.partial(closed_form, dwp, *psi))
+
+        def build():
+            out = closed_form(dwp, *psi, d)
+            out.flags.writeable = False
+            return out
+        return d.once((name, *psi) if psi else name, build)
     return once
 
 
@@ -433,12 +438,17 @@ class _Side:
 
 class _PointData:
     """A doubly warped product at a batch of product points: the product
-    chart's record (for the oracles), one side record per factor, the
-    closed product metric `gp`, and the closed tensors built on it so far
-    (`closed`).  With an anchor, it holds the points of the anchored
-    restriction sets (`dwp.anchored`, set 1's rows first), and their
-    records are built on first read.  A given factor part (`parts`) is used
-    as is; the others are built from the factor charts at the points."""
+    chart's record (for the oracles), one side record per factor and the
+    closed product metric `gp`.  With an anchor, it holds the points of the
+    anchored restriction sets (`dwp.anchored`, set 1's rows first).  What
+    is built on first read is kept in one memo (`once`, as a chart
+    record's): the closed tensors, keyed on the closed form's name (and
+    potential, `_once_per_record`), the anchored sets' product records
+    (`"anchored"`, `("anchored", which)`) and the restriction records
+    (`("restriction", which)`).  A given factor part (`parts`) is used as
+    is; the others are built from the factor charts at the points."""
+
+    once = ChartBatch.once
 
     def __init__(self, dwp, product, anchor=None, parts=(None, None)):
         self.dwp, self.anchor = dwp, anchor
@@ -456,23 +466,11 @@ class _PointData:
         if anchor is not None:
             self._sets = np.concatenate(
                 [dwp.anchored(self.p, anchor, which) for which in (1, 2)])
-        self._anchored = [None, None]
-        self._restrictions = [None, None]
-        self._closed = {}
+        self._memo = {}
 
     def side(self, which):
         """The side record of factor `which` (1 or 2)."""
         return self.sides[which - 1]
-
-    def closed(self, key, build):
-        """The closed tensor `key` of this record (a closed form's name, or
-        its name and potential), build(self) on first request; read-only,
-        since every later reader shares it."""
-        out = self._closed.get(key)
-        if out is None:
-            out = self._closed[key] = build(self)
-            out.flags.writeable = False
-        return out
 
     def validate(self, fields):
         """Reject the inputs that the checks cannot use at these points and
@@ -507,31 +505,34 @@ class _PointData:
 
     def anchored_product(self, which):
         """The product chart's record at the anchored restriction set of
-        factor `which`, from the metric's values alone (its derivatives
-        are jetted if read; no verify path reads them).  Both sets come
-        from one values pass over their 2N points, set 1's rows first, and
-        share one definiteness test, which `validate`'s conditioning test
-        and the restriction's record read.  Where that pass raises, each
-        set takes a pass of its own when read, so that set 1's record, and
-        what is tested on it, come before an error of set 2."""
-        if self._anchored[which - 1] is None:
-            product, n = self.dwp.product, len(self.p)
+        factor `which`, from the metric's values alone (it holds no
+        derivatives; no verify path reads them).  Both sets come from one
+        values pass over their 2N points, set 1's rows first, and share
+        one definiteness test, which `validate`'s conditioning test and the
+        restriction's record read.  Where that pass raises, each set takes
+        a pass of its own when read, so that set 1's record, and what is
+        tested on it, come before an error of set 2."""
+        product, n = self.dwp.product, len(self.p)
+
+        def both():
             try:
-                both = product.values_at(self._sets)
+                out = product.values_at(self._sets)
             except GeometryError:
-                self._anchored[which - 1] = product.values_at(
-                    self._sets[(which - 1) * n: which * n])
-            else:
-                self._anchored = [both.take(slice(None, n)),
-                                  both.take(slice(n, None))]
-        return self._anchored[which - 1]
+                return ()  # each set takes a pass of its own
+            return out.take(slice(None, n)), out.take(slice(n, None))
+
+        def own():
+            return product.values_at(self._sets[(which - 1) * n: which * n])
+
+        pair = self.once("anchored", both)
+        return pair[which - 1] if pair else self.once(("anchored", which), own)
 
     def restriction(self, which):
         """The record of the anchored restriction set of factor `which`: it
         reads `anchored_product(which)` and shares this record's factor
         part of factor `which`.  On that set the opposite factor sits at
         the anchor, so its part is built at that one point and repeated."""
-        if self._restrictions[which - 1] is None:
+        def build():
             dwp, other = self.dwp, 3 - which
             # the product's record is tested first: where the opposite
             # factor's metric fails too, the product's error is raised
@@ -541,6 +542,5 @@ class _PointData:
             parts = [self.side(which).part] * 2
             parts[other - 1] = _FactorPart(dwp, other, at_anchor).take(
                 np.zeros(len(self.p), int))
-            self._restrictions[which - 1] = _PointData(dwp, product,
-                                                       parts=parts)
-        return self._restrictions[which - 1]
+            return _PointData(dwp, product, parts=parts)
+        return self.once(("restriction", which), build)

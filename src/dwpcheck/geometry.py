@@ -141,8 +141,8 @@ class ChartManifold:
 
     def values_at(self, points):
         """The chart's record at a batch of points from the metric's values
-        alone: its `g` is that of `at(points)`, bitwise, and its
-        derivatives are jetted if read."""
+        alone: its `g` is that of `at(points)`, bitwise, and it holds no
+        derivatives (`ChartBatch`)."""
         p = np.asarray(points, dtype=float)
         return ChartBatch(self, p, self._metric_values(p))
 
@@ -188,53 +188,30 @@ class ChartBatch:
     coordinate components with a leading N axis, indexed as documented.
 
     A record given the metric's values alone (`ChartManifold.values_at`)
-    jets its derivatives, and the entries' jets, when `dg` or `ddg` is
-    first read.  `jet(expr)` jets an expression at the points once per
-    record, and `hessian(expr)` builds its covariant Hessian once (through
-    `once`, the record's memo of what is read off it).  The memos are
-    keyed on the expression (structurally), never on points; the jets'
-    memo starts from the metric entries' jets when the record is jetted
-    itself.  The metrics' definiteness test runs once per record
-    too (`definite`), and a record read off others carries their rows of
-    it."""
+    holds no derivatives (its `dg` and `ddg` are None): only a chart whose
+    metric is constant gives its Christoffel symbols and curvature there.
+    What else is read off a record is built once, through its one memo
+    (`once`), keyed on what is read and never on points: an expression's
+    jet (`jet`, keyed on the expression, structurally; the memo starts
+    from the metric entries' jets), a covariant Hessian
+    (`("hessian", psi)`), and what other readers build through `once`.
+    The metrics' definiteness test runs once per record too (`definite`),
+    and a record read off others carries their rows of it."""
 
     def __init__(self, chart, p, g, dg=None, ddg=None, jets=None,
                  definite=None):
-        self.chart, self.p, self.g = chart, p, g
-        self._derivatives = None if dg is None else (dg, ddg)
-        self._jets = {} if jets is None else jets
-        self._built = {}
+        self.chart, self.p, self.g, self.dg, self.ddg = chart, p, g, dg, ddg
+        self._memo = {} if jets is None else jets
         if definite is not None:
             self.definite = definite
-
-    @property
-    def dg(self):
-        """dg[n,k,i,j] = d_k g_ij."""
-        return self._jetted()[0]
-
-    @property
-    def ddg(self):
-        """ddg[n,k,l,i,j] = d_k d_l g_ij."""
-        return self._jetted()[1]
-
-    def _jetted(self):
-        """(dg, ddg), jetted with the entries' jets on first request if the
-        record was given the values alone."""
-        if self._derivatives is None:
-            _, dg, ddg, jets = self.chart._metric_jets(self.p)
-            self._derivatives = dg, ddg
-            self._jets = {**jets, **self._jets}
-        return self._derivatives
 
     def take(self, rows):
         """The record at a subset of the points (a boolean mask, an index
         array, repeats allowed, or a slice), read off this record's jets
         (its values alone, if it holds no more) and definiteness test."""
-        derivatives = () if self._derivatives is None else [
-            a[rows] for a in self._derivatives]
-        return ChartBatch(self.chart, self.p[rows], self.g[rows],
-                          *derivatives,
-                          definite=tuple(a[rows] for a in self.definite))
+        return ChartBatch(self.chart, self.p[rows], self.g[rows], *(
+            None if a is None else a[rows] for a in (self.dg, self.ddg)),
+            definite=tuple(a[rows] for a in self.definite))
 
     @staticmethod
     def concatenate(records):
@@ -245,21 +222,26 @@ class ChartBatch:
             for name in ("p", "g", "dg", "ddg")), definite=tuple(
                 map(np.concatenate, zip(*(r.definite for r in records)))))
 
+    def once(self, key, build):
+        """build() on the first request for `key`, stored in the record's
+        memo and returned to every later request."""
+        out = self._memo.get(key)
+        if out is None:
+            out = self._memo[key] = build()
+        return out
+
     def jet(self, expr):
         """The jet of an expression on the chart's coordinates at the
         points, computed on first request."""
-        out = self._jets.get(expr)
-        if out is None:
-            out = self._jets[expr] = expr.jet(self.p)
-        return out
+        return self.once(expr, lambda: expr.jet(self.p))
 
     def share_jets(self, exprs):
         """Jet those of the expressions not jetted yet through one memo
         (`shared_memo`), so that a subtree they share is jetted once."""
-        todo = [e for e in dict.fromkeys(exprs) if e not in self._jets]
+        todo = [e for e in dict.fromkeys(exprs) if e not in self._memo]
         memo = shared_memo(todo)
         for e in todo:
-            self._jets[e] = e.jet(self.p, memo)
+            self._memo[e] = e.jet(self.p, memo)
 
     @cached_property
     def definite(self):
@@ -338,14 +320,6 @@ class ChartBatch:
         """G = (1/2) g ^ g, the (0,4) curvature tensor of unit sectional
         curvature."""
         return 0.5 * kulkarni_nomizu(self.g, self.g)
-
-    def once(self, key, build):
-        """build() on the first request for `key`, stored on the record and
-        returned to every later request."""
-        out = self._built.get(key)
-        if out is None:
-            out = self._built[key] = build()
-        return out
 
     def hessian(self, psi):
         """Covariant Hessian h[n,i,j] = d_i d_j psi - Gamma^k_ij d_k psi,

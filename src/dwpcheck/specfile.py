@@ -87,7 +87,9 @@ def _require(table, key, section, line):
     return table[key]
 
 
-def _build_factor(table, section, line):
+def _build_factor(table, section, line, taken=()):
+    """(chart, warping) of a [factor.i] section; `taken` holds [factor.1]'s
+    coordinate names, which [factor.2] may not reuse."""
     dim = _require(table, "dim", section, line)
     coords = _require(table, "coords", section, line)
     metric = _require(table, "metric", section, line)
@@ -104,6 +106,8 @@ def _build_factor(table, section, line):
             fault = "is a constant of the expressions"
         elif name in coords[:j]:
             fault = "is listed twice"
+        elif name in taken:
+            fault = "is a coordinate of [factor.1]"
         else:
             continue
         raise SpecFileError(f"[{section}] coords: {name!r} {fault}")
@@ -327,11 +331,8 @@ def load_spec(path):
     factor1, f1 = _build_factor(by_name["factor.1"][0], "factor.1",
                                 by_name["factor.1"][1])
     factor2, f2 = _build_factor(by_name["factor.2"][0], "factor.2",
-                                by_name["factor.2"][1])
-    try:
-        dwp = DoublyWarpedProduct(factor1, factor2, f1, f2)
-    except ValueError as exc:
-        raise SpecFileError(str(exc)) from None
+                                by_name["factor.2"][1], factor1.coords)
+    dwp = DoublyWarpedProduct(factor1, factor2, f1, f2)
     default_psi = None
     if "potential" in by_name:
         table, line = by_name["potential"]

@@ -105,6 +105,10 @@ ZERO_WARPING_SPEC = PASSING_SPEC.replace(
 OVERFLOW_LAMBDA_SPEC = PASSING_SPEC.replace(
     "lambda = 0.6", 'lambda = "1e300*1e300*x"')
 
+# factor 2 reuses factor 1's coordinate x: its coords line is named
+SHARED_COORDINATE_SPEC = PASSING_SPEC.replace('coords = ["s", "t"]',
+                                              'coords = ["x", "t"]')
+
 H3_LINE_FIRST_SPEC = warped_line_spec("hyperbolic-flat", line_first=True)
 
 H3_PLANE_FIRST_SPEC = warped_line_spec("hyperbolic-flat", line_first=False)
@@ -214,6 +218,12 @@ class TestExitStatuses:
         spec = write(tmp_path, text, "point.spec")
         assert main(["verify", spec]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_shared_coordinate_exits_two(self, tmp_path, capsys):
+        spec = write(tmp_path, SHARED_COORDINATE_SPEC, "shared.spec")
+        assert main(["verify", spec]) == 2
+        assert capsys.readouterr().err == (
+            "error: [factor.2] coords: 'x' is a coordinate of [factor.1]\n")
 
     def test_nonsymmetric_metric_exits_two(self, tmp_path, capsys):
         text = PASSING_SPEC.replace(

@@ -455,6 +455,30 @@ class TestRestrictionRecords:
                 assert np.array_equal(value, getattr(theirs, name)), name
             assert np.array_equal(mine.factor.p, theirs.factor.p)
 
+    @pytest.mark.parametrize("which", (1, 2))
+    def test_a_second_read_returns_the_same_record(self, which):
+        dwp = sphere_x_line()
+        pts = seeded_points(dwp.product, 5, box=CURVED_BOX)
+        d = dwp.point_data(pts, pts[0])
+        for read in (d.anchored_product, d.restriction):
+            assert read(which) is read(which)
+
+    def test_a_set_read_on_its_own_is_read_once(self):
+        """Where the values pass over both sets raises (the anchor leaves
+        factor 1's metric domain, which only set 2 reads there), set 1
+        takes a pass of its own, once, and set 2 raises on every read."""
+        f1c = expr_chart(("x",), [["log(x)"]])
+        f2c = flat_chart(("t",))
+        dwp = DoublyWarpedProduct(f1c, f2c, constant(1.0, f1c.coords),
+                                  constant(1.0, f2c.coords))
+        pts = seeded_points(dwp.product, 4, box=(2.0, 3.0))
+        d = dwp.point_data(pts, np.array([-1.0, 2.5]))
+        assert d.anchored_product(1) is d.anchored_product(1)
+        assert (d.anchored_product(1).p[:, 1] == 2.5).all()
+        for _ in range(2):
+            with pytest.raises(geometry.MetricError, match="leaves its domain"):
+                d.anchored_product(2)
+
 
 class TestOneRecordPerPointSet:
     def test_run_all_jets_each_chart_once_per_point_set(self, monkeypatch):
@@ -535,14 +559,15 @@ class TestOneRecordPerPointSet:
         and every reader gets the one read-only tensor."""
         names = ("riemann_closed", "ricci_closed", "ricci_operator_closed")
         calls, bodies, returned = [], [], []
-        closed = dwp_module._PointData.closed
+        once = dwp_module._PointData.once
 
-        def counting_closed(record, name, build):
-            def counted(d):
-                bodies.append((record, name))
-                return build(d)
-            out = closed(record, name, counted)
-            returned.append(out)
+        def counting_once(record, key, build):
+            def counted():
+                bodies.append((record, key))
+                return build()
+            out = once(record, key, counted)
+            if closed_key(key):
+                returned.append(out)
             return out
 
         def counting(name):
@@ -553,7 +578,7 @@ class TestOneRecordPerPointSet:
                 return method(dwp, d)
             return wrapper
 
-        monkeypatch.setattr(dwp_module._PointData, "closed", counting_closed)
+        monkeypatch.setattr(dwp_module._PointData, "once", counting_once)
         for name in names:
             monkeypatch.setattr(DoublyWarpedProduct, name, counting(name))
         spec = tmp_path / "h3.spec"
@@ -719,13 +744,14 @@ class TestOneRecordPerPointSet:
         tensor's body runs once per (record, key), the Hessian keyed on the
         lifted potential."""
         reads, bodies = [], []
-        closed = dwp_module._PointData.closed
+        once = dwp_module._PointData.once
 
-        def counting_closed(record, key, build):
-            def counted(d):
-                bodies.append((record, key))
-                return build(d)
-            return closed(record, key, counted)
+        def counting_once(record, key, build):
+            def counted():
+                if closed_key(key):
+                    bodies.append((record, key))
+                return build()
+            return once(record, key, counted)
 
         def counting(name):
             method = getattr(DoublyWarpedProduct, name)
@@ -737,7 +763,7 @@ class TestOneRecordPerPointSet:
                 return method(dwp, *args)
             return wrapper
 
-        monkeypatch.setattr(dwp_module._PointData, "closed", counting_closed)
+        monkeypatch.setattr(dwp_module._PointData, "once", counting_once)
         for name in ("hessian_split_closed", "scalar_closed"):
             monkeypatch.setattr(DoublyWarpedProduct, name, counting(name))
         spec = tmp_path / "h3.spec"
@@ -758,6 +784,12 @@ class TestOneRecordPerPointSet:
         # the Hessians (the tuple keys) of the log-warpings k and l, and psi
         assert sum(isinstance(key, tuple) for record, key in bodies
                    if record is samples) == 3
+
+
+def closed_key(key):
+    """Whether a key of a product record's memo (`_PointData.once`) is a
+    closed tensor's: the closed form's name, or its name and potential."""
+    return (key[0] if isinstance(key, tuple) else key).endswith("_closed")
 
 
 def block_reference(dwp, d, family, classes, closed, oracle, axis=None):
@@ -877,7 +909,7 @@ class TestBlockwiseComparison:
 
 class TestAnchoredValuesPass:
     """The anchored restriction sets' product records come from one values
-    pass; what they read of the metric's derivatives is jetted on read."""
+    pass, and hold no metric derivatives."""
 
     @pytest.mark.parametrize("make", CURVED_PRODUCTS)
     @pytest.mark.parametrize("which", (1, 2))
@@ -888,13 +920,10 @@ class TestAnchoredValuesPass:
         anchored = d.anchored_product(which)
         jetted = dwp.product.at(dwp.anchored(pts, d.anchor, which))
         assert np.array_equal(anchored.p, jetted.p)
-        for read in (lambda c: c.g, lambda c: c.ginv, lambda c: c.dg,
-                     lambda c: c.ddg, lambda c: c.gamma,
-                     lambda c: c.definite[1], *(
-                         (lambda c, i=i: c.curvature[i]) for i in range(3))):
+        for read in (lambda c: c.g, lambda c: c.ginv,
+                     lambda c: c.definite[0], lambda c: c.definite[1]):
             assert np.array_equal(read(anchored), read(jetted))
-        psi = random_polynomial(dwp.coords, np.random.default_rng(5))
-        assert np.array_equal(anchored.hessian(psi), jetted.hessian(psi))
+        assert anchored.dg is None and anchored.ddg is None
 
     def test_verify_jets_no_anchored_point(self, tmp_path, monkeypatch):
         """Through the CLI, with every gate passing so that the restriction

@@ -417,8 +417,8 @@ class TestTransferIdentities:
             jet = () if spec.psi is None else (r.product.jet(psi),)
             lhs, rhs, _ = equation(spec, r, s, *jet)
             mine = difference(lhs, rhs)
-            block = difference(*product_terms(spec, r.product))[
-                :, s.own, s.own]
+            block = difference(*product_terms(
+                spec, dwp.product.at(r.p)))[:, s.own, s.own]
             assert np.abs(block).max() > 1.0
             assert normalized_residual(mine - block,
                                        [mine, block]).max() <= 1e-11

@@ -219,8 +219,10 @@ class TestErrors:
         text = GOOD_SPEC.replace('coords = ["t"]', 'coords = ["x"]').replace(
             "cosh(t)", "cosh(x)"
         ).replace('psi = "x + t^2"', 'psi = "x"')
-        with pytest.raises(SpecFileError, match="disjoint"):
+        with pytest.raises(SpecFileError) as raised:
             load_spec(write(tmp_path, text))
+        assert str(raised.value) == (
+            "[factor.2] coords: 'x' is a coordinate of [factor.1]")
 
 
 def soliton_line(text):

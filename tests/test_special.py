@@ -159,7 +159,8 @@ class TestBlockTraceIdentities:
     """Frozen contraction identities that hold on ANY doubly warped
     product, regardless of flatness: checked on e2xe1, whose factors are
     flat, and on the curved products, at the samples and on both anchored
-    restriction sets."""
+    restriction sets (the oracle on the product chart's jetted record at
+    each set's points)."""
 
     @staticmethod
     def records():
@@ -175,7 +176,7 @@ class TestBlockTraceIdentities:
         for dwp, records in self.records():
             largest = 0.0
             for d in records:
-                c4 = concircular_oracle(d.product)
+                c4 = concircular_oracle(dwp.product.at(d.p))
                 for s in d.sides:
                     trace = factor_block_trace(c4, s.which, d)
                     defect, mu = einstein_defect(s.which, d)
@@ -189,7 +190,7 @@ class TestBlockTraceIdentities:
         for dwp, records in self.records():
             largest = 0.0
             for d in records:
-                h4 = conharmonic_oracle(d.product)
+                h4 = conharmonic_oracle(dwp.product.at(d.p))
                 for which, m_opp in ((1, dwp.m2), (2, dwp.m1)):
                     trace = factor_block_trace(h4, which, d)
                     defect = (m_opp / (dwp.m - 2)) * f_almost_defect(
