@@ -10,7 +10,6 @@ brute-force product oracle in `geometry`.
 
 from __future__ import annotations
 
-import copy
 import functools
 
 import numpy as np
@@ -368,10 +367,6 @@ class _FactorPart:
     factor at the same points shares one part; every array has a leading N
     axis."""
 
-    # the fields that have one row per point
-    ROWS = ("g", "ginv", "gamma", "ric", "tau", "r", "f", "h_f", "lap_f",
-            "h_log", "lap_log", "dlog")
-
     def __init__(self, dwp, which, factor):
         f, log_f = ((dwp.f1, dwp.k), (dwp.f2, dwp.l))[which - 1]
         self.which = which
@@ -393,15 +388,6 @@ class _FactorPart:
         self.h_log = covariant_hessian(factor.gamma, log_jet)
         self.lap_log = np.einsum("nij,nij->n", factor.ginv, self.h_log)
         self.dlog = log_jet.gradient  # the log-warping's differential
-
-    def take(self, rows):
-        """The part at a selection of its points (an index array, repeats
-        allowed), read off this part's rows."""
-        out = copy.copy(self)
-        out.factor = self.factor.take(rows)
-        for name in self.ROWS:
-            setattr(out, name, getattr(self, name)[rows])
-        return out
 
 
 class _Side:
@@ -530,17 +516,13 @@ class _PointData:
     def restriction(self, which):
         """The record of the anchored restriction set of factor `which`: it
         reads `anchored_product(which)` and shares this record's factor
-        part of factor `which`.  On that set the opposite factor sits at
-        the anchor, so its part is built at that one point and repeated."""
+        part of factor `which`; the opposite factor's part is built at the
+        set's points, where that factor sits at the anchor."""
         def build():
-            dwp, other = self.dwp, 3 - which
-            # the product's record is tested first: where the opposite
-            # factor's metric fails too, the product's error is raised
-            product = self.anchored_product(which).require_spd()
-            at_anchor = (dwp.factor1, dwp.factor2)[other - 1].at(
-                dwp.split([self.anchor])[other - 1]).require_spd()
-            parts = [self.side(which).part] * 2
-            parts[other - 1] = _FactorPart(dwp, other, at_anchor).take(
-                np.zeros(len(self.p), int))
-            return _PointData(dwp, product, parts=parts)
+            # the product's record is tested before the opposite part is
+            # built: where both metrics fail, the product's error is raised
+            parts = [None, None]
+            parts[which - 1] = self.side(which).part
+            return _PointData(self.dwp, self.anchored_product(which),
+                              parts=parts)
         return self.once(("restriction", which), build)

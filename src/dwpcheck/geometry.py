@@ -207,8 +207,8 @@ class ChartBatch:
 
     def take(self, rows):
         """The record at a subset of the points (a boolean mask, an index
-        array, repeats allowed, or a slice), read off this record's jets
-        (its values alone, if it holds no more) and definiteness test."""
+        array or a slice), read off this record's jets (its values alone,
+        if it holds no more) and definiteness test."""
         return ChartBatch(self.chart, self.p[rows], self.g[rows], *(
             None if a is None else a[rows] for a in (self.dg, self.ddg)),
             definite=tuple(a[rows] for a in self.definite))
@@ -377,12 +377,10 @@ def kulkarni_nomizu(a, b):
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError("kulkarni_nomizu needs two equally sized matrices")
-    return (
-        np.einsum("...xw,...yz->...xyzw", a, b)
-        + np.einsum("...yz,...xw->...xyzw", a, b)
-        - np.einsum("...xz,...yw->...xyzw", a, b)
-        - np.einsum("...yw,...xz->...xyzw", a, b)
-    )
+    # t[x,y,z,w] = A(X,W)B(Y,Z); the other three terms are index swaps of it
+    t = np.einsum("...xw,...yz->...xyzw", a, b)
+    return (t + t.swapaxes(-4, -3).swapaxes(-2, -1) - t.swapaxes(-2, -1)
+            - t.swapaxes(-4, -3))
 
 
 def sample_points(manifold, box, n, seed):

@@ -109,6 +109,22 @@ OVERFLOW_LAMBDA_SPEC = PASSING_SPEC.replace(
 SHARED_COORDINATE_SPEC = PASSING_SPEC.replace('coords = ["s", "t"]',
                                               'coords = ["x", "t"]')
 
+# wrong-typed and out-of-range values the spec reader names: a soliton type
+# that is not a string, a metric row that is not a list, a lambda that TOML
+# reads as inf, a zero dimension and a coordinate named like a constant
+SOLITON_TYPE_LIST_SPEC = PASSING_SPEC.replace('type = "gradient_ricci"',
+                                              "type = [1]")
+
+METRIC_ROW_NOT_A_LIST_SPEC = PASSING_SPEC.replace(
+    'metric = [["1", "0"], ["0", "1"]]', 'metric = ["1", ["0", "1"]]', 1)
+
+INFINITE_LAMBDA_SPEC = PASSING_SPEC.replace("lambda = 0.6", "lambda = 1e400")
+
+ZERO_DIM_SPEC = PASSING_SPEC.replace("dim = 2", "dim = 0", 1)
+
+CONSTANT_COORDINATE_SPEC = PASSING_SPEC.replace('coords = ["x", "y"]',
+                                                'coords = ["e", "y"]')
+
 H3_LINE_FIRST_SPEC = warped_line_spec("hyperbolic-flat", line_first=True)
 
 H3_PLANE_FIRST_SPEC = warped_line_spec("hyperbolic-flat", line_first=False)

@@ -535,15 +535,13 @@ class TestOneRecordPerPointSet:
         assert np.array_equal(valued[0][1], np.concatenate(
             [dwp.anchored(d.p, anchor, which) for which in (1, 2)]))
         assert 1 <= len(built) <= 3
-        # each restriction set jets its opposite factor once, at the anchor
-        at_anchor = [(chart, points) for chart, points in jetted
-                     if len(points) == 1]
-        assert [chart for chart, _ in at_anchor] == [dwp.factor2,
-                                                     dwp.factor1]
-        for (chart, points), which in zip(at_anchor, (2, 1)):
-            assert points.shape == (1, chart.dim)
-            assert np.array_equal(points[0],
-                                  anchor[dwp.block("XU")[which]])
+        # each restriction set jets its opposite factor once, at the set's
+        # points: every row holds the anchor's coordinates of that factor
+        at_sets = jetted[3:]
+        assert [chart for chart, _ in at_sets] == [dwp.factor2, dwp.factor1]
+        for (chart, points), which in zip(at_sets, (2, 1)):
+            assert points.shape == (len(d.p), chart.dim)
+            assert (points == anchor[dwp.block("XU")[which]]).all()
         # one definiteness test per jetted record, and one for the
         # anchored sets' values pass
         assert len(tested) == len(jetted) + 1

@@ -223,6 +223,32 @@ class TestKulkarniNomizu:
             -a[0, 0] * b[1, 1] - a[1, 1] * b[0, 0]
         )
 
+    @pytest.mark.parametrize("m", (2, 3, 4))
+    def test_equals_the_four_product_form_bitwise(self, m):
+        """Batched symmetric inputs holding exact zeros of both signs give
+        the same array, signs of zeros included, as the sum of the four
+        products written out."""
+        rng = np.random.default_rng(m)
+
+        def symmetric():
+            x = rng.normal(size=(16, m, m))
+            for zero, share in ((0.0, 0.3), (-0.0, 0.1)):
+                x[rng.random(x.shape) < share] = zero
+            i, j = np.triu_indices(m)
+            x[:, j, i] = x[:, i, j]
+            return x
+
+        a, b = symmetric(), symmetric()
+        a[0], b[1] = 0.0, -0.0  # a whole point of zeros of either sign
+        want = (np.einsum("...xw,...yz->...xyzw", a, b)
+                + np.einsum("...yz,...xw->...xyzw", a, b)
+                - np.einsum("...xz,...yw->...xyzw", a, b)
+                - np.einsum("...yw,...xz->...xyzw", a, b))
+        got = kulkarni_nomizu(a, b)
+        assert np.signbit(a[a == 0]).any() and (got == 0).any()
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
 
 class TestSampling:
     def test_seeded_sampling_is_deterministic(self):

@@ -3,14 +3,17 @@
     python3 tools/bench_pairs.py REV --workload W|all [--pairs 10]
                                  [--seconds S] [--seed N] [--json PATH]
 
-REV's committed files are unpacked (`git archive`) into a temporary
-directory, removed again at the end. Each pair runs
+Both sides run from sibling temporary directories of equal path length,
+removed again at the end: REV's committed files (`git archive`) in one,
+and this checkout's tracked files with their uncommitted edits (an
+archive of `git stash create`, or of HEAD when nothing is edited) in the
+other; untracked files are not copied. Each pair runs
 
     bench/run.py --workload W --seed N --seconds S --trace 0
 
-once in that tree and once in this checkout, each in a fresh process, and
-the side that runs first alternates from pair to pair (REV first in the
-first pair). S defaults to BENCHMARK.json's `run_seconds`, N to 1.
+once in each tree, each in a fresh process, and the side that runs first
+alternates from pair to pair (REV first in the first pair). S defaults to
+BENCHMARK.json's `run_seconds`, N to 1.
 
 It prints each run's end-to-end metrics (BENCHMARK.json's `end_to_end`) as
 the run finishes and then, per metric, each side's median and quartiles,
@@ -21,7 +24,7 @@ runs the pairs of each workload of BENCHMARK.json in turn and prints one
 such table per workload. `--json PATH` writes those tables, and every
 run's metrics, to PATH as JSON too, after each workload. A run that exits
 non-zero or is not `correct` stops the tool with status 1. Standard
-library only, and tools/compare_reports.py for unpacking REV.
+library only, and tools/compare_reports.py for unpacking both trees.
 """
 
 from __future__ import annotations
@@ -35,6 +38,14 @@ import sys
 import tempfile
 
 from compare_reports import ROOT, extract
+
+
+def working_tree():
+    """A commit of this checkout's tracked files with their uncommitted
+    edits (HEAD itself when nothing is edited)."""
+    stash = subprocess.run(["git", "-C", ROOT, "stash", "create"],
+                           check=True, capture_output=True, text=True)
+    return stash.stdout.strip() or "HEAD"
 
 
 def declared():
@@ -136,12 +147,15 @@ def main(argv=None):
     document = {"rev": args.rev, "seed": args.seed, "pairs": args.pairs,
                 "seconds": args.seconds, "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
-        tree = os.path.join(tmp, "rev")
-        extract(args.rev, tree)
+        # names of equal length: the length of a tree's path alone moved
+        # curved-m4's verify_s_p50 by about 5%
+        base, here = os.path.join(tmp, "base"), os.path.join(tmp, "here")
+        extract(args.rev, base)
+        extract(working_tree(), here)
         for workload in workloads:
             runs = []
             for i in range(args.pairs):
-                sides = [(0, args.rev, tree), (1, "here", ROOT)]
+                sides = [(0, args.rev, base), (1, "here", here)]
                 if i % 2:
                     sides.reverse()
                 pair = [None, None]
