@@ -48,7 +48,8 @@ class ChartManifold:
     the leading axis, indexed as each method's docstring says.  A chart
     whose metric entries read no coordinate (`constant_metric`) has zero
     Christoffel symbols and curvature: its records give them as exact
-    zeros, without reading the metric's derivatives."""
+    zeros, without reading the metric's derivatives: its records are values
+    records (`at`), which read g at their first point alone (`_read_rows`)."""
 
     def __init__(self, coords, metric):
         self.coords = tuple(coords)
@@ -81,10 +82,11 @@ class ChartManifold:
     def _metric_values(self, points):
         """g[n,i,j] alone: the values of `_metric_jets`, bitwise, from a pass
         that jets no derivative; it raises the same errors, since every
-        domain and overflow check runs on values."""
-        values = self._entries(np.asarray(points, dtype=float),
-                               Expression.evaluate)
-        return self._symmetric(values.__getitem__)
+        domain and overflow check runs on values.  A constant metric is read
+        at the first point alone (`_read_rows`), where it fails if at all."""
+        return _read_rows(lambda p: self._symmetric(self._entries(
+            p, Expression.evaluate).__getitem__),
+            np.asarray(points, dtype=float), self.constant_metric)
 
     def _entries(self, points, read):
         """{entry: read(entry, points, memo)} over the distinct entries of
@@ -135,7 +137,10 @@ class ChartManifold:
         return exc
 
     def at(self, points):
-        """The chart's record at a batch of points (N, dim)."""
+        """The chart's record at a batch of points (N, dim); on a constant
+        metric, its values record (`values_at`): no metric jet is taken."""
+        if self.constant_metric:
+            return self.values_at(points)
         p = np.asarray(points, dtype=float)
         return ChartBatch(self, p, *self._metric_jets(p))
 
@@ -189,7 +194,9 @@ class ChartBatch:
 
     A record given the metric's values alone (`ChartManifold.values_at`)
     holds no derivatives (its `dg` and `ddg` are None): only a chart whose
-    metric is constant gives its Christoffel symbols and curvature there.
+    metric is constant gives its Christoffel symbols and curvature there,
+    and its every record is one, whose `g`, `definite`, `ginv` and `big_g`
+    are read at the first point and repeated (`_read_rows`).
     What else is read off a record is built once, through its one memo
     (`once`), keyed on what is read and never on points: an expression's
     jet (`jet`, keyed on the expression, structurally; the memo starts
@@ -216,10 +223,11 @@ class ChartBatch:
     @staticmethod
     def concatenate(records):
         """One record of the points of several records of one chart, in
-        order."""
+        order; of values records, a values record."""
+        fields = zip(*((r.p, r.g, r.dg, r.ddg) for r in records))
         return ChartBatch(records[0].chart, *(
-            np.concatenate([getattr(r, name) for r in records])
-            for name in ("p", "g", "dg", "ddg")), definite=tuple(
+            None if a[0] is None else np.concatenate(a) for a in fields),
+            definite=tuple(
                 map(np.concatenate, zip(*(r.definite for r in records)))))
 
     def once(self, key, build):
@@ -247,7 +255,8 @@ class ChartBatch:
     def definite(self):
         """(spd, w): per point, whether the metric is finite and positive
         definite, and its ascending eigenvalues (`_positive_definite`)."""
-        return _positive_definite(self.g)
+        return _read_rows(_positive_definite, self.g,
+                          self.chart.constant_metric)
 
     def well_conditioned(self):
         """Per point: whether the metric is positive definite with
@@ -265,7 +274,7 @@ class ChartBatch:
 
     @cached_property
     def ginv(self):
-        return np.linalg.inv(self.g)
+        return _read_rows(np.linalg.inv, self.g, self.chart.constant_metric)
 
     def _zeros(self, rank):
         """Exact zeros of a rank-`rank` tensor at each point."""
@@ -319,7 +328,8 @@ class ChartBatch:
     def big_g(self):
         """G = (1/2) g ^ g, the (0,4) curvature tensor of unit sectional
         curvature."""
-        return 0.5 * kulkarni_nomizu(self.g, self.g)
+        return _read_rows(lambda g: 0.5 * kulkarni_nomizu(g, g), self.g,
+                          self.chart.constant_metric)
 
     def hessian(self, psi):
         """Covariant Hessian h[n,i,j] = d_i d_j psi - Gamma^k_ij d_k psi,
@@ -327,6 +337,18 @@ class ChartBatch:
         return self.once(("hessian", psi), lambda: covariant_hessian(
             None if self.chart.constant_metric else self.gamma,
             self.jet(psi)))
+
+
+def _read_rows(read, x, repeated):
+    """read(x) for a `read` that acts row by row along x's leading axis;
+    where every row of x is the same (`repeated`), read at the first row
+    alone and each array read repeated to x's rows: bitwise the same."""
+    if not repeated:
+        return read(x)
+    out = read(x[:1])
+    if isinstance(out, tuple):
+        return tuple(np.repeat(a, len(x), axis=0) for a in out)
+    return np.repeat(out, len(x), axis=0)
 
 
 def _sym(dg):
@@ -387,7 +409,8 @@ def sample_points(manifold, box, n, seed):
     """Seeded uniform samples in a coordinate box, skipping points where the
     metric is singular or ill-conditioned; oversampling capped at 10x.
     Returns the chart's record at the accepted points (their coordinates
-    are its `p`), read off the jets of the acceptance test.
+    are its `p`), read off the jets of the acceptance test (on a constant
+    metric, a values record: the test reads one point per chunk).
 
     The draws come in chunks of the number of points still missing, so each
     drawn point is one that drawing and testing one at a time would reach

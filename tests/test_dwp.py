@@ -480,28 +480,57 @@ class TestRestrictionRecords:
                 d.anchored_product(2)
 
 
+def counting_metric_passes(monkeypatch):
+    """The list of the passes over a chart's metric taken from now on,
+    (kind, chart, points) with kind "jets" or "values", and the list of the
+    (chart, number of rows) that each pass over its entries reads."""
+    passes, rows = [], []
+    entries = ChartManifold._entries
+
+    def counting(kind, read):
+        def wrapper(chart, points):
+            passes.append((kind, chart, np.array(points, dtype=float)))
+            return read(chart, points)
+        return wrapper
+
+    def counting_entries(chart, points, read):
+        rows.append((chart, len(points)))
+        return entries(chart, points, read)
+
+    for kind, name in (("jets", "_metric_jets"), ("values", "_metric_values")):
+        monkeypatch.setattr(ChartManifold, name,
+                            counting(kind, getattr(ChartManifold, name)))
+    monkeypatch.setattr(ChartManifold, "_entries", counting_entries)
+    return passes, rows
+
+
+def assert_each_metric_read_once(passes, rows):
+    """No chart's metric is read twice on equal points, jets and values
+    passes counted together; a constant metric is read by values passes
+    alone, each of which reads its entries at one row."""
+    for i, (_, chart, points) in enumerate(passes):
+        assert not any(other is chart and np.array_equal(points, earlier)
+                       for _, other, earlier in passes[:i])
+    assert all(kind == "values" for kind, chart, _ in passes
+               if chart.constant_metric)
+    assert len(rows) == len(passes)
+    assert any(chart.constant_metric for chart, _ in rows)
+    assert all(n == 1 for chart, n in rows if chart.constant_metric)
+
+
 class TestOneRecordPerPointSet:
     def test_run_all_jets_each_chart_once_per_point_set(self, monkeypatch):
         """With the flatness gates and a soliton gate passing, so that the
-        anchored restriction sets are used too, no chart's metric is jetted
-        twice on equal points, and at most three records are built (the
-        samples and the two restriction sets)."""
-        dwp = direct_flat_product()
+        anchored restriction sets are used too, no chart's metric is read
+        twice on equal points, each (constant) metric's pass reads one row,
+        and at most three records are built (the samples and the two
+        restriction sets)."""
+        dwp = direct_flat_product()  # every chart's metric is constant
         psi = parse_expression("0.3*(x^2 + y^2 + s^2 + t^2)", dwp.coords)
         spec = SolitonSpec(kind="ricci", psi=psi, lam=0.6)
         pts = seeded_points(dwp.product, 8)
-        jetted, built, valued = [], [], []
-        metric_jets = ChartManifold._metric_jets
-        metric_values = ChartManifold._metric_values
+        built = []
         point_data = DoublyWarpedProduct.point_data
-
-        def counting_jets(chart, points):
-            jetted.append((chart, np.array(points, dtype=float)))
-            return metric_jets(chart, points)
-
-        def counting_values(chart, points):
-            valued.append((chart, np.array(points, dtype=float)))
-            return metric_values(chart, points)
 
         def counting_point_data(self, *args, **kwargs):
             built.append(args)
@@ -512,9 +541,7 @@ class TestOneRecordPerPointSet:
             return positive_definite(g)
 
         tested, positive_definite = [], geometry._positive_definite
-        monkeypatch.setattr(ChartManifold, "_metric_jets", counting_jets)
-        monkeypatch.setattr(ChartManifold, "_metric_values",
-                            counting_values)
+        passes, rows = counting_metric_passes(monkeypatch)
         monkeypatch.setattr(DoublyWarpedProduct, "point_data",
                             counting_point_data)
         monkeypatch.setattr(geometry, "_positive_definite",
@@ -525,26 +552,23 @@ class TestOneRecordPerPointSet:
         for check_id in ("concircular.einstein1", "conharmonic.soliton2",
                          "soliton[0].factors.ricci.factor1"):
             assert out[check_id].status == PASS, out[check_id]
-        for i, (chart, points) in enumerate(jetted):
-            for other, earlier in jetted[:i]:
-                assert not (other is chart and np.array_equal(points,
-                                                              earlier))
-        assert len(jetted) == 5  # samples 3, each restriction set 1
+        assert_each_metric_read_once(passes, rows)
+        # samples 3, both anchored sets 1, each restriction set 1
+        charts = [chart for _, chart, _ in passes]
+        assert charts == [dwp.product, dwp.factor1, dwp.factor2,
+                          dwp.product, dwp.factor2, dwp.factor1]
         # both anchored sets: one values pass, set 1's rows first
-        assert len(valued) == 1 and valued[0][0] is dwp.product
-        assert np.array_equal(valued[0][1], np.concatenate(
+        assert np.array_equal(passes[3][2], np.concatenate(
             [dwp.anchored(d.p, anchor, which) for which in (1, 2)]))
         assert 1 <= len(built) <= 3
-        # each restriction set jets its opposite factor once, at the set's
+        # each restriction set reads its opposite factor once, at the set's
         # points: every row holds the anchor's coordinates of that factor
-        at_sets = jetted[3:]
-        assert [chart for chart, _ in at_sets] == [dwp.factor2, dwp.factor1]
-        for (chart, points), which in zip(at_sets, (2, 1)):
+        for (_, chart, points), which in zip(passes[4:], (2, 1)):
             assert points.shape == (len(d.p), chart.dim)
             assert (points == anchor[dwp.block("XU")[which]]).all()
-        # one definiteness test per jetted record, and one for the
-        # anchored sets' values pass
-        assert len(tested) == len(jetted) + 1
+        # one definiteness test per pass, each at one (constant) metric
+        assert len(tested) == len(passes)
+        assert all(len(g) == 1 for g in tested)
         for which in (1, 2):
             assert (d.restriction(which).side(which).part
                     is d.side(which).part)
@@ -597,9 +621,10 @@ class TestOneRecordPerPointSet:
     def test_verify_builds_each_quantity_once_per_record(self, tmp_path,
                                                          monkeypatch):
         """Through the CLI, on H^3 with every soliton gate and the
-        concircular gate passing: no chart's metric is jetted twice on equal
-        points (the sampler's and the conditioning test's jets included),
-        each pass over a chart's entries shares one memo and jets no node
+        concircular gate passing: no chart's metric is read twice on equal
+        points (the sampler's and the conditioning test's passes included),
+        a constant metric's pass reads one row, each jets pass over a
+        chart's entries shares one memo and jets no node
         twice (a block's f_opp^2 is jetted once, not once per entry), no
         expression is jetted twice on equal points, no record builds the
         covariant Hessian of one expression twice, no node of a warping's
@@ -608,10 +633,9 @@ class TestOneRecordPerPointSet:
         per form, each Kulkarni-Nomizu product (g ^ g, and
         the Riemann soliton's h ^ g) once per record, each flatness
         oracle once, and the warpings are validated once per point set."""
-        jetted, expr_jets, residuals, wedges = [], [], [], []
+        expr_jets, residuals, wedges = [], [], []
         oracles, validated, hessians, memos, node_jets = [], [], [], [], []
         node_calls, products = [], []
-        metric_jets = ChartManifold._metric_jets
         covariant_hessian = geometry.covariant_hessian
         jet = Expression.jet
         node_jet = expr._node_jet
@@ -619,10 +643,6 @@ class TestOneRecordPerPointSet:
         contracted_terms = solitons.contracted_terms
         kulkarni_nomizu = geometry.kulkarni_nomizu
         validate_warpings = DoublyWarpedProduct.validate_warpings
-
-        def counting_metric_jets(chart, points):
-            jetted.append((chart, np.array(points, dtype=float)))
-            return metric_jets(chart, points)
 
         def counting_jet(e, points, memo=None):
             expr_jets.append((e, np.array(points, dtype=float)))
@@ -667,8 +687,7 @@ class TestOneRecordPerPointSet:
                 return oracle(c)
             return wrapper
 
-        monkeypatch.setattr(ChartManifold, "_metric_jets",
-                            counting_metric_jets)
+        passes, rows = counting_metric_passes(monkeypatch)
         monkeypatch.setattr(DoublyWarpedProduct, "validate_warpings",
                             counting_validate_warpings)
         for name in ("concircular_oracle", "conharmonic_oracle"):
@@ -702,15 +721,14 @@ class TestOneRecordPerPointSet:
             return [b for i, b in enumerate(calls)
                     if any(same(a, b) for a in calls[:i])]
 
-        assert not repeats(jetted, lambda a, b: a[0] is b[0]
-                           and np.array_equal(a[1], b[1]))
+        assert_each_metric_read_once(passes, rows)
         assert not repeats(expr_jets, lambda a, b: a[0] == b[0]
                            and np.array_equal(a[1], b[1]))
-        # one memo per pass over a chart's entries, and one per factor
-        # record for its warping f and log f
+        # one memo per jets pass over a chart's entries, and one per
+        # factor record for its warping f and log f
         dwp = products[0]
-        assert len(memos) == len(jetted) + sum(chart.dim < dwp.m
-                                               for chart, _ in jetted)
+        assert len(memos) == sum(kind == "jets" for kind, _, _ in passes) \
+            + sum(chart.dim < dwp.m for _, chart, _ in passes)
         assert node_jets and not repeats(node_jets, lambda a, b: a[0] is b[0]
                                          and a[1] is b[1])
         warping, stack = set(), [dwp.f1.node, dwp.f2.node]
@@ -926,22 +944,10 @@ class TestAnchoredValuesPass:
     def test_verify_jets_no_anchored_point(self, tmp_path, monkeypatch):
         """Through the CLI, with every gate passing so that the restriction
         records are read: one values pass covers both anchored sets (set 1's
-        rows first), and no metric jet is taken at any of their points."""
-        jetted, valued = [], []
-        metric_jets = ChartManifold._metric_jets
-        metric_values = ChartManifold._metric_values
-
-        def counting_jets(chart, points):
-            jetted.append(np.array(points, dtype=float))
-            return metric_jets(chart, points)
-
-        def counting_values(chart, points):
-            valued.append((chart, np.array(points, dtype=float)))
-            return metric_values(chart, points)
-
-        monkeypatch.setattr(ChartManifold, "_metric_jets", counting_jets)
-        monkeypatch.setattr(ChartManifold, "_metric_values",
-                            counting_values)
+        rows first), no metric jet is taken at any of their points, no
+        chart's metric is read twice on equal points, and the line's
+        constant metric is read at one row per pass."""
+        passes, rows = counting_metric_passes(monkeypatch)
         spec = tmp_path / "h3.spec"
         spec.write_text(warped_line_spec("hyperbolic-hyperbolic",
                                          line_first=True))
@@ -951,13 +957,15 @@ class TestAnchoredValuesPass:
         status = {c["check_id"]: c["status"]
                   for c in json.loads(report.read_text())["checks"]}
         assert status["soliton[0].factors.ricci.factor2"] == PASS
-        [(chart, anchored)] = valued
-        assert chart.dim == 3 and len(anchored) == 16  # 2 x 8 points
+        assert_each_metric_read_once(passes, rows)
+        [anchored] = [points for kind, _, points in passes
+                      if kind == "values" and points.shape[1] == 3]
+        assert len(anchored) == 16  # 2 x 8 points
         anchor = np.array([0.0, 0.0, 1.0])  # the box's centre
         assert (anchored[:8, 1:] == anchor[1:]).all()
         assert (anchored[8:, :1] == anchor[:1]).all()
-        for points in jetted:
-            if points.shape[1] == 3:
+        for kind, _, points in passes:
+            if kind == "jets" and points.shape[1] == 3:
                 assert not (points[:, None] == anchored[None]).all(
                     axis=2).any()
 

@@ -1,5 +1,7 @@
 """Brute-force curvature oracle against classical closed-form geometries."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from conftest import (
 )
 from dwpcheck.expr import parse_expression
 from dwpcheck.geometry import (
+    ChartBatch,
     ChartManifold,
     GeometryError,
     MetricError,
@@ -69,12 +72,15 @@ class TestOracleOnSpaceForms:
 
 
 # The constant-metric charts of conftest: flat factor charts of each
-# dimension, and the product chart of the direct product of flat planes.
+# dimension, the product chart of the direct product of flat planes, and a
+# plane whose constant metric is not diagonal.
 CONSTANT_CHARTS = {
     "flat-line": lambda: flat_chart(("t",)),
     "flat-plane": lambda: flat_chart(("x", "y")),
     "flat-fibre-of-H4": lambda: hyperbolic_space(4).factor2,
     "direct-flat-product": lambda: direct_flat_product().product,
+    "non-diagonal-plane": lambda: expr_chart(
+        ("x", "y"), [["2", "0.7"], ["0.7", "1"]]),
 }
 
 
@@ -85,6 +91,12 @@ def twin(chart):
     return ChartManifold(coords, [
         [parse_expression(f"{e} + 0*{coords[0]}", coords) for e in row]
         for row in chart.metric])
+
+
+def assert_bitwise(got, want, what):
+    assert got.shape == want.shape, what
+    assert np.array_equal(got, want), what
+    assert np.array_equal(np.signbit(got), np.signbit(want)), what
 
 
 def read_off(record, psi):
@@ -125,10 +137,64 @@ class TestConstantMetrics:
         assert np.array_equal(flat.g, contracted.g)
         want = read_off(contracted, psi)
         for key, got in read_off(flat, psi).items():
-            assert got.shape == want[key].shape, key
-            assert np.array_equal(got, want[key]), key
-            assert np.array_equal(np.signbit(got), np.signbit(want[key])), key
+            assert_bitwise(got, want[key], key)
         assert not np.any(want["R"])
+
+    @pytest.mark.parametrize("n", [1, 7, 128])
+    @pytest.mark.parametrize("name", sorted(CONSTANT_CHARTS))
+    def test_metric_reads_are_those_of_the_twin(self, name, n):
+        """What a constant metric's record reads at its first point and
+        repeats is what the twin reads at every point, sign bits included;
+        so are the sampler's points and metrics."""
+        chart = CONSTANT_CHARTS[name]()
+        other = twin(chart)
+        points = np.random.default_rng(n).uniform(-1.0, 1.0,
+                                                  (n, chart.dim))
+        flat, jetted = chart.at(points), other.at(points)
+        assert flat.dg is None and flat.ddg is None
+        reads = {"g": lambda c: c.g, "ginv": lambda c: c.ginv,
+                 "spd": lambda c: c.definite[0],
+                 "eigenvalues": lambda c: c.definite[1],
+                 "well_conditioned": lambda c: c.well_conditioned(),
+                 "big_g": lambda c: c.big_g}
+        for key, read in reads.items():
+            assert_bitwise(read(flat), read(jetted), key)
+        box = np.tile([-1.0, 1.0], (chart.dim, 1))
+        flat, jetted = (sample_points(c, box, n, 5) for c in (chart, other))
+        assert flat.dg is None
+        for key in ("p", "g"):
+            assert_bitwise(getattr(flat, key), getattr(jetted, key), key)
+
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_an_overflowing_entry_names_the_twins_entry_and_point(self, row):
+        chart = expr_chart(("x", "y"), [["1", "0"], ["0", "1e300*1e300"]]
+                           if row else [["1e300*1e300", "0"], ["0", "1"]])
+        assert chart.constant_metric
+        box = np.tile([-1.0, 1.0], (2, 1))
+        first = np.random.default_rng(3).uniform(box[:, 0], box[:, 1])
+        where = re.escape(f"entry [{row}][{row}] = ")
+        for c in (chart, twin(chart)):
+            with pytest.raises(MetricError, match=where + ".* at "
+                               + re.escape(f"{first.tolist()}:")):
+                sample_points(c, box, 4, 3)
+            points = np.random.default_rng(3).uniform(-1.0, 1.0, (5, 2))
+            with pytest.raises(MetricError, match=where + ".* at "
+                               + re.escape(f"{points[0].tolist()}:")):
+                c.metric_at(points)
+
+    @pytest.mark.parametrize("name", sorted(CONSTANT_CHARTS))
+    def test_no_metric_jet_is_taken(self, name, monkeypatch):
+        chart = CONSTANT_CHARTS[name]()
+        jetted = counting_metric_jets(monkeypatch)
+        record = sample_points(chart, np.tile([-1.0, 1.0], (chart.dim, 1)),
+                               9, 2)
+        psi = random_polynomial(chart.coords, np.random.default_rng(2), 3)
+        read_off(record, psi), record.big_g, record.require_spd()
+        chart.metric_at(record.p), chart.laplacian_field(psi, record.p)
+        chart.gradient_field(psi, record.p)
+        assert jetted == []
+        twin(chart).at(record.p)
+        assert len(jetted) == 1
 
     def test_values_record_reads_no_metric_derivative(self, monkeypatch):
         chart = CONSTANT_CHARTS["direct-flat-product"]()
@@ -149,6 +215,29 @@ class TestConstantMetrics:
         _, _, tau = record.curvature
         assert tau == pytest.approx([-2.0, -2.0], abs=1e-9)
         assert np.abs(record.curvature_operator).max() > 0.0
+
+
+class TestConcatenate:
+    def test_values_records_concatenate_to_a_values_record(self):
+        chart = sphere_chart()
+        points = np.random.default_rng(4).uniform(0.5, 1.5, (7, 2))
+        records = [chart.values_at(points[:3]), chart.values_at(points[3:])]
+        joined = ChartBatch.concatenate(records)
+        whole = chart.values_at(points)
+        assert joined.dg is None and joined.ddg is None
+        assert np.array_equal(joined.p, points)
+        assert np.array_equal(joined.g, whole.g)
+        for got, want in zip(joined.definite, whole.definite):
+            assert np.array_equal(got, want)
+
+    def test_jets_records_concatenate_to_a_jets_record(self):
+        chart = sphere_chart()
+        points = np.random.default_rng(4).uniform(0.5, 1.5, (7, 2))
+        joined = ChartBatch.concatenate([chart.at(points[:3]),
+                                         chart.at(points[3:])])
+        whole = chart.at(points)
+        for key in ("p", "g", "dg", "ddg"):
+            assert np.array_equal(getattr(joined, key), getattr(whole, key))
 
 
 class TestDerivativeOperators:

@@ -17,11 +17,14 @@ BENCHMARK.json's `run_seconds`, N to 1.
 
 It prints each run's end-to-end metrics (BENCHMARK.json's `end_to_end`) as
 the run finishes and then, per metric, each side's median and quartiles,
-the change of the median, how many pairs this checkout won in the metric's
-better direction (ties count for neither side) and whether the medians
-differ by more than REV's interquartile range. With `--workload all` it
-runs the pairs of each workload of BENCHMARK.json in turn and prints one
-such table per workload. `--json PATH` writes those tables, and every
+the change of the median (the ratio of the medians), the median of the
+pairs' own changes (each run here against its pair's REV run, which a
+drift of the host's speed that moves both runs of a pair leaves out), how
+many pairs this checkout won in the metric's better direction (ties count
+for neither side) and whether the medians differ by more than REV's
+interquartile range. With `--workload all` it runs the pairs of each
+workload of BENCHMARK.json in turn and prints one such table per
+workload. `--json PATH` writes those tables, and every
 run's metrics, to PATH as JSON too, after each workload. A run that exits
 non-zero or is not `correct` stops the tool with status 1. Standard
 library only, and tools/compare_reports.py for unpacking both trees.
@@ -81,7 +84,8 @@ def quartiles(values):
 
 def table(metrics, runs):
     """Per metric over runs = [(REV's metrics, this checkout's metrics)]
-    pairs: each side's median and quartiles, the change of the median, how
+    pairs: each side's median and quartiles, the change of the median, the
+    median of the per-pair changes (None where a REV run reads 0), how
     many pairs this checkout won in the metric's better direction (ties
     count for neither side) and whether the medians differ by more than
     REV's interquartile range."""
@@ -96,6 +100,9 @@ def table(metrics, runs):
             "rev": {"q1": a1, "median": a2, "q3": a3},
             "here": {"q1": b1, "median": b2, "q3": b3},
             "change": (b2 - a2) / a2 if a2 else None,
+            "pair_change": statistics.median(
+                (b - a) / a for a, b in zip(theirs, mine)) if all(theirs)
+            else None,
             "wins": sum(sign * (b - a) > 0 for a, b in zip(theirs, mine)),
             "pairs": len(runs),
             "beyond_iqr": abs(b2 - a2) > a3 - a1,
@@ -112,12 +119,15 @@ def summary(rows, rev):
     """The printed lines of a `table`."""
     width = max(len(row["metric"]) for row in rows)
     lines = [f"{'metric':<{width}}  {rev + ' median [q1, q3]':<34}  "
-             f"{'here median [q1, q3]':<34}  change   wins  beyond IQR"]
+             f"{'here median [q1, q3]':<34}  change   by pair  wins  "
+             "beyond IQR"]
     for row in rows:
-        change = float("nan") if row["change"] is None else row["change"]
+        change, pair_change = (float("nan") if row[k] is None else row[k]
+                               for k in ("change", "pair_change"))
         lines.append(
             f"{row['metric']:<{width}}  {_spread(row['rev']):<34}  "
             f"{_spread(row['here']):<34}  {change:+7.1%}  "
+            f"{pair_change:+7.1%}  "
             f"{row['wins']:>2}/{row['pairs']:<2} "
             f"{'yes' if row['beyond_iqr'] else 'no'}")
     return lines
