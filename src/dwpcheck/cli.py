@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,35 +20,7 @@ from .reporting import FAIL, render_json
 from .solitons import named_fields
 from .specfile import SETTINGS, SpecFileError, load_spec
 
-__all__ = ["RunConfig", "build_run_config", "run", "main"]
-
-
-@dataclass
-class RunConfig:
-    """A verify call's settings, resolved: `box` holds one (lo, hi) row per
-    coordinate and `anchor` is a point (the box center by default)."""
-
-    spec_path: str
-    checks: tuple
-    points: int
-    seed: int
-    box: np.ndarray
-    tolerance: float
-    anchor: np.ndarray
-    report_path: str | None
-    format: str
-
-    def echo(self):
-        return {
-            "spec_path": self.spec_path,
-            "checks": list(self.checks),
-            "points": self.points,
-            "seed": self.seed,
-            "box": [list(pair) for pair in self.box],
-            "tolerance": self.tolerance,
-            "anchor": list(self.anchor),
-            "format": self.format,
-        }
+__all__ = ["build_run_config", "run", "main"]
 
 
 def _parse_checks(text):
@@ -89,9 +60,11 @@ def _make_parser():
 
 
 def build_run_config(args, sampling, m):
-    """Each setting from its flag, else from the spec file's [sampling]
-    key, else from its default; a given flag must keep the setting's rule
-    (load_spec checks the [sampling] values)."""
+    """The report's `run_config`: each setting from its flag, else from the
+    spec file's [sampling] key, else from its default; a given flag must
+    keep the setting's rule (load_spec checks the [sampling] values).  Its
+    `box` holds one [lo, hi] row per coordinate, and its `anchor` is a
+    point (the box center by default)."""
     values = {}
     for key, setting in SETTINGS.items():
         flag = getattr(args, setting.flag[2:])  # argparse's dest
@@ -99,7 +72,7 @@ def build_run_config(args, sampling, m):
             values[key] = sampling.get(key, setting.default)
         else:
             values[key] = setting.check(flag, setting.flag, m)
-    checks = ("all",) if args.checks is None else args.checks
+    checks = ["all"] if args.checks is None else list(args.checks)
     if not checks:
         raise SpecFileError(
             "--checks names no check: give a comma-separated subset of "
@@ -111,9 +84,10 @@ def build_run_config(args, sampling, m):
         np.array(values["box"], dtype=float).reshape(-1, 2), (m, 2))
     anchor = box.mean(axis=1) if values["anchor"] is None else np.array(
         values["anchor"], dtype=float)
-    return RunConfig(args.spec, checks, values["points"], values["seed"],
-                     box, float(values["tolerance"]), anchor, args.report,
-                     args.format)
+    return {"spec_path": args.spec, "checks": checks,
+            "points": values["points"], "seed": values["seed"],
+            "box": box.tolist(), "tolerance": float(values["tolerance"]),
+            "anchor": anchor.tolist(), "format": args.format}
 
 
 def _render_text(document):
@@ -142,46 +116,62 @@ def _render_text(document):
     return "\n".join(lines) + "\n"
 
 
-def run(config, loaded):
-    """Execute the configured checks on the loaded spec; returns the exit
-    status."""
+def run(config, loaded, report_path):
+    """Execute the configured checks (`config`, the report's `run_config`)
+    on the loaded spec, writing the report to `report_path`, or to stdout
+    where it is None; returns the exit status."""
     dwp, soliton_specs, _, default_psi = loaded
-    samples = sample_points(dwp.product, config.box, config.points,
-                            config.seed)
-    d = dwp.point_data(samples, config.anchor)
+    samples = sample_points(dwp.product, config["box"], config["points"],
+                            config["seed"])
+    d = dwp.point_data(samples, config["anchor"])
     d.validate(named_fields(soliton_specs, default_psi))
     psis = [("psi", default_psi)] if default_psi is not None else None
     summaries = run_all(
         soliton_specs,
         d,
-        config.tolerance,
-        checks=config.checks,
+        config["tolerance"],
+        checks=config["checks"],
         psis=psis,
     )
     document = {
         "engine_version": __version__,
-        "run_config": config.echo(),
+        "run_config": config,
         "checks": [s.as_dict() for s in summaries],
     }
-    if config.format == "structured":
+    if config["format"] == "structured":
         rendered = render_json(document)
     else:
         rendered = _render_text(document)
-    if config.report_path:
-        with open(config.report_path, "w", encoding="utf-8") as fh:
+    if report_path:
+        with open(report_path, "w", encoding="utf-8") as fh:
             fh.write(rendered)
     else:
         sys.stdout.write(rendered)
     return 1 if any(s.status == FAIL for s in summaries) else 0
 
 
+def _join_setting_values(argv):
+    """argv with each setting's flag joined to the word after it
+    (`--box -1,1` is read as `--box=-1,1`): argparse takes a word that
+    starts with '-' and is no plain number for a flag, not a value."""
+    flags = {setting.flag for setting in SETTINGS.values()}
+    out = []
+    for word in argv:
+        if out and out[-1] in flags:
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None):
     parser = _make_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _join_setting_values(sys.argv[1:] if argv is None else argv))
     try:
         loaded = load_spec(args.spec)
         config = build_run_config(args, loaded[2], loaded[0].m)
-        return run(config, loaded)
+        return run(config, loaded, args.report)
     except (SpecFileError, GeometryError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

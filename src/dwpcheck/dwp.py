@@ -345,20 +345,13 @@ class _ProductChart(ChartManifold):
         super().__init__(dwp.coords, dwp._product_metric())
         self._dwp = dwp
 
-    def _warping_error(self, point):
+    def _fault_at(self, point):
         """The WarpingError of a warping not valid at `point`, or None."""
         try:
             self._dwp.validate_warpings(point[None])
         except WarpingError as warping:
             return warping
         return None
-
-    def _domain_error(self, i, j, point, exc):
-        return self._warping_error(point) or super()._domain_error(
-            i, j, point, exc)
-
-    def _sampling_error(self, point, exc):
-        return self._warping_error(point) or exc
 
 
 class _FactorPart:
@@ -380,14 +373,14 @@ class _FactorPart:
         self.r = factor.curvature_operator
         # log f's tree holds f's: one memo jets f's tree once
         factor.share_jets((f, log_f))
-        f_jet, log_jet = factor.jet(f), factor.jet(log_f)
-        self.f = f_jet.value
+        self.f = factor.jet(f).value
         # factor Hessians and Laplacians of the warping and of its log
-        self.h_f = covariant_hessian(factor.gamma, f_jet)
+        self.h_f = factor.hessian(f)
         self.lap_f = np.einsum("nij,nij->n", factor.ginv, self.h_f)
-        self.h_log = covariant_hessian(factor.gamma, log_jet)
+        self.h_log = factor.hessian(log_f)
         self.lap_log = np.einsum("nij,nij->n", factor.ginv, self.h_log)
-        self.dlog = log_jet.gradient  # the log-warping's differential
+        # the log-warping's differential
+        self.dlog = factor.jet(log_f).gradient
 
 
 class _Side:
@@ -418,8 +411,8 @@ class _Side:
         """Factor Hessian of the leafwise restriction of a product-chart
         scalar, from its jet at the product points."""
         own = self.own
-        return jet.hessian[:, own, own] - np.einsum(
-            "nkij,nk->nij", self.gamma, jet.gradient[:, own])
+        return covariant_hessian(self.gamma, jet.gradient[:, own],
+                                 jet.hessian[:, own, own])
 
 
 class _PointData:

@@ -71,13 +71,12 @@ class ChartManifold:
         return len(self.coords)
 
     def _metric_jets(self, points):
-        """g[n,i,j], dg[n,k,i,j] = d_k g_ij, ddg[n,k,l,i,j] = d_k d_l g_ij,
-        and the entries' jets keyed on the entry (`_entries`)."""
-        points = np.asarray(points, dtype=float)
-        jets = self._entries(points, Expression.jet)
+        """g[n,i,j], dg[n,k,i,j] = d_k g_ij and ddg[n,k,l,i,j] =
+        d_k d_l g_ij."""
+        jets = self._entries(np.asarray(points, dtype=float), Expression.jet)
         return (self._symmetric(lambda e: jets[e].value),
                 self._symmetric(lambda e: jets[e].gradient),
-                self._symmetric(lambda e: jets[e].hessian), jets)
+                self._symmetric(lambda e: jets[e].hessian))
 
     def _metric_values(self, points):
         """g[n,i,j] alone: the values of `_metric_jets`, bitwise, from a pass
@@ -95,7 +94,8 @@ class ChartManifold:
         entries share (a block's squared warping), through a memo that
         lives for this pass only.  Raises the error of the first point
         where an entry leaves its domain, the first such entry of the
-        row-major upper triangle."""
+        row-major upper triangle: the chart's fault there (`_fault_at`),
+        else one that names the entry."""
         n = self.dim
         upper = [(i, j) for i in range(n) for j in range(i, n)]
         memo = shared_memo(dict.fromkeys(self.metric[i][j] for i, j in upper))
@@ -110,8 +110,10 @@ class ChartManifold:
                 # a later entry may fail at an earlier point; the pass
                 # on those points has a memo of its own
                 self._entries(points[: exc.index], read)
-                raise self._domain_error(i, j, points[exc.index],
-                                         exc) from None
+                point = points[exc.index]
+                raise self._fault_at(point) or MetricError(
+                    f"metric entry [{i}][{j}] = {str(entry)!r} leaves its "
+                    f"domain at {point.tolist()}: {exc}") from None
         return out
 
     def _symmetric(self, entry):
@@ -125,16 +127,11 @@ class ChartManifold:
                 out[..., i, j] = out[..., j, i] = entry(self.metric[i][j])
         return out
 
-    def _domain_error(self, i, j, point, exc):
-        """The error of entry [i][j] leaving its domain at `point`."""
-        return MetricError(
-            f"metric entry [{i}][{j}] = {str(self.metric[i][j])!r} leaves "
-            f"its domain at {point.tolist()}: {exc}")
-
-    def _sampling_error(self, point, exc):
-        """The error of a sampler that gave up (`exc`), whose first
-        rejected draw was `point`."""
-        return exc
+    def _fault_at(self, point):
+        """The error that names what is wrong with the chart at `point`,
+        where a metric entry leaves its domain or the sampler gives up,
+        or None to keep the error that names the entry or the draw."""
+        return None
 
     def at(self, points):
         """The chart's record at a batch of points (N, dim); on a constant
@@ -199,16 +196,14 @@ class ChartBatch:
     are read at the first point and repeated (`_read_rows`).
     What else is read off a record is built once, through its one memo
     (`once`), keyed on what is read and never on points: an expression's
-    jet (`jet`, keyed on the expression, structurally; the memo starts
-    from the metric entries' jets), a covariant Hessian
+    jet (`jet`, keyed on the expression, structurally), a covariant Hessian
     (`("hessian", psi)`), and what other readers build through `once`.
     The metrics' definiteness test runs once per record too (`definite`),
     and a record read off others carries their rows of it."""
 
-    def __init__(self, chart, p, g, dg=None, ddg=None, jets=None,
-                 definite=None):
+    def __init__(self, chart, p, g, dg=None, ddg=None, definite=None):
         self.chart, self.p, self.g, self.dg, self.ddg = chart, p, g, dg, ddg
-        self._memo = {} if jets is None else jets
+        self._memo = {}
         if definite is not None:
             self.definite = definite
 
@@ -334,9 +329,10 @@ class ChartBatch:
     def hessian(self, psi):
         """Covariant Hessian h[n,i,j] = d_i d_j psi - Gamma^k_ij d_k psi,
         computed on first request."""
-        return self.once(("hessian", psi), lambda: covariant_hessian(
-            None if self.chart.constant_metric else self.gamma,
-            self.jet(psi)))
+        def build():
+            jet = self.jet(psi)
+            return covariant_hessian(self.gamma, jet.gradient, jet.hessian)
+        return self.once(("hessian", psi), build)
 
 
 def _read_rows(read, x, repeated):
@@ -356,15 +352,11 @@ def _sym(dg):
     return dg + np.einsum("njim->nijm", dg) - np.einsum("nmij->nijm", dg)
 
 
-def covariant_hessian(gamma, jet):
-    """Covariant Hessians from a scalar's jet and the Christoffel symbols
-    gamma[n,k,i,j] at the same points; None for gamma drops the
-    Christoffel term.  That is the Hessian of a constant metric, bitwise:
-    its zero gamma's term is +0.0 at a finite gradient, and h - (+0.0) is
-    h."""
-    h = jet.hessian
-    if gamma is not None:
-        h = h - np.einsum("nkij,nk->nij", gamma, jet.gradient)
+def covariant_hessian(gamma, gradient, hessian):
+    """Covariant Hessians h[n,i,j] = hessian[n,i,j] - gamma[n,k,i,j]
+    gradient[n,k] of a scalar, from its coordinate gradient and Hessian
+    and the Christoffel symbols at the same points, symmetrized."""
+    h = hessian - np.einsum("nkij,nk->nij", gamma, gradient)
     return 0.5 * (h + h.transpose(0, 2, 1))
 
 
@@ -416,8 +408,7 @@ def sample_points(manifold, box, n, seed):
     drawn point is one that drawing and testing one at a time would reach
     too: the stream, and the first point that fails, are the same.  A
     sampler that gives up raises the chart's error for its first rejected
-    draw (`ChartManifold._sampling_error`), by default one that names that
-    draw."""
+    draw (`ChartManifold._fault_at`), else one that names that draw."""
     box = np.asarray(box, dtype=float)
     if box.shape == (2,):
         box = np.tile(box, (manifold.dim, 1))
@@ -431,12 +422,11 @@ def sample_points(manifold, box, n, seed):
     count = attempts = 0
     while count < n:
         if attempts >= 10 * n:
-            raise manifold._sampling_error(rejected, GeometryError(
+            raise manifold._fault_at(rejected) or GeometryError(
                 f"metric not positive definite or cond(g) > {COND_LIMIT:g} "
                 f"at {rejected.tolist()}, the first rejected draw: could "
                 f"not find {n} well-conditioned sample points within "
-                f"{attempts} draws"
-            ))
+                f"{attempts} draws")
         k = min(n - count, 10 * n - attempts)
         p = rng.uniform(box[:, 0], box[:, 1], size=(k, manifold.dim))
         attempts += k

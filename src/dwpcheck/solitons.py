@@ -19,7 +19,6 @@ import numpy as np
 from .expr import Expression
 from .geometry import (
     GeometryError,
-    covariant_hessian,
     kulkarni_nomizu,
     matvec,
     outer,
@@ -449,7 +448,7 @@ def log_hessian_identity(c, f, tolerance):
     the points of the chart record c, used when rewriting factor Hessians of
     warpings."""
     jet = c.jet(f)
-    lhs = covariant_hessian(c.gamma, jet) / jet.value[:, None, None]
+    lhs = c.hessian(f) / jet.value[:, None, None]
     rhs = (c.hessian(f.apply("log"))
            + outer(jet.gradient, jet.gradient) / (jet.value**2)[:, None, None])
     return summarize("identity.log_hessian", equation_residual([lhs], [rhs]),

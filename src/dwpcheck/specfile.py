@@ -140,11 +140,7 @@ def _build_factor(table, section, line, taken=()):
                     f"= {metric[i][j]!r} differs from entry [{j}][{i}] = "
                     f"{metric[j][i]!r}"
                 )
-    try:
-        manifold = ChartManifold(coords, rows)
-    except Exception as exc:
-        raise SpecFileError(f"[{section}] invalid metric: {exc}") from None
-    return manifold, _expr(table.get("warping", 1.0), coords, section,
+    return ChartManifold(coords, rows), _expr(table.get("warping", 1.0), coords, section,
                            "warping", line)
 
 

@@ -125,6 +125,48 @@ ZERO_DIM_SPEC = PASSING_SPEC.replace("dim = 2", "dim = 0", 1)
 CONSTANT_COORDINATE_SPEC = PASSING_SPEC.replace('coords = ["x", "y"]',
                                                 'coords = ["e", "y"]')
 
+# error paths, each of which exits 2 before any check runs: a warping
+# nonpositive on the box, a metric that is not symmetric, and a metric
+# well conditioned on the box but singular where the anchor puts x = 0
+NONPOSITIVE_WARPING_SPEC = PASSING_SPEC.replace(
+    'metric = [["1", "0"], ["0", "1"]]\n\n[factor.2]',
+    'metric = [["1", "0"], ["0", "1"]]\nwarping = "x"\n\n[factor.2]')
+
+NONSYMMETRIC_METRIC_SPEC = PASSING_SPEC.replace(
+    'metric = [["1", "0"], ["0", "1"]]',
+    'metric = [["1", "0.5"], ["0", "1"]]', 1)
+
+ILL_CONDITIONED_ANCHORED_SET_SPEC = PASSING_SPEC.replace(
+    'metric = [["1", "0"], ["0", "1"]]',
+    'metric = [["x^2", "0"], ["0", "1"]]', 1).replace(
+    "box = [-1.0, 1.0]", "box = [0.5, 1.0]\nanchor = [0, 0.7, 0.7, 0.7]")
+
+# the warpings are validated at the samples, then at the anchor, then the
+# fields: a warping nonpositive at the anchor only, and a warping fault
+# together with a field fault
+NONPOSITIVE_WARPING_AT_ANCHOR_SPEC = PASSING_SPEC.replace(
+    'metric = [["1", "0"], ["0", "1"]]\n\n[factor.2]',
+    'metric = [["1", "0"], ["0", "1"]]\nwarping = "1 + x"\n\n[factor.2]'
+).replace("box = [-1.0, 1.0]", "box = [0.0, 1.0]\nanchor = [-2, 0, 0, 0]")
+
+WARPING_AND_FIELD_FAULTS_SPEC = PASSING_SPEC.replace(
+    '\n[factor.2]', 'warping = "x"\n\n[factor.2]').replace(
+    'psi = "0.3*(x^2 + y^2 + s^2 + t^2)"', 'psi = "log(s)"')
+
+# two fields leaving their domains: psi fails at the fourth sample, lambda
+# at the second one, which is named
+FIELD_FAILING_FIRST_SPEC = PASSING_SPEC.replace(
+    'psi = "0.3*(x^2 + y^2 + s^2 + t^2)"\n\n[soliton]\n'
+    'type = "gradient_ricci"\nlambda = 0.6',
+    'psi = "sqrt(t + 0.5)"\n\n[soliton]\n'
+    'type = "gradient_ricci"\nlambda = "log(x + 0.8)"')
+
+# a [soliton] key that its kind does not read, and one that it reads missing
+SOLITON_KEY_NOT_READ_SPEC = PASSING_SPEC.replace(
+    "lambda = 0.6", 'lambda = 0.6\nmu = 0.3\neta = ["1", "0", "0", "0"]')
+
+SOLITON_KEY_MISSING_SPEC = PASSING_SPEC.replace("lambda = 0.6\n", "")
+
 H3_LINE_FIRST_SPEC = warped_line_spec("hyperbolic-flat", line_first=True)
 
 H3_PLANE_FIRST_SPEC = warped_line_spec("hyperbolic-flat", line_first=False)
@@ -206,11 +248,7 @@ class TestExitStatuses:
         assert "error:" in capsys.readouterr().err
 
     def test_nonpositive_warping_region_exits_two(self, tmp_path, capsys):
-        text = PASSING_SPEC.replace(
-            'metric = [["1", "0"], ["0", "1"]]\n\n[factor.2]',
-            'metric = [["1", "0"], ["0", "1"]]\nwarping = "x"\n\n[factor.2]',
-        )
-        spec = write(tmp_path, text, "neg.spec")
+        spec = write(tmp_path, NONPOSITIVE_WARPING_SPEC, "neg.spec")
         assert main(["verify", spec]) == 2
         assert "nonpositive" in capsys.readouterr().err
 
@@ -242,11 +280,7 @@ class TestExitStatuses:
             "error: [factor.2] coords: 'x' is a coordinate of [factor.1]\n")
 
     def test_nonsymmetric_metric_exits_two(self, tmp_path, capsys):
-        text = PASSING_SPEC.replace(
-            'metric = [["1", "0"], ["0", "1"]]',
-            'metric = [["1", "0.5"], ["0", "1"]]', 1,
-        )
-        spec = write(tmp_path, text, "asym.spec")
+        spec = write(tmp_path, NONSYMMETRIC_METRIC_SPEC, "asym.spec")
         assert main(["verify", spec]) == 2
         err = capsys.readouterr().err
         assert "[factor.1] metric is not symmetric" in err
@@ -271,12 +305,7 @@ class TestExitStatuses:
         assert "leaves its domain at [" in err
 
     @pytest.mark.parametrize("text, message", [
-        # psi fails at the fourth sample, lambda at the second one
-        (PASSING_SPEC.replace(
-            'psi = "0.3*(x^2 + y^2 + s^2 + t^2)"\n\n[soliton]\n'
-            'type = "gradient_ricci"\nlambda = 0.6',
-            'psi = "sqrt(t + 0.5)"\n\n[soliton]\n'
-            'type = "gradient_ricci"\nlambda = "log(x + 0.8)"', 1),
+        (FIELD_FAILING_FIRST_SPEC,
          "soliton[0] lambda = 'log(x + 0.8)' leaves its domain at "
          "[-0.8116453042247009, 0.9512447032735118, 0.5222794039807059, "
          "0.5721286105539076]: log of nonpositive value in 'log(x + 0.8)'"),
@@ -309,10 +338,7 @@ class TestExitStatuses:
     def test_soliton_key_its_kind_does_not_read_exits_two(
         self, tmp_path, capsys
     ):
-        spec = write(tmp_path, PASSING_SPEC.replace(
-            "lambda = 0.6",
-            'lambda = 0.6\nmu = 0.3\neta = ["1", "0", "0", "0"]', 1),
-            "unread.spec")
+        spec = write(tmp_path, SOLITON_KEY_NOT_READ_SPEC, "unread.spec")
         assert main(["verify", spec]) == 2
         assert capsys.readouterr().err == (
             "error: [soliton] (line 15): soliton kind 'ricci' does not read "
@@ -321,8 +347,7 @@ class TestExitStatuses:
     def test_soliton_missing_a_key_its_kind_reads_exits_two(
         self, tmp_path, capsys
     ):
-        spec = write(tmp_path, PASSING_SPEC.replace("lambda = 0.6\n", "", 1),
-                     "missing.spec")
+        spec = write(tmp_path, SOLITON_KEY_MISSING_SPEC, "missing.spec")
         assert main(["verify", spec]) == 2
         assert capsys.readouterr().err == (
             "error: [soliton] (line 15): soliton kind 'ricci' requires field "
@@ -381,12 +406,8 @@ class TestExitStatuses:
             assert needle in err
 
     def test_ill_conditioned_anchored_set_exits_two(self, tmp_path, capsys):
-        # well conditioned on the box, singular where the anchor puts x = 0
-        spec = write(tmp_path, PASSING_SPEC.replace(
-            'metric = [["1", "0"], ["0", "1"]]',
-            'metric = [["x^2", "0"], ["0", "1"]]', 1), "cond.spec")
-        args = ["--box=0.5,1", "--anchor=0,0.7,0.7,0.7", "--checks", "scalar"]
-        assert main(["verify", spec] + args) == 2
+        spec = write(tmp_path, ILL_CONDITIONED_ANCHORED_SET_SPEC, "cond.spec")
+        assert main(["verify", spec]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: anchored restriction set of factor 2")
         assert "at [0.0, 0.7, " in err
@@ -629,6 +650,35 @@ class TestConfigResolution:
             "error: argument --tol: invalid float value: 'abc'\n")
         assert [json.loads(out)["run_config"]["points"]
                 for _, out, _ in first[3:]] == [3, 6]
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--box", "-1,1", None),
+        ("--box", "-1,0.5;-0.5,1;-1,1;-1,1", None),
+        ("--anchor", "-0.5,0,0,0", None),
+        ("--tol", "-1e-8",
+         "error: --tol must be a positive finite number, got -1e-08\n"),
+    ])
+    def test_a_value_starting_with_a_dash_may_be_a_separate_word(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        # argparse reads a word that starts with '-' and is no plain
+        # number as a flag; a setting's flag takes it as its value
+        spec = write(tmp_path, PASSING_SPEC, "pass.spec")
+
+        def outcome(args):
+            try:
+                code = main(["verify", spec, "--format", "structured"] + args)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        separate = outcome([flag, value])
+        assert separate == outcome([f"{flag}={value}"])
+        if message is None:
+            assert separate[0] == 0
+        else:
+            assert separate == (2, "", message)
 
     def test_checks_subset_filters_output(self, tmp_path):
         spec = write(tmp_path, PASSING_SPEC, "pass.spec")

@@ -480,6 +480,39 @@ class TestRestrictionRecords:
                 d.anchored_product(2)
 
 
+class TestSideHessian:
+    """A side record's factor Hessian of a product-chart scalar is, bitwise,
+    the factor block of the scalar's jet less the Christoffel term, not
+    symmetrized: the jet's Hessian is symmetric, and so is the Christoffel
+    term, exactly, so symmetrizing their difference changes no bit."""
+
+    @pytest.mark.parametrize("make, box", [
+        *((make, CURVED_BOX) for make in CURVED_PRODUCTS),
+        (e2xe1_product, (-1.0, 1.0)),
+        (direct_flat_product, (-1.0, 1.0)),
+    ], ids=[make.__name__ for make in CURVED_PRODUCTS]
+        + ["e2xe1", "direct_flat"])
+    @pytest.mark.parametrize("which", (1, 2))
+    def test_equals_the_block_formula(self, make, box, which):
+        dwp = make()
+        pts = seeded_points(dwp.product, 13, box=box)
+        anchor = box[0] + (box[1] - box[0]) * np.linspace(0.3, 0.7, dwp.m)
+        d = dwp.point_data(pts, anchor)
+        psi = random_polynomial(dwp.coords, np.random.default_rng(which),
+                                degree=3)
+        for record in (d, d.restriction(which)):
+            for e in (psi, dwp.lifted(dwp.k), dwp.lifted(dwp.l)):
+                jet = record.product.jet(e)
+                for s in record.sides:
+                    own = s.own
+                    formula = jet.hessian[:, own, own] - np.einsum(
+                        "nkij,nk->nij", s.gamma, jet.gradient[:, own])
+                    hessian = s.hessian(jet)
+                    assert np.array_equal(hessian, formula)
+                    assert np.array_equal(np.signbit(hessian),
+                                          np.signbit(formula))
+
+
 def counting_metric_passes(monkeypatch):
     """The list of the passes over a chart's metric taken from now on,
     (kind, chart, points) with kind "jets" or "values", and the list of the
@@ -668,11 +701,12 @@ class TestOneRecordPerPointSet:
             wedges.append((np.array(a), np.array(b)))
             return kulkarni_nomizu(a, b)
 
-        def counting_covariant_hessian(gamma, jet):
+        def counting_covariant_hessian(gamma, gradient, hessian):
             # a record's Christoffel symbols and an expression's jet on it
-            # are each built once, so they name the (record, expression)
-            hessians.append((gamma, jet))
-            return covariant_hessian(gamma, jet)
+            # are each built once, so they name the (record, expression);
+            # a side record's factor block of a jet is a new view per call
+            hessians.append((gamma, gradient))
+            return covariant_hessian(gamma, gradient, hessian)
 
         def counting_validate_warpings(dwp, points):
             validated.append(np.array(points, dtype=float))

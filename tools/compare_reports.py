@@ -10,9 +10,8 @@ the same cases run through `dwpcheck verify --format structured`:
 - the benchmark corpus: every workload of bench/workloads.py at seeds
   1, 2, 3 and 57, with each spec's own flags;
 - the CLI fixtures of tests/test_cli.py: each module-level `*_SPEC` text
-  with default flags, each parametrized case that edits PASSING_SPEC
-  (`old` -> `new`) and/or adds flags (`args`), and the inline error-path
-  edits listed in INLINE_EDITS below.
+  with default flags, and each parametrized case that edits PASSING_SPEC
+  (`old` -> `new`) and/or adds flags (`args`).
 
 It prints how many reports (stdout), stderr texts and exit codes are
 byte-identical, and the first differing line of each case that differs.
@@ -38,43 +37,6 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 2, 3, 57)
-
-# error-path edits of PASSING_SPEC that tests/test_cli.py makes inline, as
-# (name, old, new, flags)
-INLINE_EDITS = (
-    ("nonpositive-warping",
-     'metric = [["1", "0"], ["0", "1"]]\n\n[factor.2]',
-     'metric = [["1", "0"], ["0", "1"]]\nwarping = "x"\n\n[factor.2]', []),
-    ("nonsymmetric-metric", 'metric = [["1", "0"], ["0", "1"]]',
-     'metric = [["1", "0.5"], ["0", "1"]]', []),
-    ("ill-conditioned-anchored-set", 'metric = [["1", "0"], ["0", "1"]]',
-     'metric = [["x^2", "0"], ["0", "1"]]',
-     ["--box=0.5,1", "--anchor=0,0.7,0.7,0.7", "--checks", "scalar"]),
-    # the warpings are validated at the samples, then at the anchor, then
-    # the fields: a warping nonpositive at the anchor only, and a warping
-    # fault together with a field fault
-    ("nonpositive-warping-at-anchor",
-     'metric = [["1", "0"], ["0", "1"]]\n\n[factor.2]',
-     'metric = [["1", "0"], ["0", "1"]]\nwarping = "1 + x"\n\n[factor.2]',
-     ["--box=0,1", "--anchor=-2,0,0,0"]),
-    ("warping-and-field-faults",
-     '\n[factor.2]\ndim = 2\ncoords = ["s", "t"]\n'
-     'metric = [["1", "0"], ["0", "1"]]\n\n[potential]\n'
-     'psi = "0.3*(x^2 + y^2 + s^2 + t^2)"',
-     'warping = "x"\n\n[factor.2]\ndim = 2\ncoords = ["s", "t"]\n'
-     'metric = [["1", "0"], ["0", "1"]]\n\n[potential]\npsi = "log(s)"',
-     []),
-    # two fields leaving their domains: the one failing at the earlier
-    # sample is named, not the one listed first
-    ("field-failing-first",
-     'psi = "0.3*(x^2 + y^2 + s^2 + t^2)"\n\n[soliton]\n'
-     'type = "gradient_ricci"\nlambda = 0.6',
-     'psi = "sqrt(t + 0.5)"\n\n[soliton]\n'
-     'type = "gradient_ricci"\nlambda = "log(x + 0.8)"', []),
-    ("soliton-key-not-read", "lambda = 0.6",
-     'lambda = 0.6\nmu = 0.3\neta = ["1", "0", "0", "0"]', []),
-    ("soliton-key-missing", "lambda = 0.6\n", "", []),
-)
 
 # runs in a fresh interpreter with one tree's src/ on PYTHONPATH: reads a
 # JSON list of argv lists, prints the package path and [code, out, err] per
@@ -148,9 +110,6 @@ def fixture_cases(directory):
                     if "old" in case:
                         text = edited(text, name, case["old"], case["new"])
                     runs.append((name, text, case["args"]))
-    for name, old, new, flags in INLINE_EDITS:
-        runs.append((name, edited(test_cli.PASSING_SPEC, name, old, new),
-                     flags))
     os.makedirs(directory)
     cases = []
     for i, (name, text, flags) in enumerate(runs):
