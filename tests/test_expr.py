@@ -247,6 +247,16 @@ def _complex_value(node, env):
     return a * b if node.op == "*" else a / b
 
 
+def _leaves_float_range(node, env):
+    """Whether evaluating `node` in complex arithmetic overflows or leaves
+    a function's domain somewhere on the way, or ends in a non-finite
+    value."""
+    try:
+        return not math.isfinite(_complex_value(node, env).real)
+    except (OverflowError, ValueError):
+        return True
+
+
 def _complex_step_gradient(expr, point, h=1e-30):
     out = []
     for i in range(len(point)):
@@ -288,8 +298,15 @@ class TestJetEngineIndependently:
     def test_jets_match_complex_step_and_richardson(self, text, point):
         expr = parse_expression(text, ("x", "y"))
         point = np.array(point)
-        jet = expr.jet(point[None])
         env = {c: complex(v) for c, v in zip(expr.coords, point)}
+        try:
+            jet = expr.jet(point[None])
+        except DomainError:
+            # nested exp, sinh, cosh and cubes can leave float range (say
+            # exp(0.5*exp(0.5*pi^3))); the engine may refuse such a draw
+            # only where the complex evaluation leaves it as well
+            assert _leaves_float_range(expr.node, env)
+            return
         value = _complex_value(expr.node, env).real
         assert jet.value[0] == pytest.approx(value, rel=1e-12, abs=1e-12)
         grad = _complex_step_gradient(expr, point)
