@@ -29,8 +29,8 @@ def _parse_checks(text):
 
 @functools.cache
 def _make_parser():
-    """The argument parser, built once per process: parsing leaves it
-    unchanged."""
+    """The argument parser and the long options of its `verify` command,
+    built once per process: parsing leaves them unchanged."""
     parser = argparse.ArgumentParser(
         prog="dwpcheck",
         description=(
@@ -56,7 +56,8 @@ def _make_parser():
     verify.add_argument(
         "--format", choices=("text", "structured"), default="text"
     )
-    return parser
+    return parser, tuple(option for option in verify._option_string_actions
+                         if option.startswith("--"))
 
 
 def build_run_config(args, sampling, m):
@@ -150,14 +151,28 @@ def run(config, loaded, report_path):
     return 1 if any(s.status == FAIL for s in summaries) else 0
 
 
-def _join_setting_values(argv):
-    """argv with each setting's flag joined to the word after it
-    (`--box -1,1` is read as `--box=-1,1`): argparse takes a word that
-    starts with '-' and is no plain number for a flag, not a value."""
+def _long_option(word, options):
+    """The long option among `options` that argparse reads `word` as: the
+    word itself, or the one option that it abbreviates (is a prefix of);
+    None for any other word, an ambiguous prefix among them."""
+    if word in options:
+        return word
+    if not word.startswith("--") or "=" in word:
+        return None
+    found = [option for option in options if option.startswith(word)]
+    return found[0] if len(found) == 1 else None
+
+
+def _join_setting_values(argv, options):
+    """argv with each setting's flag, or an abbreviation of it that
+    argparse accepts among the long `options`, joined to the word after it
+    (`--box -1,1` is read as `--box=-1,1`, `--bo -1,1` as `--bo=-1,1`):
+    argparse takes a word that starts with '-' and is no plain number for
+    a flag, not a value."""
     flags = {setting.flag for setting in SETTINGS.values()}
     out = []
     for word in argv:
-        if out and out[-1] in flags:
+        if out and _long_option(out[-1], options) in flags:
             out[-1] += "=" + word
         else:
             out.append(word)
@@ -165,9 +180,9 @@ def _join_setting_values(argv):
 
 
 def main(argv=None):
-    parser = _make_parser()
-    args = parser.parse_args(
-        _join_setting_values(sys.argv[1:] if argv is None else argv))
+    parser, options = _make_parser()
+    args = parser.parse_args(_join_setting_values(
+        sys.argv[1:] if argv is None else argv, options))
     try:
         loaded = load_spec(args.spec)
         config = build_run_config(args, loaded[2], loaded[0].m)

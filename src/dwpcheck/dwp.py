@@ -233,7 +233,7 @@ class DoublyWarpedProduct:
         out = np.empty((len(d.p), self.m, self.m))
         for s in d.sides:
             o = s.mirror
-            out[:, s.own, s.own] = s.hessian(jet) + times(
+            out[:, s.own, s.own] = s.hessian(psi) + times(
                 s.opposite_pairing(jet.gradient), s.gp)
             out[:, s.own, o.own] = (
                 jet.hessian[:, s.own, o.own]
@@ -333,7 +333,7 @@ class DoublyWarpedProduct:
     def factor_hessian(self, which, psi, d):
         """h_i^psi of the leafwise restriction of psi, at the factor points
         carried by the product points."""
-        return d.side(which).hessian(d.product.jet(self.lifted(psi)))
+        return d.side(which).hessian(self.lifted(psi))
 
 
 class _ProductChart(ChartManifold):
@@ -388,11 +388,13 @@ class _Side:
     points: the fields of its factor part `part`, read as its own, and
     those that read the opposite warping's values `f_opp` (never the
     product chart's record); every array has a leading N axis.  `mirror`
-    is the other factor's side record."""
+    is the other factor's side record, and `record` the record of product
+    points that owns both (`_PointData`)."""
 
-    def __init__(self, dwp, part, f_opp):
+    def __init__(self, record, part, f_opp):
+        dwp = record.dwp
         vars(self).update(vars(part))
-        self.part = part
+        self.part, self.record = part, record
         # the product metric's block f_opp^2 g, and the log-warping's
         # product gradient f_opp^-2 g^-1 dlog (on its own slots), squared
         # length and product Laplacian (Laplacian splitting)
@@ -407,12 +409,15 @@ class _Side:
         of psi."""
         return np.einsum("ni,ni->n", self.mirror.grad, differential)
 
-    def hessian(self, jet):
+    def hessian(self, psi):
         """Factor Hessian of the leafwise restriction of a product-chart
-        scalar, from its jet at the product points."""
-        own = self.own
-        return covariant_hessian(self.gamma, jet.gradient[:, own],
-                                 jet.hessian[:, own, own])
+        scalar psi, from its jet at the product points; built once per
+        side and potential, through the owning record's memo (`once`)."""
+        def build():
+            jet, own = self.record.product.jet(psi), self.own
+            return covariant_hessian(self.gamma, jet.gradient[:, own],
+                                     jet.hessian[:, own, own])
+        return self.record.once(("factor_hessian", self.which, psi), build)
 
 
 class _PointData:
@@ -423,9 +428,11 @@ class _PointData:
     is built on first read is kept in one memo (`once`, as a chart
     record's): the closed tensors, keyed on the closed form's name (and
     potential, `_once_per_record`), the anchored sets' product records
-    (`"anchored"`, `("anchored", which)`) and the restriction records
-    (`("restriction", which)`).  A given factor part (`parts`) is used as
-    is; the others are built from the factor charts at the points."""
+    (`"anchored"`, `("anchored", which)`), the restriction records
+    (`("restriction", which)`) and the side records' factor Hessians
+    (`("factor_hessian", which, psi)`, `_Side.hessian`).  A given factor
+    part (`parts`) is used as is; the others are built from the factor
+    charts at the points."""
 
     once = ChartBatch.once
 
@@ -437,7 +444,7 @@ class _PointData:
                   for part, which, chart, pf in zip(
                       parts, (1, 2), (dwp.factor1, dwp.factor2),
                       dwp.split(self.p)))
-        self.sides = (_Side(dwp, p1, p2.f), _Side(dwp, p2, p1.f))
+        self.sides = (_Side(self, p1, p2.f), _Side(self, p2, p1.f))
         self.sides[0].mirror, self.sides[1].mirror = self.sides[::-1]
         self.gp = np.zeros((len(self.p), dwp.m, dwp.m))
         for s in self.sides:

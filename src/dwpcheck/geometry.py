@@ -285,30 +285,43 @@ class ChartBatch:
 
     @cached_property
     def curvature(self):
-        """(R[n,i,j,k,w] = R(d_i, d_j, d_k, d_w), Ric[n,j,k], tau[n])."""
+        """(R[n,i,j,k,w] = R(d_i, d_j, d_k, d_w), Ric[n,j,k], tau[n]).
+
+        Every sum over an index is a batched matrix product (`@`) of
+        reshaped views, and the product of the Christoffel symbols is
+        taken once: its i <-> j swap is a transpose of it."""
         if self.chart.constant_metric:
             return self._zeros(4), self._zeros(2), self._zeros(0)
         g, dg, ddg = self.g, self.dg, self.ddg
         ginv, gamma = self.ginv, self.gamma
-        # d_l g^{km} = -g^{ka} (d_l g_ab) g^{bm}
-        dginv = -np.einsum("nka,nlab,nbm->nlkm", ginv, dg, ginv)
+        n, m = len(self.p), self.chart.dim
+        rank4 = (n, m, m, m, m)
+        # d_l g^{km} = -g^{ka} (d_l g_ab) g^{bm}, indexed [n,l,k,m]
+        dginv = -(ginv[:, None] @ dg @ ginv[:, None])
         # d_l of (d_i g_jm + d_j g_im - d_m g_ij), indexed [l,i,j,m]
         dsym = (ddg + np.einsum("nljim->nlijm", ddg)
                 - np.einsum("nlmij->nlijm", ddg))
-        # dGamma[n,l,k,i,j] = d_l Gamma^k_ij
-        dgamma = (0.5 * np.einsum("nlkm,nijm->nlkij", dginv, _sym(dg))
-                  + 0.5 * np.einsum("nkm,nlijm->nlkij", ginv, dsym))
-        # (R(d_i,d_j)d_k)^m = d_i G^m_jk - d_j G^m_ik + G^m_ia G^a_jk - G^m_ja G^a_ik
-        rup = (
-            np.einsum("nimjk->nmijk", dgamma)
-            - np.einsum("njmik->nmijk", dgamma)
-            + np.einsum("nmia,najk->nmijk", gamma, gamma)
-            - np.einsum("nmja,naik->nmijk", gamma, gamma)
-        )
-        r4 = np.einsum("nmw,nmijk->nijkw", g, rup)
-        ric = np.einsum("niijk->njk", rup)
+        # dGamma[n,l,k,i,j] = d_l Gamma^k_ij: rows (l,k) of dginv times
+        # columns (i,j) of sym, and rows (l,i,j) of dsym times g^-1
+        sym_t = _sym(dg).reshape(n, m * m, m).transpose(0, 2, 1)
+        dgamma = (
+            0.5 * (dginv.reshape(n, m * m, m) @ sym_t).reshape(rank4)
+            + 0.5 * (dsym.reshape(n, m**3, m) @ ginv.transpose(0, 2, 1))
+            .reshape(rank4).transpose(0, 1, 4, 2, 3))
+        # (R(d_i,d_j)d_k)^m = d_i G^m_jk - d_j G^m_ik + G^m_ia G^a_jk
+        #                    - G^m_ja G^a_ik, with gg[n,m,i,j,k] =
+        # G^m_ia G^a_jk (rows (m,i) times columns (j,k)) taken once
+        gg = (gamma.reshape(n, m * m, m) @ gamma.reshape(n, m, m * m)
+              ).reshape(rank4)
+        rup = (dgamma.transpose(0, 2, 1, 3, 4)
+               - dgamma.transpose(0, 2, 3, 1, 4)
+               + gg - gg.transpose(0, 1, 3, 2, 4))
+        # R_ijkw = g_mw rup^m_ijk: rows (i,j,k) of rup times g
+        r4 = (rup.reshape(n, m, m**3).transpose(0, 2, 1) @ g).reshape(rank4)
+        ric = np.trace(rup, axis1=1, axis2=2)
         ric = 0.5 * (ric + ric.transpose(0, 2, 1))
-        tau = np.einsum("njk,njk->n", ginv, ric)
+        tau = (ginv.reshape(n, 1, m * m) @ ric.reshape(n, m * m, 1)
+               ).reshape(n)
         return r4, ric, tau
 
     @cached_property
@@ -317,7 +330,7 @@ class ChartBatch:
         (0,4) one raised by g^-1."""
         if self.chart.constant_metric:
             return self._zeros(4)
-        return np.einsum("nxyzw,nwc->nxyzc", self.curvature[0], self.ginv)
+        return self.curvature[0] @ self.ginv[:, None, None]
 
     @cached_property
     def big_g(self):

@@ -282,13 +282,13 @@ _NOT_A_SOLITON = ("skipped: product-level soliton hypothesis fails "
 # Each factor equation below gives (lhs terms, rhs terms, notes) of the
 # equation that a product-level soliton induces on factor s, on the record
 # r of its anchored restriction set; an equation of a kind with a
-# potential psi also takes psi's jet there.
+# potential also takes that potential psi, lifted to the product chart.
 
 
-def yamabe_factor_equation(spec, r, s, jet):
+def yamabe_factor_equation(spec, r, s, psi):
     """Gradient almost Yamabe soliton on factor s:
     h_i^psi = (tau_i - lambda_i) g_i."""
-    dwp, o = r.dwp, s.mirror
+    dwp, o, jet = r.dwp, s.mirror, r.product.jet(psi)
     s1, s2 = r.sides
     # the Laplacian sums are symmetric in the factors: one fixed order
     lam_i = (
@@ -299,33 +299,33 @@ def yamabe_factor_equation(spec, r, s, jet):
         + (dwp.m2 * s1.f * s1.lap_f + dwp.m1 * s2.f * s2.lap_f)
         / s.f**2
     )
-    return ([s.hessian(jet)], [times(s.tau - lam_i, s.g)],
+    return ([s.hessian(psi)], [times(s.tau - lam_i, s.g)],
             f"gradient almost Yamabe soliton on factor {s.which}; "
             f"lambda spread over samples = {lam_i.max() - lam_i.min():.3e}")
 
 
-def _eta_ricci_terms(s, hessian_coefficient, lam_i, jet):
+def _eta_ricci_terms(s, hessian_coefficient, lam_i, psi):
     """(lhs, rhs) of the factor's gradient almost eta-Ricci equation with
     potential phi_i, h^phi_i = c h_i^psi - m_opp h_i^log f_own:
     Ric_i + h^phi_i = lambda_i g_i + m_opp d(log f_own) (x) d(log f_own)."""
     m_opp = s.mirror.m
-    h_phi = hessian_coefficient * s.hessian(jet) - m_opp * s.h_log
+    h_phi = hessian_coefficient * s.hessian(psi) - m_opp * s.h_log
     return ([s.ric, h_phi],
             [times(lam_i, s.g), m_opp * outer(s.dlog, s.dlog)])
 
 
-def ricci_factor_equation(spec, r, s, jet):
+def ricci_factor_equation(spec, r, s, psi):
     """Gradient almost eta-Ricci soliton on factor s with potential phi_i
     and eta the differential of the log-warping."""
     o = s.mirror
     lam_i = o.f**2 * (_coeff(spec.lam, r.p) + o.lap
-                      - s.opposite_pairing(jet.gradient))
-    return (*_eta_ricci_terms(s, 1, lam_i, jet),
+                      - s.opposite_pairing(r.product.jet(psi).gradient))
+    return (*_eta_ricci_terms(s, 1, lam_i, psi),
             f"gradient almost eta-Ricci soliton on factor {s.which} with "
             f"mu = {o.m} and eta the log-warping differential")
 
 
-def riemann_factor_equation(spec, r, s, jet):
+def riemann_factor_equation(spec, r, s, psi):
     """Gradient almost eta-Ricci soliton on factor s with potential
     (m-2) psi_i - m_j log f_i."""
     m, o = r.dwp.m, s.mirror
@@ -336,9 +336,9 @@ def riemann_factor_equation(spec, r, s, jet):
         for t in r.sides)
     lam_i = o.f**2 * (
         (m - 1) * _coeff(spec.lam, r.p) + o.lap - lap_psi
-        - (m - 2) * s.opposite_pairing(jet.gradient)
+        - (m - 2) * s.opposite_pairing(r.product.jet(psi).gradient)
     )
-    return (*_eta_ricci_terms(s, m - 2, lam_i, jet),
+    return (*_eta_ricci_terms(s, m - 2, lam_i, psi),
             f"gradient almost eta-Ricci soliton on factor {s.which}; the "
             "log-warping term of the potential is constant along this "
             "factor, so either log-warping choice yields the same factor "
@@ -370,14 +370,13 @@ def quasi_einstein_factor_equation(spec, r, s):
 
 def _factor_checks(equation, spec, d, gate, extra=None):
     """The gate and the checks conditional on it: per factor s, the
-    residual of `equation(spec, r, s, jet)`, with jet that of psi on r
-    (`equation(spec, r, s)` for a kind without a potential); `extra` as for
-    `reporting.conditional`."""
-    psi = None if spec.psi is None else d.dwp.lifted(spec.psi)
+    residual of `equation(spec, r, s, psi)`, with psi lifted to the product
+    chart (`equation(spec, r, s)` for a kind without a potential); `extra`
+    as for `reporting.conditional`."""
+    psi = () if spec.psi is None else (d.dwp.lifted(spec.psi),)
 
     def factor(r, s):
-        jet = () if psi is None else (r.product.jet(psi),)
-        lhs, rhs, notes = equation(spec, r, s, *jet)
+        lhs, rhs, notes = equation(spec, r, s, *psi)
         return equation_residual(lhs, rhs), notes
 
     return conditional(d, gate, _NOT_A_SOLITON, factor, "factor", extra)

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from conftest import warped_line_spec
-from dwpcheck.cli import main
+from dwpcheck.cli import _join_setting_values, main
 from dwpcheck.reporting import render_json
 
 PASSING_SPEC = """
@@ -657,6 +657,8 @@ class TestConfigResolution:
         ("--anchor", "-0.5,0,0,0", None),
         ("--tol", "-1e-8",
          "error: --tol must be a positive finite number, got -1e-08\n"),
+        ("--anc", "-0.5,0,0,0", None),
+        ("--bo", "-1,1", None),
     ])
     def test_a_value_starting_with_a_dash_may_be_a_separate_word(
         self, tmp_path, capsys, flag, value, message
@@ -679,6 +681,21 @@ class TestConfigResolution:
             assert separate[0] == 0
         else:
             assert separate == (2, "", message)
+
+    def test_an_abbreviated_flag_is_joined_only_where_argparse_reads_it(
+        self
+    ):
+        # a unique prefix of a setting's flag takes the next word; an
+        # ambiguous prefix, or a unique prefix of another option, does not
+        options = ("--help", "--box", "--bound", "--report")
+        assert _join_setting_values(["--bo", "-1"], ("--box", "--help")) == [
+            "--bo=-1"]
+        assert _join_setting_values(["--bo", "-1"], options) == [
+            "--bo", "-1"]
+        assert _join_setting_values(["--rep", "-1"], options) == [
+            "--rep", "-1"]
+        assert _join_setting_values(["--box", "-1"], options) == [
+            "--box=-1"]
 
     def test_checks_subset_filters_output(self, tmp_path):
         spec = write(tmp_path, PASSING_SPEC, "pass.spec")

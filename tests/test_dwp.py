@@ -507,7 +507,7 @@ class TestSideHessian:
                     own = s.own
                     formula = jet.hessian[:, own, own] - np.einsum(
                         "nkij,nk->nij", s.gamma, jet.gradient[:, own])
-                    hessian = s.hessian(jet)
+                    hessian = s.hessian(e)
                     assert np.array_equal(hessian, formula)
                     assert np.array_equal(np.signbit(hessian),
                                           np.signbit(formula))
@@ -834,6 +834,37 @@ class TestOneRecordPerPointSet:
         # the Hessians (the tuple keys) of the log-warpings k and l, and psi
         assert sum(isinstance(key, tuple) for record, key in bodies
                    if record is samples) == 3
+
+    def test_verify_builds_each_factor_hessian_once_per_side(
+            self, tmp_path, monkeypatch):
+        """Through the CLI, on H^3 = R^2 x_{exp t} R plane-first with every
+        check: a side record's factor Hessian of one potential is read
+        more than once (the closed Hessian and the factor equations read
+        it) and built once per (side, potential)."""
+        reads, built = [], []
+        side_hessian = dwp_module._Side.hessian
+        covariant_hessian = dwp_module.covariant_hessian
+
+        def counting_hessian(side, psi):
+            reads.append((side, psi))
+            return side_hessian(side, psi)
+
+        def counting_covariant_hessian(gamma, gradient, hessian):
+            # the side Hessian being read is the last one read
+            built.append(reads[-1])
+            return covariant_hessian(gamma, gradient, hessian)
+
+        monkeypatch.setattr(dwp_module._Side, "hessian", counting_hessian)
+        monkeypatch.setattr(dwp_module, "covariant_hessian",
+                            counting_covariant_hessian)
+        spec = tmp_path / "h3.spec"
+        spec.write_text(warped_line_spec("hyperbolic-flat",
+                                         line_first=False))
+        assert main(["verify", str(spec), "--report",
+                     str(tmp_path / "h3.txt")]) == 0
+        assert len(reads) > len(set(reads))
+        assert len(built) == len(set(built))
+        assert set(built) == set(reads)
 
 
 def closed_key(key):

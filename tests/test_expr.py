@@ -138,7 +138,7 @@ class TestJets:
         assert jet.gradient[0] == pytest.approx(fd.gradient[0], abs=1e-7)
         assert np.allclose(jet.hessian[0], fd.hessian[0], atol=1e-5)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25, deadline=None, derandomize=True)
     @given(
         st.lists(
             st.floats(min_value=-0.5, max_value=0.5), min_size=6, max_size=6
@@ -289,7 +289,7 @@ def _richardson_hessian(expr, point, h=1e-3):
 
 
 class TestJetEngineIndependently:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
         _expressions(),
         st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=2,
@@ -471,7 +471,7 @@ _POINT_BATCHES = st.integers(1, 6).flatmap(lambda n: st.lists(
 
 
 class TestZeroAwareEngine:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(_expressions(), _expressions(), _POINT_BATCHES)
     def test_matches_the_dense_engine(self, a, b, points):
         points = np.array(points)

@@ -414,8 +414,8 @@ class TestTransferIdentities:
         for which in (1, 2):
             r = d.restriction(which)
             s = r.side(which)
-            jet = () if spec.psi is None else (r.product.jet(psi),)
-            lhs, rhs, _ = equation(spec, r, s, *jet)
+            lifted = () if spec.psi is None else (psi,)
+            lhs, rhs, _ = equation(spec, r, s, *lifted)
             mine = difference(lhs, rhs)
             block = difference(*product_terms(
                 spec, dwp.product.at(r.p)))[:, s.own, s.own]
