@@ -37,7 +37,7 @@ def _compare(family, residuals, d, tolerance):
     """One summary `<family>.<name>` per (name, per-point residuals) item
     of `residuals`, in one summary pass (`summarize_columns`)."""
     return summarize_columns([f"{family}.{name}" for name in residuals],
-                             np.column_stack(list(residuals.values())), d.p,
+                             np.column_stack(list(residuals.values())), d,
                              tolerance)
 
 
@@ -156,12 +156,12 @@ def check_solitons(specs, d, tolerance):
         except solitons.SolitonError as exc:
             gate = skipped(prefix, f"skipped: {exc}", tolerance)
         else:
-            gate = solitons.residual(spec, terms, d.p, tolerance, prefix)
+            gate = solitons.residual(spec, terms, d, tolerance, prefix)
         out.append(gate)
         # a Riemann spec's equation_terms never raises: terms is bound
         if spec.kind == "riemann" and d.dwp.m >= 3:
             contracted = solitons.contracted_terms(spec, d.product)
-            gate = solitons.residual(spec, contracted, d.p, tolerance,
+            gate = solitons.residual(spec, contracted, d, tolerance,
                                      f"{prefix}.contracted")
             out += [gate, solitons.contraction_consistency(
                 terms, contracted, d.product, tolerance,

@@ -454,6 +454,11 @@ class _PointData:
                 [dwp.anchored(self.p, anchor, which) for which in (1, 2)])
         self._memo = {}
 
+    @property
+    def rank(self):
+        """The product record's `rank` of the points."""
+        return self.product.rank
+
     def side(self, which):
         """The side record of factor `which` (1 or 2)."""
         return self.sides[which - 1]

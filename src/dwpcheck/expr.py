@@ -14,13 +14,21 @@ at the same points may share a memo (`shared_memo`), keyed on node
 identity, so that a subtree they share (a squared warping in each entry of
 a product metric's block) is jetted once; it keeps the jets of such
 subtrees only.
+
+Within a node no work is done twice either: a function takes one
+transcendental of its argument and reads f' and f'' off it where they are
+the same function (`_FUNCS`), a power runs one overflow test over its
+three powers, a product's Hessian reads one outer product of the
+gradients and its transpose, and a ^ node keeps its exponent on the node
+(`_exponent`).  Nothing is kept at module level: what is kept lives on the
+nodes, which live as long as the expressions that hold them.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -98,6 +106,9 @@ class BinOp:
     op: str  # + - * / ^
     left: object
     right: object
+    # a ^ node's exponent, the value of `right`, kept at its first
+    # evaluation (`_exponent`)
+    exponent: float | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -108,28 +119,26 @@ class Call:
 
 CONSTANTS = {"pi": math.pi, "e": math.e}
 
-# name -> (f, f', f'') on arrays; the domain guards are in _eval_jet
+# name -> (f, f', f''): f(v), and f'(v, fv) and f''(v, fv) of v and fv =
+# f(v), which reuse fv where they are the same function of v; the domain
+# guards are in _eval_jet
 _FUNCS = {
-    "exp": (np.exp, np.exp, np.exp),
-    "log": (np.log, lambda v: 1.0 / v, lambda v: -1.0 / (v * v)),
-    "sqrt": (
-        np.sqrt,
-        lambda v: 0.5 / np.sqrt(v),
-        lambda v: -0.25 / (v * np.sqrt(v)),
-    ),
-    "sin": (np.sin, np.cos, lambda v: -np.sin(v)),
-    "cos": (np.cos, lambda v: -np.sin(v), lambda v: -np.cos(v)),
+    "exp": (np.exp, lambda v, f: f, lambda v, f: f),
+    "log": (np.log, lambda v, f: 1.0 / v, lambda v, f: -1.0 / (v * v)),
+    "sqrt": (np.sqrt, lambda v, f: 0.5 / f, lambda v, f: -0.25 / (v * f)),
+    "sin": (np.sin, lambda v, f: np.cos(v), lambda v, f: -f),
+    "cos": (np.cos, lambda v, f: -np.sin(v), lambda v, f: -f),
     "tan": (
         np.tan,
-        lambda v: 1.0 + np.tan(v) ** 2,
-        lambda v: 2.0 * np.tan(v) * (1.0 + np.tan(v) ** 2),
+        lambda v, f: 1.0 + f**2,
+        lambda v, f: 2.0 * f * (1.0 + f**2),
     ),
-    "sinh": (np.sinh, np.cosh, np.sinh),
-    "cosh": (np.cosh, np.sinh, np.cosh),
+    "sinh": (np.sinh, lambda v, f: np.cosh(v), lambda v, f: f),
+    "cosh": (np.cosh, lambda v, f: np.sinh(v), lambda v, f: f),
     "tanh": (
         np.tanh,
-        lambda v: 1.0 - np.tanh(v) ** 2,
-        lambda v: -2.0 * np.tanh(v) * (1.0 - np.tanh(v) ** 2),
+        lambda v, f: 1.0 - f**2,
+        lambda v, f: -2.0 * f * (1.0 - f**2),
     ),
 }
 
@@ -407,8 +416,7 @@ def _node_jet(node, x, index, dim, memo):
     if isinstance(node, BinOp):
         if node.op == "^":
             bv, bg, bh = _eval_jet(node.left, x, index, dim, memo)
-            c = float(_eval_jet(node.right, np.zeros((1, 0)), {}, 0)[0][0])
-            return _pow_jet(bv, bg, bh, c, node)
+            return _pow_jet(bv, bg, bh, _exponent(node), node)
         av, ag, ah = _eval_jet(node.left, x, index, dim, memo)
         bv, bg, bh = _eval_jet(node.right, x, index, dim, memo)
         if node.op == "+":
@@ -418,9 +426,11 @@ def _node_jet(node, x, index, dim, memo):
         if node.op == "/":
             _check(bv == 0.0, "division by zero", node)
             bv, bg, bh = _recip(bv, bg, bh, node)
+        # outer(bg, ag) is the transpose of outer(ag, bg), bitwise
+        agbg = _outer(ag, bg)
         return (av * bv, _sum(_times(av, bg), _times(bv, ag)),
-                _sum(_times(av, bh), _times(bv, ah), _outer(ag, bg),
-                     _outer(bg, ag)))
+                _sum(_times(av, bh), _times(bv, ah), agbg,
+                     None if agbg is None else agbg.transpose(0, 2, 1)))
     if isinstance(node, Call):
         v, g, h = _eval_jet(node.arg, x, index, dim, memo)
         if node.func in ("log", "sqrt"):
@@ -432,12 +442,24 @@ def _node_jet(node, x, index, dim, memo):
         overflows = node.func in ("exp", "sinh", "cosh")
         if g is None and not overflows:
             return fv, None, None
-        d1, d2 = f1(v), f2(v)
+        d1 = f1(v, fv)
         if overflows:
-            _check(np.isfinite(v) & (np.isinf(fv) | np.isinf(d1)
-                                     | np.isinf(d2)), "overflow", node)
-        return _chain(fv, d1, d2, g, h)
+            # f'' is f itself for these three
+            _check(np.isfinite(v) & (np.isinf(fv) | np.isinf(d1)),
+                   "overflow", node)
+            if g is None:
+                return fv, None, None
+        return _chain(fv, d1, f2(v, fv), g, h)
     raise TypeError(f"unknown node {node!r}")
+
+
+def _exponent(node):
+    """The exponent of a ^ node: its right operand, a constant, evaluated
+    at the node's first evaluation and kept on the node."""
+    if node.exponent is None:
+        c = float(_eval_jet(node.right, np.zeros((1, 0)), {}, 0)[0][0])
+        object.__setattr__(node, "exponent", c)
+    return node.exponent
 
 
 def _power(v, c, node):
@@ -468,11 +490,14 @@ def _pow_jet(v, g, h, c, node):
     # bases even when the derivative itself is representable; a zero base
     # only gets here with c a positive integer, where 0^(c-2) is needed
     # only for c >= 2
-    val = _power(v, c, node)
-    d1 = c * _power(v, c - 1, node)
-    d2 = c * (c - 1) * _power(np.where(v == 0.0, 1.0, v) if c < 2 else v,
-                              c - 2, node)
-    return _chain(val, d1, d2, g, h)
+    val = v**c
+    p1 = v ** (c - 1)
+    p2 = (np.where(v == 0.0, 1.0, v) if c < 2 else v) ** (c - 2)
+    # one overflow test of the three powers: the first point where one
+    # overflows
+    _check(np.isfinite(v) & (np.isinf(val) | np.isinf(p1) | np.isinf(p2)),
+           "overflow", node)
+    return _chain(val, c * p1, c * (c - 1) * p2, g, h)
 
 
 # ---------------------------------------------------------------------------
@@ -487,13 +512,13 @@ class Expression:
     may be evaluated concurrently from many threads.
     """
 
-    __slots__ = ("node", "coords", "_index", "_hash")
+    __slots__ = ("node", "coords", "_index", "_hash", "_variables")
 
     def __init__(self, node, coords):
         self.node = node
         self.coords = tuple(coords)
         self._index = {name: i for i, name in enumerate(self.coords)}
-        self._hash = None
+        self._hash = self._variables = None
 
     @property
     def dim(self):
@@ -562,7 +587,10 @@ class Expression:
     @property
     def variables(self):
         """The coordinate names the expression depends on."""
-        return frozenset(_variables(self.node))
+        # a walk of the whole tree: take it once
+        if self._variables is None:
+            self._variables = _variables(self.node)
+        return self._variables
 
     def lift(self, coords):
         """Rebind to a coordinate superset (pullback along a projection)."""
@@ -597,10 +625,14 @@ def _children(node):
 
 
 def _variables(node):
-    if isinstance(node, Var):
-        yield node.name
-    for child in _children(node):
-        yield from _variables(child)
+    """The frozenset of the coordinate names that the tree reads."""
+    names, stack = set(), [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            names.add(node.name)
+        stack.extend(_children(node))
+    return frozenset(names)
 
 
 def shared_memo(expressions):

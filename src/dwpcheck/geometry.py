@@ -65,6 +65,12 @@ class ChartManifold:
                     raise ValueError("metric entry bound to wrong coordinates")
         self.constant_metric = not any(e.variables for row in self.metric
                                        for e in row)
+        # the distinct entries of the upper triangle, and the subtrees that
+        # they share (`shared_memo`), which each pass of `_entries` jets once
+        n = self.dim
+        self._upper = [(i, j) for i in range(n) for j in range(i, n)]
+        self._shared = shared_memo(dict.fromkeys(
+            self.metric[i][j] for i, j in self._upper))
 
     @property
     def dim(self):
@@ -92,15 +98,14 @@ class ChartManifold:
         the metric's upper triangle: equal entries (the zeros off a block
         diagonal, say) are read once, and so is a subtree that distinct
         entries share (a block's squared warping), through a memo that
-        lives for this pass only.  Raises the error of the first point
-        where an entry leaves its domain, the first such entry of the
-        row-major upper triangle: the chart's fault there (`_fault_at`),
-        else one that names the entry."""
-        n = self.dim
-        upper = [(i, j) for i in range(n) for j in range(i, n)]
-        memo = shared_memo(dict.fromkeys(self.metric[i][j] for i, j in upper))
+        lives for this pass only, a copy of the chart's table of those
+        subtrees.  Raises the error of the first point where an entry
+        leaves its domain, the first such entry of the row-major upper
+        triangle: the chart's fault there (`_fault_at`), else one that
+        names the entry."""
+        memo = dict(self._shared)
         out = {}
-        for i, j in upper:
+        for i, j in self._upper:
             entry = self.metric[i][j]
             if entry in out:
                 continue
@@ -245,6 +250,16 @@ class ChartBatch:
         memo = shared_memo(todo)
         for e in todo:
             self._memo[e] = e.jet(self.p, memo)
+
+    @cached_property
+    def rank(self):
+        """rank[n]: the place of point n in the lexicographic order of the
+        points' coordinates (first coordinate first), equal points in row
+        order: the tie-break of the summaries (`reporting.summarize`)."""
+        order = np.lexsort(self.p.T[::-1])
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        return rank
 
     @cached_property
     def definite(self):

@@ -92,27 +92,55 @@ def equation_residual(lhs, rhs):
     return normalized_residual(difference(lhs, rhs), lhs + rhs)
 
 
-def summarize(check_id, residuals, points, tolerance, notes=""):
+def summarize(check_id, residuals, record, tolerance, notes=""):
     """Max-reduce per-point residuals into a ResidualSummary.
 
-    The reduction is deterministic regardless of evaluation order: the worst
-    point is the one with the largest residual, ties broken by lexicographic
-    order of the point coordinates.  A NaN residual ranks above every
-    number, so it fails the check wherever it occurs.
+    `record` is the record of the points (a chart record, or a product
+    record, `dwp._PointData`): its `p` holds them, one per row, and its
+    `rank` each one's place in their lexicographic order.  The reduction
+    is deterministic regardless of evaluation order: the worst point is the
+    one with the largest residual, ties broken by lexicographic order of
+    the point coordinates (the first row among equal points).  A NaN
+    residual ranks above every number, so it fails the check wherever it
+    occurs.
     """
     residuals = np.asarray(residuals, dtype=float)
     if not residuals.size:
         raise ValueError("summarize needs at least one residual")
-    points = np.asarray(points, dtype=float)
     top = residuals.max()  # NaN if any residual is
     worst = np.flatnonzero(np.isnan(residuals) if math.isnan(top)
                            else residuals == top)
-    pick = worst[0]
-    if len(worst) > 1:
-        # lexsort's last key is the primary one: the first coordinate
-        pick = worst[np.lexsort(points[worst].T[::-1])[0]]
-    return _worst(check_id, float(residuals[pick]), points[pick].tolist(),
+    pick = worst[0] if len(worst) == 1 else worst[record.rank[worst].argmin()]
+    return _worst(check_id, float(residuals[pick]), record.p[pick].tolist(),
                   len(residuals), tolerance, notes)
+
+
+def summarize_columns(check_ids, residuals, record, tolerance):
+    """summarize(check_ids[j], residuals[:, j], record, tolerance) for each
+    column j of the per-point residuals (N, k), in one pass: the rows that
+    hold a column's maximum (its NaNs, if it has one) are marked at once,
+    and where a column marks more than one, the marked row of the lowest
+    `rank` is taken."""
+    residuals = np.asarray(residuals, dtype=float)
+    if not residuals.size:
+        raise ValueError("summarize needs at least one residual")
+    top = residuals.max(axis=0)  # NaN where a column has one
+    worst = residuals == top
+    nan = np.isnan(top)
+    if nan.any():
+        worst[:, nan] = np.isnan(residuals[:, nan])
+    # every column marks a row at least: more marks than columns is a tie
+    if np.count_nonzero(worst) > len(top):
+        rows = np.where(worst, record.rank[:, None], len(residuals)).argmin(
+            axis=0)
+    else:
+        rows = worst.argmax(axis=0)
+    return [
+        _worst(check_id, residual, point, len(residuals), tolerance)
+        for check_id, residual, point in zip(
+            check_ids, residuals[rows, np.arange(len(rows))].tolist(),
+            record.p[rows].tolist())
+    ]
 
 
 def _worst(check_id, residual, point, points, tolerance, notes=""):
@@ -126,26 +154,6 @@ def _worst(check_id, residual, point, points, tolerance, notes=""):
         tolerance=tolerance,
         notes=notes,
     )
-
-
-def summarize_columns(check_ids, residuals, points, tolerance):
-    """summarize(check_ids[j], residuals[:, j], points, tolerance) for each
-    column j of the per-point residuals (N, k), in one pass: a column's
-    maximum held at exactly one point is read off at once, and a column
-    with a NaN or a tie goes through `summarize`."""
-    residuals = np.asarray(residuals, dtype=float)
-    if not residuals.size:
-        raise ValueError("summarize needs at least one residual")
-    points = np.asarray(points, dtype=float)
-    top = residuals.max(axis=0)  # NaN where a column has one
-    unique = (residuals == top).sum(axis=0) == 1  # False for NaN
-    worst = points[residuals.argmax(axis=0)].tolist()
-    return [
-        _worst(check_id, residual, point, len(residuals), tolerance)
-        if single else summarize(check_id, residuals[:, j], points, tolerance)
-        for j, (check_id, residual, single, point) in enumerate(
-            zip(check_ids, top.tolist(), unique.tolist(), worst))
-    ]
 
 
 def skipped(check_id, reason, tolerance, points=0):
@@ -169,7 +177,8 @@ def conditional(d, gate, reason, factor, stem, extra=None):
     `factor(r, s)` gives (per-point residuals, notes) of factor `which`,
     with r = d.restriction(which) the record of its restriction set and
     s = r.side(which); `extra`, a (name, check) pair, adds the check whose
-    `check()` gives (per-point residuals, points, notes).
+    `check()` gives (per-point residuals, the record of their points,
+    notes).
 
     A gate that does not pass skips the gate and every check of the family:
     a skipped gate (the hypothesis, or the family's own inputs, cannot be
@@ -190,11 +199,11 @@ def conditional(d, gate, reason, factor, stem, extra=None):
     for which, check_id in zip((1, 2), ids):
         r = d.restriction(which)
         values, notes = factor(r, r.side(which))
-        out.append(summarize(check_id, values, r.p, gate.tolerance,
+        out.append(summarize(check_id, values, r, gate.tolerance,
                              notes=notes))
     if extra is not None:
-        values, points, notes = extra[1]()
-        out.append(summarize(ids[2], values, points, gate.tolerance,
+        values, record, notes = extra[1]()
+        out.append(summarize(ids[2], values, record, gate.tolerance,
                              notes=notes))
     return out
 

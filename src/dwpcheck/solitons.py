@@ -204,13 +204,14 @@ def residual_values(spec, c):
     return equation_residual(*equation_terms(spec, c))
 
 
-def residual(spec, terms, points, tolerance, check_id):
+def residual(spec, terms, record, tolerance, check_id):
     """ResidualSummary `check_id` of an equation's (lhs, rhs) terms of the
-    spec at the points, noting the lambda trichotomy."""
+    spec at the points of `record` (as `summarize` reads it), noting the
+    lambda trichotomy."""
     notes = ""
     if spec.lam is not None:
         notes = classify_lambda(spec.lam, tolerance)
-    return summarize(check_id, equation_residual(*terms), points, tolerance,
+    return summarize(check_id, equation_residual(*terms), record, tolerance,
                      notes=notes)
 
 
@@ -223,7 +224,7 @@ def contraction_consistency(terms, contracted, c, tolerance, check_id):
     traced = np.einsum("niw,niyzw->nyz", c.ginv, difference(*terms))
     return summarize(check_id,
                      equation_residual([traced], [difference(*contracted)]),
-                     c.p, tolerance)
+                     c, tolerance)
 
 
 # -- input domains ------------------------------------------------------------
@@ -386,7 +387,7 @@ def _mixed(condition, psi, d, notes):
     """The mixed check: condition(psi, d) must vanish at each sample
     point."""
     return "mixed", lambda: (np.abs(condition(psi, d)).max(axis=(1, 2)),
-                             d.p, notes)
+                             d, notes)
 
 
 def yamabe_factor_structures(spec, d, gate):
@@ -451,4 +452,4 @@ def log_hessian_identity(c, f, tolerance):
     rhs = (c.hessian(f.apply("log"))
            + outer(jet.gradient, jet.gradient) / (jet.value**2)[:, None, None])
     return summarize("identity.log_hessian", equation_residual([lhs], [rhs]),
-                     c.p, tolerance)
+                     c, tolerance)

@@ -10,7 +10,6 @@ engine.  Sections: [factor.1], [factor.2] (required), [potential],
 
 from __future__ import annotations
 
-import argparse
 import ast
 import math
 import re
@@ -248,6 +247,9 @@ def _parse_box(text):
     """--box accepts 'lo,hi' (global) or 'lo,hi;lo,hi;...' (per coordinate)."""
     pairs = [chunk.split(",") for chunk in text.split(";")]
     if any(len(pair) != 2 for pair in pairs):
+        # only the flag reader raises this: loading a spec needs no argparse
+        import argparse
+
         raise argparse.ArgumentTypeError(
             "box intervals must be 'lo,hi' separated by ';'")
     return [[float(lo), float(hi)] for lo, hi in pairs]

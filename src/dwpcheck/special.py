@@ -161,9 +161,10 @@ def _max_norms(tensor):
 
 def _dichotomy(d, tolerance):
     """Branches forced by vanishing mixed components, per factor, as
-    (values, points, notes): each log-warping differential must vanish, or
-    the opposing factor's differential spans a degenerate 2-plane field
-    (automatic in dimension one)."""
+    (values, the record of their points, notes), both at the first sample
+    point: each log-warping differential must vanish, or the opposing
+    factor's differential spans a degenerate 2-plane field (automatic in
+    dimension one)."""
     largest = [float(np.abs(s.dlog).max()) for s in d.sides]
     values, notes = [], []
     for own, opp, m_own, name in ((0, 1, d.dwp.m1, "first"),
@@ -173,7 +174,7 @@ def _dichotomy(d, tolerance):
             else "antisymmetric warping-gradient branch"
         )
         values.append(min(largest[opp], 0.0 if m_own == 1 else largest[own]))
-    return values, [d.p[0], d.p[0]], "; ".join(notes)
+    return values, d.product.take([0, 0]), "; ".join(notes)
 
 
 def concircular_flat_consequences(d, tolerance, oracle):
@@ -200,7 +201,7 @@ def concircular_flat_consequences(d, tolerance, oracle):
         return normalized_residual(defect, [s.ric, times(mu, s.g)]), notes
 
     return conditional(
-        d, summarize("concircular.flat", _max_norms(oracle), d.p, tolerance),
+        d, summarize("concircular.flat", _max_norms(oracle), d, tolerance),
         _NOT_FLAT, einstein, "einstein",
         ("dichotomy", lambda: _dichotomy(d, tolerance)))
 
@@ -232,5 +233,5 @@ def conharmonic_flat_consequences(d, tolerance, oracle):
             defect, [times(f, s.h_f), s.ric, times(lam, s.g)]), notes
 
     return conditional(
-        d, summarize("conharmonic.flat", _max_norms(oracle), d.p, tolerance),
+        d, summarize("conharmonic.flat", _max_norms(oracle), d, tolerance),
         _NOT_FLAT, soliton, "soliton")

@@ -136,7 +136,7 @@ def test_criterion_04_model_solitons():
         psi = gaussian_potential(chart.coords, lam / 2)
         spec = SolitonSpec(kind="ricci", psi=psi, lam=lam)
         c = chart.at(seeded_points(chart, 20))
-        summary = residual(spec, equation_terms(spec, c), c.p, 1e-10,
+        summary = residual(spec, equation_terms(spec, c), c, 1e-10,
                            "soliton.ricci")
         worst = max(worst, summary.max_abs_residual)
         if summary.status != PASS:
@@ -145,7 +145,7 @@ def test_criterion_04_model_solitons():
     sphere = sphere_chart()
     einstein = SolitonSpec(kind="einstein")
     c = sphere.at(seeded_points(sphere, 10, box=(0.5, 2.5)))
-    summary = residual(einstein, equation_terms(einstein, c), c.p, 1e-10,
+    summary = residual(einstein, equation_terms(einstein, c), c, 1e-10,
                        "soliton.einstein")
     worst = max(worst, summary.max_abs_residual)
     if summary.status != PASS:
@@ -155,7 +155,7 @@ def test_criterion_04_model_solitons():
         hyp = hyperbolic_space(n)
         pts = seeded_points(hyp.product, 10)
         c = hyp.product.at(pts)
-        summary = residual(einstein, equation_terms(einstein, c), c.p, 1e-8,
+        summary = residual(einstein, equation_terms(einstein, c), c, 1e-8,
                            "soliton.einstein")
         if summary.status != PASS:
             report(4, False, f"hyperbolic n={n} einstein")
@@ -202,7 +202,7 @@ def test_criterion_06_factor_structure_pipeline(corpus_products):
     d = dwp.point_data(pts, np.zeros(dwp.m))
     for summary in ricci_factor_structures(
         spec, d,
-        residual(spec, equation_terms(spec, d.product), d.p, 1e-10,
+        residual(spec, equation_terms(spec, d.product), d, 1e-10,
                  "factors.ricci.product")
     ):
         worst = max(worst, summary.max_abs_residual)

@@ -640,6 +640,7 @@ class TestConfigResolution:
 
         calls = (["verify", "--help"], ["--version"],
                  ["verify", spec, "--tol", "abc"],
+                 ["verify", spec, "--box", "-1,1,2"],
                  ["verify", spec, "--points", "3", "--format", "structured"],
                  ["verify", spec, "--format", "structured"])
         first = [outcome(argv) for argv in calls]
@@ -648,8 +649,11 @@ class TestConfigResolution:
             "usage: dwpcheck verify")
         assert first[2][0] == 2 and first[2][2].endswith(
             "error: argument --tol: invalid float value: 'abc'\n")
+        assert first[3][0] == 2 and first[3][2].endswith(
+            "error: argument --box: box intervals must be 'lo,hi' "
+            "separated by ';'\n")
         assert [json.loads(out)["run_config"]["points"]
-                for _, out, _ in first[3:]] == [3, 6]
+                for _, out, _ in first[4:]] == [3, 6]
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--box", "-1,1", None),

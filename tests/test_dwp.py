@@ -352,7 +352,7 @@ class TestFactorMirror:
             spec = SolitonSpec(kind="ricci", lam=lam,
                                psi=parse_expression(psi, dwp.coords))
             d = dwp.point_data(points, anchor)
-            gate = residual(spec, equation_terms(spec, d.product), d.p, tol,
+            gate = residual(spec, equation_terms(spec, d.product), d, tol,
                             "factors.ricci.product")
             return {s.check_id: s for s in ricci_factor_structures(
                 spec, d, gate)}
@@ -878,7 +878,7 @@ def block_reference(dwp, d, family, classes, closed, oracle, axis=None):
     return [summarize(f"{family}.{klass}", normalized_residual(
         closed[dwp.block(klass)] - oracle[dwp.block(klass)],
         [closed[dwp.block(klass)], oracle[dwp.block(klass)]], axis=axis),
-        d.p, TOL) for klass in classes]
+        d, TOL) for klass in classes]
 
 
 def line_x_plane():
@@ -934,7 +934,7 @@ class TestBlockwiseComparison:
             "conharmonic": [
                 summarize(f"conharmonic.{klass}", normalized_residual(
                     block - oracle[dwp.block(klass)],
-                    [block, oracle[dwp.block(klass)]], axis=-1), d.p, TOL)
+                    [block, oracle[dwp.block(klass)]], axis=-1), d, TOL)
                 for oracle in [checks._raised(conharmonic, d)]
                 for closed in [special.conharmonic_closed(d)]
                 for klass in special.CONHARMONIC_CLASSES
@@ -958,18 +958,18 @@ class TestBlockwiseComparison:
         closed = dwp.riemann_closed_tensor(d)
         assert checks.check_lemma1(d, TOL)[6] == summarize(
             "lemma1.reconstruction", normalized_residual(
-                closed - c.curvature[0], [closed, c.curvature[0]]), d.p, TOL)
+                closed - c.curvature[0], [closed, c.curvature[0]]), d, TOL)
         tau = dwp.scalar_closed(d)
         assert checks.check_scalar(d, TOL) == [summarize(
             "scalar.splitting", normalized_residual(
-                tau - c.curvature[2], [tau, c.curvature[2]]), d.p, TOL)]
+                tau - c.curvature[2], [tau, c.curvature[2]]), d, TOL)]
         laplacians = checks.check_laplacian(d, TOL)
         for which, log_f, got in zip("kl", (dwp.k, dwp.l), laplacians):
             lap = dwp.laplacian_split(which, d)
             oracle = np.einsum("nij,nij->n", c.ginv,
                                c.hessian(dwp.lifted(log_f)))
             assert got == summarize(f"laplacian.{which}", normalized_residual(
-                lap - oracle, [lap, oracle]), d.p, TOL)
+                lap - oracle, [lap, oracle]), d, TOL)
 
     def test_a_nan_block_stays_in_its_class(self):
         """A NaN in one block of the compared tensors makes that class's
@@ -984,7 +984,7 @@ class TestBlockwiseComparison:
         for klass, reference in zip(dwp_module.RICCI_CLASSES, block_reference(
                 dwp, d, "c", dwp_module.RICCI_CLASSES, closed, oracle)):
             assert np.isnan(got[klass][2]) == (klass == "XU")
-            assert repr(summarize(f"c.{klass}", got[klass], d.p, TOL)) \
+            assert repr(summarize(f"c.{klass}", got[klass], d, TOL)) \
                 == repr(reference)
 
 

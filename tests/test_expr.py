@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dwpcheck.expr import (
-    _FUNCS,
     CONSTANTS,
     ArityError,
     BinOp,
@@ -341,6 +340,33 @@ class TestJetEngineIndependently:
 # zero), and raise the same DomainError at the same point.
 
 
+# name -> (f, f', f'') of v alone, written out here so that a wrong entry
+# of the engine's own table cannot pass by being read on both sides
+_DENSE_FUNCS = {
+    "exp": (np.exp, np.exp, np.exp),
+    "log": (np.log, lambda v: 1.0 / v, lambda v: -1.0 / (v * v)),
+    "sqrt": (
+        np.sqrt,
+        lambda v: 0.5 / np.sqrt(v),
+        lambda v: -0.25 / (v * np.sqrt(v)),
+    ),
+    "sin": (np.sin, np.cos, lambda v: -np.sin(v)),
+    "cos": (np.cos, lambda v: -np.sin(v), lambda v: -np.cos(v)),
+    "tan": (
+        np.tan,
+        lambda v: 1.0 + np.tan(v) ** 2,
+        lambda v: 2.0 * np.tan(v) * (1.0 + np.tan(v) ** 2),
+    ),
+    "sinh": (np.sinh, np.cosh, np.sinh),
+    "cosh": (np.cosh, np.sinh, np.cosh),
+    "tanh": (
+        np.tanh,
+        lambda v: 1.0 - np.tanh(v) ** 2,
+        lambda v: -2.0 * np.tanh(v) * (1.0 - np.tanh(v) ** 2),
+    ),
+}
+
+
 def _dense_check(bad, message, node):
     if bad.any():
         raise DomainError(message, _print(node), int(bad.argmax()))
@@ -393,7 +419,7 @@ def _dense_eval_jet(node, x, index, dim):
         if node.func in ("sin", "cos", "tan"):
             _dense_check(np.isinf(v), f"{node.func} of an infinite value",
                          node)
-        f0, f1, f2 = _FUNCS[node.func]
+        f0, f1, f2 = _DENSE_FUNCS[node.func]
         fv, d1, d2 = f0(v), f1(v), f2(v)
         if node.func in ("exp", "sinh", "cosh"):
             _dense_check(np.isfinite(v) & (np.isinf(fv) | np.isinf(d1)
@@ -470,6 +496,10 @@ _POINT_BATCHES = st.integers(1, 6).flatmap(lambda n: st.lists(
              max_size=2), min_size=n, max_size=n))
 
 
+_RAISING_POINTS = [[2.0, 3.0], [1.0, 1.0], [-1.0, 2.0], [0.5, -1.0],
+                   [0.0, 0.0]]
+
+
 class TestZeroAwareEngine:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(_expressions(), _expressions(), _POINT_BATCHES)
@@ -488,16 +518,31 @@ class TestZeroAwareEngine:
             assert _same(_outcome(lambda: (expr.evaluate(points),)),
                          _outcome(lambda: _dense_jet(expr, points, 0)[:1]))
 
-    @pytest.mark.parametrize("text", [
-        "log(x) + sqrt(y)", "sqrt(y) * log(x)", "x / (y - 1)",
-        "(x - 0.5)^(-2)", "(x - 1)^0.5", "y / exp(-800*x)",
-        "exp(400*x) * y", "sinh(300*y)", "cosh(3*x)^250", "1 / (0.5*x)^400",
-        "tan(exp(800*y))", "x^(0 - 1) + 2",
+    @pytest.mark.parametrize("text, points", [
+        *((text, _RAISING_POINTS) for text in (
+            "log(x) + sqrt(y)", "sqrt(y) * log(x)", "x / (y - 1)",
+            "(x - 0.5)^(-2)", "(x - 1)^0.5", "y / exp(-800*x)",
+            "exp(400*x) * y", "sinh(300*y)", "cosh(3*x)^250",
+            "1 / (0.5*x)^400", "tan(exp(800*y))", "x^(0 - 1) + 2")),
+        # each part of a merged overflow test firing first: x^-1.5 alone
+        # at a subnormal x; x^-4 alone, then x^-3 and x^-4; x^2 alone;
+        # exp (f' = f); cosh and its f' = sinh; sinh and its f' = cosh
+        ("x^0.5", [[1.0, 0.0], [5e-324, 0.0]]),
+        ("x^(-2)", [[1.0, 0.0], [1e-80, 0.0]]),
+        ("x^(-2)", [[1.0, 0.0], [1e-105, 0.0]]),
+        ("(1e200*x)^2", [[1e-110, 0.0], [2.0, 0.0]]),
+        ("exp(709.9*x)", [[0.999, 0.0], [1.0001, 0.0]]),
+        ("cosh(-710*y)", [[0.0, 0.5], [0.0, 1.001]]),
+        ("sinh(710*y)", [[0.0, 0.5], [0.0, 1.001]]),
+        # two parts failing at different rows: x^-4 at row 1 comes before
+        # x^-2 itself at row 2, and the earlier row wins; so does x^-3 of
+        # the second term at row 0, before the first term's x^2 at row 1
+        ("x^(-2)", [[1.0, 0.0], [1e-80, 0.0], [1e-160, 0.0]]),
+        ("(1e200*x)^2 + x^(-2)", [[1e-110, 0.0], [2.0, 0.0]]),
     ])
-    def test_raises_what_the_dense_engine_raises(self, text):
+    def test_raises_what_the_dense_engine_raises(self, text, points):
         expr = parse_expression(text, ("x", "y"))
-        points = np.array([[2.0, 3.0], [1.0, 1.0], [-1.0, 2.0], [0.5, -1.0],
-                           [0.0, 0.0]])
+        points = np.array(points)
         for dim in (0, 2):
             mine = _outcome(lambda: expr._jet(points, dim))
             assert isinstance(mine[0], str), mine

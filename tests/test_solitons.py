@@ -56,7 +56,7 @@ class TestDefiningEquations:
         psi = gaussian_potential(chart.coords, lam / 2)
         spec = SolitonSpec(kind="ricci", psi=psi, lam=lam)
         c = chart.at(seeded_points(chart, 10))
-        summary = residual(spec, equation_terms(spec, c), c.p, 1e-10,
+        summary = residual(spec, equation_terms(spec, c), c, 1e-10,
                            "soliton.ricci")
         assert summary.status == PASS
         assert summary.max_abs_residual <= 1e-10
@@ -65,7 +65,7 @@ class TestDefiningEquations:
         chart = sphere_chart()
         spec = SolitonSpec(kind="einstein")
         c = chart.at(seeded_points(chart, 8, box=(0.5, 2.5)))
-        summary = residual(spec, equation_terms(spec, c), c.p, 1e-10,
+        summary = residual(spec, equation_terms(spec, c), c, 1e-10,
                            "soliton.einstein")
         assert summary.status == PASS
 
@@ -75,7 +75,7 @@ class TestDefiningEquations:
         psi = gaussian_potential(chart.coords, -lam / 2)  # h = (0 - lam) g
         spec = SolitonSpec(kind="yamabe", psi=psi, lam=lam)
         c = chart.at(seeded_points(chart, 8))
-        summary = residual(spec, equation_terms(spec, c), c.p, 1e-12,
+        summary = residual(spec, equation_terms(spec, c), c, 1e-12,
                            "soliton.yamabe")
         assert summary.status == PASS
 
@@ -85,7 +85,7 @@ class TestDefiningEquations:
         psi = gaussian_potential(chart.coords, gamma / 2)
         spec = SolitonSpec(kind="conformal", psi=psi, gamma=gamma)
         c = chart.at(seeded_points(chart, 8))
-        summary = residual(spec, equation_terms(spec, c), c.p, 1e-12,
+        summary = residual(spec, equation_terms(spec, c), c, 1e-12,
                            "soliton.conformal")
         assert summary.status == PASS
 
@@ -100,7 +100,7 @@ class TestDefiningEquations:
         )
         spec = SolitonSpec(kind="eta_ricci", psi=psi, lam=lam, mu=mu, eta=eta)
         c = chart.at(seeded_points(chart, 8))
-        summary = residual(spec, equation_terms(spec, c), c.p, 1e-12,
+        summary = residual(spec, equation_terms(spec, c), c, 1e-12,
                            "soliton.eta_ricci")
         assert summary.status == PASS
 
@@ -111,7 +111,7 @@ class TestDefiningEquations:
         lam = parse_expression("1 + x^2", chart.coords)
         spec = SolitonSpec(kind="f_almost_ricci", psi=psi, lam=lam, f_factor=f)
         c = chart.at(seeded_points(chart, 8))
-        summary = residual(spec, equation_terms(spec, c), c.p, 1e-12,
+        summary = residual(spec, equation_terms(spec, c), c, 1e-12,
                            "soliton.f_almost_ricci")
         assert summary.status == PASS
         assert "almost" in summary.notes
@@ -124,9 +124,9 @@ class TestDefiningEquations:
         psi = gaussian_potential(chart.coords, lam / 4)
         spec = SolitonSpec(kind="riemann", psi=psi, lam=lam)
         c = chart.at(seeded_points(chart, 8))
-        assert residual(spec, equation_terms(spec, c), c.p, 1e-10,
+        assert residual(spec, equation_terms(spec, c), c, 1e-10,
                         "soliton.riemann").status == PASS
-        assert residual(spec, contracted_terms(spec, c), c.p, 1e-10,
+        assert residual(spec, contracted_terms(spec, c), c, 1e-10,
                         "soliton.riemann.contracted").status == PASS
 
     def test_non_soliton_fails(self):
@@ -134,7 +134,7 @@ class TestDefiningEquations:
         psi = parse_expression("x^3", chart.coords)
         spec = SolitonSpec(kind="ricci", psi=psi, lam=0.5)
         c = chart.at(seeded_points(chart, 8))
-        summary = residual(spec, equation_terms(spec, c), c.p, TOL,
+        summary = residual(spec, equation_terms(spec, c), c, TOL,
                            "soliton.ricci")
         assert summary.status == "fail"
 
@@ -243,7 +243,7 @@ class TestFactorStructures:
         d = self.dwp.point_data(self.pts, self.anchor)
         out = ricci_factor_structures(
             spec, d,
-            residual(spec, equation_terms(spec, d.product), d.p, 1e-10,
+            residual(spec, equation_terms(spec, d.product), d, 1e-10,
                      "factors.ricci.product"))
         assert {s.check_id for s in out} == {
             "factors.ricci.product",
@@ -262,7 +262,7 @@ class TestFactorStructures:
         d = self.dwp.point_data(self.pts, self.anchor)
         out = yamabe_factor_structures(
             spec, d,
-            residual(spec, equation_terms(spec, d.product), d.p, 1e-10,
+            residual(spec, equation_terms(spec, d.product), d, 1e-10,
                      "factors.yamabe.product"))
         for s in out:
             assert s.status == PASS, s
@@ -274,7 +274,7 @@ class TestFactorStructures:
         d = self.dwp.point_data(self.pts, self.anchor)
         out = riemann_factor_structures(
             spec, d,
-            residual(spec, contracted_terms(spec, d.product), d.p, 1e-10,
+            residual(spec, contracted_terms(spec, d.product), d, 1e-10,
                      "factors.riemann.product"))
         for s in out:
             assert s.status == PASS, s
@@ -285,7 +285,7 @@ class TestFactorStructures:
         d = self.dwp.point_data(self.pts, self.anchor)
         out = ricci_factor_structures(
             spec, d,
-            residual(spec, equation_terms(spec, d.product), d.p, TOL,
+            residual(spec, equation_terms(spec, d.product), d, TOL,
                      "factors.ricci.product"))
         assert all(s.status == SKIP for s in out)
         assert all("hypothesis fails" in s.notes for s in out)
@@ -307,7 +307,7 @@ class TestFactorStructures:
         pts = seeded_points(dwp.product, 8)
         anchor = np.zeros(dwp.m)
         d = dwp.point_data(pts, anchor)
-        gate = residual(spec, equation_terms(spec, d.product), d.p, TOL,
+        gate = residual(spec, equation_terms(spec, d.product), d, TOL,
                         "factors.quasi_einstein.product")
         assert gate.status == PASS
         out = quasi_einstein_factor_structures(spec, d, gate)
@@ -347,7 +347,7 @@ class TestFactorStructures:
         d = dwp.point_data(pts, np.zeros(dwp.m))
         out = quasi_einstein_factor_structures(
             spec, d,
-            residual(spec, equation_terms(spec, d.product), d.p, TOL,
+            residual(spec, equation_terms(spec, d.product), d, TOL,
                      "factors.quasi_einstein.product"))
         assert [s.check_id for s in out] == [
             f"factors.quasi_einstein.{sub}"
@@ -371,7 +371,7 @@ class TestFactorStructures:
         d = dwp.point_data(pts, np.zeros(2))
         out = riemann_factor_structures(
             spec, d,
-            residual(spec, equation_terms(spec, d.product), d.p, TOL,
+            residual(spec, equation_terms(spec, d.product), d, TOL,
                      "factors.riemann.product"))
         assert all(s.status == SKIP for s in out)
 

@@ -4,13 +4,17 @@ import ast
 import contextlib
 import io
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dwpcheck
 from dwpcheck.cli import main
 from dwpcheck.specfile import (
     SOLITON_TYPE_NAMES, SpecFileError, load_spec, parse_sections,
@@ -52,6 +56,18 @@ def write(tmp_path, text, name="case.spec"):
 
 
 class TestHappyPath:
+    def test_loading_a_spec_imports_no_argparse(self, tmp_path):
+        # set-up (importing the package and loading a spec) leaves the
+        # argument parser to the command line
+        path = write(tmp_path, GOOD_SPEC)
+        code = ("import sys; from dwpcheck.specfile import load_spec; "
+                f"load_spec({path!r}); print('argparse' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(dwpcheck.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout == "False\n"
+
     def test_loads_product_solitons_and_sampling(self, tmp_path):
         dwp, solitons, sampling, default_psi = load_spec(
             write(tmp_path, GOOD_SPEC)
