@@ -84,7 +84,7 @@ def check_lemma1(d, tolerance):
         **_blockwise(d, RIEMANN_CLASSES, curvature, _raised(oracle, d),
                      slots=True),
         "reconstruction": equation_residual(
-            [curvature @ d.gp[:, None, None]], [oracle]),
+            [d.dwp.riemann_closed_tensor(d)], [oracle]),
     }, d, tolerance)
 
 
@@ -127,9 +127,8 @@ def check_laplacian(d, tolerance):
     their Hessians."""
     dwp = d.dwp
     return _compare("laplacian", {
-        which: equation_residual([dwp.laplacian_split(which, d)], [np.einsum(
-            "nij,nij->n", d.product.ginv,
-            d.product.hessian(dwp.lifted(log_f)))])
+        which: equation_residual([dwp.laplacian_split(which, d)],
+                                 [d.product.laplacian(dwp.lifted(log_f))])
         for which, log_f in (("k", dwp.k), ("l", dwp.l))}, d, tolerance)
 
 

@@ -354,19 +354,22 @@ class _ProductChart(ChartManifold):
         return None
 
 
-class _FactorPart:
-    """One factor's ingredients of the block formulas that read its chart
-    record and its own warping alone, so that every record holding the
-    factor at the same points shares one part; every array has a leading N
-    axis."""
+class _Side:
+    """One factor's ingredients of the block formulas at a batch of product
+    points: those read off its factor chart record `factor` alone, each
+    the record's memoized object, and those that read the opposite
+    warping's values f_opp (`set_mirror`; never the product chart's
+    record); every array has a leading N axis.  `mirror` is the other
+    factor's side record, and `record` the record of product points that
+    owns both (`_PointData`)."""
 
-    def __init__(self, dwp, which, factor):
+    def __init__(self, record, which, factor):
+        dwp = record.dwp
         f, log_f = ((dwp.f1, dwp.k), (dwp.f2, dwp.l))[which - 1]
-        self.which = which
+        self.record, self.which, self.factor = record, which, factor
         self.own = dwp.block("XU"[which - 1])[1]  # product-chart indices
         self.lift = coordinate_lifts(dwp)[which - 1]  # rows: lifted fields
         self.m = factor.chart.dim
-        self.factor = factor  # the factor chart's record at the points
         self.g, self.ginv, self.gamma = factor.g, factor.ginv, factor.gamma
         _, self.ric, self.tau = factor.curvature
         # (1,3) curvature r[n, x, y, z, c] = (R(d_x, d_y) d_z)^c
@@ -375,34 +378,23 @@ class _FactorPart:
         factor.share_jets((f, log_f))
         self.f = factor.jet(f).value
         # factor Hessians and Laplacians of the warping and of its log
-        self.h_f = factor.hessian(f)
-        self.lap_f = np.einsum("nij,nij->n", factor.ginv, self.h_f)
+        self.h_f, self.lap_f = factor.hessian(f), factor.laplacian(f)
         self.h_log = factor.hessian(log_f)
-        self.lap_log = np.einsum("nij,nij->n", factor.ginv, self.h_log)
+        self.lap_log = factor.laplacian(log_f)
         # the log-warping's differential
         self.dlog = factor.jet(log_f).gradient
 
-
-class _Side:
-    """One factor's ingredients of the block formulas at a batch of product
-    points: the fields of its factor part `part`, read as its own, and
-    those that read the opposite warping's values `f_opp` (never the
-    product chart's record); every array has a leading N axis.  `mirror`
-    is the other factor's side record, and `record` the record of product
-    points that owns both (`_PointData`)."""
-
-    def __init__(self, record, part, f_opp):
-        dwp = record.dwp
-        vars(self).update(vars(part))
-        self.part, self.record = part, record
-        # the product metric's block f_opp^2 g, and the log-warping's
-        # product gradient f_opp^-2 g^-1 dlog (on its own slots), squared
-        # length and product Laplacian (Laplacian splitting)
+    def set_mirror(self, mirror):
+        """The mirror, the product metric's block f_opp^2 g, and the
+        log-warping's product gradient f_opp^-2 g^-1 dlog (on its own
+        slots), squared length and product Laplacian (Laplacian
+        splitting)."""
+        self.mirror, f_opp = mirror, mirror.f
         self.gp = times(f_opp**2, self.g)
         grad = matvec(self.ginv, self.dlog) / (f_opp**2)[:, None]
         self.grad = grad @ self.lift
         self.grad_sq = np.einsum("ni,ni->n", self.dlog, grad)
-        self.lap = self.lap_log / f_opp**2 + (dwp.m - self.m) * self.grad_sq
+        self.lap = self.lap_log / f_opp**2 + mirror.m * self.grad_sq
 
     def opposite_pairing(self, differential):
         """g(grad log f_opp, grad psi) from the product-chart differential
@@ -431,23 +423,24 @@ class _PointData:
     (`"anchored"`, `("anchored", which)`), the restriction records
     (`("restriction", which)`) and the side records' factor Hessians
     (`("factor_hessian", which, psi)`, `_Side.hessian`).  A given factor
-    part (`parts`) is used as is; the others are built from the factor
-    charts at the points."""
+    chart record (`factors`) is used as is; the others are built from the
+    factor charts at the points."""
 
     once = ChartBatch.once
 
-    def __init__(self, dwp, product, anchor=None, parts=(None, None)):
+    def __init__(self, dwp, product, anchor=None, factors=(None, None)):
         self.dwp, self.anchor = dwp, anchor
         self.product = product.require_spd()
         self.p = product.p
-        p1, p2 = (part or _FactorPart(dwp, which, chart.at(pf).require_spd())
-                  for part, which, chart, pf in zip(
-                      parts, (1, 2), (dwp.factor1, dwp.factor2),
-                      dwp.split(self.p)))
-        self.sides = (_Side(self, p1, p2.f), _Side(self, p2, p1.f))
-        self.sides[0].mirror, self.sides[1].mirror = self.sides[::-1]
+        # factor 1's record is built, tested and read before factor 2's
+        self.sides = tuple(
+            _Side(self, which, factor or chart.at(pf).require_spd())
+            for which, factor, chart, pf in zip(
+                (1, 2), factors, (dwp.factor1, dwp.factor2),
+                dwp.split(self.p)))
         self.gp = np.zeros((len(self.p), dwp.m, dwp.m))
-        for s in self.sides:
+        for s, o in zip(self.sides, self.sides[::-1]):
+            s.set_mirror(o)
             self.gp[:, s.own, s.own] = s.gp
         if anchor is not None:
             self._sets = np.concatenate(
@@ -520,14 +513,14 @@ class _PointData:
 
     def restriction(self, which):
         """The record of the anchored restriction set of factor `which`: it
-        reads `anchored_product(which)` and shares this record's factor
-        part of factor `which`; the opposite factor's part is built at the
-        set's points, where that factor sits at the anchor."""
+        reads `anchored_product(which)` and this record's factor chart
+        record of factor `which`; the opposite factor's record is built at
+        the set's points, where that factor sits at the anchor."""
         def build():
-            # the product's record is tested before the opposite part is
-            # built: where both metrics fail, the product's error is raised
-            parts = [None, None]
-            parts[which - 1] = self.side(which).part
+            # the product's record is tested before the opposite factor's:
+            # where both metrics fail, the product's error is raised
+            factors = [None, None]
+            factors[which - 1] = self.side(which).factor
             return _PointData(self.dwp, self.anchored_product(which),
-                              parts=parts)
+                              factors=factors)
         return self.once(("restriction", which), build)

@@ -150,6 +150,13 @@ _FUNCS = {
 # a name the parser reads as a coordinate, a constant or a function
 IDENTIFIER = r"[A-Za-z_][A-Za-z_0-9]*"
 
+# the deepest nesting (parentheses, calls, signs and exponents, each a
+# level of the parser's recursion) and the deepest tree that the parser
+# accepts: well inside what the recursive walks (parsing, hashing,
+# comparing, jetting and printing) reach under the default recursion
+# limit, about 190 nested parentheses and 320 levels of a tree
+MAX_DEPTH = 100
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
     r"|\d+(?:[eE][+-]?\d+)?)"
@@ -189,6 +196,24 @@ class _Parser:
         self.coords = set(coords)
         self.tokens = _tokenize(text)
         self.i = 0
+        self.nesting = 0  # the number of unary() calls in progress
+        # no tree is deeper than the text has tokens: only the nodes of a
+        # longer text are tracked (`node`)
+        self.depth = {} if len(self.tokens) > MAX_DEPTH else None
+
+    def node(self, node, pos):
+        """The node, new, made at token position `pos`; it fails where its
+        tree is deeper than MAX_DEPTH.  Depths are kept by node id: every
+        node made lives in the tree being built until the parse ends, so
+        no id is reused; a leaf is not listed, and is 1 deep."""
+        if self.depth is not None:
+            depth = 1 + max(self.depth.get(id(c), 1)
+                            for c in _children(node))
+            if depth > MAX_DEPTH:
+                raise ExprSyntaxError(
+                    f"expression deeper than {MAX_DEPTH} levels", pos)
+            self.depth[id(node)] = depth
+        return node
 
     def peek(self):
         return self.tokens[self.i]
@@ -214,29 +239,38 @@ class _Parser:
     def expr(self):
         node = self.term()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "op" and val in "+-":
                 self.advance()
-                node = BinOp(val, node, self.term())
+                node = self.node(BinOp(val, node, self.term()), pos)
             else:
                 return node
 
     def term(self):
         node = self.unary()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "op" and val in "*/":
                 self.advance()
-                node = BinOp(val, node, self.unary())
+                node = self.node(BinOp(val, node, self.unary()), pos)
             else:
                 return node
 
     def unary(self):
-        kind, val, _ = self.peek()
+        # every nested parse (a parenthesis, a call's argument, a sign, an
+        # exponent) recurses through here
+        kind, val, pos = self.peek()
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise ExprSyntaxError(
+                f"expression nested deeper than {MAX_DEPTH} levels", pos)
         if kind == "op" and val == "-":
             self.advance()
-            return Neg(self.unary())
-        return self.power()
+            node = self.node(Neg(self.unary()), pos)
+        else:
+            node = self.power()
+        self.nesting -= 1
+        return node
 
     def power(self):
         base = self.atom()
@@ -246,7 +280,7 @@ class _Parser:
             exponent = self.unary()
             if not _is_constant(exponent):
                 raise ExprSyntaxError("exponent must be a constant", pos)
-            return BinOp("^", base, exponent)
+            return self.node(BinOp("^", base, exponent), pos)
         return base
 
     def atom(self):
@@ -264,7 +298,7 @@ class _Parser:
                 if k2 == "op" and v2 == ",":
                     raise ArityError(f"{val} takes one argument (at position {p2})")
                 self.expect_op(")")
-                return Call(val, arg)
+                return self.node(Call(val, arg), pos)
             if val in CONSTANTS:
                 return Const(val)
             if val in self.coords:
@@ -317,11 +351,12 @@ def _print(node, parent_prec=0, right_side=False):
     if isinstance(node, BinOp):
         prec = _PREC[node.op]
         left = _print(node.left, prec, right_side=(node.op == "^"))
-        # -, /, ^ are non-associative on the right at equal precedence
-        right = _print(node.right, prec, right_side=(node.op in "-/"))
-        if node.op == "^":
-            right = _print(node.right, prec + 1)
-        s = f"{left} {node.op} {right}" if node.op != "^" else f"{left}^{right}"
+        if node.op == "^":  # printed once, as at a tighter precedence
+            s = f"{left}^{_print(node.right, prec + 1)}"
+        else:
+            # - and / are non-associative on the right at equal precedence
+            right = _print(node.right, prec, right_side=(node.op in "-/"))
+            s = f"{left} {node.op} {right}"
         if prec < parent_prec or (prec == parent_prec and right_side):
             return f"({s})"
         return s

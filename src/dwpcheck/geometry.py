@@ -180,8 +180,7 @@ class ChartManifold:
         return np.linalg.solve(d.g, d.jet(psi).gradient[..., None])[..., 0]
 
     def laplacian_field(self, psi, points):
-        d = self.at(points)
-        return np.einsum("nij,nij->n", d.ginv, d.hessian(psi))
+        return self.at(points).laplacian(psi)
 
     def well_conditioned_at(self, points):
         """Per point: whether the metric is positive definite with
@@ -202,7 +201,8 @@ class ChartBatch:
     What else is read off a record is built once, through its one memo
     (`once`), keyed on what is read and never on points: an expression's
     jet (`jet`, keyed on the expression, structurally), a covariant Hessian
-    (`("hessian", psi)`), and what other readers build through `once`.
+    (`("hessian", psi)`) and its trace (`("laplacian", psi)`), and what
+    other readers build through `once`.
     The metrics' definiteness test runs once per record too (`definite`),
     and a record read off others carries their rows of it."""
 
@@ -361,6 +361,12 @@ class ChartBatch:
             jet = self.jet(psi)
             return covariant_hessian(self.gamma, jet.gradient, jet.hessian)
         return self.once(("hessian", psi), build)
+
+    def laplacian(self, psi):
+        """Laplacian lap[n] = g^ij h_ij, the trace of the covariant Hessian
+        (`hessian`), computed on first request."""
+        return self.once(("laplacian", psi), lambda: np.einsum(
+            "nij,nij->n", self.ginv, self.hessian(psi)))
 
 
 def _read_rows(read, x, repeated):

@@ -193,7 +193,7 @@ def contracted_terms(spec, c):
     m, g, h = c.chart.dim, c.g, c.hessian(spec.psi)
     lam = _coeff(spec.lam, c.p)
     ric = c.curvature[1]
-    lap = np.einsum("nij,nij->n", c.ginv, h)
+    lap = c.laplacian(spec.psi)
     if m == 2:
         return [ric], [times(lam - lap, g)]
     return [(m - 2) * h, ric], [times((m - 1) * lam - lap, g)]

@@ -2,6 +2,7 @@
 0/1/2 exit-status convention."""
 
 import json
+import time
 
 import pytest
 
@@ -166,6 +167,25 @@ SOLITON_KEY_NOT_READ_SPEC = PASSING_SPEC.replace(
     "lambda = 0.6", 'lambda = 0.6\nmu = 0.3\neta = ["1", "0", "0", "0"]')
 
 SOLITON_KEY_MISSING_SPEC = PASSING_SPEC.replace("lambda = 0.6\n", "")
+
+# deep or long factor-1 warpings, each exiting 2 at once: one leaving its
+# domain, whose error prints it as a right-nested ^ chain of 21 levels, and
+# three that the parser refuses as deeper than its bound: 400 nested
+# parentheses, 1,200 minus signs and a sum of 3,000 terms
+POWER_CHAIN_WARPING_SPEC = PASSING_SPEC.replace(
+    "\n[factor.2]", f'warping = "log(x{"^1" * 21} + 5)"\n\n[factor.2]'
+).replace("box = [-1.0, 1.0]", "box = [-10.0, 10.0]")
+
+NESTED_PARENTHESES_WARPING_SPEC = PASSING_SPEC.replace(
+    "\n[factor.2]",
+    f'warping = "exp({"(" * 400}x{")" * 400})"\n\n[factor.2]')
+
+MINUS_SIGNS_WARPING_SPEC = PASSING_SPEC.replace(
+    "\n[factor.2]", f'warping = "exp({"-" * 1200}x)"\n\n[factor.2]')
+
+LONG_SUM_WARPING_SPEC = PASSING_SPEC.replace(
+    "\n[factor.2]",
+    f'warping = "exp({"+".join(["x"] * 3000)})"\n\n[factor.2]')
 
 H3_LINE_FIRST_SPEC = warped_line_spec("hyperbolic-flat", line_first=True)
 
@@ -352,6 +372,29 @@ class TestExitStatuses:
         assert capsys.readouterr().err == (
             "error: [soliton] (line 15): soliton kind 'ricci' requires field "
             "'lambda'\n")
+
+    @pytest.mark.parametrize("text, message", [
+        (POWER_CHAIN_WARPING_SPEC,
+         "f1 = 'log(x^(1{0}^1{1} + 5)' leaves its domain at "
+         "[-8.11645304224701, 9.512447032735118]: log of nonpositive value "
+         "in 'log(x^(1{0}^1{1} + 5)'".format("^(1" * 19, ")" * 20)),
+        (NESTED_PARENTHESES_WARPING_SPEC,
+         "[factor.1]: expression nested deeper than 100 levels (at position "
+         "103)"),
+        (MINUS_SIGNS_WARPING_SPEC,
+         "[factor.1]: expression nested deeper than 100 levels (at position "
+         "103)"),
+        (LONG_SUM_WARPING_SPEC,
+         "[factor.1]: expression deeper than 100 levels (at position 203)"),
+    ], ids=["power-chain", "nested-parentheses", "minus-signs", "long-sum"])
+    def test_a_deep_or_long_warping_exits_two_at_once(
+        self, tmp_path, capsys, text, message
+    ):
+        spec = write(tmp_path, text, "deep.spec")
+        start = time.perf_counter()
+        assert main(["verify", spec]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
     @pytest.mark.parametrize("old, new, args, needles", [

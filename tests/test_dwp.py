@@ -425,10 +425,51 @@ def array_fields(record):
             if isinstance(value, np.ndarray)}
 
 
+def factor_reads(dwp, s):
+    """{side field: the object of its factor chart record that it is}."""
+    factor = s.factor
+    f, log_f = ((dwp.f1, dwp.k), (dwp.f2, dwp.l))[s.which - 1]
+    _, ric, tau = factor.curvature
+    return {"g": factor.g, "ginv": factor.ginv, "gamma": factor.gamma,
+            "ric": ric, "tau": tau, "r": factor.curvature_operator,
+            "f": factor.jet(f).value, "h_f": factor.hessian(f),
+            "lap_f": factor.laplacian(f), "h_log": factor.hessian(log_f),
+            "lap_log": factor.laplacian(log_f),
+            "dlog": factor.jet(log_f).gradient}
+
+
+class TestSidesReadTheirFactorRecords:
+    """Every field of a side that reads its own factor alone is its factor
+    chart record's memoized object, on the samples' record and on each
+    restriction record; a restriction's own side reads the samples' factor
+    record, and its opposite side a record of its own at the anchor."""
+
+    @pytest.mark.parametrize("make, box", [
+        *((make, CURVED_BOX) for make in CURVED_PRODUCTS),
+        (lambda: quasi_einstein_product()[0], (-1.0, 1.0)),
+    ], ids=[make.__name__ for make in CURVED_PRODUCTS] + ["quasi_einstein"])
+    def test_side_fields_are_the_factor_records_objects(self, make, box):
+        dwp = make()
+        pts = seeded_points(dwp.product, 7, box=box)
+        anchor = box[0] + (box[1] - box[0]) * np.linspace(0.3, 0.7, dwp.m)
+        d = dwp.point_data(pts, anchor)
+        for record in (d, d.restriction(1), d.restriction(2)):
+            for s in record.sides:
+                for name, read in factor_reads(dwp, s).items():
+                    assert getattr(s, name) is read, name
+        for which in (1, 2):
+            r, opposite = d.restriction(which), 3 - which
+            assert r.side(which).factor is d.side(which).factor
+            assert r.side(opposite).factor is not d.side(opposite).factor
+            assert (r.side(opposite).factor.p
+                    == anchor[dwp.block("XU")[opposite]]).all()
+
+
 class TestRestrictionRecords:
-    """A restriction record reuses the samples' factor part and holds the
-    opposite factor at the anchor; its fields equal, bitwise, those of the
-    record built from scratch at the anchored points."""
+    """A restriction record reads the samples' factor chart record of its
+    own factor and holds the opposite factor at the anchor; its fields
+    equal, bitwise, those of the record built from scratch at the anchored
+    points."""
 
     @pytest.mark.parametrize("make, box", [
         *((make, CURVED_BOX) for make in CURVED_PRODUCTS),
@@ -603,8 +644,8 @@ class TestOneRecordPerPointSet:
         assert len(tested) == len(passes)
         assert all(len(g) == 1 for g in tested)
         for which in (1, 2):
-            assert (d.restriction(which).side(which).part
-                    is d.side(which).part)
+            assert (d.restriction(which).side(which).factor
+                    is d.side(which).factor)
 
     def test_verify_builds_each_closed_tensor_once_per_record(
             self, tmp_path, monkeypatch):

@@ -2,14 +2,17 @@
 
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dwpcheck import expr as expr_module
 from dwpcheck.expr import (
     CONSTANTS,
+    MAX_DEPTH,
     ArityError,
     BinOp,
     Call,
@@ -116,6 +119,75 @@ class TestParsing:
         with pytest.raises(DomainError, match="overflow") as info:
             e.jet([[1.0], [1e300]])
         assert info.value.index == 1
+
+
+# form -> (text of k levels, the largest k the parser accepts, what it
+# refuses at k + 1, and at which position): nesting counts the parse levels
+# in progress, the whole expression being the first, and tree depth the
+# nodes on the longest path from the root, a leaf being 1
+NESTED, DEEP_TREE = "expression nested deeper", "expression deeper"
+DEEP = {
+    "parentheses": (lambda k: "(" * k + "x" + ")" * k, MAX_DEPTH - 1,
+                    NESTED, MAX_DEPTH),
+    "calls": (lambda k: "sin(" * k + "x" + ")" * k, MAX_DEPTH - 1, NESTED,
+              4 * MAX_DEPTH),
+    "signs": (lambda k: "-" * k + "x", MAX_DEPTH - 1, NESTED, MAX_DEPTH),
+    "exponents": (lambda k: "x" + "^1" * k, MAX_DEPTH - 1, NESTED,
+                  2 * MAX_DEPTH),
+    "sum": (lambda k: "+".join(["x"] * k), MAX_DEPTH, DEEP_TREE,
+            2 * MAX_DEPTH - 1),
+    "product": (lambda k: "*".join(["x"] * k), MAX_DEPTH, DEEP_TREE,
+                2 * MAX_DEPTH - 1),
+    "signed calls": (lambda k: "sin(-(" * k + "x" + "))" * k,
+                     (MAX_DEPTH - 1) // 3, NESTED,
+                     6 * ((MAX_DEPTH - 1) // 3) + 4),
+}
+
+
+class TestDeepExpressions:
+    def test_a_right_nested_power_chain_prints_each_node_once(
+            self, monkeypatch):
+        """x^1^...^1 prints each node once: the printing of a ^ node's
+        exponent used to run twice, doubling the time per level."""
+        e = parse_expression("x" + "^1" * 40, ("x",))
+        printed, printer = [], expr_module._print
+
+        def counting(node, *args, **kwargs):
+            printed.append(node)
+            # a print that doubles per level stops here, at once
+            assert len(printed) <= 81
+            return printer(node, *args, **kwargs)
+
+        monkeypatch.setattr(expr_module, "_print", counting)
+        start = time.perf_counter()
+        assert str(e) == "x" + "^(1" * 39 + "^1" + ")" * 39
+        assert time.perf_counter() - start < 1.0
+        assert len(printed) == 81  # 40 ^ nodes and 41 leaves
+
+    @pytest.mark.parametrize("form", sorted(DEEP))
+    def test_the_deepest_accepted_expression_is_walked_whole(self, form):
+        """At the bound, every walk of the tree (hashing, comparing,
+        printing, lifting and jetting) runs under the default recursion
+        limit."""
+        make, k, _, _ = DEEP[form]
+        text = make(k)
+        e = parse_expression(text, ("x",))
+        assert hash(e) == hash(parse_expression(text, ("x",)))
+        assert e == parse_expression(text, ("x",))
+        # the text again, up to parentheses and spaces
+        bare = str.maketrans("", "", "() ")
+        assert str(e).translate(bare) == text.translate(bare)
+        jet = e.lift(("x", "y")).jet([[0.3, 0.1]])
+        assert np.isfinite(jet.hessian).all()
+
+    @pytest.mark.parametrize("form", sorted(DEEP))
+    def test_one_level_more_is_a_syntax_error(self, form):
+        make, k, refusal, position = DEEP[form]
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_expression(make(k + 1), ("x",))
+        assert info.value.position == position
+        assert str(info.value) == (
+            f"{refusal} than {MAX_DEPTH} levels (at position {position})")
 
 
 class TestJets:

@@ -350,6 +350,27 @@ class TestDerivativeOperators:
             4.0, abs=1e-12
         )
 
+    def test_laplacian_is_the_trace_of_the_hessian_built_once(self):
+        """A record's Laplacian of a potential is, bitwise, the trace of
+        its covariant Hessian by the inverse metric; it is built on the
+        first read and shared by every later read of an equal potential,
+        on that record alone."""
+        chart = random_spd_chart(3, np.random.default_rng(4))
+        pts = seeded_points(chart, 9)
+        record = chart.at(pts)
+        text = "a*b + sin(c) + b^3"
+        psi = parse_expression(text, chart.coords)
+        lap = record.laplacian(psi)
+        trace = np.einsum("nij,nij->n", record.ginv, record.hessian(psi))
+        assert np.array_equal(lap, trace)
+        assert np.array_equal(np.signbit(lap), np.signbit(trace))
+        assert record.laplacian(parse_expression(text, chart.coords)) is lap
+        other = record.laplacian(parse_expression("a^2", chart.coords))
+        assert other is not lap and not np.array_equal(other, lap)
+        fresh = chart.at(pts).laplacian(psi)
+        assert fresh is not lap and np.array_equal(fresh, lap)
+        assert np.array_equal(chart.laplacian_field(psi, pts), lap)
+
     def test_gradient_raises_index_with_inverse_metric(self):
         chart = expr_chart(("r", "th"), [["1", "0"], ["0", "r^2"]])
         psi = parse_expression("th", chart.coords)

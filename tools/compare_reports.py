@@ -40,9 +40,10 @@ SEEDS = (1, 2, 3, 57)
 
 # runs in a fresh interpreter with one tree's src/ on PYTHONPATH: reads a
 # JSON list of argv lists, prints the package path and [code, out, err] per
-# argv
+# argv; an uncaught exception is status 1 with its traceback on stderr, as
+# the console script would end
 RUNNER = r"""
-import contextlib, io, json, sys
+import contextlib, io, json, sys, traceback
 import dwpcheck
 from dwpcheck.cli import main
 results = []
@@ -53,6 +54,9 @@ for argv in json.load(sys.stdin):
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
+        except Exception:
+            code = 1
+            traceback.print_exc()
     results.append([code, out.getvalue(), err.getvalue()])
 json.dump({"package": dwpcheck.__file__, "results": results}, sys.stdout)
 """
